@@ -234,9 +234,10 @@ impl ProvenanceAgent {
         let tool = match route {
             Route::Plot => "plot",
             // Historical questions go to the persistent database, where
-            // the query is planned and pushed into the store's indexes
-            // (`provql::plan` + `prov_db::try_execute`) instead of
-            // re-materializing the whole corpus per question.
+            // the query is planned against a pinned snapshot and pushed
+            // into the store's indexes and column vectors (`provql::plan`
+            // + `prov_db::execute_plan`) instead of re-materializing the
+            // whole corpus per question.
             Route::HistoricalQuery => "provdb_query",
             _ => "in_memory_query",
         };

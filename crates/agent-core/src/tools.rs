@@ -726,12 +726,12 @@ mod tests {
         // The query must actually be servable by the pushdown executor —
         // if planning regresses, this query would silently fall back to
         // the oracle and the assertion below would stop meaning anything.
-        let db = ctx.db.as_ref().unwrap();
+        let snap = ctx.db.as_ref().unwrap().snapshot();
         let query = parse(code).unwrap();
-        let plan = provql::plan(&query, db.as_ref());
+        let plan = provql::plan(&query, &*snap);
         assert!(plan.pipelines().iter().all(|p| p.has_pushdown()));
         assert!(matches!(
-            prov_db::execute_plan(db, &plan),
+            prov_db::execute_plan(&snap, &plan),
             prov_db::Pushdown::Executed(Ok(_))
         ));
         // Selective equality served straight from the store; the answer

@@ -1,14 +1,15 @@
 //! `prov_db` bench group: the sharded, clone-free engine vs the seed
 //! baseline on the three hot paths the ISSUE names — batch ingest,
 //! indexed point find, and group-by aggregation — plus the vectorized
-//! kernels (zone-map chunk skipping, code-based group-by) against their
-//! decode- and frame-based equivalents.
+//! kernels (zone-map chunk skipping, code-based group-by), the latter
+//! against its frame-based equivalent.
 
 use bench::baseline::BaselineDatabase;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use prov_db::{AggOp, Aggregate, DocQuery, GroupSpec, Op, ProvenanceDatabase};
 use prov_model::{TaskMessage, TaskMessageBuilder};
 use std::hint::black_box;
+use std::sync::Arc;
 use std::time::Duration;
 
 fn msg(i: usize) -> TaskMessage {
@@ -128,8 +129,10 @@ fn bench_aggregate(c: &mut Criterion) {
     g.finish();
 }
 
-fn run_query(db: &ProvenanceDatabase, q: &provql::Query, use_columnar: bool) -> usize {
-    match prov_db::try_execute_with(db, q, use_columnar) {
+/// Pin a snapshot, plan `q` against it and run the pushed scan.
+fn run_query(db: &Arc<ProvenanceDatabase>, q: &provql::Query) -> usize {
+    let snap = db.snapshot();
+    match prov_db::execute_plan(&snap, &provql::plan(q, &*snap)) {
         prov_db::Pushdown::Executed(out) => out.expect("query runs").len(),
         prov_db::Pushdown::NeedsFullFrame(reason) => {
             panic!("bench query was not served by the scan: {reason}")
@@ -139,22 +142,17 @@ fn run_query(db: &ProvenanceDatabase, q: &provql::Query, use_columnar: bool) -> 
 
 /// Selective range scan where the per-chunk zone maps do the work:
 /// `started_at` is monotone in the corpus, so a high bound lets the
-/// kernel discard nearly every granule from its min/max alone. The
-/// contrast is the decode path, which rebuilds the corpus into a frame
-/// and filters row by row.
+/// kernel discard nearly every granule from its min/max alone.
 fn bench_chunk_skip(c: &mut Criterion) {
     let mut g = c.benchmark_group("provdb_chunk_skip");
     g.sample_size(10).measurement_time(Duration::from_secs(5));
     const N: usize = 100_000;
-    let db = ProvenanceDatabase::new();
+    let db = ProvenanceDatabase::shared();
     db.insert_batch(&corpus(N));
     let q = provql::parse(r#"df[df["started_at"] > 99000.0][["task_id", "started_at"]]"#)
         .expect("bench query parses");
-    g.bench_function("decode_scan", |b| {
-        b.iter(|| black_box(run_query(&db, &q, false)))
-    });
     g.bench_function("zone_map_skip", |b| {
-        b.iter(|| black_box(run_query(&db, &q, true)))
+        b.iter(|| black_box(run_query(&db, &q)))
     });
     g.finish();
 }
@@ -167,16 +165,16 @@ fn bench_vectorized_groupby(c: &mut Criterion) {
     let mut g = c.benchmark_group("provdb_vectorized_groupby");
     g.sample_size(10).measurement_time(Duration::from_secs(5));
     const N: usize = 100_000;
-    let db = ProvenanceDatabase::new();
+    let db = ProvenanceDatabase::shared();
     db.insert_batch(&corpus(N));
-    let frame = prov_db::full_frame(&db);
+    let frame = db.snapshot().oracle_frame();
     let q =
         provql::parse(r#"df.groupby("hostname")["duration"].mean()"#).expect("bench query parses");
     g.bench_function("frame_hash_keys", |b| {
         b.iter(|| black_box(provql::execute(&q, &frame).expect("query runs")))
     });
     g.bench_function("dictionary_codes", |b| {
-        b.iter(|| black_box(run_query(&db, &q, true)))
+        b.iter(|| black_box(run_query(&db, &q)))
     });
     g.finish();
 }

@@ -91,14 +91,17 @@ fn scrub_index_maps(mut s: String) -> String {
     s
 }
 
-fn fingerprint(db: &ProvenanceDatabase) -> Vec<String> {
-    let frame = prov_db::full_frame(db);
+/// Per golden pipeline: the oracle-frame answer plus the pushdown
+/// outcome, both on one pinned snapshot of `db`.
+fn fingerprint(db: &Arc<ProvenanceDatabase>) -> Vec<String> {
+    let snap = db.snapshot();
+    let frame = snap.oracle_frame();
     GOLDEN
         .iter()
         .map(|text| {
             let q = parse(text).expect("golden query parses");
             let full = execute(&q, &frame);
-            let pushed = match prov_db::try_execute(db, &q) {
+            let pushed = match prov_db::execute_plan(&snap, &provql::plan(&q, &*snap)) {
                 prov_db::Pushdown::Executed(r) => format!("pushed:{r:?}"),
                 prov_db::Pushdown::NeedsFullFrame(r) => format!("fallback:{r}"),
             };
@@ -173,7 +176,7 @@ fn run_parent(runs: u64, seed: u64) -> i32 {
         let lazy = ProvenanceDatabase::open_with(&dir, open_opts(false))
             .expect("parent: recover store (lazy)");
         let got = lazy.insert_count();
-        let oracle = ProvenanceDatabase::new();
+        let oracle = ProvenanceDatabase::shared();
         oracle.insert_batch(&msgs[..got as usize]);
         let want = fingerprint(&oracle);
         let lazy_ok = fingerprint(&lazy) == want;

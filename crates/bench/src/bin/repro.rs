@@ -457,11 +457,12 @@ impl ProvDbReport {
                  filtered group-by aggregate, whole corpus rebuilt into a DataFrame per \
                  query) vs plan-then-push (hash-index probes, projected frame over the \
                  surviving documents only). columnar_find and columnar_aggregate compare \
-                 the two scan paths of the current engine: decode-based projected scan \
-                 (every surviving document decoded back into a task message) vs the \
-                 columnar sidecar (filters evaluated over typed column vectors, frame \
-                 built straight from them; columnar_find is a selective two-column find, \
-                 columnar_aggregate an unselective corpus-wide group-by). topk_find \
+                 the two agent paths of the current engine: the stage machine over the \
+                 snapshot's pre-built oracle frame (built outside the timed loop) vs \
+                 the columnar sidecar (filters evaluated over typed column vectors, \
+                 frame built straight from them; columnar_find is a selective \
+                 two-column find, columnar_aggregate an unselective corpus-wide \
+                 group-by). topk_find \
                  compares the agent paths for a sort_values(...).head(5) \"latest N \
                  tasks\" query on the current engine: sort the whole pre-built frame \
                  per call (the cached-oracle path this shape used before sort/limit \
@@ -475,8 +476,8 @@ impl ProvDbReport {
                  core count, shard count, chunk size, and any \
                  PROVDB_SHARDS/PROVDB_THREADS/PROVDB_CHUNK overrides in effect. \
                  dict_filter compares the two engine paths for an unindexed membership \
-                 filter (hostname isin list, task_id projection): decode every \
-                 document into a frame and evaluate the predicate row by row vs the \
+                 filter (hostname isin list, task_id projection): evaluate the \
+                 predicate row by row over the pre-built oracle frame vs the \
                  dictionary kernel (literals compiled to shard-local codes once, \
                  chunked zone maps skipping non-matching granules, selection vectors \
                  instead of per-row branches). vectorized_groupby compares a \
@@ -486,7 +487,7 @@ impl ProvDbReport {
                  across shards by cached content hash, aggregate gathered cells). \
                  mixed_load interleaves 12 streaming ingest bursts of 256 messages \
                  with 48-query dashboard storms cycling a 4-query repeated set, and \
-                 compares the pre-serving agent path (try-pushdown per query, \
+                 compares the pre-serving agent path (pin + try-pushdown per query, \
                  otherwise re-execute stages over a generation-keyed whole-frame \
                  cache, all on one thread) against the serving stack (storms \
                  submitted to the bounded QueryServer pool, answered from \
@@ -623,10 +624,9 @@ fn pushdown_queries() -> Vec<provql::Query> {
 /// The queries behind `columnar_find` and `columnar_aggregate`: a
 /// selective projected find over columnar columns only, and an unselective
 /// corpus-wide group-by aggregate over columnar columns. Both are measured
-/// through `try_execute_with` on the *current* engine — decode-based
-/// projected scan (`use_columnar = false`, the PR 3 path that decodes
-/// every surviving document) vs the columnar scan (`use_columnar = true`,
-/// which materializes the frame straight from the column vectors).
+/// on the *current* engine — the stage machine over the snapshot's
+/// pre-built oracle frame vs the pushed scan on the same snapshot, which
+/// materializes the frame straight from the column vectors.
 fn columnar_queries() -> (provql::Query, provql::Query) {
     (
         provql::parse(r#"df[df["workflow_id"] == "wf-7"][["task_id", "duration"]]"#)
@@ -639,8 +639,8 @@ fn columnar_queries() -> (provql::Query, provql::Query) {
 /// The query behind `dict_filter`: an unindexed membership filter over a
 /// 64-symbol dictionary column. Neither engine path gets index help here
 /// (hostname carries no hash index), so the contrast is pure scan
-/// machinery: decode every document into a frame and evaluate the isin
-/// predicate row by row vs the dictionary kernel — the literal list is
+/// machinery: evaluate the isin predicate row by row over the pre-built
+/// oracle frame vs the dictionary kernel — the literal list is
 /// compiled to shard-local code sets once, chunked zone maps skip
 /// granules whose code range misses the set, and the survivors come out
 /// of a branch-light selection-vector pass with zero decodes.
@@ -726,12 +726,14 @@ fn parallel_scan_store() -> prov_db::DocumentStore {
     store
 }
 
+/// Pin a snapshot, plan `q` against it and run the pushed scan; the
+/// answer's length. Panics when the plan falls back to the oracle.
 fn run_columnar_query(
-    db: &prov_db::ProvenanceDatabase,
+    db: &std::sync::Arc<prov_db::ProvenanceDatabase>,
     q: &provql::Query,
-    use_columnar: bool,
 ) -> usize {
-    match prov_db::try_execute_with(db, q, use_columnar) {
+    let snap = db.snapshot();
+    match prov_db::execute_plan(&snap, &provql::plan(q, &*snap)) {
         prov_db::Pushdown::Executed(out) => out.expect("query runs").len(),
         prov_db::Pushdown::NeedsFullFrame(reason) => {
             panic!("bench query was not served by the scan: {reason}")
@@ -829,14 +831,15 @@ fn provdb_measure(which: &str) -> f64 {
         // corpus into a DataFrame (docs → TaskMessages → from_messages)
         // and row-scans it. This is what `provdb_query` did before plans.
         "query-scan" => {
-            let db = ProvenanceDatabase::new();
+            let db = ProvenanceDatabase::shared();
             db.insert_batch(&msgs);
             let queries = pushdown_queries();
             // Same rep count as query-pushdown: best-of-N favors the side
             // with more samples, so an asymmetric N would bias the ratio.
+            // Each fresh snapshot builds its own oracle frame.
             best_of(5, || {
                 for q in &queries {
-                    let frame = prov_db::full_frame(&db);
+                    let frame = db.snapshot().oracle_frame();
                     std::hint::black_box(provql::execute(q, &frame).expect("query runs"));
                 }
             })
@@ -844,55 +847,49 @@ fn provdb_measure(which: &str) -> f64 {
         // Plan-then-push: equality conjuncts probe the hash indexes and
         // only the surviving documents' referenced columns become a frame.
         "query-pushdown" => {
-            let db = ProvenanceDatabase::new();
+            let db = ProvenanceDatabase::shared();
             db.insert_batch(&msgs);
             let queries = pushdown_queries();
             best_of(5, || {
                 for q in &queries {
-                    match prov_db::try_execute(&db, q) {
-                        prov_db::Pushdown::Executed(out) => {
-                            std::hint::black_box(out.expect("query runs"));
-                        }
-                        prov_db::Pushdown::NeedsFullFrame(reason) => {
-                            panic!("bench query was not pushed: {reason}")
-                        }
-                    }
+                    std::hint::black_box(run_columnar_query(&db, q));
                 }
             })
         }
-        // Selective find through both scan paths of the current engine:
-        // index probe + decode ~2k surviving docs into a projected frame
-        // vs index probe + column-vector gather (no decode at all).
+        // Selective find through both agent paths of the current engine:
+        // row-scan filter over the pre-built oracle frame vs index probe +
+        // column-vector gather (no decode at all).
         "columnar-find-scan" => {
-            let db = ProvenanceDatabase::new();
+            let db = ProvenanceDatabase::shared();
             db.insert_batch(&msgs);
+            let frame = db.snapshot().oracle_frame();
             let (find, _) = columnar_queries();
-            p50(|| run_columnar_query(&db, &find, false))
+            p50(|| provql::execute(&find, &frame).expect("query runs").len())
         }
         "columnar-find" => {
-            let db = ProvenanceDatabase::new();
+            let db = ProvenanceDatabase::shared();
             db.insert_batch(&msgs);
             let (find, _) = columnar_queries();
-            p50(|| run_columnar_query(&db, &find, true))
+            p50(|| run_columnar_query(&db, &find))
         }
-        // Unselective corpus-wide aggregate: decode all 100k docs into a
-        // projected frame vs building the two referenced columns straight
-        // from the vectors. This is the shape that used to be servable
-        // only by the cached oracle.
+        // Unselective corpus-wide aggregate: the frame group-by over the
+        // pre-built oracle frame vs building the two referenced columns
+        // straight from the vectors.
         "columnar-agg-scan" => {
-            let db = ProvenanceDatabase::new();
+            let db = ProvenanceDatabase::shared();
             db.insert_batch(&msgs);
+            let frame = db.snapshot().oracle_frame();
             let (_, agg) = columnar_queries();
             best_of(5, || {
-                std::hint::black_box(run_columnar_query(&db, &agg, false));
+                std::hint::black_box(provql::execute(&agg, &frame).expect("query runs"));
             })
         }
         "columnar-agg" => {
-            let db = ProvenanceDatabase::new();
+            let db = ProvenanceDatabase::shared();
             db.insert_batch(&msgs);
             let (_, agg) = columnar_queries();
             best_of(5, || {
-                std::hint::black_box(run_columnar_query(&db, &agg, true));
+                std::hint::black_box(run_columnar_query(&db, &agg));
             })
         }
         // Top-k through both agent paths on the current engine: sort the
@@ -900,57 +897,57 @@ fn provdb_measure(which: &str) -> f64 {
         // pushed sort+limit scan. The frame side is what `provdb_query`
         // did for this shape before sort pushdown existed.
         "topk-frame" => {
-            let db = ProvenanceDatabase::new();
+            let db = ProvenanceDatabase::shared();
             db.insert_batch(&msgs);
-            let frame = prov_db::full_frame(&db);
+            let frame = db.snapshot().oracle_frame();
             let q = topk_query();
             p50(|| provql::execute(&q, &frame).expect("query runs").len())
         }
         "topk-push" => {
-            let db = ProvenanceDatabase::new();
+            let db = ProvenanceDatabase::shared();
             db.insert_batch(&msgs);
             let q = topk_query();
-            p50(|| run_columnar_query(&db, &q, true))
+            p50(|| run_columnar_query(&db, &q))
         }
-        // Unindexed membership filter through both scan paths of the
-        // current engine: full decode + row-by-row isin on the frame vs
-        // the dictionary kernel (code-compiled literals, zone-map chunk
-        // skipping, selection vectors). The decode side rebuilds the
-        // corpus per probe, so best-of-N keeps the runtime sane.
+        // Unindexed membership filter through both agent paths of the
+        // current engine: row-by-row isin over the pre-built oracle frame
+        // vs the dictionary kernel (code-compiled literals, zone-map chunk
+        // skipping, selection vectors).
         "dict-filter-scan" => {
-            let db = ProvenanceDatabase::new();
+            let db = ProvenanceDatabase::shared();
             db.insert_batch(&msgs);
+            let frame = db.snapshot().oracle_frame();
             let q = dict_filter_query();
             best_of(5, || {
-                std::hint::black_box(run_columnar_query(&db, &q, false));
+                std::hint::black_box(provql::execute(&q, &frame).expect("query runs"));
             })
         }
         "dict-filter" => {
-            let db = ProvenanceDatabase::new();
+            let db = ProvenanceDatabase::shared();
             db.insert_batch(&msgs);
             let q = dict_filter_query();
             best_of(5, || {
-                std::hint::black_box(run_columnar_query(&db, &q, true));
+                std::hint::black_box(run_columnar_query(&db, &q));
             })
         }
         // Single-key grouped aggregate through both agent paths on the
         // current engine: hash per-row Vec<Value> keys over the cached
         // full frame vs grouping directly over dictionary codes.
         "vec-groupby-frame" => {
-            let db = ProvenanceDatabase::new();
+            let db = ProvenanceDatabase::shared();
             db.insert_batch(&msgs);
-            let frame = prov_db::full_frame(&db);
+            let frame = db.snapshot().oracle_frame();
             let q = vectorized_groupby_query();
             best_of(5, || {
                 std::hint::black_box(provql::execute(&q, &frame).expect("query runs"));
             })
         }
         "vec-groupby-codes" => {
-            let db = ProvenanceDatabase::new();
+            let db = ProvenanceDatabase::shared();
             db.insert_batch(&msgs);
             let q = vectorized_groupby_query();
             best_of(5, || {
-                std::hint::black_box(run_columnar_query(&db, &q, true));
+                std::hint::black_box(run_columnar_query(&db, &q));
             })
         }
         // The shard-parallel columnar scan vs the forced-sequential path
@@ -966,21 +963,26 @@ fn provdb_measure(which: &str) -> f64 {
                 1
             };
             store.set_scan_threads(threads);
-            let bound = prov_model::Value::Float(0.5);
-            use dataframe::CmpOp;
+            let min = prov_model::Value::Float(0.5);
+            let filter = [prov_db::ScanPredicate::Cmp(
+                "duration",
+                dataframe::CmpOp::Gt,
+                &min,
+            )];
+            let rows = store.shard_rows();
             p50(|| {
                 store
-                    .columnar_scan(&[("duration", CmpOp::Gt, &bound)], None)
+                    .columnar_scan_where(&filter, None, &rows)
                     .expect("columnar scan servable")
                     .len()
             })
         }
         // Concurrent ingest bursts interleaved with dashboard query
-        // storms, through the pre-serving agent path: each query tries
-        // pushdown and otherwise re-executes its stages over a
-        // generation-keyed whole-frame cache (exactly what
-        // `provdb_query` did before snapshots + the plan cache), all on
-        // the caller's thread.
+        // storms, through the pre-serving agent path: each query pins a
+        // snapshot, tries pushdown and otherwise re-executes its stages
+        // over a generation-keyed whole-frame cache (what `provdb_query`
+        // did before the plan cache and the worker pool), all on the
+        // caller's thread.
         "mixed-load-baseline" => {
             let msgs = mixed_corpus();
             let queries: Vec<provql::Query> = mixed_query_texts()
@@ -988,22 +990,23 @@ fn provdb_measure(which: &str) -> f64 {
                 .map(|t| provql::parse(t).expect("bench query parses"))
                 .collect();
             best_of(3, || {
-                let db = ProvenanceDatabase::new();
+                let db = ProvenanceDatabase::shared();
                 let (seed, rest) = msgs.split_at(MIXED_SEED);
                 db.insert_batch_shared(seed.iter().cloned());
-                let mut cached: Option<(u64, dataframe::DataFrame)> = None;
+                let mut cached: Option<(u64, std::sync::Arc<dataframe::DataFrame>)> = None;
                 for burst in rest.chunks(MIXED_BURST_SIZE) {
                     db.insert_batch_shared(burst.iter().cloned());
                     for i in 0..MIXED_STORM {
                         let q = &queries[i % queries.len()];
-                        match prov_db::try_execute(&db, q) {
+                        let snap = db.snapshot();
+                        match prov_db::execute_plan(&snap, &provql::plan(q, &*snap)) {
                             prov_db::Pushdown::Executed(out) => {
                                 std::hint::black_box(out.expect("query runs"));
                             }
                             prov_db::Pushdown::NeedsFullFrame(_) => {
-                                let generation = db.generation();
+                                let generation = snap.generation();
                                 if cached.as_ref().map(|(g, _)| *g) != Some(generation) {
-                                    cached = Some((generation, prov_db::full_frame(&db)));
+                                    cached = Some((generation, snap.oracle_frame()));
                                 }
                                 let frame = &cached.as_ref().expect("just filled").1;
                                 std::hint::black_box(
@@ -1192,7 +1195,7 @@ fn provdb_measure(which: &str) -> f64 {
             let db = ProvenanceDatabase::open_with(&root, opts).expect("open sealed bench store");
             let q = dict_filter_query();
             let t = best_of(5, || {
-                std::hint::black_box(run_columnar_query(&db, &q, true));
+                std::hint::black_box(run_columnar_query(&db, &q));
             });
             drop(db);
             let _ = std::fs::remove_dir_all(&root);
@@ -1300,9 +1303,9 @@ fn provdb_benchmark() -> ProvDbReport {
             sharded: provdb_measure_isolated("query-pushdown") * 1e3,
             parity: false,
         },
-        // Current engine on both sides again: the decode-based projected
-        // scan vs the columnar scan, on a selective find and on an
-        // unselective corpus-wide aggregate.
+        // Current engine on both sides again: the pre-built oracle frame
+        // vs the columnar scan, on a selective find and on an unselective
+        // corpus-wide aggregate.
         ProvDbMeasurement {
             name: "columnar_find",
             unit: "\u{b5}s",
@@ -1336,7 +1339,7 @@ fn provdb_benchmark() -> ProvDbReport {
             parity: true,
         },
         // Current engine on both sides: the dictionary/zone-map kernels
-        // vs their decode- and frame-based equivalents.
+        // vs their frame-based equivalents.
         ProvDbMeasurement {
             name: "dict_filter",
             unit: "ms",

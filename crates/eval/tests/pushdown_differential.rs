@@ -2,34 +2,37 @@
 //! evaluation query sets — the 20-query golden set over the synthetic
 //! sweep, and the code the simulated agent generates for the §5.3
 //! chemistry and AM live-interaction studies — the plan-then-push path
-//! (`prov_db::try_execute`) must produce exactly the `QueryOutput` (or
-//! exactly the error) of the full-materialize oracle. A property test
-//! extends the same check to randomly generated pipelines.
+//! (`prov_db::execute_plan` on a pinned snapshot) must produce exactly
+//! the `QueryOutput` (or exactly the error) of the full-materialize
+//! oracle. A property test extends the same check to randomly generated
+//! pipelines.
 
-use dataframe::{col, lit, AggFunc, DataFrame};
+use dataframe::{col, lit, AggFunc};
 use proptest::prelude::*;
-use prov_db::{ProvenanceDatabase, Pushdown};
+use prov_db::{ProvenanceDatabase, Pushdown, StoreSnapshot};
 use prov_model::TaskMessage;
 use provql::{execute, parse, Query, Stage};
+use std::sync::Arc;
 
-fn db_from(msgs: &[TaskMessage]) -> ProvenanceDatabase {
-    let db = ProvenanceDatabase::new();
+fn db_from(msgs: &[TaskMessage]) -> Arc<ProvenanceDatabase> {
+    let db = ProvenanceDatabase::shared();
     db.insert_batch(msgs);
     db
 }
 
-/// The full-materialize oracle — the same `prov_db::full_frame` the
-/// agent's `provdb_query` fallback builds, so the equivalence asserted
-/// here covers the production code path.
-fn oracle_frame(db: &ProvenanceDatabase) -> DataFrame {
-    prov_db::full_frame(db)
+/// Plan and execute `query` on `snap`.
+fn run(snap: &StoreSnapshot, query: &Query) -> Pushdown {
+    prov_db::execute_plan(snap, &provql::plan(query, snap))
 }
 
-/// Check one parsed query through both paths. Returns whether the
-/// pushdown executor actually served it (vs deferring to the oracle).
-fn check_query(db: &ProvenanceDatabase, frame: &DataFrame, query: &Query, label: &str) -> bool {
-    let oracle = execute(query, frame);
-    match prov_db::try_execute(db, query) {
+/// Check one parsed query through both paths: the pushdown executor and
+/// the snapshot's oracle frame — the same frame the agent's
+/// `provdb_query` fallback builds, so the equivalence asserted here
+/// covers the production code path. Returns whether the pushdown
+/// executor actually served it (vs deferring to the oracle).
+fn check_query(snap: &StoreSnapshot, query: &Query, label: &str) -> bool {
+    let oracle = execute(query, &snap.oracle_frame());
+    match run(snap, query) {
         Pushdown::Executed(got) => {
             assert_eq!(got, oracle, "{label}: pushdown diverged from oracle");
             true
@@ -47,11 +50,11 @@ fn golden_queries_identical_through_both_paths() {
         runs_per_query: 1,
     };
     let db = eval::build_synthetic_db(&experiment);
-    let frame = oracle_frame(&db);
+    let snap = db.snapshot();
     let mut served = 0usize;
     for q in eval::golden_queries() {
         let query = parse(q.gold_code).expect("gold code parses");
-        if check_query(&db, &frame, &query, q.id) {
+        if check_query(&snap, &query, q.id) {
             served += 1;
         }
     }
@@ -68,7 +71,7 @@ fn chem_demo_generations_identical_through_both_paths() {
     workflows::run_bde_workflow(&hub, sim_clock(), 7, "CCO", 2).expect("chemistry workflow");
     let msgs: Vec<TaskMessage> = sub.drain().iter().map(|m| (**m).clone()).collect();
     let db = db_from(&msgs);
-    let frame = oracle_frame(&db);
+    let snap = db.snapshot();
 
     let mut seen = 0usize;
     for obs in eval::run_chem_demo(7) {
@@ -77,7 +80,7 @@ fn chem_demo_generations_identical_through_both_paths() {
         // non-executable code; the differential claim covers everything
         // the query engine accepts.
         let Ok(query) = parse(code) else { continue };
-        check_query(&db, &frame, &query, obs.id);
+        check_query(&snap, &query, obs.id);
         seen += 1;
     }
     assert!(seen >= 6, "only {seen} chem generations reached the engine");
@@ -91,13 +94,13 @@ fn am_demo_generations_identical_through_both_paths() {
     workflows::run_am_fleet(&hub, sim_clock(), 42, 8).expect("AM fleet");
     let msgs: Vec<TaskMessage> = sub.drain().iter().map(|m| (**m).clone()).collect();
     let db = db_from(&msgs);
-    let frame = oracle_frame(&db);
+    let snap = db.snapshot();
 
     let mut seen = 0usize;
     for obs in eval::run_am_demo(42, 8) {
         let Some(code) = &obs.code else { continue };
         let Ok(query) = parse(code) else { continue };
-        check_query(&db, &frame, &query, obs.id);
+        check_query(&snap, &query, obs.id);
         seen += 1;
     }
     assert!(seen >= 6, "only {seen} AM generations reached the engine");
@@ -220,22 +223,16 @@ proptest! {
 
     #[test]
     fn random_pipelines_identical_through_both_paths(q in arb_query()) {
-        use std::sync::{Arc, OnceLock};
-        static CORPUS: OnceLock<(Arc<ProvenanceDatabase>, DataFrame)> = OnceLock::new();
-        let (db, frame) = CORPUS.get_or_init(|| {
+        use std::sync::OnceLock;
+        static SNAP: OnceLock<Arc<StoreSnapshot>> = OnceLock::new();
+        let snap = SNAP.get_or_init(|| {
             let experiment = eval::Experiment { seed: 7, n_inputs: 6, runs_per_query: 1 };
-            let db = eval::build_synthetic_db(&experiment);
-            let frame = oracle_frame(&db);
-            (db, frame)
+            eval::build_synthetic_db(&experiment).snapshot()
         });
-        let oracle = execute(&q, frame);
-        // Both scan paths — columnar vectors and document decoding — must
-        // reproduce the oracle exactly (outputs *and* errors).
-        match prov_db::try_execute(db, &q) {
-            Pushdown::Executed(got) => prop_assert_eq!(got, oracle.clone()),
-            Pushdown::NeedsFullFrame(_) => {}
-        }
-        match prov_db::try_execute_with(db, &q, false) {
+        let oracle = execute(&q, &snap.oracle_frame());
+        // The scan must reproduce the oracle exactly (outputs *and*
+        // errors).
+        match run(snap, &q) {
             Pushdown::Executed(got) => prop_assert_eq!(got, oracle),
             Pushdown::NeedsFullFrame(_) => {}
         }
@@ -254,8 +251,8 @@ proptest! {
     /// under a real dashboard storm.
     #[test]
     fn snapshot_cache_on_equals_cache_off(q in arb_query()) {
-        use std::sync::{Arc, OnceLock};
-        use prov_db::{CacheOutcome, StoreSnapshot};
+        use std::sync::OnceLock;
+        use prov_db::CacheOutcome;
         static SNAP: OnceLock<Arc<StoreSnapshot>> = OnceLock::new();
         let snap = SNAP.get_or_init(|| {
             let experiment = eval::Experiment { seed: 7, n_inputs: 6, runs_per_query: 1 };
@@ -291,12 +288,11 @@ fn topk_pushdown_identical_through_both_paths() {
         runs_per_query: 1,
     };
     let db = eval::build_synthetic_db(&experiment);
-    let frame = oracle_frame(&db);
+    let snap = db.snapshot();
     // "latest/slowest N" shapes: a leading sort over an orderable key no
     // longer blocks limit pushdown — the pair executes as a top-k scan.
     // Ties, descending order, k = 0, k > corpus, and filtered variants
-    // must all match the oracle exactly, through the columnar scan *and*
-    // the decode-based scan (where the sort stays frame-side).
+    // must all match the oracle exactly.
     for text in [
         r#"df.sort_values("started_at", ascending=False)[["task_id", "started_at"]].head(5)"#,
         r#"df.sort_values("duration")[["task_id", "duration"]].head(7)"#,
@@ -309,15 +305,9 @@ fn topk_pushdown_identical_through_both_paths() {
     ] {
         let query = parse(text).expect("query parses");
         assert!(
-            check_query(&db, &frame, &query, text),
+            check_query(&snap, &query, text),
             "{text}: top-k should be served by the pushdown executor"
         );
-        match prov_db::try_execute_with(&db, &query, false) {
-            Pushdown::Executed(got) => {
-                assert_eq!(got, execute(&query, &frame), "{text} (decode path)")
-            }
-            Pushdown::NeedsFullFrame(_) => {}
-        }
         // The plan shape: sort and limit both pushed into the scan.
         let plan = provql::plan(&query, db.as_ref());
         for p in plan.pipelines() {
@@ -339,7 +329,7 @@ fn isin_pushdown_identical_through_both_paths() {
         runs_per_query: 1,
     };
     let db = eval::build_synthetic_db(&experiment);
-    let frame = oracle_frame(&db);
+    let snap = db.snapshot();
     // Membership filters the decode-based planner left residual now
     // compile to dictionary code sets inside the scan.
     for text in [
@@ -351,7 +341,7 @@ fn isin_pushdown_identical_through_both_paths() {
     ] {
         let query = parse(text).expect("query parses");
         assert!(
-            check_query(&db, &frame, &query, text),
+            check_query(&snap, &query, text),
             "{text}: isin should be served by the scan"
         );
         let plan = provql::plan(&query, db.as_ref());
@@ -362,7 +352,7 @@ fn isin_pushdown_identical_through_both_paths() {
     }
     // A null element keeps the conjunct residual — and still exact.
     let query = parse(r#"len(df[df["activity_id"].isin(["power", None])])"#).expect("parses");
-    check_query(&db, &frame, &query, "isin-with-null");
+    check_query(&snap, &query, "isin-with-null");
     let plan = provql::plan(&query, db.as_ref());
     for p in plan.pipelines() {
         assert!(p.scan.isin.is_empty());
@@ -378,7 +368,7 @@ fn vectorized_groupby_identical_through_both_paths() {
         runs_per_query: 1,
     };
     let db = eval::build_synthetic_db(&experiment);
-    let frame = oracle_frame(&db);
+    let snap = db.snapshot();
     // The grouped-aggregation shapes `exec` serves over dictionary codes:
     // group keys resolved from shard dictionaries, aggregation cells
     // gathered once, output bit-identical to the frame group-by.
@@ -392,7 +382,7 @@ fn vectorized_groupby_identical_through_both_paths() {
     ] {
         let query = parse(text).expect("query parses");
         assert!(
-            check_query(&db, &frame, &query, text),
+            check_query(&snap, &query, text),
             "{text}: grouped aggregate should be served"
         );
     }
@@ -406,7 +396,7 @@ fn columnar_scan_serves_previously_oracle_only_queries() {
         runs_per_query: 1,
     };
     let db = eval::build_synthetic_db(&experiment);
-    let frame = oracle_frame(&db);
+    let snap = db.snapshot();
     // Unselective aggregates over hot fields and residual `col op lit`
     // filters: the decode-based scan deferred these to the oracle; the
     // columnar scan serves them (identically).
@@ -418,7 +408,7 @@ fn columnar_scan_serves_previously_oracle_only_queries() {
     ] {
         let query = parse(text).expect("query parses");
         assert!(
-            check_query(&db, &frame, &query, text),
+            check_query(&snap, &query, text),
             "{text}: columnar scan should serve this"
         );
         // The agent tool's routing rule: no pushed conjunct, no limit —

@@ -659,10 +659,9 @@ impl DocumentStore {
     ///
     /// [`shard_rows`]: DocumentStore::shard_rows
     pub fn find_bounded(&self, query: &DocQuery, bound: &[usize]) -> Vec<Arc<Value>> {
-        let nshards = self.shards.len();
-        debug_assert_eq!(bound.len(), nshards);
+        debug_assert_eq!(bound.len(), self.shards.len());
         let mut hits = self.matching(query);
-        hits.retain(|(id, _)| id / nshards < bound[id % nshards]);
+        hits.retain(|(id, _)| visible(*id, bound));
         if let Some((path, ascending)) = &query.sort {
             hits.sort_by(|(_, a), (_, b)| {
                 let va = a.get_path(path).unwrap_or(&Value::Null);
@@ -686,11 +685,10 @@ impl DocumentStore {
     /// [`count`](DocumentStore::count) restricted to the documents below a
     /// per-shard row bound.
     pub fn count_bounded(&self, query: &DocQuery, bound: &[usize]) -> usize {
-        let nshards = self.shards.len();
-        debug_assert_eq!(bound.len(), nshards);
+        debug_assert_eq!(bound.len(), self.shards.len());
         self.matching(query)
             .iter()
-            .filter(|(id, _)| id / nshards < bound[id % nshards])
+            .filter(|(id, _)| visible(*id, bound))
             .count()
     }
 
@@ -1186,28 +1184,12 @@ impl DocumentStore {
         (self.col_poison.load(Ordering::Acquire) & columnar::field_bit(f) == 0).then_some(f)
     }
 
-    /// Corpus-wide presence of a servable column: how many decodable
-    /// documents provide it (`None` when the column is not servable).
-    /// Answers frame column *existence* without touching a document.
-    pub fn columnar_presence(&self, column: &str) -> Option<usize> {
-        let f = self.columnar_field(column)?;
-        Some(
-            self.shards
-                .iter()
-                .map(|s| {
-                    let g = s.read();
-                    // Cold presence comes from the footer zone maps
-                    // summed at attach time — no I/O here.
-                    g.cold.as_ref().map_or(0, |c| c.present(f)) + g.cols.present(f)
-                })
-                .sum(),
-        )
-    }
-
-    /// [`columnar_presence`](DocumentStore::columnar_presence) restricted
-    /// to the rows below a per-shard bound: zone-map prefix sums plus one
-    /// boundary-chunk scan per shard, never a full column walk.
-    pub fn columnar_presence_bounded(&self, column: &str, bound: &[usize]) -> Option<usize> {
+    /// Presence of a servable column among the rows below a per-shard
+    /// bound: how many decodable documents provide it (`None` when the
+    /// column is not servable). Answers frame column *existence* from
+    /// zone-map prefix sums plus one boundary-chunk scan per shard,
+    /// without touching a document or walking a whole column.
+    pub fn columnar_presence(&self, column: &str, bound: &[usize]) -> Option<usize> {
         let f = self.columnar_field(column)?;
         debug_assert_eq!(bound.len(), self.shards.len());
         Some(
@@ -1217,6 +1199,8 @@ impl DocumentStore {
                 .map(|(s, &n)| {
                     let g = s.read();
                     let cold_rows = g.cold_rows();
+                    // Cold presence comes from the footer zone maps
+                    // summed at attach time — no I/O here.
                     match &g.cold {
                         Some(cold) if n <= cold_rows => cold.present_prefix(f, n),
                         Some(cold) => cold.present(f) + g.cols.present_prefix(f, n - cold_rows),
@@ -1227,87 +1211,14 @@ impl DocumentStore {
         )
     }
 
-    /// [`columnar_scan_where`](DocumentStore::columnar_scan_where)
-    /// restricted to the rows below a per-shard bound.
-    ///
-    /// Runs the unbounded kernel without a limit and post-filters: the
-    /// kernel returns survivors in id order, and dropping the
-    /// above-bound ids preserves that order, so the first `limit`
-    /// visible survivors are exactly what a scan of the bounded corpus
-    /// would return. Rows appended after the bound only ever *add*
-    /// survivors (columns poison/irregular flags are checked by the
-    /// caller via servability, which is monotonic), so filtering them
-    /// out cannot change any visible row's verdict.
-    pub fn columnar_scan_where_bounded(
-        &self,
-        preds: &[ScanPredicate<'_>],
-        limit: Option<usize>,
-        bound: &[usize],
-    ) -> Option<Vec<DocId>> {
-        let nshards = self.shards.len();
-        debug_assert_eq!(bound.len(), nshards);
-        let mut ids = self.columnar_scan_where(preds, None)?;
-        ids.retain(|id| id / nshards < bound[id % nshards]);
-        if let Some(n) = limit {
-            ids.truncate(n);
-        }
-        Some(ids)
-    }
-
-    /// [`columnar_topk_where`](DocumentStore::columnar_topk_where)
-    /// restricted to the rows below a per-shard bound.
-    ///
-    /// Runs the unbounded selection without a limit (a full sort of the
-    /// survivors) and post-filters: the result is totally ordered by the
-    /// sort keys (ties by id), removing entries preserves relative
-    /// order, and the first `limit` visible entries are therefore the
-    /// top-k of the bounded corpus. An above-bound row carrying a NaN
-    /// sort key still aborts the selection ([`TopkScan::NanSortKey`]) —
-    /// conservative, never wrong: the caller falls back to its bounded
-    /// oracle.
-    pub fn columnar_topk_where_bounded(
-        &self,
-        preds: &[ScanPredicate<'_>],
-        sort: &[(&str, bool)],
-        limit: Option<usize>,
-        bound: &[usize],
-    ) -> TopkScan {
-        let nshards = self.shards.len();
-        debug_assert_eq!(bound.len(), nshards);
-        match self.columnar_topk_where(preds, sort, None) {
-            TopkScan::Served(mut ids) => {
-                ids.retain(|id| id / nshards < bound[id % nshards]);
-                if let Some(n) = limit {
-                    ids.truncate(n);
-                }
-                TopkScan::Served(ids)
-            }
-            other => other,
-        }
-    }
-
-    /// Evaluate a conjunction of `column op literal` filters over the
-    /// column vectors and return the surviving decodable document ids in
-    /// id (= insertion) order, truncated to `limit`. Convenience wrapper
-    /// over [`columnar_scan_where`] for comparison-only conjunctions.
-    ///
-    /// [`columnar_scan_where`]: DocumentStore::columnar_scan_where
-    pub fn columnar_scan(
-        &self,
-        filters: &[(&str, CmpOp, &Value)],
-        limit: Option<usize>,
-    ) -> Option<Vec<DocId>> {
-        let preds: Vec<ScanPredicate<'_>> = filters
-            .iter()
-            .map(|(col, op, lit)| ScanPredicate::Cmp(col, *op, lit))
-            .collect();
-        self.columnar_scan_where(&preds, limit)
-    }
-
     /// Evaluate a conjunction of pushed predicates (comparisons and
     /// in-lists) over the column vectors and return the surviving
     /// decodable document ids in id (= insertion) order, truncated to
-    /// `limit`.
+    /// `limit`. Only rows below the per-shard `bound` (a snapshot's row
+    /// high-water mark, or [`shard_rows`] for the whole store) are
+    /// visible: ids at or above it are dropped before verification and
+    /// never count toward the limit, so a pushed limit stops the scan as
+    /// soon as enough visible survivors are found.
     ///
     /// Semantics are the *frame* rules ([`dataframe::cmp_matches`], and
     /// [`dataframe::values_equal`] any-match for in-lists) on the decoded
@@ -1321,10 +1232,13 @@ impl DocumentStore {
     /// ([`crate::columnar`]) and evaluate chunk by chunk, skipping chunks
     /// whose zone maps prove no match. Returns `None` when any filter
     /// column is not servable.
+    ///
+    /// [`shard_rows`]: DocumentStore::shard_rows
     pub fn columnar_scan_where(
         &self,
         preds: &[ScanPredicate<'_>],
         limit: Option<usize>,
+        bound: &[usize],
     ) -> Option<Vec<DocId>> {
         let fields = self.resolve_preds(preds)?;
         if !self.columnar_enabled() {
@@ -1342,6 +1256,7 @@ impl DocumentStore {
         let cand = self.candidates(&self.columnar_hints(&fields));
 
         let nshards = self.shards.len();
+        debug_assert_eq!(bound.len(), nshards);
         let guards: Vec<_> = self.shards.iter().map(|s| s.read()).collect();
         let mut out: Vec<DocId> = Vec::new();
         let full = |out: &Vec<DocId>| limit.is_some_and(|n| out.len() >= n);
@@ -1349,6 +1264,7 @@ impl DocumentStore {
             Some(mut ids) => {
                 // Index-seeded candidate sets are small and scattered;
                 // verify per row rather than through the chunk kernels.
+                ids.retain(|&id| visible(id, bound));
                 ids.sort_unstable();
                 ids.dedup();
                 for id in ids {
@@ -1365,7 +1281,7 @@ impl DocumentStore {
                 }
             }
             None => {
-                let total: usize = guards.iter().map(|g| g.cols.len()).sum();
+                let total: usize = bound.iter().sum();
                 // A cold prefix takes the sequential chunk-major path:
                 // paging is I/O-bound and shares one budgeted cache, so
                 // shard-parallel workers would only thrash it.
@@ -1405,7 +1321,11 @@ impl DocumentStore {
                                         let s = w * chunk + i;
                                         let mut kept = 0usize;
                                         'shard: for c in 0..shard.cols.n_chunks() {
+                                            if shard.cols.chunk_span(c).0 >= bound[s] {
+                                                break;
+                                            }
                                             shard.cols.filter_chunk(preds, c, &mut sel);
+                                            clip_to_bound(&mut sel, 0, bound[s]);
                                             for &slot in &sel {
                                                 ids.push(slot as usize * nshards + s);
                                                 kept += 1;
@@ -1437,7 +1357,9 @@ impl DocumentStore {
                     // each chunk's combined survivors yields globally
                     // ascending ids and a pushed limit can stop after any
                     // chunk. Cold chunks consult the on-disk zone maps
-                    // first and are only paged in when they might match.
+                    // first and are only paged in when they might match;
+                    // chunks starting at or above the bound are never
+                    // touched.
                     let max_chunks = guards
                         .iter()
                         .map(|g| g.cold.as_ref().map_or(0, |c| c.n_chunks()) + g.cols.n_chunks())
@@ -1449,24 +1371,27 @@ impl DocumentStore {
                         chunk_ids.clear();
                         for (s, g) in guards.iter().enumerate() {
                             let cold_chunks = g.cold.as_ref().map_or(0, |cc| cc.n_chunks());
-                            if c < cold_chunks {
+                            let base = if c < cold_chunks {
                                 let cold = g.cold.as_ref().expect("cold chunk implies cold shard");
-                                if !cold.chunk_prunable(&fields, c) {
-                                    let chunk = cold.chunk(c);
-                                    chunk.filter(&fields, &mut sel);
-                                    let base = c * cold.chunk_rows();
-                                    chunk_ids.extend(
-                                        sel.iter().map(|&r| (base + r as usize) * nshards + s),
-                                    );
+                                let base = c * cold.chunk_rows();
+                                if base >= bound[s] || cold.chunk_prunable(&fields, c) {
+                                    continue;
                                 }
+                                cold.chunk(c).filter(&fields, &mut sel);
+                                base
                             } else if c - cold_chunks < g.cols.n_chunks() {
-                                g.cols.filter_chunk(&compiled[s], c - cold_chunks, &mut sel);
-                                let cold_rows = g.cold_rows();
-                                chunk_ids.extend(
-                                    sel.iter()
-                                        .map(|&slot| (cold_rows + slot as usize) * nshards + s),
-                                );
-                            }
+                                let rc = c - cold_chunks;
+                                if g.cold_rows() + g.cols.chunk_span(rc).0 >= bound[s] {
+                                    continue;
+                                }
+                                g.cols.filter_chunk(&compiled[s], rc, &mut sel);
+                                g.cold_rows()
+                            } else {
+                                continue;
+                            };
+                            clip_to_bound(&mut sel, base, bound[s]);
+                            chunk_ids
+                                .extend(sel.iter().map(|&r| (base + r as usize) * nshards + s));
                         }
                         chunk_ids.sort_unstable();
                         out.extend_from_slice(&chunk_ids);
@@ -1536,8 +1461,9 @@ impl DocumentStore {
     }
 
     /// Top-k scan: evaluate the filter conjunction over the column vectors
-    /// (exactly like [`columnar_scan`]) and return the surviving document
-    /// ids ordered by the *frame's* sort rule for `sort` — nulls last,
+    /// (exactly like [`columnar_scan_where`], under the same per-shard
+    /// visibility `bound`) and return the surviving document ids ordered
+    /// by the *frame's* sort rule for `sort` — nulls last,
     /// [`dataframe::sort_cell_cmp`] per key, ties by id (= insertion)
     /// order, which is what a stable frame sort of id-ordered rows
     /// produces — truncated to `limit`.
@@ -1550,38 +1476,24 @@ impl DocumentStore {
     /// [`PARALLEL_SCAN_THRESHOLD`] rows when [`scan_threads`] > 1 — merged
     /// into the global top-k.
     ///
-    /// NaN sort-key cells abort to [`TopkScan::NanSortKey`]:
-    /// `Value::compare` calls mixed NaN comparisons `Equal`, which is not
-    /// a strict weak order, so only the oracle's own stable sort defines
-    /// the answer there.
+    /// NaN sort-key cells among the visible survivors abort to
+    /// [`TopkScan::NanSortKey`]: `Value::compare` calls mixed NaN
+    /// comparisons `Equal`, which is not a strict weak order, so only the
+    /// oracle's own stable sort defines the answer there. Rows above the
+    /// bound are skipped before their keys are read, so an invisible NaN
+    /// never aborts.
     ///
-    /// [`columnar_scan`]: DocumentStore::columnar_scan
+    /// [`columnar_scan_where`]: DocumentStore::columnar_scan_where
     /// [`scan_threads`]: DocumentStore::scan_threads
-    pub fn columnar_topk(
-        &self,
-        filters: &[(&str, CmpOp, &Value)],
-        sort: &[(&str, bool)],
-        limit: Option<usize>,
-    ) -> TopkScan {
-        let preds: Vec<ScanPredicate<'_>> = filters
-            .iter()
-            .map(|(col, op, lit)| ScanPredicate::Cmp(col, *op, lit))
-            .collect();
-        self.columnar_topk_where(&preds, sort, limit)
-    }
-
-    /// General form of [`columnar_topk`] accepting in-list predicates
-    /// alongside comparisons.
-    ///
-    /// [`columnar_topk`]: DocumentStore::columnar_topk
     pub fn columnar_topk_where(
         &self,
         preds: &[ScanPredicate<'_>],
         sort: &[(&str, bool)],
         limit: Option<usize>,
+        bound: &[usize],
     ) -> TopkScan {
         if sort.is_empty() {
-            return match self.columnar_scan_where(preds, limit) {
+            return match self.columnar_scan_where(preds, limit, bound) {
                 Some(ids) => TopkScan::Served(ids),
                 None => TopkScan::NotServable,
             };
@@ -1600,16 +1512,17 @@ impl DocumentStore {
         if limit == Some(0) {
             return TopkScan::Served(Vec::new());
         }
+        let nshards = self.shards.len();
+        debug_assert_eq!(bound.len(), nshards);
 
         // Sorted-index cursor: stream ids in key order, stop at k.
         if let (Some(k), [key]) = (limit, keys.as_slice()) {
-            if let Some(ids) = self.topk_sorted_cursor(&fields, *key, k) {
+            if let Some(ids) = self.topk_sorted_cursor(&fields, *key, k, bound) {
                 return TopkScan::Served(ids);
             }
         }
 
         let cand = self.candidates(&self.columnar_hints(&fields));
-        let nshards = self.shards.len();
         let guards: Vec<_> = self.shards.iter().map(|s| s.read()).collect();
         let gather = |shard: &Shard, slot: usize| -> Vec<Value> {
             keys.iter()
@@ -1621,6 +1534,7 @@ impl DocumentStore {
             Some(mut ids) => {
                 // Index-seeded candidate sets are small by construction;
                 // select sequentially, verifying per row.
+                ids.retain(|&id| visible(id, bound));
                 ids.sort_unstable();
                 ids.dedup();
                 let mut buf = TopkBuf::new(&keys, limit);
@@ -1640,7 +1554,7 @@ impl DocumentStore {
                 selected.map(|()| buf.finish())
             }
             None => {
-                let total: usize = guards.iter().map(|g| g.cols.len()).sum();
+                let total: usize = bound.iter().sum();
                 // Cold prefixes select sequentially (see
                 // `columnar_scan_where` for the rationale).
                 let has_cold = guards.iter().any(|g| g.cold.is_some());
@@ -1652,7 +1566,7 @@ impl DocumentStore {
                 // Same chunk kernels as `columnar_scan_where`: the zone
                 // maps prune on the *filters* (the selection bound is
                 // dynamic, so sort keys cannot prune), then the bounded
-                // buffer selects over the surviving slots.
+                // buffer selects over the surviving visible slots.
                 let compiled: Vec<Vec<columnar::ShardPred>> =
                     guards.iter().map(|g| g.cols.compile(&fields)).collect();
                 let shards: Vec<(&Shard, &[columnar::ShardPred])> = guards
@@ -1669,12 +1583,13 @@ impl DocumentStore {
                         let s = base + i;
                         if let Some(cold) = &shard.cold {
                             for c in 0..cold.n_chunks() {
-                                if cold.chunk_prunable(&fields, c) {
+                                let cbase = c * cold.chunk_rows();
+                                if cbase >= bound[s] || cold.chunk_prunable(&fields, c) {
                                     continue;
                                 }
                                 let chunk = cold.chunk(c);
                                 chunk.filter(&fields, &mut sel);
-                                let cbase = c * cold.chunk_rows();
+                                clip_to_bound(&mut sel, cbase, bound[s]);
                                 for &r in &sel {
                                     let r = r as usize;
                                     let cells: Vec<Value> =
@@ -1685,7 +1600,11 @@ impl DocumentStore {
                         }
                         let cold_rows = shard.cold_rows();
                         for c in 0..shard.cols.n_chunks() {
+                            if cold_rows + shard.cols.chunk_span(c).0 >= bound[s] {
+                                break;
+                            }
                             shard.cols.filter_chunk(preds, c, &mut sel);
+                            clip_to_bound(&mut sel, cold_rows, bound[s]);
                             for &slot in &sel {
                                 let slot = slot as usize;
                                 buf.push((gather(shard, slot), (cold_rows + slot) * nshards + s))?;
@@ -1735,24 +1654,26 @@ impl DocumentStore {
         }
     }
 
-    /// The sorted-index fast path of [`columnar_topk`]: when the single
-    /// sort key is backed by a sorted numeric index whose entries provably
-    /// mirror the decoded frame cells (pass-through field, no irregular
-    /// doc, no NaN/non-numeric value parked outside the run), the globally
-    /// sorted run *is* the frame's sort order — ascending ties are
-    /// id-ascending by construction (`(key, id)` tuples), descending
-    /// iteration walks tie groups from the top emitting each group in id
-    /// order — so the scan just streams ids, verifies the filters against
-    /// the vectors, and stops after `k` accepted survivors. Returns `None`
+    /// The sorted-index fast path of [`columnar_topk_where`]: when the
+    /// single sort key is backed by a sorted numeric index whose entries
+    /// provably mirror the decoded frame cells (pass-through field, no
+    /// irregular doc, no NaN/non-numeric value parked outside the run),
+    /// the globally sorted run *is* the frame's sort order — ascending
+    /// ties are id-ascending by construction (`(key, id)` tuples),
+    /// descending iteration walks tie groups from the top emitting each
+    /// group in id order — so the scan just streams ids, skips those at
+    /// or above the visibility bound, verifies the filters against the
+    /// vectors, and stops after `k` accepted survivors. Returns `None`
     /// when the preconditions do not hold (caller falls back to the
     /// bounded-selection scan).
     ///
-    /// [`columnar_topk`]: DocumentStore::columnar_topk
+    /// [`columnar_topk_where`]: DocumentStore::columnar_topk_where
     fn topk_sorted_cursor(
         &self,
         fields: &[columnar::ColPredicate<'_>],
         key: (ColField, bool),
         k: usize,
+        bound: &[usize],
     ) -> Option<Vec<DocId>> {
         let (field, ascending) = key;
         // Cold rows are absent from the sorted run (and from the slot
@@ -1793,7 +1714,9 @@ impl DocumentStore {
         let survives = |id: DocId| {
             let shard = &*guards[id % nshards];
             let slot = id / nshards;
-            shard.cols.is_decodable(slot) && fields.iter().all(|p| shard.cols.matches_pred(slot, p))
+            visible(id, bound)
+                && shard.cols.is_decodable(slot)
+                && fields.iter().all(|p| shard.cols.matches_pred(slot, p))
         };
         let run = &range.sorted;
         let mut out: Vec<DocId> = Vec::with_capacity(k.min(run.len()));
@@ -1981,7 +1904,7 @@ pub enum ScanPredicate<'a> {
     In(&'a str, &'a [Value]),
 }
 
-/// Outcome of a [`DocumentStore::columnar_topk`] scan.
+/// Outcome of a [`DocumentStore::columnar_topk_where`] scan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TopkScan {
     /// Surviving ids in the frame's sort order, truncated to the limit.
@@ -1992,6 +1915,20 @@ pub enum TopkScan {
     /// not a strict weak order over NaN, so the caller must let the
     /// oracle's own stable sort define the answer.
     NanSortKey,
+}
+
+/// Whether document `id` lies below a per-shard row bound (one entry per
+/// shard, as [`DocumentStore::shard_rows`] returns): id
+/// `slot * nshards + s` is visible iff `slot < bound[s]`.
+fn visible(id: DocId, bound: &[usize]) -> bool {
+    id / bound.len() < bound[id % bound.len()]
+}
+
+/// Drop the selected rows at or above a shard's visible row bound: `sel`
+/// is ascending and holds rows offset `base` slots into the shard.
+fn clip_to_bound(sel: &mut Vec<u32>, base: usize, rows: usize) {
+    let keep = sel.partition_point(|&r| base + (r as usize) < rows);
+    sel.truncate(keep);
 }
 
 /// One top-k candidate: its sort-key cells plus its document id.
@@ -2358,32 +2295,54 @@ mod tests {
             .collect()
     }
 
+    /// Comparison-only conjunctions as scan predicates.
+    fn cmp_preds<'a>(filters: &[(&'a str, CmpOp, &'a Value)]) -> Vec<ScanPredicate<'a>> {
+        filters
+            .iter()
+            .map(|&(col, op, lit)| ScanPredicate::Cmp(col, op, lit))
+            .collect()
+    }
+
+    /// A columnar scan over every row the store holds.
+    fn scan(
+        s: &DocumentStore,
+        filters: &[(&str, CmpOp, &Value)],
+        limit: Option<usize>,
+    ) -> Option<Vec<DocId>> {
+        s.columnar_scan_where(&cmp_preds(filters), limit, &s.shard_rows())
+    }
+
+    /// A columnar top-k over every row the store holds.
+    fn topk(
+        s: &DocumentStore,
+        filters: &[(&str, CmpOp, &Value)],
+        sort: &[(&str, bool)],
+        limit: Option<usize>,
+    ) -> TopkScan {
+        s.columnar_topk_where(&cmp_preds(filters), sort, limit, &s.shard_rows())
+    }
+
     #[test]
     fn columnar_scan_filters_in_id_order_with_limit() {
         let s = DocumentStore::with_shards(3);
         s.enable_columnar();
         s.insert_many(task_docs(12));
         let err = Value::from("ERROR");
-        let ids = s
-            .columnar_scan(&[("status", CmpOp::Eq, &err)], None)
-            .unwrap();
+        let ids = scan(&s, &[("status", CmpOp::Eq, &err)], None).unwrap();
         assert_eq!(ids, vec![0, 3, 6, 9]);
-        let ids = s
-            .columnar_scan(&[("status", CmpOp::Eq, &err)], Some(2))
-            .unwrap();
+        let ids = scan(&s, &[("status", CmpOp::Eq, &err)], Some(2)).unwrap();
         assert_eq!(ids, vec![0, 3]);
         // limit 0 returns nothing on every path (the parallel merge
         // truncates to 0; the sequential loops must agree).
         assert_eq!(
-            s.columnar_scan(&[("status", CmpOp::Eq, &err)], Some(0))
-                .unwrap(),
+            scan(&s, &[("status", CmpOp::Eq, &err)], Some(0)).unwrap(),
             Vec::<DocId>::new()
         );
         // Gather returns the frame cells for those ids, in order.
         let vals = s.columnar_gather(&ids, "task_id").unwrap();
         assert_eq!(vals, vec![Value::from("t0"), Value::from("t3")]);
         // Non-columnar columns are not servable.
-        assert!(s.columnar_scan(&[("y", CmpOp::Eq, &err)], None).is_none());
+        assert!(scan(&s, &[("y", CmpOp::Eq, &err)], None).is_none());
         assert!(s.columnar_gather(&ids, "y").is_none());
     }
 
@@ -2398,15 +2357,15 @@ mod tests {
         late.enable_columnar(); // backfills under the shard locks
         for col in ["task_id", "status", "started_at", "duration"] {
             assert_eq!(
-                eager.columnar_presence(col),
-                late.columnar_presence(col),
+                eager.columnar_presence(col, &eager.shard_rows()),
+                late.columnar_presence(col, &late.shard_rows()),
                 "{col}"
             );
         }
         let fin = Value::from("FINISHED");
         assert_eq!(
-            eager.columnar_scan(&[("status", CmpOp::Eq, &fin)], None),
-            late.columnar_scan(&[("status", CmpOp::Eq, &fin)], None),
+            scan(&eager, &[("status", CmpOp::Eq, &fin)], None),
+            scan(&late, &[("status", CmpOp::Eq, &fin)], None),
         );
     }
 
@@ -2417,22 +2376,20 @@ mod tests {
         s.enable_columnar();
         s.insert_many(task_docs(8));
         let wf = Value::from("wf-1");
-        let ids = s
-            .columnar_scan(&[("workflow_id", CmpOp::Eq, &wf)], None)
-            .unwrap();
+        let ids = scan(&s, &[("workflow_id", CmpOp::Eq, &wf)], None).unwrap();
         assert_eq!(ids, vec![1, 3, 5, 7]);
         // Combined with an unindexed conjunct: the probe seeds, the
         // vectors verify.
         let bound = Value::Float(4.0);
-        let ids = s
-            .columnar_scan(
-                &[
-                    ("workflow_id", CmpOp::Eq, &wf),
-                    ("started_at", CmpOp::Gt, &bound),
-                ],
-                None,
-            )
-            .unwrap();
+        let ids = scan(
+            &s,
+            &[
+                ("workflow_id", CmpOp::Eq, &wf),
+                ("started_at", CmpOp::Gt, &bound),
+            ],
+            None,
+        )
+        .unwrap();
         assert_eq!(ids, vec![5, 7]);
     }
 
@@ -2447,16 +2404,17 @@ mod tests {
         };
         // started_at = i: strictly increasing, so descending top-3 is the
         // last three ids; ascending is the first three.
-        let desc = ids(s.columnar_topk(&[], &[("started_at", false)], Some(3)));
+        let desc = ids(topk(&s, &[], &[("started_at", false)], Some(3)));
         assert_eq!(desc, vec![11, 10, 9]);
-        let asc = ids(s.columnar_topk(&[], &[("started_at", true)], Some(3)));
+        let asc = ids(topk(&s, &[], &[("started_at", true)], Some(3)));
         assert_eq!(asc, vec![0, 1, 2]);
         // All-tie key: insertion order breaks ties, both directions.
-        let ties = ids(s.columnar_topk(&[], &[("duration", false)], Some(4)));
+        let ties = ids(topk(&s, &[], &[("duration", false)], Some(4)));
         assert_eq!(ties, vec![0, 1, 2, 3]);
         // Filter + sort compose; k larger than the survivor count is fine.
         let err = Value::from("ERROR");
-        let filtered = ids(s.columnar_topk(
+        let filtered = ids(topk(
+            &s,
             &[("status", CmpOp::Eq, &err)],
             &[("started_at", false)],
             Some(100),
@@ -2464,14 +2422,18 @@ mod tests {
         assert_eq!(filtered, vec![9, 6, 3, 0]);
         // k = 0 and bare (unlimited) sorts.
         assert_eq!(
-            ids(s.columnar_topk(&[], &[("started_at", true)], Some(0))),
+            ids(topk(&s, &[], &[("started_at", true)], Some(0))),
             Vec::<DocId>::new()
         );
-        let all = ids(s.columnar_topk(&[], &[("started_at", false)], None));
+        let all = ids(topk(&s, &[], &[("started_at", false)], None));
         assert_eq!(all, (0..12).rev().collect::<Vec<_>>());
         // Multi-key: tie on duration, then started_at descending.
-        let multi =
-            ids(s.columnar_topk(&[], &[("duration", true), ("started_at", false)], Some(3)));
+        let multi = ids(topk(
+            &s,
+            &[],
+            &[("duration", true), ("started_at", false)],
+            Some(3),
+        ));
         assert_eq!(multi, vec![11, 10, 9]);
     }
 
@@ -2481,12 +2443,17 @@ mod tests {
         s.enable_columnar();
         s.insert_many(task_docs(6));
         assert_eq!(
-            s.columnar_topk(&[], &[("y", true)], Some(2)),
+            topk(&s, &[], &[("y", true)], Some(2)),
             TopkScan::NotServable
         );
         let v = Value::Int(1);
         assert_eq!(
-            s.columnar_topk(&[("y", CmpOp::Eq, &v)], &[("started_at", true)], Some(2)),
+            topk(
+                &s,
+                &[("y", CmpOp::Eq, &v)],
+                &[("started_at", true)],
+                Some(2)
+            ),
             TopkScan::NotServable
         );
         // A NaN sort-key cell among the survivors aborts.
@@ -2495,13 +2462,14 @@ mod tests {
             "started_at" => f64::NAN, "ended_at" => 1.0,
         });
         assert_eq!(
-            s.columnar_topk(&[], &[("started_at", true)], Some(3)),
+            topk(&s, &[], &[("started_at", true)], Some(3)),
             TopkScan::NanSortKey
         );
         // …but filters that drop the NaN row keep the scan servable.
         let wf = Value::from("wf-0");
         assert!(matches!(
-            s.columnar_topk(
+            topk(
+                &s,
                 &[("workflow_id", CmpOp::Eq, &wf)],
                 &[("started_at", true)],
                 Some(3)
@@ -2532,8 +2500,8 @@ mod tests {
         ] {
             for asc in [true, false] {
                 assert_eq!(
-                    indexed.columnar_topk(&filters, &[("started_at", asc)], k),
-                    plain.columnar_topk(&filters, &[("started_at", asc)], k),
+                    topk(&indexed, &filters, &[("started_at", asc)], k),
+                    topk(&plain, &filters, &[("started_at", asc)], k),
                     "asc={asc} k={k:?}"
                 );
             }
@@ -2550,30 +2518,104 @@ mod tests {
         let bound = Value::Float(0.5);
         let fin = Value::from("FINISHED");
         s.set_scan_threads(1);
-        let seq_scan = s.columnar_scan(&[("duration", CmpOp::Gt, &bound)], None);
-        let seq_lim = s.columnar_scan(&[("status", CmpOp::Eq, &fin)], Some(97));
-        let seq_topk = s.columnar_topk(
+        let seq_scan = scan(&s, &[("duration", CmpOp::Gt, &bound)], None);
+        let seq_lim = scan(&s, &[("status", CmpOp::Eq, &fin)], Some(97));
+        let seq_topk = topk(
+            &s,
             &[("status", CmpOp::Eq, &fin)],
             &[("duration", false), ("started_at", true)],
             Some(9),
         );
         s.set_scan_threads(4);
+        assert_eq!(scan(&s, &[("duration", CmpOp::Gt, &bound)], None), seq_scan);
+        assert_eq!(scan(&s, &[("status", CmpOp::Eq, &fin)], Some(97)), seq_lim);
         assert_eq!(
-            s.columnar_scan(&[("duration", CmpOp::Gt, &bound)], None),
-            seq_scan
-        );
-        assert_eq!(
-            s.columnar_scan(&[("status", CmpOp::Eq, &fin)], Some(97)),
-            seq_lim
-        );
-        assert_eq!(
-            s.columnar_topk(
+            topk(
+                &s,
                 &[("status", CmpOp::Eq, &fin)],
                 &[("duration", false), ("started_at", true)],
                 Some(9),
             ),
             seq_topk
         );
+    }
+
+    #[test]
+    fn kernels_see_only_rows_below_the_bound() {
+        // The full store scanned under a prefix's row bound answers like a
+        // store holding only that prefix, on every kernel path: index
+        // candidates, the sorted-index cursor, chunk-major and
+        // shard-parallel scans, and the top-k buffers. A NaN sort key
+        // above the bound never aborts a top-k.
+        let n = PARALLEL_SCAN_THRESHOLD + 500;
+        let docs = task_docs(n + 300);
+        let build = |docs: &[Value]| {
+            let s = DocumentStore::with_shards(4);
+            s.create_index("workflow_id");
+            s.create_range_index("started_at");
+            s.enable_columnar();
+            s.insert_many(docs.to_vec());
+            s
+        };
+        let prefix = build(&docs[..n]);
+        let full = build(&docs[..n]);
+        let bound = full.shard_rows();
+        full.insert_many(docs[n..].to_vec());
+        let wf = Value::from("wf-1");
+        let fin = Value::from("FINISHED");
+        let late = Value::Float(10.0);
+        let filter_sets = [
+            vec![],
+            vec![("workflow_id", CmpOp::Eq, &wf)],
+            vec![("status", CmpOp::Eq, &fin)],
+            vec![("started_at", CmpOp::Ge, &late)],
+        ];
+        let sorts: [&[(&str, bool)]; 2] = [
+            &[("started_at", false)],
+            &[("duration", true), ("started_at", false)],
+        ];
+        let check = |label: &str| {
+            for threads in [1, 4] {
+                prefix.set_scan_threads(threads);
+                full.set_scan_threads(threads);
+                for filters in &filter_sets {
+                    let preds = cmp_preds(filters);
+                    for limit in [None, Some(1), Some(7)] {
+                        let ctx = format!("{label} threads={threads} {filters:?} {limit:?}");
+                        assert_eq!(
+                            full.columnar_scan_where(&preds, limit, &bound),
+                            prefix.columnar_scan_where(&preds, limit, &prefix.shard_rows()),
+                            "{ctx}"
+                        );
+                        for sort in sorts {
+                            assert_eq!(
+                                full.columnar_topk_where(&preds, sort, limit, &bound),
+                                prefix.columnar_topk_where(
+                                    &preds,
+                                    sort,
+                                    limit,
+                                    &prefix.shard_rows()
+                                ),
+                                "{ctx} sort={sort:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        };
+        check("numeric sort keys");
+        full.insert(obj! {
+            "task_id" => "nan", "workflow_id" => "wf-1", "activity_id" => "a",
+            "started_at" => f64::NAN, "ended_at" => 1.0,
+        });
+        check("NaN above the bound");
+        for col in ["task_id", "status", "started_at"] {
+            assert_eq!(
+                full.columnar_presence(col, &bound),
+                prefix.columnar_presence(col, &prefix.shard_rows()),
+                "{col}"
+            );
+        }
     }
 
     #[test]

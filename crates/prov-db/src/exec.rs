@@ -1,42 +1,47 @@
 //! Plan-based pushdown executor: serve provql query plans directly from
-//! the document store's indexes instead of materializing the whole corpus
-//! into a frame per query.
+//! the document store's indexes and column vectors instead of
+//! materializing the whole corpus into a frame per query.
 //!
-//! [`try_execute`] lowers the query with [`provql::plan`] (this module
-//! implements [`PushdownCapability`] for [`ProvenanceDatabase`]), turns
-//! each scan's pushed conjuncts into a [`DocQuery`] — equality conjuncts
-//! become hash-index probes, `started_at` ranges hit the sorted numeric
-//! index, and the store intersects candidate sets
-//! smallest-first — then builds a *projected* frame containing only the
-//! referenced columns of the surviving documents and finishes the
-//! pipeline through the ordinary stage machine. Pushdown therefore never
-//! reimplements query semantics; it only shrinks how many documents reach
-//! the frame.
+//! [`execute_plan`] is the one way a plan runs, and it runs against a
+//! pinned [`StoreSnapshot`]: every kernel it calls takes the snapshot's
+//! per-shard row bound and honours it inside its loops, so rows ingested
+//! after the pin are invisible and a pushed limit stops the scan early.
+//! Callers lower the query with [`provql::plan`] first (this module
+//! implements [`PushdownCapability`] for [`ProvenanceDatabase`]; the
+//! snapshot delegates to it). Each scan's pushed and planner-split
+//! conjuncts evaluate over the columnar sidecar — equality conjuncts on
+//! indexed fields seed the scan from hash-index probes, `started_at`
+//! ranges hit the sorted numeric index — then a *projected* frame holding
+//! only the referenced columns of the survivors finishes the pipeline
+//! through the ordinary stage machine. Pushdown therefore never
+//! reimplements query semantics; it only shrinks how many rows reach the
+//! frame.
 //!
 //! When a plan is not servable ([`Pushdown::NeedsFullFrame`]) the caller
-//! runs the classic full-materialize oracle instead. That happens when:
+//! runs the stage machine on the snapshot's oracle frame
+//! ([`StoreSnapshot::oracle_frame`]) instead. That happens when:
 //!
 //! * a pipeline's output exposes the whole frame width (no projection,
 //!   whole-row `loc`, `describe`, subset-less `drop_duplicates`) — only
 //!   the corpus-wide column union can answer those;
-//! * a referenced column is absent from every surviving document — the
+//! * a referenced column is absent from every visible document — the
 //!   oracle decides whether that is an all-null column or an unknown-column
-//!   error, and its error message carries the full available-column list.
+//!   error, and its error message carries the full available-column list;
+//! * a filter column stopped being columnar-servable after planning, or
+//!   a visible sort key is NaN.
 //!
 //! Because the fallback is the oracle itself, pushdown is transparent:
 //! both paths return identical [`QueryOutput`]s (asserted per eval query
 //! set by the differential tests in `eval`).
 
 use crate::csr::CsrGraph;
-use crate::document::{DocumentStore, ScanPredicate};
-use crate::query::{Condition, DocQuery, Op};
+use crate::document::{DocumentStore, ScanPredicate, TopkScan};
 use crate::snapshot::StoreSnapshot;
 use crate::store::ProvenanceDatabase;
 use dataframe::{CmpOp, DataFrame};
 use prov_model::{TaskMessage, Value};
 use provql::plan::{GraphPlan, PipelinePlan, PushOp, PushdownCapability, QueryPlan};
-use provql::{ExecError, GraphQuery, Pipeline, Query, QueryOutput, Stage};
-use std::sync::Arc;
+use provql::{ExecError, GraphQuery, Pipeline, QueryOutput, Stage};
 
 /// Outcome of attempting a plan-based execution.
 #[derive(Debug)]
@@ -91,21 +96,6 @@ impl PushdownCapability for ProvenanceDatabase {
     }
 }
 
-/// Capability wrapper that hides the columnar layer: plans made through it
-/// split filters exactly as the pre-columnar planner did, which keeps the
-/// decode-based scan path callable on its own (benchmarks, differential
-/// tests).
-struct IndexOnly<'a>(&'a ProvenanceDatabase);
-
-impl PushdownCapability for IndexOnly<'_> {
-    fn pushable_eq(&self, column: &str) -> bool {
-        self.0.pushable_eq(column)
-    }
-    fn pushable_range(&self, column: &str) -> bool {
-        self.0.pushable_range(column)
-    }
-}
-
 /// Capability wrapper that advertises everything the database does
 /// *except* graph pushdown: plans made through it route path primitives to
 /// the locking adjacency-map traversals instead of the CSR kernels. This
@@ -129,112 +119,28 @@ impl PushdownCapability for GraphOracle<'_> {
     // pushable_graph: trait default (false) — the point of the wrapper.
 }
 
-/// Plan a query against this database and execute it via projected,
-/// index-pushed scans where possible.
-pub fn try_execute(db: &ProvenanceDatabase, query: &Query) -> Pushdown {
-    try_execute_with(db, query, true)
-}
-
-/// [`try_execute`] with the columnar layer switchable: `use_columnar =
-/// false` plans with index-only capability and scans by decoding surviving
-/// documents — the pre-columnar behavior, kept callable so the
-/// `columnar_find`/`columnar_aggregate` benchmarks and the differential
-/// tests can compare both scan paths on the same store.
-pub fn try_execute_with(db: &ProvenanceDatabase, query: &Query, use_columnar: bool) -> Pushdown {
-    if use_columnar {
-        execute_plan(db, &provql::plan(query, db))
-    } else {
-        execute_plan_with(db, &provql::plan(query, &IndexOnly(db)), false)
-    }
-}
-
-/// The full-materialize oracle: every stored document decoded back into a
-/// task message and flattened into one corpus-wide frame. This is the
-/// frame the pre-plan agent tool built per query; it remains the
-/// reference semantics pushdown is differentially tested against, the
-/// fallback for plans the store cannot serve, and the scan-path side of
-/// the `query_pushdown_vs_scan` benchmark — all through this one helper,
-/// so the oracle under test is always the oracle in production.
-pub fn full_frame(db: &ProvenanceDatabase) -> DataFrame {
-    let docs = db.find(&DocQuery::new());
-    let msgs: Vec<TaskMessage> = docs
-        .iter()
-        .filter_map(|d| TaskMessage::from_value(d))
-        .collect();
-    DataFrame::from_messages(&msgs)
-}
-
-/// Execute an already-lowered plan (callers that inspect the plan first —
-/// e.g. to route unselective queries to a cached frame instead — avoid
-/// planning twice).
-pub fn execute_plan(db: &ProvenanceDatabase, plan: &QueryPlan) -> Pushdown {
-    execute_plan_with(db, plan, true)
-}
-
-/// [`execute_plan`] with the columnar layer switchable (see
-/// [`try_execute_with`]). A plan carrying columnar conjuncts must be
-/// executed with the layer on — without it the conjuncts have nowhere to
-/// run, so such pipelines defer to the oracle.
-pub fn execute_plan_with(
-    db: &ProvenanceDatabase,
-    plan: &QueryPlan,
-    use_columnar: bool,
-) -> Pushdown {
-    // Materialize pending ingest once up front (the historical accessor
-    // behavior), then run the bounded machinery with no bound.
-    let store = db.documents();
-    execute_plan_inner(store, plan, use_columnar, None, GraphSource::Db(db))
-}
-
-/// Execute a plan against a pinned snapshot: same machinery as
-/// [`execute_plan`], but reads go through the bounded kernels (rows above
-/// the snapshot's per-shard high-water mark are invisible) and nothing is
-/// flushed — snapshot creation already materialized everything visible,
-/// so this never touches the flusher lock and never blocks on ingest.
-pub fn execute_plan_snapshot(snap: &StoreSnapshot, plan: &QueryPlan) -> Pushdown {
-    execute_plan_inner(
-        snap.documents(),
-        plan,
-        true,
-        Some(snap.bound()),
-        GraphSource::Snap(snap),
-    )
-}
-
-/// Where a plan's graph path primitives execute. Frame-only plans never
-/// touch it; graph plans pick the CSR compaction or the adjacency-map
-/// oracle off it according to their planned `pushable` gate.
-#[derive(Clone, Copy)]
-enum GraphSource<'a> {
-    /// The flushing facade ([`execute_plan`]-level callers).
-    Db(&'a ProvenanceDatabase),
-    /// A pinned snapshot (CSR pinned per snapshot, adjacency view live).
-    Snap(&'a StoreSnapshot),
-}
-
-fn execute_plan_inner(
-    store: &DocumentStore,
-    plan: &QueryPlan,
-    use_columnar: bool,
-    bound: Option<&[usize]>,
-    graph: GraphSource<'_>,
-) -> Pushdown {
+/// Execute a lowered plan against a pinned snapshot. Reads go through
+/// the bounded kernels (rows above the snapshot's per-shard high-water
+/// mark are invisible) and nothing is flushed — snapshot creation already
+/// materialized everything visible, so this never touches the flusher
+/// lock and never blocks on ingest. Graph primitives run on the
+/// snapshot's pinned CSR compaction when the plan's `pushable` gate is
+/// set, and on the locking adjacency maps when it is not.
+pub fn execute_plan(snap: &StoreSnapshot, plan: &QueryPlan) -> Pushdown {
     match plan {
-        QueryPlan::Pipeline(p) => exec_pipeline(store, p, use_columnar, bound),
-        QueryPlan::Len(inner) => {
-            match execute_plan_inner(store, inner, use_columnar, bound, graph) {
-                Pushdown::Executed(Ok(out)) => Pushdown::Executed(Ok(QueryOutput::Scalar(
-                    prov_model::Value::Int(out.len() as i64),
-                ))),
-                other => other,
-            }
-        }
+        QueryPlan::Pipeline(p) => exec_pipeline(snap.documents(), p, snap.bound()),
+        QueryPlan::Len(inner) => match execute_plan(snap, inner) {
+            Pushdown::Executed(Ok(out)) => Pushdown::Executed(Ok(QueryOutput::Scalar(
+                prov_model::Value::Int(out.len() as i64),
+            ))),
+            other => other,
+        },
         QueryPlan::Binary(a, op, b) => {
             // Strict left-to-right evaluation, matching the frame
             // executor: the left side is executed AND validated as a
             // scalar before the right side runs, so both paths surface
             // the same error for the same query.
-            let left = match execute_plan_inner(store, a, use_columnar, bound, graph) {
+            let left = match execute_plan(snap, a) {
                 Pushdown::Executed(Ok(out)) => out,
                 other => return other,
             };
@@ -242,7 +148,7 @@ fn execute_plan_inner(
                 Ok(v) => v,
                 Err(e) => return Pushdown::Executed(Err(e)),
             };
-            let right = match execute_plan_inner(store, b, use_columnar, bound, graph) {
+            let right = match execute_plan(snap, b) {
                 Pushdown::Executed(Ok(out)) => out,
                 other => return other,
             };
@@ -255,7 +161,7 @@ fn execute_plan_inner(
         QueryPlan::Number(n) => {
             Pushdown::Executed(Ok(QueryOutput::Scalar(prov_model::Value::Float(*n))))
         }
-        QueryPlan::Graph(g) => Pushdown::Executed(Ok(exec_graph(graph, g))),
+        QueryPlan::Graph(g) => Pushdown::Executed(Ok(exec_graph(snap, g))),
     }
 }
 
@@ -267,12 +173,9 @@ fn execute_plan_inner(
 /// is not — produce identical shapes, so the plan cache (which keys on
 /// the canonical query text, not the gate) can serve either's result to
 /// both.
-fn exec_graph(src: GraphSource<'_>, g: &GraphPlan) -> QueryOutput {
+fn exec_graph(snap: &StoreSnapshot, g: &GraphPlan) -> QueryOutput {
     if g.pushable {
-        let csr: Arc<CsrGraph> = match src {
-            GraphSource::Db(db) => db.csr_for(db.generation()),
-            GraphSource::Snap(snap) => Arc::clone(snap.graph_csr()),
-        };
+        let csr: &CsrGraph = snap.graph_csr();
         match &g.query {
             GraphQuery::Upstream { node, depth } => lineage_frame(csr.upstream(node, *depth)),
             GraphQuery::Downstream { node, depth } => lineage_frame(csr.downstream(node, *depth)),
@@ -283,10 +186,7 @@ fn exec_graph(src: GraphSource<'_>, g: &GraphPlan) -> QueryOutput {
             ),
         }
     } else {
-        let graph = match src {
-            GraphSource::Db(db) => db.graph(),
-            GraphSource::Snap(snap) => snap.graph(),
-        };
+        let graph = snap.graph();
         match &g.query {
             GraphQuery::Upstream { node, depth } => {
                 lineage_frame_owned(graph.upstream_lineage(node, *depth))
@@ -368,95 +268,23 @@ fn finish_stages(p: &PipelinePlan, frame: &DataFrame) -> Pushdown {
     Pushdown::Executed(provql::execute_stages(&stages, frame))
 }
 
-fn exec_pipeline(
-    store: &DocumentStore,
-    p: &PipelinePlan,
-    use_columnar: bool,
-    bound: Option<&[usize]>,
-) -> Pushdown {
+fn exec_pipeline(store: &DocumentStore, p: &PipelinePlan, bound: &[usize]) -> Pushdown {
     let Some(columns) = &p.scan.columns else {
         return Pushdown::NeedsFullFrame("output exposes the whole frame width");
     };
-    if use_columnar && store.columnar_enabled() {
-        if let Some(result) = exec_pipeline_columnar(store, p, columns, bound) {
-            return result;
-        }
-        // A filter column stopped being servable between planning and
-        // execution (dataflow-key poisoning raced in); the conjuncts the
-        // planner split out have nowhere to run but the oracle.
-        return Pushdown::NeedsFullFrame("columnar layer no longer serves a planned conjunct");
-    }
-    if !p.scan.columnar.is_empty() || !p.scan.isin.is_empty() {
-        return Pushdown::NeedsFullFrame("columnar conjuncts without a columnar layer");
-    }
-    if !p.scan.sort.is_empty() {
-        // A pushed sort promises ordered rows, which only the columnar
-        // top-k executor delivers; without it the decoded scan would
-        // apply the pushed limit to *unsorted* rows.
-        return Pushdown::NeedsFullFrame("pushed sort without a columnar layer");
-    }
-    exec_pipeline_decoded(store, p, columns, bound)
-}
-
-/// The decode-based projected scan: pushed conjuncts become a [`DocQuery`]
-/// (index probes with the store's raw-value matching), surviving documents
-/// are decoded back into task messages, and only the referenced columns
-/// are materialized. This is the pre-columnar scan path; it remains the
-/// executor for stores without a sidecar and the baseline side of the
-/// columnar benchmarks.
-fn exec_pipeline_decoded(
-    store: &DocumentStore,
-    p: &PipelinePlan,
-    columns: &[String],
-    bound: Option<&[usize]>,
-) -> Pushdown {
-    let mut doc_query = DocQuery::new();
-    for f in &p.scan.pushed {
-        doc_query.conditions.push(Condition {
-            // The planner only pushes columns this database advertised,
-            // and for all of them the document path is the column name.
-            path: f.column.clone(),
-            op: match f.op {
-                PushOp::Eq => Op::Eq,
-                PushOp::Lt => Op::Lt,
-                PushOp::Le => Op::Lte,
-                PushOp::Gt => Op::Gt,
-                PushOp::Ge => Op::Gte,
-            },
-            value: f.value.clone(),
-        });
-    }
-    // Safe because the planner only sets a limit when nothing between the
-    // scan and the head() filters or reorders rows, and every stored
-    // document is a Listing-1 task message (decodes 1:1 into a row).
-    doc_query.limit = p.scan.limit;
-
-    let docs = match bound {
-        Some(b) => store.find_bounded(&doc_query, b),
-        None => store.find(&doc_query),
-    };
-    let msgs: Vec<TaskMessage> = docs
-        .iter()
-        .filter_map(|d| TaskMessage::from_value(d))
-        .collect();
-    let frame = DataFrame::from_messages_projected(&msgs, columns);
-
-    // Column-existence semantics are corpus-wide, but the scan only saw
-    // the survivors: a referenced column they never set could still exist
-    // (all-null there) elsewhere, or not at all (an unknown-column error
-    // listing every available column). Only the oracle can tell — so fall
-    // back when such a column is required.
-    if checked_columns(p).iter().any(|c| !frame.has_column(c)) {
-        return Pushdown::NeedsFullFrame("required column absent from scan survivors");
-    }
-    finish_stages(p, &frame)
+    // `None`: a filter column stopped being servable between planning and
+    // execution (dataflow-key poisoning raced in); the conjuncts the
+    // planner split out have nowhere to run but the oracle.
+    exec_pipeline_columnar(store, p, columns, bound).unwrap_or(Pushdown::NeedsFullFrame(
+        "columnar layer no longer serves a planned conjunct",
+    ))
 }
 
 /// The columnar scan: pushed *and* planner-split residual `col op lit`
 /// conjuncts all evaluate over the sidecar's column vectors with frame
 /// semantics (index probes pre-filter candidates when safe), a pushed
 /// sort routes through the streaming top-k executor
-/// ([`DocumentStore::columnar_topk`]: per-shard bounded selection over
+/// ([`DocumentStore::columnar_topk_where`]: per-shard bounded selection over
 /// the vectors, or a sorted-index cursor, survivors ordered by the exact
 /// frame sort rule before any pushed limit truncates), and every
 /// referenced columnar column is materialized straight from the vectors —
@@ -473,7 +301,7 @@ fn exec_pipeline_columnar(
     store: &DocumentStore,
     p: &PipelinePlan,
     columns: &[String],
-    bound: Option<&[usize]>,
+    bound: &[usize],
 ) -> Option<Pushdown> {
     let mut filters: Vec<ScanPredicate<'_>> =
         Vec::with_capacity(p.scan.pushed.len() + p.scan.columnar.len() + p.scan.isin.len());
@@ -497,10 +325,7 @@ fn exec_pipeline_columnar(
         filters.push(ScanPredicate::In(f.column.as_str(), &f.values));
     }
     let survivors = if p.scan.sort.is_empty() {
-        match bound {
-            Some(b) => store.columnar_scan_where_bounded(&filters, p.scan.limit, b)?,
-            None => store.columnar_scan_where(&filters, p.scan.limit)?,
-        }
+        store.columnar_scan_where(&filters, p.scan.limit, bound)?
     } else {
         // Top-k: the scan orders survivors by the frame's sort rule
         // before the limit truncates, so the frame below is built in
@@ -514,14 +339,10 @@ fn exec_pipeline_columnar(
             .iter()
             .map(|(c, asc)| (c.as_str(), *asc))
             .collect();
-        let scan = match bound {
-            Some(b) => store.columnar_topk_where_bounded(&filters, &keys, p.scan.limit, b),
-            None => store.columnar_topk_where(&filters, &keys, p.scan.limit),
-        };
-        match scan {
-            crate::document::TopkScan::Served(ids) => ids,
-            crate::document::TopkScan::NotServable => return None,
-            crate::document::TopkScan::NanSortKey => {
+        match store.columnar_topk_where(&filters, &keys, p.scan.limit, bound) {
+            TopkScan::Served(ids) => ids,
+            TopkScan::NotServable => return None,
+            TopkScan::NanSortKey => {
                 return Some(Pushdown::NeedsFullFrame(
                     "NaN sort key: only the oracle's stable sort defines that order",
                 ))
@@ -532,13 +353,6 @@ fn exec_pipeline_columnar(
     if let Some(result) = grouped_agg_over_codes(store, p, &survivors, bound) {
         return Some(result);
     }
-
-    // Column presence is corpus-wide metadata; a snapshot's corpus is the
-    // rows below its bound.
-    let presence = |c: &str| match bound {
-        Some(b) => store.columnar_presence_bounded(c, b),
-        None => store.columnar_presence(c),
-    };
 
     let checked = checked_columns(p);
     let decode_cols: Vec<String> = columns
@@ -559,7 +373,9 @@ fn exec_pipeline_columnar(
 
     let mut cols_out: Vec<(String, Vec<Value>)> = Vec::with_capacity(columns.len());
     for c in columns {
-        if let Some(present) = presence(c) {
+        // Column presence is corpus-wide metadata; a snapshot's corpus is
+        // the rows below its bound.
+        if let Some(present) = store.columnar_presence(c, bound) {
             if present > 0 {
                 cols_out.push((c.clone(), store.columnar_gather(&survivors, c)?));
             } else if checked.iter().any(|k| k == c) {
@@ -607,16 +423,13 @@ fn grouped_agg_over_codes(
     store: &DocumentStore,
     p: &PipelinePlan,
     survivors: &[crate::document::DocId],
-    bound: Option<&[usize]>,
+    bound: &[usize],
 ) -> Option<Pushdown> {
     use provql::plan::PlanNode;
     if p.scan.residual.is_some() || p.ops.len() < 3 {
         return None;
     }
-    let presence = |c: &str| match bound {
-        Some(b) => store.columnar_presence_bounded(c, b),
-        None => store.columnar_presence(c),
-    };
+    let present = |c: &str| store.columnar_presence(c, bound).is_some_and(|n| n > 0);
     let (
         PlanNode::Residual(Stage::GroupBy(keys)),
         PlanNode::Residual(Stage::Col(col)),
@@ -631,7 +444,7 @@ fn grouped_agg_over_codes(
     // Both columns must exist corpus-wide (the general path owns the
     // absent-column fallback), and a self-aggregation's duplicate output
     // column is an error the frame path should raise verbatim.
-    if key == col || presence(key).is_none_or(|n| n == 0) || presence(col).is_none_or(|n| n == 0) {
+    if key == col || !present(key) || !present(col) {
         return None;
     }
     let (group_keys, row_groups) = store.columnar_group_codes(survivors, key)?;
@@ -651,10 +464,11 @@ fn grouped_agg_over_codes(
 mod tests {
     use super::*;
     use prov_model::{TaskMessageBuilder, Value};
-    use provql::parse;
+    use provql::{parse, Query};
+    use std::sync::Arc;
 
-    fn seeded_db() -> ProvenanceDatabase {
-        let db = ProvenanceDatabase::new();
+    fn seeded_db() -> Arc<ProvenanceDatabase> {
+        let db = ProvenanceDatabase::shared();
         let msgs: Vec<TaskMessage> = (0..40)
             .map(|i| {
                 TaskMessageBuilder::new(
@@ -673,15 +487,17 @@ mod tests {
         db
     }
 
-    /// The full-materialize oracle, as the agent tool runs it.
-    fn oracle_frame(db: &ProvenanceDatabase) -> DataFrame {
-        full_frame(db)
+    /// Pin a snapshot of `db`, plan the query against it, and execute.
+    fn run(db: &Arc<ProvenanceDatabase>, query: &Query) -> Pushdown {
+        let snap = db.snapshot();
+        execute_plan(&snap, &provql::plan(query, &*snap))
     }
 
-    fn assert_differential(db: &ProvenanceDatabase, text: &str, expect_pushed: bool) {
+    fn assert_differential(db: &Arc<ProvenanceDatabase>, text: &str, expect_pushed: bool) {
         let query = parse(text).unwrap();
-        let oracle = provql::execute(&query, &oracle_frame(db));
-        match try_execute(db, &query) {
+        let snap = db.snapshot();
+        let oracle = provql::execute(&query, &snap.oracle_frame());
+        match execute_plan(&snap, &provql::plan(&query, &*snap)) {
             Pushdown::Executed(got) => {
                 assert!(expect_pushed, "{text}: expected fallback, got execution");
                 assert_eq!(got, oracle, "{text}");
@@ -739,19 +555,12 @@ mod tests {
         // Unknown column in a projection: the oracle owns the
         // unknown-column error (with its available-column listing).
         let query = parse(r#"df[["nope"]]"#).unwrap();
-        match try_execute(&db, &query) {
+        match run(&db, &query) {
             Pushdown::NeedsFullFrame(_) => {}
             Pushdown::Executed(out) => panic!("expected fallback, got {out:?}"),
         }
-        // The decode-based scan cannot tell a zero-survivor columnar
-        // column from an unknown one and must defer; the columnar scan
-        // knows corpus-wide presence and serves it (asserted equal to the
-        // oracle in `filter_only_columns_never_force_fallback`).
-        let query = parse(r#"df[df["workflow_id"] == "wf-nonexistent"][["task_id"]]"#).unwrap();
-        match try_execute_with(&db, &query, false) {
-            Pushdown::NeedsFullFrame(_) => {}
-            Pushdown::Executed(out) => panic!("expected decoded-path fallback, got {out:?}"),
-        }
+        // A zero-survivor columnar column is not an unknown one: the scan
+        // knows corpus-wide presence and serves it.
         assert_differential(
             &db,
             r#"df[df["workflow_id"] == "wf-nonexistent"][["task_id"]]"#,
@@ -779,8 +588,8 @@ mod tests {
         let db = seeded_db();
         // Bare groupby: invalid through either executor.
         let query = parse(r#"df.groupby("activity_id")"#).unwrap();
-        let oracle = provql::execute(&query, &oracle_frame(&db));
-        match try_execute(&db, &query) {
+        let oracle = provql::execute(&query, &db.snapshot().oracle_frame());
+        match run(&db, &query) {
             Pushdown::Executed(got) => assert_eq!(got, oracle),
             Pushdown::NeedsFullFrame(r) => panic!("unexpected fallback: {r}"),
         }
@@ -831,7 +640,7 @@ mod tests {
         }
         // The shape really goes through the scan, not the residual filter.
         let query = parse(r#"df[df["activity_id"].isin(["run_dft"])][["task_id"]]"#).unwrap();
-        let plan = provql::plan(&query, &db);
+        let plan = provql::plan(&query, db.as_ref());
         let p = &plan.pipelines()[0];
         assert_eq!(p.scan.isin.len(), 1);
         assert!(p.scan.residual.is_none());
@@ -874,7 +683,7 @@ mod tests {
     fn grouped_aggregation_unifies_symbols_across_shards() {
         // Force several shards so the same activity symbol gets different
         // shard-local dictionary codes, then group across them.
-        let db = ProvenanceDatabase::with_shards(4);
+        let db = Arc::new(ProvenanceDatabase::with_shards(4));
         let msgs: Vec<TaskMessage> = (0..100)
             .map(|i| {
                 TaskMessageBuilder::new(
@@ -902,26 +711,8 @@ mod tests {
     }
 
     #[test]
-    fn decoded_and_columnar_paths_agree() {
-        let db = seeded_db();
-        for text in [
-            r#"len(df[df["activity_id"] == "run_dft"])"#,
-            r#"df[df["workflow_id"] == "wf-1"][["task_id", "y"]]"#,
-            r#"df[df["started_at"] > 20]["y"].sum()"#,
-        ] {
-            let query = parse(text).unwrap();
-            let columnar = try_execute_with(&db, &query, true);
-            let decoded = try_execute_with(&db, &query, false);
-            let (Pushdown::Executed(a), Pushdown::Executed(b)) = (columnar, decoded) else {
-                panic!("{text}: both paths should execute");
-            };
-            assert_eq!(a, b, "{text}");
-        }
-    }
-
-    #[test]
     fn dataflow_shadowed_telemetry_column_is_poisoned_not_wrong() {
-        let db = ProvenanceDatabase::new();
+        let db = ProvenanceDatabase::shared();
         let msgs: Vec<TaskMessage> = (0..5)
             .map(|i| {
                 let b = TaskMessageBuilder::new(format!("t{i}"), "wf", "a").span(0.0, 1.0);
@@ -995,7 +786,7 @@ mod tests {
         // And the shape actually pushes sort + limit (no silent oracle).
         let query =
             parse(r#"df.sort_values("started_at", ascending=False)[["task_id"]].head(3)"#).unwrap();
-        let plan = provql::plan(&query, &db);
+        let plan = provql::plan(&query, db.as_ref());
         let p = &plan.pipelines()[0];
         assert_eq!(p.scan.sort, vec![("started_at".to_string(), false)]);
         assert_eq!(p.scan.limit, Some(3));
@@ -1032,7 +823,7 @@ mod tests {
         // strict weak order — so the pushed path must refuse and let the
         // oracle's own stable sort define the (algorithm-defined) order.
         let query = parse(r#"df.sort_values("started_at")[["task_id"]].head(3)"#).unwrap();
-        match try_execute(&db, &query) {
+        match run(&db, &query) {
             Pushdown::NeedsFullFrame(_) => {}
             Pushdown::Executed(out) => panic!("NaN sort key must not be served: {out:?}"),
         }
@@ -1045,6 +836,39 @@ mod tests {
     }
 
     #[test]
+    fn invisible_nan_sort_key_keeps_snapshot_topk_pushed() {
+        let db = seeded_db();
+        let snap = db.snapshot();
+        // A NaN sort key lands after the pin. The snapshot cannot see the
+        // row, so its top-k must skip it inside the kernel instead of
+        // aborting to the oracle.
+        db.documents().insert(prov_model::obj! {
+            "task_id" => "nan0", "workflow_id" => "wf-raw", "activity_id" => "x",
+            "started_at" => f64::NAN, "ended_at" => 1.0,
+        });
+        let texts = [
+            r#"df.sort_values("started_at")[["task_id"]].head(3)"#,
+            r#"df.sort_values("started_at", ascending=False)[["task_id", "started_at"]].head(4)"#,
+            r#"df[df["status"] != "ERROR"].sort_values("duration")[["task_id"]].head(5)"#,
+        ];
+        let answers: Vec<_> = texts
+            .iter()
+            .map(|text| {
+                let (out, _) = snap.query(&parse(text).unwrap());
+                out.unwrap_or_else(|e| panic!("{text}: {e}"))
+            })
+            .collect();
+        assert!(
+            !snap.oracle_built(),
+            "an invisible NaN row must not push the snapshot onto its oracle"
+        );
+        for (text, got) in texts.iter().zip(answers) {
+            let oracle = provql::execute(&parse(text).unwrap(), &snap.oracle_frame());
+            assert_eq!(Ok((*got).clone()), oracle, "{text}");
+        }
+    }
+
+    #[test]
     fn topk_agrees_across_thread_counts() {
         let db = seeded_db();
         let texts = [
@@ -1053,7 +877,7 @@ mod tests {
         ];
         let run = |threads: usize, text: &str| {
             db.documents().set_scan_threads(threads);
-            match try_execute(&db, &parse(text).unwrap()) {
+            match run(&db, &parse(text).unwrap()) {
                 Pushdown::Executed(out) => out,
                 Pushdown::NeedsFullFrame(r) => panic!("{text}: unexpected fallback ({r})"),
             }
@@ -1068,7 +892,7 @@ mod tests {
     fn pushed_limit_matches_head() {
         let db = seeded_db();
         let query = parse(r#"df[df["workflow_id"] == "wf-2"][["task_id"]].head(2)"#).unwrap();
-        let Pushdown::Executed(Ok(QueryOutput::Frame(f))) = try_execute(&db, &query) else {
+        let Pushdown::Executed(Ok(QueryOutput::Frame(f))) = run(&db, &query) else {
             panic!("expected pushed frame")
         };
         assert_eq!(f.len(), 2);
@@ -1085,7 +909,7 @@ mod tests {
             TaskMessageBuilder::new("fresh", "wf-9", "run_dft").build(),
         )));
         let query = parse(r#"df[df["workflow_id"] == "wf-9"][["task_id"]]"#).unwrap();
-        let Pushdown::Executed(Ok(QueryOutput::Frame(f))) = try_execute(&db, &query) else {
+        let Pushdown::Executed(Ok(QueryOutput::Frame(f))) = run(&db, &query) else {
             panic!("expected pushed frame")
         };
         assert_eq!(f.len(), 1);

@@ -71,7 +71,10 @@
 //! Query-side callers read through [`StoreSnapshot`]
 //! ([`ProvenanceDatabase::snapshot`]): a generation-pinned immutable view
 //! — refcount bump plus per-shard row high-water mark — whose reads never
-//! flush and never block on ingest. Snapshot query execution consults a
+//! flush and never block on ingest. It is also the only way a provql plan
+//! executes ([`execute_plan`]): the scan kernels take the high-water mark
+//! as their row bound, and the snapshot's oracle frame is the one
+//! full-materialize fallback. Snapshot query execution consults a
 //! shared plan-keyed result cache ([`PlanCache`], keyed on
 //! `(canonical plan, generation)` via [`provql::plan::cache_key`]), and
 //! [`serve::QueryServer`] puts a bounded thread-pool front-end with
@@ -129,10 +132,7 @@ pub mod store;
 pub use cache::{CacheOutcome, CacheStats, PlanCache};
 pub use csr::{CsrGraph, Direction};
 pub use document::{DocId, DocumentStore, ScanPredicate, TopkScan};
-pub use exec::{
-    execute_plan, execute_plan_snapshot, execute_plan_with, full_frame, try_execute,
-    try_execute_with, GraphOracle, Pushdown,
-};
+pub use exec::{execute_plan, GraphOracle, Pushdown};
 pub use graph::{GraphBatch, GraphEdge, GraphNode, GraphStore};
 pub use kv::KvStore;
 pub use pager::PagerStats;

@@ -10,11 +10,17 @@
 //!
 //! A snapshot pins `(generation, per-shard row high-water mark)` at
 //! creation ([`ProvenanceDatabase::snapshot`]). The document shards are
-//! append-only, so the rows below the mark are immutable and the bounded
-//! kernels in [`crate::document`] answer any query *as of* that
-//! generation, no matter how much ingest lands afterwards. Query
-//! execution routes through the plan-keyed result cache
-//! ([`crate::cache`]) keyed on the pinned generation.
+//! append-only, so the rows below the mark are immutable, and every scan
+//! kernel in [`crate::document`] takes the mark as its row bound and
+//! honours it inside its loops: a snapshot answers any query *as of* its
+//! generation, no matter how much ingest lands afterwards, and never
+//! scans past what it can see. A snapshot is also the only way a provql
+//! plan executes ([`exec::execute_plan`]), and its
+//! [`oracle_frame`](StoreSnapshot::oracle_frame) is the one
+//! full-materialize oracle — the fallback in production and the referee
+//! in the differential tests. Query execution routes through the
+//! plan-keyed result cache ([`crate::cache`]) keyed on the pinned
+//! generation.
 
 use crate::csr::CsrGraph;
 use crate::document::DocumentStore;
@@ -69,7 +75,7 @@ impl StoreSnapshot {
         &self.db
     }
 
-    /// The per-shard row bound (internal: handed to the bounded kernels).
+    /// The per-shard row bound (internal: handed to the scan kernels).
     pub(crate) fn bound(&self) -> &[usize] {
         &self.hwm
     }
@@ -223,7 +229,7 @@ impl StoreSnapshot {
                 .iter()
                 .all(|p| p.has_pushdown() || p.scan.limit.is_some() || p.scan.columnar_only);
         if selective {
-            if let exec::Pushdown::Executed(res) = exec::execute_plan_snapshot(self, plan) {
+            if let exec::Pushdown::Executed(res) = exec::execute_plan(self, plan) {
                 return res.map(Arc::new);
             }
         }

@@ -6,9 +6,10 @@
 
 use dataframe::{col, lit, AggFunc, CmpOp, DataFrame, Expr};
 use proptest::prelude::*;
-use prov_db::{ProvenanceDatabase, Pushdown};
+use prov_db::{ProvenanceDatabase, Pushdown, StoreSnapshot};
 use prov_model::{obj, TaskMessageBuilder, TaskStatus, Value};
 use provql::{execute, ExecError, Query, QueryOutput, Stage};
+use std::sync::Arc;
 
 /// Columns mixing columnar hot fields, decode-only payload fields, and a
 /// name no document ever sets.
@@ -263,17 +264,22 @@ fn out_eq(a: &Result<QueryOutput, ExecError>, b: &Result<QueryOutput, ExecError>
     }
 }
 
-fn check(db: &ProvenanceDatabase, frame: &DataFrame, q: &Query, use_columnar: bool) {
-    match prov_db::try_execute_with(db, q, use_columnar) {
+/// Plan and execute `q` on `snap`.
+fn run(snap: &StoreSnapshot, q: &Query) -> Pushdown {
+    prov_db::execute_plan(snap, &provql::plan(q, snap))
+}
+
+fn check(snap: &StoreSnapshot, q: &Query) {
+    match run(snap, q) {
         Pushdown::Executed(got) => {
             // The oracle only runs when the pushed path claims exactness:
             // for NaN sort keys the scan refuses instead (NeedsFullFrame),
             // because the oracle's own stable sort is the only definition
             // of that order.
-            let oracle = execute(q, frame);
+            let oracle = execute(q, &snap.oracle_frame());
             assert!(
                 out_eq(&got, &oracle),
-                "use_columnar={use_columnar}, query={q:?}\n got: {got:?}\nwant: {oracle:?}"
+                "query={q:?}\n got: {got:?}\nwant: {oracle:?}"
             );
         }
         // The fallback path *is* the oracle — trivially identical.
@@ -287,7 +293,7 @@ fn check(db: &ProvenanceDatabase, frame: &DataFrame, q: &Query, use_columnar: bo
 /// shards), on a corpus big enough that the threaded path actually runs.
 #[test]
 fn parallel_scan_differential_above_threshold() {
-    let db = ProvenanceDatabase::with_shards(4);
+    let db = Arc::new(ProvenanceDatabase::with_shards(4));
     let msgs: Vec<prov_model::TaskMessage> = (0..6000)
         .map(|i| {
             TaskMessageBuilder::new(
@@ -307,7 +313,8 @@ fn parallel_scan_differential_above_threshold() {
         })
         .collect();
     db.insert_batch(&msgs);
-    let frame = prov_db::full_frame(&db);
+    let snap = db.snapshot();
+    let frame = snap.oracle_frame();
     let queries = [
         // Unselective columnar filter: full vector scan, shard-parallel.
         r#"len(df[df["duration"] > 4])"#,
@@ -323,7 +330,7 @@ fn parallel_scan_differential_above_threshold() {
         db.documents().set_scan_threads(threads);
         for text in queries {
             let q = provql::parse(text).expect("query parses");
-            match prov_db::try_execute(&db, &q) {
+            match run(&snap, &q) {
                 Pushdown::Executed(got) => {
                     let oracle = execute(&q, &frame);
                     assert!(
@@ -361,7 +368,7 @@ fn chunk_boundary_corpora_match_oracle() {
         r#"df[["task_id"]].head(3)"#,
     ];
     for n in [chunk - 1, chunk, chunk + 1] {
-        let db = ProvenanceDatabase::with_shards(1);
+        let db = Arc::new(ProvenanceDatabase::with_shards(1));
         let msgs: Vec<prov_model::TaskMessage> = (0..n)
             .map(|i| {
                 TaskMessageBuilder::new(
@@ -384,10 +391,10 @@ fn chunk_boundary_corpora_match_oracle() {
         db.insert_batch(&msgs[..n - 1]);
         db.documents().insert(obj! {"task_id" => Value::Int(9)});
         db.insert_batch(std::iter::once(&msgs[n - 1]));
-        let frame = prov_db::full_frame(&db);
+        let snap = db.snapshot();
         for text in queries {
             let q = provql::parse(text).expect("query parses");
-            check(&db, &frame, &q, true);
+            check(&snap, &q);
         }
     }
 }
@@ -400,7 +407,7 @@ fn chunk_boundary_corpora_match_oracle() {
 /// must probes for symbols absent from the dictionary entirely.
 #[test]
 fn adversarial_dictionaries_match_oracle() {
-    let db = ProvenanceDatabase::with_shards(2);
+    let db = Arc::new(ProvenanceDatabase::with_shards(2));
     let msgs: Vec<prov_model::TaskMessage> = (0..300)
         .map(|i| {
             TaskMessageBuilder::new(format!("unique-{i}"), format!("wf-{}", i % 2), "only_act")
@@ -410,7 +417,7 @@ fn adversarial_dictionaries_match_oracle() {
         })
         .collect();
     db.insert_batch(&msgs);
-    let frame = prov_db::full_frame(&db);
+    let snap = db.snapshot();
     for text in [
         // One-symbol dictionary: everything matches, or nothing does.
         r#"len(df[df["hostname"] == "lonely-host"])"#,
@@ -429,8 +436,7 @@ fn adversarial_dictionaries_match_oracle() {
         r#"df.sort_values("mem_used_mb_end")[["task_id"]].head(3)"#,
     ] {
         let q = provql::parse(text).expect("query parses");
-        check(&db, &frame, &q, true);
-        check(&db, &frame, &q, false);
+        check(&snap, &q);
     }
 }
 
@@ -446,7 +452,7 @@ proptest! {
         raws in prop::collection::vec(arb_raw_doc(), 0..6),
         queries in prop::collection::vec(arb_query(), 1..4),
     ) {
-        let db = ProvenanceDatabase::new();
+        let db = ProvenanceDatabase::shared();
         db.insert_batch(&msgs);
         for raw in &raws {
             // Straight into the document backend: the facade only ever
@@ -454,25 +460,23 @@ proptest! {
             // must be injected below it.
             db.documents().insert(raw.clone());
         }
-        let frame = prov_db::full_frame(&db);
+        let snap = db.snapshot();
         for q in &queries {
-            check(&db, &frame, q, true);
+            check(&snap, q);
         }
     }
 
-    /// Well-formed corpora: the columnar scan, the decode-based scan, and
-    /// the oracle all agree.
+    /// Well-formed corpora: the columnar scan and the oracle agree.
     #[test]
     fn all_paths_agree_on_wellformed_corpora(
         msgs in prop::collection::vec(arb_message(), 1..14),
         queries in prop::collection::vec(arb_query(), 1..4),
     ) {
-        let db = ProvenanceDatabase::new();
+        let db = ProvenanceDatabase::shared();
         db.insert_batch(&msgs);
-        let frame = prov_db::full_frame(&db);
+        let snap = db.snapshot();
         for q in &queries {
-            check(&db, &frame, q, true);
-            check(&db, &frame, q, false);
+            check(&snap, q);
         }
     }
 }

@@ -264,12 +264,12 @@ fn provql_graph_primitives_agree_through_both_executor_paths() {
         r#"len(upstream("t9", 16)) - len(downstream("t9", 16))"#,
     ] {
         let query = parse(text).unwrap();
-        let fast_plan = provql::plan(&query, db.as_ref());
+        let fast_plan = provql::plan(&query, &*snap);
         let oracle_plan = provql::plan(&query, &GraphOracle(&db));
-        let Pushdown::Executed(fast) = prov_db::execute_plan(&db, &fast_plan) else {
+        let Pushdown::Executed(fast) = prov_db::execute_plan(&snap, &fast_plan) else {
             panic!("{text}: CSR path refused to execute");
         };
-        let Pushdown::Executed(oracle) = prov_db::execute_plan(&db, &oracle_plan) else {
+        let Pushdown::Executed(oracle) = prov_db::execute_plan(&snap, &oracle_plan) else {
             panic!("{text}: oracle path refused to execute");
         };
         assert_eq!(fast, oracle, "{text}: executor paths disagree");
