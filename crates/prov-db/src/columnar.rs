@@ -38,8 +38,9 @@
 //!   This is deliberately the same zone-map shape an on-disk segment
 //!   footer needs (see ROADMAP's durability item).
 //! * **Kernels** — a scan compiles its conjuncts once per shard
-//!   ([`ColumnarShard::compile`]) and evaluates each chunk with
-//!   [`ColumnarShard::filter_chunk`]: the selection starts from the
+//!   ([`ColumnarShard::compile`]; once per paged cold chunk, which is a
+//!   one-chunk shard of its own, see [`crate::pager`]) and evaluates each
+//!   chunk with [`ColumnarShard::filter_chunk`]: the selection starts from the
 //!   decodable rows of the chunk and each predicate shrinks it with a
 //!   branch-light compaction pass, replacing the per-row short-circuit
 //!   `matches()` loop. The sequential and shard-parallel scan paths and
@@ -92,6 +93,7 @@
 use dataframe::{cmp_matches, values_equal, CmpOp};
 use prov_model::{MessageType, Sym, TaskStatus, Value};
 use std::cmp::Ordering;
+use std::collections::hash_map::Entry;
 
 /// String-typed hot columns, in vector order. All are frame "common
 /// fields", so the flatten policy protects their bare names from
@@ -269,42 +271,43 @@ fn telemetry_mean(telemetry: &Value, path: &str) -> f64 {
 /// The reverse map is keyed on the symbol's *cached* content digest
 /// (pass-through hasher) — a `HashMap<Sym, _>` would re-hash the string
 /// bytes on every cell pushed, and encode runs once per cell per string
-/// column on the materialize hot path. Digest collisions land in the same
-/// bucket and are resolved by the content-equality probe (whose `Sym`
-/// pointer fast path hits for interned repeats).
+/// column on the materialize hot path. It maps each digest to the first
+/// code seen with it, so a new symbol costs no allocation of its own; the
+/// codes of later symbols whose digest collided are listed in `collided`.
+/// Both are resolved by the content-equality probe (whose `Sym` pointer
+/// fast path hits for interned repeats).
 #[derive(Default)]
 struct DictColumn {
     codes: Vec<u32>,
     dict: Vec<Sym>,
-    rev: crate::document::PrehashedMap<Vec<u32>>,
+    rev: crate::document::PrehashedMap<u32>,
+    collided: Vec<u32>,
 }
 
 impl DictColumn {
     fn push(&mut self, v: Option<Sym>) {
-        match v {
-            None => self.codes.push(NULL_CODE),
-            Some(s) => {
-                let bucket = self.rev.entry(s.hash_u64()).or_default();
-                let code = match bucket.iter().copied().find(|&c| self.dict[c as usize] == s) {
-                    Some(c) => c,
-                    None => {
-                        let c = self.dict.len() as u32;
-                        debug_assert!(c < NULL_CODE);
-                        self.dict.push(s);
-                        bucket.push(c);
-                        c
+        let code = match v {
+            None => NULL_CODE,
+            Some(s) => self.code_of(&s).unwrap_or_else(|| {
+                let c = self.dict.len() as u32;
+                debug_assert!(c < NULL_CODE);
+                match self.rev.entry(s.hash_u64()) {
+                    Entry::Vacant(e) => {
+                        e.insert(c);
                     }
-                };
-                self.codes.push(code);
-            }
-        }
+                    Entry::Occupied(_) => self.collided.push(c),
+                }
+                self.dict.push(s);
+                c
+            }),
+        };
+        self.codes.push(code);
     }
 
     fn code_of(&self, s: &Sym) -> Option<u32> {
-        self.rev
-            .get(&s.hash_u64())?
-            .iter()
-            .copied()
+        let first = *self.rev.get(&s.hash_u64())?;
+        std::iter::once(first)
+            .chain(self.collided.iter().copied())
             .find(|&c| self.dict[c as usize] == *s)
     }
 }
@@ -448,7 +451,13 @@ impl ColumnarShard {
         self.decodable.len()
     }
 
+    /// Rows per chunk.
+    pub(crate) fn chunk_rows(&self) -> usize {
+        self.chunk
+    }
+
     /// Number of chunks currently held.
+    #[cfg(test)]
     pub(crate) fn n_chunks(&self) -> usize {
         self.chunk_decodable.len()
     }

@@ -15,8 +15,8 @@
 //! dense and ascending, and every query sorts its hits by id, so results
 //! keep insertion order exactly as the single-lock engine did.
 
-use crate::columnar::{self, ColField, ColumnarShard};
-use crate::pager::{ColdShard, PagerCore, PagerStats};
+use crate::columnar::{self, ColField, ColPredicate, ColumnarShard, ShardPred};
+use crate::pager::{ColdShard, PagedChunk, PagerCore, PagerStats};
 use crate::query::{Condition, DocQuery, GroupSpec, Op};
 use dataframe::CmpOp;
 use parking_lot::RwLock;
@@ -151,8 +151,8 @@ fn range_key(f: f64) -> u64 {
 /// A lazily opened durable store additionally carries a `cold` prefix:
 /// shard slots `[0, cold.rows())` live in sealed segment files and are
 /// paged on demand (see [`crate::pager`]); `docs`/`cols` then hold only
-/// the rows from `cold.rows()` upward, and all slot arithmetic in this
-/// module goes through [`Shard::cold_rows`].
+/// the rows from `cold.rows()` upward, and reads reach both through one
+/// chunk accessor, [`Shard::chunk`].
 #[derive(Default)]
 struct Shard {
     docs: Vec<Arc<Value>>,
@@ -170,16 +170,122 @@ impl Shard {
     fn total_rows(&self) -> usize {
         self.cold_rows() + self.docs.len()
     }
+
+    /// Chunks of the sealed on-disk prefix.
+    fn cold_chunks(&self) -> usize {
+        self.cold.as_ref().map_or(0, ColdShard::n_chunks)
+    }
+
+    /// Rows per chunk, shared by the cold prefix and the resident tail (a
+    /// lazy open attaches only segments sealed at this chunk size).
+    fn chunk_rows(&self) -> usize {
+        self.cols.chunk_rows()
+    }
+
+    /// Chunks holding the shard's first `rows` slots (cold chunks first,
+    /// then the resident tail's): chunk `c` covers slots
+    /// `[c * chunk_rows, (c + 1) * chunk_rows)`.
+    fn chunks_below(&self, rows: usize) -> usize {
+        rows.min(self.total_rows()).div_ceil(self.chunk_rows())
+    }
+
+    /// Chunk `c` of the shard, cold or resident, as every kernel reads
+    /// it. A cold chunk is paged in through its [`ColdShard`]; a resident
+    /// one borrows the shard's own vectors.
+    fn chunk(&self, c: usize) -> ShardChunk<'_> {
+        match &self.cold {
+            Some(cold) if c < cold.n_chunks() => ShardChunk {
+                base: c * cold.chunk_rows(),
+                lc: 0,
+                source: c,
+                paged: Some(cold.chunk(c)),
+                shard: self,
+            },
+            _ => ShardChunk {
+                base: self.cold_rows(),
+                lc: c - self.cold_chunks(),
+                source: self.cold_chunks(),
+                paged: None,
+                shard: self,
+            },
+        }
+    }
+
+    /// [`chunk`](Self::chunk) for a columnar scan of `preds`: `None` when
+    /// the on-disk zone maps prove a cold chunk holds no decodable match,
+    /// decided from the footer before any I/O. Resident chunks are pruned
+    /// by [`ColumnarShard::filter_chunk`] itself.
+    fn chunk_where(&self, c: usize, preds: &[ColPredicate<'_>]) -> Option<ShardChunk<'_>> {
+        match &self.cold {
+            Some(cold) if c < cold.n_chunks() && cold.chunk_prunable(preds, c) => None,
+            _ => Some(self.chunk(c)),
+        }
+    }
+}
+
+/// One chunk of a shard's rows, cold or resident: row `r` of
+/// [`docs`](Self::docs) and [`cols`](Self::cols) is shard slot
+/// `base + r`, and the chunk is chunk `lc` of `cols`. A paged chunk is a
+/// one-chunk [`ColumnarShard`] of its own; every resident chunk shares
+/// the shard's vectors and dictionaries.
+struct ShardChunk<'g> {
+    base: usize,
+    lc: usize,
+    /// Which dictionaries `cols` codes against: the global chunk index of
+    /// a paged chunk, the shard's cold chunk count for the resident tail.
+    source: usize,
+    paged: Option<Arc<PagedChunk>>,
+    shard: &'g Shard,
+}
+
+impl ShardChunk<'_> {
+    fn docs(&self) -> &[Arc<Value>] {
+        self.paged.as_ref().map_or(&self.shard.docs, |p| &p.docs)
+    }
+
+    fn cols(&self) -> &ColumnarShard {
+        self.paged.as_ref().map_or(&self.shard.cols, |p| &p.cols)
+    }
+
+    /// This chunk's rows of `docs`/`cols` whose shard slot lies below
+    /// `bound`.
+    fn rows_below(&self, bound: usize) -> std::ops::Range<usize> {
+        let chunk = self.shard.chunk_rows();
+        let start = self.lc * chunk;
+        let end = (start + chunk)
+            .min(self.docs().len())
+            .min(bound.saturating_sub(self.base));
+        start..end.max(start)
+    }
+
+    /// Surviving decodable rows of `preds` whose shard slot lies below
+    /// `bound`, ascending, written into `sel`. The conjunction runs
+    /// compiled against this chunk's dictionaries: `resident` (compiled
+    /// once per shard) for a resident chunk, compiled here for a paged one.
+    fn filter(
+        &self,
+        resident: &[ShardPred],
+        preds: &[ColPredicate<'_>],
+        bound: usize,
+        sel: &mut Vec<u32>,
+    ) {
+        match &self.paged {
+            Some(p) => p.cols.filter_chunk(&p.cols.compile(preds), self.lc, sel),
+            None => self.shard.cols.filter_chunk(resident, self.lc, sel),
+        }
+        clip_to_bound(sel, self.base, bound);
+    }
 }
 
 /// A cursor for id-ordered walks over one shard that may have a cold
-/// prefix: keeps the current paged chunk resident between calls so a
-/// slot-major sweep pages each chunk exactly once. Walks over ids keep one
-/// cursor per shard ([`ShardCursor::per_shard`]): consecutive ids
-/// alternate shards, so a single warm chunk would miss on every row.
+/// prefix: keeps the current chunk between calls so a slot-major sweep
+/// pages each chunk exactly once. Walks over ids keep one cursor per
+/// shard ([`ShardCursor::per_shard`]): consecutive ids alternate shards,
+/// so a single warm chunk would miss on every row.
 struct ShardCursor<'g> {
     shard: &'g Shard,
-    cur: Option<(usize, Arc<crate::pager::PagedChunk>)>,
+    /// The pinned chunk and the shard slots it serves.
+    cur: Option<(std::ops::Range<usize>, ShardChunk<'g>)>,
 }
 
 impl<'g> ShardCursor<'g> {
@@ -194,26 +300,31 @@ impl<'g> ShardCursor<'g> {
             .collect()
     }
 
-    /// The paged chunk holding cold `slot` and the row within it (the
-    /// chunk stays pinned until the cursor moves to another); `None` for
-    /// a resident slot.
-    fn cold(&mut self, slot: usize) -> Option<(&crate::pager::PagedChunk, usize)> {
-        let cold = self.shard.cold.as_ref().filter(|c| slot < c.rows())?;
-        let c = slot / cold.chunk_rows();
-        if self.cur.as_ref().map(|(i, _)| *i) != Some(c) {
-            self.cur = Some((c, cold.chunk(c)));
+    /// The chunk holding `slot` (shard-global) and the slot's row in it;
+    /// `None` past the shard's last row. The chunk stays pinned until the
+    /// cursor moves to another; the resident tail pins as one chunk, since
+    /// its chunks share one set of vectors.
+    fn at(&mut self, slot: usize) -> Option<(&ShardChunk<'g>, usize)> {
+        if !self.cur.as_ref().is_some_and(|(r, _)| r.contains(&slot)) {
+            let shard = self.shard;
+            let (cold_rows, total) = (shard.cold_rows(), shard.total_rows());
+            let (c, range) = if slot < cold_rows {
+                let c = slot / shard.chunk_rows();
+                (c, c * shard.chunk_rows()..(c + 1) * shard.chunk_rows())
+            } else if slot < total {
+                (shard.cold_chunks(), cold_rows..total)
+            } else {
+                return None;
+            };
+            self.cur = Some((range, shard.chunk(c)));
         }
         let (_, chunk) = self.cur.as_ref().expect("chunk just pinned");
-        Some((chunk, slot % cold.chunk_rows()))
+        Some((chunk, slot - chunk.base))
     }
 
     /// Document at `slot` (shard-global), if the shard has one there.
     fn doc(&mut self, slot: usize) -> Option<&Arc<Value>> {
-        let shard = self.shard;
-        match self.cold(slot) {
-            Some((chunk, row)) => chunk.docs.get(row),
-            None => shard.docs.get(slot - shard.cold_rows()),
-        }
+        self.at(slot).map(|(chunk, row)| &chunk.docs()[row])
     }
 }
 
@@ -458,7 +569,7 @@ impl DocumentStore {
             return;
         }
         let mut index = FieldIndex::default();
-        self.for_each_doc(|id, doc| {
+        self.for_each_doc(&self.shard_rows(), |id, doc| {
             if let Some(v) = doc.get_path(path) {
                 index_insert(&mut index, id, v);
             }
@@ -481,7 +592,7 @@ impl DocumentStore {
             range: Some(RangeLog::default()),
             ..FieldIndex::default()
         };
-        self.for_each_doc(|id, doc| {
+        self.for_each_doc(&self.shard_rows(), |id, doc| {
             if let Some(v) = doc.get_path(path) {
                 index_insert(&mut rebuilt, id, v);
             }
@@ -489,27 +600,22 @@ impl DocumentStore {
         indexes.insert(path.to_string(), rebuilt);
     }
 
-    /// Visit every document as `(id, &doc)` in shard order (used for index
-    /// builds; callers hold the index write lock, honoring lock order).
-    /// Cold chunks page in sequentially — index builds on a lazily opened
-    /// store are possible but the indexes are never consulted there
-    /// (see [`candidates`](Self::candidates)).
-    fn for_each_doc(&self, mut f: impl FnMut(DocId, &Arc<Value>)) {
+    /// Visit every document below the per-shard `bound` as `(id, &doc)`
+    /// in shard order, paging cold chunks in sequentially. Index builds
+    /// call it under the index write lock, honoring lock order; they are
+    /// possible on a lazily opened store, but the indexes are never
+    /// consulted there (see [`candidates`](Self::candidates)).
+    fn for_each_doc(&self, bound: &[usize], mut f: impl FnMut(DocId, &Arc<Value>)) {
         let nshards = self.shards.len();
+        debug_assert_eq!(bound.len(), nshards);
         for (s, shard) in self.shards.iter().enumerate() {
             let shard = shard.read();
-            let cold_rows = shard.cold_rows();
-            if let Some(cold) = &shard.cold {
-                for c in 0..cold.n_chunks() {
-                    let chunk = cold.chunk(c);
-                    let base = c * cold.chunk_rows();
-                    for (r, doc) in chunk.docs.iter().enumerate() {
-                        f((base + r) * nshards + s, doc);
-                    }
+            for c in 0..shard.chunks_below(bound[s]) {
+                let chunk = shard.chunk(c);
+                let docs = chunk.docs();
+                for r in chunk.rows_below(bound[s]) {
+                    f((chunk.base + r) * nshards + s, &docs[r]);
                 }
-            }
-            for (slot, doc) in shard.docs.iter().enumerate() {
-                f((cold_rows + slot) * nshards + s, doc);
             }
         }
     }
@@ -534,79 +640,23 @@ impl DocumentStore {
     pub fn get(&self, id: DocId) -> Option<Arc<Value>> {
         let nshards = self.shards.len();
         let shard = self.shards[id % nshards].read();
-        let slot = id / nshards;
-        let cold_rows = shard.cold_rows();
-        if slot < cold_rows {
-            let cold = shard.cold.as_ref().expect("cold rows imply cold shard");
-            return Some(cold.doc(slot));
+        ShardCursor {
+            shard: &shard,
+            cur: None,
         }
-        shard.docs.get(slot - cold_rows).cloned()
+        .doc(id / nshards)
+        .cloned()
     }
 
     /// Run a query: filter → sort → limit → project. Results are shared
     /// handles; only projections materialize new documents.
     pub fn find(&self, query: &DocQuery) -> Vec<Arc<Value>> {
-        let mut hits = self.matching(query);
-        if let Some((path, ascending)) = &query.sort {
-            // Stable sort over id-ordered hits: ties keep insertion order,
-            // exactly like the single-lock engine.
-            hits.sort_by(|(_, a), (_, b)| {
-                let va = a.get_path(path).unwrap_or(&Value::Null);
-                let vb = b.get_path(path).unwrap_or(&Value::Null);
-                let o = va.compare(vb);
-                if *ascending {
-                    o
-                } else {
-                    o.reverse()
-                }
-            });
-        }
-        if let Some(n) = query.limit {
-            hits.truncate(n);
-        }
-        hits.into_iter()
-            .map(|(_, doc)| project(doc, &query.projection))
-            .collect()
+        self.find_bounded(query, &self.shard_rows())
     }
 
     /// Count matching documents without materializing them.
     pub fn count(&self, query: &DocQuery) -> usize {
-        match self.candidates(&query.conditions) {
-            Some(ids) => {
-                let nshards = self.shards.len();
-                let mut n = 0;
-                let mut ids = ids;
-                ids.sort_unstable();
-                let mut i = 0;
-                while i < ids.len() {
-                    let s = ids[i] % nshards;
-                    let shard = self.shards[s].read();
-                    while i < ids.len() && ids[i] % nshards == s {
-                        if let Some(doc) = shard.docs.get(ids[i] / nshards) {
-                            if query.matches(doc) {
-                                n += 1;
-                            }
-                        }
-                        i += 1;
-                    }
-                }
-                n
-            }
-            None => {
-                let mut n = 0;
-                for shard in self.shards.iter() {
-                    let shard = shard.read();
-                    if let Some(cold) = &shard.cold {
-                        for c in 0..cold.n_chunks() {
-                            let chunk = cold.chunk(c);
-                            n += chunk.docs.iter().filter(|d| query.matches(d)).count();
-                        }
-                    }
-                    n += shard.docs.iter().filter(|d| query.matches(d)).count();
-                }
-                n
-            }
-        }
+        self.count_bounded(query, &self.shard_rows())
     }
 
     /// Per-shard row counts, read under the shard locks — the row
@@ -658,11 +708,11 @@ impl DocumentStore {
     /// filter semantics, stable sort, limit, projection — is identical.
     ///
     /// [`shard_rows`]: DocumentStore::shard_rows
-    pub fn find_bounded(&self, query: &DocQuery, bound: &[usize]) -> Vec<Arc<Value>> {
-        debug_assert_eq!(bound.len(), self.shards.len());
-        let mut hits = self.matching(query);
-        hits.retain(|(id, _)| visible(*id, bound));
+    pub(crate) fn find_bounded(&self, query: &DocQuery, bound: &[usize]) -> Vec<Arc<Value>> {
+        let mut hits = self.matching(query, bound);
         if let Some((path, ascending)) = &query.sort {
+            // Stable sort over id-ordered hits: ties keep insertion order,
+            // exactly like the single-lock engine.
             hits.sort_by(|(_, a), (_, b)| {
                 let va = a.get_path(path).unwrap_or(&Value::Null);
                 let vb = b.get_path(path).unwrap_or(&Value::Null);
@@ -684,22 +734,37 @@ impl DocumentStore {
 
     /// [`count`](DocumentStore::count) restricted to the documents below a
     /// per-shard row bound.
-    pub fn count_bounded(&self, query: &DocQuery, bound: &[usize]) -> usize {
-        debug_assert_eq!(bound.len(), self.shards.len());
-        self.matching(query)
-            .iter()
-            .filter(|(id, _)| visible(*id, bound))
-            .count()
+    pub(crate) fn count_bounded(&self, query: &DocQuery, bound: &[usize]) -> usize {
+        let mut n = 0;
+        self.for_each_match(query, bound, |_, _| n += 1);
+        n
     }
 
-    /// Matching `(id, doc)` pairs in id (= insertion) order.
-    fn matching(&self, query: &DocQuery) -> Vec<(DocId, Arc<Value>)> {
-        let nshards = self.shards.len();
+    /// Matching `(id, doc)` pairs below `bound`, in id (= insertion) order.
+    fn matching(&self, query: &DocQuery, bound: &[usize]) -> Vec<(DocId, Arc<Value>)> {
         let mut hits: Vec<(DocId, Arc<Value>)> = Vec::new();
+        self.for_each_match(query, bound, |id, doc| hits.push((id, Arc::clone(doc))));
+        hits.sort_unstable_by_key(|(id, _)| *id);
+        hits
+    }
+
+    /// Visit every document below the per-shard `bound` that matches the
+    /// query's conditions, in no particular order. Index candidates at or
+    /// above the bound are dropped before they are verified; a full scan
+    /// stops at the bound.
+    fn for_each_match(
+        &self,
+        query: &DocQuery,
+        bound: &[usize],
+        mut f: impl FnMut(DocId, &Arc<Value>),
+    ) {
+        let nshards = self.shards.len();
+        debug_assert_eq!(bound.len(), nshards);
         match self.candidates(&query.conditions) {
             Some(mut ids) => {
                 // Group by shard so each shard lock is taken at most once.
-                ids.sort_unstable();
+                ids.retain(|&id| visible(id, bound));
+                ids.sort_unstable_by_key(|&id| (id % nshards, id));
                 ids.dedup();
                 let mut i = 0;
                 while i < ids.len() {
@@ -708,38 +773,19 @@ impl DocumentStore {
                     while i < ids.len() && ids[i] % nshards == s {
                         if let Some(doc) = shard.docs.get(ids[i] / nshards) {
                             if query.matches(doc) {
-                                hits.push((ids[i], doc.clone()));
+                                f(ids[i], doc);
                             }
                         }
                         i += 1;
                     }
                 }
             }
-            None => {
-                for (s, shard) in self.shards.iter().enumerate() {
-                    let shard = shard.read();
-                    let cold_rows = shard.cold_rows();
-                    if let Some(cold) = &shard.cold {
-                        for c in 0..cold.n_chunks() {
-                            let chunk = cold.chunk(c);
-                            let base = c * cold.chunk_rows();
-                            for (r, doc) in chunk.docs.iter().enumerate() {
-                                if query.matches(doc) {
-                                    hits.push(((base + r) * nshards + s, doc.clone()));
-                                }
-                            }
-                        }
-                    }
-                    for (slot, doc) in shard.docs.iter().enumerate() {
-                        if query.matches(doc) {
-                            hits.push(((cold_rows + slot) * nshards + s, doc.clone()));
-                        }
-                    }
+            None => self.for_each_doc(bound, |id, doc| {
+                if query.matches(doc) {
+                    f(id, doc);
                 }
-            }
+            }),
         }
-        hits.sort_unstable_by_key(|(id, _)| *id);
-        hits
     }
 
     /// Index-driven candidate ids, or `None` when no condition is indexed.
@@ -1066,7 +1112,7 @@ impl DocumentStore {
             if self.candidates(&stripped.conditions).is_some() {
                 // Index-assisted: reuse the candidate machinery (selective,
                 // so the materialized hit list is small).
-                for (_, doc) in self.matching(&stripped) {
+                for (_, doc) in self.matching(&stripped, &self.shard_rows()) {
                     visit(&doc);
                 }
             } else {
@@ -1111,12 +1157,13 @@ impl DocumentStore {
     pub fn distinct(&self, query: &DocQuery, path: &str) -> Vec<Value> {
         let mut out: Vec<Value> = Vec::new();
         let mut by_hash: HashMap<u64, Vec<usize>> = HashMap::new();
-        for (_, doc) in self.matching(&DocQuery {
+        let stripped = DocQuery {
             conditions: query.conditions.clone(),
             projection: Vec::new(),
             sort: None,
             limit: None,
-        }) {
+        };
+        for (_, doc) in self.matching(&stripped, &self.shard_rows()) {
             if let Some(v) = doc.get_path(path) {
                 let slot = by_hash.entry(v.stable_hash()).or_default();
                 if !slot.iter().any(|&i| out[i] == *v) {
@@ -1285,8 +1332,7 @@ impl DocumentStore {
                 // A cold prefix takes the sequential chunk-major path:
                 // paging is I/O-bound and shares one budgeted cache, so
                 // shard-parallel workers would only thrash it.
-                let has_cold = guards.iter().any(|g| g.cold.is_some());
-                let workers = if has_cold {
+                let workers = if self.has_cold() {
                     1
                 } else {
                     self.scan_threads().min(nshards)
@@ -1294,8 +1340,9 @@ impl DocumentStore {
                 // Compile the conjunction once per shard (dictionaries are
                 // shard-local); both scan shapes below run the same
                 // chunk kernels.
-                let compiled: Vec<Vec<columnar::ShardPred>> =
+                let compiled: Vec<Vec<ShardPred>> =
                     guards.iter().map(|g| g.cols.compile(&fields)).collect();
+                let fields = fields.as_slice();
                 if workers > 1 && total >= PARALLEL_SCAN_THRESHOLD {
                     // Shard-parallel: exactly `workers` scoped threads,
                     // each evaluating a contiguous chunk of shards (a
@@ -1303,7 +1350,7 @@ impl DocumentStore {
                     // contributes at most the first `limit` of them, give
                     // or take one kernel chunk); the merge re-establishes
                     // global id order.
-                    let shards: Vec<(&Shard, &[columnar::ShardPred])> = guards
+                    let shards: Vec<(&Shard, &[ShardPred])> = guards
                         .iter()
                         .zip(compiled.iter())
                         .map(|(g, c)| (&**g, c.as_slice()))
@@ -1320,14 +1367,13 @@ impl DocumentStore {
                                     for (i, (shard, preds)) in group.iter().enumerate() {
                                         let s = w * chunk + i;
                                         let mut kept = 0usize;
-                                        'shard: for c in 0..shard.cols.n_chunks() {
-                                            if shard.cols.chunk_span(c).0 >= bound[s] {
-                                                break;
-                                            }
-                                            shard.cols.filter_chunk(preds, c, &mut sel);
-                                            clip_to_bound(&mut sel, 0, bound[s]);
-                                            for &slot in &sel {
-                                                ids.push(slot as usize * nshards + s);
+                                        'shard: for c in 0..shard.chunks_below(bound[s]) {
+                                            let Some(ch) = shard.chunk_where(c, fields) else {
+                                                continue;
+                                            };
+                                            ch.filter(preds, fields, bound[s], &mut sel);
+                                            for &r in &sel {
+                                                ids.push((ch.base + r as usize) * nshards + s);
                                                 kept += 1;
                                                 if limit.is_some_and(|n| kept >= n) {
                                                     break 'shard;
@@ -1362,7 +1408,8 @@ impl DocumentStore {
                     // touched.
                     let max_chunks = guards
                         .iter()
-                        .map(|g| g.cold.as_ref().map_or(0, |c| c.n_chunks()) + g.cols.n_chunks())
+                        .zip(bound)
+                        .map(|(g, &b)| g.chunks_below(b))
                         .max()
                         .unwrap_or(0);
                     let mut sel: Vec<u32> = Vec::new();
@@ -1370,28 +1417,15 @@ impl DocumentStore {
                     for c in 0..max_chunks {
                         chunk_ids.clear();
                         for (s, g) in guards.iter().enumerate() {
-                            let cold_chunks = g.cold.as_ref().map_or(0, |cc| cc.n_chunks());
-                            let base = if c < cold_chunks {
-                                let cold = g.cold.as_ref().expect("cold chunk implies cold shard");
-                                let base = c * cold.chunk_rows();
-                                if base >= bound[s] || cold.chunk_prunable(&fields, c) {
-                                    continue;
-                                }
-                                cold.chunk(c).filter(&fields, &mut sel);
-                                base
-                            } else if c - cold_chunks < g.cols.n_chunks() {
-                                let rc = c - cold_chunks;
-                                if g.cold_rows() + g.cols.chunk_span(rc).0 >= bound[s] {
-                                    continue;
-                                }
-                                g.cols.filter_chunk(&compiled[s], rc, &mut sel);
-                                g.cold_rows()
-                            } else {
+                            if c >= g.chunks_below(bound[s]) {
+                                continue;
+                            }
+                            let Some(ch) = g.chunk_where(c, fields) else {
                                 continue;
                             };
-                            clip_to_bound(&mut sel, base, bound[s]);
+                            ch.filter(&compiled[s], fields, bound[s], &mut sel);
                             chunk_ids
-                                .extend(sel.iter().map(|&r| (base + r as usize) * nshards + s));
+                                .extend(sel.iter().map(|&r| (ch.base + r as usize) * nshards + s));
                         }
                         chunk_ids.sort_unstable();
                         out.extend_from_slice(&chunk_ids);
@@ -1524,10 +1558,8 @@ impl DocumentStore {
 
         let cand = self.candidates(&self.columnar_hints(&fields));
         let guards: Vec<_> = self.shards.iter().map(|s| s.read()).collect();
-        let gather = |shard: &Shard, slot: usize| -> Vec<Value> {
-            keys.iter()
-                .map(|(f, _)| shard.cols.value(slot, *f))
-                .collect()
+        let gather = |cols: &ColumnarShard, row: usize| -> Vec<Value> {
+            keys.iter().map(|(f, _)| cols.value(row, *f)).collect()
         };
 
         let selected: Result<Vec<TopkEntry>, NanSortKey> = match cand {
@@ -1545,7 +1577,7 @@ impl DocumentStore {
                     if shard.cols.is_decodable(slot)
                         && fields.iter().all(|p| shard.cols.matches_pred(slot, p))
                     {
-                        if let Err(e) = buf.push((gather(shard, slot), id)) {
+                        if let Err(e) = buf.push((gather(&shard.cols, slot), id)) {
                             selected = Err(e);
                             break;
                         }
@@ -1557,8 +1589,7 @@ impl DocumentStore {
                 let total: usize = bound.iter().sum();
                 // Cold prefixes select sequentially (see
                 // `columnar_scan_where` for the rationale).
-                let has_cold = guards.iter().any(|g| g.cold.is_some());
-                let workers = if has_cold {
+                let workers = if self.has_cold() {
                     1
                 } else {
                     self.scan_threads().min(nshards)
@@ -1567,47 +1598,29 @@ impl DocumentStore {
                 // maps prune on the *filters* (the selection bound is
                 // dynamic, so sort keys cannot prune), then the bounded
                 // buffer selects over the surviving visible slots.
-                let compiled: Vec<Vec<columnar::ShardPred>> =
+                let compiled: Vec<Vec<ShardPred>> =
                     guards.iter().map(|g| g.cols.compile(&fields)).collect();
-                let shards: Vec<(&Shard, &[columnar::ShardPred])> = guards
+                let shards: Vec<(&Shard, &[ShardPred])> = guards
                     .iter()
                     .zip(compiled.iter())
                     .map(|(g, c)| (&**g, c.as_slice()))
                     .collect();
                 let select_shards = |base: usize,
-                                     group: &[(&Shard, &[columnar::ShardPred])]|
+                                     group: &[(&Shard, &[ShardPred])]|
                  -> Result<Vec<TopkEntry>, NanSortKey> {
                     let mut buf = TopkBuf::new(&keys, limit);
                     let mut sel: Vec<u32> = Vec::new();
                     for (i, (shard, preds)) in group.iter().enumerate() {
                         let s = base + i;
-                        if let Some(cold) = &shard.cold {
-                            for c in 0..cold.n_chunks() {
-                                let cbase = c * cold.chunk_rows();
-                                if cbase >= bound[s] || cold.chunk_prunable(&fields, c) {
-                                    continue;
-                                }
-                                let chunk = cold.chunk(c);
-                                chunk.filter(&fields, &mut sel);
-                                clip_to_bound(&mut sel, cbase, bound[s]);
-                                for &r in &sel {
-                                    let r = r as usize;
-                                    let cells: Vec<Value> =
-                                        keys.iter().map(|(f, _)| chunk.value(r, *f)).collect();
-                                    buf.push((cells, (cbase + r) * nshards + s))?;
-                                }
-                            }
-                        }
-                        let cold_rows = shard.cold_rows();
-                        for c in 0..shard.cols.n_chunks() {
-                            if cold_rows + shard.cols.chunk_span(c).0 >= bound[s] {
-                                break;
-                            }
-                            shard.cols.filter_chunk(preds, c, &mut sel);
-                            clip_to_bound(&mut sel, cold_rows, bound[s]);
-                            for &slot in &sel {
-                                let slot = slot as usize;
-                                buf.push((gather(shard, slot), (cold_rows + slot) * nshards + s))?;
+                        for c in 0..shard.chunks_below(bound[s]) {
+                            let Some(ch) = shard.chunk_where(c, &fields) else {
+                                continue;
+                            };
+                            ch.filter(preds, &fields, bound[s], &mut sel);
+                            let cols = ch.cols();
+                            for &r in &sel {
+                                let r = r as usize;
+                                buf.push((gather(cols, r), (ch.base + r) * nshards + s))?;
                             }
                         }
                     }
@@ -1753,13 +1766,13 @@ impl DocumentStore {
     /// Group document ids by a dictionary-encoded string column without
     /// materializing the key column: returns the distinct key cells in
     /// first-appearance order plus each id's group index (parallel to
-    /// `ids`). The grouping runs over per-shard dictionary codes — one
-    /// integer table lookup per row — with the cross-shard symbol
-    /// unification (shard dictionaries assign codes independently) paid
-    /// once per `(shard, distinct symbol)` via the cached content hash,
-    /// instead of hashing and comparing a `Value` key per row the way a
-    /// frame group-by must. `None` when the column is not a servable
-    /// string field.
+    /// `ids`). The grouping runs over dictionary codes — one integer table
+    /// lookup per row — with the symbol unification across dictionaries
+    /// (each shard's resident tail and each paged chunk assign codes
+    /// independently) paid once per `(dictionary, distinct symbol)` via
+    /// the cached content hash, instead of hashing and comparing a `Value`
+    /// key per row the way a frame group-by must. `None` when the column
+    /// is not a servable string field.
     pub fn columnar_group_codes(
         &self,
         ids: &[DocId],
@@ -1770,13 +1783,14 @@ impl DocumentStore {
         };
         let nshards = self.shards.len();
         let guards: Vec<_> = self.shards.iter().map(|s| s.read()).collect();
-        // Per-shard `code → group` caches, filled lazily.
-        let mut code_maps: Vec<Vec<u32>> = guards
+        // `code → group` caches per chunk source ([`ShardChunk::source`]),
+        // sized and filled on first use.
+        let mut code_maps: Vec<Vec<Vec<u32>>> = guards
             .iter()
-            .map(|g| vec![u32::MAX; g.cols.dict(ci).len()])
+            .map(|g| vec![Vec::new(); g.cold_chunks() + 1])
             .collect();
         // Content hash → candidate groups (collisions resolved by real
-        // symbol equality), probed only on each shard's first sighting of
+        // symbol equality), probed only on each source's first sighting of
         // a code.
         let mut by_hash: HashMap<u64, Vec<u32>> = HashMap::new();
         let mut keys: Vec<Value> = Vec::new();
@@ -1784,40 +1798,12 @@ impl DocumentStore {
         let mut row_groups: Vec<u32> = Vec::with_capacity(ids.len());
         let mut cursors = ShardCursor::per_shard(&guards);
         for &id in ids {
-            let (s, slot) = (id % nshards, id / nshards);
-            if let Some((chunk, row)) = cursors[s].cold(slot) {
-                // Cold rows have no shard code table; unify their symbol
-                // through the same content-hash buckets the coded path
-                // uses, so group identity and first-seen order match.
-                let g = match chunk.value(row, ColField::Str(ci)) {
-                    Value::Str(sym) => {
-                        let bucket = by_hash.entry(sym.hash_u64()).or_default();
-                        match bucket
-                            .iter()
-                            .find(|&&g| matches!(&keys[g as usize], Value::Str(k) if *k == sym))
-                        {
-                            Some(&g) => g,
-                            None => {
-                                let g = keys.len() as u32;
-                                bucket.push(g);
-                                keys.push(Value::Str(sym));
-                                g
-                            }
-                        }
-                    }
-                    _ => {
-                        if null_group == u32::MAX {
-                            null_group = keys.len() as u32;
-                            keys.push(Value::Null);
-                        }
-                        null_group
-                    }
-                };
-                row_groups.push(g);
-                continue;
-            }
-            let slot = slot - guards[s].cold_rows();
-            let code = guards[s].cols.str_codes(ci)[slot];
+            let s = id % nshards;
+            let (chunk, row) = cursors[s]
+                .at(id / nshards)
+                .expect("scanned id resolves in an append-only store");
+            let cols = chunk.cols();
+            let code = cols.str_codes(ci)[row];
             let g = if code == columnar::NULL_CODE {
                 // Decodable rows always provide every string field, but a
                 // null-key group keeps the kernel total.
@@ -1827,11 +1813,15 @@ impl DocumentStore {
                 }
                 null_group
             } else {
-                let cached = code_maps[s][code as usize];
+                let map = &mut code_maps[s][chunk.source];
+                if map.is_empty() {
+                    *map = vec![u32::MAX; cols.dict(ci).len()];
+                }
+                let cached = map[code as usize];
                 if cached != u32::MAX {
                     cached
                 } else {
-                    let sym = &guards[s].cols.dict(ci)[code as usize];
+                    let sym = &cols.dict(ci)[code as usize];
                     let bucket = by_hash.entry(sym.hash_u64()).or_default();
                     let g = match bucket
                         .iter()
@@ -1845,7 +1835,7 @@ impl DocumentStore {
                             g
                         }
                     };
-                    code_maps[s][code as usize] = g;
+                    map[code as usize] = g;
                     g
                 }
             };
@@ -1865,11 +1855,10 @@ impl DocumentStore {
         Some(
             ids.iter()
                 .map(|id| {
-                    let (s, slot) = (id % nshards, id / nshards);
-                    match cursors[s].cold(slot) {
-                        Some((chunk, row)) => chunk.value(row, f),
-                        None => guards[s].cols.value(slot - guards[s].cold_rows(), f),
-                    }
+                    let (chunk, row) = cursors[id % nshards]
+                        .at(id / nshards)
+                        .expect("scanned id resolves in an append-only store");
+                    chunk.cols().value(row, f)
                 })
                 .collect(),
         )

@@ -13,14 +13,14 @@
 //!
 //! ## Exactness
 //!
-//! A paged chunk re-derives exactly the state the resident sidecar would
-//! hold for the same rows: every record is CRC-verified, decoded with the
-//! WAL's canonical codec, and run through the same [`crate::columnar::
-//! extract`] pass ingest uses, so [`PagedChunk::value`] equals
-//! [`crate::columnar::ColumnarShard::value`] cell for cell and predicate
-//! evaluation ([`PagedChunk::matches_pred`]) agrees with the compiled
-//! in-memory kernels on every row. The out-of-core differential suite pins
-//! this: a store reopened with a tiny budget answers every golden and
+//! A paged chunk is built by the ingest code, so there is nothing to
+//! mirror: every record is CRC-verified, decoded with the WAL's canonical
+//! codec, and appended through the same [`crate::columnar::extract`] and
+//! [`ColumnarShard::push_row`] calls ingest makes, into a one-chunk
+//! [`ColumnarShard`]. The document store's kernels then read a paged chunk
+//! and a resident shard through the same code, compiled against the
+//! chunk's own dictionaries. The out-of-core differential suite pins the
+//! result: a store reopened with a tiny budget answers every golden and
 //! random pipeline byte-identically to a fully-resident one.
 //!
 //! ## Immutability and locking
@@ -37,12 +37,11 @@
 //! discovered after open — like the WAL append path, they panic with the
 //! failing path rather than silently dropping rows.
 
-use crate::columnar::{self, ColField, ColPredicate, ExtractedRow};
+use crate::columnar::{self, ColField, ColPredicate, ColumnarShard};
 use crate::segment::{SegmentMeta, ZoneTables};
 use crate::wal::{crc32, decode_value};
-use dataframe::{cmp_matches, values_equal};
 use parking_lot::Mutex;
-use prov_model::{Sym, Value};
+use prov_model::Value;
 use std::collections::HashMap;
 use std::fs::File;
 use std::os::unix::fs::FileExt;
@@ -84,79 +83,17 @@ pub struct PagerStats {
     pub resident_bytes: u64,
 }
 
-/// One cold chunk, fully hydrated: the decoded documents plus the same
-/// per-row cells the resident columnar sidecar would hold for them.
+/// One cold chunk, fully hydrated: the decoded documents plus a one-chunk
+/// [`ColumnarShard`] built by the same `push_row` ingest runs, so every
+/// kernel reads it exactly like a resident shard.
 pub(crate) struct PagedChunk {
     /// Decoded documents in slot order.
     pub(crate) docs: Vec<Arc<Value>>,
-    decodable: Vec<bool>,
-    strs: [Vec<Option<Sym>>; columnar::STR_FIELDS.len()],
-    floats: [Vec<Option<f64>>; columnar::F64_FIELDS.len()],
+    /// The chunk's column vectors, dictionaries and zone map (chunk 0).
+    pub(crate) cols: ColumnarShard,
     /// Resident-set accounting estimate: raw record bytes scaled for the
     /// decoded tree plus a per-row constant for the cell vectors.
     bytes: usize,
-}
-
-impl PagedChunk {
-    /// Rows in this chunk.
-    pub(crate) fn rows(&self) -> usize {
-        self.docs.len()
-    }
-
-    /// Estimated resident bytes (see the field docs).
-    pub(crate) fn bytes(&self) -> usize {
-        self.bytes
-    }
-
-    /// The frame cell for `(row, field)` — mirrors
-    /// [`columnar::ColumnarShard::value`] exactly.
-    pub(crate) fn value(&self, row: usize, f: ColField) -> Value {
-        match f {
-            ColField::Str(i) => match self.strs[i].get(row) {
-                Some(Some(s)) => Value::Str(s.clone()),
-                _ => Value::Null,
-            },
-            ColField::F64(i) => self.floats[i]
-                .get(row)
-                .and_then(|v| *v)
-                .map(Value::Float)
-                .unwrap_or(Value::Null),
-        }
-    }
-
-    /// Evaluate one predicate on one row with frame semantics — mirrors
-    /// [`columnar::ColumnarShard::matches_pred`].
-    pub(crate) fn matches_pred(&self, row: usize, p: &ColPredicate<'_>) -> bool {
-        match p {
-            ColPredicate::Cmp(f, op, lit) => cmp_matches(&self.value(row, *f), *op, lit),
-            ColPredicate::In(f, list) => {
-                let v = self.value(row, *f);
-                list.iter().any(|x| values_equal(x, &v))
-            }
-        }
-    }
-
-    /// Surviving decodable rows of the conjunction, chunk-relative and
-    /// ascending — the paged counterpart of
-    /// [`columnar::ColumnarShard::filter_chunk`] (which hands back the
-    /// same verdicts via its compiled kernels).
-    pub(crate) fn filter(&self, preds: &[ColPredicate<'_>], sel: &mut Vec<u32>) {
-        sel.clear();
-        for row in 0..self.rows() {
-            if self.decodable[row] && preds.iter().all(|p| self.matches_pred(row, p)) {
-                sel.push(row as u32);
-            }
-        }
-    }
-
-    /// Present cells of a field among the first `n` rows.
-    pub(crate) fn present_prefix(&self, f: ColField, n: usize) -> usize {
-        let n = n.min(self.rows());
-        match f {
-            ColField::Str(i) => self.strs[i][..n].iter().filter(|v| v.is_some()).count(),
-            ColField::F64(i) => self.floats[i][..n].iter().filter(|v| v.is_some()).count(),
-        }
-    }
 }
 
 /// Fail loudly on a cold read that cannot be served: sealed bytes were
@@ -244,9 +181,7 @@ impl ColdSegment {
         let chunk = self.meta.chunk as usize;
         let rows = chunk.min(self.meta.n_docs as usize - lc * chunk);
         let mut docs = Vec::with_capacity(rows);
-        let mut decodable = Vec::with_capacity(rows);
-        let mut strs: [Vec<Option<Sym>>; columnar::STR_FIELDS.len()] = Default::default();
-        let mut floats: [Vec<Option<f64>>; columnar::F64_FIELDS.len()] = Default::default();
+        let mut cols = ColumnarShard::with_chunk(chunk);
         let mut pos = 0usize;
         for _ in 0..rows {
             let header: [u8; 8] = raw
@@ -267,29 +202,16 @@ impl ColdSegment {
             let doc = decode_value(payload, &mut dpos)
                 .filter(|_| dpos == len)
                 .unwrap_or_else(|| page_fault("undecodable record", &self.meta));
-            // The same pure extraction ingest runs: the paged cells are
-            // byte-identical to what the resident sidecar held when this
-            // chunk was sealed.
-            let row: ExtractedRow = columnar::extract(&doc);
-            decodable.push(row.decodable);
-            for (i, v) in row.strs.into_iter().enumerate() {
-                strs[i].push(v);
-            }
-            for (i, v) in row.floats.into_iter().enumerate() {
-                floats[i].push(v);
-            }
+            // The same extraction and append ingest runs: the paged cells
+            // are the ones the resident sidecar held when this chunk was
+            // sealed. The pushdown masks come from the footer instead.
+            cols.push_row(columnar::extract(&doc));
             docs.push(Arc::new(doc));
         }
         // Decoded trees and interned symbols cost more than the wire
         // bytes; a fixed scale keeps accounting cheap and monotone.
         let bytes = raw.len() * 4 + rows * 96;
-        PagedChunk {
-            docs,
-            decodable,
-            strs,
-            floats,
-            bytes,
-        }
+        PagedChunk { docs, cols, bytes }
     }
 }
 
@@ -381,7 +303,7 @@ impl PagerCore {
                 e.insert((tick, Arc::clone(&chunk)));
             }
         }
-        inner.bytes += chunk.bytes();
+        inner.bytes += chunk.bytes;
         while inner.bytes > self.budget && !inner.map.is_empty() {
             let oldest = inner
                 .map
@@ -390,7 +312,7 @@ impl PagerCore {
                 .map(|(k, _)| *k)
                 .expect("non-empty map");
             if let Some((_, dropped)) = inner.map.remove(&oldest) {
-                inner.bytes -= dropped.bytes();
+                inner.bytes -= dropped.bytes;
                 self.evicted.fetch_add(1, Ordering::Relaxed);
             }
             if oldest == key {
@@ -496,7 +418,7 @@ impl ColdShard {
         }
         let boundary = n - full * self.chunk;
         if boundary > 0 {
-            sum += self.chunk(full).present_prefix(f, boundary);
+            sum += self.chunk(full).cols.present_prefix(f, boundary);
         }
         sum
     }
@@ -546,10 +468,219 @@ impl ColdShard {
             seg.load_chunk(lc)
         })
     }
+}
 
-    /// Document at cold slot `slot` (pages its chunk if needed).
-    pub(crate) fn doc(&self, slot: usize) -> Arc<Value> {
-        let chunk = self.chunk(slot / self.chunk);
-        Arc::clone(&chunk.docs[slot % self.chunk])
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::segment::write_segment;
+    use dataframe::CmpOp;
+    use prov_model::{obj, TaskMessageBuilder};
+    use std::path::{Path, PathBuf};
+
+    const CHUNK: usize = 8;
+
+    /// A scratch directory, removed on drop.
+    struct Scratch(PathBuf);
+
+    impl Scratch {
+        fn new(tag: &str) -> Self {
+            let dir =
+                std::env::temp_dir().join(format!("provdb-pager-{tag}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            Self(dir)
+        }
+    }
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    /// Every columnar field.
+    fn fields() -> Vec<ColField> {
+        (0..columnar::STR_FIELDS.len())
+            .map(ColField::Str)
+            .chain((0..columnar::F64_FIELDS.len()).map(ColField::F64))
+            .collect()
+    }
+
+    /// Well-formed tasks mixed with undecodable documents and decodable
+    /// rows that miss hot fields and carry NaN cells.
+    fn corpus(n: usize) -> Vec<Arc<Value>> {
+        (0..n)
+            .map(|i| {
+                Arc::new(match i % 5 {
+                    0 => obj! {"task_id" => format!("t{i}")},
+                    1 => obj! {
+                        "task_id" => format!("t{i}"), "workflow_id" => "wf",
+                        "activity_id" => "act-1", "started_at" => f64::NAN,
+                    },
+                    _ => TaskMessageBuilder::new(
+                        format!("t{i}"),
+                        format!("wf-{}", i / 10),
+                        format!("act-{}", i % 3),
+                    )
+                    .span(i as f64, i as f64 + 0.5)
+                    .build()
+                    .to_value(),
+                })
+            })
+            .collect()
+    }
+
+    /// Seal `docs` (whole chunks) as shard 0's only segment; returns the
+    /// resident sidecar the segment was sealed from and the attached
+    /// segment.
+    fn seal(dir: &Path, docs: &[Arc<Value>]) -> (ColumnarShard, ColdSegment) {
+        let mut cols = ColumnarShard::with_chunk(CHUNK);
+        for d in docs {
+            cols.push_doc(d);
+        }
+        let zones = cols.export_zone_tables(0, docs.len()).unwrap();
+        let meta = write_segment(dir, 1, 0, 0, CHUNK as u32, docs, &zones).unwrap();
+        let file = File::open(&meta.path).unwrap();
+        (cols, ColdSegment::new(meta, file, zones))
+    }
+
+    fn survivors(cols: &ColumnarShard, c: usize, preds: &[ColPredicate<'_>]) -> Vec<u32> {
+        let mut sel = Vec::new();
+        cols.filter_chunk(&cols.compile(preds), c, &mut sel);
+        sel
+    }
+
+    #[test]
+    fn paged_chunks_equal_the_sidecar_they_were_sealed_from() {
+        let dir = Scratch::new("eq");
+        let docs = corpus(CHUNK * 4);
+        let (resident, seg) = seal(&dir.0, &docs);
+        let lits = [
+            Value::Float(0.0),
+            Value::Float(12.0),
+            Value::Float(f64::NAN),
+            Value::Null,
+            Value::from("wf"),
+            Value::from("act-1"),
+            Value::from("t7"),
+        ];
+        let list = [Value::from("act-1"), Value::Null, Value::Float(3.0)];
+        let ops = [
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ];
+        for c in 0..docs.len() / CHUNK {
+            let paged = seg.load_chunk(c);
+            let base = c * CHUNK;
+            assert_eq!(paged.docs.len(), CHUNK);
+            for r in 0..CHUNK {
+                assert_eq!(
+                    format!("{:?}", paged.docs[r]),
+                    format!("{:?}", docs[base + r])
+                );
+                assert_eq!(
+                    paged.cols.is_decodable(r),
+                    resident.is_decodable(base + r),
+                    "decodable, row {}",
+                    base + r
+                );
+                for f in fields() {
+                    // Debug output tells NaN cells apart from nulls.
+                    assert_eq!(
+                        format!("{:?}", paged.cols.value(r, f)),
+                        format!("{:?}", resident.value(base + r, f)),
+                        "row {} field {}",
+                        base + r,
+                        columnar::field_name(f)
+                    );
+                }
+            }
+            for f in fields() {
+                for n in 0..=CHUNK {
+                    assert_eq!(
+                        paged.cols.present_prefix(f, n),
+                        resident.present_prefix(f, base + n) - resident.present_prefix(f, base),
+                    );
+                }
+                let mut preds: Vec<Vec<ColPredicate<'_>>> = vec![vec![ColPredicate::In(f, &list)]];
+                for op in ops {
+                    preds.extend(lits.iter().map(|lit| vec![ColPredicate::Cmp(f, op, lit)]));
+                }
+                for p in &preds {
+                    let want: Vec<u32> = survivors(&resident, c, p)
+                        .into_iter()
+                        .map(|s| s - base as u32)
+                        .collect();
+                    assert_eq!(survivors(&paged.cols, 0, p), want, "chunk {c}: {p:?}");
+                }
+            }
+        }
+    }
+
+    fn cold_shard(
+        docs: &[Arc<Value>],
+        seg: ColdSegment,
+        budget: usize,
+    ) -> (ColdShard, Arc<PagerCore>) {
+        let core = Arc::new(PagerCore::new(budget));
+        (
+            ColdShard::new(docs.len(), CHUNK, vec![seg], Arc::clone(&core), 0),
+            core,
+        )
+    }
+
+    #[test]
+    fn a_budget_below_one_chunk_keeps_only_the_chunk_being_read() {
+        let dir = Scratch::new("lru");
+        let docs = corpus(CHUNK * 3);
+        let counts = |core: &PagerCore| {
+            let s = core.stats();
+            (s.hits, s.paged_in, s.evicted, s.resident_chunks)
+        };
+
+        let (_, seg) = seal(&dir.0, &docs);
+        let (cold, core) = cold_shard(&docs, seg, 1);
+        let first = cold.chunk(0);
+        assert_eq!(counts(&core), (0, 1, 1, 0));
+        let second = cold.chunk(1);
+        assert_eq!(counts(&core), (0, 2, 2, 0));
+        // Evicted chunks stay valid for their readers; a re-read pages in.
+        let again = cold.chunk(0);
+        assert_eq!(counts(&core), (0, 3, 3, 0));
+        // Debug output compares NaN cells too.
+        let show = |d: &[Arc<Value>]| format!("{d:?}");
+        assert_eq!(show(&first.docs), show(&again.docs));
+        assert_eq!(show(&second.docs), show(&docs[CHUNK..2 * CHUNK]));
+        assert_eq!(core.stats().resident_bytes, 0);
+
+        // With room to spare, a re-read is a hit and nothing is evicted.
+        let (_, seg) = seal(&dir.0, &docs);
+        let (cold, core) = cold_shard(&docs, seg, usize::MAX);
+        cold.chunk(0);
+        cold.chunk(0);
+        assert_eq!(counts(&core), (1, 1, 0, 1));
+    }
+
+    #[test]
+    fn footer_pruning_counts_a_zone_skip_and_pages_nothing() {
+        let dir = Scratch::new("prune");
+        let docs = corpus(CHUNK * 3);
+        let (_, seg) = seal(&dir.0, &docs);
+        let (cold, core) = cold_shard(&docs, seg, usize::MAX);
+        let act = columnar::lookup("activity_id").unwrap();
+        let absent = Value::from("no-such-activity");
+        let present = Value::from("act-1");
+        for c in 0..cold.n_chunks() {
+            assert!(cold.chunk_prunable(&[ColPredicate::Cmp(act, CmpOp::Eq, &absent)], c));
+            assert!(!cold.chunk_prunable(&[ColPredicate::Cmp(act, CmpOp::Eq, &present)], c));
+        }
+        let s = core.stats();
+        assert_eq!(s.zone_skips, cold.n_chunks() as u64);
+        assert_eq!((s.paged_in, s.hits, s.resident_chunks), (0, 0, 0));
     }
 }

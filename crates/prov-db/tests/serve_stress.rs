@@ -168,6 +168,10 @@ fn pinned_snapshot_is_immune_to_later_ingest() {
 fn query_server_serves_storms_during_ingest() {
     const CLIENTS: usize = 4;
     const PER_CLIENT: usize = 40;
+    // The writer stops after this many 8-message bursts or when the storm
+    // ends, whichever comes first, so the corpus (and with it the test's
+    // time and memory) no longer grows with query latency.
+    const MAX_BURSTS: usize = 500;
 
     let db = ProvenanceDatabase::shared();
     db.insert_batch_shared((0..128).map(|i| msg(0, i)));
@@ -185,16 +189,17 @@ fn query_server_serves_storms_during_ingest() {
             let db = db.clone();
             let done = done.clone();
             s.spawn(move || {
-                let mut i = 0usize;
-                while !done.load(Ordering::Relaxed) {
+                for i in 0..MAX_BURSTS {
+                    if done.load(Ordering::Relaxed) {
+                        break;
+                    }
                     db.insert_batch_shared((0..8).map(|j| msg(7, i * 8 + j)));
-                    i += 1;
                     std::thread::sleep(std::time::Duration::from_micros(200));
                 }
             });
         }
         // Inner scope: the storm runs to completion while the writer keeps
-        // ingesting, then the writer is released.
+        // ingesting (up to its burst bound), then the writer is released.
         std::thread::scope(|clients| {
             for c in 0..CLIENTS {
                 let server = &server;
