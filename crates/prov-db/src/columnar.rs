@@ -537,6 +537,50 @@ impl ColumnarShard {
         &self.strs[i].dict
     }
 
+    /// The cells of float column `i` (slot-aligned; `None` marks absent
+    /// cells). Exposed for sealing column blocks.
+    pub(crate) fn f64_cells(&self, i: usize) -> &[Option<f64>] {
+        &self.floats[i]
+    }
+
+    /// Heap bytes held by this shard's vectors, dictionaries and zone
+    /// maps (by capacity; interned symbol payloads are shared, so only
+    /// their handles count).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let strs: usize = self
+            .strs
+            .iter()
+            .map(|c| {
+                c.codes.capacity() * size_of::<u32>()
+                    + c.dict.capacity() * size_of::<Sym>()
+                    + c.rev.capacity() * size_of::<(u64, u32)>()
+                    + c.collided.capacity() * size_of::<u32>()
+            })
+            .sum();
+        let floats: usize = self
+            .floats
+            .iter()
+            .map(|v| v.capacity() * size_of::<Option<f64>>())
+            .sum();
+        let zones: usize = self
+            .str_zones
+            .iter()
+            .map(|z| z.capacity() * size_of::<StrZone>())
+            .chain(
+                self.f64_zones
+                    .iter()
+                    .map(|z| z.capacity() * size_of::<F64Zone>()),
+            )
+            .sum();
+        size_of::<Self>()
+            + self.decodable.capacity()
+            + self.chunk_decodable.capacity() * size_of::<u32>()
+            + strs
+            + floats
+            + zones
+    }
+
     /// The frame cell for `(slot, field)`; `Null` when the row does not
     /// provide the column (or the document is undecodable).
     pub(crate) fn value(&self, slot: usize, f: ColField) -> Value {

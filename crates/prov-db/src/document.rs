@@ -16,11 +16,12 @@
 //! keep insertion order exactly as the single-lock engine did.
 
 use crate::columnar::{self, ColField, ColPredicate, ColumnarShard, ShardPred};
-use crate::pager::{ColdShard, PagedChunk, PagerCore, PagerStats};
+use crate::pager::{ColdShard, PagerCore, PagerStats};
 use crate::query::{Condition, DocQuery, GroupSpec, Op};
 use dataframe::CmpOp;
 use parking_lot::RwLock;
 use prov_model::{Map, Value};
+use std::cell::OnceCell;
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU16, AtomicUsize, Ordering};
@@ -190,22 +191,27 @@ impl Shard {
     }
 
     /// Chunk `c` of the shard, cold or resident, as every kernel reads
-    /// it. A cold chunk is paged in through its [`ColdShard`]; a resident
-    /// one borrows the shard's own vectors.
+    /// it. Nothing is paged here: a cold chunk pages its column cells and
+    /// its documents separately, on first use (see [`ShardChunk`]); a
+    /// resident one borrows the shard's own vectors.
     fn chunk(&self, c: usize) -> ShardChunk<'_> {
         match &self.cold {
             Some(cold) if c < cold.n_chunks() => ShardChunk {
                 base: c * cold.chunk_rows(),
                 lc: 0,
                 source: c,
-                paged: Some(cold.chunk(c)),
+                cold: Some(cold),
+                cols: OnceCell::new(),
+                docs: OnceCell::new(),
                 shard: self,
             },
             _ => ShardChunk {
                 base: self.cold_rows(),
                 lc: c - self.cold_chunks(),
                 source: self.cold_chunks(),
-                paged: None,
+                cold: None,
+                cols: OnceCell::new(),
+                docs: OnceCell::new(),
                 shard: self,
             },
         }
@@ -225,35 +231,50 @@ impl Shard {
 
 /// One chunk of a shard's rows, cold or resident: row `r` of
 /// [`docs`](Self::docs) and [`cols`](Self::cols) is shard slot
-/// `base + r`, and the chunk is chunk `lc` of `cols`. A paged chunk is a
-/// one-chunk [`ColumnarShard`] of its own; every resident chunk shares
-/// the shard's vectors and dictionaries.
+/// `base + r`, and the chunk is chunk `lc` of `cols`. A cold chunk pages
+/// its cols page (a one-chunk [`ColumnarShard`] of its own) and its docs
+/// page independently, each on first use, so a columnar kernel never
+/// decodes a document; every resident chunk shares the shard's vectors
+/// and dictionaries.
 struct ShardChunk<'g> {
     base: usize,
     lc: usize,
     /// Which dictionaries `cols` codes against: the global chunk index of
-    /// a paged chunk, the shard's cold chunk count for the resident tail.
+    /// a cold chunk, the shard's cold chunk count for the resident tail.
     source: usize,
-    paged: Option<Arc<PagedChunk>>,
+    /// The shard's cold prefix, for a cold chunk.
+    cold: Option<&'g ColdShard>,
+    cols: OnceCell<Arc<ColumnarShard>>,
+    docs: OnceCell<Arc<[Arc<Value>]>>,
     shard: &'g Shard,
 }
 
 impl ShardChunk<'_> {
     fn docs(&self) -> &[Arc<Value>] {
-        self.paged.as_ref().map_or(&self.shard.docs, |p| &p.docs)
+        match self.cold {
+            Some(cold) => self.docs.get_or_init(|| cold.docs(self.source)),
+            None => &self.shard.docs,
+        }
     }
 
     fn cols(&self) -> &ColumnarShard {
-        self.paged.as_ref().map_or(&self.shard.cols, |p| &p.cols)
+        match self.cold {
+            Some(cold) => self.cols.get_or_init(|| cold.cols(self.source)),
+            None => &self.shard.cols,
+        }
     }
 
     /// This chunk's rows of `docs`/`cols` whose shard slot lies below
-    /// `bound`.
+    /// `bound`. Pages nothing: a cold chunk is always whole.
     fn rows_below(&self, bound: usize) -> std::ops::Range<usize> {
         let chunk = self.shard.chunk_rows();
         let start = self.lc * chunk;
+        let rows = match self.cold {
+            Some(_) => chunk,
+            None => self.shard.docs.len(),
+        };
         let end = (start + chunk)
-            .min(self.docs().len())
+            .min(rows)
             .min(bound.saturating_sub(self.base));
         start..end.max(start)
     }
@@ -261,7 +282,7 @@ impl ShardChunk<'_> {
     /// Surviving decodable rows of `preds` whose shard slot lies below
     /// `bound`, ascending, written into `sel`. The conjunction runs
     /// compiled against this chunk's dictionaries: `resident` (compiled
-    /// once per shard) for a resident chunk, compiled here for a paged one.
+    /// once per shard) for a resident chunk, compiled here for a cold one.
     fn filter(
         &self,
         resident: &[ShardPred],
@@ -269,8 +290,11 @@ impl ShardChunk<'_> {
         bound: usize,
         sel: &mut Vec<u32>,
     ) {
-        match &self.paged {
-            Some(p) => p.cols.filter_chunk(&p.cols.compile(preds), self.lc, sel),
+        match self.cold {
+            Some(_) => {
+                let cols = self.cols();
+                cols.filter_chunk(&cols.compile(preds), self.lc, sel)
+            }
             None => self.shard.cols.filter_chunk(resident, self.lc, sel),
         }
         clip_to_bound(sel, self.base, bound);
@@ -669,8 +693,9 @@ impl DocumentStore {
     }
 
     /// Export one shard's rows `[start, end)` for segment sealing: the
-    /// document handles plus the serialized chunk zone maps covering
-    /// exactly those rows (see [`crate::segment`]). One read-lock
+    /// document handles, the serialized chunk zone maps covering exactly
+    /// those rows, and their column blocks, encoded from the resident
+    /// code and float vectors (see [`crate::segment`]). One read-lock
     /// acquisition; rows below `end` are immutable (append-only shards)
     /// and `end` sits on a chunk boundary, so everything copied here is
     /// frozen. `None` when the range is not chunk-aligned or the
@@ -681,7 +706,11 @@ impl DocumentStore {
         shard: usize,
         start: usize,
         end: usize,
-    ) -> Option<(Vec<Arc<Value>>, crate::segment::ZoneTables)> {
+    ) -> Option<(
+        Vec<Arc<Value>>,
+        crate::segment::ZoneTables,
+        crate::segment::ChunkRuns,
+    )> {
         let guard = self.shards[shard].read();
         // `start`/`end` are shard-global rows; the sealer only exports
         // resident rows (the seal watermark never regresses below the
@@ -699,7 +728,8 @@ impl DocumentStore {
         // open recovers them without re-extracting the sealed rows.
         zones.irregular = self.col_irregular.load(Ordering::Acquire);
         zones.poison = self.col_poison.load(Ordering::Acquire);
-        Some((guard.docs[lo..hi].to_vec(), zones))
+        let cols = crate::segment::col_runs(&guard.cols, lo, hi);
+        Some((guard.docs[lo..hi].to_vec(), zones, cols))
     }
 
     /// [`find`](DocumentStore::find) restricted to the documents below a

@@ -102,7 +102,9 @@
 //! attached, not replayed — open reads only the segment directory, the
 //! zone-map footers, and the WAL tail, so open time is independent of
 //! sealed history. Queries then page cold chunks from the segment files
-//! on demand ([`pager`]), pruning through the on-disk zone maps before
+//! on demand ([`pager`]) — a chunk's column block and its documents as
+//! separate pages, so a columnar scan decodes no document — pruning
+//! through the on-disk zone maps before
 //! any I/O and holding the paged set under a byte budget
 //! (`PROVDB_RESIDENT_MB`, LRU; counters in [`PagerStats`]). Sealed rows
 //! are immutable and below every snapshot high-water mark, so paged

@@ -4,41 +4,61 @@
 //! A durable store opened lazily ([`crate::store::ProvenanceDatabase::open`])
 //! does not re-ingest its sealed history. Instead each document-store shard
 //! carries a [`ColdShard`]: the sealed, chunk-aligned row prefix stays on
-//! disk and is described only by per-segment metadata plus the parsed zone
-//! footer ([`crate::segment::ZoneTables`]). Queries consult the footer zone
+//! disk and is described only by per-segment metadata plus the parsed
+//! footer ([`crate::segment::Footer`]). Queries consult the footer zone
 //! maps *before any I/O* — a chunk the zones prove predicate-free is never
-//! read — and page the rest in whole [`chunk_rows`]-sized chunks through a
+//! read — and page the rest per [`chunk_rows`]-sized chunk through a
 //! process-wide byte budget (`PROVDB_RESIDENT_MB`, LRU eviction), so the
 //! resident set stays bounded no matter how large the corpus is.
 //!
+//! ## Pages
+//!
+//! A cold chunk has two pages, kept under the one LRU and the one budget:
+//!
+//! * its **cols page**, a one-chunk [`ColumnarShard`] that every columnar
+//!   kernel reads. A `PSEG2` segment serves it with one positional read
+//!   and one CRC check of the chunk's column block; no document is
+//!   decoded. It is accounted at its real heap bytes.
+//! * its **docs page**, the chunk's decoded documents, paged only when
+//!   something needs documents: a document walk, a projection the columns
+//!   cannot serve, `get`, and the KV/graph hydration. It is accounted at
+//!   an estimate of the decoded trees (4× the raw record bytes plus 96
+//!   bytes a row).
+//!
 //! ## Exactness
 //!
-//! A paged chunk is built by the ingest code, so there is nothing to
-//! mirror: every record is CRC-verified, decoded with the WAL's canonical
-//! codec, and appended through the same [`crate::columnar::extract`] and
-//! [`ColumnarShard::push_row`] calls ingest makes, into a one-chunk
-//! [`ColumnarShard`]. The document store's kernels then read a paged chunk
-//! and a resident shard through the same code, compiled against the
-//! chunk's own dictionaries. The out-of-core differential suite pins the
-//! result: a store reopened with a tiny budget answers every golden and
-//! random pipeline byte-identically to a fully-resident one.
+//! A cols page holds exactly the cells the resident sidecar held when the
+//! chunk was sealed: its column block stores that sidecar's codes (against
+//! the footer's dictionary snapshot) and raw float bits, and the page is
+//! rebuilt through the same [`ColumnarShard::push_row`] ingest runs, so
+//! even its dictionaries come out in the same first-appearance order. A
+//! `PSEG1` segment has no blocks: its cols page is derived from its docs
+//! page with [`columnar::extract`], the ingest extraction. Docs pages are
+//! CRC-verified record by record and decoded with the WAL's canonical
+//! codec. The document store's kernels then read a paged chunk and a
+//! resident shard through the same code, compiled against the chunk's own
+//! dictionaries. The out-of-core differential suite pins the result: a
+//! store reopened with a tiny budget answers every golden and random
+//! pipeline byte-identically to a fully-resident one.
 //!
 //! ## Immutability and locking
 //!
 //! Sealed rows sit below every snapshot high-water mark and are immutable
 //! by construction, so paged reads need no coordination with writers: each
 //! [`ColdSegment`] keeps the `File` handle it was attached with and serves
-//! chunk loads with positional reads (`read_exact_at`), which share no
+//! page loads with positional reads (`read_exact_at`), which share no
 //! cursor and take no lock. Compaction may unlink or replace a segment
 //! file at any time; the held descriptor keeps the original immutable
 //! bytes readable (POSIX unlink semantics), so scans race nothing.
 //!
-//! Paging failures (I/O error, checksum mismatch) are store corruption
-//! discovered after open — like the WAL append path, they panic with the
-//! failing path rather than silently dropping rows.
+//! Paging failures (I/O error, record or column-block checksum mismatch)
+//! are store corruption discovered after open — like the WAL append path,
+//! they panic with the failing path rather than silently dropping rows.
+//!
+//! [`chunk_rows`]: crate::columnar::chunk_rows
 
 use crate::columnar::{self, ColField, ColPredicate, ColumnarShard};
-use crate::segment::{SegmentMeta, ZoneTables};
+use crate::segment::{self, Footer, SegmentMeta, ZoneTables, DATA_START};
 use crate::wal::{crc32, decode_value};
 use parking_lot::Mutex;
 use prov_model::Value;
@@ -51,10 +71,6 @@ use std::sync::{Arc, OnceLock};
 /// Default resident-set budget for paged cold chunks (256 MiB).
 pub(crate) const DEFAULT_RESIDENT_BYTES: usize = 256 << 20;
 
-/// Byte length of a segment file's fixed header (magic + metadata:
-/// 6 + 4 + 4 + 8 + 8 + 4 + 4), i.e. where the document records begin.
-const DATA_START: u64 = 38;
-
 /// `PROVDB_RESIDENT_MB` as bytes, when set to a positive integer.
 pub(crate) fn env_resident_bytes() -> Option<usize> {
     std::env::var("PROVDB_RESIDENT_MB")
@@ -66,34 +82,41 @@ pub(crate) fn env_resident_bytes() -> Option<usize> {
 
 /// Observability counters of the chunk pager (see
 /// [`crate::ProvenanceDatabase::pager_stats`]). All zeros on in-memory
-/// stores and eagerly opened stores, which never page.
+/// stores and eagerly opened stores, which never page. A *page* is one
+/// cold chunk's cols page (its column cells) or its docs page (its
+/// decoded documents); see the [module docs](self).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PagerStats {
-    /// Chunk reads served from the resident set.
+    /// Page reads served from the resident set.
     pub hits: u64,
-    /// Chunks paged in from disk.
+    /// Pages loaded from disk, of either kind.
     pub paged_in: u64,
-    /// Chunks evicted to stay under the byte budget.
+    /// Of [`paged_in`](Self::paged_in), the docs pages; the rest are
+    /// cols pages.
+    pub paged_in_docs: u64,
+    /// Pages evicted to stay under the byte budget.
     pub evicted: u64,
     /// Cold chunks skipped via the on-disk zone maps before any I/O.
     pub zone_skips: u64,
-    /// Paged chunks currently resident.
+    /// Pages currently resident, of either kind.
     pub resident_chunks: u64,
-    /// Estimated bytes of the resident paged chunks.
+    /// Accounted bytes of the resident pages: real heap bytes for a cols
+    /// page, the decoded-tree estimate for a docs page.
     pub resident_bytes: u64,
 }
 
-/// One cold chunk, fully hydrated: the decoded documents plus a one-chunk
-/// [`ColumnarShard`] built by the same `push_row` ingest runs, so every
-/// kernel reads it exactly like a resident shard.
-pub(crate) struct PagedChunk {
-    /// Decoded documents in slot order.
-    pub(crate) docs: Vec<Arc<Value>>,
-    /// The chunk's column vectors, dictionaries and zone map (chunk 0).
-    pub(crate) cols: ColumnarShard,
-    /// Resident-set accounting estimate: raw record bytes scaled for the
-    /// decoded tree plus a per-row constant for the cell vectors.
-    bytes: usize,
+/// The two pages of a cold chunk.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum PageKind {
+    Cols,
+    Docs,
+}
+
+/// One resident page.
+#[derive(Clone)]
+enum Page {
+    Cols(Arc<ColumnarShard>),
+    Docs(Arc<[Arc<Value>]>),
 }
 
 /// Fail loudly on a cold read that cannot be served: sealed bytes were
@@ -104,26 +127,42 @@ fn page_fault(msg: &str, meta: &SegmentMeta) -> ! {
 }
 
 /// One sealed segment attached for paging: its metadata, the parsed zone
-/// footer, the held file descriptor, and the lazily built chunk offset
-/// table.
+/// footer, the held file descriptor, and where each chunk's bytes sit.
 pub(crate) struct ColdSegment {
     meta: SegmentMeta,
     file: File,
     zones: ZoneTables,
-    /// Byte offset of each chunk boundary in the record region
-    /// (`n_chunks + 1` entries), built on first touch with one buffered
-    /// walk over the record headers — no payload is decoded.
+    /// Column-block bounds (`n_chunks + 1` offsets) from a `PSEG2`
+    /// footer; `None` for a `PSEG1` file, which has no blocks.
+    blocks: Option<Vec<u64>>,
+    /// Document-record bounds per chunk (`n_chunks + 1` offsets): set
+    /// from a `PSEG2` footer at attach, or built on first touch of a
+    /// `PSEG1` file with one buffered walk over the record headers — no
+    /// payload is decoded.
     offsets: OnceLock<Vec<u64>>,
 }
 
 impl ColdSegment {
-    pub(crate) fn new(meta: SegmentMeta, file: File, zones: ZoneTables) -> Self {
+    pub(crate) fn new(meta: SegmentMeta, file: File, footer: Footer) -> Self {
+        let offsets = OnceLock::new();
+        let blocks = footer.layout.map(|layout| {
+            let _ = offsets.set(layout.docs);
+            layout.cols
+        });
         Self {
             meta,
             file,
-            zones,
-            offsets: OnceLock::new(),
+            zones: footer.zones,
+            blocks,
+            offsets,
         }
+    }
+
+    /// Bytes `[a, b)` of the file, read positionally.
+    fn read_range(&self, a: u64, b: u64) -> Vec<u8> {
+        let mut buf = vec![0u8; (b - a) as usize];
+        self.read_full_at(&mut buf, a);
+        buf
     }
 
     /// Positional read filling `buf` entirely, tolerating short reads.
@@ -131,6 +170,12 @@ impl ColdSegment {
         if let Err(e) = self.file.read_exact_at(buf, pos) {
             page_fault(&format!("read failed ({e})"), &self.meta);
         }
+    }
+
+    /// Rows of segment-local chunk `lc`.
+    fn rows(&self, lc: usize) -> usize {
+        let chunk = self.meta.chunk as usize;
+        chunk.min(self.meta.n_docs as usize - lc * chunk)
     }
 
     fn offsets(&self) -> &[u64] {
@@ -171,17 +216,13 @@ impl ColdSegment {
         })
     }
 
-    /// Read, verify, decode, and extract one chunk of documents. `lc` is
-    /// the chunk index local to this segment.
-    fn load_chunk(&self, lc: usize) -> PagedChunk {
+    /// Read, verify, and decode the documents of segment-local chunk
+    /// `lc`. Returns them with the raw bytes read.
+    fn load_docs(&self, lc: usize) -> (Vec<Arc<Value>>, usize) {
         let offs = self.offsets();
-        let (a, b) = (offs[lc], offs[lc + 1]);
-        let mut raw = vec![0u8; (b - a) as usize];
-        self.read_full_at(&mut raw, a);
-        let chunk = self.meta.chunk as usize;
-        let rows = chunk.min(self.meta.n_docs as usize - lc * chunk);
+        let raw = self.read_range(offs[lc], offs[lc + 1]);
+        let rows = self.rows(lc);
         let mut docs = Vec::with_capacity(rows);
-        let mut cols = ColumnarShard::with_chunk(chunk);
         let mut pos = 0usize;
         for _ in 0..rows {
             let header: [u8; 8] = raw
@@ -202,29 +243,37 @@ impl ColdSegment {
             let doc = decode_value(payload, &mut dpos)
                 .filter(|_| dpos == len)
                 .unwrap_or_else(|| page_fault("undecodable record", &self.meta));
-            // The same extraction and append ingest runs: the paged cells
-            // are the ones the resident sidecar held when this chunk was
-            // sealed. The pushdown masks come from the footer instead.
-            cols.push_row(columnar::extract(&doc));
             docs.push(Arc::new(doc));
         }
-        // Decoded trees and interned symbols cost more than the wire
-        // bytes; a fixed scale keeps accounting cheap and monotone.
-        let bytes = raw.len() * 4 + rows * 96;
-        PagedChunk { docs, cols, bytes }
+        if pos != raw.len() {
+            page_fault("torn record", &self.meta);
+        }
+        (docs, raw.len())
+    }
+
+    /// Read and verify the column block of segment-local chunk `lc` and
+    /// decode it into a one-chunk shard; `None` for a `PSEG1` file.
+    fn load_cols(&self, lc: usize) -> Option<ColumnarShard> {
+        let blocks = self.blocks.as_ref()?;
+        let block = self.read_range(blocks[lc], blocks[lc + 1]);
+        let chunk = self.meta.chunk as usize;
+        Some(
+            segment::decode_col_block(&block, self.rows(lc), chunk, &self.zones.str_dicts)
+                .unwrap_or_else(|fault| page_fault(fault, &self.meta)),
+        )
     }
 }
 
 struct LruInner {
-    /// `(shard, global cold chunk) → (last-used tick, chunk)`.
-    map: HashMap<(usize, usize), (u64, Arc<PagedChunk>)>,
+    /// `(shard, global cold chunk, kind) → (last-used tick, page, bytes)`.
+    map: HashMap<(usize, usize, PageKind), (u64, Page, usize)>,
     bytes: usize,
     tick: u64,
 }
 
-/// The store-wide paged-chunk cache: a byte budget, an LRU map, and the
-/// stat counters surfaced through [`PagerStats`]. Shaped like
-/// [`crate::cache::PlanCache`]'s ledger — atomics for the monotone
+/// The store-wide page cache: a byte budget, an LRU map over both page
+/// kinds, and the stat counters surfaced through [`PagerStats`]. Shaped
+/// like [`crate::cache::PlanCache`]'s ledger — atomics for the monotone
 /// counters, one short-lived mutex for the resident map, loads done
 /// outside the lock.
 pub(crate) struct PagerCore {
@@ -232,6 +281,7 @@ pub(crate) struct PagerCore {
     inner: Mutex<LruInner>,
     hits: AtomicU64,
     paged_in: AtomicU64,
+    paged_in_docs: AtomicU64,
     evicted: AtomicU64,
     zone_skips: AtomicU64,
 }
@@ -247,6 +297,7 @@ impl PagerCore {
             }),
             hits: AtomicU64::new(0),
             paged_in: AtomicU64::new(0),
+            paged_in_docs: AtomicU64::new(0),
             evicted: AtomicU64::new(0),
             zone_skips: AtomicU64::new(0),
         }
@@ -254,16 +305,17 @@ impl PagerCore {
 
     /// Current counters.
     pub(crate) fn stats(&self) -> PagerStats {
-        let (chunks, bytes) = {
+        let (pages, bytes) = {
             let inner = self.inner.lock();
             (inner.map.len() as u64, inner.bytes as u64)
         };
         PagerStats {
             hits: self.hits.load(Ordering::Relaxed),
             paged_in: self.paged_in.load(Ordering::Relaxed),
+            paged_in_docs: self.paged_in_docs.load(Ordering::Relaxed),
             evicted: self.evicted.load(Ordering::Relaxed),
             zone_skips: self.zone_skips.load(Ordering::Relaxed),
-            resident_chunks: chunks,
+            resident_chunks: pages,
             resident_bytes: bytes,
         }
     }
@@ -272,12 +324,13 @@ impl PagerCore {
         self.zone_skips.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Resident chunk for `key`, loading with `load` on a miss. The load
-    /// runs outside the lock; a racing double-load keeps the first copy.
-    /// Eviction drops least-recently-used chunks until the budget holds —
-    /// readers keep their `Arc`s, so an evicted chunk stays valid until
+    /// Resident page for `key`, loading with `load` (the page and its
+    /// accounted bytes) on a miss. The load runs outside the lock; a
+    /// racing double-load keeps the first copy. Eviction drops
+    /// least-recently-used pages, of either kind, until the budget holds —
+    /// readers keep their `Arc`s, so an evicted page stays valid until
     /// its last user drops it.
-    fn get(&self, key: (usize, usize), load: impl FnOnce() -> PagedChunk) -> Arc<PagedChunk> {
+    fn get(&self, key: (usize, usize, PageKind), load: impl FnOnce() -> (Page, usize)) -> Page {
         {
             let mut inner = self.inner.lock();
             inner.tick += 1;
@@ -285,11 +338,14 @@ impl PagerCore {
             if let Some(entry) = inner.map.get_mut(&key) {
                 entry.0 = tick;
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                return Arc::clone(&entry.1);
+                return entry.1.clone();
             }
         }
-        let chunk = Arc::new(load());
+        let (page, bytes) = load();
         self.paged_in.fetch_add(1, Ordering::Relaxed);
+        if key.2 == PageKind::Docs {
+            self.paged_in_docs.fetch_add(1, Ordering::Relaxed);
+        }
         let mut inner = self.inner.lock();
         inner.tick += 1;
         let tick = inner.tick;
@@ -297,31 +353,31 @@ impl PagerCore {
             std::collections::hash_map::Entry::Occupied(mut e) => {
                 // Lost a load race; keep the resident copy.
                 e.get_mut().0 = tick;
-                return Arc::clone(&e.get().1);
+                return e.get().1.clone();
             }
             std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert((tick, Arc::clone(&chunk)));
+                e.insert((tick, page.clone(), bytes));
             }
         }
-        inner.bytes += chunk.bytes;
+        inner.bytes += bytes;
         while inner.bytes > self.budget && !inner.map.is_empty() {
             let oldest = inner
                 .map
                 .iter()
-                .min_by_key(|(_, (t, _))| *t)
+                .min_by_key(|(_, (t, _, _))| *t)
                 .map(|(k, _)| *k)
                 .expect("non-empty map");
-            if let Some((_, dropped)) = inner.map.remove(&oldest) {
-                inner.bytes -= dropped.bytes;
+            if let Some((_, _, dropped)) = inner.map.remove(&oldest) {
+                inner.bytes -= dropped;
                 self.evicted.fetch_add(1, Ordering::Relaxed);
             }
             if oldest == key {
-                // Even the fresh chunk may exceed the budget on its own;
+                // Even the fresh page may exceed the budget on its own;
                 // the caller's Arc keeps it alive for this read.
                 break;
             }
         }
-        chunk
+        page
     }
 }
 
@@ -418,7 +474,7 @@ impl ColdShard {
         }
         let boundary = n - full * self.chunk;
         if boundary > 0 {
-            sum += self.chunk(full).cols.present_prefix(f, boundary);
+            sum += self.cols(full).present_prefix(f, boundary);
         }
         sum
     }
@@ -461,19 +517,49 @@ impl ColdShard {
         prunable
     }
 
-    /// The resident (or freshly paged) cold chunk `c`.
-    pub(crate) fn chunk(&self, c: usize) -> Arc<PagedChunk> {
-        self.core.get((self.shard, c), || {
+    /// The cols page of cold chunk `c`, resident or freshly paged.
+    pub(crate) fn cols(&self, c: usize) -> Arc<ColumnarShard> {
+        let page = self.core.get((self.shard, c, PageKind::Cols), || {
             let (seg, lc) = self.locate(c);
-            seg.load_chunk(lc)
-        })
+            let cols = seg.load_cols(lc).unwrap_or_else(|| {
+                // A `PSEG1` segment has no column blocks: derive the page
+                // from the docs page with the extraction ingest runs.
+                let mut cols = ColumnarShard::with_chunk(self.chunk);
+                for doc in self.docs(c).iter() {
+                    cols.push_row(columnar::extract(doc));
+                }
+                cols
+            });
+            let bytes = cols.heap_bytes();
+            (Page::Cols(Arc::new(cols)), bytes)
+        });
+        match page {
+            Page::Cols(cols) => cols,
+            Page::Docs(_) => unreachable!("a cols key holds a cols page"),
+        }
+    }
+
+    /// The docs page of cold chunk `c`, resident or freshly paged.
+    pub(crate) fn docs(&self, c: usize) -> Arc<[Arc<Value>]> {
+        let page = self.core.get((self.shard, c, PageKind::Docs), || {
+            let (seg, lc) = self.locate(c);
+            let (docs, raw) = seg.load_docs(lc);
+            // Decoded trees and interned symbols cost more than the wire
+            // bytes; a fixed scale keeps accounting cheap and monotone.
+            let bytes = raw * 4 + docs.len() * 96;
+            (Page::Docs(docs.into()), bytes)
+        });
+        match page {
+            Page::Docs(docs) => docs,
+            Page::Cols(_) => unreachable!("a docs key holds a docs page"),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::segment::write_segment;
+    use crate::segment::{col_runs, read_footer, write_segment, write_segment_pseg1, Format};
     use dataframe::CmpOp;
     use prov_model::{obj, TaskMessageBuilder};
     use std::path::{Path, PathBuf};
@@ -531,18 +617,31 @@ mod tests {
             .collect()
     }
 
-    /// Seal `docs` (whole chunks) as shard 0's only segment; returns the
-    /// resident sidecar the segment was sealed from and the attached
-    /// segment.
-    fn seal(dir: &Path, docs: &[Arc<Value>]) -> (ColumnarShard, ColdSegment) {
+    /// Seal `docs` (whole chunks) in `format` as shard 0's only segment;
+    /// returns the resident sidecar the segment was sealed from and the
+    /// segment, attached from its footer on disk.
+    fn seal(dir: &Path, docs: &[Arc<Value>], format: Format) -> (ColumnarShard, ColdSegment) {
         let mut cols = ColumnarShard::with_chunk(CHUNK);
         for d in docs {
             cols.push_doc(d);
         }
         let zones = cols.export_zone_tables(0, docs.len()).unwrap();
-        let meta = write_segment(dir, 1, 0, 0, CHUNK as u32, docs, &zones).unwrap();
+        let meta = SegmentMeta::new(dir, 1, 0, 0, CHUNK as u32, docs.len());
+        let meta = match format {
+            Format::Pseg2 => {
+                write_segment(&meta, docs, &col_runs(&cols, 0, docs.len()), &zones).unwrap();
+                meta
+            }
+            Format::Pseg1 => write_segment_pseg1(&meta, docs, &zones).unwrap(),
+        };
+        (cols, attach(meta))
+    }
+
+    /// Attach a written segment the way a lazy open does.
+    fn attach(meta: SegmentMeta) -> ColdSegment {
         let file = File::open(&meta.path).unwrap();
-        (cols, ColdSegment::new(meta, file, zones))
+        let footer = read_footer(&meta).unwrap();
+        ColdSegment::new(meta, file, footer)
     }
 
     fn survivors(cols: &ColumnarShard, c: usize, preds: &[ColPredicate<'_>]) -> Vec<u32> {
@@ -551,11 +650,31 @@ mod tests {
         sel
     }
 
+    fn cold_shard(
+        docs: &[Arc<Value>],
+        seg: ColdSegment,
+        budget: usize,
+    ) -> (ColdShard, Arc<PagerCore>) {
+        let core = Arc::new(PagerCore::new(budget));
+        (
+            ColdShard::new(docs.len(), CHUNK, vec![seg], Arc::clone(&core), 0),
+            core,
+        )
+    }
+
+    /// Both formats page cells equal to the sidecar they were sealed from
+    /// (undecodable rows, missing hot fields and NaN cells included), and
+    /// the same rows sealed as `PSEG1` and as `PSEG2` page byte-identical
+    /// cols and docs pages. A `PSEG2` cols page decodes no document.
     #[test]
     fn paged_chunks_equal_the_sidecar_they_were_sealed_from() {
-        let dir = Scratch::new("eq");
         let docs = corpus(CHUNK * 4);
-        let (resident, seg) = seal(&dir.0, &docs);
+        let dir1 = Scratch::new("eq1");
+        let dir2 = Scratch::new("eq2");
+        let (resident, seg1) = seal(&dir1.0, &docs, Format::Pseg1);
+        let (_, seg2) = seal(&dir2.0, &docs, Format::Pseg2);
+        let (v1, core1) = cold_shard(&docs, seg1, usize::MAX);
+        let (v2, core2) = cold_shard(&docs, seg2, usize::MAX);
         let lits = [
             Value::Float(0.0),
             Value::Float(12.0),
@@ -574,25 +693,33 @@ mod tests {
             CmpOp::Gt,
             CmpOp::Ge,
         ];
+        let show = |d: &[Arc<Value>]| format!("{d:?}");
         for c in 0..docs.len() / CHUNK {
-            let paged = seg.load_chunk(c);
             let base = c * CHUNK;
-            assert_eq!(paged.docs.len(), CHUNK);
+            let (cols1, cols2) = (v1.cols(c), v2.cols(c));
+            assert_eq!(
+                col_runs(&cols1, 0, CHUNK).bytes(),
+                col_runs(&cols2, 0, CHUNK).bytes(),
+                "chunk {c}: PSEG1 and PSEG2 cols pages differ"
+            );
+            for i in 0..columnar::STR_FIELDS.len() {
+                assert_eq!(cols1.dict(i), cols2.dict(i), "chunk {c}: dictionary {i}");
+            }
+            // Debug output tells NaN cells apart from nulls.
+            assert_eq!(show(&v1.docs(c)), show(&v2.docs(c)));
+            assert_eq!(show(&v2.docs(c)), show(&docs[base..base + CHUNK]));
+            let paged = &cols2;
+            assert_eq!(paged.len(), CHUNK);
             for r in 0..CHUNK {
                 assert_eq!(
-                    format!("{:?}", paged.docs[r]),
-                    format!("{:?}", docs[base + r])
-                );
-                assert_eq!(
-                    paged.cols.is_decodable(r),
+                    paged.is_decodable(r),
                     resident.is_decodable(base + r),
                     "decodable, row {}",
                     base + r
                 );
                 for f in fields() {
-                    // Debug output tells NaN cells apart from nulls.
                     assert_eq!(
-                        format!("{:?}", paged.cols.value(r, f)),
+                        format!("{:?}", paged.value(r, f)),
                         format!("{:?}", resident.value(base + r, f)),
                         "row {} field {}",
                         base + r,
@@ -603,7 +730,7 @@ mod tests {
             for f in fields() {
                 for n in 0..=CHUNK {
                     assert_eq!(
-                        paged.cols.present_prefix(f, n),
+                        paged.present_prefix(f, n),
                         resident.present_prefix(f, base + n) - resident.present_prefix(f, base),
                     );
                 }
@@ -616,22 +743,25 @@ mod tests {
                         .into_iter()
                         .map(|s| s - base as u32)
                         .collect();
-                    assert_eq!(survivors(&paged.cols, 0, p), want, "chunk {c}: {p:?}");
+                    assert_eq!(survivors(paged, 0, p), want, "chunk {c}: {p:?}");
                 }
             }
         }
-    }
-
-    fn cold_shard(
-        docs: &[Arc<Value>],
-        seg: ColdSegment,
-        budget: usize,
-    ) -> (ColdShard, Arc<PagerCore>) {
-        let core = Arc::new(PagerCore::new(budget));
-        (
-            ColdShard::new(docs.len(), CHUNK, vec![seg], Arc::clone(&core), 0),
-            core,
-        )
+        // A PSEG1 cols page is derived from its docs page; a PSEG2 one
+        // reads its column block only, until the docs are asked for.
+        let chunks = (docs.len() / CHUNK) as u64;
+        let (s1, s2) = (core1.stats(), core2.stats());
+        assert_eq!((s1.paged_in, s1.paged_in_docs), (2 * chunks, chunks));
+        assert_eq!((s2.paged_in, s2.paged_in_docs), (2 * chunks, chunks));
+        let (_, seg2) = seal(&dir2.0, &docs, Format::Pseg2);
+        let (cold, core) = cold_shard(&docs, seg2, usize::MAX);
+        for c in 0..docs.len() / CHUNK {
+            cold.cols(c);
+        }
+        assert_eq!(
+            (core.stats().paged_in, core.stats().paged_in_docs),
+            (chunks, 0)
+        );
     }
 
     #[test]
@@ -643,34 +773,46 @@ mod tests {
             (s.hits, s.paged_in, s.evicted, s.resident_chunks)
         };
 
-        let (_, seg) = seal(&dir.0, &docs);
+        let (_, seg) = seal(&dir.0, &docs, Format::Pseg2);
         let (cold, core) = cold_shard(&docs, seg, 1);
-        let first = cold.chunk(0);
+        let first = cold.docs(0);
         assert_eq!(counts(&core), (0, 1, 1, 0));
-        let second = cold.chunk(1);
+        let second = cold.docs(1);
         assert_eq!(counts(&core), (0, 2, 2, 0));
-        // Evicted chunks stay valid for their readers; a re-read pages in.
-        let again = cold.chunk(0);
+        // Evicted pages stay valid for their readers; a re-read pages in.
+        let again = cold.docs(0);
         assert_eq!(counts(&core), (0, 3, 3, 0));
         // Debug output compares NaN cells too.
         let show = |d: &[Arc<Value>]| format!("{d:?}");
-        assert_eq!(show(&first.docs), show(&again.docs));
-        assert_eq!(show(&second.docs), show(&docs[CHUNK..2 * CHUNK]));
+        assert_eq!(show(&first), show(&again));
+        assert_eq!(show(&second), show(&docs[CHUNK..2 * CHUNK]));
+        cold.cols(0);
+        assert_eq!(counts(&core), (0, 4, 4, 0));
         assert_eq!(core.stats().resident_bytes, 0);
 
-        // With room to spare, a re-read is a hit and nothing is evicted.
-        let (_, seg) = seal(&dir.0, &docs);
+        // With room to spare, a re-read is a hit and nothing is evicted;
+        // the two pages of a chunk are cached apart.
+        let (_, seg) = seal(&dir.0, &docs, Format::Pseg2);
         let (cold, core) = cold_shard(&docs, seg, usize::MAX);
-        cold.chunk(0);
-        cold.chunk(0);
+        cold.docs(0);
+        cold.docs(0);
         assert_eq!(counts(&core), (1, 1, 0, 1));
+        let cols = cold.cols(0);
+        cold.cols(0);
+        assert_eq!(counts(&core), (2, 2, 0, 2));
+        // A cols page is accounted at its real heap bytes.
+        let docs_bytes = (core.stats().resident_bytes as usize) - cols.heap_bytes();
+        assert!(
+            cols.heap_bytes() < docs_bytes,
+            "cols page outweighs the docs page"
+        );
     }
 
     #[test]
     fn footer_pruning_counts_a_zone_skip_and_pages_nothing() {
         let dir = Scratch::new("prune");
         let docs = corpus(CHUNK * 3);
-        let (_, seg) = seal(&dir.0, &docs);
+        let (_, seg) = seal(&dir.0, &docs, Format::Pseg2);
         let (cold, core) = cold_shard(&docs, seg, usize::MAX);
         let act = columnar::lookup("activity_id").unwrap();
         let absent = Value::from("no-such-activity");
@@ -682,5 +824,36 @@ mod tests {
         let s = core.stats();
         assert_eq!(s.zone_skips, cold.n_chunks() as u64);
         assert_eq!((s.paged_in, s.hits, s.resident_chunks), (0, 0, 0));
+    }
+
+    /// A flipped byte inside one chunk's column block trips that block's
+    /// CRC when the chunk's cols page loads — the same page fault as a
+    /// torn record, never a different answer. Other chunks' blocks and
+    /// the chunk's own documents still page.
+    #[test]
+    fn a_flipped_column_block_byte_faults_its_page() {
+        let dir = Scratch::new("flip");
+        let docs = corpus(CHUNK * 3);
+        let (_, seg) = seal(&dir.0, &docs, Format::Pseg2);
+        let blocks = seg.blocks.clone().expect("PSEG2 has column blocks");
+        let meta = seg.meta.clone();
+        drop(seg);
+        let mut bytes = std::fs::read(&meta.path).unwrap();
+        bytes[(blocks[1] + 5) as usize] ^= 0x40;
+        std::fs::write(&meta.path, &bytes).unwrap();
+
+        let (cold, _) = cold_shard(&docs, attach(meta), usize::MAX);
+        cold.cols(0);
+        cold.cols(2);
+        assert_eq!(cold.docs(1).len(), CHUNK);
+        let fault = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cold.cols(1);
+        }))
+        .expect_err("a corrupt column block must fault");
+        let msg = fault.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(
+            msg.contains("column block checksum mismatch"),
+            "unexpected fault: {msg}"
+        );
     }
 }

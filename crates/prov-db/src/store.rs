@@ -438,10 +438,10 @@ impl ProvenanceDatabase {
                 }
                 covered = m.end;
                 let file = std::fs::File::open(&m.path).ok()?;
-                let zones = segment::read_footer(m).ok()?;
-                masks.irregular |= zones.irregular;
-                masks.poison |= zones.poison;
-                cold_segs.push(ColdSegment::new((*m).clone(), file, zones));
+                let footer = segment::read_footer(m).ok()?;
+                masks.irregular |= footer.zones.irregular;
+                masks.poison |= footer.zones.poison;
+                cold_segs.push(ColdSegment::new((*m).clone(), file, footer));
             }
             if covered < slots {
                 return None;
@@ -860,7 +860,7 @@ impl ProvenanceDatabase {
         }
         let mut new_metas = Vec::with_capacity(nshards as usize);
         for s in 0..nshards {
-            let (docs, zones) = self
+            let (docs, zones, cols) = self
                 .documents
                 .seal_export(s as usize, slots as usize, m_new as usize)
                 .ok_or_else(|| {
@@ -869,15 +869,16 @@ impl ProvenanceDatabase {
                         "provdb: columnar sidecar out of sync with documents",
                     )
                 })?;
-            new_metas.push(segment::write_segment(
+            let meta = SegmentMeta::new(
                 &d.dir,
                 nshards as u32,
                 s as u32,
                 slots,
                 chunk as u32,
-                &docs,
-                &zones,
-            )?);
+                docs.len(),
+            );
+            segment::write_segment(&meta, &docs, &cols, &zones)?;
+            new_metas.push(meta);
         }
         // Rotate: the WAL keeps only arrivals past the sealed coverage.
         // Segments are synced and renamed first, so a crash anywhere in
@@ -985,7 +986,7 @@ impl ProvenanceDatabase {
         let mut pruned = 0;
         for meta in &seal.segments {
             if let Ok(footer) = segment::read_footer(meta) {
-                if segment::segment_prunes(meta, &footer, field, op, lit) {
+                if segment::segment_prunes(meta, &footer.zones, field, op, lit) {
                     pruned += 1;
                 }
             }

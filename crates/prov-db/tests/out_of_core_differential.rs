@@ -12,7 +12,7 @@
 
 mod common;
 
-use common::{corpus, fingerprint, fresh_dir, oracle, GOLDEN};
+use common::{corpus, fingerprint, fresh_dir, oracle, scrub_index_maps, GOLDEN};
 use proptest::prelude::*;
 use prov_db::{DurabilityOptions, ProvenanceDatabase, SyncPolicy};
 use prov_model::{TaskMessage, TaskStatus};
@@ -102,6 +102,13 @@ fn lazy_open_matches_eager_and_oracle_under_any_budget() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Page-ins since `before`, split by kind: `(cols pages, docs pages)`.
+fn page_ins(db: &ProvenanceDatabase, before: prov_db::PagerStats) -> (u64, u64) {
+    let after = db.pager_stats();
+    let docs = after.paged_in_docs - before.paged_in_docs;
+    (after.paged_in - before.paged_in - docs, docs)
+}
+
 /// An id-ordered gather over a lazily opened multi-shard store pages each
 /// cold chunk it touches at most once, even under a one-byte budget that
 /// evicts every chunk as soon as the next one is paged: consecutive ids
@@ -132,10 +139,10 @@ fn id_gathers_page_each_touched_chunk_at_most_once() {
     );
 
     let paged = |gather: &dyn Fn(&ProvenanceDatabase) -> String| {
-        let before = lazy.pager_stats().paged_in;
+        let before = lazy.pager_stats();
         let got = gather(&lazy);
         assert_eq!(got, gather(&eager), "lazy gather drifted");
-        lazy.pager_stats().paged_in - before
+        page_ins(&lazy, before)
     };
     let cells = paged(&|db| {
         let cells = db.documents().columnar_gather(&ids, "started_at");
@@ -146,17 +153,21 @@ fn id_gathers_page_each_touched_chunk_at_most_once() {
         let groups = db.documents().columnar_group_codes(&ids, "hostname");
         format!("{:?}", groups.expect("hostname is servable"))
     });
-    for (name, n) in [
+    for (name, (cols, docs)) in [
         ("columnar_gather", cells),
         ("docs_for_ids", docs),
         ("group codes", groups),
     ] {
-        assert!(
-            n <= touched.len() as u64,
-            "{name} paged {n} chunks for {} distinct touched chunks ({nshards} shards)",
-            touched.len()
-        );
+        for (kind, n) in [("cols", cols), ("docs", docs)] {
+            assert!(
+                n <= touched.len() as u64,
+                "{name} paged {n} {kind} pages for {} distinct touched chunks ({nshards} shards)",
+                touched.len()
+            );
+        }
     }
+    // Each gather pages only the kind it reads.
+    assert_eq!((cells.1, groups.1, docs.0), (0, 0, 0));
     drop((eager, lazy));
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -192,9 +203,9 @@ fn snapshot_head_stops_paging_at_the_limit() {
     let lazy = ProvenanceDatabase::open_with(&dir, lazy_opts(1)).expect("lazy reopen");
     let q = parse(r#"df[df["status"] == "ERROR"][["task_id"]].head(3)"#).expect("parses");
     let snap = lazy.snapshot();
-    let before = lazy.pager_stats().paged_in;
+    let before = lazy.pager_stats();
     let (got, _) = snap.query(&q);
-    let paged = lazy.pager_stats().paged_in - before;
+    let (cols, docs) = page_ins(&lazy, before);
     let got = got.expect("query runs");
     assert!(!snap.oracle_built(), "head(3) must be served by the scan");
     let (want, _) = eager.snapshot().query(&q);
@@ -214,12 +225,14 @@ fn snapshot_head_stops_paging_at_the_limit() {
         })
         .collect();
     assert_eq!(frame.len(), 3);
-    assert!(
-        paged <= (nshards + gathered.len()) as u64,
-        "head(3) paged {paged} chunks; the limit allows {nshards} for the scan \
-         plus {} for the gather",
-        gathered.len()
-    );
+    for (kind, paged) in [("cols", cols), ("docs", docs)] {
+        assert!(
+            paged <= (nshards + gathered.len()) as u64,
+            "head(3) paged {paged} {kind} pages; the limit allows {nshards} for the scan \
+             plus {} for the gather",
+            gathered.len()
+        );
+    }
     // The kernels honour any bound, including one inside the cold prefix.
     let bound: Vec<usize> = lazy
         .documents()
@@ -312,6 +325,210 @@ fn impossible_predicate_prunes_cold_chunks_without_paging() {
     assert!(stats.zone_skips > 0, "zone maps must prune cold chunks");
     assert_eq!(stats.paged_in, 0, "pruned chunks must not be paged");
     drop(lazy);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Columnar-only pipelines page column blocks and no document: a
+/// pushed count and a code-table `value_counts` over a lazily opened
+/// store read only cols pages. Document reads — `get`, `docs_for_ids`
+/// and the graph hydration — page only the docs pages of the chunks they
+/// touch, and no cols page. Every answer equals the eager store's.
+#[test]
+fn columnar_pipelines_page_no_documents_and_document_reads_no_columns() {
+    let (chunk, nshards) = geometry();
+    let msgs = corpus(2 * chunk * nshards + 7);
+    let dir = fresh_dir("kinds");
+    seal_corpus(&dir, &msgs);
+    let eager = ProvenanceDatabase::open_with(&dir, eager_opts()).expect("eager reopen");
+    let lazy = ProvenanceDatabase::open_with(&dir, lazy_opts(64 << 20)).expect("lazy reopen");
+    let sealed = lazy.durable_stats().expect("durable").sealed_slots as usize;
+
+    let run = |db: &Arc<ProvenanceDatabase>, q: &provql::Query| {
+        let snap = db.snapshot();
+        let out = prov_db::execute_plan(&snap, &provql::plan(q, &*snap));
+        assert!(
+            !snap.oracle_built(),
+            "columnar pipelines must not build a frame"
+        );
+        scrub_index_maps(format!("{out:?}"))
+    };
+    let mut scanned = 0;
+    for text in [
+        r#"len(df[df["status"] == "FINISHED"])"#,
+        r#"df["hostname"].value_counts()"#,
+    ] {
+        let q = parse(text).expect("parses");
+        let before = lazy.pager_stats();
+        let got = run(&lazy, &q);
+        let (cols, docs) = page_ins(&lazy, before);
+        assert_eq!(got, run(&eager, &q), "{text}");
+        assert!(got.starts_with("Executed"), "{text} must push down: {got}");
+        assert_eq!(docs, 0, "{text} paged {docs} document regions");
+        scanned += cols;
+    }
+    assert!(scanned > 0, "the scans page column blocks");
+
+    // One cold id: one docs page, no cols page.
+    let id = (chunk + 1) * nshards;
+    let before = lazy.pager_stats();
+    assert_eq!(
+        format!("{:?}", lazy.documents().get(id)),
+        format!("{:?}", eager.documents().get(id))
+    );
+    assert_eq!(page_ins(&lazy, before), (0, 1), "get pages one docs page");
+
+    // Ids inside the first cold chunk of every shard.
+    let ids: Vec<usize> = (0..4 * nshards).collect();
+    let before = lazy.pager_stats();
+    assert_eq!(
+        format!("{:?}", lazy.documents().docs_for_ids(&ids)),
+        format!("{:?}", eager.documents().docs_for_ids(&ids))
+    );
+    let (cols, docs) = page_ins(&lazy, before);
+    assert_eq!(cols, 0, "docs_for_ids paged {cols} cols pages");
+    assert!(
+        docs <= nshards as u64,
+        "docs_for_ids paged {docs} docs pages"
+    );
+
+    // The graph hydration walks every cold chunk's documents once.
+    let before = lazy.pager_stats();
+    assert_eq!(lazy.lineage("t9", 10), eager.lineage("t9", 10));
+    let (cols, docs) = page_ins(&lazy, before);
+    assert_eq!(cols, 0, "graph hydration paged {cols} cols pages");
+    assert!(
+        docs <= (sealed / chunk * nshards) as u64,
+        "graph hydration paged {docs} docs pages"
+    );
+    drop((eager, lazy));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// CRC-32 (IEEE), the checksum segment footers carry.
+fn crc32(bytes: &[u8]) -> u32 {
+    let mut c = !0u32;
+    for &b in bytes {
+        c ^= u32::from(b);
+        for _ in 0..8 {
+            c = if c & 1 == 1 {
+                (c >> 1) ^ 0xEDB8_8320
+            } else {
+                c >> 1
+            };
+        }
+    }
+    !c
+}
+
+/// A segment whose footer CRC is valid but whose chunk-layout table does
+/// not tile the file fails its footer read, so a lazy open takes the
+/// eager fallback (docs/durability.md §Recovery): it pages nothing and
+/// still answers every golden pipeline like the oracle.
+#[test]
+fn a_malformed_layout_table_takes_the_eager_fallback() {
+    let (chunk, nshards) = geometry();
+    let msgs = corpus(2 * chunk * nshards + 7);
+    let dir = fresh_dir("layout");
+    seal_corpus(&dir, &msgs);
+    let seg = segment_files(&dir).pop().expect("a sealed segment");
+    let mut bytes = std::fs::read(&seg).expect("read segment");
+    assert_eq!(&bytes[..6], b"PSEG2\n", "seals write PSEG2");
+    let u32_at = |b: &[u8], o: usize| u32::from_le_bytes(b[o..o + 4].try_into().unwrap());
+    let n_chunks = (u32_at(&bytes, 34) as usize).div_ceil(u32_at(&bytes, 30) as usize);
+    let size = bytes.len();
+    let footer_len = u32_at(&bytes, size - 14) as usize;
+    let footer_end = size - 14;
+    // The layout table closes the footer: `[n u32]`, then the document
+    // bounds, then the block bounds. Point the first document bound at 0.
+    let first_doc_bound = footer_end - 16 * (n_chunks + 1);
+    bytes[first_doc_bound..first_doc_bound + 8].copy_from_slice(&0u64.to_le_bytes());
+    let crc = crc32(&bytes[footer_end - footer_len..footer_end]);
+    bytes[size - 10..size - 6].copy_from_slice(&crc.to_le_bytes());
+    std::fs::write(&seg, &bytes).expect("rewrite segment");
+
+    let db = ProvenanceDatabase::open_with(&dir, lazy_opts(64 << 20)).expect("reopen");
+    assert_eq!(
+        fingerprint(&db.snapshot(), GOLDEN),
+        fingerprint(&oracle(&msgs).snapshot(), GOLDEN)
+    );
+    assert_eq!(db.pager_stats().paged_in, 0, "the fallback replays eagerly");
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Rewrite a `PSEG2` segment as the `PSEG1` row file it extends: the same
+/// header fields and document records, no column blocks, and a footer
+/// without the trailing layout table.
+fn downgrade_to_pseg1(path: &std::path::Path) {
+    let bytes = std::fs::read(path).expect("read segment");
+    assert_eq!(&bytes[..6], b"PSEG2\n");
+    let u32_at = |o: usize| u32::from_le_bytes(bytes[o..o + 4].try_into().unwrap());
+    let n_chunks = (u32_at(34) as usize).div_ceil(u32_at(30) as usize);
+    let footer_end = bytes.len() - 14;
+    let footer_start = footer_end - u32_at(footer_end) as usize;
+    let layout_start = footer_end - (4 + 16 * (n_chunks + 1));
+    // The last document bound is where the column blocks begin.
+    let at = layout_start + 4 + 8 * n_chunks;
+    let docs_end = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+    let zones = &bytes[footer_start..layout_start];
+    let mut out = b"PSEG1\n".to_vec();
+    out.extend_from_slice(&bytes[6..docs_end]);
+    out.extend_from_slice(zones);
+    out.extend_from_slice(&(zones.len() as u32).to_le_bytes());
+    out.extend_from_slice(&crc32(zones).to_le_bytes());
+    out.extend_from_slice(b"PSEGF\n");
+    std::fs::write(path, out).expect("rewrite segment");
+}
+
+fn segment_files(dir: &PathBuf) -> Vec<PathBuf> {
+    std::fs::read_dir(dir)
+        .expect("list store")
+        .map(|e| e.expect("entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "seg"))
+        .collect()
+}
+
+/// `PSEG1` segments stay readable: the same rows sealed as `PSEG2` and
+/// rewritten as `PSEG1` answer every golden pipeline like the oracle
+/// through a lazy open (their cols pages come from decoded documents). Sealing more rows and compacting on that
+/// store rewrites the history forward, every file `PSEG2`, with the same
+/// answers after a reopen.
+#[test]
+fn pseg1_segments_answer_like_pseg2_and_compact_forward() {
+    let (chunk, nshards) = geometry();
+    let per_run = chunk * nshards;
+    let msgs = corpus(2 * per_run + 3);
+    let dir = fresh_dir("pseg1");
+    seal_corpus(&dir, &msgs[..per_run]);
+    let want = fingerprint(&oracle(&msgs[..per_run]).snapshot(), GOLDEN);
+    let pseg2 = ProvenanceDatabase::open_with(&dir, lazy_opts(64 << 20)).expect("PSEG2 reopen");
+    assert_eq!(fingerprint(&pseg2.snapshot(), GOLDEN), want, "PSEG2");
+    drop(pseg2);
+
+    for seg in segment_files(&dir) {
+        downgrade_to_pseg1(&seg);
+    }
+    let db = ProvenanceDatabase::open_with(&dir, lazy_opts(64 << 20)).expect("PSEG1 reopen");
+    assert!(db.durable_stats().expect("durable").sealed_slots > 0);
+    assert_eq!(fingerprint(&db.snapshot(), GOLDEN), want, "PSEG1");
+    assert!(db.pager_stats().paged_in_docs > 0, "PSEG1 pages documents");
+
+    db.insert_batch_shared(msgs[per_run..].iter().cloned().map(Arc::new));
+    db.flush_views();
+    assert_eq!(db.seal_now().expect("reseal"), 2 * chunk as u64);
+    db.compact_segments().expect("compact");
+    drop(db);
+    for seg in segment_files(&dir) {
+        let magic = std::fs::read(&seg).expect("read segment")[..6].to_vec();
+        assert_eq!(magic, b"PSEG2\n", "{} not rewritten forward", seg.display());
+    }
+    let back = ProvenanceDatabase::open_with(&dir, lazy_opts(64 << 20)).expect("reopen");
+    assert_eq!(
+        fingerprint(&back.snapshot(), GOLDEN),
+        fingerprint(&oracle(&msgs).snapshot(), GOLDEN),
+        "after compaction"
+    );
+    drop(back);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
