@@ -13,10 +13,10 @@
 //!   sync covered is lost, nothing past the abort leaks in;
 //! * every golden pipeline answers **byte-identically** to a
 //!   never-crashed oracle over that prefix — through **both** open
-//!   paths: the default lazy open (sealed rows attached cold and paged
-//!   on demand, kv/graph hydrated on first access) and a forced eager
-//!   replay (`eager_open`), so crash recovery is held on the
-//!   out-of-core path too.
+//!   paths: the lazy `ProvenanceDatabase::open` (sealed rows attached
+//!   cold and paged on demand, kv/graph hydrated on first access) and
+//!   the replaying referee, `ProvenanceDatabase::open_replayed`, so
+//!   crash recovery is held on the out-of-core path too.
 //!
 //! Crash points come from a seeded LCG so a CI leg loops a reproducible
 //! schedule: `crash_harness --runs 12 --seed 7`. Any mismatch leaves the
@@ -110,15 +110,6 @@ fn fingerprint(db: &Arc<ProvenanceDatabase>) -> Vec<String> {
         .collect()
 }
 
-/// Durability options forcing one of the two open paths, regardless of
-/// any `PROVDB_EAGER_OPEN` in the environment.
-fn open_opts(eager: bool) -> prov_db::DurabilityOptions {
-    prov_db::DurabilityOptions {
-        eager_open: eager,
-        ..Default::default()
-    }
-}
-
 fn artifact_root() -> PathBuf {
     std::env::var("PROVDB_TEST_ARTIFACT_DIR")
         .map(PathBuf::from)
@@ -173,8 +164,7 @@ fn run_parent(runs: u64, seed: u64) -> i32 {
         }
         // Recover through the default lazy path first (sealed prefix
         // attached cold, kv/graph hydrated on first access) …
-        let lazy = ProvenanceDatabase::open_with(&dir, open_opts(false))
-            .expect("parent: recover store (lazy)");
+        let lazy = ProvenanceDatabase::open(&dir).expect("parent: recover store (lazy)");
         let got = lazy.insert_count();
         let oracle = ProvenanceDatabase::shared();
         oracle.insert_batch(&msgs[..got as usize]);
@@ -183,16 +173,16 @@ fn run_parent(runs: u64, seed: u64) -> i32 {
         let stats = lazy.durable_stats().expect("durable");
         let paged = lazy.pager_stats();
         drop(lazy);
-        // … then again with eager replay forced: both open paths must
+        // … then again through the full replay: both open paths must
         // agree on the recovered prefix and every golden answer.
-        let eager = ProvenanceDatabase::open_with(&dir, open_opts(true))
-            .expect("parent: recover store (eager)");
-        let eager_ok = eager.insert_count() == got && fingerprint(&eager) == want;
-        drop(eager);
-        if got != expect || !lazy_ok || !eager_ok {
+        let replayed = ProvenanceDatabase::open_replayed(&dir, prov_db::Config::from_env())
+            .expect("parent: recover store (replayed)");
+        let replayed_ok = replayed.insert_count() == got && fingerprint(&replayed) == want;
+        drop(replayed);
+        if got != expect || !lazy_ok || !replayed_ok {
             eprintln!(
                 "run {run}: MISMATCH crash_at={crash_at} recovered={got} expect={expect} \
-                 lazy_identical={lazy_ok} eager_identical={eager_ok}; artifacts kept at {}",
+                 lazy_identical={lazy_ok} replayed_identical={replayed_ok}; artifacts kept at {}",
                 dir.display()
             );
             failures += 1;

@@ -518,8 +518,9 @@ impl ProvDbReport {
                  now beats re-ingest by the sealed fraction of history and the \
                  entry is a real (non-parity) speedup. cold_open isolates the \
                  open-time contrast on an explicitly sealed corpus: the same \
-                 directory opened with eager_open=true (replay every sealed row \
-                 into RAM, the pre-out-of-core behaviour) vs lazily. \
+                 directory opened with ProvenanceDatabase::open_replayed (replay \
+                 every sealed row into RAM, the pre-out-of-core behaviour) vs \
+                 lazily. \
                  out_of_core_scan is the steady-state paged-read tax: the \
                  dict_filter columnar scan on a fully resident store vs the same \
                  scan re-paging every chunk through a deliberately tiny 4 MiB \
@@ -1080,7 +1081,7 @@ fn provdb_measure(which: &str) -> f64 {
         }
         "graph-traverse-csr" => {
             let store = graph_lineage_store();
-            let csr = prov_db::CsrGraph::build(&store);
+            let csr = prov_db::CsrGraph::build(&store, prov_db::Config::from_env().scan_threads);
             best_of(5, || {
                 std::hint::black_box(csr.upstream(GRAPH_DEEP_TASK, usize::MAX).len());
             })
@@ -1094,7 +1095,7 @@ fn provdb_measure(which: &str) -> f64 {
         }
         "graph-khop-csr" => {
             let store = graph_lineage_store();
-            let csr = prov_db::CsrGraph::build(&store);
+            let csr = prov_db::CsrGraph::build(&store, prov_db::Config::from_env().scan_threads);
             best_of(5, || {
                 std::hint::black_box(csr.khop(GRAPH_MID_TASK, 4).len());
             })
@@ -1154,9 +1155,9 @@ fn provdb_measure(which: &str) -> f64 {
             let _ = std::fs::remove_dir_all(&root);
             t
         }
-        // Cold open over an explicitly sealed corpus: eager replay of
-        // every sealed row into RAM (the pre-out-of-core behaviour,
-        // forced via `eager_open`) vs the lazy path that loads only the
+        // Cold open over an explicitly sealed corpus: replay of every
+        // sealed row into RAM (the pre-out-of-core behaviour, kept as
+        // `open_replayed`) vs the lazy path that loads only the
         // segment directory + zone-map footers and replays the WAL tail.
         // Seeding runs once outside the timed region; both sides open
         // the same files.
@@ -1164,15 +1165,14 @@ fn provdb_measure(which: &str) -> f64 {
             let root =
                 std::env::temp_dir().join(format!("provdb-bench-{which}-{}", std::process::id()));
             seed_sealed_store(&root, &msgs);
-            let eager = which == "cold-open-eager";
             let t = best_of(3, || {
-                let opts = prov_db::DurabilityOptions {
-                    eager_open: eager,
-                    ..Default::default()
+                let config = prov_db::Config::from_env();
+                let db = if which == "cold-open-eager" {
+                    ProvenanceDatabase::open_replayed(&root, config)
+                } else {
+                    ProvenanceDatabase::open_with(&root, config)
                 };
-                let db =
-                    ProvenanceDatabase::open_with(&root, opts).expect("open sealed bench store");
-                std::hint::black_box(db.insert_count());
+                std::hint::black_box(db.expect("open sealed bench store").insert_count());
             });
             let _ = std::fs::remove_dir_all(&root);
             t
@@ -1187,12 +1187,16 @@ fn provdb_measure(which: &str) -> f64 {
             let root =
                 std::env::temp_dir().join(format!("provdb-bench-{which}-{}", std::process::id()));
             seed_sealed_store(&root, &msgs);
-            let opts = prov_db::DurabilityOptions {
-                eager_open: which == "ooc-scan-resident",
-                resident_bytes: Some(4 << 20),
-                ..Default::default()
+            let config = prov_db::Config {
+                resident_bytes: 4 << 20,
+                ..prov_db::Config::from_env()
             };
-            let db = ProvenanceDatabase::open_with(&root, opts).expect("open sealed bench store");
+            let db = if which == "ooc-scan-resident" {
+                ProvenanceDatabase::open_replayed(&root, config)
+            } else {
+                ProvenanceDatabase::open_with(&root, config)
+            }
+            .expect("open sealed bench store");
             let q = dict_filter_query();
             let t = best_of(5, || {
                 std::hint::black_box(run_columnar_query(&db, &q));
@@ -1424,23 +1428,19 @@ fn provdb_benchmark() -> ProvDbReport {
             parity: true,
         },
     ];
-    let probe = prov_db::DocumentStore::new();
+    let config = prov_db::Config::from_env();
     ProvDbReport {
         messages: 100_000,
-        shards: probe.shard_count(),
-        threads: probe.scan_threads(),
+        shards: config.shards,
+        threads: config.scan_threads,
         cores: std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1),
         shards_override: std::env::var("PROVDB_SHARDS").ok(),
         threads_override: std::env::var("PROVDB_THREADS").ok(),
-        chunk: probe.chunk_rows(),
+        chunk: config.chunk_rows,
         chunk_override: std::env::var("PROVDB_CHUNK").ok(),
-        resident_mb: std::env::var("PROVDB_RESIDENT_MB")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&v| v > 0)
-            .unwrap_or(256),
+        resident_mb: config.resident_bytes >> 20,
         resident_override: std::env::var("PROVDB_RESIDENT_MB").ok(),
         measurements,
         mixed: mixed_load_profile(),

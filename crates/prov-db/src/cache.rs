@@ -11,10 +11,11 @@
 //! answer, forever.
 //!
 //! Memory is bounded: each entry carries a size estimate and inserts
-//! evict least-recently-used entries until the configured budget holds
-//! (`PROVDB_CACHE_MB` overrides the default). Only successful outputs
-//! are cached — errors are cheap to recompute and their messages may
-//! depend on corpus-wide state the key does not capture.
+//! evict least-recently-used entries until the budget,
+//! [`Config::cache_bytes`](crate::Config::cache_bytes), holds. Only
+//! successful outputs are cached — errors are cheap to recompute and
+//! their messages may depend on corpus-wide state the key does not
+//! capture.
 
 use parking_lot::Mutex;
 use prov_model::Value;
@@ -22,17 +23,6 @@ use provql::QueryOutput;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Default cache budget in bytes (64 MiB) when `PROVDB_CACHE_MB` is unset.
-const DEFAULT_MAX_BYTES: usize = 64 << 20;
-
-fn env_max_bytes() -> usize {
-    std::env::var("PROVDB_CACHE_MB")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .map(|mb| mb << 20)
-        .unwrap_or(DEFAULT_MAX_BYTES)
-}
 
 struct Entry {
     out: Arc<QueryOutput>,
@@ -97,15 +87,9 @@ impl CacheOutcome {
     }
 }
 
-impl Default for PlanCache {
-    fn default() -> Self {
-        Self::with_max_bytes(env_max_bytes())
-    }
-}
-
 impl PlanCache {
-    /// A cache with an explicit byte budget (tests use tiny budgets to
-    /// exercise eviction).
+    /// A cache with a byte budget (tests use tiny budgets to exercise
+    /// eviction).
     pub fn with_max_bytes(max_bytes: usize) -> Self {
         Self {
             inner: Mutex::new(CacheInner::default()),

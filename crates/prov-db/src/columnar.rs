@@ -26,8 +26,8 @@
 //!   absent cell. Filters compile their literal to a code (or a per-code
 //!   truth table) once per shard and then compare integers.
 //! * **Chunking + zone maps** — every column vector is logically split
-//!   into fixed-size chunks ([`chunk_rows`] rows, overridable with the
-//!   `PROVDB_CHUNK` env var). Each chunk carries a zone map: per float
+//!   into fixed-size chunks (the store's `chunk_rows`, see
+//!   [`crate::Config`]). Each chunk carries a zone map: per float
 //!   column `min`/`max` over the finite present cells plus present and NaN
 //!   counts, per string column `min`/`max` *code* plus a present count,
 //!   and a per-chunk decodable count. Selective scans consult the zone
@@ -142,25 +142,6 @@ const HINTABLE: [&str; 9] = [
 
 /// Dictionary code standing in for an absent string cell.
 pub(crate) const NULL_CODE: u32 = u32::MAX;
-
-/// Default rows per chunk (and per zone-map entry).
-pub(crate) const DEFAULT_CHUNK: usize = 4096;
-
-/// Rows per chunk: `PROVDB_CHUNK` when set to a positive integer (clamped
-/// to a sane band so zone maps stay meaningful and bounded), else
-/// [`DEFAULT_CHUNK`]. Resolved once per process, like the shard and
-/// thread overrides.
-pub(crate) fn chunk_rows() -> usize {
-    static CELL: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *CELL.get_or_init(|| {
-        std::env::var("PROVDB_CHUNK")
-            .ok()
-            .and_then(|raw| raw.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .map(|n| n.clamp(16, 65_536))
-            .unwrap_or(DEFAULT_CHUNK)
-    })
-}
 
 /// Handle to one columnar field: kind + index into its typed vector array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -425,14 +406,8 @@ pub(crate) struct ColumnarShard {
     present: [usize; STR_FIELDS.len() + F64_FIELDS.len()],
 }
 
-impl Default for ColumnarShard {
-    fn default() -> Self {
-        Self::with_chunk(chunk_rows())
-    }
-}
-
 impl ColumnarShard {
-    /// A shard with an explicit chunk size (tests exercise tiny chunks).
+    /// An empty shard of `chunk`-row chunks.
     pub(crate) fn with_chunk(chunk: usize) -> Self {
         Self {
             chunk: chunk.max(1),
@@ -1286,7 +1261,7 @@ mod tests {
 
     #[test]
     fn well_formed_doc_extracts_regular() {
-        let mut shard = ColumnarShard::default();
+        let mut shard = ColumnarShard::with_chunk(4096);
         let doc = prov_model::TaskMessageBuilder::new("t0", "wf", "act")
             .span(5.0, 8.5)
             .host("n0")
@@ -1318,7 +1293,7 @@ mod tests {
 
     #[test]
     fn defaults_and_canonicalization_mark_irregular() {
-        let mut shard = ColumnarShard::default();
+        let mut shard = ColumnarShard::with_chunk(4096);
         let doc = obj! {
             "task_id" => "t", "workflow_id" => "wf", "activity_id" => "a",
             "status" => "finished", "started_at" => "not-a-number",
@@ -1352,7 +1327,7 @@ mod tests {
 
     #[test]
     fn undecodable_doc_is_all_absent() {
-        let mut shard = ColumnarShard::default();
+        let mut shard = ColumnarShard::with_chunk(4096);
         shard.push_doc(&obj! {"task_id" => "t-only"});
         assert!(!shard.is_decodable(0));
         assert_eq!(shard.value(0, lookup("task_id").unwrap()), Value::Null);
@@ -1361,7 +1336,7 @@ mod tests {
 
     #[test]
     fn dataflow_shadow_poisons_unprotected_columns() {
-        let mut shard = ColumnarShard::default();
+        let mut shard = ColumnarShard::with_chunk(4096);
         let doc = obj! {
             "task_id" => "t", "workflow_id" => "wf", "activity_id" => "a",
             "generated" => obj! {"gpu_percent_end" => 99.0},
@@ -1385,7 +1360,7 @@ mod tests {
             .telemetry(synth.snapshot(1, 0, 0.4), synth.snapshot(1, 1, 0.4))
             .build();
         let doc = msg.to_value();
-        let mut shard = ColumnarShard::default();
+        let mut shard = ColumnarShard::with_chunk(4096);
         shard.push_doc(&doc);
         let back = TaskMessage::from_value(&doc).unwrap();
         let end = back.telemetry_at_end.unwrap();

@@ -1,9 +1,9 @@
 //! CSR-compacted immutable graph snapshot and branch-light traversal
 //! kernels.
 //!
-//! [`GraphStore`](crate::GraphStore) is write-optimized: `String`-keyed
-//! adjacency maps behind one `RwLock`, per-node `Vec<GraphEdge>` with owned
-//! `String` endpoints. Every traversal hop pays a hash of the full node id
+//! [`GraphStore`] is write-optimized: `String`-keyed adjacency maps
+//! behind one `RwLock`, per-node `Vec<GraphEdge>` with owned `String`
+//! endpoints. Every traversal hop pays a hash of the full node id
 //! plus pointer chases through three allocations per edge. [`CsrGraph`]
 //! trades a one-time compaction for cache-dense reads:
 //!
@@ -24,10 +24,10 @@
 //! ([`CsrGraph::contains_node`]) match real nodes only, which is what the
 //! agent tool's token probing wants.
 //!
-//! Large frontiers fan out across crossbeam scoped threads (worker count
-//! from `PROVDB_THREADS`, exactly like the columnar scans; `=1` forces the
-//! sequential path). Parallelism never changes output: worker threads only
-//! *pre-filter* their frontier chunk against a read-only snapshot of the
+//! Large frontiers fan out across crossbeam scoped threads (a store
+//! builds with its `Config::scan_threads`, like the columnar scans; `1`
+//! forces the sequential path). Parallelism never changes output: worker
+//! threads only *pre-filter* their frontier chunk against a read-only snapshot of the
 //! visited bitset, and a sequential merge — in chunk order — does all
 //! visited-marking and emission, reproducing the sequential BFS order at
 //! any thread count.
@@ -132,7 +132,7 @@ pub struct CsrGraph {
     /// Reverse (in-edge) adjacency.
     inc: Csr,
     /// Worker count for large-frontier fan-out (1 = sequential path);
-    /// resolved from `PROVDB_THREADS` at build, re-pinnable for benches.
+    /// set at build, re-pinnable for benches.
     threads: AtomicUsize,
 }
 
@@ -146,8 +146,9 @@ pub enum Direction {
 }
 
 impl CsrGraph {
-    /// Compact `store` into CSR form under a single read-lock acquisition.
-    pub fn build(store: &GraphStore) -> CsrGraph {
+    /// Compact `store` into CSR form under a single read-lock acquisition;
+    /// large frontiers fan out over `threads` workers (clamped to 1..=16).
+    pub fn build(store: &GraphStore, threads: usize) -> CsrGraph {
         store.with_inner(|g| {
             // Dense indices: upserted nodes first (membership boundary),
             // then phantom endpoints discovered while walking edges.
@@ -250,7 +251,7 @@ impl CsrGraph {
                 rels,
                 out,
                 inc,
-                threads: AtomicUsize::new(crate::document::resolve_threads()),
+                threads: AtomicUsize::new(threads.clamp(1, 16)),
             }
         })
     }

@@ -16,6 +16,7 @@
 //! keep insertion order exactly as the single-lock engine did.
 
 use crate::columnar::{self, ColField, ColPredicate, ColumnarShard, ShardPred};
+use crate::config::Config;
 use crate::pager::{ColdShard, PagerCore, PagerStats};
 use crate::query::{Condition, DocQuery, GroupSpec, Op};
 use dataframe::CmpOp;
@@ -154,7 +155,6 @@ fn range_key(f: f64) -> u64 {
 /// paged on demand (see [`crate::pager`]); `docs`/`cols` then hold only
 /// the rows from `cold.rows()` upward, and reads reach both through one
 /// chunk accessor, [`Shard::chunk`].
-#[derive(Default)]
 struct Shard {
     docs: Vec<Arc<Value>>,
     cols: ColumnarShard,
@@ -352,31 +352,6 @@ impl<'g> ShardCursor<'g> {
     }
 }
 
-/// Parse a capped-count env override (`PROVDB_SHARDS`, `PROVDB_THREADS`):
-/// a positive integer, capped at 16 like the auto-tuned counts. `None`
-/// leaves auto-tuning in effect.
-fn cap_override(raw: Option<&str>) -> Option<usize> {
-    raw?.trim()
-        .parse::<usize>()
-        .ok()
-        .filter(|n| *n >= 1)
-        .map(|n| n.min(16))
-}
-
-/// Scan-thread count: the `PROVDB_THREADS` env override when set (capped
-/// at 16, like `PROVDB_SHARDS`), otherwise one per available core (capped
-/// at 16). `1` — forced or detected — selects the exact sequential scan
-/// path; parallel shard scans only engage above it.
-pub(crate) fn resolve_threads() -> usize {
-    let threads = std::env::var("PROVDB_THREADS").ok();
-    cap_override(threads.as_deref()).unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .clamp(1, 16)
-    })
-}
-
 /// Row count below which parallel shard scans stay sequential (thread
 /// startup would dominate) — the same threshold the frame kernels use.
 const PARALLEL_SCAN_THRESHOLD: usize = dataframe::parallel::PARALLEL_THRESHOLD;
@@ -395,9 +370,11 @@ pub struct DocumentStore {
     col_irregular: AtomicU16,
     /// Columnar fields shadowed by a dataflow key (no longer servable).
     col_poison: AtomicU16,
-    /// Worker count for shard-parallel scans (see [`resolve_threads`]);
-    /// `1` takes the exact sequential path.
+    /// Worker count for shard-parallel scans (`Config::scan_threads`
+    /// until re-pinned); `1` takes the exact sequential path.
     scan_threads: AtomicUsize,
+    /// Rows per columnar chunk of every shard (`Config::chunk_rows`).
+    chunk_rows: usize,
     /// Whether any shard carries a cold on-disk prefix (set once by
     /// [`DocumentStore::attach_cold`]). When set, the field indexes and
     /// per-code fast paths — which only see resident rows — are bypassed
@@ -415,39 +392,43 @@ impl Default for DocumentStore {
 }
 
 impl DocumentStore {
-    /// Empty collection with one shard per available core (capped at 16).
-    /// The `PROVDB_SHARDS` environment variable overrides the auto-tuned
-    /// count (CI's shard-matrix leg forces 1 and 16 so shard-count-
-    /// sensitive paths are exercised on single-core runners), and
-    /// `PROVDB_THREADS` likewise overrides the scan-worker count (CI's
-    /// thread-matrix leg forces 1 and 8 so both the sequential fallback
-    /// and the parallel shard scan run on every PR).
+    /// Empty collection configured from the environment
+    /// ([`Config::from_env`]): one shard per available core (capped at
+    /// 16) unless `PROVDB_SHARDS` says otherwise.
     pub fn new() -> Self {
-        let shards = std::env::var("PROVDB_SHARDS").ok();
-        let n = cap_override(shards.as_deref()).unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(8)
-                .clamp(1, 16)
-        });
-        Self::with_shards(n)
+        Self::with_config(&Config::from_env())
     }
 
-    /// Empty collection with an explicit shard count (≥ 1). Query results
-    /// are shard-count-invariant; the count only tunes write concurrency.
-    /// The scan-thread count is still auto-resolved (env override honored).
+    /// [`new`](Self::new) with an explicit shard count (≥ 1). Query
+    /// results are shard-count-invariant; the count only tunes write
+    /// concurrency.
     pub fn with_shards(nshards: usize) -> Self {
-        let nshards = nshards.max(1);
+        Self::with_config(&Config {
+            shards: nshards,
+            ..Config::from_env()
+        })
+    }
+
+    /// Empty collection with `config`'s shard count, scan-worker count
+    /// and chunk size.
+    pub(crate) fn with_config(config: &Config) -> Self {
         Self {
-            shards: (0..nshards)
-                .map(|_| RwLock::new(Shard::default()))
+            shards: (0..config.shards.max(1))
+                .map(|_| {
+                    RwLock::new(Shard {
+                        docs: Vec::new(),
+                        cols: ColumnarShard::with_chunk(config.chunk_rows),
+                        cold: None,
+                    })
+                })
                 .collect(),
             router: AtomicUsize::new(0),
             indexes: RwLock::new(HashMap::new()),
             columnar: AtomicBool::new(false),
             col_irregular: AtomicU16::new(0),
             col_poison: AtomicU16::new(0),
-            scan_threads: AtomicUsize::new(resolve_threads()),
+            scan_threads: AtomicUsize::new(config.scan_threads.clamp(1, 16)),
+            chunk_rows: config.chunk_rows.max(1),
             cold_attached: AtomicBool::new(false),
             pager: std::sync::OnceLock::new(),
         }
@@ -490,9 +471,9 @@ impl DocumentStore {
     }
 
     /// Pin the scan-worker count (clamped to 1..=16), overriding the
-    /// auto-detected / `PROVDB_THREADS` value — scan results are
-    /// thread-count-invariant, so this only tunes read concurrency
-    /// (benchmarks and tests pin exact configurations with it).
+    /// configured one — scan results are thread-count-invariant, so this
+    /// only tunes read concurrency (benchmarks and tests pin exact
+    /// configurations with it).
     pub fn set_scan_threads(&self, threads: usize) {
         self.scan_threads
             .store(threads.clamp(1, 16), Ordering::Relaxed);
@@ -1238,12 +1219,10 @@ impl DocumentStore {
         self.columnar.load(Ordering::Acquire)
     }
 
-    /// The effective columnar chunk size in rows (the `PROVDB_CHUNK`
-    /// override, clamped, or the default) — what zone maps and kernel
-    /// batches are sized by. Exposed so tests can build corpora that
-    /// straddle chunk boundaries at whatever size the process runs with.
+    /// The columnar chunk size in rows (`Config::chunk_rows`) — what
+    /// zone maps, kernel batches and sealed chunks are sized by.
     pub fn chunk_rows(&self) -> usize {
-        columnar::chunk_rows()
+        self.chunk_rows
     }
 
     /// Whether a frame column can currently be served from the sidecar:
@@ -1306,7 +1285,7 @@ impl DocumentStore {
     /// sets and a membership test is a union), and every candidate is
     /// still verified against the vectors. Full scans compile the
     /// conjunction once per shard against its dictionaries
-    /// ([`crate::columnar`]) and evaluate chunk by chunk, skipping chunks
+    /// (the columnar sidecar) and evaluate chunk by chunk, skipping chunks
     /// whose zone maps prove no match. Returns `None` when any filter
     /// column is not servable.
     ///
@@ -1537,7 +1516,7 @@ impl DocumentStore {
     /// cells (ids stream out in key order and the scan stops after `k`
     /// accepted survivors), or bounded per-shard selection buffers over
     /// the vectors — run shard-parallel on crossbeam scoped threads above
-    /// [`PARALLEL_SCAN_THRESHOLD`] rows when [`scan_threads`] > 1 — merged
+    /// `PARALLEL_SCAN_THRESHOLD` rows when [`scan_threads`] > 1 — merged
     /// into the global top-k.
     ///
     /// NaN sort-key cells among the visible survivors abort to
@@ -2279,17 +2258,14 @@ mod tests {
 
     #[test]
     fn shard_and_thread_overrides_parse_and_cap() {
-        assert_eq!(cap_override(None), None);
-        assert_eq!(cap_override(Some("4")), Some(4));
-        assert_eq!(cap_override(Some(" 16 ")), Some(16));
-        assert_eq!(
-            cap_override(Some("64")),
-            Some(16),
-            "capped like auto-tuning"
-        );
-        assert_eq!(cap_override(Some("0")), None);
-        assert_eq!(cap_override(Some("-2")), None);
-        assert_eq!(cap_override(Some("lots")), None);
+        let config = Config::from_lookup(|name| match name {
+            "PROVDB_SHARDS" => Some(" 64 ".into()),
+            "PROVDB_THREADS" => Some("3".into()),
+            _ => None,
+        });
+        let s = DocumentStore::with_config(&config);
+        assert_eq!(s.shard_count(), 16, "capped like auto-tuning");
+        assert_eq!(s.scan_threads(), 3);
         // The setter clamps the same way.
         let s = DocumentStore::with_shards(2);
         s.set_scan_threads(0);

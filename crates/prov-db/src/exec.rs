@@ -6,7 +6,7 @@
 //! pinned [`StoreSnapshot`]: every kernel it calls takes the snapshot's
 //! per-shard row bound and honours it inside its loops, so rows ingested
 //! after the pin are invisible and a pushed limit stops the scan early.
-//! Callers lower the query with [`provql::plan`] first (this module
+//! Callers lower the query with [`provql::plan()`] first (this module
 //! implements [`PushdownCapability`] for [`ProvenanceDatabase`]; the
 //! snapshot delegates to it). Each scan's pushed and planner-split
 //! conjuncts evaluate over the columnar sidecar — equality conjuncts on

@@ -16,19 +16,19 @@
 //! ## Sharding and shared handles
 //!
 //! The document store splits its collection across N independently locked
-//! shards (N defaults to the core count, capped at 16; the `PROVDB_SHARDS`
-//! env var overrides it); writers contend per shard instead of serializing
-//! on one global `RwLock<Vec<_>>`. Documents are stored as `Arc<Value>`:
-//! `find`/`get` return shared handles, never deep clones, and the KV
-//! backend holds the *same* allocation the document store does — one
-//! serialization per ingested message, shared everywhere.
+//! shards (N defaults to the core count, capped at 16; [`Config`] lists
+//! every knob and its `PROVDB_*` name); writers contend per shard instead
+//! of serializing on one global `RwLock<Vec<_>>`. Documents are stored
+//! as `Arc<Value>`: `find`/`get` return shared handles, never deep
+//! clones, and the KV backend holds the *same* allocation the document
+//! store does — one serialization per ingested message, shared
+//! everywhere.
 //!
 //! Reads fan out too: columnar scans and top-k selections run
 //! shard-parallel on crossbeam scoped threads once the store is large
 //! enough, with the worker count auto-tuned to the core count and
-//! overridden by `PROVDB_THREADS` (capped at 16, exactly like
-//! `PROVDB_SHARDS`; `=1` forces the exact sequential path — CI's
-//! thread-matrix leg runs the suite both ways). Scan results are
+//! overridden by `PROVDB_THREADS` (`=1` forces the exact sequential path —
+//! CI's thread-matrix leg runs the suite both ways). Scan results are
 //! thread-count invariant.
 //!
 //! A document's id encodes its location (`slot * nshards + shard`), ids
@@ -102,16 +102,16 @@
 //! attached, not replayed — open reads only the segment directory, the
 //! zone-map footers, and the WAL tail, so open time is independent of
 //! sealed history. Queries then page cold chunks from the segment files
-//! on demand ([`pager`]) — a chunk's column block and its documents as
-//! separate pages, so a columnar scan decodes no document — pruning
-//! through the on-disk zone maps before
-//! any I/O and holding the paged set under a byte budget
-//! (`PROVDB_RESIDENT_MB`, LRU; counters in [`PagerStats`]). Sealed rows
-//! are immutable and below every snapshot high-water mark, so paged
-//! reads take no lock. `PROVDB_EAGER_OPEN=1` (or
-//! [`DurabilityOptions::eager_open`]) restores the eager re-ingest, and
-//! `tests/out_of_core_differential.rs` pins that both paths answer every
-//! pipeline byte-identically.
+//! on demand (the `pager` module) — a chunk's column block and its
+//! documents as separate pages, so a columnar scan decodes no document —
+//! pruning through the on-disk zone maps before any I/O and holding the
+//! paged set under a byte budget (`PROVDB_RESIDENT_MB`, LRU; counters in
+//! [`PagerStats`]). Sealed rows are immutable and below every snapshot
+//! high-water mark, so paged reads take no lock. Eager replay of the
+//! whole history is kept as the referee,
+//! [`ProvenanceDatabase::open_replayed`], and as the fallback when a
+//! footer fails to load; `tests/out_of_core_differential.rs` pins that
+//! both paths answer every pipeline byte-identically.
 
 #![warn(missing_docs)]
 
@@ -121,6 +121,7 @@ pub(crate) mod segment;
 pub(crate) mod wal;
 
 pub mod cache;
+pub mod config;
 pub mod csr;
 pub mod document;
 pub mod exec;
@@ -132,6 +133,7 @@ pub mod snapshot;
 pub mod store;
 
 pub use cache::{CacheOutcome, CacheStats, PlanCache};
+pub use config::Config;
 pub use csr::{CsrGraph, Direction};
 pub use document::{DocId, DocumentStore, ScanPredicate, TopkScan};
 pub use exec::{execute_plan, GraphOracle, Pushdown};
@@ -141,5 +143,5 @@ pub use pager::PagerStats;
 pub use query::{AggOp, Aggregate, Condition, DocQuery, GroupSpec, Op};
 pub use serve::{QueryServer, ServeConfig, ServeError, ServeStats, SubmitError};
 pub use snapshot::StoreSnapshot;
-pub use store::{DurabilityOptions, DurableStats, ProvenanceDatabase};
+pub use store::{DurableStats, ProvenanceDatabase};
 pub use wal::SyncPolicy;

@@ -7,9 +7,9 @@
 //! disk and is described only by per-segment metadata plus the parsed
 //! footer ([`crate::segment::Footer`]). Queries consult the footer zone
 //! maps *before any I/O* — a chunk the zones prove predicate-free is never
-//! read — and page the rest per [`chunk_rows`]-sized chunk through a
-//! process-wide byte budget (`PROVDB_RESIDENT_MB`, LRU eviction), so the
-//! resident set stays bounded no matter how large the corpus is.
+//! read — and page the rest per chunk through one byte budget
+//! (`Config::resident_bytes`, LRU eviction), so the resident set stays
+//! bounded no matter how large the corpus is.
 //!
 //! ## Pages
 //!
@@ -54,8 +54,6 @@
 //! Paging failures (I/O error, record or column-block checksum mismatch)
 //! are store corruption discovered after open — like the WAL append path,
 //! they panic with the failing path rather than silently dropping rows.
-//!
-//! [`chunk_rows`]: crate::columnar::chunk_rows
 
 use crate::columnar::{self, ColField, ColPredicate, ColumnarShard};
 use crate::segment::{self, Footer, SegmentMeta, ZoneTables, DATA_START};
@@ -68,23 +66,11 @@ use std::os::unix::fs::FileExt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// Default resident-set budget for paged cold chunks (256 MiB).
-pub(crate) const DEFAULT_RESIDENT_BYTES: usize = 256 << 20;
-
-/// `PROVDB_RESIDENT_MB` as bytes, when set to a positive integer.
-pub(crate) fn env_resident_bytes() -> Option<usize> {
-    std::env::var("PROVDB_RESIDENT_MB")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .filter(|&n| n > 0)
-        .map(|n| (n as usize) << 20)
-}
-
 /// Observability counters of the chunk pager (see
 /// [`crate::ProvenanceDatabase::pager_stats`]). All zeros on in-memory
-/// stores and eagerly opened stores, which never page. A *page* is one
+/// stores and replayed opens, which never page. A *page* is one
 /// cold chunk's cols page (its column cells) or its docs page (its
-/// decoded documents); see the [module docs](self).
+/// decoded documents).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PagerStats {
     /// Page reads served from the resident set.

@@ -106,7 +106,7 @@ pub struct ServeStats {
     /// database's cache).
     pub cache: CacheStats,
     /// Chunk-pager counters (all zero unless the database was opened
-    /// lazily over sealed segments — see [`crate::pager`]'s module docs).
+    /// lazily over sealed segments).
     pub pager: crate::PagerStats,
 }
 

@@ -21,68 +21,26 @@
 //!   draining any pending log, so arrival order is preserved).
 
 use crate::cache::PlanCache;
+use crate::config::Config;
 use crate::csr::CsrGraph;
 use crate::document::DocumentStore;
 use crate::graph::{GraphBatch, GraphStore};
 use crate::kv::KvStore;
-use crate::pager::{self, ColdSegment, ColdShard, PagerCore, PagerStats};
+use crate::pager::{ColdSegment, ColdShard, PagerCore, PagerStats};
 use crate::query::{DocQuery, GroupSpec, Op};
 use crate::segment::{self, SegmentMeta};
 use crate::snapshot::StoreSnapshot;
-use crate::wal::{self, SyncPolicy, WalWriter};
+use crate::wal::{self, WalWriter};
 use parking_lot::Mutex;
 use prov_model::{Map, ProvRelation, TaskMessage, Value};
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Tuning knobs of a durable store (see [`ProvenanceDatabase::open_with`]).
-#[derive(Debug, Clone)]
-pub struct DurabilityOptions {
-    /// WAL sync policy (default: `PROVDB_WAL_SYNC`, else batch).
-    pub sync: SyncPolicy,
-    /// Arrivals the WAL may accumulate before a seal is attempted
-    /// (default: `PROVDB_SEAL_ROWS`, else 32768). Sealing granularity is
-    /// additionally bounded below by one `PROVDB_CHUNK` chunk per shard.
-    pub seal_every: u64,
-    /// Sealed runs one shard may accumulate before they are compacted
-    /// into one segment (default 4).
-    pub compact_fanin: usize,
-    /// Replay the full sealed history into memory at open instead of
-    /// attaching it as a lazily paged cold prefix (default: the
-    /// `PROVDB_EAGER_OPEN` env var, truthy when set to anything but
-    /// `0`/`false`; else lazy). Lazy open reads only the segment
-    /// directory, the zone-map footers, and the WAL tail — open time is
-    /// independent of sealed history — and answers every query
-    /// byte-identically to an eager open (the out-of-core differential
-    /// suite pins this).
-    pub eager_open: bool,
-    /// Resident-set byte budget for paged cold chunks (default:
-    /// `PROVDB_RESIDENT_MB` in MiB, else 256 MiB). Ignored by eager
-    /// opens, which never page.
-    pub resident_bytes: Option<usize>,
-}
-
-impl Default for DurabilityOptions {
-    fn default() -> Self {
-        Self {
-            sync: SyncPolicy::from_env(),
-            seal_every: std::env::var("PROVDB_SEAL_ROWS")
-                .ok()
-                .and_then(|v| v.trim().parse::<u64>().ok())
-                .filter(|&n| n > 0)
-                .unwrap_or(32_768),
-            compact_fanin: 4,
-            eager_open: std::env::var("PROVDB_EAGER_OPEN")
-                .map(|v| {
-                    let t = v.trim();
-                    !t.is_empty() && t != "0" && !t.eq_ignore_ascii_case("false")
-                })
-                .unwrap_or(false),
-            resident_bytes: None,
-        }
-    }
-}
+/// Sealed runs one shard may accumulate before they are compacted into
+/// one segment.
+const COMPACT_FANIN: usize = 4;
 
 /// Observability snapshot of a durable store's on-disk state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,9 +81,6 @@ struct SealState {
 struct Durability {
     dir: PathBuf,
     wal_path: PathBuf,
-    sync: SyncPolicy,
-    seal_every: u64,
-    compact_fanin: usize,
     wal: Mutex<WalState>,
     seal: Mutex<SealState>,
 }
@@ -137,6 +92,8 @@ struct Durability {
 /// first materialize any pending stream ingest so readers always observe
 /// every accepted message.
 pub struct ProvenanceDatabase {
+    /// The knobs this database was built with.
+    config: Config,
     documents: DocumentStore,
     kv: KvStore,
     graph: GraphStore,
@@ -171,12 +128,12 @@ pub struct ProvenanceDatabase {
 }
 
 impl ProvenanceDatabase {
-    /// Fresh empty database with hash indexes on the hot equality fields
-    /// and a sorted numeric index on `started_at` for time-range queries.
-    /// The document store's shard and scan-thread counts auto-tune to the
-    /// core count (`PROVDB_SHARDS` / `PROVDB_THREADS` override them).
+    /// Fresh empty database configured from the environment
+    /// ([`Config::from_env`]), with hash indexes on the hot equality
+    /// fields and a sorted numeric index on `started_at` for time-range
+    /// queries.
     pub fn new() -> Self {
-        Self::with_store(DocumentStore::new())
+        Self::with_config(Config::from_env())
     }
 
     /// [`new`] with an explicit document-store shard count (query results
@@ -186,54 +143,77 @@ impl ProvenanceDatabase {
     ///
     /// [`new`]: ProvenanceDatabase::new
     pub fn with_shards(nshards: usize) -> Self {
-        Self::with_store(DocumentStore::with_shards(nshards))
+        Self::with_config(Config {
+            shards: nshards,
+            ..Config::from_env()
+        })
     }
 
-    fn with_store(documents: DocumentStore) -> Self {
+    /// Fresh empty in-memory database built with `config`.
+    fn with_config(config: Config) -> Self {
+        let documents = DocumentStore::with_config(&config);
         documents.create_index("task_id");
         documents.create_index("activity_id");
         documents.create_index("workflow_id");
         documents.create_range_index("started_at");
         documents.enable_columnar();
         Self {
+            config,
             documents,
             kv: KvStore::new(),
             graph: GraphStore::new(),
             pending: Mutex::new(Vec::new()),
             flusher: Mutex::new(()),
             inserts: AtomicU64::new(0),
-            plan_cache: PlanCache::default(),
+            plan_cache: PlanCache::with_max_bytes(config.cache_bytes),
             csr: Mutex::new(None),
             durability: None,
             backends_cold: AtomicBool::new(false),
         }
     }
 
-    /// Open (or create) a **durable** store rooted at `dir`, with the
-    /// default [`DurabilityOptions`] (env-resolved sync policy and seal
-    /// threshold).
+    /// Open (or create) a **durable** store rooted at `dir`, configured
+    /// from the environment ([`Config::from_env`]).
     ///
-    /// Recovery is replay: the sealed segments under `dir` provide the
-    /// bulk of the arrival sequence, the WAL tail provides the rest, and
-    /// the longest contiguous arrival prefix is re-materialized through
-    /// the exact ingest path a live store uses — so a crashed-and-
-    /// recovered store answers every query byte-identically to one that
-    /// never crashed (the recovery differential suite pins this).
+    /// Open is lazy: the sealed segments of this store's geometry (shard
+    /// count and chunk size) are attached as a paged cold prefix, not
+    /// replayed, so open reads only the segment directory, the zone-map
+    /// footers and whatever lies past the sealed coverage — segments of
+    /// other geometries and the WAL tail — which it re-materializes
+    /// through the exact ingest path a live store uses. A crashed-and-
+    /// recovered store thus answers every query byte-identically to one
+    /// that never crashed (the recovery differential suite pins this).
+    /// If any footer fails to load, open falls back to
+    /// [`open_replayed`](Self::open_replayed).
     pub fn open(dir: impl AsRef<Path>) -> std::io::Result<Arc<Self>> {
-        Self::open_with(dir, DurabilityOptions::default())
+        Self::open_with(dir, Config::from_env())
     }
 
-    /// [`open`](Self::open) with explicit options.
-    pub fn open_with(dir: impl AsRef<Path>, opts: DurabilityOptions) -> std::io::Result<Arc<Self>> {
-        let dir = dir.as_ref().to_path_buf();
+    /// [`open`](Self::open) with an explicit configuration.
+    pub fn open_with(dir: impl AsRef<Path>, config: Config) -> std::io::Result<Arc<Self>> {
+        Self::open_durable(dir.as_ref(), config, false)
+    }
+
+    /// [`open_with`](Self::open_with), but replaying the whole arrival
+    /// sequence into memory — every sealed segment, then the WAL — instead
+    /// of attaching sealed rows cold. Open time grows with the sealed
+    /// history, so this is not a production path: it is the referee the
+    /// differential suites and the crash harness hold the lazy open to,
+    /// and the code a lazy open falls back to when a footer fails to load.
+    pub fn open_replayed(dir: impl AsRef<Path>, config: Config) -> std::io::Result<Arc<Self>> {
+        Self::open_durable(dir.as_ref(), config, true)
+    }
+
+    fn open_durable(dir: &Path, config: Config, replay: bool) -> std::io::Result<Arc<Self>> {
+        let dir = dir.to_path_buf();
         std::fs::create_dir_all(&dir)?;
         let wal_path = dir.join("wal.log");
 
         let segs = segment::scan_dir(&dir)?;
         let records = wal::read_records(&wal_path)?;
-        let mut db = Self::with_store(DocumentStore::new());
+        let mut db = Self::with_config(config);
         let n = db.documents.shard_count() as u64;
-        let chunk = crate::columnar::chunk_rows() as u64;
+        let chunk = db.documents.chunk_rows() as u64;
 
         // Sealed coverage of the *current* epoch: contiguous-from-zero
         // runs matching this store's shard count and chunk size; the
@@ -262,58 +242,58 @@ impl ProvenanceDatabase {
             .min()
             .unwrap_or(0);
 
-        // Lazy by default: attach the sealed coverage as a paged cold
-        // prefix instead of replaying it, so open cost is the segment
-        // directory + footers + WAL tail, not the sealed history. Any
-        // footer that fails to load falls back to the eager replay below
-        // (which reads whole documents and so tolerates more damage).
-        let cold = if slots > 0 && !opts.eager_open {
-            Self::build_cold(&segs, n, chunk, slots, opts.resident_bytes)
+        // Attach the sealed coverage as a paged cold prefix instead of
+        // replaying it. A footer that fails to load leaves `cold` empty,
+        // and the whole sequence is replayed below (whole-document reads
+        // tolerate more damage).
+        let cold = if slots > 0 && !replay {
+            Self::build_cold(&segs, n, chunk, slots, config.resident_bytes)
         } else {
             None
         };
 
-        let next = if let Some((core, shards, masks)) = cold {
-            // Only arrivals past the cold coverage are materialized: the
-            // tail of epoch segments sealed beyond the uniform mark, any
-            // other-epoch segments reaching past it, and the WAL tail —
-            // deduped by arrival index exactly like the eager path.
-            let base = slots * n;
-            let mut by_seq: std::collections::BTreeMap<u64, Value> =
-                std::collections::BTreeMap::new();
-            for seg in &segs {
-                let max_seq = (seg.end.saturating_sub(1)) * seg.nshards as u64 + seg.shard as u64;
-                if seg.n_docs == 0 || max_seq < base {
-                    continue;
-                }
-                for (i, doc) in segment::read_docs(seg)?.into_iter().enumerate() {
-                    let seq = (seg.start + i as u64) * seg.nshards as u64 + seg.shard as u64;
-                    if seq >= base {
-                        by_seq.entry(seq).or_insert(doc);
-                    }
+        // Assemble the arrivals from `base` on — past the cold coverage,
+        // or all of them on a replay — from the segments (each names the
+        // arrival indexes it covers, so segments of any geometry serve)
+        // and then the WAL's valid prefix. Duplicates (a crash between
+        // segment rename and WAL rotation) dedupe by arrival index.
+        let base = if cold.is_some() { slots * n } else { 0 };
+        let mut by_seq: BTreeMap<u64, Value> = BTreeMap::new();
+        for seg in &segs {
+            let max_seq = (seg.end.saturating_sub(1)) * seg.nshards as u64 + seg.shard as u64;
+            if seg.n_docs == 0 || max_seq < base {
+                continue;
+            }
+            for (i, doc) in segment::read_docs(seg)?.into_iter().enumerate() {
+                let seq = (seg.start + i as u64) * seg.nshards as u64 + seg.shard as u64;
+                if seq >= base {
+                    by_seq.entry(seq).or_insert(doc);
                 }
             }
-            for r in &records {
-                if r.seq < base {
-                    continue;
-                }
-                if let std::collections::btree_map::Entry::Vacant(e) = by_seq.entry(r.seq) {
-                    if let Some(doc) = r.decode() {
-                        e.insert(doc);
-                    }
+        }
+        for r in &records {
+            if r.seq < base {
+                continue;
+            }
+            if let Entry::Vacant(e) = by_seq.entry(r.seq) {
+                if let Some(doc) = r.decode() {
+                    e.insert(doc);
                 }
             }
-            let mut assembled = Vec::with_capacity(by_seq.len());
-            let mut next = base;
-            while let Some(doc) = by_seq.remove(&next) {
-                assembled.push(doc);
-                next += 1;
-            }
+        }
+        let mut assembled = Vec::with_capacity(by_seq.len());
+        let mut next = base;
+        while let Some(doc) = by_seq.remove(&next) {
+            assembled.push(doc);
+            next += 1;
+        }
 
-            // Normalize the WAL before appending to it: a torn tail
-            // record must not be left in front of fresh appends.
-            wal::rewrite(&wal_path, &records)?;
+        // Normalize the WAL before appending to it: a torn tail record
+        // must not be left in front of fresh appends (replay would stop
+        // at the tear and lose them).
+        wal::rewrite(&wal_path, &records)?;
 
+        if let Some((core, shards, masks)) = cold {
             // Attach order matters: the cold prefix must be in place
             // before the tail materializes (ids continue from it), the
             // recovered pushdown masks before any query plans against
@@ -323,61 +303,18 @@ impl ProvenanceDatabase {
             db.backends_cold.store(true, Ordering::Release);
             db.documents.apply_columnar_report(masks);
             db.documents.attach_cold(core, shards);
-            db.materialize_docs(assembled);
-            next
-        } else {
-            // Eager replay: assemble the whole arrival sequence — sealed
-            // segments first (each names the arrival indexes it covers —
-            // shard-count changes across restarts are handled because
-            // the mapping is stored per segment), then the WAL's valid
-            // prefix; duplicates (a crash between segment rename and WAL
-            // rotation) dedupe by arrival index.
-            let mut by_seq: std::collections::BTreeMap<u64, Value> =
-                std::collections::BTreeMap::new();
-            for seg in &segs {
-                for (i, doc) in segment::read_docs(seg)?.into_iter().enumerate() {
-                    let slot = seg.start + i as u64;
-                    by_seq
-                        .entry(slot * seg.nshards as u64 + seg.shard as u64)
-                        .or_insert(doc);
-                }
-            }
-            for r in &records {
-                if let std::collections::btree_map::Entry::Vacant(e) = by_seq.entry(r.seq) {
-                    if let Some(doc) = r.decode() {
-                        e.insert(doc);
-                    }
-                }
-            }
-            let mut assembled = Vec::with_capacity(by_seq.len());
-            let mut next = 0u64;
-            while let Some(doc) = by_seq.remove(&next) {
-                assembled.push(doc);
-                next += 1;
-            }
-
-            // Normalize the WAL before appending to it: a torn tail
-            // record must not be left in front of fresh appends (replay
-            // would stop at the tear and lose them).
-            wal::rewrite(&wal_path, &records)?;
-
-            // Replay through the live ingest path. Round-robin routing
-            // from a zero router makes arrival `k` land on shard
-            // `k % n`, slot `k / n` — the same ids as the original run,
-            // so query output (which orders by id) is reproduced
-            // exactly.
-            db.materialize_docs(assembled);
-            next
-        };
+        }
+        // Replay through the live ingest path. Round-robin routing from a
+        // zero router makes arrival `k` land on shard `k % n`, slot
+        // `k / n` — the same ids as the original run, so query output
+        // (which orders by id) is reproduced exactly.
+        db.materialize_docs(assembled);
         db.inserts.store(next, Ordering::Relaxed);
 
-        let writer = WalWriter::open(&wal_path, opts.sync)?;
+        let writer = WalWriter::open(&wal_path, config.wal_sync, config.crash_after)?;
         db.durability = Some(Durability {
             dir,
             wal_path,
-            sync: opts.sync,
-            seal_every: opts.seal_every,
-            compact_fanin: opts.compact_fanin.max(2),
             wal: Mutex::new(WalState {
                 writer,
                 next_seq: next,
@@ -395,7 +332,7 @@ impl ProvenanceDatabase {
     /// the contiguous-from-zero chain of current-epoch segments covering
     /// `slots` rows, each opened (the held fd keeps paged reads safe even
     /// if compaction later unlinks the file) with its zone-map footer
-    /// decoded. Returns `None` — eager fallback — if any file or footer
+    /// decoded. Returns `None` — replay fallback — if any file or footer
     /// fails to load (e.g. a pre-mask-format footer). Also accumulates
     /// the OR of the footers' pushdown masks, which equals the live
     /// store's masks over those rows: every sealed document's mask bits
@@ -408,11 +345,8 @@ impl ProvenanceDatabase {
         n: u64,
         chunk: u64,
         slots: u64,
-        budget: Option<usize>,
+        budget: usize,
     ) -> Option<(Arc<PagerCore>, Vec<ColdShard>, crate::columnar::PushReport)> {
-        let budget = budget
-            .or_else(pager::env_resident_bytes)
-            .unwrap_or(pager::DEFAULT_RESIDENT_BYTES);
         let core = Arc::new(PagerCore::new(budget));
         let mut masks = crate::columnar::PushReport::default();
         let mut shards = Vec::with_capacity(n as usize);
@@ -509,7 +443,7 @@ impl ProvenanceDatabase {
 
     /// Chunk-pager counters: cache hits, chunks paged in and evicted,
     /// chunks skipped by zone pruning before any I/O, and the current
-    /// resident set. All zero for in-memory stores and eager opens, which
+    /// resident set. All zero for in-memory stores and replayed opens, which
     /// never page.
     pub fn pager_stats(&self) -> PagerStats {
         self.documents.pager_stats()
@@ -599,7 +533,7 @@ impl ProvenanceDatabase {
                 return Arc::clone(csr);
             }
         }
-        let built = Arc::new(CsrGraph::build(&self.graph));
+        let built = Arc::new(CsrGraph::build(&self.graph, self.config.scan_threads));
         *memo = Some((floor, Arc::clone(&built)));
         built
     }
@@ -771,7 +705,7 @@ impl ProvenanceDatabase {
         n
     }
 
-    /// Replay path of [`open_with`](Self::open_with): materialize
+    /// Replay path of the durable opens: materialize
     /// already-serialized documents through the same fan-out as
     /// [`materialize`](Self::materialize) — same KV keys, same graph
     /// nodes and edges, same shard routing — but without re-serializing
@@ -840,16 +774,17 @@ impl ProvenanceDatabase {
     /// Seal sealed-but-uncovered rows into per-shard segments. Caller
     /// holds the flusher lock (directly or via `materialize`). With
     /// `force`, seals whenever at least one whole chunk per shard is
-    /// uncovered; otherwise only once `seal_every` arrivals accumulated.
+    /// uncovered; otherwise only once `Config::seal_rows` arrivals
+    /// accumulated.
     fn seal_locked(&self, force: bool) -> std::io::Result<u64> {
         let Some(d) = &self.durability else {
             return Ok(0);
         };
         let nshards = self.documents.shard_count() as u64;
-        let chunk = crate::columnar::chunk_rows() as u64;
+        let chunk = self.documents.chunk_rows() as u64;
         let next_seq = d.wal.lock().next_seq;
         let slots = d.seal.lock().slots;
-        if !force && next_seq.saturating_sub(slots * nshards) < d.seal_every {
+        if !force && next_seq.saturating_sub(slots * nshards) < self.config.seal_rows {
             return Ok(slots);
         }
         // Seal uniformly: every shard advances to the same chunk-aligned
@@ -893,14 +828,15 @@ impl ProvenanceDatabase {
                 .collect();
             wal::rewrite(&d.wal_path, &tail)?;
             let written = wal_state.writer.written();
-            let mut writer = WalWriter::open(&d.wal_path, d.sync)?;
+            let mut writer =
+                WalWriter::open(&d.wal_path, self.config.wal_sync, self.config.crash_after)?;
             writer.set_written(written);
             wal_state.writer = writer;
         }
         let mut seal = d.seal.lock();
         seal.slots = m_new;
         seal.segments.extend(new_metas);
-        Self::compact_catalog(d, &mut seal, d.compact_fanin)?;
+        Self::compact_catalog(d, &mut seal, COMPACT_FANIN)?;
         Ok(m_new)
     }
 
@@ -908,8 +844,7 @@ impl ProvenanceDatabase {
     /// chain of at least `fanin` segments into one. Runs off the accept
     /// path (seal time or explicit call), never under shard locks.
     fn compact_catalog(d: &Durability, seal: &mut SealState, fanin: usize) -> std::io::Result<()> {
-        let mut groups: std::collections::BTreeMap<(u32, u32), Vec<SegmentMeta>> =
-            std::collections::BTreeMap::new();
+        let mut groups: BTreeMap<(u32, u32), Vec<SegmentMeta>> = BTreeMap::new();
         for m in seal.segments.drain(..) {
             groups.entry((m.nshards, m.shard)).or_default().push(m);
         }

@@ -35,11 +35,11 @@
 //!
 //! ## Sync policy
 //!
-//! `PROVDB_WAL_SYNC` picks the durability/throughput trade-off:
-//! `always` issues one `fdatasync` per record, `batch` (the default) one
-//! per drained batch. Recovery is identical under both; the policy only
-//! bounds how much a *power* failure can lose (process crashes lose
-//! nothing that was written, synced or not).
+//! `Config::wal_sync` (`PROVDB_WAL_SYNC`) picks the durability/throughput
+//! trade-off: `always` issues one `fdatasync` per record, `batch` (the
+//! default) one per drained batch. Recovery is identical under both; the
+//! policy only bounds how much a *power* failure can lose (process
+//! crashes lose nothing that was written, synced or not).
 //!
 //! ## Binary value codec
 //!
@@ -69,17 +69,6 @@ pub enum SyncPolicy {
     /// can lose the tail of the last batch; a process crash loses
     /// nothing.
     Batch,
-}
-
-impl SyncPolicy {
-    /// Resolve from `PROVDB_WAL_SYNC` (`always` / `batch`,
-    /// case-insensitive); anything else — including unset — is `Batch`.
-    pub fn from_env() -> Self {
-        match std::env::var("PROVDB_WAL_SYNC") {
-            Ok(v) if v.trim().eq_ignore_ascii_case("always") => SyncPolicy::Always,
-            _ => SyncPolicy::Batch,
-        }
-    }
 }
 
 // ---------------------------------------------------------------- CRC-32
@@ -238,11 +227,11 @@ fn take8(buf: &[u8], pos: &mut usize) -> Option<[u8; 8]> {
 
 /// Appender over the durable directory's `wal.log`.
 ///
-/// Carries the crash-point injection hook: when `PROVDB_CRASH_AFTER=<n>`
-/// is set, the process syncs and aborts immediately after the `n`-th
-/// record written by this process reaches the file — the harness's
-/// simulated crash, placed at the worst possible spot (mid-batch, views
-/// half-applied).
+/// Carries the crash-point injection hook: with `crash_after` set to
+/// `n` (`PROVDB_CRASH_AFTER`), the process syncs and aborts immediately
+/// after the `n`-th record written by this process reaches the file —
+/// the harness's simulated crash, placed at the worst possible spot
+/// (mid-batch, views half-applied).
 pub(crate) struct WalWriter {
     file: BufWriter<File>,
     sync: SyncPolicy,
@@ -255,16 +244,18 @@ impl WalWriter {
     /// Open (or create) the log at `path` for appending. A fresh or
     /// empty file gets the header; an existing one is trusted — replay
     /// validated it before the writer is attached.
-    pub(crate) fn open(path: &Path, sync: SyncPolicy) -> std::io::Result<Self> {
+    pub(crate) fn open(
+        path: &Path,
+        sync: SyncPolicy,
+        crash_after: Option<u64>,
+    ) -> std::io::Result<Self> {
         let file = OpenOptions::new().create(true).append(true).open(path)?;
         let fresh = file.metadata()?.len() == 0;
         let mut w = Self {
             file: BufWriter::new(file),
             sync,
             written: 0,
-            crash_after: std::env::var("PROVDB_CRASH_AFTER")
-                .ok()
-                .and_then(|v| v.trim().parse().ok()),
+            crash_after,
         };
         if fresh {
             w.file.write_all(MAGIC)?;
@@ -321,7 +312,7 @@ impl WalWriter {
 
     /// Carry the crash-injection counter across a rotation: the fresh
     /// writer must keep counting from where the rotated one stopped, or
-    /// `PROVDB_CRASH_AFTER` would reset at every seal.
+    /// `crash_after` would reset at every seal.
     pub(crate) fn set_written(&mut self, written: u64) {
         self.written = written;
     }
@@ -469,7 +460,7 @@ mod tests {
         let path = dir.join("wal.log");
         let _ = std::fs::remove_file(&path);
         let docs: Vec<Arc<Value>> = (0..5).map(|_| Arc::new(doc())).collect();
-        let mut w = WalWriter::open(&path, SyncPolicy::Batch).unwrap();
+        let mut w = WalWriter::open(&path, SyncPolicy::Batch, None).unwrap();
         w.append(0, &docs[..3]).unwrap();
         w.append(3, &docs[3..]).unwrap();
         drop(w);

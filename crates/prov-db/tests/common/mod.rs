@@ -122,6 +122,7 @@ static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 /// (`PROVDB_TEST_ARTIFACT_DIR`, default the system temp dir). Kept on
 /// panic (the cleanup call at the end of a test never runs), so CI's
 /// `if: failure()` artifact step can upload the bytes.
+#[allow(clippy::disallowed_methods)]
 pub fn fresh_dir(tag: &str) -> PathBuf {
     let root = std::env::var("PROVDB_TEST_ARTIFACT_DIR")
         .map(PathBuf::from)

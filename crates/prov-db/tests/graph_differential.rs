@@ -9,7 +9,9 @@
 //! `apply_batch`/streaming ingest.
 
 use proptest::prelude::*;
-use prov_db::{CsrGraph, Direction, GraphBatch, GraphOracle, GraphStore, ProvenanceDatabase};
+use prov_db::{
+    Config, CsrGraph, Direction, GraphBatch, GraphOracle, GraphStore, ProvenanceDatabase,
+};
 use prov_db::{Pushdown, StoreSnapshot};
 use prov_model::{Map, TaskMessage, TaskMessageBuilder};
 use provql::parse;
@@ -103,7 +105,7 @@ proptest! {
         depth in 0usize..6,
     ) {
         let store = build_store(&g);
-        let csr = CsrGraph::build(&store);
+        let csr = CsrGraph::build(&store, Config::from_env().scan_threads);
         let start = format!("t{}", start % g.n);
         // 3 = any-relation; RELS[..] includes a rel the graph may not use.
         let rel = if rel_i == 3 { "" } else { RELS[rel_i] };
@@ -148,7 +150,7 @@ proptest! {
         b in 0usize..24,
     ) {
         let store = build_store(&g);
-        let csr = CsrGraph::build(&store);
+        let csr = CsrGraph::build(&store, Config::from_env().scan_threads);
         let from = format!("t{}", a % g.n);
         let to = format!("t{}", b % g.n);
         let oracle = store.shortest_path(&from, &to);
@@ -175,7 +177,7 @@ proptest! {
     #[test]
     fn csr_membership_matches_store(g in arb_graph(), probe in 0usize..24) {
         let store = build_store(&g);
-        let csr = CsrGraph::build(&store);
+        let csr = CsrGraph::build(&store, Config::from_env().scan_threads);
         let id = format!("t{}", probe % g.n);
         prop_assert_eq!(csr.contains_node(&id), store.node(&id).is_some());
         prop_assert_eq!(
@@ -203,7 +205,7 @@ fn parallel_frontier_is_thread_count_invariant() {
         batch.add_edge(format!("mid{i}"), format!("leaf{}", (i * 7) % 600), RELS[0]);
     }
     store.apply_batch(batch);
-    let csr = CsrGraph::build(&store);
+    let csr = CsrGraph::build(&store, Config::from_env().scan_threads);
 
     csr.set_traverse_threads(1);
     let seq_up = owned(csr.traverse("root", RELS[0], Direction::Out, 3));

@@ -14,42 +14,44 @@ mod common;
 
 use common::{corpus, fingerprint, fresh_dir, oracle, scrub_index_maps, GOLDEN};
 use proptest::prelude::*;
-use prov_db::{DurabilityOptions, ProvenanceDatabase, SyncPolicy};
+use prov_db::{Config, ProvenanceDatabase, SyncPolicy};
 use prov_model::{TaskMessage, TaskStatus};
 use provql::parse;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-/// Options for a lazy reopen with an explicit resident budget.
-fn lazy_opts(resident_bytes: usize) -> DurabilityOptions {
-    DurabilityOptions {
-        sync: SyncPolicy::Batch,
-        eager_open: false,
-        resident_bytes: Some(resident_bytes),
-        ..DurabilityOptions::default()
+/// This process's configuration with batch WAL sync.
+fn config() -> Config {
+    Config {
+        wal_sync: SyncPolicy::Batch,
+        ..Config::from_env()
     }
 }
 
-fn eager_opts() -> DurabilityOptions {
-    DurabilityOptions {
-        sync: SyncPolicy::Batch,
-        eager_open: true,
-        ..DurabilityOptions::default()
-    }
+/// A lazy reopen with an explicit resident budget.
+fn open_lazy(dir: &PathBuf, resident_bytes: usize) -> Arc<ProvenanceDatabase> {
+    let config = Config {
+        resident_bytes,
+        ..config()
+    };
+    ProvenanceDatabase::open_with(dir, config).expect("lazy reopen")
 }
 
-/// Per-shard chunk geometry of this process (env-resolved once).
+/// The replayed reopen every lazy one is held to.
+fn open_replayed(dir: &PathBuf) -> Arc<ProvenanceDatabase> {
+    ProvenanceDatabase::open_replayed(dir, config()).expect("replayed reopen")
+}
+
+/// Per-shard chunk geometry of this process's configuration.
 fn geometry() -> (usize, usize) {
-    let probe = ProvenanceDatabase::new();
-    let chunk = probe.documents().chunk_rows();
-    let nshards = probe.documents().shard_count();
-    (chunk, nshards)
+    let config = Config::from_env();
+    (config.chunk_rows, config.shards)
 }
 
 /// Build a sealed-and-compacted durable directory over `msgs`, with the
 /// final `tail` messages left in the WAL.
 fn seal_corpus(dir: &PathBuf, msgs: &[TaskMessage]) {
-    let db = ProvenanceDatabase::open_with(dir, eager_opts()).expect("open durable");
+    let db = ProvenanceDatabase::open_with(dir, config()).expect("open durable");
     db.insert_batch_shared(msgs.iter().cloned().map(Arc::new));
     db.flush_views();
     db.seal_now().expect("seal");
@@ -67,7 +69,7 @@ fn lazy_open_matches_eager_and_oracle_under_any_budget() {
     seal_corpus(&dir, &msgs);
 
     let want = fingerprint(&oracle(&msgs).snapshot(), GOLDEN);
-    let eager = ProvenanceDatabase::open_with(&dir, eager_opts()).expect("eager reopen");
+    let eager = open_replayed(&dir);
     assert_eq!(eager.insert_count(), msgs.len() as u64);
     assert_eq!(
         fingerprint(&eager.snapshot(), GOLDEN),
@@ -78,7 +80,7 @@ fn lazy_open_matches_eager_and_oracle_under_any_budget() {
     drop(eager);
 
     for budget in [64 << 20, 1] {
-        let lazy = ProvenanceDatabase::open_with(&dir, lazy_opts(budget)).expect("lazy reopen");
+        let lazy = open_lazy(&dir, budget);
         assert_eq!(lazy.insert_count(), msgs.len() as u64, "budget {budget}");
         assert_eq!(
             lazy.pager_stats().paged_in,
@@ -121,8 +123,8 @@ fn id_gathers_page_each_touched_chunk_at_most_once() {
     let dir = fresh_dir("gather");
     seal_corpus(&dir, &msgs);
 
-    let eager = ProvenanceDatabase::open_with(&dir, eager_opts()).expect("eager reopen");
-    let lazy = ProvenanceDatabase::open_with(&dir, lazy_opts(1)).expect("lazy reopen");
+    let eager = open_replayed(&dir);
+    let lazy = open_lazy(&dir, 1);
     let sealed = lazy.durable_stats().expect("durable").sealed_slots as usize;
     // Every shard's slots on both sides of the first chunk boundary.
     let ids: Vec<usize> = ((chunk - 8) * nshards..(chunk + 8) * nshards).collect();
@@ -199,8 +201,8 @@ fn snapshot_head_stops_paging_at_the_limit() {
     let dir = fresh_dir("head");
     seal_corpus(&dir, &msgs);
 
-    let eager = ProvenanceDatabase::open_with(&dir, eager_opts()).expect("eager reopen");
-    let lazy = ProvenanceDatabase::open_with(&dir, lazy_opts(1)).expect("lazy reopen");
+    let eager = open_replayed(&dir);
+    let lazy = open_lazy(&dir, 1);
     let q = parse(r#"df[df["status"] == "ERROR"][["task_id"]].head(3)"#).expect("parses");
     let snap = lazy.snapshot();
     let before = lazy.pager_stats();
@@ -277,7 +279,7 @@ fn lazy_open_hydrates_kv_and_graph_on_first_read() {
     let dir = fresh_dir("hydrate");
     seal_corpus(&dir, &msgs);
 
-    let lazy = ProvenanceDatabase::open_with(&dir, lazy_opts(64 << 20)).expect("lazy reopen");
+    let lazy = open_lazy(&dir, 64 << 20);
     let oracle = oracle(&msgs);
     // Graph first (hydration triggers here), then KV.
     assert_eq!(lazy.lineage("t9", 10), oracle.lineage("t9", 10));
@@ -313,7 +315,7 @@ fn impossible_predicate_prunes_cold_chunks_without_paging() {
     let dir = fresh_dir("prune");
     seal_corpus(&dir, &msgs);
 
-    let lazy = ProvenanceDatabase::open_with(&dir, lazy_opts(64 << 20)).expect("lazy reopen");
+    let lazy = open_lazy(&dir, 64 << 20);
     let q = parse(r#"df[df["started_at"] > 1e12]["task_id"]"#).expect("parses");
     let snap = lazy.snapshot();
     let out = prov_db::execute_plan(&snap, &provql::plan(&q, &*snap));
@@ -339,8 +341,8 @@ fn columnar_pipelines_page_no_documents_and_document_reads_no_columns() {
     let msgs = corpus(2 * chunk * nshards + 7);
     let dir = fresh_dir("kinds");
     seal_corpus(&dir, &msgs);
-    let eager = ProvenanceDatabase::open_with(&dir, eager_opts()).expect("eager reopen");
-    let lazy = ProvenanceDatabase::open_with(&dir, lazy_opts(64 << 20)).expect("lazy reopen");
+    let eager = open_replayed(&dir);
+    let lazy = open_lazy(&dir, 64 << 20);
     let sealed = lazy.durable_stats().expect("durable").sealed_slots as usize;
 
     let run = |db: &Arc<ProvenanceDatabase>, q: &provql::Query| {
@@ -446,7 +448,7 @@ fn a_malformed_layout_table_takes_the_eager_fallback() {
     bytes[size - 10..size - 6].copy_from_slice(&crc.to_le_bytes());
     std::fs::write(&seg, &bytes).expect("rewrite segment");
 
-    let db = ProvenanceDatabase::open_with(&dir, lazy_opts(64 << 20)).expect("reopen");
+    let db = open_lazy(&dir, 64 << 20);
     assert_eq!(
         fingerprint(&db.snapshot(), GOLDEN),
         fingerprint(&oracle(&msgs).snapshot(), GOLDEN)
@@ -501,14 +503,14 @@ fn pseg1_segments_answer_like_pseg2_and_compact_forward() {
     let dir = fresh_dir("pseg1");
     seal_corpus(&dir, &msgs[..per_run]);
     let want = fingerprint(&oracle(&msgs[..per_run]).snapshot(), GOLDEN);
-    let pseg2 = ProvenanceDatabase::open_with(&dir, lazy_opts(64 << 20)).expect("PSEG2 reopen");
+    let pseg2 = open_lazy(&dir, 64 << 20);
     assert_eq!(fingerprint(&pseg2.snapshot(), GOLDEN), want, "PSEG2");
     drop(pseg2);
 
     for seg in segment_files(&dir) {
         downgrade_to_pseg1(&seg);
     }
-    let db = ProvenanceDatabase::open_with(&dir, lazy_opts(64 << 20)).expect("PSEG1 reopen");
+    let db = open_lazy(&dir, 64 << 20);
     assert!(db.durable_stats().expect("durable").sealed_slots > 0);
     assert_eq!(fingerprint(&db.snapshot(), GOLDEN), want, "PSEG1");
     assert!(db.pager_stats().paged_in_docs > 0, "PSEG1 pages documents");
@@ -522,7 +524,7 @@ fn pseg1_segments_answer_like_pseg2_and_compact_forward() {
         let magic = std::fs::read(&seg).expect("read segment")[..6].to_vec();
         assert_eq!(magic, b"PSEG2\n", "{} not rewritten forward", seg.display());
     }
-    let back = ProvenanceDatabase::open_with(&dir, lazy_opts(64 << 20)).expect("reopen");
+    let back = open_lazy(&dir, 64 << 20);
     assert_eq!(
         fingerprint(&back.snapshot(), GOLDEN),
         fingerprint(&oracle(&msgs).snapshot(), GOLDEN),
@@ -545,7 +547,7 @@ fn continued_ingest_sealing_and_reopen_preserve_answers() {
     let dir = fresh_dir("reseal");
     seal_corpus(&dir, &msgs[..per_run]);
 
-    let db = ProvenanceDatabase::open_with(&dir, lazy_opts(64 << 20)).expect("lazy reopen");
+    let db = open_lazy(&dir, 64 << 20);
     let snap = db.snapshot();
     let want_prefix = fingerprint(&oracle(&msgs[..per_run]).snapshot(), GOLDEN);
     assert_eq!(fingerprint(&db.snapshot(), GOLDEN), want_prefix);
@@ -583,6 +585,65 @@ fn continued_ingest_sealing_and_reopen_preserve_answers() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// One directory under two geometries in one process: sealed at 4
+/// shards × 64-row chunks, grown and sealed at 2 shards × 4096-row
+/// chunks, then grown and sealed at the first geometry again. After each
+/// step, `open` at either geometry — which attaches the segments of its
+/// own geometry cold and replays the rest — and `open_replayed` answer
+/// the golden set byte-identically to the oracle.
+#[test]
+fn reopening_under_another_geometry_matches_the_oracle() {
+    let small = Config {
+        shards: 4,
+        chunk_rows: 64,
+        ..config()
+    };
+    let large = Config {
+        shards: 2,
+        chunk_rows: 4096,
+        ..config()
+    };
+    let msgs = corpus(2 * 4096 + 14);
+    let dir = fresh_dir("geometry");
+    let grow = |config: Config, rows: std::ops::Range<usize>| {
+        let db = ProvenanceDatabase::open_with(&dir, config).expect("open durable");
+        db.insert_batch_shared(msgs[rows].iter().cloned().map(Arc::new));
+        db.flush_views();
+        db.seal_now().expect("seal")
+    };
+    // `large_sealed`: whether segments of the large geometry exist yet,
+    // so that its `open` attaches them cold instead of replaying.
+    let check = |upto: usize, large_sealed: bool| {
+        let want = fingerprint(&oracle(&msgs[..upto]).snapshot(), GOLDEN);
+        for (config, sealed) in [(small, true), (large, large_sealed)] {
+            let geometry = format!("{} shards x {} rows", config.shards, config.chunk_rows);
+            let lazy = ProvenanceDatabase::open_with(&dir, config).expect("open");
+            assert_eq!(lazy.insert_count(), upto as u64, "{geometry}");
+            assert_eq!(
+                fingerprint(&lazy.snapshot(), GOLDEN),
+                want,
+                "open, {geometry}"
+            );
+            let paged = lazy.pager_stats().paged_in > 0;
+            assert_eq!(paged, sealed, "open pages cold rows, {geometry}");
+            drop(lazy);
+            let replayed = ProvenanceDatabase::open_replayed(&dir, config).expect("replay");
+            assert_eq!(
+                fingerprint(&replayed.snapshot(), GOLDEN),
+                want,
+                "open_replayed, {geometry}"
+            );
+        }
+    };
+    assert_eq!(grow(small, 0..2 * 64 * 4 + 7), 128);
+    check(2 * 64 * 4 + 7, false);
+    assert_eq!(grow(large, 2 * 64 * 4 + 7..2 * 4096 + 9), 4096);
+    check(2 * 4096 + 9, true);
+    assert_eq!(grow(small, 2 * 4096 + 9..msgs.len()), 2048);
+    check(msgs.len(), true);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Shared sealed fixture for the random-pipeline differential: one
 /// directory, three stores (eager, lazy, lazy with a one-byte budget).
 fn shared_stores() -> &'static (
@@ -600,9 +661,9 @@ fn shared_stores() -> &'static (
         let msgs = corpus(chunk * nshards + 9);
         let dir = fresh_dir("prop");
         seal_corpus(&dir, &msgs);
-        let eager = ProvenanceDatabase::open_with(&dir, eager_opts()).expect("eager");
-        let lazy = ProvenanceDatabase::open_with(&dir, lazy_opts(64 << 20)).expect("lazy");
-        let tiny = ProvenanceDatabase::open_with(&dir, lazy_opts(1)).expect("tiny");
+        let eager = open_replayed(&dir);
+        let lazy = open_lazy(&dir, 64 << 20);
+        let tiny = open_lazy(&dir, 1);
         (eager, lazy, tiny)
     })
 }

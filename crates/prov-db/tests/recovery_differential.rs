@@ -19,7 +19,7 @@ mod common;
 
 use common::{corpus, fingerprint, fresh_dir, oracle, GOLDEN};
 use proptest::prelude::*;
-use prov_db::{DurabilityOptions, ProvenanceDatabase, SyncPolicy};
+use prov_db::{Config, ProvenanceDatabase, SyncPolicy};
 use prov_model::TaskMessage;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -34,10 +34,10 @@ const GOLDEN_FAST: &[&str] = &[
     r#"df["y"].sum()"#,
 ];
 
-fn opts(sync: SyncPolicy) -> DurabilityOptions {
-    DurabilityOptions {
-        sync,
-        ..DurabilityOptions::default()
+fn opts(wal_sync: SyncPolicy) -> Config {
+    Config {
+        wal_sync,
+        ..Config::from_env()
     }
 }
 
@@ -147,10 +147,11 @@ fn crash_at_every_wal_record_boundary_replays_the_prefix() {
 /// single query answer.
 #[test]
 fn sealing_and_compaction_preserve_answers() {
-    let probe = ProvenanceDatabase::new();
-    let chunk = probe.documents().chunk_rows();
-    let nshards = probe.documents().shard_count();
-    drop(probe);
+    let Config {
+        chunk_rows: chunk,
+        shards: nshards,
+        ..
+    } = Config::from_env();
     // Two full chunks per shard, plus a WAL tail that stays unsealed.
     let per_run = chunk * nshards;
     let msgs = corpus(2 * per_run + 7);

@@ -13,6 +13,7 @@ use provql::parse;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
+#[allow(clippy::disallowed_methods)]
 fn readers() -> usize {
     std::env::var("SERVE_READERS")
         .ok()
