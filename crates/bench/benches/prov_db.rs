@@ -2,12 +2,13 @@
 //! baseline on the three hot paths the ISSUE names — batch ingest,
 //! indexed point find, and group-by aggregation — plus the vectorized
 //! kernels (zone-map chunk skipping, code-based group-by), the latter
-//! against its frame-based equivalent.
+//! against its frame-based equivalent, and the oracle frame built from
+//! empty against the same frame extended by a delta.
 
 use bench::baseline::BaselineDatabase;
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use prov_db::{AggOp, Aggregate, DocQuery, GroupSpec, Op, ProvenanceDatabase};
-use prov_model::{TaskMessage, TaskMessageBuilder};
+use prov_model::{TaskMessage, TaskMessageBuilder, TelemetrySynth};
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Duration;
@@ -179,12 +180,60 @@ fn bench_vectorized_groupby(c: &mut Criterion) {
     g.finish();
 }
 
+/// The oracle frame of a 20k-row store with start and end telemetry on
+/// every row: built from empty (a fresh store per sample), and extended
+/// by 1k newer rows over the memo a 20k-row snapshot left behind. Only
+/// the `oracle_frame` call is timed; building the store is setup.
+fn bench_oracle_frame(c: &mut Criterion) {
+    let mut g = c.benchmark_group("oracle_frame");
+    g.sample_size(10).measurement_time(Duration::from_secs(10));
+    const N: usize = 20_000;
+    const DELTA: usize = 1_000;
+    let synth = TelemetrySynth::frontier(7);
+    let msgs: Vec<TaskMessage> = (0..N + DELTA)
+        .map(|i| {
+            let mut m = msg(i);
+            m.telemetry_at_start = Some(synth.snapshot(i as u64, 0, 0.5));
+            m.telemetry_at_end = Some(synth.snapshot(i as u64, 1, 0.5));
+            m
+        })
+        .collect();
+    let store = |rows: &[TaskMessage]| {
+        let db = ProvenanceDatabase::shared();
+        db.insert_batch(rows);
+        db
+    };
+    g.bench_function("build_20k", |b| {
+        b.iter_batched(
+            || store(&msgs[..N]).snapshot(),
+            // The snapshot is handed back so that dropping the store it
+            // holds stays outside the timed call.
+            |snap| (snap.oracle_frame(), snap),
+            BatchSize::PerIteration,
+        )
+    });
+    g.bench_function("extend_1k_over_20k", |b| {
+        b.iter_batched(
+            || {
+                let db = store(&msgs[..N]);
+                db.snapshot().oracle_frame();
+                db.insert_batch(&msgs[N..]);
+                db
+            },
+            |db| (db.snapshot().oracle_frame(), db),
+            BatchSize::PerIteration,
+        )
+    });
+    g.finish();
+}
+
 criterion_group!(
     prov_db,
     bench_batch_ingest,
     bench_indexed_find,
     bench_aggregate,
     bench_chunk_skip,
-    bench_vectorized_groupby
+    bench_vectorized_groupby,
+    bench_oracle_frame
 );
 criterion_main!(prov_db);

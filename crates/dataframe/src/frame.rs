@@ -159,7 +159,7 @@ impl DataFrame {
     ///
     /// [`from_messages`]: DataFrame::from_messages
     pub fn push_message(&mut self, m: &TaskMessage) {
-        self.push_row(&message_row(m));
+        self.push_cells(message_row(m), |_| {});
     }
 
     /// Build a frame containing only the named columns of each message —
@@ -183,32 +183,38 @@ impl DataFrame {
         for m in messages {
             let mut row = message_row(m);
             row.retain(|k, _| columns.iter().any(|c| c == k.as_str()));
-            df.push_row(&row);
+            df.push_cells(row, |_| {});
         }
         df
     }
 
     /// Append one row map; unseen keys create new null-backfilled columns.
     pub fn push_row(&mut self, row: &Map) {
-        self.push_row_marked(row, |_| {});
+        self.push_cells(row.clone(), |_| {});
     }
 
-    /// [`push_row`](DataFrame::push_row), calling `held` with the position
-    /// of every column the row holds, in ascending order. Columns the row
-    /// creates are appended last, so they are reported last.
-    fn push_row_marked(&mut self, row: &Map, mut held: impl FnMut(usize)) {
-        for key in row.keys() {
-            if !self.index.contains_key(key.as_str()) {
-                self.insert_column(Column::new(key.as_str(), vec![Value::Null; self.rows]));
-            }
-        }
-        for (i, c) in self.columns.iter_mut().enumerate() {
-            match row.get(c.name()) {
-                Some(v) => {
-                    held(i);
-                    c.push(v.clone());
+    /// Append one row, moving each cell into its column: a key that names
+    /// no column yet creates a null-backfilled one at the end (so new
+    /// columns follow the row's key order), and every column the row does
+    /// not hold gets a null. Calls `held` with the position of each column
+    /// the row holds, in the row's key order; a new column is reported as
+    /// it is created, so its position is always the next one.
+    fn push_cells(&mut self, row: Map, mut held: impl FnMut(usize)) {
+        let rows = self.rows;
+        for (key, value) in row {
+            let i = match self.index.get(key.as_str()) {
+                Some(&i) => i,
+                None => {
+                    self.insert_column(Column::new(key.as_str(), vec![Value::Null; rows]));
+                    self.columns.len() - 1
                 }
-                None => c.push(Value::Null),
+            };
+            held(i);
+            self.columns[i].push(value);
+        }
+        for c in &mut self.columns {
+            if c.len() == rows {
+                c.push(Value::Null);
             }
         }
         self.rows += 1;
@@ -579,7 +585,7 @@ impl MessageWindow {
         let seq = self.head + self.frame.rows as u64;
         let pos = self.ring_pos(seq);
         let (present, first) = (&mut self.present, &mut self.first);
-        self.frame.push_row_marked(&message_row(m), |i| {
+        self.frame.push_cells(message_row(m), |i| {
             if i == present.len() {
                 present.push(Vec::new());
                 first.push(seq);
@@ -694,11 +700,12 @@ fn next_present(bits: &[u64], mut seq: u64, end: u64, capacity: usize) -> Option
 /// materialize, so it avoids per-field map restructuring.
 fn message_row(m: &TaskMessage) -> Map {
     use prov_model::keys;
-    let mut pairs: Vec<(Sym, Value)> = Vec::with_capacity(24);
-    pairs.push((keys::task_id(), Value::from(m.task_id.as_str())));
-    pairs.push((keys::campaign_id(), Value::from(m.campaign_id.as_str())));
-    pairs.push((keys::workflow_id(), Value::from(m.workflow_id.as_str())));
-    pairs.push((keys::activity_id(), Value::from(m.activity_id.as_str())));
+    let derived = derived_keys();
+    let mut pairs: Vec<(Sym, Value)> = Vec::with_capacity(48);
+    pairs.push((keys::task_id(), Value::Str(m.task_id.sym())));
+    pairs.push((keys::campaign_id(), Value::Str(m.campaign_id.sym())));
+    pairs.push((keys::workflow_id(), Value::Str(m.workflow_id.sym())));
+    pairs.push((keys::activity_id(), Value::Str(m.activity_id.sym())));
     pairs.push((keys::started_at(), Value::Float(m.started_at)));
     pairs.push((keys::ended_at(), Value::Float(m.ended_at)));
     pairs.push((keys::duration(), Value::Float(m.duration())));
@@ -708,12 +715,7 @@ fn message_row(m: &TaskMessage) -> Map {
     if !m.depends_on.is_empty() {
         pairs.push((
             keys::depends_on(),
-            Value::array(
-                m.depends_on
-                    .iter()
-                    .map(|t| Value::from(t.as_str()))
-                    .collect(),
-            ),
+            Value::array(m.depends_on.iter().map(|t| Value::Str(t.sym())).collect()),
         ));
     }
     for (key, value) in m.used.flatten() {
@@ -725,23 +727,75 @@ fn message_row(m: &TaskMessage) -> Map {
         pairs.push((Sym::from(name), value));
     }
     if let Some(t) = &m.telemetry_at_start {
-        for (key, value) in t.to_value().flatten() {
-            pairs.push((Sym::from(format!("telemetry_at_start.{key}")), value));
-        }
-        pairs.push(("cpu_percent_start".into(), Value::Float(t.cpu_mean())));
+        push_telemetry(&mut pairs, &derived.start, t);
+        pairs.push((derived.cpu_start.clone(), Value::Float(t.cpu_mean())));
     }
     if let Some(t) = &m.telemetry_at_end {
-        for (key, value) in t.to_value().flatten() {
-            pairs.push((Sym::from(format!("telemetry_at_end.{key}")), value));
-        }
-        pairs.push(("cpu_percent_end".into(), Value::Float(t.cpu_mean())));
-        pairs.push(("gpu_percent_end".into(), Value::Float(t.gpu_mean())));
-        pairs.push(("mem_used_mb_end".into(), Value::Float(t.mem_used_mb)));
+        push_telemetry(&mut pairs, &derived.end, t);
+        pairs.push((derived.cpu_end.clone(), Value::Float(t.cpu_mean())));
+        pairs.push((derived.gpu_end.clone(), Value::Float(t.gpu_mean())));
+        pairs.push((derived.mem_end.clone(), Value::Float(t.mem_used_mb)));
     }
     for (k, v) in &m.tags {
         pairs.push((Sym::from(format!("tags.{k}")), v.clone()));
     }
     Map::from_iter(pairs)
+}
+
+/// The eight leaves of `Telemetry::to_value().flatten()`, in the order
+/// it emits them (the byte order of the section and field names).
+const TELEMETRY_LEAVES: [&str; 8] = [
+    "cpu.percent",
+    "disk.read_bytes",
+    "disk.write_bytes",
+    "gpu.percent",
+    "memory.total_mb",
+    "memory.used_mb",
+    "network.recv_bytes",
+    "network.sent_bytes",
+];
+
+/// The interned column names [`message_row`] derives from telemetry,
+/// built once per process.
+struct DerivedKeys {
+    start: [Sym; 8],
+    end: [Sym; 8],
+    cpu_start: Sym,
+    cpu_end: Sym,
+    gpu_end: Sym,
+    mem_end: Sym,
+}
+
+fn derived_keys() -> &'static DerivedKeys {
+    static KEYS: std::sync::OnceLock<DerivedKeys> = std::sync::OnceLock::new();
+    KEYS.get_or_init(|| {
+        let section = |name: &str| TELEMETRY_LEAVES.map(|leaf| Sym::from(format!("{name}.{leaf}")));
+        DerivedKeys {
+            start: section("telemetry_at_start"),
+            end: section("telemetry_at_end"),
+            cpu_start: Sym::from("cpu_percent_start"),
+            cpu_end: Sym::from("cpu_percent_end"),
+            gpu_end: Sym::from("gpu_percent_end"),
+            mem_end: Sym::from("mem_used_mb_end"),
+        }
+    })
+}
+
+/// Push one telemetry section's leaves under `names` (a
+/// [`TELEMETRY_LEAVES`] row), valued as `Telemetry::to_value` values them.
+fn push_telemetry(pairs: &mut Vec<(Sym, Value)>, names: &[Sym; 8], t: &prov_model::Telemetry) {
+    let floats = |v: &[f64]| Value::array(v.iter().map(|&x| Value::Float(x)).collect());
+    let values = [
+        floats(&t.cpu_percent),
+        Value::Int(t.disk_read_bytes as i64),
+        Value::Int(t.disk_write_bytes as i64),
+        floats(&t.gpu_percent),
+        Value::Float(t.mem_total_mb),
+        Value::Float(t.mem_used_mb),
+        Value::Int(t.net_recv_bytes as i64),
+        Value::Int(t.net_sent_bytes as i64),
+    ];
+    pairs.extend(names.iter().cloned().zip(values));
 }
 
 /// Bare name unless it clashes with a common field or a column this same
@@ -998,5 +1052,130 @@ mod tests {
             .with_tag("anomaly", obj! {"metric" => "cpu"});
         let df = DataFrame::from_messages(std::iter::once(&m));
         assert!(df.has_column("tags.anomaly"));
+    }
+
+    /// `message_row` as it was derived before the fixed-shape telemetry
+    /// table: the generic `to_value().flatten()` walk with per-leaf
+    /// `format!` names. Kept as the referee the table must reproduce.
+    fn reference_row(m: &TaskMessage) -> Map {
+        use prov_model::keys;
+        let mut pairs: Vec<(Sym, Value)> = Vec::with_capacity(24);
+        pairs.push((keys::task_id(), Value::from(m.task_id.as_str())));
+        pairs.push((keys::campaign_id(), Value::from(m.campaign_id.as_str())));
+        pairs.push((keys::workflow_id(), Value::from(m.workflow_id.as_str())));
+        pairs.push((keys::activity_id(), Value::from(m.activity_id.as_str())));
+        pairs.push((keys::started_at(), Value::Float(m.started_at)));
+        pairs.push((keys::ended_at(), Value::Float(m.ended_at)));
+        pairs.push((keys::duration(), Value::Float(m.duration())));
+        pairs.push((keys::hostname(), Value::from(m.hostname.as_str())));
+        pairs.push((keys::status(), Value::Str(m.status.sym())));
+        pairs.push((keys::msg_type(), Value::Str(m.msg_type.sym())));
+        if !m.depends_on.is_empty() {
+            let deps = m.depends_on.iter().map(|t| Value::from(t.as_str()));
+            pairs.push((keys::depends_on(), Value::array(deps.collect())));
+        }
+        for (key, value) in m.used.flatten() {
+            let name = dataflow_column_name(&key, "used", &pairs);
+            pairs.push((Sym::from(name), value));
+        }
+        for (key, value) in m.generated.flatten() {
+            let name = dataflow_column_name(&key, "generated", &pairs);
+            pairs.push((Sym::from(name), value));
+        }
+        if let Some(t) = &m.telemetry_at_start {
+            for (key, value) in t.to_value().flatten() {
+                pairs.push((Sym::from(format!("telemetry_at_start.{key}")), value));
+            }
+            pairs.push(("cpu_percent_start".into(), Value::Float(t.cpu_mean())));
+        }
+        if let Some(t) = &m.telemetry_at_end {
+            for (key, value) in t.to_value().flatten() {
+                pairs.push((Sym::from(format!("telemetry_at_end.{key}")), value));
+            }
+            pairs.push(("cpu_percent_end".into(), Value::Float(t.cpu_mean())));
+            pairs.push(("gpu_percent_end".into(), Value::Float(t.gpu_mean())));
+            pairs.push(("mem_used_mb_end".into(), Value::Float(t.mem_used_mb)));
+        }
+        for (k, v) in &m.tags {
+            pairs.push((Sym::from(format!("tags.{k}")), v.clone()));
+        }
+        Map::from_iter(pairs)
+    }
+
+    #[test]
+    fn message_row_matches_the_flatten_referee() {
+        use prov_model::Telemetry;
+        let synth = TelemetrySynth::frontier(3);
+        let bare = Telemetry {
+            cpu_percent: Vec::new(),
+            gpu_percent: Vec::new(),
+            ..Telemetry::default()
+        };
+        let nan = Telemetry {
+            cpu_percent: vec![f64::NAN, 1.0],
+            gpu_percent: vec![f64::NAN],
+            mem_used_mb: f64::NAN,
+            mem_total_mb: f64::NAN,
+            disk_read_bytes: u64::MAX,
+            ..Telemetry::default()
+        };
+        let mut msgs = messages();
+        // Empty cpu/gpu arrays on both sections.
+        msgs.push(
+            TaskMessageBuilder::new("e", "wf", "a")
+                .telemetry(bare.clone(), bare.clone())
+                .build(),
+        );
+        // Only one section present, each way round; NaN leaves.
+        let mut start_only = TaskMessageBuilder::new("s", "wf", "a")
+            .telemetry(synth.snapshot(1, 0, 0.9), bare)
+            .build();
+        start_only.telemetry_at_end = None;
+        msgs.push(start_only);
+        let mut end_only = TaskMessageBuilder::new("n", "wf", "a")
+            .telemetry(nan.clone(), nan)
+            .span(f64::NAN, 2.0)
+            .build();
+        end_only.telemetry_at_start = None;
+        msgs.push(end_only);
+        // No telemetry; a `used.x`/`generated.x` clash, common-field and
+        // derived-name clashes, nested payloads, lineage and tags.
+        msgs.push(
+            TaskMessageBuilder::new("c", "wf", "a")
+                .uses("x", 1.0)
+                .generates("x", f64::NAN)
+                .uses("status", "shadowed")
+                .generates("duration", 3)
+                .generates("frags", obj! {"label" => "A", "n" => 2})
+                .depends_on("t0")
+                .depends_on("t1")
+                .agent("agent-1")
+                .build()
+                .with_tag("anomaly", obj! {"metric" => "cpu"}),
+        );
+        for m in &msgs {
+            let (got, want) = (message_row(m), reference_row(m));
+            let keys = |row: &Map| row.keys().map(|k| k.to_string()).collect::<Vec<_>>();
+            assert_eq!(keys(&got), keys(&want), "column names of {}", m.task_id);
+            assert_eq!(
+                format!("{got:?}"),
+                format!("{want:?}"),
+                "row of {}",
+                m.task_id
+            );
+        }
+        let mut referee = DataFrame::new();
+        for m in &msgs {
+            referee.push_row(&reference_row(m));
+        }
+        let frame = DataFrame::from_messages(&msgs);
+        assert_eq!(frame.column_names(), referee.column_names());
+        for name in frame.column_names() {
+            assert_eq!(
+                format!("{:?}", frame.column(name).unwrap().values()),
+                format!("{:?}", referee.column(name).unwrap().values()),
+                "column {name}"
+            );
+        }
     }
 }

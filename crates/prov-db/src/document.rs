@@ -574,11 +574,15 @@ impl DocumentStore {
             return;
         }
         let mut index = FieldIndex::default();
-        self.for_each_doc(&self.shard_rows(), |id, doc| {
-            if let Some(v) = doc.get_path(path) {
-                index_insert(&mut index, id, v);
-            }
-        });
+        self.for_each_doc(
+            &vec![0; self.shards.len()],
+            &self.shard_rows(),
+            |id, doc| {
+                if let Some(v) = doc.get_path(path) {
+                    index_insert(&mut index, id, v);
+                }
+            },
+        );
         indexes.insert(path.to_string(), index);
     }
 
@@ -597,29 +601,45 @@ impl DocumentStore {
             range: Some(RangeLog::default()),
             ..FieldIndex::default()
         };
-        self.for_each_doc(&self.shard_rows(), |id, doc| {
-            if let Some(v) = doc.get_path(path) {
-                index_insert(&mut rebuilt, id, v);
-            }
-        });
+        self.for_each_doc(
+            &vec![0; self.shards.len()],
+            &self.shard_rows(),
+            |id, doc| {
+                if let Some(v) = doc.get_path(path) {
+                    index_insert(&mut rebuilt, id, v);
+                }
+            },
+        );
         indexes.insert(path.to_string(), rebuilt);
     }
 
-    /// Visit every document below the per-shard `bound` as `(id, &doc)`
-    /// in shard order, paging cold chunks in sequentially. Index builds
-    /// call it under the index write lock, honoring lock order; they are
-    /// possible on a lazily opened store, but the indexes are never
-    /// consulted there (see [`candidates`](Self::candidates)).
-    fn for_each_doc(&self, bound: &[usize], mut f: impl FnMut(DocId, &Arc<Value>)) {
+    /// Visit every document with shard slot in `[from[s], bound[s])` as
+    /// `(id, &doc)` in shard order, paging cold chunks in sequentially;
+    /// chunks wholly below `from` are never paged. Index builds (from
+    /// zero) call it under the index write lock, honoring lock order; they
+    /// are possible on a lazily opened store, but the indexes are never
+    /// consulted there (see [`candidates`](Self::candidates)). The oracle
+    /// frame reads only its delta rows through it.
+    pub(crate) fn for_each_doc(
+        &self,
+        from: &[usize],
+        bound: &[usize],
+        mut f: impl FnMut(DocId, &Arc<Value>),
+    ) {
         let nshards = self.shards.len();
+        debug_assert_eq!(from.len(), nshards);
         debug_assert_eq!(bound.len(), nshards);
         for (s, shard) in self.shards.iter().enumerate() {
             let shard = shard.read();
-            for c in 0..shard.chunks_below(bound[s]) {
+            for c in from[s] / shard.chunk_rows()..shard.chunks_below(bound[s]) {
                 let chunk = shard.chunk(c);
-                let docs = chunk.docs();
-                for r in chunk.rows_below(bound[s]) {
-                    f((chunk.base + r) * nshards + s, &docs[r]);
+                let rows = chunk.rows_below(bound[s]);
+                let lo = rows.start.max(from[s].saturating_sub(chunk.base));
+                if lo >= rows.end {
+                    continue;
+                }
+                for (r, doc) in chunk.docs()[lo..rows.end].iter().enumerate() {
+                    f((chunk.base + lo + r) * nshards + s, doc);
                 }
             }
         }
@@ -791,7 +811,7 @@ impl DocumentStore {
                     }
                 }
             }
-            None => self.for_each_doc(bound, |id, doc| {
+            None => self.for_each_doc(&vec![0; nshards], bound, |id, doc| {
                 if query.matches(doc) {
                     f(id, doc);
                 }

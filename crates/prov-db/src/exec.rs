@@ -30,6 +30,12 @@
 //! * a filter column stopped being columnar-servable after planning, or
 //!   a visible sort key is NaN.
 //!
+//! The fallback costs the delta, not the corpus, on an append-only
+//! store: the oracle frame is extended from the database's newest built
+//! frame by the rows past its bound (see
+//! [`StoreSnapshot::oracle_frame`]), and the stage machine reads it in
+//! place instead of copying it.
+//!
 //! Because the fallback is the oracle itself, pushdown is transparent:
 //! both paths return identical [`QueryOutput`]s (asserted per eval query
 //! set by the differential tests in `eval`).

@@ -74,7 +74,12 @@
 //! flush and never block on ingest. It is also the only way a provql plan
 //! executes ([`execute_plan`]): the scan kernels take the high-water mark
 //! as their row bound, and the snapshot's oracle frame is the one
-//! full-materialize fallback. Snapshot query execution consults a
+//! full-materialize fallback. That frame is extended from the database's
+//! one memo — the newest built frame and its bound — by the delta rows
+//! whenever both bounds are id prefixes and the newer dominates (cloned
+//! first only when an older snapshot still shares it), so a corpus-wide
+//! question after each append costs the delta, not the corpus. Snapshot
+//! query execution consults a
 //! shared plan-keyed result cache ([`PlanCache`], keyed on
 //! `(canonical plan, generation)` via [`provql::plan::cache_key`]), and
 //! [`serve::QueryServer`] puts a bounded thread-pool front-end with

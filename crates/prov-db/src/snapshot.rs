@@ -18,9 +18,14 @@
 //! plan executes ([`exec::execute_plan`]), and its
 //! [`oracle_frame`](StoreSnapshot::oracle_frame) is the one
 //! full-materialize oracle — the fallback in production and the referee
-//! in the differential tests. Query execution routes through the
-//! plan-keyed result cache ([`crate::cache`]) keyed on the pinned
-//! generation.
+//! in the differential tests. The oracle frame is extended from the
+//! database's newest built frame rather than rebuilt per generation:
+//! when both per-shard bounds are id prefixes (the visible ids are
+//! exactly `[0, len)`) and the snapshot's dominates the memo's, only the
+//! delta rows are decoded and appended, in place unless an older
+//! snapshot still shares the frame, which is then cloned first. Query
+//! execution routes through the plan-keyed result cache
+//! ([`crate::cache`]) keyed on the pinned generation.
 
 use crate::csr::CsrGraph;
 use crate::document::DocumentStore;
@@ -30,6 +35,7 @@ use crate::query::{DocQuery, Op};
 use crate::store::ProvenanceDatabase;
 use crate::{cache::CacheOutcome, exec};
 use dataframe::DataFrame;
+use parking_lot::Mutex;
 use prov_model::TaskMessage;
 use provql::plan::PushdownCapability;
 use provql::{ExecError, Query, QueryOutput};
@@ -39,8 +45,9 @@ use std::sync::{Arc, OnceLock};
 ///
 /// Cloneable via `Arc`; holding one costs a refcount on the database plus
 /// one `usize` per shard. The oracle frame — the full materialization of
-/// the visible corpus — is built lazily on first need and shared by every
-/// caller of the same snapshot.
+/// the visible corpus — is built lazily on first need, by extending the
+/// database's newest frame where it can, and shared by every caller of
+/// the same snapshot.
 pub struct StoreSnapshot {
     db: Arc<ProvenanceDatabase>,
     generation: u64,
@@ -153,21 +160,73 @@ impl StoreSnapshot {
     }
 
     /// The full-materialize oracle frame over the visible corpus: every
-    /// visible document decoded into a task message and flattened into
-    /// one frame. Built once per snapshot, shared by all callers — this
-    /// is both the fallback executor for plans the store cannot serve and
-    /// the reference the differential tests compare every answer against.
+    /// visible document, in id order, decoded into a task message and
+    /// flattened into one frame (undecodable documents are skipped) —
+    /// exactly `DataFrame::from_messages` over [`find`](Self::find) with
+    /// an empty query. Built once per snapshot, shared by all callers —
+    /// this is both the fallback executor for plans the store cannot
+    /// serve and the reference the differential tests compare every
+    /// answer against.
+    ///
+    /// The build extends the database's newest frame instead of starting
+    /// over. The database keeps one memo: the newest built frame and the
+    /// per-shard bound it covers. When both that bound and this
+    /// snapshot's are *id prefixes* — counts non-increasing across shards
+    /// and `hwm[0] - hwm[n-1] <= 1`, so the visible ids are exactly
+    /// `[0, len)` — and the memo's bound is dominated by this one, only
+    /// the delta rows `[memo, hwm)` are read (chunks wholly below the
+    /// memo are never paged), decoded in id order and appended, which is
+    /// what `from_messages` would do with them. The frame is extended in
+    /// place when no older snapshot still holds it and cloned first when
+    /// one does, so an older snapshot keeps exactly its prefix. Every
+    /// other case — an older snapshot, a bound that is not a prefix, an
+    /// empty memo — builds from the empty frame through the same body,
+    /// and the memo is only ever replaced by a frame whose bound
+    /// dominates it.
     pub fn oracle_frame(&self) -> Arc<DataFrame> {
         self.oracle
-            .get_or_init(|| {
-                let docs = self.find(&DocQuery::new());
-                let msgs: Vec<TaskMessage> = docs
-                    .iter()
-                    .filter_map(|d| TaskMessage::from_value(d))
-                    .collect();
-                Arc::new(DataFrame::from_messages(&msgs))
-            })
+            .get_or_init(|| self.build_oracle_frame())
             .clone()
+    }
+
+    fn build_oracle_frame(&self) -> Arc<DataFrame> {
+        let mut memo = self.db.frame_memo().lock();
+        // Extending holds the memo lock, so snapshots of one generation
+        // share one extension pass; a build from empty releases it first.
+        if let Some((from, mut frame)) = memo.take_if(|(from, _)| extends(from, &self.hwm)) {
+            self.extend_frame(&mut frame, &from);
+            *memo = Some((self.hwm.clone(), Arc::clone(&frame)));
+            return frame;
+        }
+        drop(memo);
+        let mut frame = Arc::new(DataFrame::new());
+        self.extend_frame(&mut frame, &vec![0; self.hwm.len()]);
+        let mut memo = self.db.frame_memo().lock();
+        if is_id_prefix(&self.hwm) && memo.as_ref().is_none_or(|(b, _)| dominates(&self.hwm, b)) {
+            *memo = Some((self.hwm.clone(), Arc::clone(&frame)));
+        }
+        frame
+    }
+
+    /// Append the visible documents from per-shard slot `from` upward to
+    /// `frame` — the one frame-build body. They are decoded in id order,
+    /// undecodable ones skipped, and pushed row by row; the frame is
+    /// cloned first only if it gains rows while another holder shares it.
+    fn extend_frame(&self, frame: &mut Arc<DataFrame>, from: &[usize]) {
+        let mut docs = Vec::new();
+        self.documents()
+            .for_each_doc(from, &self.hwm, |id, doc| docs.push((id, Arc::clone(doc))));
+        docs.sort_unstable_by_key(|(id, _)| *id);
+        let msgs: Vec<TaskMessage> = docs
+            .iter()
+            .filter_map(|(_, doc)| TaskMessage::from_value(doc))
+            .collect();
+        if !msgs.is_empty() {
+            let frame = Arc::make_mut(frame);
+            for m in &msgs {
+                frame.push_message(m);
+            }
+        }
     }
 
     /// Whether the oracle frame has been materialized for this snapshot —
@@ -237,6 +296,34 @@ impl StoreSnapshot {
     }
 }
 
+/// The newest built oracle frame and the per-shard bound it covers — the
+/// database's one memo slot (see [`StoreSnapshot::oracle_frame`]).
+pub(crate) type FrameMemo = Mutex<Option<(Vec<usize>, Arc<DataFrame>)>>;
+
+/// Whether a per-shard bound names exactly the ids `[0, len)`: id
+/// `slot * nshards + s` is visible iff `slot < bound[s]`, so that holds
+/// iff the counts are non-increasing across shards and differ by at most
+/// one.
+fn is_id_prefix(bound: &[usize]) -> bool {
+    bound.windows(2).all(|w| w[0] >= w[1])
+        && match (bound.first(), bound.last()) {
+            (Some(first), Some(last)) => first - last <= 1,
+            _ => true,
+        }
+}
+
+/// Whether `bound` covers every row `memo` does, shard by shard.
+fn dominates(bound: &[usize], memo: &[usize]) -> bool {
+    bound.len() == memo.len() && bound.iter().zip(memo).all(|(b, m)| b >= m)
+}
+
+/// Whether a frame built at `memo` extends to `bound` by appending the
+/// delta rows: both are id prefixes and `bound` dominates `memo`, so the
+/// delta's ids all follow the memo's.
+fn extends(memo: &[usize], bound: &[usize]) -> bool {
+    is_id_prefix(memo) && is_id_prefix(bound) && dominates(bound, memo)
+}
+
 /// Planning capability: delegate to the database's advertisement. The
 /// columnar flags are monotonic (a column can be poisoned later but never
 /// un-poisoned), so a plan made against a snapshot can at worst be
@@ -258,5 +345,54 @@ impl PushdownCapability for StoreSnapshot {
     }
     fn pushable_graph(&self) -> bool {
         self.db.pushable_graph()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use prov_model::TaskMessageBuilder;
+
+    /// `from_messages` over the snapshot's visible documents, in id order.
+    fn fresh_frame(snap: &StoreSnapshot) -> DataFrame {
+        let msgs: Vec<TaskMessage> = snap
+            .find(&DocQuery::new())
+            .iter()
+            .filter_map(|d| TaskMessage::from_value(d))
+            .collect();
+        DataFrame::from_messages(&msgs)
+    }
+
+    #[test]
+    fn id_prefix_rule() {
+        assert!(is_id_prefix(&[3, 3, 2, 2]));
+        assert!(is_id_prefix(&[0, 0, 0]));
+        assert!(is_id_prefix(&[5]));
+        assert!(!is_id_prefix(&[1, 2]));
+        assert!(!is_id_prefix(&[3, 1]));
+        assert!(!is_id_prefix(&[2, 1, 2]));
+        assert!(extends(&[1, 1], &[2, 1]));
+        assert!(extends(&[2, 1], &[2, 1]));
+        assert!(!extends(&[2, 1], &[1, 1]), "an older bound");
+        assert!(!extends(&[1, 1], &[1, 2]), "not a prefix");
+    }
+
+    /// Bounds that are not id prefixes (a snapshot racing direct
+    /// `DocumentStore` inserts can pin one) are built from empty and
+    /// never memoized: extending a frame over ids {0, 1, 3} by id 2
+    /// would append it out of order.
+    #[test]
+    fn a_bound_that_is_not_an_id_prefix_is_built_from_empty() {
+        let db = Arc::new(ProvenanceDatabase::with_shards(2));
+        let msgs: Vec<TaskMessage> = (0..4)
+            .map(|i| TaskMessageBuilder::new(format!("t{i}"), "wf", "a").build())
+            .collect();
+        db.insert_batch(&msgs);
+        for hwm in [vec![1, 1], vec![1, 2], vec![2, 2]] {
+            let snap = StoreSnapshot::new(Arc::clone(&db), 0, hwm);
+            assert_eq!(*snap.oracle_frame(), fresh_frame(&snap), "{:?}", snap.hwm);
+        }
+        let memo = db.frame_memo().lock();
+        assert_eq!(memo.as_ref().map(|(b, _)| b.clone()), Some(vec![2, 2]));
     }
 }

@@ -13,9 +13,10 @@
 mod common;
 
 use common::{corpus, fingerprint, fresh_dir, oracle, scrub_index_maps, GOLDEN};
+use dataframe::DataFrame;
 use proptest::prelude::*;
-use prov_db::{Config, ProvenanceDatabase, SyncPolicy};
-use prov_model::{TaskMessage, TaskStatus};
+use prov_db::{Config, DocQuery, ProvenanceDatabase, StoreSnapshot, SyncPolicy};
+use prov_model::{obj, TaskMessage, TaskStatus, Value};
 use provql::parse;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -702,5 +703,153 @@ proptest! {
         let want = fingerprint(&eager.snapshot(), &queries);
         prop_assert_eq!(&fingerprint(&lazy.snapshot(), &queries), &want, "lazy drifted: {}", text);
         prop_assert_eq!(&fingerprint(&tiny.snapshot(), &queries), &want, "tiny-budget drifted: {}", text);
+    }
+}
+
+/// The frame a snapshot's `oracle_frame` must equal, as a `Debug`
+/// fingerprint (NaN cells compare by their rendering): a fresh
+/// `from_messages` over the visible documents, decoded in id order.
+fn fresh_frame(snap: &StoreSnapshot) -> String {
+    let msgs: Vec<TaskMessage> = snap
+        .find(&DocQuery::new())
+        .iter()
+        .filter_map(|d| TaskMessage::from_value(d))
+        .collect();
+    scrub_index_maps(format!("{:?}", DataFrame::from_messages(&msgs)))
+}
+
+/// `snap`'s (possibly memo-extended) oracle frame, fingerprinted.
+fn oracle_frame(snap: &StoreSnapshot) -> String {
+    scrub_index_maps(format!("{:?}", snap.oracle_frame()))
+}
+
+/// Extending the memo reads only the delta rows: on a lazily reopened
+/// store under a one-byte budget, the first frame pages every sealed
+/// chunk, and a newer snapshot's frame — extended by resident rows —
+/// pages nothing, yet equals a fresh build.
+#[test]
+fn extending_the_oracle_frame_pages_no_sealed_chunk() {
+    let (chunk, nshards) = geometry();
+    let msgs = corpus(2 * chunk * nshards + 5);
+    let (sealed, rest) = msgs.split_at(chunk * nshards + 3);
+    let dir = fresh_dir("frame-delta");
+    seal_corpus(&dir, sealed);
+
+    let db = open_lazy(&dir, 1);
+    let first = db.snapshot();
+    let before = db.pager_stats();
+    assert_eq!(oracle_frame(&first), fresh_frame(&first));
+    assert!(
+        page_ins(&db, before).1 > 0,
+        "the first build reads the sealed rows"
+    );
+    drop(first);
+
+    db.insert_batch_shared(rest.iter().cloned().map(Arc::new));
+    let newer = db.snapshot();
+    let before = db.pager_stats();
+    let extended = oracle_frame(&newer);
+    assert_eq!(page_ins(&db, before), (0, 0), "an extension pages nothing");
+    assert_eq!(extended, fresh_frame(&newer));
+    drop(newer);
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Shared message feed for the frame-memo proptest.
+fn feed() -> &'static [TaskMessage] {
+    static FEED: std::sync::OnceLock<Vec<TaskMessage>> = std::sync::OnceLock::new();
+    FEED.get_or_init(|| corpus(1200))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Random ingest / seal / compact / reopen / snapshot interleavings
+    /// at 1–4 shards: after every step, the memo-extended oracle frame
+    /// of a fresh snapshot — and of every snapshot still held, asked in
+    /// any order — equals a fresh `from_messages` build. Held snapshots
+    /// put older-after-newer requests (a rebuild from empty) and shared
+    /// frames (the clone-before-extend path) in play; in-memory cases
+    /// also insert undecodable documents, and durable cases reopen lazily
+    /// under the configured or a one-byte budget, so builds read paged
+    /// sealed chunks.
+    #[test]
+    fn memo_extended_oracle_frame_matches_a_fresh_build(
+        shards in 1usize..5,
+        chunk in prop_oneof![Just(16usize), Just(64usize)],
+        durable in any::<bool>(),
+        tiny in any::<bool>(),
+        ops in prop::collection::vec((0usize..8, 1usize..48), 4..16),
+    ) {
+        let env = config();
+        let config = Config {
+            shards,
+            chunk_rows: chunk.min(env.chunk_rows),
+            resident_bytes: if tiny { 1 } else { env.resident_bytes },
+            ..env
+        };
+        let dir = fresh_dir("frame-memo");
+        let open = || ProvenanceDatabase::open_with(&dir, config).expect("open durable");
+        let mut db = if durable {
+            open()
+        } else {
+            Arc::new(ProvenanceDatabase::with_shards(shards))
+        };
+        let mut next = 0;
+        let mut held: Vec<Arc<StoreSnapshot>> = Vec::new();
+        for (step, &(op, n)) in ops.iter().enumerate() {
+            match op {
+                0 | 1 => {
+                    let end = (next + n * 4).min(feed().len());
+                    db.insert_batch_shared(feed()[next..end].iter().cloned().map(Arc::new));
+                    next = end;
+                }
+                2 if !durable => {
+                    db.documents().insert(obj! {"task_id" => Value::Int(n as i64)});
+                }
+                2 => {
+                    let end = (next + n).min(feed().len());
+                    db.insert_batch(&feed()[next..end]);
+                    next = end;
+                }
+                3 => {
+                    db.seal_now().expect("seal");
+                }
+                4 => {
+                    db.compact_segments().expect("compact");
+                }
+                5 if durable => {
+                    // Snapshots of the old handle must not outlive it:
+                    // the reopened store may compact their segments away.
+                    held.clear();
+                    drop(db);
+                    db = open();
+                }
+                5 | 6 => {
+                    held.push(db.snapshot());
+                    if held.len() > 3 {
+                        held.remove(n % held.len());
+                    }
+                }
+                _ => {
+                    // Ask a held snapshot now: often older than the memo.
+                    if !held.is_empty() {
+                        let snap = &held[n % held.len()];
+                        prop_assert_eq!(oracle_frame(snap), fresh_frame(snap), "held, step {}", step);
+                    }
+                }
+            }
+            let snap = db.snapshot();
+            prop_assert_eq!(oracle_frame(&snap), fresh_frame(&snap), "step {} op {}", step, op);
+            for (i, old) in held.iter().enumerate() {
+                if old.oracle_built() {
+                    prop_assert_eq!(oracle_frame(old), fresh_frame(old), "held {} after step {}", i, step);
+                }
+            }
+        }
+        drop(held);
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

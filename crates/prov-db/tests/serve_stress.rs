@@ -7,8 +7,11 @@
 //! Reader parallelism follows the `SERVE_READERS` env var (default 3) so
 //! CI's serve-matrix leg can sweep it alongside `PROVDB_SHARDS`.
 
-use prov_db::{CacheOutcome, ProvenanceDatabase, QueryServer, ServeConfig};
-use prov_model::TaskMessageBuilder;
+use dataframe::DataFrame;
+use prov_db::{
+    CacheOutcome, DocQuery, ProvenanceDatabase, QueryServer, ServeConfig, StoreSnapshot,
+};
+use prov_model::{TaskMessage, TaskMessageBuilder};
 use provql::parse;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -32,6 +35,21 @@ const GOLDEN: &[&str] = &[
     r#"df.groupby("activity_id")["duration"].mean()"#,
     r#"df["duration"].sum()"#,
 ];
+
+/// Reader rounds between two checks of the oracle frame against a
+/// fresh build.
+const FRAME_CHECK_EVERY: usize = 3;
+
+/// `DataFrame::from_messages` over the snapshot's visible documents in id
+/// order: what its oracle frame must be, however it was built.
+fn fresh_frame(snap: &StoreSnapshot) -> DataFrame {
+    let msgs: Vec<TaskMessage> = snap
+        .find(&DocQuery::new())
+        .iter()
+        .filter_map(|d| TaskMessage::from_value(d))
+        .collect();
+    DataFrame::from_messages(&msgs)
+}
 
 fn msg(writer: usize, i: usize) -> Arc<prov_model::TaskMessage> {
     Arc::new(
@@ -91,6 +109,16 @@ fn snapshot_answers_match_oracle_under_concurrent_ingest() {
                         snap.len(),
                         "oracle frame must cover exactly the visible rows"
                     );
+                    // The frame is extended from the store's memo, which
+                    // the other readers extend concurrently at their own
+                    // generations: it must still be a fresh build's.
+                    if rounds.is_multiple_of(FRAME_CHECK_EVERY) {
+                        assert!(
+                            *oracle == fresh_frame(&snap),
+                            "oracle frame differs from a fresh build at generation {}",
+                            snap.generation()
+                        );
+                    }
                     for (text, query) in GOLDEN.iter().zip(&queries) {
                         // Rotate cache on/off so both arms run under load.
                         let use_cache = (rounds + r).is_multiple_of(2);

@@ -1,8 +1,15 @@
 //! Query execution against a [`DataFrame`].
+//!
+//! The stage machine borrows its input frame: stages read it in place,
+//! and only the frames they produce are owned. A store's oracle frame
+//! (shared, and extended across generations) is thus never copied to run
+//! a pipeline over it; a pipeline that returns its input unchanged gets
+//! one copy at the end.
 
 use crate::ast::{Pipeline, Query, Stage};
 use dataframe::{AggFunc, ArithOp, Column, DataFrame, FrameError};
 use prov_model::{Map, Value};
+use std::borrow::Cow;
 
 /// The result of executing a query.
 #[derive(Debug, Clone, PartialEq)]
@@ -221,16 +228,18 @@ pub fn arith_scalars(left: Value, op: ArithOp, right: Value) -> Result<QueryOutp
     Ok(QueryOutput::Scalar(Value::Float(r)))
 }
 
-/// Intermediate execution state.
-enum State {
-    Frame(DataFrame),
+/// Intermediate execution state. Frames are borrowed until a stage
+/// produces a new one: the input frame is read in place, never copied,
+/// and only stage outputs are owned.
+enum State<'a> {
+    Frame(Cow<'a, DataFrame>),
     Series(Column),
     Grouped {
-        frame: DataFrame,
+        frame: Cow<'a, DataFrame>,
         keys: Vec<String>,
     },
     GroupedSeries {
-        frame: DataFrame,
+        frame: Cow<'a, DataFrame>,
         keys: Vec<String>,
         column: String,
     },
@@ -238,7 +247,7 @@ enum State {
     Row(Map),
 }
 
-impl State {
+impl State<'_> {
     fn tag(&self) -> &'static str {
         match self {
             State::Frame(_) => "frame",
@@ -256,14 +265,16 @@ fn execute_pipeline(p: &Pipeline, df: &DataFrame) -> Result<QueryOutput, ExecErr
 }
 
 /// Execute a bare stage sequence against a frame — the stage machine the
-/// pipeline executor and the plan-based pushdown executors share.
+/// pipeline executor and the plan-based pushdown executors share. The
+/// stages read `df` in place; a frame is copied only when the pipeline
+/// returns its input unchanged (no stage, or only `reset_index`/`round`).
 pub fn execute_stages(stages: &[Stage], df: &DataFrame) -> Result<QueryOutput, ExecError> {
-    let mut state = State::Frame(df.clone());
+    let mut state = State::Frame(Cow::Borrowed(df));
     for stage in stages {
         state = apply_stage(state, stage)?;
     }
     match state {
-        State::Frame(f) => Ok(QueryOutput::Frame(f)),
+        State::Frame(f) => Ok(QueryOutput::Frame(f.into_owned())),
         State::Series(c) => Ok(QueryOutput::Series {
             name: c.name().to_string(),
             values: c.values().to_vec(),
@@ -281,12 +292,12 @@ fn invalid(stage: &Stage, state: &State) -> ExecError {
     }
 }
 
-fn apply_stage(state: State, stage: &Stage) -> Result<State, ExecError> {
+fn apply_stage<'a>(state: State<'a>, stage: &Stage) -> Result<State<'a>, ExecError> {
     match (state, stage) {
-        (State::Frame(f), Stage::Filter(e)) => Ok(State::Frame(f.filter(e))),
+        (State::Frame(f), Stage::Filter(e)) => Ok(owned(f.filter(e))),
         (State::Frame(f), Stage::Select(cols)) => {
             let names: Vec<&str> = cols.iter().map(String::as_str).collect();
-            Ok(State::Frame(f.select(&names)?))
+            Ok(owned(f.select(&names)?))
         }
         (State::Frame(f), Stage::Col(c)) => Ok(State::Series(f.column_checked(c)?.clone())),
         (State::Frame(f), Stage::GroupBy(keys)) => {
@@ -318,25 +329,25 @@ fn apply_stage(state: State, stage: &Stage) -> Result<State, ExecError> {
         ) => {
             let key_refs: Vec<&str> = keys.iter().map(String::as_str).collect();
             let g = frame.groupby(&key_refs)?;
-            Ok(State::Frame(g.agg(&[(column.as_str(), *f)])?))
+            Ok(owned(g.agg(&[(column.as_str(), *f)])?))
         }
         (State::Grouped { frame, keys }, Stage::AggMap(specs)) => {
             let key_refs: Vec<&str> = keys.iter().map(String::as_str).collect();
             let g = frame.groupby(&key_refs)?;
             let spec_refs: Vec<(&str, AggFunc)> =
                 specs.iter().map(|(c, f)| (c.as_str(), *f)).collect();
-            Ok(State::Frame(g.agg(&spec_refs)?))
+            Ok(owned(g.agg(&spec_refs)?))
         }
         (State::Grouped { frame, keys }, Stage::Size) => {
             let key_refs: Vec<&str> = keys.iter().map(String::as_str).collect();
-            Ok(State::Frame(frame.groupby(&key_refs)?.size()))
+            Ok(owned(frame.groupby(&key_refs)?.size()))
         }
         (State::Frame(f), Stage::SortValues(keys)) => {
             let key_refs: Vec<(&str, bool)> = keys.iter().map(|(k, a)| (k.as_str(), *a)).collect();
-            Ok(State::Frame(f.sort_values(&key_refs)?))
+            Ok(owned(f.sort_values(&key_refs)?))
         }
-        (State::Frame(f), Stage::Head(n)) => Ok(State::Frame(f.head(*n))),
-        (State::Frame(f), Stage::Tail(n)) => Ok(State::Frame(f.tail(*n))),
+        (State::Frame(f), Stage::Head(n)) => Ok(owned(f.head(*n))),
+        (State::Frame(f), Stage::Tail(n)) => Ok(owned(f.tail(*n))),
         (State::Series(c), Stage::Head(n)) => {
             let vals: Vec<Value> = c.values().iter().take(*n).cloned().collect();
             Ok(State::Series(Column::new(c.name(), vals)))
@@ -344,7 +355,7 @@ fn apply_stage(state: State, stage: &Stage) -> Result<State, ExecError> {
         (State::Series(c), Stage::Unique) => Ok(State::Series(Column::new(c.name(), c.unique()))),
         (State::Series(c), Stage::ValueCounts) => {
             let f = DataFrame::from_columns(vec![(c.name().to_string(), c.values().to_vec())])?;
-            Ok(State::Frame(f.value_counts(c.name())?))
+            Ok(owned(f.value_counts(c.name())?))
         }
         (State::Series(c), Stage::Idx { max }) => {
             let idx = if *max { c.idxmax() } else { c.idxmin() };
@@ -360,17 +371,17 @@ fn apply_stage(state: State, stage: &Stage) -> Result<State, ExecError> {
         }
         (State::Frame(f), Stage::NLargest(n, col)) => {
             let sorted = f.sort_values(&[(col.as_str(), false)])?;
-            Ok(State::Frame(sorted.head(*n)))
+            Ok(owned(sorted.head(*n)))
         }
         (State::Frame(f), Stage::NSmallest(n, col)) => {
             let sorted = f.sort_values(&[(col.as_str(), true)])?;
-            Ok(State::Frame(sorted.head(*n)))
+            Ok(owned(sorted.head(*n)))
         }
         (State::Frame(f), Stage::DropDuplicates(subset)) => {
             let refs: Vec<&str> = subset.iter().map(String::as_str).collect();
-            Ok(State::Frame(f.drop_duplicates(&refs)?))
+            Ok(owned(f.drop_duplicates(&refs)?))
         }
-        (State::Frame(f), Stage::Describe) => Ok(State::Frame(f.describe())),
+        (State::Frame(f), Stage::Describe) => Ok(owned(f.describe())),
         (State::Frame(f), Stage::LocIdx { column, max, cell }) => {
             let c = f.column_checked(column)?;
             let idx = if *max { c.idxmax() } else { c.idxmin() };
@@ -401,6 +412,11 @@ fn apply_stage(state: State, stage: &Stage) -> Result<State, ExecError> {
         (State::Frame(f), Stage::Round(_)) => Ok(State::Frame(f)),
         (state, stage) => Err(invalid(stage, &state)),
     }
+}
+
+/// A stage's output frame.
+fn owned<'a>(frame: DataFrame) -> State<'a> {
+    State::Frame(Cow::Owned(frame))
 }
 
 fn series_sorted(c: &Column, ascending: bool, n: usize) -> Column {
@@ -610,5 +626,179 @@ mod tests {
         let df = chem_frame().filter(&dataframe::col("bd_energy").gt(dataframe::lit(1e9)));
         let err = execute(&parse(r#"df.loc[df["bd_energy"].idxmax()]"#).unwrap(), &df).unwrap_err();
         assert_eq!(err, ExecError::EmptyInput);
+    }
+
+    /// Every `apply_stage` arm, run by the borrowing stage machine, and
+    /// the frame operation that arm has always applied, called directly.
+    fn stage_cases(df: &DataFrame) -> Vec<(Vec<Stage>, QueryOutput)> {
+        use crate::ast::Stage as S;
+        use dataframe::{col, lit};
+        let frame = QueryOutput::Frame;
+        let series = |c: &Column| QueryOutput::Series {
+            name: c.name().to_string(),
+            values: c.values().to_vec(),
+        };
+        let energy = df.column("bd_energy").unwrap();
+        let hosts = df.column("hostname").unwrap();
+        let by_host = || df.groupby(&["hostname"]).unwrap();
+        let s = |x: &str| x.to_string();
+        let filter = col("bd_energy").gt(lit(95.0));
+        let max_at = energy.idxmax().unwrap();
+        vec![
+            (vec![], frame(df.clone())),
+            (vec![S::Filter(filter.clone())], frame(df.filter(&filter))),
+            (
+                vec![S::Select(vec![s("bond_id"), s("bd_energy")])],
+                frame(df.select(&["bond_id", "bd_energy"]).unwrap()),
+            ),
+            (vec![S::Col(s("bd_energy"))], series(energy)),
+            (
+                vec![
+                    S::GroupBy(vec![s("hostname")]),
+                    S::Col(s("duration")),
+                    S::Agg(AggFunc::Mean),
+                ],
+                frame(by_host().agg(&[("duration", AggFunc::Mean)]).unwrap()),
+            ),
+            (
+                vec![
+                    S::GroupBy(vec![s("hostname")]),
+                    S::AggMap(vec![(s("bd_energy"), AggFunc::Max)]),
+                ],
+                frame(by_host().agg(&[("bd_energy", AggFunc::Max)]).unwrap()),
+            ),
+            (
+                vec![S::GroupBy(vec![s("hostname")]), S::Size],
+                frame(by_host().size()),
+            ),
+            (
+                vec![S::SortValues(vec![(s("bd_energy"), false)])],
+                frame(df.sort_values(&[("bd_energy", false)]).unwrap()),
+            ),
+            (vec![S::Head(2)], frame(df.head(2))),
+            (vec![S::Tail(2)], frame(df.tail(2))),
+            (
+                vec![S::Col(s("bd_energy")), S::Head(2)],
+                series(&Column::new("bd_energy", energy.values()[..2].to_vec())),
+            ),
+            (
+                vec![S::Col(s("hostname")), S::Unique],
+                series(&Column::new("hostname", hosts.unique())),
+            ),
+            (
+                vec![S::Col(s("hostname")), S::ValueCounts],
+                frame(
+                    df.select(&["hostname"])
+                        .unwrap()
+                        .value_counts("hostname")
+                        .unwrap(),
+                ),
+            ),
+            (
+                vec![S::Col(s("bd_energy")), S::Idx { max: true }],
+                QueryOutput::Scalar(Value::Int(max_at as i64)),
+            ),
+            (
+                vec![S::Col(s("bd_energy")), S::NLargest(2, String::new())],
+                series(&series_sorted(energy, false, 2)),
+            ),
+            (
+                vec![S::Col(s("bd_energy")), S::NSmallest(2, String::new())],
+                series(&series_sorted(energy, true, 2)),
+            ),
+            (
+                vec![S::NLargest(2, s("bd_energy"))],
+                frame(df.sort_values(&[("bd_energy", false)]).unwrap().head(2)),
+            ),
+            (
+                vec![S::NSmallest(2, s("bd_energy"))],
+                frame(df.sort_values(&[("bd_energy", true)]).unwrap().head(2)),
+            ),
+            (
+                vec![S::DropDuplicates(vec![s("hostname")])],
+                frame(df.drop_duplicates(&["hostname"]).unwrap()),
+            ),
+            (vec![S::Describe], frame(df.describe())),
+            (
+                vec![S::LocIdx {
+                    column: s("bd_energy"),
+                    max: true,
+                    cell: Some(s("bond_id")),
+                }],
+                QueryOutput::Scalar(df.column("bond_id").unwrap().get(max_at).unwrap().clone()),
+            ),
+            (
+                vec![S::LocIdx {
+                    column: s("bd_energy"),
+                    max: true,
+                    cell: None,
+                }],
+                QueryOutput::Row(df.row(max_at).unwrap()),
+            ),
+            (vec![S::ResetIndex], frame(df.clone())),
+            (
+                vec![S::Count],
+                QueryOutput::Scalar(Value::Int(df.len() as i64)),
+            ),
+            (
+                vec![S::Col(s("bd_energy")), S::Count],
+                QueryOutput::Scalar(Value::Int(energy.len() as i64)),
+            ),
+            (
+                vec![S::Col(s("bd_energy")), S::Agg(AggFunc::Mean)],
+                QueryOutput::Scalar(energy.agg(AggFunc::Mean)),
+            ),
+            (
+                vec![S::Col(s("bd_energy")), S::Agg(AggFunc::Mean), S::Round(1)],
+                QueryOutput::Scalar(round_value(&energy.agg(AggFunc::Mean), 1)),
+            ),
+            (
+                vec![S::Col(s("bd_energy")), S::Round(0)],
+                series(&Column::new(
+                    "bd_energy",
+                    energy.values().iter().map(|v| round_value(v, 0)).collect(),
+                )),
+            ),
+            (vec![S::Round(1)], frame(df.clone())),
+        ]
+    }
+
+    #[test]
+    fn every_stage_arm_matches_its_frame_operation() {
+        let df = chem_frame();
+        for (stages, want) in stage_cases(&df) {
+            assert_eq!(execute_stages(&stages, &df).unwrap(), want, "{stages:?}");
+        }
+    }
+
+    #[test]
+    fn execute_leaves_its_input_frame_unchanged() {
+        let df = chem_frame();
+        let before = df.clone();
+        for (stages, _) in stage_cases(&df) {
+            execute_stages(&stages, &df).unwrap();
+        }
+        for text in [
+            r#"len(df[df["bond_id"].str.contains("C-H")])"#,
+            r#"df.sort_values("bd_energy", ascending=False)[["bond_id"]].head(1)"#,
+            r#"df.groupby("hostname")["duration"].mean()"#,
+            r#"df["ended_at"].max() - df["started_at"].min()"#,
+        ] {
+            run(text, &df);
+        }
+        assert_eq!(df, before);
+    }
+
+    #[test]
+    fn stageless_pipeline_returns_an_equal_owned_frame() {
+        let df = chem_frame();
+        let QueryOutput::Frame(out) = run("df", &df) else {
+            panic!("a bare `df` is a frame");
+        };
+        assert_eq!(out, df);
+        // Owned: dropping the input leaves the answer intact.
+        drop(df);
+        assert_eq!(out.len(), 5);
+        assert!(out.has_column("bond_id"));
     }
 }

@@ -3,7 +3,8 @@
 //! Implements the API surface this workspace's benches use — `Criterion`,
 //! `benchmark_group` with `sample_size` / `measurement_time`,
 //! `bench_function`, `bench_with_input`, `BenchmarkId`, the
-//! `criterion_group!` / `criterion_main!` macros, and `Bencher::iter` —
+//! `criterion_group!` / `criterion_main!` macros, `Bencher::iter` and
+//! `Bencher::iter_batched` —
 //! with a plain wall-clock measurement loop instead of criterion's
 //! statistical machinery. Reports mean/min per benchmark to stdout.
 //! Passing `--test` (as `cargo test --benches` does) runs each benchmark
@@ -152,6 +153,18 @@ struct Stats {
     samples: usize,
 }
 
+/// Inputs [`Bencher::iter_batched`] prepares per batch (accepted for API
+/// compatibility: the shim prepares one input per timed call).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BatchSize {
+    /// Small inputs, many per batch in criterion.
+    SmallInput,
+    /// Large inputs, fewer per batch in criterion.
+    LargeInput,
+    /// One input per timed call.
+    PerIteration,
+}
+
 /// Timing loop handle passed to benchmark closures.
 pub struct Bencher {
     test_mode: bool,
@@ -182,6 +195,33 @@ impl Bencher {
                 std::hint::black_box(f());
             }
             self.samples.push(start.elapsed() / iters_per_sample);
+            if Instant::now() >= deadline {
+                break;
+            }
+        }
+    }
+
+    /// Measure `routine` on inputs made by `setup`, timing the routine
+    /// only. The shim always runs one setup per timed call (criterion's
+    /// `BatchSize::PerIteration`), one call per sample, so a routine that
+    /// consumes or grows its input sees a fresh one every time.
+    pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
+    where
+        S: FnMut() -> I,
+        R: FnMut(I) -> O,
+    {
+        if self.test_mode {
+            std::hint::black_box(routine(setup()));
+            return;
+        }
+        let deadline = Instant::now() + self.measurement_time;
+        self.samples.clear();
+        for _ in 0..self.sample_size {
+            let input = setup();
+            let start = Instant::now();
+            let output = std::hint::black_box(routine(input));
+            self.samples.push(start.elapsed());
+            drop(output);
             if Instant::now() >= deadline {
                 break;
             }
