@@ -155,6 +155,35 @@ impl Tool for InMemoryQueryTool {
     }
 }
 
+/// A tool's pinned [`StoreSnapshot`], shared by the store-backed tools.
+#[derive(Default)]
+struct SnapshotPin(Mutex<Option<Arc<StoreSnapshot>>>);
+
+impl SnapshotPin {
+    /// The current snapshot of `db`: reuse the pinned one while it is
+    /// fresh (same database, same generation — the generation probe is
+    /// one atomic load), otherwise pin a new one. Pointer identity is
+    /// sound here because the pinned snapshot holds the database `Arc`
+    /// alive: its address cannot be reused while the pin exists.
+    ///
+    /// The stale pin is released before the new snapshot is taken: it
+    /// may still pin the previous CSR compaction, and the new snapshot's
+    /// first graph read extends that compaction in place only when
+    /// nothing pins it (otherwise it clones it).
+    fn get(&self, db: &Arc<ProvenanceDatabase>) -> Arc<StoreSnapshot> {
+        let mut pinned = self.0.lock();
+        if let Some(s) = pinned.as_ref() {
+            if Arc::ptr_eq(s.database(), db) && s.generation() == db.generation() {
+                return s.clone();
+            }
+        }
+        *pinned = None;
+        let s = db.snapshot();
+        *pinned = Some(s.clone());
+        s
+    }
+}
+
 /// Executes generated queries against the persistent provenance database
 /// (the offline/post-hoc path).
 ///
@@ -174,30 +203,13 @@ impl Tool for InMemoryQueryTool {
 #[derive(Default)]
 pub struct ProvDbQueryTool {
     /// The pinned snapshot, refreshed when the generation moves.
-    snapshot: Mutex<Option<Arc<StoreSnapshot>>>,
+    snapshot: SnapshotPin,
 }
 
 impl ProvDbQueryTool {
     /// Fresh tool with no pinned snapshot.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// The current snapshot of `db`: reuse the pinned one while it is
-    /// fresh (same database, same generation — the generation probe is
-    /// one atomic load), otherwise pin a new one. Pointer identity is
-    /// sound here because the pinned snapshot holds the database `Arc`
-    /// alive: its address cannot be reused while the pin exists.
-    fn snapshot(&self, db: &Arc<ProvenanceDatabase>) -> Arc<StoreSnapshot> {
-        let mut pinned = self.snapshot.lock();
-        if let Some(s) = pinned.as_ref() {
-            if Arc::ptr_eq(s.database(), db) && s.generation() == db.generation() {
-                return s.clone();
-            }
-        }
-        let s = db.snapshot();
-        *pinned = Some(s.clone());
-        s
     }
 }
 
@@ -218,7 +230,7 @@ impl Tool for ProvDbQueryTool {
             .as_ref()
             .ok_or_else(|| ToolError::Exec("no provenance database attached".to_string()))?;
         let query = parse(code).map_err(|e| ToolError::Exec(format!("query parse error: {e}")))?;
-        let snap = self.snapshot(db);
+        let snap = self.snapshot.get(db);
         let (result, outcome) = snap.query(&query);
         let out = result.map_err(|e| ToolError::Exec(e.to_string()))?;
         let content = output_to_value(&out);
@@ -380,7 +392,7 @@ impl Tool for GuidelineTool {
 #[derive(Default)]
 pub struct GraphQueryTool {
     /// The pinned snapshot, refreshed when the generation moves.
-    snapshot: Mutex<Option<Arc<StoreSnapshot>>>,
+    snapshot: SnapshotPin,
 }
 
 /// Traversal direction understood by [`GraphQueryTool`].
@@ -398,19 +410,6 @@ impl GraphQueryTool {
     /// Fresh tool with no pinned snapshot.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Same pin-while-fresh rule as [`ProvDbQueryTool::snapshot`].
-    fn snapshot(&self, db: &Arc<ProvenanceDatabase>) -> Arc<StoreSnapshot> {
-        let mut pinned = self.snapshot.lock();
-        if let Some(s) = pinned.as_ref() {
-            if Arc::ptr_eq(s.database(), db) && s.generation() == db.generation() {
-                return s.clone();
-            }
-        }
-        let s = db.snapshot();
-        *pinned = Some(s.clone());
-        s
     }
 
     fn infer_op(question: &str) -> GraphOp {
@@ -473,7 +472,7 @@ impl Tool for GraphQueryTool {
         // One pinned snapshot per store generation; every probe and
         // traversal below runs on its CSR compaction — no adjacency lock,
         // no flushing, and repeatable reads across the whole call.
-        let snap = self.snapshot(db);
+        let snap = self.snapshot.get(db);
         let csr = snap.graph_csr();
         let ids = Self::task_ids_in(question, csr);
         let first = ids.first().ok_or_else(|| {
@@ -769,7 +768,7 @@ mod tests {
             )
             .unwrap();
         assert!(out.table.is_some());
-        let snap = tool.snapshot(db);
+        let snap = tool.snapshot.get(db);
         assert!(
             !snap.oracle_built(),
             "columnar-servable aggregate should not build the oracle frame"
@@ -803,7 +802,7 @@ mod tests {
         let out = tool
             .call(&args(&[("code", Value::from(code))]), &ctx)
             .unwrap();
-        let snap = tool.snapshot(db);
+        let snap = tool.snapshot.get(db);
         assert!(
             !snap.oracle_built(),
             "top-k should not build the oracle frame"
@@ -835,16 +834,40 @@ mod tests {
         assert_eq!(first.content, commuted.content);
 
         // The pinned snapshot is reused while the generation holds…
-        let before = tool.snapshot(db);
-        assert!(Arc::ptr_eq(&before, &tool.snapshot(db)));
+        let before = tool.snapshot.get(db);
+        assert!(Arc::ptr_eq(&before, &tool.snapshot.get(db)));
         // …and an insert bumps the generation: new snapshot, cache miss,
         // and the new row is visible through the query path.
         db.insert(&TaskMessageBuilder::new("h9", "old-wf", "historical").build());
         let out = run("len(df)");
         assert_eq!(out.content, Value::Int(6));
-        let after = tool.snapshot(db);
+        let after = tool.snapshot.get(db);
         assert!(!Arc::ptr_eq(&before, &after));
         assert_eq!(after.generation(), before.generation() + 1);
+    }
+
+    /// The graph tool drops its stale pin before re-pinning, so nothing
+    /// pins the store's CSR compaction when the next generation extends
+    /// it: the extension happens in place instead of on a clone.
+    #[test]
+    fn graph_tool_repin_lets_the_csr_extend_in_place() {
+        let ctx = tool_ctx();
+        let db = ctx.db.as_ref().unwrap();
+        let tool = GraphQueryTool::new();
+        let ask = |q: &str| {
+            tool.call(&args(&[("question", Value::from(q))]), &ctx)
+                .unwrap()
+        };
+        ask("what is the lineage of h4?");
+        let at = Arc::as_ptr(tool.snapshot.get(db).graph_csr());
+        db.insert(
+            &TaskMessageBuilder::new("h5", "old-wf", "historical")
+                .depends_on("h4")
+                .build(),
+        );
+        let out = ask("what is the lineage of h5?");
+        assert!(out.rendered.contains("h4"), "{}", out.rendered);
+        assert_eq!(Arc::as_ptr(tool.snapshot.get(db).graph_csr()), at);
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //! baseline on the three hot paths the ISSUE names — batch ingest,
 //! indexed point find, and group-by aggregation — plus the vectorized
 //! kernels (zone-map chunk skipping, code-based group-by), the latter
-//! against its frame-based equivalent, and the oracle frame built from
-//! empty against the same frame extended by a delta.
+//! against its frame-based equivalent, and the oracle frame and the CSR
+//! graph compaction each built from empty against the same one extended
+//! by a delta.
 
 use bench::baseline::BaselineDatabase;
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
@@ -227,6 +228,65 @@ fn bench_oracle_frame(c: &mut Criterion) {
     g.finish();
 }
 
+/// The CSR compaction of a 25k-message store — an activity node and a
+/// `prov:wasInformedBy` edge per message, an agent node and association
+/// edge on every fourth: built from empty (a fresh store per sample), and
+/// extended by 1k newer messages over the memo a 25k-message snapshot
+/// left behind. Only the compaction is timed; building the store is setup.
+fn bench_csr(c: &mut Criterion) {
+    let mut g = c.benchmark_group("csr");
+    g.sample_size(10).measurement_time(Duration::from_secs(10));
+    const N: usize = 25_000;
+    const DELTA: usize = 1_000;
+    let msgs: Vec<TaskMessage> = (0..N + DELTA)
+        .map(|i| {
+            let mut b = TaskMessageBuilder::new(
+                format!("t{i}"),
+                format!("wf-{}", i % 50),
+                format!("act{}", i % 8),
+            );
+            if i > 0 {
+                b = b.depends_on(format!("t{}", i / 2));
+            }
+            if i % 4 == 0 {
+                b = b.agent("agent-0");
+            }
+            b.build()
+        })
+        .collect();
+    let store = |rows: &[TaskMessage]| {
+        let db = ProvenanceDatabase::shared();
+        db.insert_batch(rows);
+        db
+    };
+    let threads = prov_db::Config::from_env().scan_threads;
+    g.bench_function("build_25k", |b| {
+        b.iter_batched(
+            || store(&msgs[..N]),
+            // The store is handed back so that dropping it stays outside
+            // the timed call.
+            |db| (prov_db::CsrGraph::build(db.graph(), threads), db),
+            BatchSize::PerIteration,
+        )
+    });
+    g.bench_function("extend_1k_over_25k", |b| {
+        b.iter_batched(
+            || {
+                let db = store(&msgs[..N]);
+                db.snapshot().graph_csr();
+                db.insert_batch(&msgs[N..]);
+                db
+            },
+            |db| {
+                let snap = db.snapshot();
+                (Arc::clone(snap.graph_csr()), snap)
+            },
+            BatchSize::PerIteration,
+        )
+    });
+    g.finish();
+}
+
 criterion_group!(
     prov_db,
     bench_batch_ingest,
@@ -234,6 +294,7 @@ criterion_group!(
     bench_aggregate,
     bench_chunk_skip,
     bench_vectorized_groupby,
-    bench_oracle_frame
+    bench_oracle_frame,
+    bench_csr
 );
 criterion_main!(prov_db);

@@ -1,28 +1,43 @@
-//! CSR-compacted immutable graph snapshot and branch-light traversal
-//! kernels.
+//! CSR-compacted graph snapshot, extended in arrival order, and
+//! branch-light traversal kernels.
 //!
-//! [`GraphStore`] is write-optimized: `String`-keyed adjacency maps
-//! behind one `RwLock`, per-node `Vec<GraphEdge>` with owned `String`
-//! endpoints. Every traversal hop pays a hash of the full node id
-//! plus pointer chases through three allocations per edge. [`CsrGraph`]
-//! trades a one-time compaction for cache-dense reads:
+//! [`GraphStore`] is write-optimized: one arrival log of node upserts and
+//! edges behind one `RwLock`, with `String`-keyed maps of log positions
+//! per node. Every traversal hop pays a hash of the full node id plus
+//! pointer chases into the log. [`CsrGraph`] trades a compaction for
+//! cache-dense reads:
 //!
 //! * node ids interned as [`prov_model::Sym`] and mapped to dense `u32`
 //!   indices (`index` is probed with plain `&str` — no allocation);
 //! * one forward and one reverse CSR (`offsets[u]..offsets[u+1]` slices of
 //!   `targets`), each with a parallel per-edge `u16` relation-code array —
-//!   per-node edge order is **insertion order**, exactly the order the
+//!   per-node edge order is **arrival order**, exactly the order the
 //!   adjacency-map oracle iterates, so kernel emission order matches the
 //!   oracle byte-for-byte;
 //! * visited state as a `u64` bitset (one bit per node, not a `HashSet`
 //!   of owned `String`s).
 //!
+//! **Extension.** A compaction remembers how much of the graph's log it
+//! has folded in. [`CsrGraph::extend`] interns only the entries past that
+//! cursor and merges their edges into new `offsets`/`targets`/`rel`
+//! arrays in one counting pass: per node, the old slice first, then the
+//! new edges in arrival order. The result equals a compaction of the
+//! whole log, which is all [`CsrGraph::build`] is — an extension of the
+//! empty compaction. The database memo extends in place when no snapshot
+//! pins the old compaction, and clones it first when one does (see
+//! [`StoreSnapshot::graph_csr`](crate::StoreSnapshot::graph_csr)), so a
+//! question asked while provenance streams in pays for the graph's delta,
+//! not for the whole graph. Dense indices follow first appearance in the
+//! log, and nothing is ever removed, so no index moves when the graph
+//! grows.
+//!
 //! The node universe is `nodes ∪ edge endpoints`: edges may reference ids
 //! never upserted as nodes (phantoms), and the legacy traversals happily
-//! visit them. Dense indices `[0, n_real)` are real (upserted) nodes;
-//! phantoms follow. Traversal kernels cover both; membership probes
-//! ([`CsrGraph::contains_node`]) match real nodes only, which is what the
-//! agent tool's token probing wants.
+//! visit them. A per-node mark tells real (upserted) nodes from phantoms;
+//! a phantom that is upserted later becomes real, and a re-upsert
+//! replaces the node's label and properties. Traversal kernels cover
+//! both; membership probes ([`CsrGraph::contains_node`]) match real nodes
+//! only, which is what the agent tool's token probing wants.
 //!
 //! Large frontiers fan out across crossbeam scoped threads (a store
 //! builds with its `Config::scan_threads`, like the columnar scans; `1`
@@ -31,16 +46,12 @@
 //! visited bitset, and a sequential merge — in chunk order — does all
 //! visited-marking and emission, reproducing the sequential BFS order at
 //! any thread count.
-//!
-//! Snapshots pin a CSR lazily per store generation (see
-//! [`StoreSnapshot::graph_csr`](crate::StoreSnapshot::graph_csr)); the
-//! build itself holds the graph's read lock once.
 
-use crate::graph::GraphStore;
-use prov_model::{Sym, Value};
+use crate::graph::{GraphStore, Logged};
+use prov_model::{Map, Sym, Value};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Relation code for "any relation" filters.
 const ANY_REL: u16 = u16::MAX;
@@ -51,6 +62,7 @@ const PARALLEL_FRONTIER: usize = 4096;
 
 /// One direction of adjacency in compressed-sparse-row form: node `u`'s
 /// edges are `targets[offsets[u] as usize .. offsets[u + 1] as usize]`.
+#[derive(Clone)]
 struct Csr {
     offsets: Vec<u32>,
     targets: Vec<u32>,
@@ -60,21 +72,60 @@ struct Csr {
 }
 
 impl Csr {
-    /// Counting-sort build: `degree[u]` per-node edge counts, then a prefix
-    /// sum, then a fill pass that must push each node's edges in the same
-    /// order the adjacency map stores them.
-    fn from_degrees(degrees: &[u32]) -> Csr {
-        let mut offsets = Vec::with_capacity(degrees.len() + 1);
+    fn empty() -> Csr {
+        Csr {
+            offsets: vec![0],
+            targets: Vec::new(),
+            rel: Vec::new(),
+        }
+    }
+
+    fn degree(&self, u: usize) -> u32 {
+        match self.offsets.get(u + 1) {
+            Some(&hi) => hi - self.offsets[u],
+            None => 0, // a node added by this extension
+        }
+    }
+
+    /// The arrays over `n` nodes with `delta` — `(node, neighbor, rel)`
+    /// in arrival order — merged in: one counting pass sizes each node's
+    /// new slice, then each node's old slice is copied ahead of its delta
+    /// edges, which keep arrival order. That is the adjacency map's
+    /// insertion order, so kernel emission order stays the oracle's.
+    fn merged(&self, n: usize, delta: &[(u32, u32, u16)]) -> Csr {
+        // `next[u]` counts u's delta edges, then becomes where the next
+        // one goes.
+        let mut next = vec![0u32; n];
+        for &(u, _, _) in delta {
+            next[u as usize] += 1;
+        }
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0u32);
         let mut total = 0u32;
-        offsets.push(0);
-        for &d in degrees {
-            total += d;
+        for (u, slot) in next.iter_mut().enumerate() {
+            let old = self.degree(u);
+            let added = *slot;
+            *slot = total + old;
+            total += old + added;
             offsets.push(total);
+        }
+        let mut targets = vec![0u32; total as usize];
+        let mut rel = vec![0u16; total as usize];
+        for (old, &at) in self.offsets.windows(2).zip(&offsets) {
+            let (lo, hi, at) = (old[0] as usize, old[1] as usize, at as usize);
+            targets[at..at + hi - lo].copy_from_slice(&self.targets[lo..hi]);
+            rel[at..at + hi - lo].copy_from_slice(&self.rel[lo..hi]);
+        }
+        for &(u, v, r) in delta {
+            let at = &mut next[u as usize];
+            targets[*at as usize] = v;
+            rel[*at as usize] = r;
+            *at += 1;
         }
         Csr {
             offsets,
-            targets: vec![0; total as usize],
-            rel: vec![0; total as usize],
+            targets,
+            rel,
         }
     }
 
@@ -110,30 +161,54 @@ impl Bitset {
     }
 }
 
-/// An immutable, CSR-compacted snapshot of a [`GraphStore`] with
-/// branch-light traversal kernels. See the module docs for the layout.
+/// A CSR-compacted snapshot of a [`GraphStore`] with branch-light
+/// traversal kernels, extended in arrival order as the store grows. See
+/// the module docs for the layout.
+#[derive(Clone)]
 pub struct CsrGraph {
-    /// Dense index → node id. `[0, n_real)` are upserted nodes; phantom
-    /// edge endpoints follow.
+    /// Dense index → node id, in order of first appearance in the log
+    /// (as an upserted node or as an edge endpoint).
     ids: Vec<Sym>,
     /// Dense index → label, aligned with `ids` (phantoms share `""`).
     labels: Vec<Sym>,
     /// Dense index → properties, aligned with `ids` (phantoms share the
     /// empty object).
     props: Vec<Arc<Value>>,
+    /// Dense index → whether the id was upserted as a node; `false` marks
+    /// a phantom edge endpoint, which a later upsert turns real.
+    real: Vec<bool>,
+    /// How many `real` marks are set.
+    real_count: usize,
     /// Node id → dense index (probed with `&str`, allocation-free).
     index: HashMap<Sym, u32>,
-    /// Boundary between real nodes and phantom endpoints in `ids`.
-    n_real: usize,
     /// Relation code → relation name.
     rels: Vec<Sym>,
     /// Forward (out-edge) adjacency.
     out: Csr,
     /// Reverse (in-edge) adjacency.
     inc: Csr,
+    /// How many graph-log entries are folded in.
+    cursor: usize,
     /// Worker count for large-frontier fan-out (1 = sequential path);
     /// set at build, re-pinnable for benches.
-    threads: AtomicUsize,
+    threads: Threads,
+}
+
+/// The kernel worker count: an atomic, so a shared compaction can be
+/// re-pinned, that clones by value.
+struct Threads(AtomicUsize);
+
+impl Clone for Threads {
+    fn clone(&self) -> Threads {
+        Threads(AtomicUsize::new(self.0.load(Ordering::Relaxed)))
+    }
+}
+
+/// The label and properties every phantom endpoint shares: `""` and the
+/// empty object.
+fn phantom() -> &'static (Sym, Arc<Value>) {
+    static PHANTOM: OnceLock<(Sym, Arc<Value>)> = OnceLock::new();
+    PHANTOM.get_or_init(|| (Sym::intern(""), Arc::new(Value::object(Map::new()))))
 }
 
 /// Traversal direction over the CSR pair.
@@ -146,120 +221,111 @@ pub enum Direction {
 }
 
 impl CsrGraph {
-    /// Compact `store` into CSR form under a single read-lock acquisition;
-    /// large frontiers fan out over `threads` workers (clamped to 1..=16).
+    /// Compact `store` into CSR form: [`extend`](Self::extend) from the
+    /// empty compaction. Large frontiers fan out over `threads` workers
+    /// (clamped to 1..=16).
     pub fn build(store: &GraphStore, threads: usize) -> CsrGraph {
-        store.with_inner(|g| {
-            // Dense indices: upserted nodes first (membership boundary),
-            // then phantom endpoints discovered while walking edges.
-            let mut index: HashMap<Sym, u32> = HashMap::with_capacity(g.nodes.len());
-            let mut ids: Vec<Sym> = Vec::with_capacity(g.nodes.len());
-            let mut labels: Vec<Sym> = Vec::with_capacity(g.nodes.len());
-            let mut props: Vec<Arc<Value>> = Vec::with_capacity(g.nodes.len());
-            for (id, node) in &g.nodes {
-                let sym = Sym::new(id.as_str());
-                index.insert(sym.clone(), ids.len() as u32);
-                ids.push(sym);
-                labels.push(Sym::new(node.label.as_str()));
-                props.push(Arc::clone(&node.props));
-            }
-            let n_real = ids.len();
+        let mut csr = CsrGraph::empty(threads);
+        csr.extend(store);
+        csr
+    }
 
-            let empty_label = Sym::intern("");
-            let empty_props: Arc<Value> = Arc::new(Value::object(prov_model::Map::new()));
-            let intern_node = |id: &str,
-                               index: &mut HashMap<Sym, u32>,
-                               ids: &mut Vec<Sym>,
-                               labels: &mut Vec<Sym>,
-                               props: &mut Vec<Arc<Value>>| {
-                if let Some(&i) = index.get(id) {
-                    return i;
-                }
-                let sym = Sym::new(id);
-                let i = ids.len() as u32;
-                index.insert(sym.clone(), i);
-                ids.push(sym);
-                labels.push(empty_label.clone());
-                props.push(Arc::clone(&empty_props));
-                i
-            };
+    /// The compaction of the empty graph (log cursor 0).
+    pub(crate) fn empty(threads: usize) -> CsrGraph {
+        CsrGraph {
+            ids: Vec::new(),
+            labels: Vec::new(),
+            props: Vec::new(),
+            real: Vec::new(),
+            real_count: 0,
+            index: HashMap::new(),
+            rels: Vec::new(),
+            out: Csr::empty(),
+            inc: Csr::empty(),
+            cursor: 0,
+            threads: Threads(AtomicUsize::new(threads.clamp(1, 16))),
+        }
+    }
 
-            // Relation codes (tiny vocabulary: prov:wasInformedBy etc.).
-            let mut rels: Vec<Sym> = Vec::new();
-            let mut rel_code: HashMap<Sym, u16> = HashMap::new();
-            let code_of = |rel: &str, rels: &mut Vec<Sym>, rel_code: &mut HashMap<Sym, u16>| {
-                if let Some(&c) = rel_code.get(rel) {
-                    return c;
-                }
-                let c = rels.len() as u16;
-                debug_assert!(c < ANY_REL, "relation vocabulary overflow");
-                let sym = Sym::intern(rel);
-                rel_code.insert(sym.clone(), c);
-                rels.push(sym);
-                c
-            };
-
-            // First pass: register phantom endpoints and count degrees.
-            // (Out- and in-maps hold the same edges, indexed both ways.)
-            for (from, es) in &g.out_edges {
-                intern_node(from, &mut index, &mut ids, &mut labels, &mut props);
-                for e in es {
-                    intern_node(&e.to, &mut index, &mut ids, &mut labels, &mut props);
-                    code_of(&e.rel, &mut rels, &mut rel_code);
+    /// Fold in the entries `store`'s log gained since this compaction
+    /// was last extended, under one read-lock acquisition; `store` must
+    /// be the graph it was built from. Only the new entries are interned:
+    /// an upsert sets the node's label and properties and marks it real
+    /// (a phantom endpoint becomes a node), an edge interns its endpoints
+    /// and relation. The new edges are then merged into fresh
+    /// `offsets`/`targets`/`rel` arrays behind each node's old slice, so
+    /// the result equals a build from empty over the whole log.
+    pub fn extend(&mut self, store: &GraphStore) {
+        let logged = store.with_log_since(self.cursor, |entries| {
+            let mut delta: Vec<(u32, u32, u16)> = Vec::new();
+            // Labels are a tiny vocabulary: re-intern only on a change.
+            let mut label = phantom().0.clone();
+            for entry in entries {
+                match entry {
+                    Logged::Node(node) => {
+                        let i = self.intern(&node.id) as usize;
+                        if label.as_str() != node.label {
+                            label = Sym::intern(&node.label);
+                        }
+                        self.labels[i] = label.clone();
+                        self.props[i] = Arc::clone(&node.props);
+                        if !self.real[i] {
+                            self.real[i] = true;
+                            self.real_count += 1;
+                        }
+                    }
+                    Logged::Edge(e) => {
+                        let from = self.intern(&e.from);
+                        let to = self.intern(&e.to);
+                        delta.push((from, to, self.code_of(&e.rel)));
+                    }
                 }
             }
-            for to in g.in_edges.keys() {
-                intern_node(to, &mut index, &mut ids, &mut labels, &mut props);
-            }
-            let n = ids.len();
-            let mut out_deg = vec![0u32; n];
-            let mut in_deg = vec![0u32; n];
-            for (from, es) in &g.out_edges {
-                out_deg[index[from.as_str()] as usize] = es.len() as u32;
-            }
-            for (to, es) in &g.in_edges {
-                in_deg[index[to.as_str()] as usize] = es.len() as u32;
-            }
-
-            // Fill pass, preserving each node's per-vec insertion order so
-            // kernel emission order equals the adjacency-map oracle's.
-            let mut out = Csr::from_degrees(&out_deg);
-            let mut inc = Csr::from_degrees(&in_deg);
-            for (from, es) in &g.out_edges {
-                let u = index[from.as_str()];
-                let base = out.offsets[u as usize] as usize;
-                for (k, e) in es.iter().enumerate() {
-                    out.targets[base + k] = index[e.to.as_str()];
-                    out.rel[base + k] = rel_code[e.rel.as_str()];
+            if !entries.is_empty() {
+                let n = self.ids.len();
+                self.out = self.out.merged(n, &delta);
+                for d in &mut delta {
+                    *d = (d.1, d.0, d.2);
                 }
+                self.inc = self.inc.merged(n, &delta);
             }
-            for (to, es) in &g.in_edges {
-                let v = index[to.as_str()];
-                let base = inc.offsets[v as usize] as usize;
-                for (k, e) in es.iter().enumerate() {
-                    inc.targets[base + k] = index[e.from.as_str()];
-                    inc.rel[base + k] = rel_code[e.rel.as_str()];
-                }
-            }
+            entries.len()
+        });
+        self.cursor += logged;
+    }
 
-            CsrGraph {
-                ids,
-                labels,
-                props,
-                index,
-                n_real,
-                rels,
-                out,
-                inc,
-                threads: AtomicUsize::new(threads.clamp(1, 16)),
-            }
-        })
+    /// Dense index of `id`, appending it as a phantom endpoint when new.
+    fn intern(&mut self, id: &str) -> u32 {
+        if let Some(&i) = self.index.get(id) {
+            return i;
+        }
+        let i = u32::try_from(self.ids.len()).expect("graph exceeds u32 node indices");
+        let sym = Sym::new(id);
+        self.index.insert(sym.clone(), i);
+        self.ids.push(sym);
+        let (label, props) = phantom();
+        self.labels.push(label.clone());
+        self.props.push(Arc::clone(props));
+        self.real.push(false);
+        i
+    }
+
+    /// Relation code of `rel`, appending it to the (tiny) vocabulary when
+    /// new.
+    fn code_of(&mut self, rel: &str) -> u16 {
+        if let Some(c) = self.rels.iter().position(|r| r.as_str() == rel) {
+            return c as u16;
+        }
+        let c = self.rels.len() as u16;
+        assert!(c < ANY_REL, "relation vocabulary overflow");
+        self.rels.push(Sym::intern(rel));
+        c
     }
 
     /// Node count (upserted nodes only, phantom endpoints excluded —
     /// matches [`GraphStore::node_count`]).
     pub fn node_count(&self) -> usize {
-        self.n_real
+        self.real_count
     }
 
     /// Edge count.
@@ -270,32 +336,32 @@ impl CsrGraph {
     /// True when `id` was upserted as a node (phantom edge endpoints do
     /// not count, matching `GraphStore::node(id).is_some()`).
     pub fn contains_node(&self, id: &str) -> bool {
-        self.index
-            .get(id)
-            .is_some_and(|&i| (i as usize) < self.n_real)
+        self.index.get(id).is_some_and(|&i| self.real[i as usize])
     }
 
     /// The node's label (`None` for unknown or phantom ids).
     pub fn node_label(&self, id: &str) -> Option<&Sym> {
         let &i = self.index.get(id)?;
-        ((i as usize) < self.n_real).then(|| &self.labels[i as usize])
+        self.real[i as usize].then(|| &self.labels[i as usize])
     }
 
     /// The node's shared property object (`None` for unknown/phantom ids).
     pub fn node_props(&self, id: &str) -> Option<&Arc<Value>> {
         let &i = self.index.get(id)?;
-        ((i as usize) < self.n_real).then(|| &self.props[i as usize])
+        self.real[i as usize].then(|| &self.props[i as usize])
     }
 
     /// Worker count large-frontier kernels use (1 = sequential path).
     pub fn traverse_threads(&self) -> usize {
-        self.threads.load(Ordering::Relaxed)
+        self.threads.0.load(Ordering::Relaxed)
     }
 
     /// Pin the kernel worker count (clamped to 1..=16). Kernel output is
     /// thread-count invariant; this only tunes read concurrency.
     pub fn set_traverse_threads(&self, threads: usize) {
-        self.threads.store(threads.clamp(1, 16), Ordering::Relaxed);
+        self.threads
+            .0
+            .store(threads.clamp(1, 16), Ordering::Relaxed);
     }
 
     fn rel_code(&self, rel: &str) -> Option<u16> {

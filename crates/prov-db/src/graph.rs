@@ -38,12 +38,116 @@ pub struct GraphEdge {
     pub rel: String,
 }
 
+/// One arrival in the graph's log: a node upsert or an edge.
+pub(crate) enum Logged {
+    Node(GraphNode),
+    Edge(GraphEdge),
+}
+
+/// The graph's state: every node upsert and edge in one log, in arrival
+/// order, with the lookup maps holding log positions into it. Each edge
+/// is stored once; the adjacency maps list its position under both
+/// endpoints. A reader that remembers the log length it has folded in
+/// (the CSR compaction, [`crate::csr`]) picks up exactly the entries
+/// that arrived since.
 #[derive(Default)]
-pub(crate) struct Inner {
-    pub(crate) nodes: HashMap<String, GraphNode>,
-    pub(crate) out_edges: HashMap<String, Vec<GraphEdge>>,
-    pub(crate) in_edges: HashMap<String, Vec<GraphEdge>>,
-    pub(crate) edge_count: usize,
+struct Inner {
+    log: Vec<Logged>,
+    /// Node id → log position of its latest upsert.
+    nodes: HashMap<String, u32>,
+    /// Node id → log positions of its out-edges, in arrival order.
+    out_edges: HashMap<String, Vec<u32>>,
+    /// Node id → log positions of its in-edges, in arrival order.
+    in_edges: HashMap<String, Vec<u32>>,
+    edge_count: usize,
+}
+
+impl Inner {
+    fn node_at(&self, at: u32) -> &GraphNode {
+        match &self.log[at as usize] {
+            Logged::Node(n) => n,
+            Logged::Edge(_) => unreachable!("node map points at an edge"),
+        }
+    }
+
+    fn node(&self, id: &str) -> Option<&GraphNode> {
+        self.nodes.get(id).map(|&at| self.node_at(at))
+    }
+
+    /// Every node's latest upsert (map order).
+    fn nodes(&self) -> impl Iterator<Item = &GraphNode> {
+        self.nodes.values().map(|&at| self.node_at(at))
+    }
+
+    /// The edges at the log positions `adj` lists for `id`, in arrival
+    /// order.
+    fn edges<'g>(
+        &'g self,
+        adj: &'g HashMap<String, Vec<u32>>,
+        id: &str,
+    ) -> impl Iterator<Item = &'g GraphEdge> {
+        adj.get(id)
+            .into_iter()
+            .flatten()
+            .map(|&at| match &self.log[at as usize] {
+                Logged::Edge(e) => e,
+                Logged::Node(_) => unreachable!("adjacency points at a node"),
+            })
+    }
+
+    fn out(&self, id: &str) -> impl Iterator<Item = &GraphEdge> {
+        self.edges(&self.out_edges, id)
+    }
+
+    fn inc(&self, id: &str) -> impl Iterator<Item = &GraphEdge> {
+        self.edges(&self.in_edges, id)
+    }
+
+    fn position(&self) -> u32 {
+        u32::try_from(self.log.len()).expect("graph log exceeds u32 positions")
+    }
+
+    /// Insert or replace a node. An upsert that changes nothing (same
+    /// label, same properties) is not logged: the agent node is
+    /// re-upserted with every message that names it.
+    fn upsert(&mut self, node: GraphNode) {
+        let at = self.position();
+        match self.nodes.get_mut(node.id.as_str()) {
+            Some(slot) => {
+                if let Logged::Node(old) = &self.log[*slot as usize] {
+                    if old.label == node.label
+                        && (Arc::ptr_eq(&old.props, &node.props) || old.props == node.props)
+                    {
+                        return;
+                    }
+                }
+                *slot = at;
+            }
+            None => {
+                self.nodes.insert(node.id.clone(), at);
+            }
+        }
+        self.log.push(Logged::Node(node));
+    }
+
+    fn add_edge(&mut self, e: GraphEdge) {
+        let at = self.position();
+        push_position(&mut self.out_edges, &e.from, at);
+        push_position(&mut self.in_edges, &e.to, at);
+        self.log.push(Logged::Edge(e));
+        self.edge_count += 1;
+    }
+}
+
+/// Append `at` to `id`'s position list, allocating the key only for a
+/// node the map has not seen.
+fn push_position(adj: &mut HashMap<String, Vec<u32>>, id: &str, at: u32) {
+    match adj.get_mut(id) {
+        Some(list) => list.push(at),
+        None => {
+            adj.insert(id.to_string(), vec![at]);
+        }
+    }
 }
 
 /// A batch of node upserts and edge inserts applied under one lock
@@ -120,51 +224,38 @@ impl GraphStore {
 
     /// Insert or replace a node.
     pub fn upsert_node(&self, id: impl Into<String>, label: impl Into<String>, props: Map) {
-        let id = id.into();
         let node = GraphNode {
-            id: id.clone(),
+            id: id.into(),
             label: label.into(),
             props: Arc::new(Value::object(props)),
         };
-        self.inner.write().nodes.insert(id, node);
+        self.inner.write().upsert(node);
     }
 
     /// Add a directed edge.
     pub fn add_edge(&self, from: impl Into<String>, to: impl Into<String>, rel: impl Into<String>) {
-        let e = GraphEdge {
+        self.inner.write().add_edge(GraphEdge {
             from: from.into(),
             to: to.into(),
             rel: rel.into(),
-        };
-        let mut g = self.inner.write();
-        g.out_edges
-            .entry(e.from.clone())
-            .or_default()
-            .push(e.clone());
-        g.in_edges.entry(e.to.clone()).or_default().push(e);
-        g.edge_count += 1;
+        });
     }
 
     /// Apply a pre-built batch of upserts and edges under a **single**
-    /// write-lock acquisition, in queued order. The per-message ingest path
-    /// used to take one lock per node plus one per edge; a keeper flushing a
-    /// 64-message batch now locks the graph once instead of ~192 times.
+    /// write-lock acquisition: the nodes first, then the edges, each in
+    /// queued order. A keeper flushing a 64-message batch locks the graph
+    /// once instead of ~192 times.
     pub fn apply_batch(&self, batch: GraphBatch) {
         if batch.is_empty() {
             return;
         }
         let mut g = self.inner.write();
-        g.nodes.reserve(batch.nodes.len());
+        g.log.reserve(batch.len());
         for node in batch.nodes {
-            g.nodes.insert(node.id.clone(), node);
+            g.upsert(node);
         }
         for e in batch.edges {
-            g.out_edges
-                .entry(e.from.clone())
-                .or_default()
-                .push(e.clone());
-            g.in_edges.entry(e.to.clone()).or_default().push(e);
-            g.edge_count += 1;
+            g.add_edge(e);
         }
     }
 
@@ -180,35 +271,25 @@ impl GraphStore {
 
     /// Fetch a node.
     pub fn node(&self, id: &str) -> Option<GraphNode> {
-        self.inner.read().nodes.get(id).cloned()
+        self.inner.read().node(id).cloned()
     }
 
     /// Outgoing neighbors via a relation (empty `rel` = any).
     pub fn neighbors_out(&self, id: &str, rel: &str) -> Vec<String> {
         let g = self.inner.read();
-        g.out_edges
-            .get(id)
-            .map(|es| {
-                es.iter()
-                    .filter(|e| rel.is_empty() || e.rel == rel)
-                    .map(|e| e.to.clone())
-                    .collect()
-            })
-            .unwrap_or_default()
+        g.out(id)
+            .filter(|e| rel.is_empty() || e.rel == rel)
+            .map(|e| e.to.clone())
+            .collect()
     }
 
     /// Incoming neighbors via a relation (empty `rel` = any).
     pub fn neighbors_in(&self, id: &str, rel: &str) -> Vec<String> {
         let g = self.inner.read();
-        g.in_edges
-            .get(id)
-            .map(|es| {
-                es.iter()
-                    .filter(|e| rel.is_empty() || e.rel == rel)
-                    .map(|e| e.from.clone())
-                    .collect()
-            })
-            .unwrap_or_default()
+        g.inc(id)
+            .filter(|e| rel.is_empty() || e.rel == rel)
+            .map(|e| e.from.clone())
+            .collect()
     }
 
     /// BFS over outgoing `rel` edges from `start`, up to `max_depth` hops.
@@ -216,13 +297,16 @@ impl GraphStore {
     ///
     /// Holds the read lock once for the whole walk and works on `&str`
     /// borrows of the stored edges; the only `String` allocations are the
-    /// final emitted ids (the pre-PR8 version reacquired the lock and
-    /// cloned a `String` per visited node — pathological on large graphs,
-    /// and this method is the differential oracle the CSR kernels are
-    /// tested against).
+    /// final emitted ids. This method is the differential oracle the CSR
+    /// kernels are tested against.
     pub fn traverse(&self, start: &str, rel: &str, max_depth: usize) -> Vec<(String, usize)> {
         let g = self.inner.read();
-        Self::bfs_locked(&g.out_edges, |e| (&e.rel, &e.to), start, rel, max_depth)
+        Self::bfs_locked(
+            |id| g.out(id).map(|e| (&e.rel, &e.to)),
+            start,
+            rel,
+            max_depth,
+        )
     }
 
     /// Multi-hop causal chain: all upstream activities that (transitively)
@@ -235,23 +319,25 @@ impl GraphStore {
     pub fn downstream_impact(&self, task: &str, max_depth: usize) -> Vec<(String, usize)> {
         let g = self.inner.read();
         Self::bfs_locked(
-            &g.in_edges,
-            |e| (&e.rel, &e.from),
+            |id| g.inc(id).map(|e| (&e.rel, &e.from)),
             task,
             "prov:wasInformedBy",
             max_depth,
         )
     }
 
-    /// One-guard BFS over an adjacency map (`rel` empty = any relation),
-    /// shared by the directed traversals above.
-    fn bfs_locked<'g>(
-        adj: &'g HashMap<String, Vec<GraphEdge>>,
-        endpoint: impl Fn(&'g GraphEdge) -> (&'g String, &'g String),
+    /// One-guard BFS over one direction of adjacency (`rel` empty = any
+    /// relation), shared by the directed traversals above: `adj` yields a
+    /// node's `(relation, neighbor)` pairs in edge arrival order.
+    fn bfs_locked<'g, I>(
+        adj: impl Fn(&str) -> I,
         start: &str,
         rel: &str,
         max_depth: usize,
-    ) -> Vec<(String, usize)> {
+    ) -> Vec<(String, usize)>
+    where
+        I: Iterator<Item = (&'g String, &'g String)>,
+    {
         let mut out: Vec<(&str, usize)> = Vec::new();
         let mut seen: HashSet<&str> = HashSet::from([start]);
         let mut queue: VecDeque<(&str, usize)> = VecDeque::from([(start, 0)]);
@@ -259,13 +345,10 @@ impl GraphStore {
             if depth == max_depth {
                 continue;
             }
-            if let Some(es) = adj.get(cur) {
-                for e in es {
-                    let (erel, next) = endpoint(e);
-                    if (rel.is_empty() || erel == rel) && seen.insert(next) {
-                        out.push((next, depth + 1));
-                        queue.push_back((next, depth + 1));
-                    }
+            for (erel, next) in adj(cur) {
+                if (rel.is_empty() || erel == rel) && seen.insert(next) {
+                    out.push((next, depth + 1));
+                    queue.push_back((next, depth + 1));
                 }
             }
         }
@@ -285,8 +368,8 @@ impl GraphStore {
             if depth == k {
                 continue;
             }
-            let outs = g.out_edges.get(cur).into_iter().flatten().map(|e| &e.to);
-            let ins = g.in_edges.get(cur).into_iter().flatten().map(|e| &e.from);
+            let outs = g.out(cur).map(|e| &e.to);
+            let ins = g.inc(cur).map(|e| &e.from);
             for next in outs.chain(ins) {
                 if seen.insert(next) {
                     out.push((next, depth + 1));
@@ -311,53 +394,44 @@ impl GraphStore {
         let mut queue: VecDeque<&str> = VecDeque::from([from]);
         let mut seen: HashSet<&str> = HashSet::from([from]);
         while let Some(cur) = queue.pop_front() {
-            if let Some(es) = g.out_edges.get(cur) {
-                for e in es {
-                    let next = e.to.as_str();
-                    if !seen.insert(next) {
-                        continue;
-                    }
-                    prev.insert(next, cur);
-                    if next == to {
-                        let mut path = vec![next];
-                        let mut at = next;
-                        while let Some(p) = prev.get(at) {
-                            path.push(p);
-                            at = p;
-                        }
-                        path.reverse();
-                        return Some(path.into_iter().map(str::to_string).collect());
-                    }
-                    queue.push_back(next);
+            for e in g.out(cur) {
+                let next = e.to.as_str();
+                if !seen.insert(next) {
+                    continue;
                 }
+                prev.insert(next, cur);
+                if next == to {
+                    let mut path = vec![next];
+                    let mut at = next;
+                    while let Some(p) = prev.get(at) {
+                        path.push(p);
+                        at = p;
+                    }
+                    path.reverse();
+                    return Some(path.into_iter().map(str::to_string).collect());
+                }
+                queue.push_back(next);
             }
         }
         None
     }
 
-    /// Read access to the adjacency state under one guard — the CSR
-    /// snapshot builder compacts from here ([`crate::csr`]).
-    pub(crate) fn with_inner<R>(&self, f: impl FnOnce(&Inner) -> R) -> R {
-        f(&self.inner.read())
+    /// The log entries from position `from` on, under one read guard —
+    /// the CSR compaction extends itself from here ([`crate::csr`]).
+    pub(crate) fn with_log_since<R>(&self, from: usize, f: impl FnOnce(&[Logged]) -> R) -> R {
+        f(&self.inner.read().log[from..])
     }
 
     /// Nodes with a given label.
     pub fn nodes_with_label(&self, label: &str) -> Vec<GraphNode> {
-        self.inner
-            .read()
-            .nodes
-            .values()
-            .filter(|n| n.label == label)
-            .cloned()
-            .collect()
+        let g = self.inner.read();
+        g.nodes().filter(|n| n.label == label).cloned().collect()
     }
 
     /// Nodes whose property `key` equals `value`.
     pub fn nodes_with_prop(&self, key: &str, value: &Value) -> Vec<GraphNode> {
-        self.inner
-            .read()
-            .nodes
-            .values()
+        let g = self.inner.read();
+        g.nodes()
             .filter(|n| n.props.get(key) == Some(value))
             .cloned()
             .collect()

@@ -140,13 +140,20 @@ impl StoreSnapshot {
     }
 
     /// The CSR-compacted graph this snapshot's traversals run against
-    /// (see [`crate::csr`]). Built lazily — one compaction pass under a
-    /// single graph read lock, shared through the store's generation-keyed
-    /// memo with sibling snapshots — and **pinned**: every call on this
-    /// snapshot returns the same compaction, so graph reads are repeatable
-    /// even while ingest keeps mutating the live adjacency maps. Like
-    /// [`graph`](StoreSnapshot::graph), the view contains at least
-    /// everything accepted up to the snapshot's generation.
+    /// (see [`crate::csr`]). Resolved lazily through the store's memo,
+    /// which sibling snapshots of one generation share, and **pinned**:
+    /// every call on this snapshot returns the same compaction, so graph
+    /// reads are repeatable even while ingest keeps mutating the live
+    /// adjacency maps. Like [`graph`](StoreSnapshot::graph), the view
+    /// contains at least everything accepted up to the snapshot's
+    /// generation.
+    ///
+    /// A newer generation does not recompact the graph: the memo is
+    /// extended by the graph-log entries that arrived since, in place
+    /// when no snapshot pins it any more. While this snapshot lives, its
+    /// pin makes that extension clone the compaction first, so the
+    /// pinned one never changes — callers that re-pin per generation
+    /// should drop the old snapshot before the new one's first graph read.
     pub fn graph_csr(&self) -> &Arc<CsrGraph> {
         self.csr.get_or_init(|| self.db.csr_for(self.generation))
     }

@@ -57,6 +57,13 @@ pub struct DurableStats {
     pub segments: usize,
     /// Sealed runs merged away by compaction so far.
     pub compactions: u64,
+    /// Segments that open did not attach as the paged cold prefix:
+    /// segments of another shard count or chunk size than the opening
+    /// store's, segments past the coverage every shard shares, and every
+    /// segment when open fell back to (or was asked for) a full replay.
+    /// Their rows past the attached coverage were replayed into memory.
+    /// Fixed at open.
+    pub foreign_segments: usize,
 }
 
 /// WAL half of the durable state: the appender plus the next arrival
@@ -83,6 +90,8 @@ struct Durability {
     wal_path: PathBuf,
     wal: Mutex<WalState>,
     seal: Mutex<SealState>,
+    /// [`DurableStats::foreign_segments`].
+    foreign_segments: usize,
 }
 
 /// Unified provenance database over document + KV + graph backends.
@@ -110,9 +119,12 @@ pub struct ProvenanceDatabase {
     /// [`StoreSnapshot`] of this database (entries are keyed on the
     /// snapshot generation, so one cache serves all generations safely).
     plan_cache: PlanCache,
-    /// Generation-keyed CSR graph memo: many snapshots of one generation
-    /// share a single compaction (see [`crate::csr`]). Rebuilt lazily on
-    /// first graph read after the generation moves.
+    /// The newest CSR graph compaction and the generation it covers at
+    /// least: many snapshots of one generation share it (see
+    /// [`crate::csr`]). On the first graph read after the generation
+    /// moves, [`csr_for`](Self::csr_for) extends it by the graph's new
+    /// log entries — in place, or on a clone while an older snapshot
+    /// still pins it. Never held while taking `flusher` or `pending`.
     csr: Mutex<Option<(u64, Arc<CsrGraph>)>>,
     /// The newest built oracle frame and the per-shard bound it covers
     /// (see [`StoreSnapshot::oracle_frame`]): a newer snapshot extends it
@@ -226,13 +238,12 @@ impl ProvenanceDatabase {
         // uniform sealed-slot mark is their minimum over shards.
         // Segments from other epochs stay in the catalog (they still
         // serve recovery and pruning) but don't advance the mark.
+        let ours = |m: &SegmentMeta| m.nshards as u64 == n && m.chunk as u64 == chunk;
         let slots = (0..n)
             .map(|s| {
                 let mut runs: Vec<&SegmentMeta> = segs
                     .iter()
-                    .filter(|m| {
-                        m.nshards as u64 == n && m.shard as u64 == s && m.chunk as u64 == chunk
-                    })
+                    .filter(|m| ours(m) && m.shard as u64 == s)
                     .collect();
                 runs.sort_by_key(|m| m.start);
                 let mut covered = 0u64;
@@ -257,6 +268,12 @@ impl ProvenanceDatabase {
         } else {
             None
         };
+        // Every segment outside the attached prefix is replayed below.
+        let attached = match cold {
+            Some(_) => segs.iter().filter(|m| ours(m) && m.start < slots).count(),
+            None => 0,
+        };
+        let foreign_segments = segs.len() - attached;
 
         // Assemble the arrivals from `base` on — past the cold coverage,
         // or all of them on a replay — from the segments (each names the
@@ -330,6 +347,7 @@ impl ProvenanceDatabase {
                 segments: segs,
                 compactions: 0,
             }),
+            foreign_segments,
         });
         Ok(Arc::new(db))
     }
@@ -413,37 +431,16 @@ impl ProvenanceDatabase {
         if !self.backends_cold.load(Ordering::Acquire) {
             return;
         }
-        let empty_props = Arc::new(Value::object(Map::new()));
-        let mut kv_rows: Vec<(String, Arc<Value>)> = Vec::new();
-        let mut graph = GraphBatch::new();
+        let mut fan = Fanout::new();
         self.documents.for_each_doc_in_id_order(|doc| {
             if let Some(msg) = TaskMessage::from_value(doc) {
-                kv_rows.push((format!("task/{}", msg.task_id.as_str()), doc.clone()));
-                graph.upsert_node_shared(msg.task_id.as_str(), "prov:Activity", doc.clone());
-                for dep in &msg.depends_on {
-                    graph.add_edge(
-                        msg.task_id.as_str(),
-                        dep.as_str(),
-                        ProvRelation::WasInformedBy.as_str(),
-                    );
-                }
-                if let Some(agent) = &msg.agent_id {
-                    graph.upsert_node_shared(agent.as_str(), "prov:Agent", empty_props.clone());
-                    graph.add_edge(
-                        msg.task_id.as_str(),
-                        agent.as_str(),
-                        ProvRelation::WasAssociatedWith.as_str(),
-                    );
-                }
+                fan.push(&msg, doc);
             }
-            if kv_rows.len() >= 8192 {
-                self.kv.put_batch(std::mem::take(&mut kv_rows));
-                self.graph
-                    .apply_batch(std::mem::replace(&mut graph, GraphBatch::new()));
+            if fan.kv_rows.len() >= 8192 {
+                fan.apply(&self.kv, &self.graph);
             }
         });
-        self.kv.put_batch(kv_rows);
-        self.graph.apply_batch(graph);
+        fan.apply(&self.kv, &self.graph);
         self.backends_cold.store(false, Ordering::Release);
     }
 
@@ -517,12 +514,16 @@ impl ProvenanceDatabase {
     /// CSR graph compaction covering **at least** generation `generation`
     /// (the graph backend has no per-row high-water mark, so like every
     /// graph read through a snapshot this is a superset view; each
-    /// [`StoreSnapshot`] pins the first build it observes, making its own
-    /// reads repeatable). Memoized: concurrent snapshots of one generation
-    /// share a single compaction pass.
+    /// [`StoreSnapshot`] pins the first compaction it observes, making its
+    /// own reads repeatable). Memoized: concurrent snapshots of one
+    /// generation share a single pass. A newer generation extends the
+    /// memo by the graph-log entries past its cursor
+    /// ([`CsrGraph::extend`]) instead of recompacting the whole graph —
+    /// in place when no snapshot still pins the memo, on a clone when an
+    /// older snapshot does, so that snapshot keeps exactly what it saw.
     pub(crate) fn csr_for(&self, generation: u64) -> Arc<CsrGraph> {
-        // Hydrate *before* consulting the memo: a build over cold (still
-        // empty) backends must never be memoized.
+        // Hydrate *before* consulting the memo: a compaction over cold
+        // (still empty) backends must never be memoized.
         self.hydrate_backends();
         {
             let memo = self.csr.lock();
@@ -535,18 +536,27 @@ impl ProvenanceDatabase {
         // The coverage floor must be read *before* flushing: a message
         // counted by `generation()` here is already in the pending log
         // (the count bumps under the pending lock, after the append), so
-        // the flush below materializes it and the build covers it.
+        // the flush below materializes it and the extension covers it.
         let floor = self.generation().max(generation);
         self.flush_views();
+        // Extending holds the memo lock (it is never held while taking
+        // `flusher` or `pending`), so snapshots of one generation share
+        // one extension pass.
         let mut memo = self.csr.lock();
         if let Some((g, csr)) = memo.as_ref() {
             if floor <= *g {
                 return Arc::clone(csr);
             }
         }
-        let built = Arc::new(CsrGraph::build(&self.graph, self.config.scan_threads));
-        *memo = Some((floor, Arc::clone(&built)));
-        built
+        // Taking the memo's own reference out first leaves only the
+        // snapshots' pins to decide whether `make_mut` must clone.
+        let mut csr = match memo.take() {
+            Some((_, csr)) => csr,
+            None => Arc::new(CsrGraph::empty(self.config.scan_threads)),
+        };
+        Arc::make_mut(&mut csr).extend(&self.graph);
+        *memo = Some((floor, Arc::clone(&csr)));
+        csr
     }
 
     /// Pin the store's current contents as an immutable read view.
@@ -649,39 +659,17 @@ impl ProvenanceDatabase {
     /// acquisition. Returns how many messages were materialized.
     fn materialize<'a>(&self, msgs: impl IntoIterator<Item = &'a TaskMessage>) -> usize {
         let mut docs: Vec<Arc<Value>> = Vec::new();
-        let mut kv_rows: Vec<(String, Arc<Value>)> = Vec::new();
-        let mut graph = GraphBatch::new();
         // While the KV/graph backends are cold (lazy open, not yet read),
         // skip their fan-out: hydration replays every document — these
         // included — in arrival order before the first KV/graph read.
-        let cold = self.backends_cold.load(Ordering::Acquire);
-        // Agent nodes carry no properties of their own; share one object.
-        let empty_props = Arc::new(Value::object(Map::new()));
+        let mut fan = (!self.backends_cold.load(Ordering::Acquire)).then(Fanout::new);
         for msg in msgs {
             // One serialization, shared by the document, KV, and graph
-            // backends: the activity node's properties *are* the document
-            // (a superset of the {activity_id, hostname, status} projection
-            // the per-message path used to copy out), so property-graph
-            // ingest costs no map construction at all.
+            // backends: the activity node's properties *are* the document,
+            // so property-graph ingest costs no map construction at all.
             let doc = Arc::new(msg.to_value());
-            if !cold {
-                kv_rows.push((format!("task/{}", msg.task_id.as_str()), doc.clone()));
-                graph.upsert_node_shared(msg.task_id.as_str(), "prov:Activity", doc.clone());
-                for dep in &msg.depends_on {
-                    graph.add_edge(
-                        msg.task_id.as_str(),
-                        dep.as_str(),
-                        ProvRelation::WasInformedBy.as_str(),
-                    );
-                }
-                if let Some(agent) = &msg.agent_id {
-                    graph.upsert_node_shared(agent.as_str(), "prov:Agent", empty_props.clone());
-                    graph.add_edge(
-                        msg.task_id.as_str(),
-                        agent.as_str(),
-                        ProvRelation::WasAssociatedWith.as_str(),
-                    );
-                }
+            if let Some(fan) = &mut fan {
+                fan.push(msg, &doc);
             }
             docs.push(doc);
         }
@@ -704,9 +692,8 @@ impl ProvenanceDatabase {
             wal_state.next_seq += n as u64;
         }
         self.documents.insert_many_shared(docs);
-        if !cold {
-            self.kv.put_batch(kv_rows);
-            self.graph.apply_batch(graph);
+        if let Some(mut fan) = fan {
+            fan.apply(&self.kv, &self.graph);
         }
         if self.durability.is_some() {
             // Best-effort: a failed seal leaves everything in the WAL,
@@ -725,36 +712,17 @@ impl ProvenanceDatabase {
     /// answers.
     fn materialize_docs(&self, raw: Vec<Value>) {
         let mut docs: Vec<Arc<Value>> = Vec::with_capacity(raw.len());
-        let mut kv_rows: Vec<(String, Arc<Value>)> = Vec::new();
-        let mut graph = GraphBatch::new();
         // Lazy open defers the KV/graph fan-out of the whole replay to
         // the first KV/graph read (see `hydrate_backends`).
-        let cold = self.backends_cold.load(Ordering::Acquire);
-        let empty_props = Arc::new(Value::object(Map::new()));
+        let mut fan = (!self.backends_cold.load(Ordering::Acquire)).then(Fanout::new);
         for v in raw {
             let doc = Arc::new(v);
             // Documents written by `materialize` always decode (they are
             // `to_value` output); the guard only protects against a
             // hand-corrupted directory.
-            if !cold {
+            if let Some(fan) = &mut fan {
                 if let Some(msg) = TaskMessage::from_value(&doc) {
-                    kv_rows.push((format!("task/{}", msg.task_id.as_str()), doc.clone()));
-                    graph.upsert_node_shared(msg.task_id.as_str(), "prov:Activity", doc.clone());
-                    for dep in &msg.depends_on {
-                        graph.add_edge(
-                            msg.task_id.as_str(),
-                            dep.as_str(),
-                            ProvRelation::WasInformedBy.as_str(),
-                        );
-                    }
-                    if let Some(agent) = &msg.agent_id {
-                        graph.upsert_node_shared(agent.as_str(), "prov:Agent", empty_props.clone());
-                        graph.add_edge(
-                            msg.task_id.as_str(),
-                            agent.as_str(),
-                            ProvRelation::WasAssociatedWith.as_str(),
-                        );
-                    }
+                    fan.push(&msg, &doc);
                 }
             }
             docs.push(doc);
@@ -763,9 +731,8 @@ impl ProvenanceDatabase {
             return;
         }
         self.documents.insert_many_shared(docs);
-        if !cold {
-            self.kv.put_batch(kv_rows);
-            self.graph.apply_batch(graph);
+        if let Some(mut fan) = fan {
+            fan.apply(&self.kv, &self.graph);
         }
     }
 
@@ -911,6 +878,7 @@ impl ProvenanceDatabase {
             sealed_slots: seal.slots,
             segments: seal.segments.len(),
             compactions: seal.compactions,
+            foreign_segments: d.foreign_segments,
         })
     }
 
@@ -993,6 +961,57 @@ impl ProvenanceDatabase {
     /// Multi-hop upstream lineage (graph fast path).
     pub fn lineage(&self, task_id: &str, max_depth: usize) -> Vec<(String, usize)> {
         self.graph().upstream_lineage(task_id, max_depth)
+    }
+}
+
+/// The KV rows and graph entries a batch of messages fans out to — the
+/// one writer of the KV and graph views, shared by live ingest, replay
+/// and hydration.
+struct Fanout {
+    kv_rows: Vec<(String, Arc<Value>)>,
+    graph: GraphBatch,
+    /// Agent nodes carry no properties of their own; they share one
+    /// object.
+    empty_props: Arc<Value>,
+}
+
+impl Fanout {
+    fn new() -> Fanout {
+        Fanout {
+            kv_rows: Vec::new(),
+            graph: GraphBatch::new(),
+            empty_props: Arc::new(Value::object(Map::new())),
+        }
+    }
+
+    /// Queue `msg`'s KV row and graph entries: its activity node, whose
+    /// properties are `doc` itself, a `prov:wasInformedBy` edge per
+    /// dependency, and its agent node with the association edge.
+    fn push(&mut self, msg: &TaskMessage, doc: &Arc<Value>) {
+        let task = msg.task_id.as_str();
+        self.kv_rows.push((format!("task/{task}"), Arc::clone(doc)));
+        self.graph
+            .upsert_node_shared(task, "prov:Activity", Arc::clone(doc));
+        for dep in &msg.depends_on {
+            self.graph
+                .add_edge(task, dep.as_str(), ProvRelation::WasInformedBy.as_str());
+        }
+        if let Some(agent) = &msg.agent_id {
+            self.graph
+                .upsert_node_shared(agent.as_str(), "prov:Agent", self.empty_props.clone());
+            self.graph.add_edge(
+                task,
+                agent.as_str(),
+                ProvRelation::WasAssociatedWith.as_str(),
+            );
+        }
+    }
+
+    /// Apply what is queued, each view under one lock acquisition, and
+    /// start over empty.
+    fn apply(&mut self, kv: &KvStore, graph: &GraphStore) {
+        kv.put_batch(std::mem::take(&mut self.kv_rows));
+        graph.apply_batch(std::mem::take(&mut self.graph));
     }
 }
 

@@ -6,9 +6,13 @@
 //! pins the provql path primitives to identical answers through both
 //! executor paths (CSR pushdown vs the `GraphOracle` capability), and a
 //! racing-writer test pins snapshot CSR reads under concurrent
-//! `apply_batch`/streaming ingest.
+//! `apply_batch`/streaming ingest. Extension is held to the same
+//! referees: a compaction extended at random points of a random ingest
+//! schedule must answer exactly like a fresh build and like the oracle,
+//! and a compaction an older snapshot holds must never change.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use prov_db::{
     Config, CsrGraph, Direction, GraphBatch, GraphOracle, GraphStore, ProvenanceDatabase,
 };
@@ -187,6 +191,327 @@ proptest! {
         prop_assert_eq!(csr.node_count(), store.node_count());
         prop_assert_eq!(csr.edge_count(), store.edge_count());
     }
+}
+
+/// Node ids of the extension schedules: `t0..t{NODES-1}`.
+const NODES: usize = 10;
+const LABELS: &[&str] = &["prov:Activity", "prov:Agent"];
+
+/// One step of an extension schedule.
+#[derive(Debug, Clone)]
+enum Step {
+    /// `upsert_node(t{node}, LABELS[label], {"v": v})`: a first upsert, a
+    /// phantom turning real, or a re-upsert with the same or a new label
+    /// and properties.
+    Upsert(usize, usize, i64),
+    /// `add_edge(t{from}, t{to}, RELS[rel])`: duplicates, self-loops and
+    /// phantom endpoints all occur.
+    Edge(usize, usize, usize),
+    /// One `apply_batch` of upserts and edges.
+    Batch(Vec<(usize, usize, i64)>, Vec<(usize, usize, usize)>),
+    /// An extension point: the memo extends through `Arc::make_mut`, as
+    /// the database's does, so held copies are cloned off, not changed.
+    Extend,
+    /// Hold the memo's current compaction, as an older snapshot's pin
+    /// does.
+    Hold,
+}
+
+fn arb_schedule() -> impl Strategy<Value = Vec<Step>> {
+    let upsert = (0..NODES, 0..LABELS.len(), 0i64..3);
+    let edge = (0..NODES, 0..NODES, 0..RELS.len());
+    let step = prop_oneof![
+        upsert.clone().prop_map(|(n, l, v)| Step::Upsert(n, l, v)),
+        edge.clone().prop_map(|(f, t, r)| Step::Edge(f, t, r)),
+        (
+            prop::collection::vec(upsert, 0..4),
+            prop::collection::vec(edge, 0..6)
+        )
+            .prop_map(|(nodes, edges)| Step::Batch(nodes, edges)),
+        Just(Step::Extend),
+        Just(Step::Hold),
+    ];
+    prop::collection::vec(step, 0..40)
+}
+
+fn id(i: usize) -> String {
+    format!("t{i}")
+}
+
+fn props(v: i64) -> Map {
+    let mut m = Map::new();
+    m.insert("v".into(), prov_model::Value::from(v));
+    m
+}
+
+/// The probe ids: every schedule id plus one that never occurs.
+fn probes() -> Vec<String> {
+    (0..NODES).map(id).chain(["ghost".to_string()]).collect()
+}
+
+/// Every kernel's answer from every probe id — what a compaction shows
+/// its readers. Two compactions of one log must give identical answers,
+/// bidirectional tie-breaks included.
+fn answers(csr: &CsrGraph) -> Vec<String> {
+    let ids = probes();
+    let mut out = vec![format!(
+        "{} nodes, {} edges",
+        csr.node_count(),
+        csr.edge_count()
+    )];
+    for a in &ids {
+        out.push(format!(
+            "{a}: {} {:?} {:?}",
+            csr.contains_node(a),
+            csr.node_label(a),
+            csr.node_props(a)
+        ));
+        for rel in RELS.iter().copied().chain([""]) {
+            for dir in [Direction::Out, Direction::In] {
+                for depth in [1, 2, usize::MAX] {
+                    out.push(format!("{:?}", csr.traverse(a, rel, dir, depth)));
+                }
+            }
+        }
+        out.push(format!("{:?}", csr.upstream(a, usize::MAX)));
+        out.push(format!("{:?}", csr.downstream(a, usize::MAX)));
+        for k in [1, 3] {
+            out.push(format!("{:?}", csr.khop(a, k)));
+        }
+        for b in &ids {
+            out.push(format!(
+                "{:?} {:?}",
+                csr.shortest_path(a, b),
+                csr.shortest_path_bidi(a, b)
+            ));
+        }
+    }
+    out
+}
+
+/// The in-edge BFS reference for any relation: the oracle offers it for
+/// `prov:wasInformedBy` only (`downstream_impact`), so this walks
+/// `neighbors_in` with the same first-discovery rule.
+fn oracle_in(store: &GraphStore, start: &str, rel: &str, depth: usize) -> Vec<(String, usize)> {
+    let mut out = Vec::new();
+    let mut seen = std::collections::HashSet::from([start.to_string()]);
+    let mut queue = std::collections::VecDeque::from([(start.to_string(), 0)]);
+    while let Some((cur, d)) = queue.pop_front() {
+        if d == depth {
+            continue;
+        }
+        for next in store.neighbors_in(&cur, rel) {
+            if seen.insert(next.clone()) {
+                out.push((next.clone(), d + 1));
+                queue.push_back((next, d + 1));
+            }
+        }
+    }
+    out
+}
+
+/// Every kernel of `csr` against the adjacency oracle over `store`, at
+/// every thread count.
+fn check_oracle(csr: &CsrGraph, store: &GraphStore) -> Result<(), TestCaseError> {
+    let ids = probes();
+    for &threads in THREADS {
+        csr.set_traverse_threads(threads);
+        prop_assert_eq!(csr.node_count(), store.node_count());
+        prop_assert_eq!(csr.edge_count(), store.edge_count());
+        for a in &ids {
+            let node = store.node(a);
+            prop_assert_eq!(csr.contains_node(a), node.is_some(), "contains {}", a);
+            prop_assert_eq!(
+                csr.node_label(a).map(|l| l.to_string()),
+                node.as_ref().map(|n| n.label.clone()),
+                "label {}",
+                a
+            );
+            prop_assert_eq!(
+                csr.node_props(a).map(|p| (**p).clone()),
+                node.map(|n| (*n.props).clone()),
+                "props {}",
+                a
+            );
+            for rel in RELS.iter().copied().chain([""]) {
+                for depth in [0, 1, 2, usize::MAX] {
+                    prop_assert_eq!(
+                        owned(csr.traverse(a, rel, Direction::Out, depth)),
+                        store.traverse(a, rel, depth),
+                        "out {} {} {} threads={}",
+                        a,
+                        rel,
+                        depth,
+                        threads
+                    );
+                    prop_assert_eq!(
+                        owned(csr.traverse(a, rel, Direction::In, depth)),
+                        oracle_in(store, a, rel, depth),
+                        "in {} {} {} threads={}",
+                        a,
+                        rel,
+                        depth,
+                        threads
+                    );
+                }
+            }
+            for depth in [1, usize::MAX] {
+                prop_assert_eq!(
+                    owned(csr.upstream(a, depth)),
+                    store.upstream_lineage(a, depth)
+                );
+                prop_assert_eq!(
+                    owned(csr.downstream(a, depth)),
+                    store.downstream_impact(a, depth)
+                );
+            }
+            for k in [1, 2, usize::MAX] {
+                prop_assert_eq!(owned(csr.khop(a, k)), store.khop(a, k), "khop {}", a);
+            }
+            for b in &ids {
+                let oracle = store.shortest_path(a, b);
+                prop_assert_eq!(
+                    csr.shortest_path(a, b)
+                        .map(|p| p.iter().map(|s| s.to_string()).collect::<Vec<_>>()),
+                    oracle.clone(),
+                    "path {} {}",
+                    a,
+                    b
+                );
+                match (oracle, csr.shortest_path_bidi(a, b)) {
+                    (None, None) => {}
+                    (Some(o), Some(bi)) => {
+                        prop_assert_eq!(o.len(), bi.len(), "bidi length {} {}", a, b);
+                        if a != b {
+                            assert_valid_path(store, &bi, a, b);
+                        }
+                    }
+                    (o, bi) => prop_assert!(false, "reachability {:?} vs {:?}", o, bi),
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Run one schedule (with a final extension point), checking at every
+/// extension point that the extended memo answers like the adjacency
+/// oracle and exactly like a fresh build, and that every held compaction
+/// still answers as it did when it was taken.
+fn run_schedule(steps: &[Step]) -> Result<(), TestCaseError> {
+    let store = GraphStore::new();
+    let mut memo = Arc::new(CsrGraph::build(&store, 1));
+    let mut held: Vec<(Arc<CsrGraph>, Vec<String>)> = Vec::new();
+    for step in steps.iter().chain([&Step::Extend]) {
+        match step {
+            Step::Upsert(n, l, v) => store.upsert_node(id(*n), LABELS[*l], props(*v)),
+            Step::Edge(f, t, r) => store.add_edge(id(*f), id(*t), RELS[*r]),
+            Step::Batch(nodes, edges) => {
+                let mut batch = GraphBatch::new();
+                for &(n, l, v) in nodes {
+                    batch.upsert_node(id(n), LABELS[l], props(v));
+                }
+                for &(f, t, r) in edges {
+                    batch.add_edge(id(f), id(t), RELS[r]);
+                }
+                store.apply_batch(batch);
+            }
+            Step::Hold => held.push((Arc::clone(&memo), answers(&memo))),
+            Step::Extend => {
+                Arc::make_mut(&mut memo).extend(&store);
+                check_oracle(&memo, &store)?;
+                prop_assert_eq!(answers(&memo), answers(&CsrGraph::build(&store, 1)));
+                for (csr, want) in &held {
+                    prop_assert_eq!(&answers(csr), want, "a held compaction changed");
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Extension ≡ fresh build ≡ adjacency oracle at every extension
+    /// point of a random interleaving of `upsert_node`, `add_edge` and
+    /// `apply_batch`, and held compactions never change.
+    #[test]
+    fn extended_csr_matches_fresh_build_and_oracle(steps in arb_schedule()) {
+        run_schedule(&steps)?;
+    }
+}
+
+/// One fixed schedule that is sure to contain every case the random ones
+/// may miss: a phantom endpoint upserted after an extension, a re-upsert
+/// with a new label and with new properties, a no-op re-upsert, duplicate
+/// edges and self-loops spanning extensions, a relation first seen in a
+/// delta, and held compactions across all of it.
+#[test]
+fn extension_covers_phantoms_reupserts_and_new_relations() {
+    use Step::*;
+    let steps = vec![
+        Upsert(0, 0, 0),
+        Edge(0, 1, 0), // t1 is a phantom endpoint
+        Edge(0, 0, 0), // self-loop
+        Extend,
+        Hold,
+        Upsert(1, 0, 1), // the phantom becomes real
+        Edge(0, 1, 0),   // duplicate of an edge in the old slice
+        Edge(1, 2, 2),   // a relation first seen in this delta
+        Extend,
+        Hold,
+        Upsert(0, 1, 0),                                    // new label
+        Upsert(1, 0, 2),                                    // new properties
+        Upsert(1, 0, 2),                                    // no-op re-upsert
+        Batch(vec![(2, 0, 0)], vec![(2, 0, 1), (0, 0, 0)]), // self-loop again
+        Extend,
+        Extend, // nothing new
+    ];
+    run_schedule(&steps).unwrap();
+}
+
+/// Through the database: a snapshot that pins a compaction keeps it
+/// unchanged while newer generations extend the memo (which then clones
+/// it), and once no snapshot pins the memo, the next generation extends
+/// it in place.
+#[test]
+fn held_snapshot_keeps_its_compaction_and_unpinned_memo_extends_in_place() {
+    let db = chain_db(20);
+    let more = |from: usize, to: usize| {
+        let msgs: Vec<TaskMessage> = (from..to)
+            .map(|i| {
+                TaskMessageBuilder::new(format!("t{i}"), "wf-g", "act")
+                    .depends_on(format!("t{}", i - 1))
+                    .build()
+            })
+            .collect();
+        db.insert_batch(&msgs);
+    };
+    let old = db.snapshot();
+    let old_csr = Arc::clone(old.graph_csr());
+    let want = answers(&old_csr);
+    more(20, 30);
+    let newer = db.snapshot();
+    let new_csr = Arc::clone(newer.graph_csr());
+    assert!(!Arc::ptr_eq(&old_csr, &new_csr), "a pinned memo is cloned");
+    assert_eq!(answers(&old_csr), want, "the pinned compaction changed");
+    assert_eq!(old_csr.upstream("t29", usize::MAX).len(), 0);
+    assert_eq!(new_csr.upstream("t29", usize::MAX).len(), 29);
+    drop((old, old_csr, want));
+    let at = Arc::as_ptr(&new_csr);
+    drop((newer, new_csr));
+    more(30, 40);
+    let latest = db.snapshot();
+    assert_eq!(
+        Arc::as_ptr(latest.graph_csr()),
+        at,
+        "an unpinned memo is extended in place"
+    );
+    assert_eq!(
+        owned(latest.graph_csr().upstream("t39", usize::MAX)),
+        latest.graph().upstream_lineage("t39", usize::MAX)
+    );
 }
 
 /// A frontier large enough to engage the crossbeam fan-out (≥ 4096),

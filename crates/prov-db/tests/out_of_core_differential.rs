@@ -590,8 +590,9 @@ fn continued_ingest_sealing_and_reopen_preserve_answers() {
 /// shards × 64-row chunks, grown and sealed at 2 shards × 4096-row
 /// chunks, then grown and sealed at the first geometry again. After each
 /// step, `open` at either geometry — which attaches the segments of its
-/// own geometry cold and replays the rest — and `open_replayed` answer
-/// the golden set byte-identically to the oracle.
+/// own geometry cold, replays the rest and counts those in
+/// `DurableStats::foreign_segments` — and `open_replayed` answer the
+/// golden set byte-identically to the oracle.
 #[test]
 fn reopening_under_another_geometry_matches_the_oracle() {
     let small = Config {
@@ -620,6 +621,20 @@ fn reopening_under_another_geometry_matches_the_oracle() {
             let geometry = format!("{} shards x {} rows", config.shards, config.chunk_rows);
             let lazy = ProvenanceDatabase::open_with(&dir, config).expect("open");
             assert_eq!(lazy.insert_count(), upto as u64, "{geometry}");
+            // Open reports the segments it replayed instead of attaching:
+            // none when only its own geometry is on disk, all of them when
+            // none of its own is, and the other geometry's otherwise.
+            let stats = lazy.durable_stats().expect("durable");
+            assert_eq!(
+                stats.foreign_segments == 0,
+                sealed && !large_sealed,
+                "foreign segments {stats:?}, {geometry}"
+            );
+            assert_eq!(
+                stats.foreign_segments == stats.segments,
+                !sealed,
+                "foreign segments {stats:?}, {geometry}"
+            );
             assert_eq!(
                 fingerprint(&lazy.snapshot(), GOLDEN),
                 want,
@@ -629,6 +644,8 @@ fn reopening_under_another_geometry_matches_the_oracle() {
             assert_eq!(paged, sealed, "open pages cold rows, {geometry}");
             drop(lazy);
             let replayed = ProvenanceDatabase::open_replayed(&dir, config).expect("replay");
+            let stats = replayed.durable_stats().expect("durable");
+            assert_eq!(stats.foreign_segments, stats.segments, "replay, {geometry}");
             assert_eq!(
                 fingerprint(&replayed.snapshot(), GOLDEN),
                 want,
