@@ -259,13 +259,12 @@ fn bench_csr(c: &mut Criterion) {
         db.insert_batch(rows);
         db
     };
-    let threads = prov_db::Config::from_env().scan_threads;
     g.bench_function("build_25k", |b| {
         b.iter_batched(
             || store(&msgs[..N]),
             // The store is handed back so that dropping it stays outside
             // the timed call.
-            |db| (prov_db::CsrGraph::build(db.graph(), threads), db),
+            |db| (prov_db::CsrGraph::build(db.graph()), db),
             BatchSize::PerIteration,
         )
     });

@@ -112,25 +112,17 @@ fn bench_capture_overhead(c: &mut Criterion) {
     g.finish();
 }
 
-/// Parallel vs sequential DataFrame kernels on a large buffer.
-fn bench_dataframe_parallel(c: &mut Criterion) {
-    let mut g = c.benchmark_group("dataframe_parallel");
+/// DataFrame mask and mean kernels on a large buffer.
+fn bench_dataframe_kernels(c: &mut Criterion) {
+    let mut g = c.benchmark_group("dataframe_kernels");
     g.sample_size(10).measurement_time(Duration::from_secs(3));
     let n = 200_000;
     let xs: Vec<Value> = (0..n).map(|i| Value::Float((i % 1000) as f64)).collect();
     let frame = DataFrame::from_columns(vec![("x", xs)]).unwrap();
     let expr = col("x").gt(lit(500.0));
-    g.bench_function("mask_sequential", |b| {
-        b.iter(|| black_box(expr.mask(&frame).len()))
-    });
-    g.bench_function("mask_parallel_8", |b| {
-        b.iter(|| black_box(dataframe::parallel::par_mask(&frame, &expr, 8).len()))
-    });
-    g.bench_function("mean_sequential", |b| {
+    g.bench_function("mask", |b| b.iter(|| black_box(expr.mask(&frame).len())));
+    g.bench_function("mean", |b| {
         b.iter(|| black_box(frame.agg("x", dataframe::AggFunc::Mean).unwrap()))
-    });
-    g.bench_function("mean_parallel_8", |b| {
-        b.iter(|| black_box(dataframe::parallel::par_mean(&frame, "x", 8)))
     });
     g.finish();
 }
@@ -154,7 +146,7 @@ criterion_group!(
     bench_hub_throughput,
     bench_broker_backends,
     bench_capture_overhead,
-    bench_dataframe_parallel,
+    bench_dataframe_kernels,
     bench_db_inserts
 );
 criterion_main!(substrates);

@@ -199,12 +199,10 @@ fn check_bench_regression(
             None => String::new(),
         };
         format!(
-            "{} core(s), {} shard(s){}, {} scan thread(s){}",
+            "{} core(s), {} shard(s){}",
             count("cores_detected"),
             count("document_store_shards"),
             with_override("shards_override"),
-            count("scan_threads"),
-            with_override("threads_override"),
         )
     }
 
@@ -229,10 +227,10 @@ fn check_bench_regression(
             .and_then(Value::as_f64);
         checked += 1;
         // Parity entries assert "both sides coincide" (speedup ≈ 1.0, e.g.
-        // sequential-vs-parallel on a 1-core runner) rather than a locked-in
-        // win; around 1.0x the ratio is pure scheduler noise in both
+        // the disk-bound durability tax) rather than a locked-in win;
+        // around 1.0x the ratio is pure scheduler noise in both
         // directions, so the gate triples its tolerance there — a genuine
-        // parallel-path regression still trips it, random jitter cannot.
+        // regression still trips it, random jitter cannot.
         let parity = entry
             .get("parity")
             .and_then(Value::as_bool)
@@ -325,14 +323,11 @@ struct MixedLoadProfile {
 struct ProvDbReport {
     messages: usize,
     shards: usize,
-    /// Scan-worker count the stores auto-tuned to (or were forced to).
-    threads: usize,
     /// Cores the runner actually reported — committed numbers from a
     /// 1-core container and a multi-core rerun must be distinguishable,
     /// not silently compared.
     cores: usize,
     shards_override: Option<String>,
-    threads_override: Option<String>,
     /// Rows per column chunk (zone-map granule) the stores ran with.
     chunk: usize,
     chunk_override: Option<String>,
@@ -351,14 +346,12 @@ impl ProvDbReport {
         };
         let mut out = format!(
             "Provenance DB: sharded clone-free engine vs seed baseline \
-             ({} task messages, {} shards).\nrunner: {} core(s), {} shard(s){}, {} scan thread(s){}, {}-row chunks{}, {} MiB resident budget{}\n{:<28} {:>14} {:>14} {:>9}\n",
+             ({} task messages, {} shards).\nrunner: {} core(s), {} shard(s){}, {}-row chunks{}, {} MiB resident budget{}\n{:<28} {:>14} {:>14} {:>9}\n",
             self.messages,
             self.shards,
             self.cores,
             self.shards,
             override_note(&self.shards_override),
-            self.threads,
-            override_note(&self.threads_override),
             self.chunk,
             override_note(&self.chunk_override),
             self.resident_mb,
@@ -402,17 +395,9 @@ impl ProvDbReport {
         let mut runner = Map::new();
         runner.insert("cores_detected".into(), Value::from(self.cores));
         runner.insert("document_store_shards".into(), Value::from(self.shards));
-        runner.insert("scan_threads".into(), Value::from(self.threads));
         runner.insert(
             "shards_override".into(),
             self.shards_override
-                .as_deref()
-                .map(Value::from)
-                .unwrap_or(Value::Null),
-        );
-        runner.insert(
-            "threads_override".into(),
-            self.threads_override
                 .as_deref()
                 .map(Value::from)
                 .unwrap_or(Value::Null),
@@ -468,13 +453,8 @@ impl ProvDbReport {
                  per call (the cached-oracle path this shape used before sort/limit \
                  pushdown) vs the pushed top-k scan (sorted-index cursor / bounded \
                  per-shard selection over the column vectors, zero document decodes). \
-                 parallel_scan compares the forced-sequential (PROVDB_THREADS=1) and \
-                 auto-tuned shard-parallel columnar scan on one pinned 8-shard store \
-                 over an unselective filter; on a 1-core runner both sides coincide \
-                 (~1.0x), so the entry carries parity: true and the check-bench gate \
-                 widens its tolerance for it — see the runner object for the detected \
-                 core count, shard count, chunk size, and any \
-                 PROVDB_SHARDS/PROVDB_THREADS/PROVDB_CHUNK overrides in effect. \
+                 The runner object records the detected core count, shard count, \
+                 chunk size, and any PROVDB_SHARDS/PROVDB_CHUNK overrides in effect. \
                  dict_filter compares the two engine paths for an unindexed membership \
                  filter (hostname isin list, task_id projection): evaluate the \
                  predicate row by row over the pre-built oracle frame vs the \
@@ -528,7 +508,7 @@ impl ProvDbReport {
                  expected to trail, so the entry carries parity: true and the gate \
                  only guards against collapse. The runner object records the \
                  resident budget in effect (resident_mb, with any \
-                 PROVDB_RESIDENT_MB override) alongside the core/shard/thread/chunk \
+                 PROVDB_RESIDENT_MB override) alongside the core/shard/chunk \
                  geometry. The crash-consistency contract itself is enforced by the \
                  recovery and out-of-core differential suites and the crash_harness \
                  binary, not by these timings (see docs/durability.md).",
@@ -713,18 +693,6 @@ fn mixed_query_texts() -> [&'static str; 4] {
         r#"df.sort_values("started_at", ascending=False)[["task_id", "started_at"]].head(5)"#,
         r#"df["y"].unique()"#,
     ]
-}
-
-/// The store behind `parallel_scan`: the benchmark corpus in a pinned
-/// 8-shard document store (shard count never changes scan results; pinning
-/// it keeps the two sides comparable across runner classes), scanned with
-/// an unselective columnar filter so the whole 100k-row vector set is
-/// evaluated per probe.
-fn parallel_scan_store() -> prov_db::DocumentStore {
-    let store = prov_db::DocumentStore::with_shards(8);
-    store.enable_columnar();
-    store.insert_many(provdb_corpus().iter().map(|m| m.to_value()).collect());
-    store
 }
 
 /// Pin a snapshot, plan `q` against it and run the pushed scan; the
@@ -951,33 +919,6 @@ fn provdb_measure(which: &str) -> f64 {
                 std::hint::black_box(run_columnar_query(&db, &q));
             })
         }
-        // The shard-parallel columnar scan vs the forced-sequential path
-        // (PROVDB_THREADS=1 semantics) on the same 8-shard store. On a
-        // 1-core runner the auto-tuned worker count is 1 and the two
-        // sides coincide (~1.0x) — the committed number records that, and
-        // the runner metadata in the JSON says how many cores were seen.
-        "parallel-scan-seq" | "parallel-scan-par" => {
-            let store = parallel_scan_store();
-            let threads = if which.ends_with("par") {
-                prov_db::DocumentStore::new().scan_threads()
-            } else {
-                1
-            };
-            store.set_scan_threads(threads);
-            let min = prov_model::Value::Float(0.5);
-            let filter = [prov_db::ScanPredicate::Cmp(
-                "duration",
-                dataframe::CmpOp::Gt,
-                &min,
-            )];
-            let rows = store.shard_rows();
-            p50(|| {
-                store
-                    .columnar_scan_where(&filter, None, &rows)
-                    .expect("columnar scan servable")
-                    .len()
-            })
-        }
         // Concurrent ingest bursts interleaved with dashboard query
         // storms, through the pre-serving agent path: each query pins a
         // snapshot, tries pushdown and otherwise re-executes its stages
@@ -1081,7 +1022,7 @@ fn provdb_measure(which: &str) -> f64 {
         }
         "graph-traverse-csr" => {
             let store = graph_lineage_store();
-            let csr = prov_db::CsrGraph::build(&store, prov_db::Config::from_env().scan_threads);
+            let csr = prov_db::CsrGraph::build(&store);
             best_of(5, || {
                 std::hint::black_box(csr.upstream(GRAPH_DEEP_TASK, usize::MAX).len());
             })
@@ -1095,7 +1036,7 @@ fn provdb_measure(which: &str) -> f64 {
         }
         "graph-khop-csr" => {
             let store = graph_lineage_store();
-            let csr = prov_db::CsrGraph::build(&store, prov_db::Config::from_env().scan_threads);
+            let csr = prov_db::CsrGraph::build(&store);
             best_of(5, || {
                 std::hint::black_box(csr.khop(GRAPH_MID_TASK, 4).len());
             })
@@ -1325,22 +1266,13 @@ fn provdb_benchmark() -> ProvDbReport {
             parity: false,
         },
         // Current engine on both sides: sort-the-full-frame vs the pushed
-        // top-k scan, and sequential vs shard-parallel columnar scans.
+        // top-k scan.
         ProvDbMeasurement {
             name: "topk_find",
             unit: "ms",
             baseline: provdb_measure_isolated("topk-frame") * 1e3,
             sharded: provdb_measure_isolated("topk-push") * 1e3,
             parity: false,
-        },
-        ProvDbMeasurement {
-            name: "parallel_scan",
-            unit: "ms",
-            baseline: provdb_measure_isolated("parallel-scan-seq") * 1e3,
-            sharded: provdb_measure_isolated("parallel-scan-par") * 1e3,
-            // On a 1-core runner both sides coincide; the gate must not
-            // treat noise around 1.0x as a regression.
-            parity: true,
         },
         // Current engine on both sides: the dictionary/zone-map kernels
         // vs their frame-based equivalents.
@@ -1432,12 +1364,10 @@ fn provdb_benchmark() -> ProvDbReport {
     ProvDbReport {
         messages: 100_000,
         shards: config.shards,
-        threads: config.scan_threads,
         cores: std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1),
         shards_override: std::env::var("PROVDB_SHARDS").ok(),
-        threads_override: std::env::var("PROVDB_THREADS").ok(),
         chunk: config.chunk_rows,
         chunk_override: std::env::var("PROVDB_CHUNK").ok(),
         resident_mb: config.resident_bytes >> 20,

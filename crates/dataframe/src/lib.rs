@@ -5,8 +5,8 @@
 //!
 //! Features: dynamically typed columns over [`prov_model::Value`], dtype
 //! inference, row expressions (boolean masks), stable multi-key sort,
-//! group-by with the pandas aggregation set, `describe()`, text rendering,
-//! and parallel kernels (crossbeam scoped threads) for large buffers.
+//! group-by with the pandas aggregation set, `describe()` and text
+//! rendering.
 //!
 //! ```
 //! use dataframe::{DataFrame, col, lit, AggFunc};
@@ -31,7 +31,6 @@ pub mod dtype;
 pub mod expr;
 pub mod frame;
 pub mod groupby;
-pub mod parallel;
 
 pub use agg::AggFunc;
 pub use column::Column;

@@ -43,8 +43,8 @@
 //!   chunk with [`ColumnarShard::filter_chunk`]: the selection starts from the
 //!   decodable rows of the chunk and each predicate shrinks it with a
 //!   branch-light compaction pass, replacing the per-row short-circuit
-//!   `matches()` loop. The sequential and shard-parallel scan paths and
-//!   the top-k buffer all route through the same kernels.
+//!   `matches()` loop. The chunk-major scan and the top-k buffer both
+//!   route through the same kernels.
 //!
 //! ## Exactness contract
 //!

@@ -10,7 +10,6 @@
 //! | env | field | default | accepted |
 //! | --- | --- | --- | --- |
 //! | `PROVDB_SHARDS` | `shards` | cores (8 if unknown), at most 16 | integer ≥ 1, capped at 16 |
-//! | `PROVDB_THREADS` | `scan_threads` | cores (1 if unknown), at most 16 | integer ≥ 1, capped at 16 |
 //! | `PROVDB_CHUNK` | `chunk_rows` | 4096 | integer ≥ 1, clamped to 16..=65536 |
 //! | `PROVDB_SEAL_ROWS` | `seal_rows` | 32768 | integer ≥ 1 |
 //! | `PROVDB_RESIDENT_MB` | `resident_bytes` | 256 MiB | integer ≥ 1, in MiB |
@@ -20,8 +19,8 @@
 //!
 //! Values are trimmed before they are parsed; a value that does not
 //! parse or lies outside its accepted range leaves the default in effect.
-//! `shards` and `scan_threads` tune concurrency only (answers are
-//! shard- and thread-count invariant); `chunk_rows` sets the columnar
+//! `shards` tunes write concurrency only (answers are shard-count
+//! invariant); `chunk_rows` sets the columnar
 //! chunk and zone-map granularity and the sealing unit; `seal_rows` is
 //! how many arrivals the WAL accumulates before a seal is attempted;
 //! `resident_bytes` bounds the pager's resident set; `cache_bytes` bounds
@@ -40,9 +39,6 @@ use crate::wal::SyncPolicy;
 pub struct Config {
     /// Document-store shard count.
     pub shards: usize,
-    /// Worker count of shard-parallel scans and CSR traversals (`1`
-    /// takes the exact sequential paths).
-    pub scan_threads: usize,
     /// Rows per columnar chunk (and per zone-map entry and sealed chunk).
     pub chunk_rows: usize,
     /// Arrivals the WAL may accumulate before a seal is attempted.
@@ -60,10 +56,9 @@ pub struct Config {
 
 impl Default for Config {
     fn default() -> Self {
-        let cores = std::thread::available_parallelism().map(|n| n.get()).ok();
+        let cores = std::thread::available_parallelism().map_or(8, |n| n.get());
         Self {
-            shards: cores.unwrap_or(8).clamp(1, 16),
-            scan_threads: cores.unwrap_or(1).clamp(1, 16),
+            shards: cores.clamp(1, 16),
             chunk_rows: 4096,
             seal_rows: 32_768,
             resident_bytes: 256 << 20,
@@ -91,7 +86,6 @@ impl Config {
             |name: &str, default: usize| positive(name).map_or(default, |n| n.min(16) as usize);
         Self {
             shards: count("PROVDB_SHARDS", d.shards),
-            scan_threads: count("PROVDB_THREADS", d.scan_threads),
             chunk_rows: positive("PROVDB_CHUNK")
                 .map_or(d.chunk_rows, |n| n.clamp(16, 65_536) as usize),
             seal_rows: positive("PROVDB_SEAL_ROWS").unwrap_or(d.seal_rows),
@@ -123,7 +117,6 @@ mod tests {
         // (name, raw value, the field it must produce)
         type Field = fn(&Config) -> u64;
         let shards: Field = |c| c.shards as u64;
-        let threads: Field = |c| c.scan_threads as u64;
         let chunk: Field = |c| c.chunk_rows as u64;
         let seal: Field = |c| c.seal_rows;
         let resident: Field = |c| c.resident_bytes as u64;
@@ -136,11 +129,6 @@ mod tests {
             ("PROVDB_SHARDS", "0", shards, d.shards as u64),
             ("PROVDB_SHARDS", "-2", shards, d.shards as u64),
             ("PROVDB_SHARDS", "lots", shards, d.shards as u64),
-            ("PROVDB_THREADS", "1", threads, 1),
-            ("PROVDB_THREADS", "\t8\n", threads, 8),
-            ("PROVDB_THREADS", "17", threads, 16),
-            ("PROVDB_THREADS", "0", threads, d.scan_threads as u64),
-            ("PROVDB_THREADS", "many", threads, d.scan_threads as u64),
             ("PROVDB_CHUNK", "64", chunk, 64),
             ("PROVDB_CHUNK", " 64 ", chunk, 64),
             ("PROVDB_CHUNK", "1", chunk, 16),
@@ -171,7 +159,6 @@ mod tests {
             let mut rest = got;
             match name {
                 "PROVDB_SHARDS" => rest.shards = d.shards,
-                "PROVDB_THREADS" => rest.scan_threads = d.scan_threads,
                 "PROVDB_CHUNK" => rest.chunk_rows = d.chunk_rows,
                 "PROVDB_SEAL_ROWS" => rest.seal_rows = d.seal_rows,
                 "PROVDB_RESIDENT_MB" => rest.resident_bytes = d.resident_bytes,

@@ -39,26 +39,17 @@
 //! both; membership probes ([`CsrGraph::contains_node`]) match real nodes
 //! only, which is what the agent tool's token probing wants.
 //!
-//! Large frontiers fan out across crossbeam scoped threads (a store
-//! builds with its `Config::scan_threads`, like the columnar scans; `1`
-//! forces the sequential path). Parallelism never changes output: worker
-//! threads only *pre-filter* their frontier chunk against a read-only snapshot of the
-//! visited bitset, and a sequential merge — in chunk order — does all
-//! visited-marking and emission, reproducing the sequential BFS order at
-//! any thread count.
+//! Every kernel runs on the calling thread: a BFS level walks its
+//! frontier in order and marks each neighbor in the visited bitset as it
+//! is discovered, so emission order is the oracle's by construction.
 
 use crate::graph::{GraphStore, Logged};
 use prov_model::{Map, Sym, Value};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Relation code for "any relation" filters.
 const ANY_REL: u16 = u16::MAX;
-
-/// Frontier size below which a BFS level stays sequential (thread startup
-/// would dominate the level's work).
-const PARALLEL_FRONTIER: usize = 4096;
 
 /// One direction of adjacency in compressed-sparse-row form: node `u`'s
 /// edges are `targets[offsets[u] as usize .. offsets[u + 1] as usize]`.
@@ -145,11 +136,6 @@ impl Bitset {
         Bitset(vec![0; n.div_ceil(64)])
     }
 
-    #[inline]
-    fn test(&self, i: u32) -> bool {
-        self.0[(i >> 6) as usize] & (1 << (i & 63)) != 0
-    }
-
     /// Set the bit; returns true when it was previously clear.
     #[inline]
     fn set(&mut self, i: u32) -> bool {
@@ -189,19 +175,6 @@ pub struct CsrGraph {
     inc: Csr,
     /// How many graph-log entries are folded in.
     cursor: usize,
-    /// Worker count for large-frontier fan-out (1 = sequential path);
-    /// set at build, re-pinnable for benches.
-    threads: Threads,
-}
-
-/// The kernel worker count: an atomic, so a shared compaction can be
-/// re-pinned, that clones by value.
-struct Threads(AtomicUsize);
-
-impl Clone for Threads {
-    fn clone(&self) -> Threads {
-        Threads(AtomicUsize::new(self.0.load(Ordering::Relaxed)))
-    }
 }
 
 /// The label and properties every phantom endpoint shares: `""` and the
@@ -222,16 +195,15 @@ pub enum Direction {
 
 impl CsrGraph {
     /// Compact `store` into CSR form: [`extend`](Self::extend) from the
-    /// empty compaction. Large frontiers fan out over `threads` workers
-    /// (clamped to 1..=16).
-    pub fn build(store: &GraphStore, threads: usize) -> CsrGraph {
-        let mut csr = CsrGraph::empty(threads);
+    /// empty compaction.
+    pub fn build(store: &GraphStore) -> CsrGraph {
+        let mut csr = CsrGraph::empty();
         csr.extend(store);
         csr
     }
 
     /// The compaction of the empty graph (log cursor 0).
-    pub(crate) fn empty(threads: usize) -> CsrGraph {
+    pub(crate) fn empty() -> CsrGraph {
         CsrGraph {
             ids: Vec::new(),
             labels: Vec::new(),
@@ -243,7 +215,6 @@ impl CsrGraph {
             out: Csr::empty(),
             inc: Csr::empty(),
             cursor: 0,
-            threads: Threads(AtomicUsize::new(threads.clamp(1, 16))),
         }
     }
 
@@ -351,19 +322,6 @@ impl CsrGraph {
         self.real[i as usize].then(|| &self.props[i as usize])
     }
 
-    /// Worker count large-frontier kernels use (1 = sequential path).
-    pub fn traverse_threads(&self) -> usize {
-        self.threads.0.load(Ordering::Relaxed)
-    }
-
-    /// Pin the kernel worker count (clamped to 1..=16). Kernel output is
-    /// thread-count invariant; this only tunes read concurrency.
-    pub fn set_traverse_threads(&self, threads: usize) {
-        self.threads
-            .0
-            .store(threads.clamp(1, 16), Ordering::Relaxed);
-    }
-
     fn rel_code(&self, rel: &str) -> Option<u16> {
         if rel.is_empty() {
             return Some(ANY_REL);
@@ -462,64 +420,21 @@ impl CsrGraph {
     /// Expand one BFS level: feed every neighbor of every frontier node —
     /// in frontier order, per-node edge order — through the visited set,
     /// returning the deduplicated next frontier in first-discovery order.
-    ///
-    /// Above [`PARALLEL_FRONTIER`] (and with >1 worker) the neighbor
-    /// *generation* fans out across crossbeam scoped threads, each
-    /// pre-filtering its chunk against the read-only visited bitset; the
-    /// final marking/emission merge is always sequential in chunk order,
-    /// so the result is identical at any thread count (a duplicate that
-    /// survives two chunks' pre-filters is dropped by the merge).
     fn expand(
         &self,
         frontier: &[u32],
         visited: &mut Bitset,
-        neighbors: impl Fn(u32, &mut dyn FnMut(u32)) + Sync,
+        neighbors: impl Fn(u32, &mut dyn FnMut(u32)),
     ) -> Vec<u32> {
-        let workers = self.traverse_threads().min(frontier.len());
-        if workers > 1 && frontier.len() >= PARALLEL_FRONTIER {
-            let chunk = frontier.len().div_ceil(workers);
-            let visited_ro: &Bitset = visited;
-            let candidates: Vec<Vec<u32>> = crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = frontier
-                    .chunks(chunk)
-                    .map(|part| {
-                        let neighbors = &neighbors;
-                        scope.spawn(move |_| {
-                            let mut cand = Vec::new();
-                            for &u in part {
-                                neighbors(u, &mut |v| {
-                                    if !visited_ro.test(v) {
-                                        cand.push(v);
-                                    }
-                                });
-                            }
-                            cand
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).collect()
-            })
-            .expect("graph traversal worker panicked");
-            let mut next = Vec::new();
-            for cand in candidates {
-                for v in cand {
-                    if visited.set(v) {
-                        next.push(v);
-                    }
+        let mut next = Vec::new();
+        for &u in frontier {
+            neighbors(u, &mut |v| {
+                if visited.set(v) {
+                    next.push(v);
                 }
-            }
-            next
-        } else {
-            let mut next = Vec::new();
-            for &u in frontier {
-                neighbors(u, &mut |v| {
-                    if visited.set(v) {
-                        next.push(v);
-                    }
-                });
-            }
-            next
+            });
         }
+        next
     }
 
     /// Shortest directed path over any relation, endpoints included —

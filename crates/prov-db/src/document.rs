@@ -352,10 +352,6 @@ impl<'g> ShardCursor<'g> {
     }
 }
 
-/// Row count below which parallel shard scans stay sequential (thread
-/// startup would dominate) — the same threshold the frame kernels use.
-const PARALLEL_SCAN_THRESHOLD: usize = dataframe::parallel::PARALLEL_THRESHOLD;
-
 /// An in-memory JSON document collection, sharded for write concurrency.
 pub struct DocumentStore {
     shards: Box<[RwLock<Shard>]>,
@@ -370,9 +366,6 @@ pub struct DocumentStore {
     col_irregular: AtomicU16,
     /// Columnar fields shadowed by a dataflow key (no longer servable).
     col_poison: AtomicU16,
-    /// Worker count for shard-parallel scans (`Config::scan_threads`
-    /// until re-pinned); `1` takes the exact sequential path.
-    scan_threads: AtomicUsize,
     /// Rows per columnar chunk of every shard (`Config::chunk_rows`).
     chunk_rows: usize,
     /// Whether any shard carries a cold on-disk prefix (set once by
@@ -409,8 +402,7 @@ impl DocumentStore {
         })
     }
 
-    /// Empty collection with `config`'s shard count, scan-worker count
-    /// and chunk size.
+    /// Empty collection with `config`'s shard count and chunk size.
     pub(crate) fn with_config(config: &Config) -> Self {
         Self {
             shards: (0..config.shards.max(1))
@@ -427,7 +419,6 @@ impl DocumentStore {
             columnar: AtomicBool::new(false),
             col_irregular: AtomicU16::new(0),
             col_poison: AtomicU16::new(0),
-            scan_threads: AtomicUsize::new(config.scan_threads.clamp(1, 16)),
             chunk_rows: config.chunk_rows.max(1),
             cold_attached: AtomicBool::new(false),
             pager: std::sync::OnceLock::new(),
@@ -463,20 +454,6 @@ impl DocumentStore {
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
-    }
-
-    /// Worker count shard-parallel scans use (`1` = sequential path).
-    pub fn scan_threads(&self) -> usize {
-        self.scan_threads.load(Ordering::Relaxed)
-    }
-
-    /// Pin the scan-worker count (clamped to 1..=16), overriding the
-    /// configured one — scan results are thread-count-invariant, so this
-    /// only tunes read concurrency (benchmarks and tests pin exact
-    /// configurations with it).
-    pub fn set_scan_threads(&self, threads: usize) {
-        self.scan_threads
-            .store(threads.clamp(1, 16), Ordering::Relaxed);
     }
 
     /// Number of documents.
@@ -1320,9 +1297,7 @@ impl DocumentStore {
         if !self.columnar_enabled() {
             return None; // zero-filter scans still need the sidecar
         }
-        // The push-then-check loops below assume a limit of at least one;
-        // answering 0 here also keeps every path (sequential, candidate,
-        // parallel) trivially thread-count invariant.
+        // The push-then-check loops below assume a limit of at least one.
         if limit == Some(0) {
             return Some(Vec::new());
         }
@@ -1357,111 +1332,43 @@ impl DocumentStore {
                 }
             }
             None => {
-                let total: usize = bound.iter().sum();
-                // A cold prefix takes the sequential chunk-major path:
-                // paging is I/O-bound and shares one budgeted cache, so
-                // shard-parallel workers would only thrash it.
-                let workers = if self.has_cold() {
-                    1
-                } else {
-                    self.scan_threads().min(nshards)
-                };
                 // Compile the conjunction once per shard (dictionaries are
-                // shard-local); both scan shapes below run the same
-                // chunk kernels.
+                // shard-local), then scan chunk-major over the shards:
+                // chunk `c` covers the same slot range in every shard
+                // (cold prefixes are uniform across shards by
+                // construction), so sorting each chunk's combined
+                // survivors yields globally ascending ids and a pushed
+                // limit can stop after any chunk. Cold chunks consult the
+                // on-disk zone maps first and are only paged in when they
+                // might match; chunks starting at or above the bound are
+                // never touched.
                 let compiled: Vec<Vec<ShardPred>> =
                     guards.iter().map(|g| g.cols.compile(&fields)).collect();
-                let fields = fields.as_slice();
-                if workers > 1 && total >= PARALLEL_SCAN_THRESHOLD {
-                    // Shard-parallel: exactly `workers` scoped threads,
-                    // each evaluating a contiguous chunk of shards (a
-                    // shard's survivors are slot-ascending, so each shard
-                    // contributes at most the first `limit` of them, give
-                    // or take one kernel chunk); the merge re-establishes
-                    // global id order.
-                    let shards: Vec<(&Shard, &[ShardPred])> = guards
-                        .iter()
-                        .zip(compiled.iter())
-                        .map(|(g, c)| (&**g, c.as_slice()))
-                        .collect();
-                    let chunk = nshards.div_ceil(workers);
-                    let merged = crossbeam::thread::scope(|scope| {
-                        let handles: Vec<_> = shards
-                            .chunks(chunk)
-                            .enumerate()
-                            .map(|(w, group)| {
-                                scope.spawn(move |_| {
-                                    let mut ids: Vec<DocId> = Vec::new();
-                                    let mut sel: Vec<u32> = Vec::new();
-                                    for (i, (shard, preds)) in group.iter().enumerate() {
-                                        let s = w * chunk + i;
-                                        let mut kept = 0usize;
-                                        'shard: for c in 0..shard.chunks_below(bound[s]) {
-                                            let Some(ch) = shard.chunk_where(c, fields) else {
-                                                continue;
-                                            };
-                                            ch.filter(preds, fields, bound[s], &mut sel);
-                                            for &r in &sel {
-                                                ids.push((ch.base + r as usize) * nshards + s);
-                                                kept += 1;
-                                                if limit.is_some_and(|n| kept >= n) {
-                                                    break 'shard;
-                                                }
-                                            }
-                                        }
-                                    }
-                                    ids
-                                })
-                            })
-                            .collect();
-                        handles
-                            .into_iter()
-                            .flat_map(|h| h.join().expect("scan worker panicked"))
-                            .collect::<Vec<DocId>>()
-                    })
-                    .expect("scan scope failed");
-                    out = merged;
-                    out.sort_unstable();
-                    if let Some(n) = limit {
-                        out.truncate(n);
+                let max_chunks = guards
+                    .iter()
+                    .zip(bound)
+                    .map(|(g, &b)| g.chunks_below(b))
+                    .max()
+                    .unwrap_or(0);
+                let mut sel: Vec<u32> = Vec::new();
+                let mut chunk_ids: Vec<DocId> = Vec::new();
+                for c in 0..max_chunks {
+                    chunk_ids.clear();
+                    for (s, g) in guards.iter().enumerate() {
+                        if c >= g.chunks_below(bound[s]) {
+                            continue;
+                        }
+                        let Some(ch) = g.chunk_where(c, &fields) else {
+                            continue;
+                        };
+                        ch.filter(&compiled[s], &fields, bound[s], &mut sel);
+                        chunk_ids.extend(sel.iter().map(|&r| (ch.base + r as usize) * nshards + s));
                     }
-                } else {
-                    // Chunk-major over the shards: chunk `c` covers the
-                    // same slot range in every shard (cold prefixes are
-                    // uniform across shards by construction), so sorting
-                    // each chunk's combined survivors yields globally
-                    // ascending ids and a pushed limit can stop after any
-                    // chunk. Cold chunks consult the on-disk zone maps
-                    // first and are only paged in when they might match;
-                    // chunks starting at or above the bound are never
-                    // touched.
-                    let max_chunks = guards
-                        .iter()
-                        .zip(bound)
-                        .map(|(g, &b)| g.chunks_below(b))
-                        .max()
-                        .unwrap_or(0);
-                    let mut sel: Vec<u32> = Vec::new();
-                    let mut chunk_ids: Vec<DocId> = Vec::new();
-                    for c in 0..max_chunks {
-                        chunk_ids.clear();
-                        for (s, g) in guards.iter().enumerate() {
-                            if c >= g.chunks_below(bound[s]) {
-                                continue;
-                            }
-                            let Some(ch) = g.chunk_where(c, fields) else {
-                                continue;
-                            };
-                            ch.filter(&compiled[s], fields, bound[s], &mut sel);
-                            chunk_ids
-                                .extend(sel.iter().map(|&r| (ch.base + r as usize) * nshards + s));
-                        }
-                        chunk_ids.sort_unstable();
-                        out.extend_from_slice(&chunk_ids);
-                        if full(&out) {
-                            out.truncate(limit.expect("full implies a limit"));
-                            break;
-                        }
+                    chunk_ids.sort_unstable();
+                    out.extend_from_slice(&chunk_ids);
+                    if full(&out) {
+                        out.truncate(limit.expect("full implies a limit"));
+                        break;
                     }
                 }
             }
@@ -1534,10 +1441,8 @@ impl DocumentStore {
     /// Served two ways: a sorted-index cursor when the single sort key has
     /// a sorted numeric index whose raw values provably equal the decoded
     /// cells (ids stream out in key order and the scan stops after `k`
-    /// accepted survivors), or bounded per-shard selection buffers over
-    /// the vectors — run shard-parallel on crossbeam scoped threads above
-    /// `PARALLEL_SCAN_THRESHOLD` rows when [`scan_threads`] > 1 — merged
-    /// into the global top-k.
+    /// accepted survivors), or one bounded selection buffer fed by the
+    /// chunk kernels over every shard's vectors.
     ///
     /// NaN sort-key cells among the visible survivors abort to
     /// [`TopkScan::NanSortKey`]: `Value::compare` calls mixed NaN
@@ -1547,7 +1452,6 @@ impl DocumentStore {
     /// never aborts.
     ///
     /// [`columnar_scan_where`]: DocumentStore::columnar_scan_where
-    /// [`scan_threads`]: DocumentStore::scan_threads
     pub fn columnar_topk_where(
         &self,
         preds: &[ScanPredicate<'_>],
@@ -1615,37 +1519,20 @@ impl DocumentStore {
                 selected.map(|()| buf.finish())
             }
             None => {
-                let total: usize = bound.iter().sum();
-                // Cold prefixes select sequentially (see
-                // `columnar_scan_where` for the rationale).
-                let workers = if self.has_cold() {
-                    1
-                } else {
-                    self.scan_threads().min(nshards)
-                };
                 // Same chunk kernels as `columnar_scan_where`: the zone
                 // maps prune on the *filters* (the selection bound is
                 // dynamic, so sort keys cannot prune), then the bounded
                 // buffer selects over the surviving visible slots.
-                let compiled: Vec<Vec<ShardPred>> =
-                    guards.iter().map(|g| g.cols.compile(&fields)).collect();
-                let shards: Vec<(&Shard, &[ShardPred])> = guards
-                    .iter()
-                    .zip(compiled.iter())
-                    .map(|(g, c)| (&**g, c.as_slice()))
-                    .collect();
-                let select_shards = |base: usize,
-                                     group: &[(&Shard, &[ShardPred])]|
-                 -> Result<Vec<TopkEntry>, NanSortKey> {
+                let select = || -> Result<Vec<TopkEntry>, NanSortKey> {
                     let mut buf = TopkBuf::new(&keys, limit);
                     let mut sel: Vec<u32> = Vec::new();
-                    for (i, (shard, preds)) in group.iter().enumerate() {
-                        let s = base + i;
+                    for (s, shard) in guards.iter().enumerate() {
+                        let preds = shard.cols.compile(&fields);
                         for c in 0..shard.chunks_below(bound[s]) {
                             let Some(ch) = shard.chunk_where(c, &fields) else {
                                 continue;
                             };
-                            ch.filter(preds, &fields, bound[s], &mut sel);
+                            ch.filter(&preds, &fields, bound[s], &mut sel);
                             let cols = ch.cols();
                             for &r in &sel {
                                 let r = r as usize;
@@ -1655,39 +1542,7 @@ impl DocumentStore {
                     }
                     Ok(buf.finish())
                 };
-                let merged: Result<Vec<Vec<TopkEntry>>, NanSortKey> =
-                    if workers > 1 && total >= PARALLEL_SCAN_THRESHOLD {
-                        // Bounded selection on exactly `workers` scoped
-                        // threads, each owning a contiguous shard chunk:
-                        // a worker's local top-k is a superset of its
-                        // contribution to the global top-k.
-                        let chunk = nshards.div_ceil(workers);
-                        crossbeam::thread::scope(|scope| {
-                            let handles: Vec<_> = shards
-                                .chunks(chunk)
-                                .enumerate()
-                                .map(|(w, group)| {
-                                    let select_shards = &select_shards;
-                                    scope.spawn(move |_| select_shards(w * chunk, group))
-                                })
-                                .collect();
-                            handles
-                                .into_iter()
-                                .map(|h| h.join().expect("top-k worker panicked"))
-                                .collect()
-                        })
-                        .expect("top-k scope failed")
-                    } else {
-                        select_shards(0, &shards).map(|entries| vec![entries])
-                    };
-                merged.map(|per_shard| {
-                    let mut all: Vec<TopkEntry> = per_shard.into_iter().flatten().collect();
-                    all.sort_unstable_by(|a, b| topk_cmp(&keys, a, b));
-                    if let Some(k) = limit {
-                        all.truncate(k);
-                    }
-                    all
-                })
+                select()
             }
         };
         match selected {
@@ -2278,20 +2133,9 @@ mod tests {
 
     #[test]
     fn shard_and_thread_overrides_parse_and_cap() {
-        let config = Config::from_lookup(|name| match name {
-            "PROVDB_SHARDS" => Some(" 64 ".into()),
-            "PROVDB_THREADS" => Some("3".into()),
-            _ => None,
-        });
+        let config = Config::from_lookup(|name| (name == "PROVDB_SHARDS").then(|| " 64 ".into()));
         let s = DocumentStore::with_config(&config);
         assert_eq!(s.shard_count(), 16, "capped like auto-tuning");
-        assert_eq!(s.scan_threads(), 3);
-        // The setter clamps the same way.
-        let s = DocumentStore::with_shards(2);
-        s.set_scan_threads(0);
-        assert_eq!(s.scan_threads(), 1);
-        s.set_scan_threads(64);
-        assert_eq!(s.scan_threads(), 16);
     }
 
     fn task_docs(n: usize) -> Vec<Value> {
@@ -2524,45 +2368,13 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_sequential_scans_agree() {
-        // Above the parallel threshold so the threaded path actually runs.
-        let docs = task_docs(PARALLEL_SCAN_THRESHOLD + 500);
-        let s = DocumentStore::with_shards(4);
-        s.enable_columnar();
-        s.insert_many(docs);
-        let bound = Value::Float(0.5);
-        let fin = Value::from("FINISHED");
-        s.set_scan_threads(1);
-        let seq_scan = scan(&s, &[("duration", CmpOp::Gt, &bound)], None);
-        let seq_lim = scan(&s, &[("status", CmpOp::Eq, &fin)], Some(97));
-        let seq_topk = topk(
-            &s,
-            &[("status", CmpOp::Eq, &fin)],
-            &[("duration", false), ("started_at", true)],
-            Some(9),
-        );
-        s.set_scan_threads(4);
-        assert_eq!(scan(&s, &[("duration", CmpOp::Gt, &bound)], None), seq_scan);
-        assert_eq!(scan(&s, &[("status", CmpOp::Eq, &fin)], Some(97)), seq_lim);
-        assert_eq!(
-            topk(
-                &s,
-                &[("status", CmpOp::Eq, &fin)],
-                &[("duration", false), ("started_at", true)],
-                Some(9),
-            ),
-            seq_topk
-        );
-    }
-
-    #[test]
     fn kernels_see_only_rows_below_the_bound() {
         // The full store scanned under a prefix's row bound answers like a
         // store holding only that prefix, on every kernel path: index
-        // candidates, the sorted-index cursor, chunk-major and
-        // shard-parallel scans, and the top-k buffers. A NaN sort key
-        // above the bound never aborts a top-k.
-        let n = PARALLEL_SCAN_THRESHOLD + 500;
+        // candidates, the sorted-index cursor, the chunk-major scan and
+        // the top-k buffer. A NaN sort key above the bound never aborts a
+        // top-k.
+        let n = 4_596;
         let docs = task_docs(n + 300);
         let build = |docs: &[Value]| {
             let s = DocumentStore::with_shards(4);
@@ -2590,30 +2402,21 @@ mod tests {
             &[("duration", true), ("started_at", false)],
         ];
         let check = |label: &str| {
-            for threads in [1, 4] {
-                prefix.set_scan_threads(threads);
-                full.set_scan_threads(threads);
-                for filters in &filter_sets {
-                    let preds = cmp_preds(filters);
-                    for limit in [None, Some(1), Some(7)] {
-                        let ctx = format!("{label} threads={threads} {filters:?} {limit:?}");
+            for filters in &filter_sets {
+                let preds = cmp_preds(filters);
+                for limit in [None, Some(1), Some(7)] {
+                    let ctx = format!("{label} {filters:?} {limit:?}");
+                    assert_eq!(
+                        full.columnar_scan_where(&preds, limit, &bound),
+                        prefix.columnar_scan_where(&preds, limit, &prefix.shard_rows()),
+                        "{ctx}"
+                    );
+                    for sort in sorts {
                         assert_eq!(
-                            full.columnar_scan_where(&preds, limit, &bound),
-                            prefix.columnar_scan_where(&preds, limit, &prefix.shard_rows()),
-                            "{ctx}"
+                            full.columnar_topk_where(&preds, sort, limit, &bound),
+                            prefix.columnar_topk_where(&preds, sort, limit, &prefix.shard_rows()),
+                            "{ctx} sort={sort:?}"
                         );
-                        for sort in sorts {
-                            assert_eq!(
-                                full.columnar_topk_where(&preds, sort, limit, &bound),
-                                prefix.columnar_topk_where(
-                                    &preds,
-                                    sort,
-                                    limit,
-                                    &prefix.shard_rows()
-                                ),
-                                "{ctx} sort={sort:?}"
-                            );
-                        }
                     }
                 }
             }

@@ -46,7 +46,7 @@ use crate::snapshot::StoreSnapshot;
 use crate::store::ProvenanceDatabase;
 use dataframe::{CmpOp, DataFrame};
 use prov_model::{TaskMessage, Value};
-use provql::plan::{GraphPlan, PipelinePlan, PushOp, PushdownCapability, QueryPlan};
+use provql::plan::{PipelinePlan, PushOp, PushdownCapability, QueryPlan};
 use provql::{ExecError, GraphQuery, Pipeline, QueryOutput, Stage};
 
 /// Outcome of attempting a plan-based execution.
@@ -93,36 +93,6 @@ impl PushdownCapability for ProvenanceDatabase {
         // columnar can be ordered without materializing a frame.
         self.documents_unflushed().columnar_servable(column)
     }
-    fn pushable_graph(&self) -> bool {
-        // Path primitives lower onto the CSR compaction (see
-        // [`crate::csr`]); the locking adjacency-map path stays reachable
-        // through a capability that leaves this at the default `false`
-        // (e.g. [`GraphOracle`]) and serves as the differential reference.
-        true
-    }
-}
-
-/// Capability wrapper that advertises everything the database does
-/// *except* graph pushdown: plans made through it route path primitives to
-/// the locking adjacency-map traversals instead of the CSR kernels. This
-/// is how the differential suite runs one provql query through both graph
-/// executors on one store.
-pub struct GraphOracle<'a>(pub &'a ProvenanceDatabase);
-
-impl PushdownCapability for GraphOracle<'_> {
-    fn pushable_eq(&self, column: &str) -> bool {
-        self.0.pushable_eq(column)
-    }
-    fn pushable_range(&self, column: &str) -> bool {
-        self.0.pushable_range(column)
-    }
-    fn pushable_columnar(&self, column: &str) -> bool {
-        self.0.pushable_columnar(column)
-    }
-    fn pushable_sort(&self, column: &str) -> bool {
-        self.0.pushable_sort(column)
-    }
-    // pushable_graph: trait default (false) — the point of the wrapper.
 }
 
 /// Execute a lowered plan against a pinned snapshot. Reads go through
@@ -130,8 +100,7 @@ impl PushdownCapability for GraphOracle<'_> {
 /// mark are invisible) and nothing is flushed — snapshot creation already
 /// materialized everything visible, so this never touches the flusher
 /// lock and never blocks on ingest. Graph primitives run on the
-/// snapshot's pinned CSR compaction when the plan's `pushable` gate is
-/// set, and on the locking adjacency maps when it is not.
+/// snapshot's pinned CSR compaction.
 pub fn execute_plan(snap: &StoreSnapshot, plan: &QueryPlan) -> Pushdown {
     match plan {
         QueryPlan::Pipeline(p) => exec_pipeline(snap.documents(), p, snap.bound()),
@@ -171,42 +140,20 @@ pub fn execute_plan(snap: &StoreSnapshot, plan: &QueryPlan) -> Pushdown {
     }
 }
 
-/// Execute one graph path primitive. Traversals answer as a two-column
-/// frame `[task_id, depth]` in BFS emission order; `paths(a, b)` answers
-/// as a series named `path` holding the node sequence (empty when
-/// unreachable). Both executors — the CSR kernels when the plan's
-/// `pushable` gate is set, the locking adjacency-map traversals when it
-/// is not — produce identical shapes, so the plan cache (which keys on
-/// the canonical query text, not the gate) can serve either's result to
-/// both.
-fn exec_graph(snap: &StoreSnapshot, g: &GraphPlan) -> QueryOutput {
-    if g.pushable {
-        let csr: &CsrGraph = snap.graph_csr();
-        match &g.query {
-            GraphQuery::Upstream { node, depth } => lineage_frame(csr.upstream(node, *depth)),
-            GraphQuery::Downstream { node, depth } => lineage_frame(csr.downstream(node, *depth)),
-            GraphQuery::Khop { node, k } => lineage_frame(csr.khop(node, *k)),
-            GraphQuery::Paths { from, to } => path_series(
-                csr.shortest_path_bidi(from, to)
-                    .map(|p| p.into_iter().map(Value::Str).collect()),
-            ),
-        }
-    } else {
-        let graph = snap.graph();
-        match &g.query {
-            GraphQuery::Upstream { node, depth } => {
-                lineage_frame_owned(graph.upstream_lineage(node, *depth))
-            }
-            GraphQuery::Downstream { node, depth } => {
-                lineage_frame_owned(graph.downstream_impact(node, *depth))
-            }
-            GraphQuery::Khop { node, k } => lineage_frame_owned(graph.khop(node, *k)),
-            GraphQuery::Paths { from, to } => path_series(
-                graph
-                    .shortest_path(from, to)
-                    .map(|p| p.into_iter().map(|id| Value::from(id.as_str())).collect()),
-            ),
-        }
+/// Execute one graph path primitive on the snapshot's CSR kernels.
+/// Traversals answer as a two-column frame `[task_id, depth]` in BFS
+/// emission order; `paths(a, b)` answers as a series named `path` holding
+/// the node sequence (empty when unreachable).
+fn exec_graph(snap: &StoreSnapshot, g: &GraphQuery) -> QueryOutput {
+    let csr: &CsrGraph = snap.graph_csr();
+    match g {
+        GraphQuery::Upstream { node, depth } => lineage_frame(csr.upstream(node, *depth)),
+        GraphQuery::Downstream { node, depth } => lineage_frame(csr.downstream(node, *depth)),
+        GraphQuery::Khop { node, k } => lineage_frame(csr.khop(node, *k)),
+        GraphQuery::Paths { from, to } => path_series(
+            csr.shortest_path_bidi(from, to)
+                .map(|p| p.into_iter().map(Value::Str).collect()),
+        ),
     }
 }
 
@@ -214,17 +161,6 @@ fn lineage_frame(hits: Vec<(prov_model::Sym, usize)>) -> QueryOutput {
     let (ids, depths): (Vec<Value>, Vec<Value>) = hits
         .into_iter()
         .map(|(id, d)| (Value::Str(id), Value::Int(d as i64)))
-        .unzip();
-    QueryOutput::Frame(
-        DataFrame::from_columns(vec![("task_id", ids), ("depth", depths)])
-            .expect("lineage columns are parallel by construction"),
-    )
-}
-
-fn lineage_frame_owned(hits: Vec<(String, usize)>) -> QueryOutput {
-    let (ids, depths): (Vec<Value>, Vec<Value>) = hits
-        .into_iter()
-        .map(|(id, d)| (Value::from(id.as_str()), Value::Int(d as i64)))
         .unzip();
     QueryOutput::Frame(
         DataFrame::from_columns(vec![("task_id", ids), ("depth", depths)])
@@ -872,26 +808,6 @@ mod tests {
             let oracle = provql::execute(&parse(text).unwrap(), &snap.oracle_frame());
             assert_eq!(Ok((*got).clone()), oracle, "{text}");
         }
-    }
-
-    #[test]
-    fn topk_agrees_across_thread_counts() {
-        let db = seeded_db();
-        let texts = [
-            r#"df.sort_values("duration", ascending=False)[["task_id", "duration"]].head(5)"#,
-            r#"df[df["status"] != "ERROR"].sort_values("started_at")[["task_id"]].head(4)"#,
-        ];
-        let run = |threads: usize, text: &str| {
-            db.documents().set_scan_threads(threads);
-            match run(&db, &parse(text).unwrap()) {
-                Pushdown::Executed(out) => out,
-                Pushdown::NeedsFullFrame(r) => panic!("{text}: unexpected fallback ({r})"),
-            }
-        };
-        for text in texts {
-            assert_eq!(run(1, text), run(4, text), "{text}");
-        }
-        db.documents().set_scan_threads(1);
     }
 
     #[test]

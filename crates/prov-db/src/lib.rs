@@ -24,12 +24,10 @@
 //! store does — one serialization per ingested message, shared
 //! everywhere.
 //!
-//! Reads fan out too: columnar scans and top-k selections run
-//! shard-parallel on crossbeam scoped threads once the store is large
-//! enough, with the worker count auto-tuned to the core count and
-//! overridden by `PROVDB_THREADS` (`=1` forces the exact sequential path —
-//! CI's thread-matrix leg runs the suite both ways). Scan results are
-//! thread-count invariant.
+//! Reads run on the calling thread: a columnar scan walks the shards
+//! chunk-major, and a top-k selection feeds one bounded buffer from every
+//! shard. Concurrency across questions comes from concurrent callers,
+//! such as [`QueryServer`]'s worker pool.
 //!
 //! A document's id encodes its location (`slot * nshards + shard`), ids
 //! assigned by a single thread are dense and ascending, and queries sort
@@ -141,7 +139,7 @@ pub use cache::{CacheOutcome, CacheStats, PlanCache};
 pub use config::Config;
 pub use csr::{CsrGraph, Direction};
 pub use document::{DocId, DocumentStore, ScanPredicate, TopkScan};
-pub use exec::{execute_plan, GraphOracle, Pushdown};
+pub use exec::{execute_plan, Pushdown};
 pub use graph::{GraphBatch, GraphEdge, GraphNode, GraphStore};
 pub use kv::KvStore;
 pub use pager::PagerStats;

@@ -350,9 +350,6 @@ impl PushdownCapability for StoreSnapshot {
     fn pushable_sort(&self, column: &str) -> bool {
         self.db.pushable_sort(column)
     }
-    fn pushable_graph(&self) -> bool {
-        self.db.pushable_graph()
-    }
 }
 
 #[cfg(test)]

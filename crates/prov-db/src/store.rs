@@ -155,8 +155,8 @@ impl ProvenanceDatabase {
 
     /// [`new`] with an explicit document-store shard count (query results
     /// are shard-count invariant; the count only tunes concurrency).
-    /// Benchmarks and tests use this to exercise multi-shard paths —
-    /// notably the shard-parallel scans — on single-core machines.
+    /// Benchmarks and tests use this to exercise multi-shard paths on
+    /// single-core machines.
     ///
     /// [`new`]: ProvenanceDatabase::new
     pub fn with_shards(nshards: usize) -> Self {
@@ -552,7 +552,7 @@ impl ProvenanceDatabase {
         // snapshots' pins to decide whether `make_mut` must clone.
         let mut csr = match memo.take() {
             Some((_, csr)) => csr,
-            None => Arc::new(CsrGraph::empty(self.config.scan_threads)),
+            None => Arc::new(CsrGraph::empty()),
         };
         Arc::make_mut(&mut csr).extend(&self.graph);
         *memo = Some((floor, Arc::clone(&csr)));
@@ -957,11 +957,6 @@ impl ProvenanceDatabase {
     pub fn workflow_tasks(&self, workflow_id: &str) -> Vec<Arc<Value>> {
         self.find(&DocQuery::new().filter("workflow_id", Op::Eq, workflow_id))
     }
-
-    /// Multi-hop upstream lineage (graph fast path).
-    pub fn lineage(&self, task_id: &str, max_depth: usize) -> Vec<(String, usize)> {
-        self.graph().upstream_lineage(task_id, max_depth)
-    }
 }
 
 /// The KV rows and graph entries a batch of messages fans out to — the
@@ -1121,7 +1116,7 @@ mod tests {
     fn lineage_traverses_graph() {
         let db = ProvenanceDatabase::new();
         db.insert_batch(&msgs());
-        let up = db.lineage("t2", 10);
+        let up = db.graph().upstream_lineage("t2", 10);
         let ids: Vec<&str> = up.iter().map(|(id, _)| id.as_str()).collect();
         assert_eq!(ids, vec!["t1", "t0"]);
     }

@@ -287,12 +287,10 @@ fn check(snap: &StoreSnapshot, q: &Query) {
     }
 }
 
-/// The shard-parallel scan above [`PARALLEL_SCAN_THRESHOLD`] must stay an
-/// exact oracle match — same queries, sequential (`threads = 1`, the
-/// forced-`PROVDB_THREADS=1` path) and parallel (`threads = 4` over 4
-/// shards), on a corpus big enough that the threaded path actually runs.
+/// Full-vector scans and top-k selections over a 6,000-row corpus on 4
+/// shards must match the oracle exactly.
 #[test]
-fn parallel_scan_differential_above_threshold() {
+fn large_scan_differential_over_four_shards() {
     let db = Arc::new(ProvenanceDatabase::with_shards(4));
     let msgs: Vec<prov_model::TaskMessage> = (0..6000)
         .map(|i| {
@@ -316,35 +314,29 @@ fn parallel_scan_differential_above_threshold() {
     let snap = db.snapshot();
     let frame = snap.oracle_frame();
     let queries = [
-        // Unselective columnar filter: full vector scan, shard-parallel.
+        // Unselective columnar filter: full vector scan.
         r#"len(df[df["duration"] > 4])"#,
         r#"df[df["status"] != "ERROR"]["duration"].sum()"#,
-        // Top-k through the bounded per-shard buffers (duration has no
+        // Top-k through the bounded selection buffer (duration has no
         // sorted index, so the cursor cannot serve it) and through the
         // sorted-index cursor (started_at).
         r#"df.sort_values("duration", ascending=False)[["task_id", "duration"]].head(9)"#,
         r#"df[df["status"] != "ERROR"].sort_values("duration")[["task_id"]].head(6)"#,
         r#"df.sort_values("started_at", ascending=False)[["task_id", "started_at"]].head(7)"#,
     ];
-    for threads in [1usize, 4] {
-        db.documents().set_scan_threads(threads);
-        for text in queries {
-            let q = provql::parse(text).expect("query parses");
-            match run(&snap, &q) {
-                Pushdown::Executed(got) => {
-                    let oracle = execute(&q, &frame);
-                    assert!(
-                        out_eq(&got, &oracle),
-                        "threads={threads}, query={text}\n got: {got:?}\nwant: {oracle:?}"
-                    );
-                }
-                Pushdown::NeedsFullFrame(r) => {
-                    panic!("threads={threads}, query={text}: unexpected fallback ({r})")
-                }
+    for text in queries {
+        let q = provql::parse(text).expect("query parses");
+        match run(&snap, &q) {
+            Pushdown::Executed(got) => {
+                let oracle = execute(&q, &frame);
+                assert!(
+                    out_eq(&got, &oracle),
+                    "query={text}\n got: {got:?}\nwant: {oracle:?}"
+                );
             }
+            Pushdown::NeedsFullFrame(r) => panic!("query={text}: unexpected fallback ({r})"),
         }
     }
-    db.documents().set_scan_threads(1);
 }
 
 /// Corpora straddling the chunk boundary (one row short of a chunk, an

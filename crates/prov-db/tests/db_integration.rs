@@ -244,11 +244,13 @@ fn unified_facade_counts_and_lineage_agree_with_backends() {
     assert_eq!(db.documents().len(), 10);
     assert_eq!(db.kv().len(), 10);
     assert_eq!(db.graph().node_count(), 10);
-    // store::lineage delegates to the graph.
-    assert_eq!(
-        db.lineage("bde-0", 10),
-        db.graph().upstream_lineage("bde-0", 10)
-    );
+    // The CSR compaction's lineage agrees with the graph backend's.
+    let csr: Vec<(String, usize)> = prov_db::CsrGraph::build(db.graph())
+        .upstream("bde-0", 10)
+        .into_iter()
+        .map(|(id, d)| (id.to_string(), d))
+        .collect();
+    assert_eq!(csr, db.graph().upstream_lineage("bde-0", 10));
     // workflow_tasks pulls everything for the workflow.
     assert_eq!(db.workflow_tasks("chem-wf").len(), 10);
 }

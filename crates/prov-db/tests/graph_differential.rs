@@ -2,31 +2,25 @@
 //! DAGs *and* cyclic graphs — with duplicate edges, self-loops, phantom
 //! endpoints, and mixed `add_edge`/`apply_batch` ingest — every CSR
 //! kernel must produce exactly the output of the locking adjacency-map
-//! oracle in `prov_db::graph`, at every thread count. A golden set then
-//! pins the provql path primitives to identical answers through both
-//! executor paths (CSR pushdown vs the `GraphOracle` capability), and a
-//! racing-writer test pins snapshot CSR reads under concurrent
+//! oracle in `prov_db::graph`. A golden set then pins the provql path
+//! primitives, as `execute_plan` runs them on the CSR, to the oracle's
+//! traversals, and a racing-writer test pins snapshot CSR reads under
+//! concurrent
 //! `apply_batch`/streaming ingest. Extension is held to the same
 //! referees: a compaction extended at random points of a random ingest
 //! schedule must answer exactly like a fresh build and like the oracle,
 //! and a compaction an older snapshot holds must never change.
 
+use dataframe::DataFrame;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use prov_db::{
-    Config, CsrGraph, Direction, GraphBatch, GraphOracle, GraphStore, ProvenanceDatabase,
-};
+use prov_db::{CsrGraph, Direction, GraphBatch, GraphStore, ProvenanceDatabase};
 use prov_db::{Pushdown, StoreSnapshot};
-use prov_model::{Map, TaskMessage, TaskMessageBuilder};
-use provql::parse;
+use prov_model::{Map, TaskMessage, TaskMessageBuilder, Value};
+use provql::{parse, ExecError, GraphQuery, Query, QueryOutput};
 use std::sync::Arc;
 
 const RELS: &[&str] = &["prov:wasInformedBy", "prov:wasAssociatedWith", "x:custom"];
-
-/// Thread counts the kernels must be invariant across (1 forces the
-/// sequential path; 8 exceeds any CI runner's auto-tuned count, which the
-/// thread-matrix CI leg also forces via `PROVDB_THREADS`).
-const THREADS: &[usize] = &[1, 8];
 
 #[derive(Debug, Clone)]
 struct RandomGraph {
@@ -100,7 +94,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// BFS traversal, k-hop, transitive closure: CSR ≡ adjacency oracle,
-    /// byte-for-byte (ids *and* emission order), at 1 and 8 threads.
+    /// byte-for-byte (ids *and* emission order).
     #[test]
     fn csr_kernels_match_adjacency_oracle(
         g in arb_graph(),
@@ -109,39 +103,32 @@ proptest! {
         depth in 0usize..6,
     ) {
         let store = build_store(&g);
-        let csr = CsrGraph::build(&store, Config::from_env().scan_threads);
+        let csr = CsrGraph::build(&store);
         let start = format!("t{}", start % g.n);
         // 3 = any-relation; RELS[..] includes a rel the graph may not use.
         let rel = if rel_i == 3 { "" } else { RELS[rel_i] };
-        for &threads in THREADS {
-            csr.set_traverse_threads(threads);
-            prop_assert_eq!(
-                owned(csr.traverse(&start, rel, Direction::Out, depth)),
-                store.traverse(&start, rel, depth),
-                "traverse(rel={}, depth={}, threads={})", rel, depth, threads
-            );
-            prop_assert_eq!(
-                owned(csr.upstream(&start, depth)),
-                store.upstream_lineage(&start, depth),
-                "upstream(threads={})", threads
-            );
-            prop_assert_eq!(
-                owned(csr.downstream(&start, depth)),
-                store.downstream_impact(&start, depth),
-                "downstream(threads={})", threads
-            );
-            prop_assert_eq!(
-                owned(csr.khop(&start, depth)),
-                store.khop(&start, depth),
-                "khop(threads={})", threads
-            );
-            // Unbounded transitive closure (cycles must terminate).
-            prop_assert_eq!(
-                owned(csr.upstream(&start, usize::MAX)),
-                store.upstream_lineage(&start, usize::MAX),
-                "closure(threads={})", threads
-            );
-        }
+        prop_assert_eq!(
+            owned(csr.traverse(&start, rel, Direction::Out, depth)),
+            store.traverse(&start, rel, depth),
+            "traverse(rel={}, depth={})", rel, depth
+        );
+        prop_assert_eq!(
+            owned(csr.upstream(&start, depth)),
+            store.upstream_lineage(&start, depth),
+            "upstream"
+        );
+        prop_assert_eq!(
+            owned(csr.downstream(&start, depth)),
+            store.downstream_impact(&start, depth),
+            "downstream"
+        );
+        prop_assert_eq!(owned(csr.khop(&start, depth)), store.khop(&start, depth), "khop");
+        // Unbounded transitive closure (cycles must terminate).
+        prop_assert_eq!(
+            owned(csr.upstream(&start, usize::MAX)),
+            store.upstream_lineage(&start, usize::MAX),
+            "closure"
+        );
     }
 
     /// Shortest path: the forward kernel is tie-break-identical to the
@@ -154,7 +141,7 @@ proptest! {
         b in 0usize..24,
     ) {
         let store = build_store(&g);
-        let csr = CsrGraph::build(&store, Config::from_env().scan_threads);
+        let csr = CsrGraph::build(&store);
         let from = format!("t{}", a % g.n);
         let to = format!("t{}", b % g.n);
         let oracle = store.shortest_path(&from, &to);
@@ -181,7 +168,7 @@ proptest! {
     #[test]
     fn csr_membership_matches_store(g in arb_graph(), probe in 0usize..24) {
         let store = build_store(&g);
-        let csr = CsrGraph::build(&store, Config::from_env().scan_threads);
+        let csr = CsrGraph::build(&store);
         let id = format!("t{}", probe % g.n);
         prop_assert_eq!(csr.contains_node(&id), store.node(&id).is_some());
         prop_assert_eq!(
@@ -310,84 +297,78 @@ fn oracle_in(store: &GraphStore, start: &str, rel: &str, depth: usize) -> Vec<(S
     out
 }
 
-/// Every kernel of `csr` against the adjacency oracle over `store`, at
-/// every thread count.
+/// Every kernel of `csr` against the adjacency oracle over `store`.
 fn check_oracle(csr: &CsrGraph, store: &GraphStore) -> Result<(), TestCaseError> {
     let ids = probes();
-    for &threads in THREADS {
-        csr.set_traverse_threads(threads);
-        prop_assert_eq!(csr.node_count(), store.node_count());
-        prop_assert_eq!(csr.edge_count(), store.edge_count());
-        for a in &ids {
-            let node = store.node(a);
-            prop_assert_eq!(csr.contains_node(a), node.is_some(), "contains {}", a);
-            prop_assert_eq!(
-                csr.node_label(a).map(|l| l.to_string()),
-                node.as_ref().map(|n| n.label.clone()),
-                "label {}",
-                a
-            );
-            prop_assert_eq!(
-                csr.node_props(a).map(|p| (**p).clone()),
-                node.map(|n| (*n.props).clone()),
-                "props {}",
-                a
-            );
-            for rel in RELS.iter().copied().chain([""]) {
-                for depth in [0, 1, 2, usize::MAX] {
-                    prop_assert_eq!(
-                        owned(csr.traverse(a, rel, Direction::Out, depth)),
-                        store.traverse(a, rel, depth),
-                        "out {} {} {} threads={}",
-                        a,
-                        rel,
-                        depth,
-                        threads
-                    );
-                    prop_assert_eq!(
-                        owned(csr.traverse(a, rel, Direction::In, depth)),
-                        oracle_in(store, a, rel, depth),
-                        "in {} {} {} threads={}",
-                        a,
-                        rel,
-                        depth,
-                        threads
-                    );
-                }
-            }
-            for depth in [1, usize::MAX] {
+    prop_assert_eq!(csr.node_count(), store.node_count());
+    prop_assert_eq!(csr.edge_count(), store.edge_count());
+    for a in &ids {
+        let node = store.node(a);
+        prop_assert_eq!(csr.contains_node(a), node.is_some(), "contains {}", a);
+        prop_assert_eq!(
+            csr.node_label(a).map(|l| l.to_string()),
+            node.as_ref().map(|n| n.label.clone()),
+            "label {}",
+            a
+        );
+        prop_assert_eq!(
+            csr.node_props(a).map(|p| (**p).clone()),
+            node.map(|n| (*n.props).clone()),
+            "props {}",
+            a
+        );
+        for rel in RELS.iter().copied().chain([""]) {
+            for depth in [0, 1, 2, usize::MAX] {
                 prop_assert_eq!(
-                    owned(csr.upstream(a, depth)),
-                    store.upstream_lineage(a, depth)
-                );
-                prop_assert_eq!(
-                    owned(csr.downstream(a, depth)),
-                    store.downstream_impact(a, depth)
-                );
-            }
-            for k in [1, 2, usize::MAX] {
-                prop_assert_eq!(owned(csr.khop(a, k)), store.khop(a, k), "khop {}", a);
-            }
-            for b in &ids {
-                let oracle = store.shortest_path(a, b);
-                prop_assert_eq!(
-                    csr.shortest_path(a, b)
-                        .map(|p| p.iter().map(|s| s.to_string()).collect::<Vec<_>>()),
-                    oracle.clone(),
-                    "path {} {}",
+                    owned(csr.traverse(a, rel, Direction::Out, depth)),
+                    store.traverse(a, rel, depth),
+                    "out {} {} {}",
                     a,
-                    b
+                    rel,
+                    depth
                 );
-                match (oracle, csr.shortest_path_bidi(a, b)) {
-                    (None, None) => {}
-                    (Some(o), Some(bi)) => {
-                        prop_assert_eq!(o.len(), bi.len(), "bidi length {} {}", a, b);
-                        if a != b {
-                            assert_valid_path(store, &bi, a, b);
-                        }
+                prop_assert_eq!(
+                    owned(csr.traverse(a, rel, Direction::In, depth)),
+                    oracle_in(store, a, rel, depth),
+                    "in {} {} {}",
+                    a,
+                    rel,
+                    depth
+                );
+            }
+        }
+        for depth in [1, usize::MAX] {
+            prop_assert_eq!(
+                owned(csr.upstream(a, depth)),
+                store.upstream_lineage(a, depth)
+            );
+            prop_assert_eq!(
+                owned(csr.downstream(a, depth)),
+                store.downstream_impact(a, depth)
+            );
+        }
+        for k in [1, 2, usize::MAX] {
+            prop_assert_eq!(owned(csr.khop(a, k)), store.khop(a, k), "khop {}", a);
+        }
+        for b in &ids {
+            let oracle = store.shortest_path(a, b);
+            prop_assert_eq!(
+                csr.shortest_path(a, b)
+                    .map(|p| p.iter().map(|s| s.to_string()).collect::<Vec<_>>()),
+                oracle.clone(),
+                "path {} {}",
+                a,
+                b
+            );
+            match (oracle, csr.shortest_path_bidi(a, b)) {
+                (None, None) => {}
+                (Some(o), Some(bi)) => {
+                    prop_assert_eq!(o.len(), bi.len(), "bidi length {} {}", a, b);
+                    if a != b {
+                        assert_valid_path(store, &bi, a, b);
                     }
-                    (o, bi) => prop_assert!(false, "reachability {:?} vs {:?}", o, bi),
                 }
+                (o, bi) => prop_assert!(false, "reachability {:?} vs {:?}", o, bi),
             }
         }
     }
@@ -400,7 +381,7 @@ fn check_oracle(csr: &CsrGraph, store: &GraphStore) -> Result<(), TestCaseError>
 /// still answers as it did when it was taken.
 fn run_schedule(steps: &[Step]) -> Result<(), TestCaseError> {
     let store = GraphStore::new();
-    let mut memo = Arc::new(CsrGraph::build(&store, 1));
+    let mut memo = Arc::new(CsrGraph::build(&store));
     let mut held: Vec<(Arc<CsrGraph>, Vec<String>)> = Vec::new();
     for step in steps.iter().chain([&Step::Extend]) {
         match step {
@@ -420,7 +401,7 @@ fn run_schedule(steps: &[Step]) -> Result<(), TestCaseError> {
             Step::Extend => {
                 Arc::make_mut(&mut memo).extend(&store);
                 check_oracle(&memo, &store)?;
-                prop_assert_eq!(answers(&memo), answers(&CsrGraph::build(&store, 1)));
+                prop_assert_eq!(answers(&memo), answers(&CsrGraph::build(&store)));
                 for (csr, want) in &held {
                     prop_assert_eq!(&answers(csr), want, "a held compaction changed");
                 }
@@ -514,42 +495,31 @@ fn held_snapshot_keeps_its_compaction_and_unpinned_memo_extends_in_place() {
     );
 }
 
-/// A frontier large enough to engage the crossbeam fan-out (≥ 4096),
-/// with enough shared children that worker pre-filter chunks overlap —
-/// the parallel merge's dedup must keep output identical to sequential.
+/// A level of 8,192 nodes whose children are shared many times over:
+/// each child must be emitted once, at its first discovery, exactly as
+/// the oracle orders it.
 #[test]
-fn parallel_frontier_is_thread_count_invariant() {
+fn wide_frontier_matches_the_oracle() {
     let store = GraphStore::new();
     let mut batch = GraphBatch::new();
     batch.upsert_node("root", "prov:Activity", Map::new());
     for i in 0..8192usize {
         batch.add_edge("root", format!("mid{i}"), RELS[0]);
-        // Many mids share leaves: duplicates survive distinct chunks'
-        // read-only pre-filters and must be dropped by the merge.
         batch.add_edge(format!("mid{i}"), format!("leaf{}", i % 600), RELS[0]);
         batch.add_edge(format!("mid{i}"), format!("leaf{}", (i * 7) % 600), RELS[0]);
     }
     store.apply_batch(batch);
-    let csr = CsrGraph::build(&store, Config::from_env().scan_threads);
+    let csr = CsrGraph::build(&store);
 
-    csr.set_traverse_threads(1);
-    let seq_up = owned(csr.traverse("root", RELS[0], Direction::Out, 3));
-    let seq_khop = owned(csr.khop("root", 2));
-    csr.set_traverse_threads(8);
-    assert_eq!(
-        seq_up,
-        owned(csr.traverse("root", RELS[0], Direction::Out, 3))
-    );
-    assert_eq!(seq_khop, owned(csr.khop("root", 2)));
-    // And both agree with the oracle.
-    assert_eq!(seq_up, store.traverse("root", RELS[0], 3));
-    assert_eq!(seq_khop, store.khop("root", 2));
-    assert_eq!(seq_up.len(), 8192 + 600);
+    let up = owned(csr.traverse("root", RELS[0], Direction::Out, 3));
+    assert_eq!(up, store.traverse("root", RELS[0], 3));
+    assert_eq!(owned(csr.khop("root", 2)), store.khop("root", 2));
+    assert_eq!(up.len(), 8192 + 600);
 }
 
 /// A linear chain `t0 ← t1 ← … ← t{n-1}` (each task informed by its
-/// predecessor): every graph query has a unique answer, so both executor
-/// paths must agree exactly — including on the path primitive.
+/// predecessor): every graph query has a unique answer, so the executor
+/// and the oracle must agree exactly — including on the path primitive.
 fn chain_db(n: usize) -> Arc<ProvenanceDatabase> {
     let db = Arc::new(ProvenanceDatabase::new());
     let msgs: Vec<TaskMessage> = (0..n)
@@ -567,10 +537,51 @@ fn chain_db(n: usize) -> Arc<ProvenanceDatabase> {
     db
 }
 
-/// Golden-set parity: one provql graph query, both executor paths — the
-/// plan with graph pushdown (CSR kernels) and the plan through
-/// [`GraphOracle`] (locking adjacency traversals) — plus the snapshot
-/// query API (cache + CSR), all answering identically.
+/// The adjacency oracle's answer to a provql graph query, shaped like
+/// the executor's: a traversal as a `[task_id, depth]` frame, a path as
+/// a series named `path`, and `len`/arithmetic over those.
+fn oracle_query(graph: &GraphStore, query: &Query) -> Result<QueryOutput, ExecError> {
+    let hops = |hits: Vec<(String, usize)>| {
+        let (ids, depths): (Vec<Value>, Vec<Value>) = hits
+            .into_iter()
+            .map(|(id, d)| (Value::from(id.as_str()), Value::Int(d as i64)))
+            .unzip();
+        QueryOutput::Frame(
+            DataFrame::from_columns(vec![("task_id", ids), ("depth", depths)]).unwrap(),
+        )
+    };
+    Ok(match query {
+        Query::Graph(GraphQuery::Upstream { node, depth }) => {
+            hops(graph.upstream_lineage(node, *depth))
+        }
+        Query::Graph(GraphQuery::Downstream { node, depth }) => {
+            hops(graph.downstream_impact(node, *depth))
+        }
+        Query::Graph(GraphQuery::Khop { node, k }) => hops(graph.khop(node, *k)),
+        Query::Graph(GraphQuery::Paths { from, to }) => QueryOutput::Series {
+            name: "path".to_string(),
+            values: graph
+                .shortest_path(from, to)
+                .unwrap_or_default()
+                .iter()
+                .map(|id| Value::from(id.as_str()))
+                .collect(),
+        },
+        Query::Len(inner) => {
+            QueryOutput::Scalar(Value::Int(oracle_query(graph, inner)?.len() as i64))
+        }
+        Query::Binary(a, op, b) => {
+            let a = provql::scalar_operand(oracle_query(graph, a)?)?;
+            let b = provql::scalar_operand(oracle_query(graph, b)?)?;
+            return provql::arith_scalars(a, *op, b);
+        }
+        other => panic!("not a graph query: {other:?}"),
+    })
+}
+
+/// Golden-set parity: one provql graph query through `execute_plan` (CSR
+/// kernels) and through the locking adjacency traversals — plus the
+/// snapshot query API (cache + CSR), all answering identically.
 #[test]
 fn provql_graph_primitives_agree_through_both_executor_paths() {
     let db = chain_db(10);
@@ -591,15 +602,12 @@ fn provql_graph_primitives_agree_through_both_executor_paths() {
         r#"len(upstream("t9", 16)) - len(downstream("t9", 16))"#,
     ] {
         let query = parse(text).unwrap();
-        let fast_plan = provql::plan(&query, &*snap);
-        let oracle_plan = provql::plan(&query, &GraphOracle(&db));
-        let Pushdown::Executed(fast) = prov_db::execute_plan(&snap, &fast_plan) else {
+        let Pushdown::Executed(fast) = prov_db::execute_plan(&snap, &provql::plan(&query, &*snap))
+        else {
             panic!("{text}: CSR path refused to execute");
         };
-        let Pushdown::Executed(oracle) = prov_db::execute_plan(&snap, &oracle_plan) else {
-            panic!("{text}: oracle path refused to execute");
-        };
-        assert_eq!(fast, oracle, "{text}: executor paths disagree");
+        let oracle = oracle_query(snap.graph(), &query);
+        assert_eq!(fast, oracle, "{text}: executor and oracle disagree");
         // The snapshot query API (plan cache + pinned CSR) agrees too.
         let (snap_out, _) = snap.query(&query);
         let snap_out = snap_out.unwrap_or_else(|e| panic!("{text}: snapshot query failed: {e}"));

@@ -283,7 +283,10 @@ fn lazy_open_hydrates_kv_and_graph_on_first_read() {
     let lazy = open_lazy(&dir, 64 << 20);
     let oracle = oracle(&msgs);
     // Graph first (hydration triggers here), then KV.
-    assert_eq!(lazy.lineage("t9", 10), oracle.lineage("t9", 10));
+    assert_eq!(
+        lazy.graph().upstream_lineage("t9", 10),
+        oracle.graph().upstream_lineage("t9", 10)
+    );
     let last = format!("t{}", n - 1);
     for id in ["t0", "t2", "t9", last.as_str(), "missing"] {
         // Compared by `Debug` rendering, like the fingerprint: every 11th
@@ -396,7 +399,10 @@ fn columnar_pipelines_page_no_documents_and_document_reads_no_columns() {
 
     // The graph hydration walks every cold chunk's documents once.
     let before = lazy.pager_stats();
-    assert_eq!(lazy.lineage("t9", 10), eager.lineage("t9", 10));
+    assert_eq!(
+        lazy.graph().upstream_lineage("t9", 10),
+        eager.graph().upstream_lineage("t9", 10)
+    );
     let (cols, docs) = page_ins(&lazy, before);
     assert_eq!(cols, 0, "graph hydration paged {cols} cols pages");
     assert!(

@@ -40,7 +40,6 @@ pub use compare::{compare, Comparison, ResultShape};
 pub use exec::{arith_scalars, execute, execute_stages, scalar_operand, ExecError, QueryOutput};
 pub use parser::{parse, ParseError};
 pub use plan::{
-    plan, GraphPlan, PipelinePlan, PlanNode, PushOp, PushdownCapability, PushedFilter, QueryPlan,
-    ScanNode,
+    plan, PipelinePlan, PlanNode, PushOp, PushdownCapability, PushedFilter, QueryPlan, ScanNode,
 };
 pub use render::render;

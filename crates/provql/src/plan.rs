@@ -51,14 +51,6 @@ pub trait PushdownCapability {
     fn pushable_sort(&self, _column: &str) -> bool {
         false
     }
-    /// Can graph path primitives (`upstream`/`downstream`/`paths`/`khop`)
-    /// be executed against a compacted graph snapshot (CSR kernels)
-    /// instead of the locking adjacency-map reference path? A store-level
-    /// capability, not per-column. Defaults to `false` — frame-only
-    /// engines fall back to whatever graph reference they have.
-    fn pushable_graph(&self) -> bool {
-        false
-    }
 }
 
 /// Push everything structurally pushable (used by tests and by callers
@@ -77,9 +69,6 @@ impl PushdownCapability for PushAll {
         true
     }
     fn pushable_sort(&self, _column: &str) -> bool {
-        true
-    }
-    fn pushable_graph(&self) -> bool {
         true
     }
 }
@@ -266,20 +255,6 @@ impl PipelinePlan {
     }
 }
 
-/// A lowered graph path primitive: the traversal itself plus the engine
-/// gate the capability answered at planning time.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GraphPlan {
-    /// The traversal to run (the AST node is already the logical plan —
-    /// a path primitive has no filters to split or columns to project).
-    pub query: GraphQuery,
-    /// True when the store advertised
-    /// [`PushdownCapability::pushable_graph`]: the executor runs the CSR
-    /// snapshot kernels; false keeps it on the locking adjacency-map
-    /// reference path (the differential oracle).
-    pub pushable: bool,
-}
-
 /// Plan of a whole query; mirrors the [`Query`] tree shape.
 #[derive(Debug, Clone, PartialEq)]
 pub enum QueryPlan {
@@ -291,8 +266,9 @@ pub enum QueryPlan {
     Binary(Box<QueryPlan>, ArithOp, Box<QueryPlan>),
     /// Bare numeric literal.
     Number(f64),
-    /// A graph path primitive.
-    Graph(GraphPlan),
+    /// A graph path primitive (the AST node is already the logical plan —
+    /// a path primitive has no filters to split or columns to project).
+    Graph(GraphQuery),
 }
 
 impl QueryPlan {
@@ -337,10 +313,7 @@ pub fn plan(query: &Query, caps: &dyn PushdownCapability) -> QueryPlan {
             QueryPlan::Binary(Box::new(plan(a, caps)), *op, Box::new(plan(b, caps)))
         }
         Query::Number(n) => QueryPlan::Number(*n),
-        Query::Graph(g) => QueryPlan::Graph(GraphPlan {
-            query: g.clone(),
-            pushable: caps.pushable_graph(),
-        }),
+        Query::Graph(g) => QueryPlan::Graph(g.clone()),
     }
 }
 
@@ -567,10 +540,7 @@ pub fn cache_key(plan: &QueryPlan) -> String {
             format!("bin({},{:?},{})", cache_key(a), op, cache_key(b))
         }
         QueryPlan::Number(n) => format!("num({:016x})", n.to_bits()),
-        // The `pushable` gate is deliberately absent: both engines answer
-        // a path primitive identically (differentially asserted), so a
-        // cached result is valid regardless of which one produced it.
-        QueryPlan::Graph(g) => match &g.query {
+        QueryPlan::Graph(g) => match g {
             GraphQuery::Upstream { node, depth } => format!("graph(up,{node:?},{depth})"),
             GraphQuery::Downstream { node, depth } => format!("graph(down,{node:?},{depth})"),
             GraphQuery::Paths { from, to } => format!("graph(paths,{from:?},{to:?})"),

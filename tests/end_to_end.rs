@@ -39,7 +39,7 @@ fn synthetic_pipeline_end_to_end() {
             .limit(1),
     );
     let avg_id = avg_docs[0].get("task_id").unwrap().display_plain();
-    let lineage = db.lineage(&avg_id, 10);
+    let lineage = db.graph().upstream_lineage(&avg_id, 10);
     assert!(
         lineage.len() >= 7,
         "fan-in lineage spans the whole instance"
