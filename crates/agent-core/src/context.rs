@@ -2,13 +2,16 @@
 //! the agent's in-memory structures current — the buffer of recent task
 //! messages (a DataFrame), the dynamic dataflow schema, and the guidelines.
 //!
-//! One ingest costs one row: the message is flattened and appended, and at
-//! capacity the oldest row is evicted in place (one cell per column plus a
-//! bitset scan for the columns that row held) instead of rebuilding the
-//! frame from the buffered messages. The frame stays equal to
-//! [`DataFrame::from_messages`] over the buffer, column order included:
-//! columns sort by the first buffered row holding the key, then by key
-//! byte order.
+//! One ingest costs one row, whatever the window holds: the message is
+//! flattened and appended, and at capacity the oldest row is evicted in
+//! place (each column's head offset advances past one cell) instead of
+//! rebuilding the frame from the buffered messages. The frame stays equal
+//! to [`DataFrame::from_messages`] over the buffer, column order included.
+//! It is shared: [`ContextManager::frame`] hands out an `Arc`, and an
+//! ingest copies the frame only while such a handle is still held. The
+//! prompt sections read per-column dtype and example state that the
+//! window keeps up to date on every ingest, so one question's prompt
+//! costs O(columns). `docs/live_context.md` walks through the costs.
 
 use crate::guidelines::Guidelines;
 use crate::schema::DynamicDataflowSchema;
@@ -104,18 +107,21 @@ impl ContextManager {
         self.len() == 0
     }
 
-    /// Clone of the current in-memory frame (the query substrate).
-    pub fn frame(&self) -> DataFrame {
-        self.inner.read().window.frame().clone()
+    /// Shared handle to the current in-memory frame (the query substrate),
+    /// O(1). The frame it points to never changes: the next ingest copies
+    /// the frame once if the handle is still alive, and mutates it in
+    /// place otherwise.
+    pub fn frame(&self) -> Arc<DataFrame> {
+        Arc::clone(self.inner.read().window.frame())
     }
 
     /// The current frame together with the buffered messages it was built
     /// from, oldest first, read under one lock so that row `i` of the frame
     /// is message `i` even while the feeder ingests.
-    pub fn frame_with_messages(&self) -> (DataFrame, Vec<TaskMessage>) {
+    pub fn frame_with_messages(&self) -> (Arc<DataFrame>, Vec<TaskMessage>) {
         let inner = self.inner.read();
         (
-            inner.window.frame().clone(),
+            Arc::clone(inner.window.frame()),
             inner.messages.iter().cloned().collect(),
         )
     }
@@ -137,16 +143,18 @@ impl ContextManager {
             .collect()
     }
 
-    /// Rendered schema prompt section.
+    /// Rendered schema prompt section, from the window's per-column
+    /// dtypes: O(columns), not O(rows).
     pub fn render_schema_section(&self) -> String {
         let inner = self.inner.read();
-        inner.schema.render_schema(inner.window.frame())
+        inner.schema.render_schema(inner.window.dtypes())
     }
 
-    /// Rendered domain-values prompt section.
+    /// Rendered domain-values prompt section, from the window's per-column
+    /// examples: O(columns), not O(rows).
     pub fn render_values_section(&self) -> String {
         let inner = self.inner.read();
-        inner.schema.render_values(inner.window.frame())
+        inner.schema.render_values(inner.window.examples())
     }
 
     /// The most recent `n` messages (for the context monitor).

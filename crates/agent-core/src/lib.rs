@@ -4,9 +4,11 @@
 //! architecture (§4) —
 //!
 //! * [`context::ContextManager`] — subscribes to the streaming hub and
-//!   maintains the in-memory context (a DataFrame of recent task messages),
-//!   the [`schema::DynamicDataflowSchema`], and the session
-//!   [`guidelines::Guidelines`];
+//!   maintains the in-memory context (a shared DataFrame of recent task
+//!   messages, updated in O(one row) per ingest), the
+//!   [`schema::DynamicDataflowSchema`], and the session
+//!   [`guidelines::Guidelines`]; `docs/live_context.md` covers the window,
+//!   its copy-on-write frame and the per-column state the prompt reads;
 //! * [`prompt::PromptBuilder`] / [`prompt::RagStrategy`] — the RAG pipeline
 //!   assembling Table-2 prompt configurations;
 //! * [`tools`] — MCP-shaped tools (in-memory query, provenance-DB query,

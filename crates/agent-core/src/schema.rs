@@ -8,7 +8,7 @@
 //! (number and diversity of activities and fields), never on task count —
 //! the property behind the paper's scale-independence claim.
 
-use dataframe::{DType, DataFrame};
+use dataframe::DType;
 use llm_sim::markers;
 use prov_model::{schema::render_common_schema, TaskMessage, Value};
 use std::collections::BTreeMap;
@@ -104,10 +104,15 @@ impl DynamicDataflowSchema {
     }
 
     /// Render the schema prompt section: the common fields (static, §4.2),
-    /// then the per-activity dataflow structure. `frame` supplies the
-    /// authoritative flattened column names so generated queries always
+    /// then the per-activity dataflow structure. `dtypes` are the live
+    /// frame's `(column, dtype)` pairs in column order
+    /// ([`MessageWindow::dtypes`](dataframe::MessageWindow::dtypes)), the
+    /// authoritative flattened column names, so generated queries always
     /// reference real columns.
-    pub fn render_schema(&self, frame: &DataFrame) -> String {
+    pub fn render_schema<S: AsRef<str>>(
+        &self,
+        dtypes: impl IntoIterator<Item = (S, DType)>,
+    ) -> String {
         let mut out = String::with_capacity(4096);
         out.push_str(markers::SCHEMA);
         out.push('\n');
@@ -115,10 +120,11 @@ impl DynamicDataflowSchema {
             "Workflow task provenance rows, one per task execution. The dataflow below was \
              inferred incrementally from the live stream; field lists are per activity.\n",
         );
-        for (name, dtype) in frame.dtypes() {
-            let desc = prov_model::schema::common_field(&name)
+        for (name, dtype) in dtypes {
+            let name = name.as_ref();
+            let desc = prov_model::schema::common_field(name)
                 .map(|f| f.description.to_string())
-                .unwrap_or_else(|| self.describe_dataflow_column(&name));
+                .unwrap_or_else(|| self.describe_dataflow_column(name));
             out.push_str(&format!("- {name} ({dtype}): {desc}\n"));
         }
         out.push_str("\nActivity dataflow structure (inputs -> outputs):\n");
@@ -172,8 +178,14 @@ impl DynamicDataflowSchema {
 
     /// Render the domain-values prompt section ("representative data" /
     /// partial-data RAG strategy, §3): up to three example values per
-    /// column of the live frame.
-    pub fn render_values(&self, frame: &DataFrame) -> String {
+    /// column of the live frame. `examples` are its `(column, examples)`
+    /// pairs in column order
+    /// ([`MessageWindow::examples`](dataframe::MessageWindow::examples));
+    /// columns without one are left out.
+    pub fn render_values<S: AsRef<str>, E: AsRef<[String]>>(
+        &self,
+        examples: impl IntoIterator<Item = (S, E)>,
+    ) -> String {
         let mut out = String::with_capacity(2048);
         out.push_str(markers::VALUES);
         out.push('\n');
@@ -181,24 +193,10 @@ impl DynamicDataflowSchema {
             "Representative values observed in the live stream (at most three per field) — \
              use them to infer plausible literals, units, and value ranges:\n",
         );
-        for name in frame.column_names() {
-            let col = frame.column(name).expect("listed column");
-            let mut seen: Vec<String> = Vec::new();
-            for v in col.values().iter().filter(|v| !v.is_null()) {
-                let rendered = match v {
-                    Value::Float(f) => format!("{f:.4}"),
-                    other => other.display_plain(),
-                };
-                let clipped: String = rendered.chars().take(40).collect();
-                if !seen.contains(&clipped) {
-                    seen.push(clipped);
-                    if seen.len() == MAX_EXAMPLES {
-                        break;
-                    }
-                }
-            }
+        for (name, seen) in examples {
+            let seen = seen.as_ref();
             if !seen.is_empty() {
-                out.push_str(&format!("- {name}: {}\n", seen.join(" | ")));
+                out.push_str(&format!("- {}: {}\n", name.as_ref(), seen.join(" | ")));
             }
         }
         out
@@ -208,6 +206,7 @@ impl DynamicDataflowSchema {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dataframe::DataFrame;
     use llm_sim::PromptSections;
     use prov_model::{obj, TaskMessageBuilder};
 
@@ -259,7 +258,11 @@ mod tests {
         for m in &msgs {
             s.observe(m);
         }
-        let text = format!("{}\n{}", s.render_schema(&frame), s.render_values(&frame));
+        let text = format!(
+            "{}\n{}",
+            s.render_schema(frame.dtypes()),
+            s.render_values(frame.examples())
+        );
         let sections = PromptSections::parse(&text);
         assert!(sections.has_schema());
         assert!(sections.has_values());

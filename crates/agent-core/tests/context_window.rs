@@ -3,6 +3,9 @@
 //! `DataFrame::from_messages` over the buffered messages — same column
 //! names in the same order, and the same cells (compared through `Debug`,
 //! which is NaN-safe) — at every capacity, while keys appear and vanish.
+//! The prompt sections the window's incremental dtype and example state
+//! render must be byte-equal to the same sections rendered from scratch
+//! over that rebuilt frame.
 
 use agent_core::{ContextConfig, ContextManager};
 use dataframe::DataFrame;
@@ -192,4 +195,85 @@ fn frame_with_messages_agree_row_for_row_under_ingest() {
         reads += 1;
     }
     feeder.join().expect("feeder");
+}
+
+/// `message` plus adversarial prompt-section cells in `generated`:
+/// - `close`: unequal floats that agree to four decimals, and `0.0`
+///   beside `-0.0` (equal values, different renderings);
+/// - `long`: strings over 40 chars sharing their first 40;
+/// - `shape`: kinds that go Int → Float → Str → Mixed (an object) and
+///   back, in phases of 9 rows, with nulls between;
+/// - `rare`: a common value beside two rare ones, so an evicted example's
+///   next occurrence is far off, inside or beyond the scanned rows;
+/// - `phaseN`: a key that exists for 11 rows in 33 and then vanishes.
+fn prompt_message(i: usize, rng: &mut Rng, synth: &TelemetrySynth) -> TaskMessage {
+    let mut m = message(i, rng, synth);
+    let g = &mut m.generated;
+    if rng.chance(70) {
+        g.insert("close", 1.0 + (rng.next() % 4) as f64 * 1e-6);
+    }
+    if rng.chance(50) {
+        g.insert("zero", if rng.chance(50) { 0.0 } else { -0.0 });
+    }
+    if rng.chance(60) {
+        let prefix = "p".repeat(40);
+        let tail = ["", "a", "b", "-longer-tail"][(rng.next() % 4) as usize];
+        g.insert("long", format!("{prefix}{tail}"));
+    }
+    let shape = match (i / 9) % 5 {
+        0 => Value::Int(i as i64 % 3),
+        1 => Value::Float(i as f64 % 3.0 + 0.5),
+        2 => Value::from(format!("s{}", i % 3)),
+        3 => obj! {"k" => (i % 2) as i64},
+        _ => Value::Null,
+    };
+    if !rng.chance(15) {
+        g.insert("shape", shape);
+    }
+    let rare = if i.is_multiple_of(29) {
+        Value::from("A")
+    } else if i.is_multiple_of(31) {
+        Value::from("C")
+    } else if i.is_multiple_of(5) {
+        Value::Null
+    } else {
+        Value::from("B")
+    };
+    g.insert("rare", rare);
+    if (i / 11).is_multiple_of(3) {
+        g.insert(format!("phase{}", (i / 33) % 2), f64::NAN);
+    }
+    m
+}
+
+#[test]
+fn prompt_sections_match_a_from_scratch_render_after_every_ingest() {
+    let synth = TelemetrySynth::frontier(5);
+    // The head-offset columns compact their dead prefix once it passes
+    // half the live rows; over 4x capacity that fires again and again.
+    for capacity in [1, 7, 64] {
+        let ctx = ContextManager::new(ContextConfig { max_rows: capacity });
+        let mut window: VecDeque<TaskMessage> = VecDeque::new();
+        let mut rng = Rng(0xD1B5_4A32_D192_ED03 ^ capacity as u64);
+        for i in 0..(4 * capacity).max(120) + capacity {
+            let m = prompt_message(i, &mut rng, &synth);
+            ctx.ingest(m.clone());
+            if window.len() == capacity {
+                window.pop_front();
+            }
+            window.push_back(m);
+            let frame = DataFrame::from_messages(&window);
+            let schema = ctx.schema();
+            assert_eq!(
+                ctx.render_schema_section(),
+                schema.render_schema(frame.dtypes()),
+                "schema section, capacity {capacity}, after message {i}"
+            );
+            assert_eq!(
+                ctx.render_values_section(),
+                schema.render_values(frame.examples()),
+                "values section, capacity {capacity}, after message {i}"
+            );
+        }
+    }
 }

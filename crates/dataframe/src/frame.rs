@@ -65,9 +65,9 @@ pub type FrameResult<T> = Result<T, FrameError>;
 /// An ordered, named, equal-length collection of columns.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DataFrame {
-    columns: Vec<Column>,
-    index: HashMap<String, usize>,
-    rows: usize,
+    pub(crate) columns: Vec<Column>,
+    pub(crate) index: HashMap<String, usize>,
+    pub(crate) rows: usize,
 }
 
 impl DataFrame {
@@ -145,8 +145,8 @@ impl DataFrame {
     ///
     /// Column order: by the first row whose flattened map holds the key
     /// (even with a `Null` value), then by key byte order among columns
-    /// first held by the same row. [`MessageWindow`] keeps exactly this
-    /// order across evictions.
+    /// first held by the same row. [`MessageWindow`](crate::MessageWindow)
+    /// keeps exactly this order across evictions.
     pub fn from_messages<'a>(messages: impl IntoIterator<Item = &'a TaskMessage>) -> Self {
         let mut df = DataFrame::new();
         for m in messages {
@@ -199,7 +199,7 @@ impl DataFrame {
     /// not hold gets a null. Calls `held` with the position of each column
     /// the row holds, in the row's key order; a new column is reported as
     /// it is created, so its position is always the next one.
-    fn push_cells(&mut self, row: Map, mut held: impl FnMut(usize)) {
+    pub(crate) fn push_cells(&mut self, row: Map, mut held: impl FnMut(usize)) {
         let rows = self.rows;
         for (key, value) in row {
             let i = match self.index.get(key.as_str()) {
@@ -514,182 +514,6 @@ pub fn sort_cell_cmp(a: &Value, b: &Value, ascending: bool) -> std::cmp::Orderin
     }
 }
 
-/// A FIFO window of task-message rows whose frame always equals
-/// [`DataFrame::from_messages`] over the buffered messages — same cells,
-/// same column set, same column order — while evicting the oldest row
-/// costs one row instead of a rebuild of the whole window.
-///
-/// Per column it keeps a ring bitset of `capacity` bits (bit
-/// `seq % capacity` is set when buffered row `seq` holds the key — the key
-/// exists in the flattened row, whatever its value) and the sequence
-/// number of the first buffered row that holds it. Both are indexed by
-/// column position.
-#[derive(Debug)]
-pub struct MessageWindow {
-    frame: DataFrame,
-    capacity: usize,
-    /// Sequence number of frame row 0 (rows evicted so far).
-    head: u64,
-    /// Per column: the ring bitset of holding rows, grown on demand.
-    present: Vec<Vec<u64>>,
-    /// Per column: sequence number of the first buffered row holding it.
-    first: Vec<u64>,
-}
-
-/// `first` marker of a column no buffered row holds any more.
-const GONE: u64 = u64::MAX;
-
-impl MessageWindow {
-    /// An empty window holding at most `capacity` rows (at least one).
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            frame: DataFrame::new(),
-            capacity: capacity.max(1),
-            head: 0,
-            present: Vec::new(),
-            first: Vec::new(),
-        }
-    }
-
-    /// The buffered rows as a frame.
-    pub fn frame(&self) -> &DataFrame {
-        &self.frame
-    }
-
-    /// Buffered rows.
-    pub fn len(&self) -> usize {
-        self.frame.rows
-    }
-
-    /// True when no rows are buffered.
-    pub fn is_empty(&self) -> bool {
-        self.frame.rows == 0
-    }
-
-    /// Maximum buffered rows.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    fn ring_pos(&self, seq: u64) -> usize {
-        (seq % self.capacity as u64) as usize
-    }
-
-    /// Append one message as the newest row. Panics when the window is
-    /// full; evict with [`pop_front`](MessageWindow::pop_front) first.
-    pub fn push(&mut self, m: &TaskMessage) {
-        assert!(
-            self.len() < self.capacity,
-            "MessageWindow::push on a full window"
-        );
-        let seq = self.head + self.frame.rows as u64;
-        let pos = self.ring_pos(seq);
-        let (present, first) = (&mut self.present, &mut self.first);
-        self.frame.push_cells(message_row(m), |i| {
-            if i == present.len() {
-                present.push(Vec::new());
-                first.push(seq);
-            }
-            let bits = &mut present[i];
-            if bits.len() <= pos / 64 {
-                bits.resize(pos / 64 + 1, 0);
-            }
-            bits[pos / 64] |= 1 << (pos % 64);
-        });
-    }
-
-    /// Evict the oldest row: remove the first cell of every column, drop
-    /// the columns no buffered row holds any more, move the first-present
-    /// row of the evicted row's other columns forward, and restore the
-    /// [`DataFrame::from_messages`] column order when that moved it.
-    /// Panics on an empty window.
-    pub fn pop_front(&mut self) {
-        assert!(
-            !self.is_empty(),
-            "MessageWindow::pop_front on an empty window"
-        );
-        let seq = self.head;
-        let end = seq + self.frame.rows as u64;
-        let pos = self.ring_pos(seq);
-        for c in &mut self.frame.columns {
-            c.pop_front();
-        }
-        self.head += 1;
-        self.frame.rows -= 1;
-        // The oldest row's columns are exactly those first held by it.
-        let (mut moved, mut dropped) = (false, false);
-        for (bits, first) in self.present.iter_mut().zip(&mut self.first) {
-            if *first != seq {
-                continue;
-            }
-            bits[pos / 64] &= !(1 << (pos % 64));
-            match next_present(bits, seq + 1, end, self.capacity) {
-                Some(next) => {
-                    *first = next;
-                    moved = true;
-                }
-                None => {
-                    *first = GONE;
-                    dropped = true;
-                }
-            }
-        }
-        if dropped || (moved && !self.in_column_order()) {
-            self.restore_column_order();
-        }
-    }
-
-    /// True when columns are sorted by (first-present row, key).
-    fn in_column_order(&self) -> bool {
-        let cols = &self.frame.columns;
-        (1..cols.len())
-            .all(|i| (self.first[i - 1], cols[i - 1].name()) <= (self.first[i], cols[i].name()))
-    }
-
-    /// Drop `GONE` columns and sort the rest by (first-present row, key),
-    /// the order [`DataFrame::push_row`] creates them in.
-    fn restore_column_order(&mut self) {
-        let columns = std::mem::take(&mut self.frame.columns);
-        let present = std::mem::take(&mut self.present);
-        let first = std::mem::take(&mut self.first);
-        let index = &mut self.frame.index;
-        let mut cols: Vec<(u64, Column, Vec<u64>)> = first
-            .into_iter()
-            .zip(columns)
-            .zip(present)
-            .map(|((f, c), p)| (f, c, p))
-            .filter(|(f, c, _)| {
-                if *f == GONE {
-                    index.remove(c.name());
-                }
-                *f != GONE
-            })
-            .collect();
-        cols.sort_by(|a, b| (a.0, a.1.name()).cmp(&(b.0, b.1.name())));
-        for (i, (f, c, p)) in cols.into_iter().enumerate() {
-            *index.get_mut(c.name()).expect("kept column is indexed") = i;
-            self.first.push(f);
-            self.frame.columns.push(c);
-            self.present.push(p);
-        }
-    }
-}
-
-/// The first sequence number in `[seq, end)` whose ring bit is set, over
-/// a ring of `capacity` bits (bits past the stored words read as clear).
-fn next_present(bits: &[u64], mut seq: u64, end: u64, capacity: usize) -> Option<u64> {
-    while seq < end {
-        let pos = (seq % capacity as u64) as usize;
-        let word = bits.get(pos / 64).copied().unwrap_or(0) >> (pos % 64);
-        if word != 0 {
-            let hit = seq + u64::from(word.trailing_zeros());
-            return (hit < end).then_some(hit);
-        }
-        seq += (64 - pos % 64).min(capacity - pos) as u64;
-    }
-    None
-}
-
 /// Flatten one task message into its row map — the single source of the
 /// column layout documented on [`DataFrame::from_messages`], shared by the
 /// full and projected constructors.
@@ -698,7 +522,7 @@ fn next_present(bits: &[u64], mut seq: u64, end: u64, capacity: usize) -> Option
 /// map at the end (later pairs overwrite earlier ones, exactly like
 /// repeated inserts) — this is the per-document cost of decode and
 /// materialize, so it avoids per-field map restructuring.
-fn message_row(m: &TaskMessage) -> Map {
+pub(crate) fn message_row(m: &TaskMessage) -> Map {
     use prov_model::keys;
     let derived = derived_keys();
     let mut pairs: Vec<(Sym, Value)> = Vec::with_capacity(48);

@@ -31,11 +31,13 @@ pub mod dtype;
 pub mod expr;
 pub mod frame;
 pub mod groupby;
+pub mod window;
 
 pub use agg::AggFunc;
 pub use column::Column;
 pub use display::{render, DisplayOptions};
 pub use dtype::DType;
 pub use expr::{cmp_matches, col, lit, values_equal, ArithOp, CmpOp, Expr};
-pub use frame::{sort_cell_cmp, DataFrame, FrameError, FrameResult, MessageWindow};
+pub use frame::{sort_cell_cmp, DataFrame, FrameError, FrameResult};
 pub use groupby::GroupBy;
+pub use window::{example_rendering, MessageWindow, MAX_EXAMPLES};

@@ -27,18 +27,37 @@ impl std::error::Error for JsonError {}
 /// Serialize a value to compact JSON.
 pub fn to_string(value: &Value) -> String {
     let mut out = String::with_capacity(value.approx_size());
-    write_value(&mut out, value, None, 0);
+    write_value(&mut out, value, None, 0, usize::MAX);
+    out
+}
+
+/// The first `max_chars` chars of [`to_string`], serializing array and
+/// object members only until that many are written: the cost follows the
+/// prefix, not the size of the value.
+pub fn to_string_clipped(value: &Value, max_chars: usize) -> String {
+    let mut out = String::new();
+    write_value(&mut out, value, None, 0, max_chars);
+    if let Some((end, _)) = out.char_indices().nth(max_chars) {
+        out.truncate(end);
+    }
     out
 }
 
 /// Serialize a value to pretty-printed JSON with two-space indentation.
 pub fn to_string_pretty(value: &Value) -> String {
     let mut out = String::with_capacity(value.approx_size() * 2);
-    write_value(&mut out, value, Some(2), 0);
+    write_value(&mut out, value, Some(2), 0, usize::MAX);
     out
 }
 
-fn write_value(out: &mut String, value: &Value, indent: Option<usize>, depth: usize) {
+/// True once `out` holds at least `chars` chars.
+fn written(out: &str, chars: usize) -> bool {
+    out.len() >= chars && out.chars().count() >= chars
+}
+
+/// Append `value` to `out`; array and object members stop once `out`
+/// holds `stop` chars, leaving the rendering unfinished.
+fn write_value(out: &mut String, value: &Value, indent: Option<usize>, depth: usize, stop: usize) {
     match value {
         Value::Null => out.push_str("null"),
         Value::Bool(true) => out.push_str("true"),
@@ -55,11 +74,14 @@ fn write_value(out: &mut String, value: &Value, indent: Option<usize>, depth: us
             }
             out.push('[');
             for (i, item) in items.iter().enumerate() {
+                if written(out, stop) {
+                    return;
+                }
                 if i > 0 {
                     out.push(',');
                 }
                 newline_indent(out, indent, depth + 1);
-                write_value(out, item, indent, depth + 1);
+                write_value(out, item, indent, depth + 1, stop);
             }
             newline_indent(out, indent, depth);
             out.push(']');
@@ -71,6 +93,9 @@ fn write_value(out: &mut String, value: &Value, indent: Option<usize>, depth: us
             }
             out.push('{');
             for (i, (k, v)) in map.iter().enumerate() {
+                if written(out, stop) {
+                    return;
+                }
                 if i > 0 {
                     out.push(',');
                 }
@@ -80,7 +105,7 @@ fn write_value(out: &mut String, value: &Value, indent: Option<usize>, depth: us
                 if indent.is_some() {
                     out.push(' ');
                 }
-                write_value(out, v, indent, depth + 1);
+                write_value(out, v, indent, depth + 1, stop);
             }
             newline_indent(out, indent, depth);
             out.push('}');
@@ -385,6 +410,32 @@ fn utf8_width(first: u8) -> usize {
 mod tests {
     use super::*;
     use crate::{arr, obj};
+
+    #[test]
+    fn clipped_is_a_char_prefix_of_the_full_rendering() {
+        let long: Vec<Value> = (0..64).map(|i| Value::Float(i as f64 / 7.0)).collect();
+        let values = [
+            Value::Null,
+            Value::Int(-12345),
+            Value::Float(f64::NAN),
+            Value::from("héllo \"wörld\" ✓✓✓✓✓✓✓✓✓✓✓✓✓✓✓✓✓✓✓✓✓✓✓✓✓✓✓✓✓✓✓✓✓✓✓✓✓"),
+            Value::array(Vec::new()),
+            Value::array(long),
+            arr![
+                1,
+                arr![2, arr![3, "ééééééééééééééééééééééééééééééééééééééé"]],
+                4
+            ],
+            obj! {"a" => obj! {"b" => arr![1.5, 2.5, 3.5]}, "c" => "✓✓✓✓✓✓✓✓✓✓✓✓✓✓✓✓✓✓✓✓"},
+        ];
+        for v in &values {
+            let full = to_string(v);
+            for max in 0..=full.chars().count() + 2 {
+                let want: String = full.chars().take(max).collect();
+                assert_eq!(to_string_clipped(v, max), want, "{full} at {max}");
+            }
+        }
+    }
 
     #[test]
     fn roundtrip_scalars() {

@@ -106,24 +106,33 @@ impl Telemetry {
         Value::object(m)
     }
 
-    /// Decode from the JSON shape; missing sections default to zero.
+    /// Decode from the JSON shape; a missing or non-object section, or a
+    /// missing or mistyped field, decodes as zero (an empty list for the
+    /// percentages). Each section object is looked up once.
     pub fn from_value(v: &Value) -> Self {
-        let floats = |path: &str| -> Vec<f64> {
-            v.get_path(path)
+        let floats = |section: Option<&Value>| -> Vec<f64> {
+            section
+                .and_then(|s| s.get("percent"))
                 .and_then(Value::as_array)
                 .map(|a| a.iter().filter_map(Value::as_f64).collect())
                 .unwrap_or_default()
         };
-        let num = |path: &str| v.get_path(path).and_then(Value::as_f64).unwrap_or(0.0);
+        let num = |section: Option<&Value>, field: &str| {
+            section
+                .and_then(|s| s.get(field))
+                .and_then(Value::as_f64)
+                .unwrap_or(0.0)
+        };
+        let (memory, disk, network) = (v.get("memory"), v.get("disk"), v.get("network"));
         Self {
-            cpu_percent: floats("cpu.percent"),
-            mem_used_mb: num("memory.used_mb"),
-            mem_total_mb: num("memory.total_mb"),
-            gpu_percent: floats("gpu.percent"),
-            disk_read_bytes: num("disk.read_bytes") as u64,
-            disk_write_bytes: num("disk.write_bytes") as u64,
-            net_sent_bytes: num("network.sent_bytes") as u64,
-            net_recv_bytes: num("network.recv_bytes") as u64,
+            cpu_percent: floats(v.get("cpu")),
+            mem_used_mb: num(memory, "used_mb"),
+            mem_total_mb: num(memory, "total_mb"),
+            gpu_percent: floats(v.get("gpu")),
+            disk_read_bytes: num(disk, "read_bytes") as u64,
+            disk_write_bytes: num(disk, "write_bytes") as u64,
+            net_sent_bytes: num(network, "sent_bytes") as u64,
+            net_recv_bytes: num(network, "recv_bytes") as u64,
         }
     }
 }
@@ -232,6 +241,58 @@ mod tests {
         let v = t.to_value();
         let back = Telemetry::from_value(&v);
         assert_eq!(t, back);
+    }
+
+    /// Missing and non-object sections, and missing or mistyped fields,
+    /// decode as zeros and empty lists; present fields still decode.
+    #[test]
+    fn missing_and_malformed_sections_decode_as_zero() {
+        use crate::{arr, obj};
+        let zero = Telemetry {
+            cpu_percent: Vec::new(),
+            mem_used_mb: 0.0,
+            mem_total_mb: 0.0,
+            gpu_percent: Vec::new(),
+            disk_read_bytes: 0,
+            disk_write_bytes: 0,
+            net_sent_bytes: 0,
+            net_recv_bytes: 0,
+        };
+        let malformed = [
+            Value::Null,
+            Value::Int(3),
+            arr![1, 2],
+            obj! {},
+            obj! {
+                "cpu" => arr![1.0, 2.0],
+                "memory" => 5,
+                "gpu" => "x",
+                "disk" => Value::Null,
+                "network" => arr![obj! {"sent_bytes" => 1}],
+            },
+            obj! {
+                "cpu" => obj! {"percent" => 5},
+                "memory" => obj! {"used" => 1.0},
+                "gpu" => obj! {"percent" => obj! {"0" => 1.0}},
+                "disk" => obj! {"read_bytes" => "7"},
+                "network" => obj! {},
+            },
+        ];
+        for v in &malformed {
+            assert_eq!(Telemetry::from_value(v), zero, "{v}");
+        }
+        let partial = obj! {
+            "cpu" => obj! {"percent" => arr![10.0, "busy", 30]},
+            "memory" => obj! {"used_mb" => 64.5},
+            "network" => obj! {"recv_bytes" => 9},
+        };
+        let want = Telemetry {
+            cpu_percent: vec![10.0, 30.0],
+            mem_used_mb: 64.5,
+            net_recv_bytes: 9,
+            ..zero
+        };
+        assert_eq!(Telemetry::from_value(&partial), want);
     }
 
     #[test]
