@@ -51,5 +51,5 @@ pub use mcp::{request as mcp_request, McpServer};
 pub use monitor::{ContextMonitor, MonitorRule, TickReport};
 pub use plot::BarChart;
 pub use prompt::{PromptBuilder, RagStrategy};
-pub use schema::{ActivitySchema, DynamicDataflowSchema, FieldInfo};
+pub use schema::{ActivitySchema, DynamicDataflowSchema};
 pub use tools::{args as tool_args, Tool, ToolContext, ToolError, ToolOutput, ToolRegistry};

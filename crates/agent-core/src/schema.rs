@@ -10,37 +10,18 @@
 
 use dataframe::DType;
 use llm_sim::markers;
-use prov_model::{schema::render_common_schema, TaskMessage, Value};
-use std::collections::BTreeMap;
+use prov_model::{schema::render_common_schema, TaskMessage};
+use std::collections::{BTreeMap, BTreeSet};
 
-/// Maximum example values retained per field.
-const MAX_EXAMPLES: usize = 3;
-
-/// Inferred description of one dataflow field.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FieldInfo {
-    /// Inferred dtype (unified across observations).
-    pub dtype: DType,
-    /// Up to [`MAX_EXAMPLES`] distinct example values.
-    pub examples: Vec<Value>,
-}
-
-impl FieldInfo {
-    fn observe(&mut self, value: &Value) {
-        self.dtype = self.dtype.unify(DType::of(value));
-        if !self.examples.contains(value) && self.examples.len() < MAX_EXAMPLES {
-            self.examples.push(value.clone());
-        }
-    }
-}
-
-/// Per-activity input/output field maps.
+/// Per-activity input/output field keys. Dtypes and example values are
+/// not kept here: the prompt reads them from the live window
+/// ([`MessageWindow`](dataframe::MessageWindow)).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ActivitySchema {
-    /// Fields observed under `used`.
-    pub used: BTreeMap<String, FieldInfo>,
-    /// Fields observed under `generated`.
-    pub generated: BTreeMap<String, FieldInfo>,
+    /// Flattened keys observed under `used`.
+    pub used: BTreeSet<String>,
+    /// Flattened keys observed under `generated`.
+    pub generated: BTreeSet<String>,
     /// How many task messages this activity has produced.
     pub task_count: u64,
 }
@@ -65,23 +46,15 @@ impl DynamicDataflowSchema {
             .entry(msg.activity_id.as_str().to_string())
             .or_default();
         act.task_count += 1;
-        for (key, value) in msg.used.flatten() {
-            act.used
-                .entry(key)
-                .or_insert_with(|| FieldInfo {
-                    dtype: DType::Null,
-                    examples: Vec::new(),
-                })
-                .observe(&value);
-        }
-        for (key, value) in msg.generated.flatten() {
-            act.generated
-                .entry(key)
-                .or_insert_with(|| FieldInfo {
-                    dtype: DType::Null,
-                    examples: Vec::new(),
-                })
-                .observe(&value);
+        for (section, keys) in [
+            (&msg.used, &mut act.used),
+            (&msg.generated, &mut act.generated),
+        ] {
+            section.for_each_leaf(&mut |key, _| {
+                if !keys.contains(key) {
+                    keys.insert(key.to_string());
+                }
+            });
         }
     }
 
@@ -129,8 +102,8 @@ impl DynamicDataflowSchema {
         }
         out.push_str("\nActivity dataflow structure (inputs -> outputs):\n");
         for (activity, a) in &self.activities {
-            let used: Vec<&str> = a.used.keys().map(String::as_str).collect();
-            let generated: Vec<&str> = a.generated.keys().map(String::as_str).collect();
+            let used: Vec<&str> = a.used.iter().map(String::as_str).collect();
+            let generated: Vec<&str> = a.generated.iter().map(String::as_str).collect();
             out.push_str(&format!(
                 "* {activity} [{} tasks]: uses({}) -> generates({})\n",
                 a.task_count,
@@ -150,10 +123,10 @@ impl DynamicDataflowSchema {
         let mut producers: Vec<&str> = Vec::new();
         let mut consumed = false;
         for (activity, a) in &self.activities {
-            if a.generated.contains_key(bare) {
+            if a.generated.contains(bare) {
                 producers.push(activity);
             }
-            if a.used.contains_key(bare) {
+            if a.used.contains(bare) {
                 consumed = true;
             }
         }
@@ -230,24 +203,13 @@ mod tests {
         s2.observe(&msg(0, "step_a"));
         // 1000 messages of the same activity add no fields beyond 1 message.
         assert_eq!(fields_after_1000, s2.field_count());
+        // Nested keys are flattened.
+        let (_, act) = s.activities().next().unwrap();
+        assert!(act.used.contains("frags.label"));
         // A new activity does grow it.
         s.observe(&msg(0, "step_b"));
         assert_eq!(s.activity_count(), 2);
         assert!(s.field_count() > fields_after_1000);
-    }
-
-    #[test]
-    fn examples_bounded_and_distinct() {
-        let mut s = DynamicDataflowSchema::new();
-        for i in 0..50 {
-            s.observe(&msg(i, "a"));
-        }
-        let (_, act) = s.activities().next().unwrap();
-        let x = act.used.get("x").unwrap();
-        assert_eq!(x.examples.len(), MAX_EXAMPLES);
-        assert_eq!(x.dtype, DType::Float);
-        // Nested field flattened.
-        assert!(act.used.contains_key("frags.label"));
     }
 
     #[test]
@@ -275,20 +237,5 @@ mod tests {
         }
         // Example values present for the label field.
         assert!(sections.example_values.contains_key("frags.label"));
-    }
-
-    #[test]
-    fn dtype_unification_across_messages() {
-        let mut s = DynamicDataflowSchema::new();
-        let int_msg = TaskMessageBuilder::new("t1", "wf", "a")
-            .uses("v", 1)
-            .build();
-        let float_msg = TaskMessageBuilder::new("t2", "wf", "a")
-            .uses("v", 1.5)
-            .build();
-        s.observe(&int_msg);
-        s.observe(&float_msg);
-        let (_, act) = s.activities().next().unwrap();
-        assert_eq!(act.used.get("v").unwrap().dtype, DType::Float);
     }
 }

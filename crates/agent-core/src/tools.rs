@@ -500,9 +500,10 @@ impl Tool for GraphQueryTool {
                     )
                 })?;
                 // PROV edges point effect → cause (wasInformedBy), so try
-                // both directions before giving up. The exact kernel keeps
-                // the legacy traversal's tie-breaking (BFS discovery
-                // order), so answers are stable across this refactor.
+                // both directions before giving up. This is the one path
+                // kernel, which provql `paths()` runs too; it breaks ties
+                // by BFS discovery order, exactly like the adjacency
+                // oracle.
                 let path = csr
                     .shortest_path(first, second)
                     .or_else(|| csr.shortest_path(second, first));

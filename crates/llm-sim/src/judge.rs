@@ -3,7 +3,7 @@
 //! Two judge profiles (GPT and Claude) score generated queries against a
 //! human-written gold standard, "emphasizing functional equivalence over
 //! syntactic similarity". Mechanically the verdict comes from
-//! [`provql::compare`]; on top sit the judge's disposition (GPT scores
+//! [`provql::compare()`]; on top sit the judge's disposition (GPT scores
 //! systematically higher, Claude is stricter), a mild self-preference bias
 //! (§5.2: "each judge appears to slightly favor its own model" despite the
 //! double-blind setup), and a small keyed jitter.

@@ -228,7 +228,7 @@ impl<'a> Resolver<'a> {
 
     /// Resolve a binary convention: guidelines pin it to the correct
     /// choice; without them it is a keyed coin flip (§5.2: guidelines
-    /// "resolve ambiguity [and] enforce preferred conventions"). The flip
+    /// "resolve ambiguity \[and\] enforce preferred conventions"). The flip
     /// is systematic per (model, question) — a temperature-0 model commits
     /// to its convention, it does not dither between runs.
     pub fn convention(&self, salt: &str) -> bool {

@@ -11,8 +11,8 @@
 //! answer, forever.
 //!
 //! Memory is bounded: each entry carries a size estimate and inserts
-//! evict least-recently-used entries until the budget,
-//! [`Config::cache_bytes`](crate::Config::cache_bytes), holds. Only
+//! evict least-recently-used entries until the budget, [`MAX_BYTES`]
+//! per database, holds. Only
 //! successful outputs are cached — errors are cheap to recompute and
 //! their messages may depend on corpus-wide state the key does not
 //! capture.
@@ -23,6 +23,9 @@ use provql::QueryOutput;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// The plan-cache byte budget of every database.
+pub const MAX_BYTES: usize = 64 << 20;
 
 struct Entry {
     out: Arc<QueryOutput>,

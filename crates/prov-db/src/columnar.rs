@@ -84,11 +84,11 @@
 //!   any other cell: irregularity gates only the *index hint*, never the
 //!   vectors.
 //!
-//! Consistency with the document store is structural: the vectors live
-//! inside each shard, are appended under the same shard write lock as the
-//! document itself, and are backfilled under that lock when the sidecar is
-//! enabled on a non-empty store; the facade's `generation()` counter keys
-//! caches built on top (the agent tool's oracle frame), not the sidecar.
+//! Consistency with the document store is structural: every
+//! `DocumentStore` keeps the sidecar, its vectors live inside each shard
+//! and are appended under the same shard write lock as the document
+//! itself; the facade's `generation()` counter keys caches built on top
+//! (the agent tool's oracle frame), not the sidecar.
 
 use dataframe::{cmp_matches, values_equal, CmpOp};
 use prov_model::{MessageType, Sym, TaskStatus, Value};
@@ -448,14 +448,6 @@ impl ColumnarShard {
         self.decodable.get(slot).copied().unwrap_or(false)
     }
 
-    /// Whether every row in this shard decodes (the per-chunk decodable
-    /// counts sum to the row count). Gates whole-corpus fast paths that
-    /// require the sidecar to mirror the documents verbatim.
-    pub(crate) fn all_decodable(&self) -> bool {
-        let decodable: usize = self.chunk_decodable.iter().map(|&n| n as usize).sum();
-        decodable == self.decodable.len()
-    }
-
     /// Non-absent entries of a field in this shard.
     pub(crate) fn present(&self, f: ColField) -> usize {
         match f {
@@ -647,7 +639,7 @@ impl ColumnarShard {
         row.report
     }
 
-    /// Extract-and-append in one step (backfill path, tests).
+    /// Extract-and-append in one step.
     pub(crate) fn push_doc(&mut self, doc: &Value) -> PushReport {
         self.push_row(extract(doc))
     }

@@ -13,7 +13,6 @@
 //! | `PROVDB_CHUNK` | `chunk_rows` | 4096 | integer ≥ 1, clamped to 16..=65536 |
 //! | `PROVDB_SEAL_ROWS` | `seal_rows` | 32768 | integer ≥ 1 |
 //! | `PROVDB_RESIDENT_MB` | `resident_bytes` | 256 MiB | integer ≥ 1, in MiB |
-//! | `PROVDB_CACHE_MB` | `cache_bytes` | 64 MiB | integer ≥ 0, in MiB |
 //! | `PROVDB_WAL_SYNC` | `wal_sync` | `batch` | `always` or `batch`, any case |
 //! | `PROVDB_CRASH_AFTER` | `crash_after` | unset | integer ≥ 0 |
 //!
@@ -23,10 +22,10 @@
 //! invariant); `chunk_rows` sets the columnar
 //! chunk and zone-map granularity and the sealing unit; `seal_rows` is
 //! how many arrivals the WAL accumulates before a seal is attempted;
-//! `resident_bytes` bounds the pager's resident set; `cache_bytes` bounds
-//! the plan cache; `wal_sync` picks one `fdatasync` per record or per
-//! drained batch; `crash_after` aborts the process right after its n-th
-//! WAL record, for the crash harness.
+//! `resident_bytes` bounds the pager's resident set; `wal_sync` picks
+//! one `fdatasync` per record or per drained batch; `crash_after` aborts
+//! the process right after its n-th WAL record, for the crash harness.
+//! The plan cache's budget is a constant, [`crate::cache::MAX_BYTES`].
 //!
 //! [`ProvenanceDatabase`]: crate::ProvenanceDatabase
 //! [`DocumentStore`]: crate::DocumentStore
@@ -45,8 +44,6 @@ pub struct Config {
     pub seal_rows: u64,
     /// Resident-set byte budget for paged cold chunks.
     pub resident_bytes: usize,
-    /// Plan-cache byte budget.
-    pub cache_bytes: usize,
     /// WAL sync policy.
     pub wal_sync: SyncPolicy,
     /// Abort the process right after this many WAL records were written
@@ -62,7 +59,6 @@ impl Default for Config {
             chunk_rows: 4096,
             seal_rows: 32_768,
             resident_bytes: 256 << 20,
-            cache_bytes: 64 << 20,
             wal_sync: SyncPolicy::Batch,
             crash_after: None,
         }
@@ -91,7 +87,6 @@ impl Config {
             seal_rows: positive("PROVDB_SEAL_ROWS").unwrap_or(d.seal_rows),
             resident_bytes: positive("PROVDB_RESIDENT_MB")
                 .map_or(d.resident_bytes, |n| (n as usize) << 20),
-            cache_bytes: num("PROVDB_CACHE_MB").map_or(d.cache_bytes, |n| (n as usize) << 20),
             wal_sync: match lookup("PROVDB_WAL_SYNC") {
                 Some(v) if v.trim().eq_ignore_ascii_case("always") => SyncPolicy::Always,
                 _ => SyncPolicy::Batch,
@@ -120,7 +115,6 @@ mod tests {
         let chunk: Field = |c| c.chunk_rows as u64;
         let seal: Field = |c| c.seal_rows;
         let resident: Field = |c| c.resident_bytes as u64;
-        let cache: Field = |c| c.cache_bytes as u64;
         let crash: Field = |c| c.crash_after.map_or(u64::MAX, |n| n);
         let table: &[(&str, &str, Field, u64)] = &[
             ("PROVDB_SHARDS", "4", shards, 4),
@@ -143,11 +137,6 @@ mod tests {
             ("PROVDB_RESIDENT_MB", "4 ", resident, 4 << 20),
             ("PROVDB_RESIDENT_MB", "0", resident, 256 << 20),
             ("PROVDB_RESIDENT_MB", "4.5", resident, 256 << 20),
-            ("PROVDB_CACHE_MB", "8", cache, 8 << 20),
-            ("PROVDB_CACHE_MB", " 8", cache, 8 << 20),
-            ("PROVDB_CACHE_MB", "0", cache, 0),
-            ("PROVDB_CACHE_MB", "-8", cache, 64 << 20),
-            ("PROVDB_CACHE_MB", "99999999999999999999", cache, 64 << 20),
             ("PROVDB_CRASH_AFTER", "12", crash, 12),
             ("PROVDB_CRASH_AFTER", " 0 ", crash, 0),
             ("PROVDB_CRASH_AFTER", "soon", crash, u64::MAX),
@@ -162,7 +151,6 @@ mod tests {
                 "PROVDB_CHUNK" => rest.chunk_rows = d.chunk_rows,
                 "PROVDB_SEAL_ROWS" => rest.seal_rows = d.seal_rows,
                 "PROVDB_RESIDENT_MB" => rest.resident_bytes = d.resident_bytes,
-                "PROVDB_CACHE_MB" => rest.cache_bytes = d.cache_bytes,
                 _ => rest.crash_after = None,
             }
             assert_eq!(rest, d, "{name}={raw:?} moved another field");

@@ -466,83 +466,6 @@ impl CsrGraph {
         None
     }
 
-    /// Bidirectional shortest path over any relation: alternately expands
-    /// the smaller of the forward (out-edge) and backward (in-edge)
-    /// frontiers, tracking the best meet `μ = min(d_f(v) + d_b(v))`, and
-    /// stops once `μ ≤ L_f + L_b` — at that point no undiscovered path can
-    /// be shorter (a path of length `d ≤ L_f + L_b` must contain a node
-    /// discovered by both sides, which would already have lowered `μ`).
-    /// Explores ~√ the nodes of the unidirectional search on broad DAGs.
-    ///
-    /// Returns a path of *minimal length*; tie-breaking may differ from
-    /// [`CsrGraph::shortest_path`], which is why the differential suite
-    /// checks length + edge validity for this kernel rather than exact
-    /// node-sequence equality.
-    pub fn shortest_path_bidi(&self, from: &str, to: &str) -> Option<Vec<Sym>> {
-        if from == to {
-            return Some(vec![Sym::new(from)]);
-        }
-        let &s = self.index.get(from)?;
-        let &t = self.index.get(to)?;
-        let n = self.ids.len();
-        let mut fwd = SideState::new(n, s);
-        let mut bwd = SideState::new(n, t);
-        // Best meet so far: (node discovered by both sides, total length).
-        let mut best: Option<(u32, u32)> = None;
-        loop {
-            if let Some((_, total)) = best {
-                if total <= fwd.level + bwd.level {
-                    break;
-                }
-            }
-            // Expand the smaller non-empty frontier; both empty = done.
-            let fe = fwd.frontier.is_empty();
-            let be = bwd.frontier.is_empty();
-            let (side, other, csr) = match (fe, be) {
-                (true, true) => break,
-                (false, true) => (&mut fwd, &mut bwd, &self.out),
-                (true, false) => (&mut bwd, &mut fwd, &self.inc),
-                (false, false) => {
-                    if fwd.frontier.len() <= bwd.frontier.len() {
-                        (&mut fwd, &mut bwd, &self.out)
-                    } else {
-                        (&mut bwd, &mut fwd, &self.inc)
-                    }
-                }
-            };
-            side.level += 1;
-            let mut next = Vec::new();
-            for i in 0..side.frontier.len() {
-                let u = side.frontier[i];
-                for &v in csr.neighbors(u).0 {
-                    if side.dist[v as usize] != u32::MAX {
-                        continue;
-                    }
-                    side.dist[v as usize] = side.level;
-                    side.parent[v as usize] = u;
-                    next.push(v);
-                    let od = other.dist[v as usize];
-                    if od != u32::MAX {
-                        let total = side.level + od;
-                        if best.is_none_or(|(_, b)| total < b) {
-                            best = Some((v, total));
-                        }
-                    }
-                }
-            }
-            side.frontier = next;
-        }
-        let (meet, _) = best?;
-        // Stitch: forward chain s → meet, then backward chain meet → t.
-        let mut path = self.unwind_path(&fwd.parent, s, meet);
-        let mut at = meet;
-        while at != t {
-            at = bwd.parent[at as usize];
-            path.push(self.ids[at as usize].clone());
-        }
-        Some(path)
-    }
-
     fn unwind_path(&self, parent: &[u32], s: u32, t: u32) -> Vec<Sym> {
         let mut idxs = vec![t];
         let mut at = t;
@@ -554,27 +477,5 @@ impl CsrGraph {
         idxs.into_iter()
             .map(|i| self.ids[i as usize].clone())
             .collect()
-    }
-}
-
-/// One direction's search state in [`CsrGraph::shortest_path_bidi`]:
-/// `dist[start] = 0`, `u32::MAX` = unreached.
-struct SideState {
-    dist: Vec<u32>,
-    parent: Vec<u32>,
-    frontier: Vec<u32>,
-    level: u32,
-}
-
-impl SideState {
-    fn new(n: usize, start: u32) -> SideState {
-        let mut dist = vec![u32::MAX; n];
-        dist[start as usize] = 0;
-        SideState {
-            dist,
-            parent: vec![u32::MAX; n],
-            frontier: vec![start],
-            level: 0,
-        }
     }
 }

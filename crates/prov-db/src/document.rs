@@ -147,8 +147,8 @@ fn range_key(f: f64) -> u64 {
     }
 }
 
-/// One shard: its documents plus the slot-aligned columnar sidecar (the
-/// sidecar stays empty until [`DocumentStore::enable_columnar`]).
+/// One shard: its documents plus the slot-aligned columnar sidecar,
+/// appended to under the same write lock as each document.
 ///
 /// A lazily opened durable store additionally carries a `cold` prefix:
 /// shard slots `[0, cold.rows())` live in sealed segment files and are
@@ -359,8 +359,6 @@ pub struct DocumentStore {
     /// the slot a document actually lands in).
     router: AtomicUsize,
     indexes: RwLock<HashMap<String, FieldIndex>>,
-    /// Whether the columnar sidecar is populated (see `crate::columnar`).
-    columnar: AtomicBool,
     /// Columnar fields whose raw document values diverged from their
     /// decoded frame values (index hints disabled; see `crate::columnar`).
     col_irregular: AtomicU16,
@@ -370,9 +368,9 @@ pub struct DocumentStore {
     chunk_rows: usize,
     /// Whether any shard carries a cold on-disk prefix (set once by
     /// [`DocumentStore::attach_cold`]). When set, the field indexes and
-    /// per-code fast paths — which only see resident rows — are bypassed
-    /// in favor of full chunk-major scans that page cold chunks through
-    /// the zone maps.
+    /// the sorted-index top-k cursor — which only see resident rows — are
+    /// bypassed in favor of full chunk-major scans that page cold chunks
+    /// through the zone maps.
     cold_attached: AtomicBool,
     /// The chunk pager shared by all cold shards (for stats).
     pager: std::sync::OnceLock<Arc<PagerCore>>,
@@ -416,7 +414,6 @@ impl DocumentStore {
                 .collect(),
             router: AtomicUsize::new(0),
             indexes: RwLock::new(HashMap::new()),
-            columnar: AtomicBool::new(false),
             col_irregular: AtomicU16::new(0),
             col_poison: AtomicU16::new(0),
             chunk_rows: config.chunk_rows.max(1),
@@ -496,15 +493,11 @@ impl DocumentStore {
         // Partition round-robin, preserving batch order within each shard.
         // Columnar extraction is pure, so it runs here, before any lock is
         // taken — the global index lock below must not serialize ingest on
-        // per-document decode work. The flag read is only a hint: the
-        // authoritative check happens under each shard's write lock (see
-        // `enable_columnar`), and a batch that raced an enable extracts
-        // the few unprepared rows inline there.
-        let columnar_hint = self.columnar.load(Ordering::Acquire);
-        type Prepared = (Arc<Value>, Option<columnar::ExtractedRow>);
+        // per-document decode work.
+        type Prepared = (Arc<Value>, columnar::ExtractedRow);
         let mut per_shard: Vec<Vec<Prepared>> = (0..nshards).map(|_| Vec::new()).collect();
         for (i, doc) in batch.into_iter().enumerate() {
-            let row = columnar_hint.then(|| columnar::extract(&doc));
+            let row = columnar::extract(&doc);
             per_shard[(base + i) % nshards].push((doc, row));
         }
 
@@ -515,7 +508,6 @@ impl DocumentStore {
                 continue;
             }
             let mut shard = self.shards[s].write();
-            let columnar = self.columnar.load(Ordering::Acquire);
             for (doc, row) in docs {
                 let id = (shard.cold_rows() + shard.docs.len()) * nshards + s;
                 first = Some(first.map_or(id, |f| f.min(id)));
@@ -524,10 +516,7 @@ impl DocumentStore {
                         index_insert(index, id, v);
                     }
                 }
-                if columnar {
-                    let row = row.unwrap_or_else(|| columnar::extract(&doc));
-                    self.apply_columnar_report(shard.cols.push_row(row));
-                }
+                self.apply_columnar_report(shard.cols.push_row(row));
                 shard.docs.push(doc);
             }
         }
@@ -622,17 +611,20 @@ impl DocumentStore {
         }
     }
 
-    /// Visit every document in id order across shards (slot-major). Used
-    /// by the deferred KV/graph hydration of a lazily opened store, which
-    /// must replay arrival order exactly (ids equal arrival indexes).
-    pub(crate) fn for_each_doc_in_id_order(&self, mut f: impl FnMut(&Arc<Value>)) {
+    /// Visit every document below the per-shard `bound` in id order
+    /// (slot-major, shard-minor — ids are `slot * nshards + shard`). Shard
+    /// cursors keep one paged chunk per shard resident, so a cold prefix
+    /// streams through with bounded memory. Used by the unindexed
+    /// [`aggregate`](Self::aggregate) and by the deferred KV/graph
+    /// hydration of a lazily opened store, which must replay arrival
+    /// order exactly (ids equal arrival indexes).
+    pub(crate) fn for_each_doc_in_id_order(&self, bound: &[usize], mut f: impl FnMut(&Arc<Value>)) {
         let guards: Vec<_> = self.shards.iter().map(|s| s.read()).collect();
         let mut cursors = ShardCursor::per_shard(&guards);
-        let max_slots = guards.iter().map(|g| g.total_rows()).max().unwrap_or(0);
-        for slot in 0..max_slots {
-            for cursor in cursors.iter_mut() {
-                if let Some(doc) = cursor.doc(slot) {
-                    f(doc);
+        for slot in 0..bound.iter().copied().max().unwrap_or(0) {
+            for (cursor, &rows) in cursors.iter_mut().zip(bound) {
+                if slot < rows {
+                    f(cursor.doc(slot).expect("bounded slot resolves"));
                 }
             }
         }
@@ -676,9 +668,8 @@ impl DocumentStore {
     /// code and float vectors (see [`crate::segment`]). One read-lock
     /// acquisition; rows below `end` are immutable (append-only shards)
     /// and `end` sits on a chunk boundary, so everything copied here is
-    /// frozen. `None` when the range is not chunk-aligned or the
-    /// columnar sidecar does not cover it (never the case behind the
-    /// facade, which enables the sidecar at construction).
+    /// frozen. `None` when the range is not chunk-aligned or not
+    /// resident.
     pub(crate) fn seal_export(
         &self,
         shard: usize,
@@ -698,7 +689,7 @@ impl DocumentStore {
             return None;
         }
         let (lo, hi) = (start - cold_rows, end - cold_rows);
-        if guard.docs.len() < hi || guard.cols.len() < hi {
+        if guard.docs.len() < hi {
             return None;
         }
         let mut zones = guard.cols.export_zone_tables(lo, hi)?;
@@ -1014,87 +1005,35 @@ impl DocumentStore {
         };
 
         // Unfiltered group-by over a clean dictionary-encoded column:
-        // resolve each row's group through its shard's code table (one
-        // integer lookup after the first sighting of a code) instead of
-        // hashing a key `Value` per document. Exact only when the sidecar
-        // mirrors the corpus verbatim — every row decodable and the key
-        // column neither poisoned nor irregular — so each frame cell
-        // equals the raw document value.
-        let codes_path = |ci: usize| -> Option<Vec<Bucket>> {
-            // The code tables only cover resident rows; a cold prefix
-            // takes the generic path below.
-            if self.has_cold() {
-                return None;
-            }
-            let clean = self.col_irregular.load(Ordering::Acquire)
-                & columnar::field_bit(ColField::Str(ci))
-                == 0;
-            if !clean {
-                return None;
-            }
-            let guards: Vec<_> = self.shards.iter().map(|s| s.read()).collect();
-            if !guards
-                .iter()
-                .all(|g| g.cols.len() == g.docs.len() && g.cols.all_decodable())
+        // resolve each row's group through the code tables
+        // ([`columnar_group_codes`](Self::columnar_group_codes)) instead of
+        // hashing a key `Value` per document. Exact only when every frame
+        // cell of the key equals the raw document value: the column is
+        // neither poisoned nor irregular, and every row provides it —
+        // decodable rows provide every string field, so full presence
+        // means every row decodes.
+        let rows = self.shard_rows();
+        let coded = match self.columnar_field(&group.key) {
+            Some(f @ ColField::Str(_))
+                if query.conditions.is_empty()
+                    && self.col_irregular.load(Ordering::Acquire) & columnar::field_bit(f) == 0
+                    && self.columnar_presence(&group.key, &rows) == Some(rows.iter().sum()) =>
             {
-                return None;
+                self.columnar_group_codes(&ids_below(&rows), &group.key)
             }
-            let mut buckets: Vec<Bucket> = Vec::new();
-            let mut by_hash: HashMap<u64, Vec<usize>> = HashMap::new();
-            // Per-shard `code → bucket` caches (dictionaries assign codes
-            // independently per shard); unification is paid once per
-            // `(shard, distinct symbol)` via the cached content hash.
-            let mut code_buckets: Vec<Vec<u32>> = guards
-                .iter()
-                .map(|g| vec![u32::MAX; g.cols.dict(ci).len()])
-                .collect();
-            let max_slots = guards.iter().map(|g| g.docs.len()).max().unwrap_or(0);
-            for slot in 0..max_slots {
-                for (s, g) in guards.iter().enumerate() {
-                    let Some(doc) = g.docs.get(slot) else {
-                        continue;
-                    };
-                    // Decodable rows provide every string field, so the
-                    // code is real (`all_decodable` was checked above).
-                    let code = g.cols.str_codes(ci)[slot] as usize;
-                    let idx = match code_buckets[s][code] {
-                        u32::MAX => {
-                            let sym = &g.cols.dict(ci)[code];
-                            let probe = by_hash.entry(sym.hash_u64()).or_default();
-                            let idx = match probe
-                                .iter()
-                                .find(|&&i| matches!(&buckets[i].key, Value::Str(k) if k == sym))
-                            {
-                                Some(&i) => i,
-                                None => {
-                                    let i = new_bucket(&mut buckets, Value::Str(sym.clone()));
-                                    probe.push(i);
-                                    i
-                                }
-                            };
-                            code_buckets[s][code] = idx as u32;
-                            idx
-                        }
-                        cached => cached as usize,
-                    };
-                    feed(&mut buckets, idx, doc);
-                }
-            }
-            Some(buckets)
+            _ => None,
         };
-        let fast = if query.conditions.is_empty() {
-            match self.columnar_field(&group.key) {
-                Some(ColField::Str(ci)) => codes_path(ci),
-                _ => None,
+        let mut buckets: Vec<Bucket> = Vec::new();
+        if let Some((keys, groups)) = coded {
+            for key in keys {
+                new_bucket(&mut buckets, key);
             }
+            let mut groups = groups.into_iter();
+            self.for_each_doc_in_id_order(&rows, |doc| {
+                let idx = groups.next().expect("one group per row");
+                feed(&mut buckets, idx as usize, doc);
+            });
         } else {
-            None
-        };
-
-        let buckets = if let Some(buckets) = fast {
-            buckets
-        } else {
-            let mut buckets: Vec<Bucket> = Vec::new();
             let mut by_hash: HashMap<u64, Vec<usize>> = HashMap::new();
             let mut visit = |doc: &Value| {
                 let key = doc.get_path(&group.key).unwrap_or(&Value::Null);
@@ -1120,31 +1059,19 @@ impl DocumentStore {
             if self.candidates(&stripped.conditions).is_some() {
                 // Index-assisted: reuse the candidate machinery (selective,
                 // so the materialized hit list is small).
-                for (_, doc) in self.matching(&stripped, &self.shard_rows()) {
+                for (_, doc) in self.matching(&stripped, &rows) {
                     visit(&doc);
                 }
             } else {
                 // Full scan: feed documents straight from the shards in id
-                // order (slot-major, shard-minor — ids are
-                // `slot * nshards + shard`) without materializing an
-                // `Arc`-cloned hit list first. Shard cursors keep one paged
-                // chunk per shard resident, so a cold prefix streams
-                // through in id order with bounded memory.
-                let guards: Vec<_> = self.shards.iter().map(|s| s.read()).collect();
-                let mut cursors = ShardCursor::per_shard(&guards);
-                let max_slots = guards.iter().map(|g| g.total_rows()).max().unwrap_or(0);
-                for slot in 0..max_slots {
-                    for cursor in cursors.iter_mut() {
-                        if let Some(doc) = cursor.doc(slot) {
-                            if stripped.matches(doc) {
-                                visit(doc);
-                            }
-                        }
+                // order without materializing an `Arc`-cloned hit list.
+                self.for_each_doc_in_id_order(&rows, |doc| {
+                    if stripped.matches(doc) {
+                        visit(doc);
                     }
-                }
+                });
             }
-            buckets
-        };
+        }
 
         buckets
             .into_iter()
@@ -1188,34 +1115,6 @@ impl DocumentStore {
     // exactness contract).
     // ------------------------------------------------------------------
 
-    /// Populate the columnar sidecar: hot scalar fields of every current
-    /// and future document are kept as per-shard typed column vectors
-    /// (idempotent; existing documents are backfilled under the shard
-    /// write locks).
-    pub fn enable_columnar(&self) {
-        // Every shard write lock is held across the flag flip AND the
-        // backfill, so a concurrent batch insert either fully precedes
-        // this (its documents are backfilled here) or fully follows it
-        // (it re-reads the flag under the shard lock and appends aligned
-        // columnar rows) — no interleaving can misalign slots.
-        let mut guards: Vec<_> = self.shards.iter().map(|s| s.write()).collect();
-        if self.columnar.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        for shard in guards.iter_mut() {
-            let shard = &mut **shard;
-            for slot in shard.cols.len()..shard.docs.len() {
-                let report = shard.cols.push_doc(&shard.docs[slot]);
-                self.apply_columnar_report(report);
-            }
-        }
-    }
-
-    /// Whether the columnar sidecar is populated.
-    pub fn columnar_enabled(&self) -> bool {
-        self.columnar.load(Ordering::Acquire)
-    }
-
     /// The columnar chunk size in rows (`Config::chunk_rows`) — what
     /// zone maps, kernel batches and sealed chunks are sized by.
     pub fn chunk_rows(&self) -> usize {
@@ -1223,16 +1122,13 @@ impl DocumentStore {
     }
 
     /// Whether a frame column can currently be served from the sidecar:
-    /// the sidecar is enabled, the column is a hot field, and no ingested
-    /// dataflow key has poisoned it.
+    /// the column is a hot field and no ingested dataflow key has
+    /// poisoned it.
     pub fn columnar_servable(&self, column: &str) -> bool {
         self.columnar_field(column).is_some()
     }
 
     fn columnar_field(&self, column: &str) -> Option<ColField> {
-        if !self.columnar_enabled() {
-            return None;
-        }
         let f = columnar::lookup(column)?;
         (self.col_poison.load(Ordering::Acquire) & columnar::field_bit(f) == 0).then_some(f)
     }
@@ -1294,9 +1190,6 @@ impl DocumentStore {
         bound: &[usize],
     ) -> Option<Vec<DocId>> {
         let fields = self.resolve_preds(preds)?;
-        if !self.columnar_enabled() {
-            return None; // zero-filter scans still need the sidecar
-        }
         // The push-then-check loops below assume a limit of at least one.
         if limit == Some(0) {
             return Some(Vec::new());
@@ -1473,9 +1366,6 @@ impl DocumentStore {
         let (Some(fields), Some(keys)) = (fields, keys) else {
             return TopkScan::NotServable;
         };
-        if !self.columnar_enabled() {
-            return TopkScan::NotServable;
-        }
         if limit == Some(0) {
             return TopkScan::Served(Vec::new());
         }
@@ -1788,6 +1678,15 @@ pub enum TopkScan {
     /// not a strict weak order over NaN, so the caller must let the
     /// oracle's own stable sort define the answer.
     NanSortKey,
+}
+
+/// Every id below a per-shard row bound, ascending.
+fn ids_below(bound: &[usize]) -> Vec<DocId> {
+    let nshards = bound.len();
+    let slots = bound.iter().copied().max().unwrap_or(0);
+    (0..slots * nshards)
+        .filter(|&id| visible(id, bound))
+        .collect()
 }
 
 /// Whether document `id` lies below a per-shard row bound (one entry per
@@ -2124,6 +2023,75 @@ mod tests {
         );
     }
 
+    /// The dictionary-code path of an unfiltered `aggregate` answers
+    /// exactly like its hash path, which an always-true condition (`Ne`
+    /// on an absent path) forces: on facade rows, with raw rows whose
+    /// other fields were defaulted or canonicalized (irregular), and with
+    /// rows that do not decode.
+    #[test]
+    fn aggregate_code_path_equals_hash_path() {
+        let facade = task_docs(300);
+        let raw = [
+            obj! {"task_id" => "r0", "workflow_id" => "wf-0", "activity_id" => "raw",
+            "status" => "finished", "started_at" => "soon"},
+            obj! {"task_id" => "r1", "workflow_id" => "wf-9", "activity_id" => "act",
+            "started_at" => 2.5},
+        ];
+        let undecodable = [
+            obj! {"task_id" => "u0"},
+            obj! {"activity_id" => "act", "hostname" => "n1", "started_at" => 1.0},
+        ];
+        let group = |key: &str| GroupSpec {
+            key: key.into(),
+            aggs: [
+                ("started_at", AggOp::Mean),
+                ("started_at", AggOp::Count),
+                ("task_id", AggOp::Max),
+                ("ended_at", AggOp::Min),
+                ("duration", AggOp::Sum),
+            ]
+            .into_iter()
+            .map(|(path, op)| Aggregate {
+                path: path.into(),
+                op,
+            })
+            .collect(),
+        };
+        let always = DocQuery::new().filter("no.such.path", Op::Ne, 0);
+        for (label, extra) in [
+            ("facade", &[][..]),
+            ("irregular", &raw),
+            ("undecodable", &undecodable),
+        ] {
+            let mut docs = facade.clone();
+            // Spread the extra rows over every shard and chunk position.
+            for (i, doc) in extra.iter().enumerate() {
+                docs.insert(37 * i + 5, doc.clone());
+            }
+            for nshards in [1, 4] {
+                let s = DocumentStore::with_shards(nshards);
+                s.insert_many(docs.clone());
+                let rows = s.shard_rows();
+                // `activity_id` takes the code path unless a row does not
+                // decode; the raw rows leave it regular.
+                let act = columnar::lookup("activity_id").unwrap();
+                assert_eq!(
+                    s.columnar_presence("activity_id", &rows) == Some(s.len())
+                        && s.col_irregular.load(Ordering::Acquire) & columnar::field_bit(act) == 0,
+                    label != "undecodable",
+                    "{label}"
+                );
+                for key in columnar::STR_FIELDS.iter().chain(&["started_at", "absent"]) {
+                    assert_eq!(
+                        s.aggregate(&DocQuery::new(), &group(key)),
+                        s.aggregate(&always, &group(key)),
+                        "{label} {key} {nshards} shards"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn distinct_values() {
         let s = store();
@@ -2184,7 +2152,6 @@ mod tests {
     #[test]
     fn columnar_scan_filters_in_id_order_with_limit() {
         let s = DocumentStore::with_shards(3);
-        s.enable_columnar();
         s.insert_many(task_docs(12));
         let err = Value::from("ERROR");
         let ids = scan(&s, &[("status", CmpOp::Eq, &err)], None).unwrap();
@@ -2206,33 +2173,9 @@ mod tests {
     }
 
     #[test]
-    fn columnar_backfill_equals_ingest_population() {
-        let docs = task_docs(10);
-        let eager = DocumentStore::with_shards(4);
-        eager.enable_columnar();
-        eager.insert_many(docs.clone());
-        let late = DocumentStore::with_shards(4);
-        late.insert_many(docs);
-        late.enable_columnar(); // backfills under the shard locks
-        for col in ["task_id", "status", "started_at", "duration"] {
-            assert_eq!(
-                eager.columnar_presence(col, &eager.shard_rows()),
-                late.columnar_presence(col, &late.shard_rows()),
-                "{col}"
-            );
-        }
-        let fin = Value::from("FINISHED");
-        assert_eq!(
-            scan(&eager, &[("status", CmpOp::Eq, &fin)], None),
-            scan(&late, &[("status", CmpOp::Eq, &fin)], None),
-        );
-    }
-
-    #[test]
     fn columnar_scan_uses_index_candidates_when_safe() {
         let s = DocumentStore::with_shards(2);
         s.create_index("workflow_id");
-        s.enable_columnar();
         s.insert_many(task_docs(8));
         let wf = Value::from("wf-1");
         let ids = scan(&s, &[("workflow_id", CmpOp::Eq, &wf)], None).unwrap();
@@ -2255,7 +2198,6 @@ mod tests {
     #[test]
     fn columnar_topk_orders_like_the_frame() {
         let s = DocumentStore::with_shards(3);
-        s.enable_columnar();
         s.insert_many(task_docs(12)); // duration 1.0 everywhere: all ties
         let ids = |scan: TopkScan| match scan {
             TopkScan::Served(ids) => ids,
@@ -2299,7 +2241,6 @@ mod tests {
     #[test]
     fn columnar_topk_rejects_unservable_and_nan() {
         let s = DocumentStore::with_shards(2);
-        s.enable_columnar();
         s.insert_many(task_docs(6));
         assert_eq!(
             topk(&s, &[], &[("y", true)], Some(2)),
@@ -2345,10 +2286,8 @@ mod tests {
         let docs = task_docs(30);
         let indexed = DocumentStore::with_shards(4);
         indexed.create_range_index("started_at");
-        indexed.enable_columnar();
         indexed.insert_many(docs.clone());
         let plain = DocumentStore::with_shards(4);
-        plain.enable_columnar();
         plain.insert_many(docs);
         let fin = Value::from("FINISHED");
         for (filters, k) in [
@@ -2380,7 +2319,6 @@ mod tests {
             let s = DocumentStore::with_shards(4);
             s.create_index("workflow_id");
             s.create_range_index("started_at");
-            s.enable_columnar();
             s.insert_many(docs.to_vec());
             s
         };

@@ -151,7 +151,7 @@ fn exec_graph(snap: &StoreSnapshot, g: &GraphQuery) -> QueryOutput {
         GraphQuery::Downstream { node, depth } => lineage_frame(csr.downstream(node, *depth)),
         GraphQuery::Khop { node, k } => lineage_frame(csr.khop(node, *k)),
         GraphQuery::Paths { from, to } => path_series(
-            csr.shortest_path_bidi(from, to)
+            csr.shortest_path(from, to)
                 .map(|p| p.into_iter().map(Value::Str).collect()),
         ),
     }

@@ -5,10 +5,14 @@
 //! sharded, clone-free engine for ingest-heavy workloads:
 //!
 //! * [`DocumentStore`] — MongoDB-shaped: JSON documents, dotted-path
-//!   filters, projections, aggregation, hash + sorted-numeric indexes;
+//!   filters, projections, aggregation, hash + sorted-numeric indexes,
+//!   and the columnar sidecar of the hot scalar fields that every store
+//!   keeps (an unfiltered group-by runs on its dictionary codes);
 //! * [`KvStore`] — LMDB-shaped: ordered keys, batch puts, range/prefix scans;
 //! * [`GraphStore`] — Neo4j-shaped: PROV property graph with lineage and
-//!   path traversals and a single-lock [`GraphBatch`] apply path;
+//!   path traversals and a single-lock [`GraphBatch`] apply path, read
+//!   through its [`CsrGraph`] compaction, whose one shortest-path kernel
+//!   serves both the agent's graph tool and provql `paths()`;
 //!
 //! unified behind [`ProvenanceDatabase`], which fans each task message out
 //! to all three and exposes the Query API the agent's offline tools use.

@@ -173,7 +173,6 @@ impl ProvenanceDatabase {
         documents.create_index("activity_id");
         documents.create_index("workflow_id");
         documents.create_range_index("started_at");
-        documents.enable_columnar();
         Self {
             config,
             documents,
@@ -182,7 +181,7 @@ impl ProvenanceDatabase {
             pending: Mutex::new(Vec::new()),
             flusher: Mutex::new(()),
             inserts: AtomicU64::new(0),
-            plan_cache: PlanCache::with_max_bytes(config.cache_bytes),
+            plan_cache: PlanCache::with_max_bytes(crate::cache::MAX_BYTES),
             csr: Mutex::new(None),
             frame: Mutex::new(None),
             durability: None,
@@ -432,14 +431,15 @@ impl ProvenanceDatabase {
             return;
         }
         let mut fan = Fanout::new();
-        self.documents.for_each_doc_in_id_order(|doc| {
-            if let Some(msg) = TaskMessage::from_value(doc) {
-                fan.push(&msg, doc);
-            }
-            if fan.kv_rows.len() >= 8192 {
-                fan.apply(&self.kv, &self.graph);
-            }
-        });
+        self.documents
+            .for_each_doc_in_id_order(&self.documents.shard_rows(), |doc| {
+                if let Some(msg) = TaskMessage::from_value(doc) {
+                    fan.push(&msg, doc);
+                }
+                if fan.kv_rows.len() >= 8192 {
+                    fan.apply(&self.kv, &self.graph);
+                }
+            });
         fan.apply(&self.kv, &self.graph);
         self.backends_cold.store(false, Ordering::Release);
     }

@@ -53,6 +53,12 @@ fn arb_graph() -> impl Strategy<Value = RandomGraph> {
 /// `add_edge`, even edges batched through one `apply_batch`.
 fn build_store(g: &RandomGraph) -> GraphStore {
     let store = GraphStore::new();
+    fill(&store, g);
+    store
+}
+
+/// Write `g` into `store` (see [`build_store`]).
+fn fill(store: &GraphStore, g: &RandomGraph) {
     let mut batch = GraphBatch::new();
     for &i in &g.nodes {
         batch.upsert_node(format!("t{i}"), "prov:Activity", Map::new());
@@ -65,29 +71,10 @@ fn build_store(g: &RandomGraph) -> GraphStore {
         }
     }
     store.apply_batch(batch);
-    store
 }
 
 fn owned(hits: Vec<(prov_model::Sym, usize)>) -> Vec<(String, usize)> {
     hits.into_iter().map(|(s, d)| (s.to_string(), d)).collect()
-}
-
-/// Every consecutive pair of a returned path must be a directed edge of
-/// the store (any relation), and the endpoints must be the query's.
-fn assert_valid_path(store: &GraphStore, path: &[prov_model::Sym], from: &str, to: &str) {
-    assert_eq!(path.first().map(|s| s.as_str()), Some(from));
-    assert_eq!(path.last().map(|s| s.as_str()), Some(to));
-    for pair in path.windows(2) {
-        assert!(
-            store
-                .neighbors_out(pair[0].as_str(), "")
-                .iter()
-                .any(|n| n == pair[1].as_str()),
-            "path hop {} -> {} is not an edge",
-            pair[0],
-            pair[1]
-        );
-    }
 }
 
 proptest! {
@@ -131,36 +118,33 @@ proptest! {
         );
     }
 
-    /// Shortest path: the forward kernel is tie-break-identical to the
-    /// oracle; the bidirectional kernel agrees on reachability and length
-    /// and always returns a real path.
+    /// Shortest path, node for node: the CSR kernel and provql
+    /// `paths(a, b)` as `execute_plan` runs it on a snapshot's CSR both
+    /// equal the oracle's path, tie-breaks included.
     #[test]
     fn csr_paths_match_adjacency_oracle(
         g in arb_graph(),
         a in 0usize..24,
         b in 0usize..24,
     ) {
-        let store = build_store(&g);
-        let csr = CsrGraph::build(&store);
+        let db = Arc::new(ProvenanceDatabase::new());
+        fill(db.graph(), &g);
+        let snap = db.snapshot();
+        let store = snap.graph();
         let from = format!("t{}", a % g.n);
         let to = format!("t{}", b % g.n);
         let oracle = store.shortest_path(&from, &to);
-        let exact = csr.shortest_path(&from, &to);
+        let exact = CsrGraph::build(store).shortest_path(&from, &to);
         prop_assert_eq!(
             exact.map(|p| p.iter().map(|s| s.to_string()).collect::<Vec<_>>()),
-            oracle.clone()
+            oracle
         );
-        let bidi = csr.shortest_path_bidi(&from, &to);
-        match (&oracle, &bidi) {
-            (None, None) => {}
-            (Some(o), Some(bi)) => {
-                prop_assert_eq!(o.len(), bi.len(), "bidi found a different length");
-                if from != to {
-                    assert_valid_path(&store, bi, &from, &to);
-                }
-            }
-            _ => prop_assert!(false, "reachability disagrees: {:?} vs {:?}", oracle, bidi),
-        }
+        let query = parse(&format!("paths({from:?}, {to:?})")).unwrap();
+        let Pushdown::Executed(out) = prov_db::execute_plan(&snap, &provql::plan(&query, &*snap))
+        else {
+            panic!("paths refused to execute");
+        };
+        prop_assert_eq!(out, oracle_query(store, &query));
     }
 
     /// Membership and node metadata: real nodes only (phantom edge
@@ -237,8 +221,7 @@ fn probes() -> Vec<String> {
 }
 
 /// Every kernel's answer from every probe id — what a compaction shows
-/// its readers. Two compactions of one log must give identical answers,
-/// bidirectional tie-breaks included.
+/// its readers. Two compactions of one log must give identical answers.
 fn answers(csr: &CsrGraph) -> Vec<String> {
     let ids = probes();
     let mut out = vec![format!(
@@ -266,11 +249,7 @@ fn answers(csr: &CsrGraph) -> Vec<String> {
             out.push(format!("{:?}", csr.khop(a, k)));
         }
         for b in &ids {
-            out.push(format!(
-                "{:?} {:?}",
-                csr.shortest_path(a, b),
-                csr.shortest_path_bidi(a, b)
-            ));
+            out.push(format!("{:?}", csr.shortest_path(a, b)));
         }
     }
     out
@@ -351,25 +330,14 @@ fn check_oracle(csr: &CsrGraph, store: &GraphStore) -> Result<(), TestCaseError>
             prop_assert_eq!(owned(csr.khop(a, k)), store.khop(a, k), "khop {}", a);
         }
         for b in &ids {
-            let oracle = store.shortest_path(a, b);
             prop_assert_eq!(
                 csr.shortest_path(a, b)
                     .map(|p| p.iter().map(|s| s.to_string()).collect::<Vec<_>>()),
-                oracle.clone(),
+                store.shortest_path(a, b),
                 "path {} {}",
                 a,
                 b
             );
-            match (oracle, csr.shortest_path_bidi(a, b)) {
-                (None, None) => {}
-                (Some(o), Some(bi)) => {
-                    prop_assert_eq!(o.len(), bi.len(), "bidi length {} {}", a, b);
-                    if a != b {
-                        assert_valid_path(store, &bi, a, b);
-                    }
-                }
-                (o, bi) => prop_assert!(false, "reachability {:?} vs {:?}", o, bi),
-            }
         }
     }
     Ok(())

@@ -15,7 +15,8 @@ mod common;
 use common::{corpus, fingerprint, fresh_dir, oracle, scrub_index_maps, GOLDEN};
 use dataframe::DataFrame;
 use proptest::prelude::*;
-use prov_db::{Config, DocQuery, ProvenanceDatabase, StoreSnapshot, SyncPolicy};
+use prov_db::{AggOp, Aggregate, Config, DocQuery, GroupSpec, Op, ProvenanceDatabase};
+use prov_db::{StoreSnapshot, SyncPolicy};
 use prov_model::{obj, TaskMessage, TaskStatus, Value};
 use provql::parse;
 use std::path::PathBuf;
@@ -410,6 +411,67 @@ fn columnar_pipelines_page_no_documents_and_document_reads_no_columns() {
         "graph hydration paged {docs} docs pages"
     );
     drop((eager, lazy));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `aggregate` and `distinct` on a lazy open answer exactly like the
+/// replayed reopen, at the configured budget and at a one-byte budget,
+/// filtered or not. An unfiltered group-by on `activity_id` takes the
+/// dictionary-code path, which reads the cold chunks' column blocks: it
+/// must page at least one cols page.
+#[test]
+fn aggregate_and_distinct_match_the_replayed_open_under_any_budget() {
+    let (chunk, nshards) = geometry();
+    let msgs = corpus(2 * chunk * nshards + 7);
+    let dir = fresh_dir("aggregate");
+    seal_corpus(&dir, &msgs);
+    let eager = open_replayed(&dir);
+    let group = |key: &str| GroupSpec {
+        key: key.into(),
+        aggs: [
+            ("started_at", AggOp::Mean),
+            ("used.y", AggOp::Count),
+            ("task_id", AggOp::Max),
+            ("ended_at", AggOp::Min),
+            ("generated.out", AggOp::Sum),
+        ]
+        .into_iter()
+        .map(|(path, op)| Aggregate {
+            path: path.into(),
+            op,
+        })
+        .collect(),
+    };
+    let queries = [
+        DocQuery::new(),
+        DocQuery::new().filter("status", Op::Eq, "ERROR"),
+    ];
+    // The code path (two string columns) and the hash path (a dataflow
+    // key, and every filtered query); the replayed answers once each.
+    let keys = ["activity_id", "hostname", "used.y"];
+    let answers = |db: &ProvenanceDatabase, key: &str| {
+        let grouped = queries
+            .iter()
+            .map(|q| format!("{:?}", db.aggregate(q, &group(key))));
+        let distinct = format!("{:?}", db.documents().distinct(&DocQuery::new(), key));
+        grouped.chain([distinct]).collect::<Vec<_>>()
+    };
+    let want: Vec<Vec<String>> = keys.iter().map(|key| answers(&eager, key)).collect();
+    drop(eager);
+    for budget in [config().resident_bytes, 1] {
+        let lazy = open_lazy(&dir, budget);
+        for (key, want) in keys.iter().zip(&want) {
+            let before = lazy.pager_stats();
+            assert_eq!(&answers(&lazy, key), want, "{key} budget {budget}");
+            if *key == "activity_id" {
+                let (cols, _) = page_ins(&lazy, before);
+                assert!(
+                    cols > 0,
+                    "the code path reads column blocks (budget {budget})"
+                );
+            }
+        }
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -288,31 +288,30 @@ impl Value {
     /// `used`/`generated` payloads become DataFrame columns.
     pub fn flatten(&self) -> Vec<(String, Value)> {
         let mut out = Vec::new();
-        self.flatten_into("", &mut out);
+        self.for_each_leaf(&mut |key, v| out.push((key.to_string(), v.clone())));
         out
     }
 
-    fn flatten_into(&self, prefix: &str, out: &mut Vec<(String, Value)>) {
+    /// Visit the `(dotted key, leaf)` pairs of [`flatten`](Self::flatten),
+    /// in the same order, without copying a leaf.
+    pub fn for_each_leaf(&self, f: &mut impl FnMut(&str, &Value)) {
+        self.leaves_under("", f);
+    }
+
+    fn leaves_under(&self, prefix: &str, f: &mut impl FnMut(&str, &Value)) {
         match self {
-            Value::Object(m) => {
-                if m.is_empty() && !prefix.is_empty() {
-                    out.push((prefix.to_string(), self.clone()));
-                    return;
-                }
+            Value::Object(m) if !m.is_empty() || prefix.is_empty() => {
                 for (k, v) in m.iter() {
                     let key: Cow<str> = if prefix.is_empty() {
                         Cow::Borrowed(k.as_str())
                     } else {
                         Cow::Owned(format!("{prefix}.{k}"))
                     };
-                    v.flatten_into(&key, out);
+                    v.leaves_under(&key, f);
                 }
             }
-            other => {
-                if !prefix.is_empty() {
-                    out.push((prefix.to_string(), other.clone()));
-                }
-            }
+            leaf if !prefix.is_empty() => f(prefix, leaf),
+            _ => {}
         }
     }
 

@@ -5,11 +5,11 @@
 //!
 //! * [`ast`] — pipelines of stages (`filter → groupby → agg → sort → head`);
 //! * [`parser`] — parses the pandas syntax the (simulated) LLMs emit;
-//! * [`render`] — canonical pretty-printer (`parse ∘ render = id`);
+//! * [`render`](mod@render) — canonical pretty-printer (`parse ∘ render = id`);
 //! * [`exec`] — executes queries against a DataFrame;
-//! * [`plan`] — logical query plans with index-aware filter/projection
+//! * [`plan`](mod@plan) — logical query plans with index-aware filter/projection
 //!   pushdown, interpreted by store-side executors (`prov_db::exec`);
-//! * [`compare`] — semantic similarity scoring used by judges.
+//! * [`compare`](mod@compare) — semantic similarity scoring used by judges.
 //!
 //! ```
 //! use provql::{parse, execute};

@@ -2,7 +2,7 @@
 //!
 //! The build environment cannot reach crates.io, so this crate implements
 //! the subset of the proptest API the workspace's property tests use:
-//! the [`Strategy`] trait with `prop_map`/`prop_recursive`, numeric-range,
+//! the [`Strategy`](strategy::Strategy) trait with `prop_map`/`prop_recursive`, numeric-range,
 //! boolean, tuple, `Just`, regex-lite string, collection (`vec`,
 //! `btree_map`) and `prop_oneof!` union strategies, plus the `proptest!`,
 //! `prop_assert!` and `prop_assert_eq!` macros. Failing cases are reported
