@@ -708,7 +708,7 @@ impl DocumentStore {
     ///
     /// [`shard_rows`]: DocumentStore::shard_rows
     pub(crate) fn find_bounded(&self, query: &DocQuery, bound: &[usize]) -> Vec<Arc<Value>> {
-        let mut hits = self.matching(query, bound);
+        let mut hits = self.matching(self.candidates(&query.conditions), query, bound);
         if let Some((path, ascending)) = &query.sort {
             // Stable sort over id-ordered hits: ties keep insertion order,
             // exactly like the single-lock engine.
@@ -735,31 +735,43 @@ impl DocumentStore {
     /// per-shard row bound.
     pub(crate) fn count_bounded(&self, query: &DocQuery, bound: &[usize]) -> usize {
         let mut n = 0;
-        self.for_each_match(query, bound, |_, _| n += 1);
+        self.for_each_match(self.candidates(&query.conditions), query, bound, |_, _| {
+            n += 1
+        });
         n
     }
 
-    /// Matching `(id, doc)` pairs below `bound`, in id (= insertion) order.
-    fn matching(&self, query: &DocQuery, bound: &[usize]) -> Vec<(DocId, Arc<Value>)> {
+    /// Matching `(id, doc)` pairs below `bound`, in id (= insertion)
+    /// order; `candidates` as for [`for_each_match`](Self::for_each_match).
+    fn matching(
+        &self,
+        candidates: Option<Vec<DocId>>,
+        query: &DocQuery,
+        bound: &[usize],
+    ) -> Vec<(DocId, Arc<Value>)> {
         let mut hits: Vec<(DocId, Arc<Value>)> = Vec::new();
-        self.for_each_match(query, bound, |id, doc| hits.push((id, Arc::clone(doc))));
+        self.for_each_match(candidates, query, bound, |id, doc| {
+            hits.push((id, Arc::clone(doc)))
+        });
         hits.sort_unstable_by_key(|(id, _)| *id);
         hits
     }
 
     /// Visit every document below the per-shard `bound` that matches the
-    /// query's conditions, in no particular order. Index candidates at or
-    /// above the bound are dropped before they are verified; a full scan
-    /// stops at the bound.
+    /// query's conditions, in no particular order, verifying the index
+    /// `candidates` the caller probed (`None`: full scan). Candidates at
+    /// or above the bound are dropped before they are verified; a full
+    /// scan stops at the bound.
     fn for_each_match(
         &self,
+        candidates: Option<Vec<DocId>>,
         query: &DocQuery,
         bound: &[usize],
         mut f: impl FnMut(DocId, &Arc<Value>),
     ) {
         let nshards = self.shards.len();
         debug_assert_eq!(bound.len(), nshards);
-        match self.candidates(&query.conditions) {
+        match candidates {
             Some(mut ids) => {
                 // Group by shard so each shard lock is taken at most once.
                 ids.retain(|&id| visible(id, bound));
@@ -1056,10 +1068,10 @@ impl DocumentStore {
                 sort: None,
                 limit: None,
             };
-            if self.candidates(&stripped.conditions).is_some() {
+            if let Some(ids) = self.candidates(&stripped.conditions) {
                 // Index-assisted: reuse the candidate machinery (selective,
                 // so the materialized hit list is small).
-                for (_, doc) in self.matching(&stripped, &rows) {
+                for (_, doc) in self.matching(Some(ids), &stripped, &rows) {
                     visit(&doc);
                 }
             } else {
@@ -1098,7 +1110,8 @@ impl DocumentStore {
             sort: None,
             limit: None,
         };
-        for (_, doc) in self.matching(&stripped, &self.shard_rows()) {
+        let candidates = self.candidates(&stripped.conditions);
+        for (_, doc) in self.matching(candidates, &stripped, &self.shard_rows()) {
             if let Some(v) = doc.get_path(path) {
                 let slot = by_hash.entry(v.stable_hash()).or_default();
                 if !slot.iter().any(|&i| out[i] == *v) {

@@ -153,7 +153,7 @@ fn push_position(adj: &mut HashMap<String, Vec<u32>>, id: &str, at: u32) {
 /// A batch of node upserts and edge inserts applied under one lock
 /// acquisition (see [`GraphStore::apply_batch`]). Build it lock-free on the
 /// producer side, then apply in one shot.
-#[derive(Default)]
+#[derive(Debug, Default, PartialEq)]
 pub struct GraphBatch {
     nodes: Vec<GraphNode>,
     edges: Vec<GraphEdge>,

@@ -35,11 +35,13 @@
 //! `PSEG1` segment has no blocks: its cols page is derived from its docs
 //! page with [`columnar::extract`], the ingest extraction. Docs pages are
 //! CRC-verified record by record and decoded with the WAL's canonical
-//! codec. The document store's kernels then read a paged chunk and a
-//! resident shard through the same code, compiled against the chunk's own
-//! dictionaries. The out-of-core differential suite pins the result: a
-//! store reopened with a tiny budget answers every golden and random
-//! pipeline byte-identically to a fully-resident one.
+//! codec through one [`crate::wal::SymTable`] per page, so a string
+//! repeated across the page's documents is allocated once. The document
+//! store's kernels then read a paged chunk and a resident shard through
+//! the same code, compiled against the chunk's own dictionaries. The
+//! out-of-core differential suite pins the result: a store reopened with
+//! a tiny budget answers every golden and random pipeline
+//! byte-identically to a fully-resident one.
 //!
 //! ## Immutability and locking
 //!
@@ -57,7 +59,7 @@
 
 use crate::columnar::{self, ColField, ColPredicate, ColumnarShard};
 use crate::segment::{self, Footer, SegmentMeta, ZoneTables, DATA_START};
-use crate::wal::{crc32, decode_value};
+use crate::wal::SymTable;
 use parking_lot::Mutex;
 use prov_model::Value;
 use std::collections::HashMap;
@@ -209,25 +211,13 @@ impl ColdSegment {
         let raw = self.read_range(offs[lc], offs[lc + 1]);
         let rows = self.rows(lc);
         let mut docs = Vec::with_capacity(rows);
+        let mut syms = SymTable::default();
         let mut pos = 0usize;
         for _ in 0..rows {
-            let header: [u8; 8] = raw
-                .get(pos..pos + 8)
-                .and_then(|b| b.try_into().ok())
-                .unwrap_or_else(|| page_fault("torn record", &self.meta));
-            let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes")) as usize;
-            let crc = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
-            pos += 8;
-            let payload = raw
-                .get(pos..pos + len)
-                .unwrap_or_else(|| page_fault("torn record", &self.meta));
-            pos += len;
-            if crc32(&[payload]) != crc {
-                page_fault("record checksum mismatch", &self.meta);
-            }
-            let mut dpos = 0usize;
-            let doc = decode_value(payload, &mut dpos)
-                .filter(|_| dpos == len)
+            let payload = segment::next_record(&raw, &mut pos)
+                .unwrap_or_else(|fault| page_fault(fault, &self.meta));
+            let doc = syms
+                .decode(payload)
                 .unwrap_or_else(|| page_fault("undecodable record", &self.meta));
             docs.push(Arc::new(doc));
         }
@@ -346,6 +336,9 @@ impl PagerCore {
             }
         }
         inner.bytes += bytes;
+        // Evicted pages are freed after unlocking: a docs page drops whole
+        // document trees, and every reader's hit path takes this lock.
+        let mut evicted = Vec::new();
         while inner.bytes > self.budget && !inner.map.is_empty() {
             let oldest = inner
                 .map
@@ -353,8 +346,9 @@ impl PagerCore {
                 .min_by_key(|(_, (t, _, _))| *t)
                 .map(|(k, _)| *k)
                 .expect("non-empty map");
-            if let Some((_, _, dropped)) = inner.map.remove(&oldest) {
-                inner.bytes -= dropped;
+            if let Some((_, dropped, dropped_bytes)) = inner.map.remove(&oldest) {
+                inner.bytes -= dropped_bytes;
+                evicted.push(dropped);
                 self.evicted.fetch_add(1, Ordering::Relaxed);
             }
             if oldest == key {
@@ -363,6 +357,7 @@ impl PagerCore {
                 break;
             }
         }
+        drop(inner);
         page
     }
 }
@@ -530,8 +525,9 @@ impl ColdShard {
         let page = self.core.get((self.shard, c, PageKind::Docs), || {
             let (seg, lc) = self.locate(c);
             let (docs, raw) = seg.load_docs(lc);
-            // Decoded trees and interned symbols cost more than the wire
-            // bytes; a fixed scale keeps accounting cheap and monotone.
+            // Decoded trees cost more than the wire bytes, even with each
+            // distinct string shared page-wide (see `wal::SymTable`); a
+            // fixed scale keeps accounting cheap and monotone.
             let bytes = raw * 4 + docs.len() * 96;
             (Page::Docs(docs.into()), bytes)
         });

@@ -68,7 +68,7 @@
 //! deleting the contained leftovers.
 
 use crate::columnar::{ColumnarShard, ExtractedRow, F64_FIELDS, NULL_CODE, STR_FIELDS};
-use crate::wal::{crc32, decode_value, encode_value, sync_dir};
+use crate::wal::{crc32, encode_value, sync_dir, take8, take_u32, SymTable};
 use dataframe::CmpOp;
 use prov_model::{Sym, Value};
 use std::fs::File;
@@ -166,65 +166,65 @@ impl ZoneTables {
     /// Parse serialized zone tables starting at `*pos`, advancing it past
     /// them; `None` on malformed input.
     fn read(buf: &[u8], pos: &mut usize) -> Option<Self> {
-        let ncols = get_u32(buf, pos)? as usize;
+        let ncols = take_u32(buf, pos)? as usize;
         let mut str_dicts = Vec::with_capacity(ncols);
         for _ in 0..ncols {
-            let n = get_u32(buf, pos)? as usize;
+            let n = take_u32(buf, pos)? as usize;
             if n > buf.len() - *pos {
                 return None;
             }
             let mut dict = Vec::with_capacity(n);
             for _ in 0..n {
-                let len = get_u32(buf, pos)? as usize;
+                let len = take_u32(buf, pos)? as usize;
                 let bytes = buf.get(*pos..*pos + len)?;
                 *pos += len;
                 dict.push(Sym::from(std::str::from_utf8(bytes).ok()?));
             }
             str_dicts.push(dict);
         }
-        let ncols = get_u32(buf, pos)? as usize;
+        let ncols = take_u32(buf, pos)? as usize;
         let mut str_zones = Vec::with_capacity(ncols);
         for _ in 0..ncols {
-            let n = get_u32(buf, pos)? as usize;
+            let n = take_u32(buf, pos)? as usize;
             if n > buf.len() - *pos {
                 return None;
             }
             let mut zones = Vec::with_capacity(n);
             for _ in 0..n {
-                let min = get_u32(buf, pos)?;
-                let max = get_u32(buf, pos)?;
-                let present = get_u32(buf, pos)?;
+                let min = take_u32(buf, pos)?;
+                let max = take_u32(buf, pos)?;
+                let present = take_u32(buf, pos)?;
                 zones.push((min, max, present));
             }
             str_zones.push(zones);
         }
-        let ncols = get_u32(buf, pos)? as usize;
+        let ncols = take_u32(buf, pos)? as usize;
         let mut f64_zones = Vec::with_capacity(ncols);
         for _ in 0..ncols {
-            let n = get_u32(buf, pos)? as usize;
+            let n = take_u32(buf, pos)? as usize;
             if n > buf.len() - *pos {
                 return None;
             }
             let mut zones = Vec::with_capacity(n);
             for _ in 0..n {
-                let min = f64::from_bits(u64::from_le_bytes(get8(buf, pos)?));
-                let max = f64::from_bits(u64::from_le_bytes(get8(buf, pos)?));
-                let present = get_u32(buf, pos)?;
-                let nan = get_u32(buf, pos)?;
+                let min = f64::from_bits(u64::from_le_bytes(take8(buf, pos)?));
+                let max = f64::from_bits(u64::from_le_bytes(take8(buf, pos)?));
+                let present = take_u32(buf, pos)?;
+                let nan = take_u32(buf, pos)?;
                 zones.push((min, max, present, nan));
             }
             f64_zones.push(zones);
         }
-        let n = get_u32(buf, pos)? as usize;
+        let n = take_u32(buf, pos)? as usize;
         if n > buf.len() - *pos {
             return None;
         }
         let mut chunk_decodable = Vec::with_capacity(n);
         for _ in 0..n {
-            chunk_decodable.push(get_u32(buf, pos)?);
+            chunk_decodable.push(take_u32(buf, pos)?);
         }
-        let irregular = u16::try_from(get_u32(buf, pos)?).ok()?;
-        let poison = u16::try_from(get_u32(buf, pos)?).ok()?;
+        let irregular = u16::try_from(take_u32(buf, pos)?).ok()?;
+        let poison = u16::try_from(take_u32(buf, pos)?).ok()?;
         Some(Self {
             str_dicts,
             str_zones,
@@ -335,18 +335,6 @@ fn dict_code(dict: &[Sym], s: &str) -> Option<u32> {
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn get_u32(buf: &[u8], pos: &mut usize) -> Option<u32> {
-    let b = buf.get(*pos..*pos + 4)?;
-    *pos += 4;
-    Some(u32::from_le_bytes(b.try_into().ok()?))
-}
-
-fn get8(buf: &[u8], pos: &mut usize) -> Option<[u8; 8]> {
-    let b = buf.get(*pos..*pos + 8)?;
-    *pos += 8;
-    b.try_into().ok()
 }
 
 /// On-disk format of a segment file, from its header magic.
@@ -620,7 +608,7 @@ impl Layout {
         zones: &ZoneTables,
         footer_start: u64,
     ) -> Option<Self> {
-        let n = get_u32(buf, pos)? as usize;
+        let n = take_u32(buf, pos)? as usize;
         let chunk = meta.chunk_rows();
         let n_docs = meta.n_docs as usize;
         if n != zones.chunk_decodable.len() || n != n_docs.div_ceil(chunk) {
@@ -628,7 +616,7 @@ impl Layout {
         }
         let mut bounds = || -> Option<Vec<u64>> {
             (0..=n)
-                .map(|_| get8(buf, pos).map(u64::from_le_bytes))
+                .map(|_| take8(buf, pos).map(u64::from_le_bytes))
                 .collect()
         };
         let docs = bounds()?;
@@ -796,20 +784,25 @@ fn read_header(path: &Path, f: &mut File) -> std::io::Result<SegmentMeta> {
     })
 }
 
+/// The payload of the `[len][crc][payload]` record at `*pos` in `buf`,
+/// checksum-verified, advancing `*pos` past it. `Err` names the fault.
+pub(crate) fn next_record<'a>(buf: &'a [u8], pos: &mut usize) -> Result<&'a [u8], &'static str> {
+    let len = take_u32(buf, pos).ok_or("torn record")? as usize;
+    let crc = take_u32(buf, pos).ok_or("torn record")?;
+    let payload = buf.get(*pos..*pos + len).ok_or("torn record")?;
+    *pos += len;
+    (crc32(&[payload]) == crc)
+        .then_some(payload)
+        .ok_or("record checksum mismatch")
+}
+
 /// Walk `n` records at the start of `buf`, verifying every checksum, and
 /// return the byte bounds of each chunk of `chunk` records.
 fn walk_records(buf: &[u8], n: usize, chunk: usize, path: &Path) -> std::io::Result<Vec<u64>> {
-    let torn = || corrupt("torn document", path);
     let mut bounds = vec![0u64];
     let mut pos = 0usize;
     for i in 0..n {
-        let len = get_u32(buf, &mut pos).ok_or_else(torn)? as usize;
-        let crc = get_u32(buf, &mut pos).ok_or_else(torn)?;
-        let payload = buf.get(pos..pos + len).ok_or_else(torn)?;
-        pos += len;
-        if crc32(&[payload]) != crc {
-            return Err(corrupt("document checksum mismatch", path));
-        }
+        next_record(buf, &mut pos).map_err(|fault| corrupt(fault, path))?;
         if (i + 1) % chunk == 0 || i + 1 == n {
             bounds.push(pos as u64);
         }
@@ -824,21 +817,12 @@ pub(crate) fn read_docs(meta: &SegmentMeta) -> std::io::Result<Vec<Value>> {
     let mut rest = Vec::new();
     f.read_to_end(&mut rest)?;
     let mut docs = Vec::with_capacity(hdr.n_docs as usize);
+    let mut syms = SymTable::default();
     let mut pos = 0usize;
     for _ in 0..hdr.n_docs {
-        let len =
-            get_u32(&rest, &mut pos).ok_or_else(|| corrupt("torn document", &meta.path))? as usize;
-        let crc = get_u32(&rest, &mut pos).ok_or_else(|| corrupt("torn document", &meta.path))?;
-        let payload = rest
-            .get(pos..pos + len)
-            .ok_or_else(|| corrupt("torn document", &meta.path))?;
-        pos += len;
-        if crc32(&[payload]) != crc {
-            return Err(corrupt("document checksum mismatch", &meta.path));
-        }
-        let mut dpos = 0usize;
-        let doc = decode_value(payload, &mut dpos)
-            .filter(|_| dpos == len)
+        let payload = next_record(&rest, &mut pos).map_err(|fault| corrupt(fault, &meta.path))?;
+        let doc = syms
+            .decode(payload)
             .ok_or_else(|| corrupt("undecodable document", &meta.path))?;
         docs.push(doc);
     }

@@ -293,12 +293,13 @@ impl ProvenanceDatabase {
                 }
             }
         }
+        let mut syms = wal::SymTable::default();
         for r in &records {
             if r.seq < base {
                 continue;
             }
             if let Entry::Vacant(e) = by_seq.entry(r.seq) {
-                if let Some(doc) = r.decode() {
+                if let Some(doc) = syms.decode(&r.payload) {
                     e.insert(doc);
                 }
             }
@@ -306,7 +307,7 @@ impl ProvenanceDatabase {
         let mut assembled = Vec::with_capacity(by_seq.len());
         let mut next = base;
         while let Some(doc) = by_seq.remove(&next) {
-            assembled.push(doc);
+            assembled.push(Arc::new(doc));
             next += 1;
         }
 
@@ -433,9 +434,7 @@ impl ProvenanceDatabase {
         let mut fan = Fanout::new();
         self.documents
             .for_each_doc_in_id_order(&self.documents.shard_rows(), |doc| {
-                if let Some(msg) = TaskMessage::from_value(doc) {
-                    fan.push(&msg, doc);
-                }
+                fan.push(doc);
                 if fan.kv_rows.len() >= 8192 {
                     fan.apply(&self.kv, &self.graph);
                 }
@@ -655,24 +654,13 @@ impl ProvenanceDatabase {
         n
     }
 
-    /// Build one batch per backend and apply each under a single lock
-    /// acquisition. Returns how many messages were materialized.
+    /// Serialize `msgs`, log them on a durable store, and install them in
+    /// every view. Returns how many messages were materialized.
     fn materialize<'a>(&self, msgs: impl IntoIterator<Item = &'a TaskMessage>) -> usize {
-        let mut docs: Vec<Arc<Value>> = Vec::new();
-        // While the KV/graph backends are cold (lazy open, not yet read),
-        // skip their fan-out: hydration replays every document — these
-        // included — in arrival order before the first KV/graph read.
-        let mut fan = (!self.backends_cold.load(Ordering::Acquire)).then(Fanout::new);
-        for msg in msgs {
-            // One serialization, shared by the document, KV, and graph
-            // backends: the activity node's properties *are* the document,
-            // so property-graph ingest costs no map construction at all.
-            let doc = Arc::new(msg.to_value());
-            if let Some(fan) = &mut fan {
-                fan.push(msg, &doc);
-            }
-            docs.push(doc);
-        }
+        // One serialization, shared by the document, KV, and graph
+        // backends: the activity node's properties *are* the document,
+        // so property-graph ingest costs no map construction at all.
+        let docs: Vec<Arc<Value>> = msgs.into_iter().map(|m| Arc::new(m.to_value())).collect();
         let n = docs.len();
         if n == 0 {
             return 0;
@@ -691,10 +679,7 @@ impl ProvenanceDatabase {
                 .expect("provdb: WAL append failed");
             wal_state.next_seq += n as u64;
         }
-        self.documents.insert_many_shared(docs);
-        if let Some(mut fan) = fan {
-            fan.apply(&self.kv, &self.graph);
-        }
+        self.materialize_docs(docs);
         if self.durability.is_some() {
             // Best-effort: a failed seal leaves everything in the WAL,
             // which is bigger but just as durable.
@@ -703,33 +688,17 @@ impl ProvenanceDatabase {
         n
     }
 
-    /// Replay path of the durable opens: materialize
-    /// already-serialized documents through the same fan-out as
-    /// [`materialize`](Self::materialize) — same KV keys, same graph
-    /// nodes and edges, same shard routing — but without re-serializing
-    /// or re-logging anything. Must mirror `materialize` exactly; the
-    /// recovery differential suite holds the two to byte-identical query
-    /// answers.
-    fn materialize_docs(&self, raw: Vec<Value>) {
-        let mut docs: Vec<Arc<Value>> = Vec::with_capacity(raw.len());
-        // Lazy open defers the KV/graph fan-out of the whole replay to
-        // the first KV/graph read (see `hydrate_backends`).
-        let mut fan = (!self.backends_cold.load(Ordering::Acquire)).then(Fanout::new);
-        for v in raw {
-            let doc = Arc::new(v);
-            // Documents written by `materialize` always decode (they are
-            // `to_value` output); the guard only protects against a
-            // hand-corrupted directory.
-            if let Some(fan) = &mut fan {
-                if let Some(msg) = TaskMessage::from_value(&doc) {
-                    fan.push(&msg, &doc);
-                }
-            }
-            docs.push(doc);
-        }
-        if docs.is_empty() {
-            return;
-        }
+    /// Install serialized documents in the document store, then the
+    /// KV/graph fan-out, each under one lock: live ingest after logging,
+    /// and the durable opens' replay. While the KV/graph backends are
+    /// cold (lazy open, not yet read) the fan-out is skipped: hydration
+    /// replays every document, these included, before the first read.
+    fn materialize_docs(&self, docs: Vec<Arc<Value>>) {
+        let fan = (!self.backends_cold.load(Ordering::Acquire)).then(|| {
+            let mut fan = Fanout::new();
+            docs.iter().for_each(|doc| fan.push(doc));
+            fan
+        });
         self.documents.insert_many_shared(docs);
         if let Some(mut fan) = fan {
             fan.apply(&self.kv, &self.graph);
@@ -979,26 +948,32 @@ impl Fanout {
         }
     }
 
-    /// Queue `msg`'s KV row and graph entries: its activity node, whose
+    /// Queue `doc`'s KV row and graph entries: its activity node, whose
     /// properties are `doc` itself, a `prov:wasInformedBy` edge per
-    /// dependency, and its agent node with the association edge.
-    fn push(&mut self, msg: &TaskMessage, doc: &Arc<Value>) {
-        let task = msg.task_id.as_str();
+    /// string `depends_on` element, and its agent node with the
+    /// association edge, all read straight from the document. A document
+    /// `TaskMessage::from_value` rejects (no string `task_id`,
+    /// `workflow_id` or `activity_id`) fans out to nothing.
+    fn push(&mut self, doc: &Arc<Value>) {
+        let text = |k: &str| doc.get(k).and_then(Value::as_str);
+        let (Some(task), Some(_), Some(_)) =
+            (text("task_id"), text("workflow_id"), text("activity_id"))
+        else {
+            return;
+        };
         self.kv_rows.push((format!("task/{task}"), Arc::clone(doc)));
         self.graph
             .upsert_node_shared(task, "prov:Activity", Arc::clone(doc));
-        for dep in &msg.depends_on {
+        let deps = doc.get("depends_on").and_then(Value::as_array);
+        for dep in deps.into_iter().flatten().filter_map(Value::as_str) {
             self.graph
-                .add_edge(task, dep.as_str(), ProvRelation::WasInformedBy.as_str());
+                .add_edge(task, dep, ProvRelation::WasInformedBy.as_str());
         }
-        if let Some(agent) = &msg.agent_id {
+        if let Some(agent) = text("agent_id") {
             self.graph
-                .upsert_node_shared(agent.as_str(), "prov:Agent", self.empty_props.clone());
-            self.graph.add_edge(
-                task,
-                agent.as_str(),
-                ProvRelation::WasAssociatedWith.as_str(),
-            );
+                .upsert_node_shared(agent, "prov:Agent", self.empty_props.clone());
+            self.graph
+                .add_edge(task, agent, ProvRelation::WasAssociatedWith.as_str());
         }
     }
 
@@ -1049,6 +1024,84 @@ mod tests {
         assert_eq!(db.documents().len(), 3);
         assert_eq!(db.kv().len(), 3);
         assert!(db.graph().node_count() >= 3);
+    }
+
+    /// The fan-out as written against a decoded [`TaskMessage`]: the
+    /// referee [`Fanout::push`] must queue identically to.
+    fn push_decoded(fan: &mut Fanout, doc: &Arc<Value>) {
+        let Some(msg) = TaskMessage::from_value(doc) else {
+            return;
+        };
+        let task = msg.task_id.as_str();
+        fan.kv_rows.push((format!("task/{task}"), Arc::clone(doc)));
+        fan.graph
+            .upsert_node_shared(task, "prov:Activity", Arc::clone(doc));
+        for dep in &msg.depends_on {
+            fan.graph
+                .add_edge(task, dep.as_str(), ProvRelation::WasInformedBy.as_str());
+        }
+        if let Some(agent) = &msg.agent_id {
+            fan.graph
+                .upsert_node_shared(agent.as_str(), "prov:Agent", fan.empty_props.clone());
+            fan.graph.add_edge(
+                task,
+                agent.as_str(),
+                ProvRelation::WasAssociatedWith.as_str(),
+            );
+        }
+    }
+
+    #[test]
+    fn fanout_reads_the_document_like_a_decoded_message() {
+        let with = |base: &TaskMessage, edit: &dyn Fn(&mut Map)| {
+            let mut v = base.to_value();
+            let Value::Object(m) = &mut v else {
+                unreachable!("to_value builds an object")
+            };
+            edit(Arc::make_mut(m));
+            v
+        };
+        let all = msgs();
+        let t2 = &all[2];
+        let mut docs: Vec<Value> = all.iter().map(TaskMessage::to_value).collect();
+        docs.extend([
+            with(t2, &|m| {
+                m.insert("task_id".into(), Value::Int(7));
+            }),
+            with(t2, &|m| {
+                m.remove("workflow_id");
+            }),
+            with(t2, &|m| {
+                m.insert("activity_id".into(), Value::Null);
+            }),
+            with(t2, &|m| {
+                let deps = vec![
+                    Value::Int(3),
+                    Value::from("t0"),
+                    Value::Null,
+                    Value::array(vec![Value::from("t1")]),
+                    Value::from("t1"),
+                ];
+                m.insert("depends_on".into(), Value::array(deps));
+            }),
+            with(t2, &|m| {
+                m.insert("depends_on".into(), Value::from("t0"));
+            }),
+            with(t2, &|m| {
+                m.insert("agent_id".into(), Value::Int(9));
+            }),
+            Value::Int(1),
+            Value::from("t0"),
+        ]);
+        let (mut got, mut want) = (Fanout::new(), Fanout::new());
+        for doc in docs.into_iter().map(Arc::new) {
+            got.push(&doc);
+            push_decoded(&mut want, &doc);
+        }
+        assert_eq!(got.kv_rows, want.kv_rows);
+        assert_eq!(got.graph, want.graph);
+        // The three decodable variants with edits kept their task.
+        assert_eq!(got.kv_rows.len(), all.len() + 3);
     }
 
     #[test]

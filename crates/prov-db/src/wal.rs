@@ -23,6 +23,8 @@
 //!   simply deduplicated instead of double-applied.
 //! * `crc` is CRC-32 (IEEE) over the 8 `seq` bytes followed by the
 //!   payload, so a torn header is as detectable as a torn payload.
+//!   [`crc32`] is the store's one checksum kernel (slicing-by-8, the same
+//!   values as the bytewise table).
 //! * `payload` is the document [`Value`] in the binary codec below — the
 //!   exact object `TaskMessage::to_value` produced, so a replayed store
 //!   rebuilds bit-identical documents (NaN payloads included, which the
@@ -51,7 +53,10 @@
 //! canonical — one byte string per value — which is what lets the
 //! segment-footer round-trip tests assert byte identity.
 
+use crate::document::PrehashedMap;
+use prov_model::sym::fnv1a;
 use prov_model::{Map, Sym, Value};
+use std::collections::hash_map::Entry;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
 use std::path::Path;
@@ -73,33 +78,49 @@ pub enum SyncPolicy {
 
 // ---------------------------------------------------------------- CRC-32
 
-/// CRC-32 (IEEE 802.3, reflected) lookup table, built at compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3, reflected) slicing-by-8 tables, built at compile
+/// time: `CRC_TABLES[k][b]` is the CRC register after byte `b` and `k`
+/// zero bytes, so one step folds eight input bytes with eight lookups.
+/// `CRC_TABLES[0]` is the classic bytewise table.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
+        // Bit by bit through the polynomial; every eight steps is one
+        // more byte of travel.
         let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
+        let mut step = 1;
+        while step <= 64 {
             c = if c & 1 != 0 {
                 0xEDB8_8320 ^ (c >> 1)
             } else {
                 c >> 1
             };
-            k += 1;
+            if step % 8 == 0 {
+                tables[step / 8 - 1][i] = c;
+            }
+            step += 1;
         }
-        table[i] = c;
         i += 1;
     }
-    table
+    tables
 };
 
-/// CRC-32 over `parts`, concatenated.
+/// CRC-32 over `parts`, concatenated: eight bytes per step, the last
+/// `len % 8` bytes of each part one at a time. The polynomial and the
+/// values are the bytewise algorithm's, so every log and segment
+/// checksum written by either stays valid.
 pub(crate) fn crc32(parts: &[&[u8]]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
     for part in parts {
-        for &b in *part {
-            c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        let mut words = part.chunks_exact(8);
+        for w in &mut words {
+            let w = u64::from_le_bytes(w.try_into().expect("8 bytes")) ^ c as u64;
+            c = (0..8).fold(0, |acc, k| acc ^ t[7 - k][(w >> (8 * k)) as u8 as usize]);
+        }
+        for &b in words.remainder() {
+            c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
         }
     }
     !c
@@ -159,65 +180,95 @@ fn encode_bytes(b: &[u8], out: &mut Vec<u8>) {
     out.extend_from_slice(b);
 }
 
-/// Decode one value from `buf` starting at `*pos`, advancing `*pos`.
-/// `None` on any malformed input (recovery treats it as a torn record).
-pub(crate) fn decode_value(buf: &[u8], pos: &mut usize) -> Option<Value> {
-    let tag = *buf.get(*pos)?;
-    *pos += 1;
-    match tag {
-        TAG_NULL => Some(Value::Null),
-        TAG_FALSE => Some(Value::Bool(false)),
-        TAG_TRUE => Some(Value::Bool(true)),
-        TAG_INT => Some(Value::Int(i64::from_le_bytes(take8(buf, pos)?))),
-        TAG_FLOAT => Some(Value::Float(f64::from_bits(u64::from_le_bytes(take8(
-            buf, pos,
-        )?)))),
-        TAG_STR => Some(Value::Str(decode_sym(buf, pos)?)),
-        TAG_ARRAY => {
-            let n = u32::from_le_bytes(take4(buf, pos)?) as usize;
-            // Cheap sanity bound: each element costs at least one byte.
-            if n > buf.len() - *pos {
-                return None;
+/// The decoder, with the symbols of one batch (a docs page, a segment
+/// read, a WAL replay pass): each distinct object key is interned once
+/// per table, each distinct string value made once with [`Sym::new`] —
+/// values never reach the global interner, which never evicts. A digest
+/// collision only skips the dedup (`Sym`s compare by content).
+#[derive(Default)]
+pub(crate) struct SymTable {
+    keys: PrehashedMap<Sym>,
+    values: PrehashedMap<Sym>,
+}
+
+impl SymTable {
+    /// Decode one whole payload; `None` if malformed or not fully used.
+    pub(crate) fn decode(&mut self, payload: &[u8]) -> Option<Value> {
+        let mut pos = 0;
+        let v = self.value(payload, &mut pos)?;
+        (pos == payload.len()).then_some(v)
+    }
+
+    /// Decode one value from `buf` starting at `*pos`, advancing `*pos`.
+    fn value(&mut self, buf: &[u8], pos: &mut usize) -> Option<Value> {
+        let tag = *buf.get(*pos)?;
+        *pos += 1;
+        match tag {
+            TAG_NULL => Some(Value::Null),
+            TAG_FALSE => Some(Value::Bool(false)),
+            TAG_TRUE => Some(Value::Bool(true)),
+            TAG_INT => Some(Value::Int(i64::from_le_bytes(take8(buf, pos)?))),
+            TAG_FLOAT => Some(Value::Float(f64::from_bits(u64::from_le_bytes(take8(
+                buf, pos,
+            )?)))),
+            TAG_STR => {
+                let s = take_str(buf, pos)?;
+                Some(Value::Str(dedup(&mut self.values, s, |s| Sym::new(s))))
             }
-            let mut items = Vec::with_capacity(n);
-            for _ in 0..n {
-                items.push(decode_value(buf, pos)?);
+            TAG_ARRAY => {
+                let n = take_count(buf, pos)?;
+                let mut items = Vec::with_capacity(n);
+                for _ in 0..n {
+                    items.push(self.value(buf, pos)?);
+                }
+                Some(Value::array(items))
             }
-            Some(Value::array(items))
+            TAG_OBJECT => {
+                let n = take_count(buf, pos)?;
+                let mut map = Map::with_capacity(n);
+                for _ in 0..n {
+                    let key = dedup(&mut self.keys, take_str(buf, pos)?, Sym::intern);
+                    let val = self.value(buf, pos)?;
+                    // Keys were written in sorted order, so this takes the
+                    // append fast path of the flat map.
+                    map.insert(key, val);
+                }
+                Some(Value::object(map))
+            }
+            _ => None,
         }
-        TAG_OBJECT => {
-            let n = u32::from_le_bytes(take4(buf, pos)?) as usize;
-            if n > buf.len() - *pos {
-                return None;
-            }
-            let mut map = Map::new();
-            for _ in 0..n {
-                let key = decode_sym(buf, pos)?;
-                let val = decode_value(buf, pos)?;
-                // Keys were written in sorted order, so this takes the
-                // append fast path of the flat map.
-                map.insert(key, val);
-            }
-            Some(Value::object(map))
-        }
-        _ => None,
     }
 }
 
-fn decode_sym(buf: &[u8], pos: &mut usize) -> Option<Sym> {
-    let len = u32::from_le_bytes(take4(buf, pos)?) as usize;
+/// The table's symbol for `s`, made with `make` on first sight.
+fn dedup(table: &mut PrehashedMap<Sym>, s: &str, make: fn(&str) -> Sym) -> Sym {
+    match table.entry(fnv1a(s.as_bytes())) {
+        Entry::Occupied(e) if e.get().as_str() == s => e.get().clone(),
+        Entry::Occupied(_) => make(s),
+        Entry::Vacant(e) => e.insert(make(s)).clone(),
+    }
+}
+
+/// An element count, at most one element per remaining byte.
+fn take_count(buf: &[u8], pos: &mut usize) -> Option<usize> {
+    let n = take_u32(buf, pos)? as usize;
+    (n <= buf.len() - *pos).then_some(n)
+}
+
+fn take_str<'a>(buf: &'a [u8], pos: &mut usize) -> Option<&'a str> {
+    let len = take_u32(buf, pos)? as usize;
     let bytes = buf.get(*pos..*pos + len)?;
     *pos += len;
-    Some(Sym::from(std::str::from_utf8(bytes).ok()?))
+    std::str::from_utf8(bytes).ok()
 }
 
-fn take4(buf: &[u8], pos: &mut usize) -> Option<[u8; 4]> {
+pub(crate) fn take_u32(buf: &[u8], pos: &mut usize) -> Option<u32> {
     let b = buf.get(*pos..*pos + 4)?;
     *pos += 4;
-    b.try_into().ok()
+    Some(u32::from_le_bytes(b.try_into().ok()?))
 }
 
-fn take8(buf: &[u8], pos: &mut usize) -> Option<[u8; 8]> {
+pub(crate) fn take8(buf: &[u8], pos: &mut usize) -> Option<[u8; 8]> {
     let b = buf.get(*pos..*pos + 8)?;
     *pos += 8;
     b.try_into().ok()
@@ -276,13 +327,7 @@ impl WalWriter {
         for (i, doc) in docs.iter().enumerate() {
             payload.clear();
             encode_value(doc, &mut payload);
-            let seq = base_seq + i as u64;
-            let seq_bytes = seq.to_le_bytes();
-            let crc = crc32(&[&seq_bytes, &payload]);
-            self.file.write_all(&seq_bytes)?;
-            self.file.write_all(&(payload.len() as u32).to_le_bytes())?;
-            self.file.write_all(&crc.to_le_bytes())?;
-            self.file.write_all(&payload)?;
+            write_record(&mut self.file, base_seq + i as u64, &payload)?;
             self.written += 1;
             if self.sync == SyncPolicy::Always {
                 self.file.flush()?;
@@ -318,21 +363,21 @@ impl WalWriter {
     }
 }
 
+/// Frame one record: `[seq][len][crc][payload]`.
+fn write_record(out: &mut impl Write, seq: u64, payload: &[u8]) -> std::io::Result<()> {
+    let seq_bytes = seq.to_le_bytes();
+    out.write_all(&seq_bytes)?;
+    out.write_all(&(payload.len() as u32).to_le_bytes())?;
+    out.write_all(&crc32(&[&seq_bytes, payload]).to_le_bytes())?;
+    out.write_all(payload)
+}
+
 // ---------------------------------------------------------------- reader
 
 /// One replayable record: arrival index + raw payload bytes.
 pub(crate) struct RawRecord {
     pub(crate) seq: u64,
     pub(crate) payload: Vec<u8>,
-}
-
-impl RawRecord {
-    /// Decode the payload into the document value.
-    pub(crate) fn decode(&self) -> Option<Value> {
-        let mut pos = 0;
-        let v = decode_value(&self.payload, &mut pos)?;
-        (pos == self.payload.len()).then_some(v)
-    }
 }
 
 /// Read the longest valid record prefix of the log at `path`. A missing
@@ -353,28 +398,24 @@ pub(crate) fn read_records(path: &Path) -> std::io::Result<Vec<RawRecord>> {
     }
     let mut records = Vec::new();
     let mut pos = MAGIC.len();
-    while let Some(seq_bytes) = buf.get(pos..pos + 8) {
-        let Some(len_bytes) = buf.get(pos + 8..pos + 12) else {
-            break;
-        };
-        let Some(crc_bytes) = buf.get(pos + 12..pos + 16) else {
-            break;
-        };
-        let len = u32::from_le_bytes(len_bytes.try_into().expect("4 bytes")) as usize;
-        let Some(payload) = buf.get(pos + 16..pos + 16 + len) else {
-            break;
-        };
-        let crc = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
-        if crc32(&[seq_bytes, payload]) != crc {
-            break;
-        }
-        records.push(RawRecord {
-            seq: u64::from_le_bytes(seq_bytes.try_into().expect("8 bytes")),
-            payload: payload.to_vec(),
-        });
-        pos += 16 + len;
+    while let Some(record) = next_record(&buf, &mut pos) {
+        records.push(record);
     }
     Ok(records)
+}
+
+/// The record at `*pos`, advancing past it; `None` at a short read,
+/// length overrun or checksum mismatch — the end of the valid prefix.
+fn next_record(buf: &[u8], pos: &mut usize) -> Option<RawRecord> {
+    let seq = take8(buf, pos)?;
+    let len = take_u32(buf, pos)? as usize;
+    let crc = take_u32(buf, pos)?;
+    let payload = buf.get(*pos..*pos + len)?;
+    *pos += len;
+    (crc32(&[&seq, payload]) == crc).then(|| RawRecord {
+        seq: u64::from_le_bytes(seq),
+        payload: payload.to_vec(),
+    })
 }
 
 /// Atomically replace the log with `records` (seal rotation: the caller
@@ -386,12 +427,7 @@ pub(crate) fn rewrite(path: &Path, records: &[RawRecord]) -> std::io::Result<()>
         let mut f = BufWriter::new(File::create(&tmp)?);
         f.write_all(MAGIC)?;
         for r in records {
-            let seq_bytes = r.seq.to_le_bytes();
-            let crc = crc32(&[&seq_bytes, &r.payload]);
-            f.write_all(&seq_bytes)?;
-            f.write_all(&(r.payload.len() as u32).to_le_bytes())?;
-            f.write_all(&crc.to_le_bytes())?;
-            f.write_all(&r.payload)?;
+            write_record(&mut f, r.seq, &r.payload)?;
         }
         f.flush()?;
         f.get_ref().sync_data()?;
@@ -431,9 +467,7 @@ mod tests {
         let v = doc();
         let mut bytes = Vec::new();
         encode_value(&v, &mut bytes);
-        let mut pos = 0;
-        let back = decode_value(&bytes, &mut pos).unwrap();
-        assert_eq!(pos, bytes.len());
+        let back = SymTable::default().decode(&bytes).unwrap();
         // NaN != NaN under PartialEq, so compare re-encodings instead:
         // the codec is canonical, so bit-identical bytes ⇔ same value.
         let mut again = Vec::new();
@@ -447,10 +481,95 @@ mod tests {
     }
 
     #[test]
+    fn decode_rejects_trailing_bytes() {
+        let mut bytes = Vec::new();
+        encode_value(&doc(), &mut bytes);
+        bytes.push(TAG_NULL);
+        assert!(SymTable::default().decode(&bytes).is_none());
+        assert!(SymTable::default()
+            .decode(&bytes[..bytes.len() - 2])
+            .is_none());
+    }
+
+    #[test]
+    fn decoder_interns_keys_but_not_values() {
+        let encoded = |id: &str| {
+            let mut m = Map::new();
+            m.insert(prov_model::keys::task_id(), Value::Str(Sym::new(id)));
+            m.insert(Sym::from("hostname"), Value::Str(Sym::new("node-17")));
+            let mut bytes = Vec::new();
+            encode_value(&Value::object(m), &mut bytes);
+            bytes
+        };
+        let key = |v: &Value, name: &str| {
+            let mut keys = v.as_object().unwrap().keys();
+            keys.find(|k| k.as_str() == name).unwrap().clone()
+        };
+        let host = |v: &Value| v.get("hostname").unwrap().as_sym().unwrap().clone();
+        let (a, b) = (encoded("t-1"), encoded("t-2"));
+        let mut page = SymTable::default();
+        let (da, db) = (page.decode(&a).unwrap(), page.decode(&b).unwrap());
+        // Keys resolve to the global interner's symbols — the pre-seeded
+        // static for a hot key.
+        for doc in [&da, &db] {
+            assert!(Sym::ptr_eq(
+                &key(doc, "task_id"),
+                &prov_model::keys::task_id()
+            ));
+            assert!(Sym::ptr_eq(&key(doc, "hostname"), &Sym::intern("hostname")));
+        }
+        // A value repeated within one table shares one allocation ...
+        assert!(Sym::ptr_eq(&host(&da), &host(&db)));
+        // ... but the same value decoded through another table does not:
+        // values never reach the global interner.
+        let again = SymTable::default().decode(&a).unwrap();
+        assert_eq!(host(&again), host(&da));
+        assert!(!Sym::ptr_eq(&host(&again), &host(&da)));
+    }
+
+    /// The bytewise CRC-32 the slicing kernel must reproduce.
+    fn crc32_bytewise(parts: &[&[u8]]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for part in parts {
+            for &b in *part {
+                c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+            }
+        }
+        !c
+    }
+
+    #[test]
     fn crc_is_ieee() {
         // Known vector: CRC-32("123456789") = 0xCBF43926.
         assert_eq!(crc32(&[b"123456789"]), 0xCBF4_3926);
         assert_eq!(crc32(&[b"1234", b"56789"]), 0xCBF4_3926);
+        assert_eq!(crc32_bytewise(&[b"123456789"]), 0xCBF4_3926);
+        assert_eq!(crc32(&[]), 0);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Slicing-by-8 equals the bytewise referee on any input: every
+        /// tail length (`len % 8` from 0 to 7), subslices starting at an
+        /// unaligned offset, and the same bytes split into three parts
+        /// at arbitrary points.
+        #[test]
+        fn slicing_crc_matches_bytewise_referee(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..300),
+            skip in 0usize..8,
+            cut_a in 0usize..300,
+            cut_b in 0usize..300,
+        ) {
+            let data = &bytes[skip.min(bytes.len())..];
+            let want = crc32_bytewise(&[data]);
+            proptest::prop_assert_eq!(crc32(&[data]), want);
+            let (a, b) = (cut_a.min(data.len()), cut_b.min(data.len()));
+            let (lo, hi) = (a.min(b), a.max(b));
+            let parts: [&[u8]; 3] = [&data[..lo], &data[lo..hi], &data[hi..]];
+            proptest::prop_assert_eq!(crc32(&parts), want);
+            proptest::prop_assert_eq!(crc32_bytewise(&parts), want);
+        }
     }
 
     #[test]
@@ -467,7 +586,8 @@ mod tests {
         let records = read_records(&path).unwrap();
         assert_eq!(records.len(), 5);
         assert_eq!(records[4].seq, 4);
-        assert!(records.iter().all(|r| r.decode().is_some()));
+        let mut syms = SymTable::default();
+        assert!(records.iter().all(|r| syms.decode(&r.payload).is_some()));
 
         // Rotation keeps the tail, drops the sealed prefix.
         rewrite(&path, &records[3..]).unwrap();

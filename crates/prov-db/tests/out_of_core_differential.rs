@@ -270,9 +270,11 @@ fn snapshot_head_stops_paging_at_the_limit() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The deferred KV/graph hydration: point lookups and lineage traversals
-/// on a lazily opened store equal the oracle's, and repeated scans hit
-/// the resident set.
+/// The deferred KV/graph hydration: point lookups, the graph's shape and
+/// every task's lineage in both directions on a lazily opened store equal
+/// the oracle's — at a generous budget and at a one-byte budget that
+/// re-pages every chunk the hydration walks — and repeated scans hit the
+/// resident set.
 #[test]
 fn lazy_open_hydrates_kv_and_graph_on_first_read() {
     let (chunk, nshards) = geometry();
@@ -280,34 +282,49 @@ fn lazy_open_hydrates_kv_and_graph_on_first_read() {
     let msgs = corpus(n);
     let dir = fresh_dir("hydrate");
     seal_corpus(&dir, &msgs);
-
-    let lazy = open_lazy(&dir, 64 << 20);
     let oracle = oracle(&msgs);
-    // Graph first (hydration triggers here), then KV.
-    assert_eq!(
-        lazy.graph().upstream_lineage("t9", 10),
-        oracle.graph().upstream_lineage("t9", 10)
-    );
     let last = format!("t{}", n - 1);
-    for id in ["t0", "t2", "t9", last.as_str(), "missing"] {
-        // Compared by `Debug` rendering, like the fingerprint: every 11th
-        // `y` payload is NaN, which `Value`'s `==` never equals.
-        assert_eq!(
-            format!("{:?}", lazy.get_task(id).map(|m| m.to_value())),
-            format!("{:?}", oracle.get_task(id).map(|m| m.to_value())),
-            "task {id}"
-        );
-    }
-    assert_eq!(lazy.kv().len(), oracle.kv().len());
-    assert_eq!(lazy.graph().node_count(), oracle.graph().node_count());
 
-    // A warm re-scan is served from the resident set.
-    let _ = fingerprint(&lazy.snapshot(), &[GOLDEN[6]]);
-    let before = lazy.pager_stats();
-    let _ = fingerprint(&lazy.snapshot(), &[GOLDEN[6]]);
-    let after = lazy.pager_stats();
-    assert!(after.hits > before.hits, "warm scan must hit the cache");
-    drop(lazy);
+    for budget in [64 << 20, 1] {
+        let lazy = open_lazy(&dir, budget);
+        // Graph first (hydration triggers here), then KV.
+        let (graph, want) = (lazy.graph(), oracle.graph());
+        assert_eq!(graph.node_count(), want.node_count(), "budget {budget}");
+        assert_eq!(graph.edge_count(), want.edge_count(), "budget {budget}");
+        for msg in &msgs {
+            let id = msg.task_id.as_str();
+            assert_eq!(
+                graph.upstream_lineage(id, 10),
+                want.upstream_lineage(id, 10),
+                "upstream of {id} at budget {budget}"
+            );
+            assert_eq!(
+                graph.downstream_impact(id, 10),
+                want.downstream_impact(id, 10),
+                "downstream of {id} at budget {budget}"
+            );
+        }
+        for id in ["t0", "t2", "t9", last.as_str(), "missing"] {
+            // Compared by `Debug` rendering, like the fingerprint: every
+            // 11th `y` payload is NaN, which `Value`'s `==` never equals.
+            assert_eq!(
+                format!("{:?}", lazy.get_task(id).map(|m| m.to_value())),
+                format!("{:?}", oracle.get_task(id).map(|m| m.to_value())),
+                "task {id} at budget {budget}"
+            );
+        }
+        assert_eq!(lazy.kv().len(), oracle.kv().len(), "budget {budget}");
+
+        // A warm re-scan is served from the resident set.
+        if budget > 1 {
+            let _ = fingerprint(&lazy.snapshot(), &[GOLDEN[6]]);
+            let before = lazy.pager_stats();
+            let _ = fingerprint(&lazy.snapshot(), &[GOLDEN[6]]);
+            let after = lazy.pager_stats();
+            assert!(after.hits > before.hits, "warm scan must hit the cache");
+        }
+        drop(lazy);
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -25,6 +25,12 @@
 //!   content, with pointer-equality fast paths), so interning is purely an
 //!   allocation/dedup optimization and never changes behavior.
 //!
+//! The storage decoder follows the same contract: `prov-db`'s binary
+//! codec interns each distinct object key once per decoded batch (a docs
+//! page, a segment read, a WAL replay pass), and deduplicates string
+//! *values* only within that batch through [`Sym::new`] — decoded task
+//! ids and hostnames never reach the interner.
+//!
 //! The interner is sharded 16 ways by the cached content hash, so
 //! concurrent interning from capture threads does not serialize on one
 //! lock. It is pre-seeded with the hot provenance vocabulary (see
@@ -53,8 +59,9 @@ pub const MAX_INTERNED: usize = 1 << 16;
 pub const SHARDS: usize = 16;
 
 /// FNV-1a over `bytes` — the deterministic digest cached in every [`Sym`]
-/// and folded into [`crate::value::Value::stable_hash`].
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+/// (see [`Sym::hash_u64`]) and folded into
+/// [`crate::value::Value::stable_hash`].
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= b as u64;
