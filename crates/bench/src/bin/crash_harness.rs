@@ -18,12 +18,19 @@
 //!   the replaying referee, `ProvenanceDatabase::open_replayed`, so
 //!   crash recovery is held on the out-of-core path too.
 //!
+//! The store runs at most 64-row chunks and seals every 128 arrivals
+//! (smaller when `PROVDB_CHUNK` / `PROVDB_SEAL_ROWS` say so), and the
+//! child compacts its segments halfway through, so every schedule
+//! crosses `PSEG3` seals and a compaction: the golden set reads the
+//! discovered dataflow columns (`label`, and `mode`, whose kind changes
+//! mid-corpus and is poisoned) and the lineage presence column.
+//!
 //! Crash points come from a seeded LCG so a CI leg loops a reproducible
 //! schedule: `crash_harness --runs 12 --seed 7`. Any mismatch leaves the
 //! durable directory in place (under `PROVDB_TEST_ARTIFACT_DIR` when
 //! set) and exits non-zero so CI can upload the bytes.
 
-use prov_db::ProvenanceDatabase;
+use prov_db::{Config, ProvenanceDatabase};
 use prov_model::{TaskMessage, TaskMessageBuilder, TaskStatus};
 use provql::{execute, parse};
 use std::path::PathBuf;
@@ -41,10 +48,26 @@ const GOLDEN: &[&str] = &[
     r#"df.sort_values("started_at", ascending=False)[["task_id", "started_at"]].head(5)"#,
     r#"len(df[df["hostname"].isin(["n0", "n2"])])"#,
     r#"df["status"].value_counts()"#,
+    r#"len(df[df["depends_on"].notna()])"#,
+    r#"df[df["label"] == "L1"]["y"].sum()"#,
+    r#"df.groupby("label")["duration"].count()"#,
+    r#"len(df[df["mode"].isna()])"#,
 ];
 
+/// The store's configuration: the environment's, with chunks of at most
+/// 64 rows and a seal every 128 arrivals at most, so the corpus seals.
+fn config() -> Config {
+    let env = Config::from_env();
+    Config {
+        chunk_rows: env.chunk_rows.min(64),
+        seal_rows: env.seal_rows.min(128),
+        ..env
+    }
+}
+
 /// Same corpus family as `tests/recovery_differential.rs`: NaN payloads
-/// in `y` (never a sort key), lineage and agents sprinkled in.
+/// in `y` (never a sort key), lineage and agents sprinkled in; plus a
+/// string dataflow column and one that turns from float to string.
 fn corpus(n: usize) -> Vec<TaskMessage> {
     (0..n)
         .map(|i| {
@@ -66,7 +89,15 @@ fn corpus(n: usize) -> Vec<TaskMessage> {
             .host(format!("n{}", i % 4))
             .status(status)
             .span(i as f64, i as f64 + 1.5)
-            .uses("y", y);
+            .uses("y", y)
+            .generates("label", format!("L{}", i % 3));
+            if i % 5 == 1 {
+                b = if i < TOTAL / 2 {
+                    b.uses("mode", i as f64)
+                } else {
+                    b.uses("mode", "late")
+                };
+            }
             if i % 7 == 2 && i > 0 {
                 b = b.depends_on(format!("t{}", i - 1)).agent("agent-7");
             }
@@ -121,10 +152,13 @@ fn artifact_root() -> PathBuf {
 /// process from inside the WAL writer.
 fn run_child(dir: &str) -> i32 {
     let msgs = corpus(TOTAL);
-    let db = ProvenanceDatabase::open(dir).expect("child: open durable store");
-    for chunk in msgs.chunks(BATCH) {
+    let db = ProvenanceDatabase::open_with(dir, config()).expect("child: open durable store");
+    for (i, chunk) in msgs.chunks(BATCH).enumerate() {
         db.insert_batch_shared(chunk.iter().cloned().map(Arc::new));
         db.flush_views();
+        if i == TOTAL / BATCH / 2 {
+            db.compact_segments().expect("child: compact");
+        }
     }
     0
 }
@@ -164,7 +198,7 @@ fn run_parent(runs: u64, seed: u64) -> i32 {
         }
         // Recover through the default lazy path first (sealed prefix
         // attached cold, kv/graph hydrated on first access) …
-        let lazy = ProvenanceDatabase::open(&dir).expect("parent: recover store (lazy)");
+        let lazy = ProvenanceDatabase::open_with(&dir, config()).expect("parent: recover (lazy)");
         let got = lazy.insert_count();
         let oracle = ProvenanceDatabase::shared();
         oracle.insert_batch(&msgs[..got as usize]);
@@ -175,7 +209,7 @@ fn run_parent(runs: u64, seed: u64) -> i32 {
         drop(lazy);
         // … then again through the full replay: both open paths must
         // agree on the recovered prefix and every golden answer.
-        let replayed = ProvenanceDatabase::open_replayed(&dir, prov_db::Config::from_env())
+        let replayed = ProvenanceDatabase::open_replayed(&dir, config())
             .expect("parent: recover store (replayed)");
         let replayed_ok = replayed.insert_count() == got && fingerprint(&replayed) == want;
         drop(replayed);

@@ -542,14 +542,7 @@ pub(crate) fn message_row(m: &TaskMessage) -> Map {
             Value::array(m.depends_on.iter().map(|t| Value::Str(t.sym())).collect()),
         ));
     }
-    for (key, value) in m.used.flatten() {
-        let name = dataflow_column_name(&key, "used", &pairs);
-        pairs.push((Sym::from(name), value));
-    }
-    for (key, value) in m.generated.flatten() {
-        let name = dataflow_column_name(&key, "generated", &pairs);
-        pairs.push((Sym::from(name), value));
-    }
+    pairs.extend(dataflow_cells(&m.used, &m.generated));
     if let Some(t) = &m.telemetry_at_start {
         push_telemetry(&mut pairs, &derived.start, t);
         pairs.push((derived.cpu_start.clone(), Value::Float(t.cpu_mean())));
@@ -622,8 +615,82 @@ fn push_telemetry(pairs: &mut Vec<(Sym, Value)>, names: &[Sym; 8], t: &prov_mode
     pairs.extend(names.iter().cloned().zip(values));
 }
 
+/// Whether `name` is a column the fixed tail of a row may set after its
+/// dataflow cells — a telemetry leaf or derived mean of either section, or
+/// a `tags.{k}` cell — so that the tail, not a dataflow leaf of the same
+/// name, holds it wherever the row has that section or tag. A store that
+/// serves dataflow columns by name must leave these to the frame.
+pub fn row_tail_column(name: &str) -> bool {
+    let derived = derived_keys();
+    name.starts_with("tags.")
+        || derived
+            .start
+            .iter()
+            .chain(&derived.end)
+            .chain([
+                &derived.cpu_start,
+                &derived.cpu_end,
+                &derived.gpu_end,
+                &derived.mem_end,
+            ])
+            .any(|k| k.as_str() == name)
+}
+
+/// The cells a message's `used` and `generated` sections contribute to
+/// its frame row, named exactly as [`DataFrame::from_messages`] names
+/// them — the one naming rule the frame and any columnar store of the
+/// same leaves share.
+///
+/// Leaves are visited in `flatten` order (`used` first, each section's
+/// keys in map order, nested objects depth-first with dotted names; an
+/// empty object is a leaf, a non-object section has none). A leaf keeps
+/// its bare dotted name unless that clashes with a common field, a
+/// protected derived name (`duration`, `cpu_percent_*`) or a name an
+/// earlier leaf of this row took — then it is prefixed with its section
+/// (`used.x` / `generated.x`). Later cells of one name overwrite earlier
+/// ones, so each returned name appears once and holds the last value;
+/// the row's tail may still overwrite a [`row_tail_column`].
+pub fn dataflow_cells(used: &Value, generated: &Value) -> Vec<(Sym, Value)> {
+    let mut cells: Vec<(Sym, Value)> = Vec::new();
+    for (section, tree) in [("used", used), ("generated", generated)] {
+        let Value::Object(m) = tree else { continue };
+        for (key, value) in m.iter() {
+            match value {
+                Value::Object(inner) if !inner.is_empty() => {
+                    value.for_each_leaf(&mut |rest, leaf| {
+                        let name = format!("{key}.{rest}");
+                        let name = dataflow_column_name(&name, section, &cells);
+                        cells.push((Sym::from(name), leaf.clone()));
+                    });
+                }
+                leaf => {
+                    let renamed = dataflow_column_name(key.as_str(), section, &cells);
+                    let name = if renamed == key.as_str() {
+                        key.clone()
+                    } else {
+                        Sym::from(renamed)
+                    };
+                    cells.push((name, leaf.clone()));
+                }
+            }
+        }
+    }
+    // Later cells win, like the row map's repeated inserts.
+    let mut i = 0;
+    while i < cells.len() {
+        if cells[i + 1..].iter().any(|(k, _)| *k == cells[i].0) {
+            cells.remove(i);
+        } else {
+            i += 1;
+        }
+    }
+    cells
+}
+
 /// Bare name unless it clashes with a common field or a column this same
-/// row already set (e.g. `used.x` and `generated.x`).
+/// row already set (e.g. `used.x` and `generated.x`). Every fixed column a
+/// row sets before its dataflow cells is a common field, so the row so far
+/// can be just the dataflow cells.
 fn dataflow_column_name(key: &str, section: &str, row: &[(Sym, Value)]) -> String {
     let clashes = prov_model::schema::common_field(key).is_some()
         || row.iter().any(|(k, _)| k.as_str() == key)
@@ -924,6 +991,32 @@ mod tests {
             pairs.push((Sym::from(format!("tags.{k}")), v.clone()));
         }
         Map::from_iter(pairs)
+    }
+
+    #[test]
+    fn dataflow_cells_name_like_the_row() {
+        let m = TaskMessageBuilder::new("c", "wf", "a")
+            .uses("x", 1.0)
+            .generates("x", 2.0)
+            .uses("status", "shadowed")
+            .generates("frags", obj! {"label" => "A", "n" => 2})
+            .build();
+        let names: Vec<String> = dataflow_cells(&m.used, &m.generated)
+            .into_iter()
+            .map(|(k, _)| k.to_string())
+            .collect();
+        assert_eq!(
+            names,
+            ["used.status", "x", "frags.label", "frags.n", "generated.x"]
+        );
+        let row = message_row(&m);
+        for (k, v) in dataflow_cells(&m.used, &m.generated) {
+            assert_eq!(row.get(k.as_str()), Some(&v), "{k}");
+        }
+        assert!(row_tail_column("tags.anomaly"));
+        assert!(row_tail_column("telemetry_at_end.disk.read_bytes"));
+        assert!(row_tail_column("gpu_percent_end"));
+        assert!(!row_tail_column("frags.label"));
     }
 
     #[test]

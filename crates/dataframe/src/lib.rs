@@ -38,6 +38,8 @@ pub use column::Column;
 pub use display::{render, DisplayOptions};
 pub use dtype::DType;
 pub use expr::{cmp_matches, col, lit, values_equal, ArithOp, CmpOp, Expr};
-pub use frame::{sort_cell_cmp, DataFrame, FrameError, FrameResult};
+pub use frame::{
+    dataflow_cells, row_tail_column, sort_cell_cmp, DataFrame, FrameError, FrameResult,
+};
 pub use groupby::GroupBy;
 pub use window::{example_rendering, MessageWindow, MAX_EXAMPLES};

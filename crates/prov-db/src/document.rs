@@ -15,7 +15,7 @@
 //! dense and ascending, and every query sorts its hits by id, so results
 //! keep insertion order exactly as the single-lock engine did.
 
-use crate::columnar::{self, ColField, ColPredicate, ColumnarShard, ShardPred};
+use crate::columnar::{self, ColField, ColPredicate, ColumnarShard, Kind, Registry, ShardPred};
 use crate::config::Config;
 use crate::pager::{ColdShard, PagerCore, PagerStats};
 use crate::query::{Condition, DocQuery, GroupSpec, Op};
@@ -239,8 +239,8 @@ impl Shard {
 struct ShardChunk<'g> {
     base: usize,
     lc: usize,
-    /// Which dictionaries `cols` codes against: the global chunk index of
-    /// a cold chunk, the shard's cold chunk count for the resident tail.
+    /// The cold prefix's chunk index the pages are keyed on (the shard's
+    /// cold chunk count for the resident tail).
     source: usize,
     /// The shard's cold prefix, for a cold chunk.
     cold: Option<&'g ColdShard>,
@@ -362,8 +362,13 @@ pub struct DocumentStore {
     /// Columnar fields whose raw document values diverged from their
     /// decoded frame values (index hints disabled; see `crate::columnar`).
     col_irregular: AtomicU16,
-    /// Columnar fields shadowed by a dataflow key (no longer servable).
-    col_poison: AtomicU16,
+    /// The column catalog shared by every shard, paged chunk and seal:
+    /// names, kinds and poison flags by column id.
+    registry: RwLock<Registry>,
+    /// Whether a `PSEG1`/`PSEG2` segment is attached cold: its chunks
+    /// know neither the lineage presence column nor any discovered
+    /// column, so none of those is servable.
+    legacy_cold: AtomicBool,
     /// Rows per columnar chunk of every shard (`Config::chunk_rows`).
     chunk_rows: usize,
     /// Whether any shard carries a cold on-disk prefix (set once by
@@ -415,7 +420,8 @@ impl DocumentStore {
             router: AtomicUsize::new(0),
             indexes: RwLock::new(HashMap::new()),
             col_irregular: AtomicU16::new(0),
-            col_poison: AtomicU16::new(0),
+            registry: RwLock::new(Registry::default()),
+            legacy_cold: AtomicBool::new(false),
             chunk_rows: config.chunk_rows.max(1),
             cold_attached: AtomicBool::new(false),
             pager: std::sync::OnceLock::new(),
@@ -432,8 +438,20 @@ impl DocumentStore {
     /// any resident row is inserted (the lazy open path attaches first,
     /// then materializes the WAL tail), so every resident slot sits
     /// above the cold prefix.
-    pub(crate) fn attach_cold(&self, core: Arc<PagerCore>, cold: Vec<ColdShard>) {
+    pub(crate) fn attach_cold(&self, core: Arc<PagerCore>, mut cold: Vec<ColdShard>) {
         assert_eq!(cold.len(), self.shards.len(), "one cold prefix per shard");
+        {
+            let mut reg = self.registry.write();
+            for c in &mut cold {
+                c.bind(&mut reg);
+            }
+            for c in &cold {
+                c.poison_unlisted(&mut reg);
+            }
+        }
+        if cold.iter().any(ColdShard::has_legacy) {
+            self.legacy_cold.store(true, Ordering::Release);
+        }
         for (lock, shard_cold) in self.shards.iter().zip(cold) {
             let mut guard = lock.write();
             assert!(guard.docs.is_empty(), "cold prefix attaches before ingest");
@@ -500,6 +518,14 @@ impl DocumentStore {
             let row = columnar::extract(&doc);
             per_shard[(base + i) % nshards].push((doc, row));
         }
+        // One catalog pass per batch names every dataflow cell's column
+        // (and applies poison) before any shard lock is taken.
+        {
+            let mut reg = self.registry.write();
+            for (_, row) in per_shard.iter_mut().flatten() {
+                reg.resolve(row);
+            }
+        }
 
         let mut indexes = self.indexes.write();
         let mut first: Option<DocId> = None;
@@ -516,20 +542,16 @@ impl DocumentStore {
                         index_insert(index, id, v);
                     }
                 }
-                self.apply_columnar_report(shard.cols.push_row(row));
+                self.apply_irregular(shard.cols.push_row(row).irregular);
                 shard.docs.push(doc);
             }
         }
         first
     }
 
-    pub(crate) fn apply_columnar_report(&self, report: columnar::PushReport) {
-        if report.irregular != 0 {
-            self.col_irregular
-                .fetch_or(report.irregular, Ordering::Release);
-        }
-        if report.poison != 0 {
-            self.col_poison.fetch_or(report.poison, Ordering::Release);
+    pub(crate) fn apply_irregular(&self, irregular: u16) {
+        if irregular != 0 {
+            self.col_irregular.fetch_or(irregular, Ordering::Release);
         }
     }
 
@@ -692,12 +714,11 @@ impl DocumentStore {
         if guard.docs.len() < hi {
             return None;
         }
-        let mut zones = guard.cols.export_zone_tables(lo, hi)?;
-        // Stamp the store-wide pushdown masks into the footer so a lazy
-        // open recovers them without re-extracting the sealed rows.
+        // The footer's column table carries the store-wide poison flags
+        // and the irregular mask is stamped in, so a lazy open recovers
+        // both without re-extracting the sealed rows.
+        let (mut zones, cols) = crate::segment::export(&guard.cols, lo, hi, &self.registry.read())?;
         zones.irregular = self.col_irregular.load(Ordering::Acquire);
-        zones.poison = self.col_poison.load(Ordering::Acquire);
-        let cols = crate::segment::col_runs(&guard.cols, lo, hi);
         Some((guard.docs[lo..hi].to_vec(), zones, cols))
     }
 
@@ -1026,8 +1047,9 @@ impl DocumentStore {
         // means every row decodes.
         let rows = self.shard_rows();
         let coded = match self.columnar_field(&group.key) {
-            Some(f @ ColField::Str(_))
-                if query.conditions.is_empty()
+            Some(f)
+                if f.idx() < columnar::STR_FIELDS.len()
+                    && query.conditions.is_empty()
                     && self.col_irregular.load(Ordering::Acquire) & columnar::field_bit(f) == 0
                     && self.columnar_presence(&group.key, &rows) == Some(rows.iter().sum()) =>
             {
@@ -1135,15 +1157,38 @@ impl DocumentStore {
     }
 
     /// Whether a frame column can currently be served from the sidecar:
-    /// the column is a hot field and no ingested dataflow key has
-    /// poisoned it.
+    /// it is a fixed or discovered value column (not the presence-only
+    /// lineage column) that nothing has poisoned.
     pub fn columnar_servable(&self, column: &str) -> bool {
         self.columnar_field(column).is_some()
     }
 
+    /// Whether the sidecar knows which rows hold `column` — every
+    /// servable column, plus the lineage presence column — so its
+    /// `notna()`/`isna()` tests run over the vectors.
+    pub fn columnar_presence_known(&self, column: &str) -> bool {
+        self.presence_field(column).is_some()
+    }
+
+    /// The unpoisoned column `column`, presence-only (`depends_on`)
+    /// included when `presence` says so. The lineage and discovered
+    /// columns (ids from `FIXED - 1` on) are withheld while a legacy
+    /// segment is attached, since its chunks do not know them.
+    fn registry_field(&self, column: &str, presence: bool) -> Option<ColField> {
+        let reg = self.registry.read();
+        let f = reg.get(column)?;
+        let usable = !reg.is_poisoned(f)
+            && (presence || reg.kind(f) != Kind::Flag)
+            && (f.idx() < columnar::FIXED - 1 || !self.legacy_cold.load(Ordering::Acquire));
+        usable.then_some(f)
+    }
+
+    fn presence_field(&self, column: &str) -> Option<ColField> {
+        self.registry_field(column, true)
+    }
+
     fn columnar_field(&self, column: &str) -> Option<ColField> {
-        let f = columnar::lookup(column)?;
-        (self.col_poison.load(Ordering::Acquire) & columnar::field_bit(f) == 0).then_some(f)
+        self.registry_field(column, false)
     }
 
     /// Presence of a servable column among the rows below a per-shard
@@ -1299,6 +1344,10 @@ impl DocumentStore {
                 ScanPredicate::In(col, list) => {
                     Some(columnar::ColPredicate::In(self.columnar_field(col)?, list))
                 }
+                ScanPredicate::Present(col, want) => Some(columnar::ColPredicate::Present(
+                    self.presence_field(col)?,
+                    *want,
+                )),
             })
             .collect()
     }
@@ -1328,7 +1377,7 @@ impl DocumentStore {
                     CmpOp::Ne => return None,
                 };
                 Some(Condition {
-                    path: columnar::field_name(*f).to_string(),
+                    path: columnar::fixed_column(f.idx()).0.to_string(),
                     op,
                     value: (*lit).clone(),
                 })
@@ -1486,7 +1535,7 @@ impl DocumentStore {
         if !columnar::hint_safe(field, self.col_irregular.load(Ordering::Acquire)) {
             return None;
         }
-        let path = columnar::field_name(field);
+        let path = columnar::fixed_column(field.idx()).0;
         // Merge any pending appends first (needs the write lock; taken
         // before the shard guards to respect lock order).
         {
@@ -1565,20 +1614,21 @@ impl DocumentStore {
         ids: &[DocId],
         column: &str,
     ) -> Option<(Vec<Value>, Vec<u32>)> {
-        let columnar::ColField::Str(ci) = self.columnar_field(column)? else {
+        let f = self.columnar_field(column)?;
+        if self.registry.read().kind(f) != Kind::Str {
             return None;
-        };
+        }
         let nshards = self.shards.len();
         let guards: Vec<_> = self.shards.iter().map(|s| s.read()).collect();
-        // `code → group` caches per chunk source ([`ShardChunk::source`]),
-        // sized and filled on first use.
-        let mut code_maps: Vec<Vec<Vec<u32>>> = guards
-            .iter()
-            .map(|g| vec![Vec::new(); g.cold_chunks() + 1])
-            .collect();
+        // `code → group` caches per dictionary (a resident shard's own, or
+        // a segment footer's that all its paged chunks share), sized and
+        // filled on first use. Each entry holds its dictionary, so no
+        // address is reused while the map lives.
+        type CodeMap = (Arc<columnar::Dict>, Vec<u32>);
+        let mut code_maps: HashMap<*const columnar::Dict, CodeMap> = HashMap::new();
         // Content hash → candidate groups (collisions resolved by real
-        // symbol equality), probed only on each source's first sighting of
-        // a code.
+        // symbol equality), probed only on each dictionary's first
+        // sighting of a code.
         let mut by_hash: HashMap<u64, Vec<u32>> = HashMap::new();
         let mut keys: Vec<Value> = Vec::new();
         let mut null_group = u32::MAX;
@@ -1589,41 +1639,40 @@ impl DocumentStore {
             let (chunk, row) = cursors[s]
                 .at(id / nshards)
                 .expect("scanned id resolves in an append-only store");
-            let cols = chunk.cols();
-            let code = cols.str_codes(ci)[row];
-            let g = if code == columnar::NULL_CODE {
-                // Decodable rows always provide every string field, but a
-                // null-key group keeps the kernel total.
-                if null_group == u32::MAX {
-                    null_group = keys.len() as u32;
-                    keys.push(Value::Null);
+            let g = match chunk.cols().str_code(row, f) {
+                Some((code, dict)) if code != columnar::NULL_CODE => {
+                    let (_, map) = code_maps
+                        .entry(Arc::as_ptr(dict))
+                        .or_insert_with(|| (Arc::clone(dict), vec![u32::MAX; dict.len()]));
+                    let cached = map[code as usize];
+                    if cached != u32::MAX {
+                        cached
+                    } else {
+                        let sym = &dict.syms()[code as usize];
+                        let bucket = by_hash.entry(sym.hash_u64()).or_default();
+                        let g = match bucket
+                            .iter()
+                            .find(|&&g| matches!(&keys[g as usize], Value::Str(k) if k == sym))
+                        {
+                            Some(&g) => g,
+                            None => {
+                                let g = keys.len() as u32;
+                                bucket.push(g);
+                                keys.push(Value::Str(sym.clone()));
+                                g
+                            }
+                        };
+                        map[code as usize] = g;
+                        g
+                    }
                 }
-                null_group
-            } else {
-                let map = &mut code_maps[s][chunk.source];
-                if map.is_empty() {
-                    *map = vec![u32::MAX; cols.dict(ci).len()];
-                }
-                let cached = map[code as usize];
-                if cached != u32::MAX {
-                    cached
-                } else {
-                    let sym = &cols.dict(ci)[code as usize];
-                    let bucket = by_hash.entry(sym.hash_u64()).or_default();
-                    let g = match bucket
-                        .iter()
-                        .find(|&&g| matches!(&keys[g as usize], Value::Str(k) if k == sym))
-                    {
-                        Some(&g) => g,
-                        None => {
-                            let g = keys.len() as u32;
-                            bucket.push(g);
-                            keys.push(Value::Str(sym.clone()));
-                            g
-                        }
-                    };
-                    map[code as usize] = g;
-                    g
+                _ => {
+                    // A null key cell gets its own group.
+                    if null_group == u32::MAX {
+                        null_group = keys.len() as u32;
+                        keys.push(Value::Null);
+                    }
+                    null_group
                 }
             };
             row_groups.push(g);
@@ -1678,6 +1727,8 @@ pub enum ScanPredicate<'a> {
     /// `column.isin(list)` membership ([`dataframe::values_equal`]
     /// any-match).
     In(&'a str, &'a [Value]),
+    /// `column.notna()` (`true`) or `column.isna()` (`false`).
+    Present(&'a str, bool),
 }
 
 /// Outcome of a [`DocumentStore::columnar_topk_where`] scan.

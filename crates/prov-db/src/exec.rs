@@ -23,7 +23,8 @@
 //!
 //! * a pipeline's output exposes the whole frame width (no projection,
 //!   whole-row `loc`, `describe`, subset-less `drop_duplicates`) — only
-//!   the corpus-wide column union can answer those;
+//!   the corpus-wide column union can answer those (among the golden
+//!   questions, only q15's `df.loc[df["y"].idxmax()]`);
 //! * a referenced column is absent from every visible document — the
 //!   oracle decides whether that is an all-null column or an unknown-column
 //!   error, and its error message carries the full available-column list;
@@ -92,6 +93,10 @@ impl PushdownCapability for ProvenanceDatabase {
         // sorted index, which is itself columnar), so whatever lives
         // columnar can be ordered without materializing a frame.
         self.documents_unflushed().columnar_servable(column)
+    }
+    fn pushable_presence(&self, column: &str) -> bool {
+        // The columnar set plus the presence-only lineage column.
+        self.documents_unflushed().columnar_presence_known(column)
     }
 }
 
@@ -245,8 +250,9 @@ fn exec_pipeline_columnar(
     columns: &[String],
     bound: &[usize],
 ) -> Option<Pushdown> {
-    let mut filters: Vec<ScanPredicate<'_>> =
-        Vec::with_capacity(p.scan.pushed.len() + p.scan.columnar.len() + p.scan.isin.len());
+    let mut filters: Vec<ScanPredicate<'_>> = Vec::with_capacity(
+        p.scan.pushed.len() + p.scan.columnar.len() + p.scan.isin.len() + p.scan.nulls.len(),
+    );
     for f in &p.scan.pushed {
         // Pushed conjuncts are re-verified against the decoded cell values
         // so index/frame coercion differences can never leak a row the
@@ -265,6 +271,10 @@ fn exec_pipeline_columnar(
         // lists) inside the scan kernels; the planner already kept any
         // null-element list residual.
         filters.push(ScanPredicate::In(f.column.as_str(), &f.values));
+    }
+    for f in &p.scan.nulls {
+        // A presence test: one bit (or null code) per row.
+        filters.push(ScanPredicate::Present(f.column.as_str(), f.present));
     }
     let survivors = if p.scan.sort.is_empty() {
         store.columnar_scan_where(&filters, p.scan.limit, bound)?

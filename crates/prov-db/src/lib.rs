@@ -148,6 +148,7 @@ pub use graph::{GraphBatch, GraphEdge, GraphNode, GraphStore};
 pub use kv::KvStore;
 pub use pager::PagerStats;
 pub use query::{AggOp, Aggregate, Condition, DocQuery, GroupSpec, Op};
+#[doc(hidden)]
 pub use serve::{QueryServer, ServeConfig, ServeError, ServeStats, SubmitError};
 pub use snapshot::StoreSnapshot;
 pub use store::{DurableStats, ProvenanceDatabase};

@@ -16,8 +16,10 @@
 //! A cold chunk has two pages, kept under the one LRU and the one budget:
 //!
 //! * its **cols page**, a one-chunk [`ColumnarShard`] that every columnar
-//!   kernel reads. A `PSEG2` segment serves it with one positional read
-//!   and one CRC check of the chunk's column block; no document is
+//!   kernel reads. A `PSEG3` segment serves it with one positional read,
+//!   one CRC check and one bulk decode of the chunk's column block (each
+//!   held column built in one pass, its dictionary shared with the
+//!   footer, its zone taken from the footer directory); no document is
 //!   decoded. It is accounted at its real heap bytes.
 //! * its **docs page**, the chunk's decoded documents, paged only when
 //!   something needs documents: a document walk, a projection the columns
@@ -29,11 +31,15 @@
 //!
 //! A cols page holds exactly the cells the resident sidecar held when the
 //! chunk was sealed: its column block stores that sidecar's codes (against
-//! the footer's dictionary snapshot) and raw float bits, and the page is
-//! rebuilt through the same [`ColumnarShard::push_row`] ingest runs, so
-//! even its dictionaries come out in the same first-appearance order. A
-//! `PSEG1` segment has no blocks: its cols page is derived from its docs
-//! page with [`columnar::extract`], the ingest extraction. Docs pages are
+//! the footer's dictionary snapshot, which the page adopts) and raw float
+//! bits, under the column ids the store's registry gives the footer's
+//! column names ([`ColdShard::bind`]). A `PSEG2` segment's blocks hold
+//! the fourteen scalar fields and decode the same way; a `PSEG1` segment
+//! has no blocks, so its cols page is derived from its docs page with
+//! [`columnar::extract`], the ingest extraction, over the fixed columns.
+//! Neither knows the lineage presence column or discovered columns, which
+//! the store serves by decoding documents while such a segment is
+//! attached. Docs pages are
 //! CRC-verified record by record and decoded with the WAL's canonical
 //! codec through one [`crate::wal::SymTable`] per page, so a string
 //! repeated across the page's documents is allocated once. The document
@@ -57,7 +63,7 @@
 //! are store corruption discovered after open — like the WAL append path,
 //! they panic with the failing path rather than silently dropping rows.
 
-use crate::columnar::{self, ColField, ColPredicate, ColumnarShard};
+use crate::columnar::{self, ColField, ColPredicate, ColumnarShard, Registry};
 use crate::segment::{self, Footer, SegmentMeta, ZoneTables, DATA_START};
 use crate::wal::SymTable;
 use parking_lot::Mutex;
@@ -120,9 +126,13 @@ pub(crate) struct ColdSegment {
     meta: SegmentMeta,
     file: File,
     zones: ZoneTables,
-    /// Column-block bounds (`n_chunks + 1` offsets) from a `PSEG2`
-    /// footer; `None` for a `PSEG1` file, which has no blocks.
+    /// Column-block bounds (`n_chunks + 1` offsets) from a `PSEG2` or
+    /// `PSEG3` footer; `None` for a `PSEG1` file, which has no blocks.
     blocks: Option<Vec<u64>>,
+    /// Store column of each footer column, set by [`ColdShard::bind`].
+    ids: Vec<ColField>,
+    /// Footer column of each store column id (`u32::MAX`: none).
+    local: Vec<u32>,
     /// Document-record bounds per chunk (`n_chunks + 1` offsets): set
     /// from a `PSEG2` footer at attach, or built on first touch of a
     /// `PSEG1` file with one buffered walk over the record headers — no
@@ -143,7 +153,54 @@ impl ColdSegment {
             zones: footer.zones,
             blocks,
             offsets,
+            ids: Vec::new(),
+            local: Vec::new(),
         }
+    }
+
+    /// Map the footer's columns onto the store's registry (registering
+    /// new names, poisoning on a poisoned footer column or a kind
+    /// conflict) and carry its catalog overflow over.
+    fn bind(&mut self, reg: &mut Registry) {
+        if self.zones.overflowed {
+            reg.set_overflowed();
+        }
+        self.ids = self
+            .zones
+            .columns
+            .iter()
+            .map(|c| {
+                let f = reg.bind(&c.name, c.kind);
+                if c.poisoned {
+                    reg.poison(f);
+                }
+                f
+            })
+            .collect();
+        let n = self.ids.iter().map(|f| f.idx() + 1).max().unwrap_or(0);
+        self.local = vec![u32::MAX; n];
+        for (i, f) in self.ids.iter().enumerate() {
+            self.local[f.idx()] = i as u32;
+        }
+    }
+
+    /// Poison every discovered column an overflowed footer does not
+    /// list: the segment's rows may hold cells of it that it does not
+    /// carry.
+    fn poison_unlisted(&self, reg: &mut Registry) {
+        if self.zones.overflowed {
+            for i in columnar::FIXED..reg.len() {
+                let f = ColField(i as u32);
+                if self.local(f).is_none() {
+                    reg.poison(f);
+                }
+            }
+        }
+    }
+
+    /// The footer column of store column `f`.
+    fn local(&self, f: ColField) -> Option<u32> {
+        self.local.get(f.idx()).copied().filter(|&i| i != u32::MAX)
     }
 
     /// Bytes `[a, b)` of the file, read positionally.
@@ -234,7 +291,7 @@ impl ColdSegment {
         let block = self.read_range(blocks[lc], blocks[lc + 1]);
         let chunk = self.meta.chunk as usize;
         Some(
-            segment::decode_col_block(&block, self.rows(lc), chunk, &self.zones.str_dicts)
+            segment::decode_col_block(&block, self.rows(lc), chunk, &self.zones, lc, &self.ids)
                 .unwrap_or_else(|fault| page_fault(fault, &self.meta)),
         )
     }
@@ -372,9 +429,10 @@ pub(crate) struct ColdShard {
     segs: Vec<ColdSegment>,
     core: Arc<PagerCore>,
     shard: usize,
-    /// Present cells per field over the cold rows, summed from the
-    /// footer zone maps at attach time (no I/O at query time).
-    present: [usize; columnar::STR_FIELDS.len() + columnar::F64_FIELDS.len()],
+    /// Present cells per column id over the cold rows, summed from the
+    /// footer directories by [`bind`](Self::bind) (no I/O at query
+    /// time).
+    present: Vec<usize>,
 }
 
 impl ColdShard {
@@ -387,31 +445,45 @@ impl ColdShard {
         shard: usize,
     ) -> Self {
         debug_assert!(rows.is_multiple_of(chunk.max(1)));
-        let mut present = [0usize; columnar::STR_FIELDS.len() + columnar::F64_FIELDS.len()];
-        for seg in &segs {
-            let covered = (seg.meta.end.min(rows as u64) - seg.meta.start) as usize;
-            let chunks = covered / chunk.max(1);
-            for (i, zones) in seg.zones.str_zones.iter().enumerate() {
-                present[i] += zones[..chunks]
-                    .iter()
-                    .map(|&(_, _, p)| p as usize)
-                    .sum::<usize>();
-            }
-            for (i, zones) in seg.zones.f64_zones.iter().enumerate() {
-                present[columnar::STR_FIELDS.len() + i] += zones[..chunks]
-                    .iter()
-                    .map(|&(_, _, p, _)| p as usize)
-                    .sum::<usize>();
-            }
-        }
         Self {
             rows,
             chunk,
             segs,
             core,
             shard,
-            present,
+            present: Vec::new(),
         }
+    }
+
+    /// Map every attached footer's columns onto the store's registry and
+    /// sum the present cells per column over the cold rows.
+    pub(crate) fn bind(&mut self, reg: &mut Registry) {
+        for seg in &mut self.segs {
+            seg.bind(reg);
+        }
+        let mut present = vec![0usize; reg.len()];
+        for seg in &self.segs {
+            let covered = (seg.meta.end.min(self.rows as u64) - seg.meta.start) as usize;
+            for dir in &seg.zones.chunks[..covered / self.chunk.max(1)] {
+                for (i, zone) in &dir.held {
+                    present[seg.ids[*i as usize].idx()] += zone.present() as usize;
+                }
+            }
+        }
+        self.present = present;
+    }
+
+    /// After every shard's [`bind`](Self::bind): poison the discovered
+    /// columns an overflowed footer does not list.
+    pub(crate) fn poison_unlisted(&self, reg: &mut Registry) {
+        for seg in &self.segs {
+            seg.poison_unlisted(reg);
+        }
+    }
+
+    /// Whether an attached segment is `PSEG1`/`PSEG2`.
+    pub(crate) fn has_legacy(&self) -> bool {
+        self.segs.iter().any(|s| s.zones.legacy)
     }
 
     /// Cold rows of this shard (a whole-chunk multiple).
@@ -431,10 +503,7 @@ impl ColdShard {
 
     /// Present cells of a field over all cold rows (from the footers).
     pub(crate) fn present(&self, f: ColField) -> usize {
-        match f {
-            ColField::Str(i) => self.present[i],
-            ColField::F64(i) => self.present[columnar::STR_FIELDS.len() + i],
-        }
+        self.present.get(f.idx()).copied().unwrap_or(0)
     }
 
     /// Present cells of a field among the first `n` cold rows: whole
@@ -448,10 +517,9 @@ impl ColdShard {
         let mut sum = 0usize;
         for c in 0..full {
             let (seg, lc) = self.locate(c);
-            sum += match f {
-                ColField::Str(i) => seg.zones.str_zones[i][lc].2 as usize,
-                ColField::F64(i) => seg.zones.f64_zones[i][lc].2 as usize,
-            };
+            if let Some(i) = seg.local(f) {
+                sum += seg.zones.zone(lc, i).present() as usize;
+            }
         }
         let boundary = n - full * self.chunk;
         if boundary > 0 {
@@ -483,14 +551,10 @@ impl ColdShard {
     /// [`columnar::ColumnarShard::chunk_prunable`].
     pub(crate) fn chunk_prunable(&self, preds: &[ColPredicate<'_>], c: usize) -> bool {
         let (seg, lc) = self.locate(c);
-        let prunable = seg.zones.chunk_decodable[lc] == 0
-            || preds.iter().any(|p| match p {
-                ColPredicate::Cmp(f, op, lit) => {
-                    seg.zones
-                        .chunk_skips(columnar::field_name(*f), *op, lit, lc, self.chunk as u32)
-                }
-                // In-lists have no footer test; never prune on them.
-                ColPredicate::In(..) => false,
+        let prunable = seg.zones.chunks[lc].decodable == 0
+            || preds.iter().any(|p| {
+                seg.zones
+                    .chunk_skips(p, seg.local(p.field()), lc, self.chunk as u32)
             });
         if prunable {
             self.core.note_zone_skip();
@@ -503,8 +567,10 @@ impl ColdShard {
         let page = self.core.get((self.shard, c, PageKind::Cols), || {
             let (seg, lc) = self.locate(c);
             let cols = seg.load_cols(lc).unwrap_or_else(|| {
-                // A `PSEG1` segment has no column blocks: derive the page
-                // from the docs page with the extraction ingest runs.
+                // A `PSEG1` segment has no column blocks: derive the
+                // page's fixed columns from the docs page with the
+                // extraction ingest runs (its discovered cells stay
+                // unresolved: they are served by decoding documents).
                 let mut cols = ColumnarShard::with_chunk(self.chunk);
                 for doc in self.docs(c).iter() {
                     cols.push_row(columnar::extract(doc));
@@ -541,7 +607,7 @@ impl ColdShard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::segment::{col_runs, read_footer, write_segment, write_segment_pseg1, Format};
+    use crate::segment::{read_footer, write_segment, Format};
     use dataframe::CmpOp;
     use prov_model::{obj, TaskMessageBuilder};
     use std::path::{Path, PathBuf};
@@ -567,16 +633,14 @@ mod tests {
         }
     }
 
-    /// Every columnar field.
-    fn fields() -> Vec<ColField> {
-        (0..columnar::STR_FIELDS.len())
-            .map(ColField::Str)
-            .chain((0..columnar::F64_FIELDS.len()).map(ColField::F64))
-            .collect()
+    /// Every column of `reg`.
+    fn fields(reg: &Registry) -> Vec<ColField> {
+        (0..reg.len() as u32).map(ColField).collect()
     }
 
     /// Well-formed tasks mixed with undecodable documents and decodable
-    /// rows that miss hot fields and carry NaN cells.
+    /// rows that miss hot fields and carry NaN cells; dataflow cells of
+    /// both kinds, one of them only in later chunks, and lineage.
     fn corpus(n: usize) -> Vec<Arc<Value>> {
         (0..n)
             .map(|i| {
@@ -585,38 +649,57 @@ mod tests {
                     1 => obj! {
                         "task_id" => format!("t{i}"), "workflow_id" => "wf",
                         "activity_id" => "act-1", "started_at" => f64::NAN,
+                        "generated" => obj! {"y" => f64::NAN},
                     },
-                    _ => TaskMessageBuilder::new(
-                        format!("t{i}"),
-                        format!("wf-{}", i / 10),
-                        format!("act-{}", i % 3),
-                    )
-                    .span(i as f64, i as f64 + 0.5)
-                    .build()
-                    .to_value(),
+                    _ => {
+                        let mut b = TaskMessageBuilder::new(
+                            format!("t{i}"),
+                            format!("wf-{}", i / 10),
+                            format!("act-{}", i % 3),
+                        )
+                        .span(i as f64, i as f64 + 0.5)
+                        .generates("y", i as f64 * 2.0);
+                        if i % 3 == 0 {
+                            b = b.depends_on(format!("t{}", i - 1));
+                        }
+                        if i >= 2 * CHUNK {
+                            b = b.uses("mode", format!("m{}", i % 2));
+                        }
+                        b.build().to_value()
+                    }
                 })
             })
             .collect()
     }
 
     /// Seal `docs` (whole chunks) in `format` as shard 0's only segment;
-    /// returns the resident sidecar the segment was sealed from and the
-    /// segment, attached from its footer on disk.
-    fn seal(dir: &Path, docs: &[Arc<Value>], format: Format) -> (ColumnarShard, ColdSegment) {
+    /// returns the resident sidecar the segment was sealed from, its
+    /// registry, and the segment, attached from its footer on disk.
+    fn seal(
+        dir: &Path,
+        docs: &[Arc<Value>],
+        format: Format,
+    ) -> (ColumnarShard, Registry, ColdSegment) {
         let mut cols = ColumnarShard::with_chunk(CHUNK);
+        let mut reg = Registry::default();
         for d in docs {
-            cols.push_doc(d);
+            cols.push_doc(d, &mut reg);
         }
-        let zones = cols.export_zone_tables(0, docs.len()).unwrap();
+        let (zones, runs) = segment::export(&cols, 0, docs.len(), &reg).unwrap();
         let meta = SegmentMeta::new(dir, 1, 0, 0, CHUNK as u32, docs.len());
+        write_segment(&meta, docs, &runs, &zones).unwrap();
         let meta = match format {
-            Format::Pseg2 => {
-                write_segment(&meta, docs, &col_runs(&cols, 0, docs.len()), &zones).unwrap();
-                meta
+            Format::Pseg3 => meta,
+            legacy => {
+                segment::tests::downgrade_segment(&meta.path, (legacy == Format::Pseg2) as u8 + 1)
+                    .unwrap();
+                SegmentMeta {
+                    format: legacy,
+                    ..meta
+                }
             }
-            Format::Pseg1 => write_segment_pseg1(&meta, docs, &zones).unwrap(),
         };
-        (cols, attach(meta))
+        (cols, reg, attach(meta))
     }
 
     /// Attach a written segment the way a lazy open does.
@@ -638,25 +721,20 @@ mod tests {
         budget: usize,
     ) -> (ColdShard, Arc<PagerCore>) {
         let core = Arc::new(PagerCore::new(budget));
-        (
-            ColdShard::new(docs.len(), CHUNK, vec![seg], Arc::clone(&core), 0),
-            core,
-        )
+        let mut cold = ColdShard::new(docs.len(), CHUNK, vec![seg], Arc::clone(&core), 0);
+        cold.bind(&mut Registry::default());
+        (cold, core)
     }
 
-    /// Both formats page cells equal to the sidecar they were sealed from
-    /// (undecodable rows, missing hot fields and NaN cells included), and
-    /// the same rows sealed as `PSEG1` and as `PSEG2` page byte-identical
-    /// cols and docs pages. A `PSEG2` cols page decodes no document.
+    /// Every format pages cells equal to the sidecar it was sealed from
+    /// (undecodable rows, missing hot fields, NaN cells, lineage and
+    /// discovered columns included — a legacy page knows no discovered
+    /// column, a `PSEG2` one not the lineage column), its footer prunes
+    /// soundly, and the docs pages of every format are identical. Only a
+    /// `PSEG1` cols page decodes documents.
     #[test]
     fn paged_chunks_equal_the_sidecar_they_were_sealed_from() {
         let docs = corpus(CHUNK * 4);
-        let dir1 = Scratch::new("eq1");
-        let dir2 = Scratch::new("eq2");
-        let (resident, seg1) = seal(&dir1.0, &docs, Format::Pseg1);
-        let (_, seg2) = seal(&dir2.0, &docs, Format::Pseg2);
-        let (v1, core1) = cold_shard(&docs, seg1, usize::MAX);
-        let (v2, core2) = cold_shard(&docs, seg2, usize::MAX);
         let lits = [
             Value::Float(0.0),
             Value::Float(12.0),
@@ -665,6 +743,7 @@ mod tests {
             Value::from("wf"),
             Value::from("act-1"),
             Value::from("t7"),
+            Value::from("m1"),
         ];
         let list = [Value::from("act-1"), Value::Null, Value::Float(3.0)];
         let ops = [
@@ -676,74 +755,88 @@ mod tests {
             CmpOp::Ge,
         ];
         let show = |d: &[Arc<Value>]| format!("{d:?}");
-        for c in 0..docs.len() / CHUNK {
-            let base = c * CHUNK;
-            let (cols1, cols2) = (v1.cols(c), v2.cols(c));
-            assert_eq!(
-                col_runs(&cols1, 0, CHUNK).bytes(),
-                col_runs(&cols2, 0, CHUNK).bytes(),
-                "chunk {c}: PSEG1 and PSEG2 cols pages differ"
-            );
-            for i in 0..columnar::STR_FIELDS.len() {
-                assert_eq!(cols1.dict(i), cols2.dict(i), "chunk {c}: dictionary {i}");
-            }
-            // Debug output tells NaN cells apart from nulls.
-            assert_eq!(show(&v1.docs(c)), show(&v2.docs(c)));
-            assert_eq!(show(&v2.docs(c)), show(&docs[base..base + CHUNK]));
-            let paged = &cols2;
-            assert_eq!(paged.len(), CHUNK);
-            for r in 0..CHUNK {
-                assert_eq!(
-                    paged.is_decodable(r),
-                    resident.is_decodable(base + r),
-                    "decodable, row {}",
-                    base + r
-                );
-                for f in fields() {
-                    assert_eq!(
-                        format!("{:?}", paged.value(r, f)),
-                        format!("{:?}", resident.value(base + r, f)),
-                        "row {} field {}",
-                        base + r,
-                        columnar::field_name(f)
-                    );
-                }
-            }
-            for f in fields() {
-                for n in 0..=CHUNK {
-                    assert_eq!(
-                        paged.present_prefix(f, n),
-                        resident.present_prefix(f, base + n) - resident.present_prefix(f, base),
-                    );
-                }
-                let mut preds: Vec<Vec<ColPredicate<'_>>> = vec![vec![ColPredicate::In(f, &list)]];
-                for op in ops {
-                    preds.extend(lits.iter().map(|lit| vec![ColPredicate::Cmp(f, op, lit)]));
-                }
-                for p in &preds {
-                    let want: Vec<u32> = survivors(&resident, c, p)
-                        .into_iter()
-                        .map(|s| s - base as u32)
-                        .collect();
-                    assert_eq!(survivors(paged, 0, p), want, "chunk {c}: {p:?}");
-                }
-            }
-        }
-        // A PSEG1 cols page is derived from its docs page; a PSEG2 one
-        // reads its column block only, until the docs are asked for.
         let chunks = (docs.len() / CHUNK) as u64;
-        let (s1, s2) = (core1.stats(), core2.stats());
-        assert_eq!((s1.paged_in, s1.paged_in_docs), (2 * chunks, chunks));
-        assert_eq!((s2.paged_in, s2.paged_in_docs), (2 * chunks, chunks));
-        let (_, seg2) = seal(&dir2.0, &docs, Format::Pseg2);
-        let (cold, core) = cold_shard(&docs, seg2, usize::MAX);
-        for c in 0..docs.len() / CHUNK {
-            cold.cols(c);
+        for format in [Format::Pseg1, Format::Pseg2, Format::Pseg3] {
+            let dir = Scratch::new(&format!("eq-{format:?}"));
+            let (resident, reg, seg) = seal(&dir.0, &docs, format);
+            let (cold, core) = cold_shard(&docs, seg, usize::MAX);
+            // A `PSEG1` page is extracted from documents over the fixed
+            // columns; a `PSEG2` block holds the fourteen scalar fields.
+            let known = |f: ColField| match format {
+                Format::Pseg1 => f.idx() < columnar::FIXED,
+                Format::Pseg2 => f.idx() < columnar::FIXED - 1,
+                Format::Pseg3 => true,
+            };
+            for c in 0..docs.len() / CHUNK {
+                let base = c * CHUNK;
+                let paged = cold.cols(c);
+                assert_eq!(paged.len(), CHUNK);
+                // Debug output tells NaN cells apart from nulls.
+                assert_eq!(show(&cold.docs(c)), show(&docs[base..base + CHUNK]));
+                for r in 0..CHUNK {
+                    assert_eq!(paged.is_decodable(r), resident.is_decodable(base + r));
+                    for f in fields(&reg).into_iter().filter(|&f| known(f)) {
+                        assert_eq!(
+                            format!("{:?}", paged.value(r, f)),
+                            format!("{:?}", resident.value(base + r, f)),
+                            "{format:?} row {} column {}",
+                            base + r,
+                            reg.name(f)
+                        );
+                    }
+                }
+                for f in fields(&reg).into_iter().filter(|&f| known(f)) {
+                    for n in 0..=CHUNK {
+                        assert_eq!(
+                            paged.present_prefix(f, n),
+                            resident.present_prefix(f, base + n) - resident.present_prefix(f, base),
+                        );
+                    }
+                    let mut preds: Vec<Vec<ColPredicate<'_>>> = vec![
+                        vec![ColPredicate::In(f, &list)],
+                        vec![ColPredicate::Present(f, true)],
+                        vec![ColPredicate::Present(f, false)],
+                    ];
+                    if reg.kind(f) == columnar::Kind::Flag {
+                        preds.truncate(0);
+                        preds.push(vec![ColPredicate::Present(f, true)]);
+                        preds.push(vec![ColPredicate::Present(f, false)]);
+                    }
+                    for op in ops {
+                        if reg.kind(f) != columnar::Kind::Flag {
+                            preds
+                                .extend(lits.iter().map(|lit| vec![ColPredicate::Cmp(f, op, lit)]));
+                        }
+                    }
+                    for p in &preds {
+                        let want: Vec<u32> = survivors(&resident, c, p)
+                            .into_iter()
+                            .map(|s| s - base as u32)
+                            .collect();
+                        assert_eq!(survivors(&paged, 0, p), want, "{format:?} chunk {c}: {p:?}");
+                        // A pruned chunk has no survivor.
+                        if cold.chunk_prunable(p, c) {
+                            assert!(want.is_empty(), "{format:?} chunk {c} pruned: {p:?}");
+                        }
+                    }
+                }
+            }
+            let s = core.stats();
+            assert_eq!((s.paged_in, s.paged_in_docs), (2 * chunks, chunks));
+            // A `PSEG1` cols page is derived from its docs page; the
+            // others read their column block only.
+            let docs_pages = if format == Format::Pseg1 { chunks } else { 0 };
+            let (_, _, seg) = seal(&dir.0, &docs, format);
+            let (cold, core) = cold_shard(&docs, seg, usize::MAX);
+            for c in 0..docs.len() / CHUNK {
+                cold.cols(c);
+            }
+            assert_eq!(
+                (core.stats().paged_in, core.stats().paged_in_docs),
+                (chunks + docs_pages, docs_pages),
+                "{format:?}"
+            );
         }
-        assert_eq!(
-            (core.stats().paged_in, core.stats().paged_in_docs),
-            (chunks, 0)
-        );
     }
 
     #[test]
@@ -755,7 +848,7 @@ mod tests {
             (s.hits, s.paged_in, s.evicted, s.resident_chunks)
         };
 
-        let (_, seg) = seal(&dir.0, &docs, Format::Pseg2);
+        let (_, _, seg) = seal(&dir.0, &docs, Format::Pseg3);
         let (cold, core) = cold_shard(&docs, seg, 1);
         let first = cold.docs(0);
         assert_eq!(counts(&core), (0, 1, 1, 0));
@@ -774,7 +867,7 @@ mod tests {
 
         // With room to spare, a re-read is a hit and nothing is evicted;
         // the two pages of a chunk are cached apart.
-        let (_, seg) = seal(&dir.0, &docs, Format::Pseg2);
+        let (_, _, seg) = seal(&dir.0, &docs, Format::Pseg3);
         let (cold, core) = cold_shard(&docs, seg, usize::MAX);
         cold.docs(0);
         cold.docs(0);
@@ -794,7 +887,7 @@ mod tests {
     fn footer_pruning_counts_a_zone_skip_and_pages_nothing() {
         let dir = Scratch::new("prune");
         let docs = corpus(CHUNK * 3);
-        let (_, seg) = seal(&dir.0, &docs, Format::Pseg2);
+        let (_, _, seg) = seal(&dir.0, &docs, Format::Pseg3);
         let (cold, core) = cold_shard(&docs, seg, usize::MAX);
         let act = columnar::lookup("activity_id").unwrap();
         let absent = Value::from("no-such-activity");
@@ -816,8 +909,8 @@ mod tests {
     fn a_flipped_column_block_byte_faults_its_page() {
         let dir = Scratch::new("flip");
         let docs = corpus(CHUNK * 3);
-        let (_, seg) = seal(&dir.0, &docs, Format::Pseg2);
-        let blocks = seg.blocks.clone().expect("PSEG2 has column blocks");
+        let (_, _, seg) = seal(&dir.0, &docs, Format::Pseg3);
+        let blocks = seg.blocks.clone().expect("PSEG3 has column blocks");
         let meta = seg.meta.clone();
         drop(seg);
         let mut bytes = std::fs::read(&meta.path).unwrap();

@@ -5,19 +5,19 @@
 //! shard to disk and rotates the sealed records out of the WAL. A
 //! segment is one shard's rows `[start, end)` — always whole
 //! `PROVDB_CHUNK`-row chunks, so the in-memory chunk zone maps of
-//! [`crate::columnar`] (`StrZone`/`F64Zone`) can be serialized *as* the
-//! segment footer instead of inventing a second pruning structure:
-//! on-disk scans consult the footer and prune whole segments before
-//! reading a single document.
+//! [`crate::columnar`] can be serialized *as* the segment footer instead
+//! of inventing a second pruning structure: on-disk scans consult the
+//! footer and prune whole chunks before reading a single byte of them.
 //!
 //! ## File layout (`seg-nNN-sSS-rAAAAAAAAAA-BBBBBBBBBB.seg`)
 //!
 //! ```text
-//! "PSEG2\n"                                  magic (6 bytes)
+//! "PSEG3\n"                                  magic (6 bytes)
 //! [nshards u32][shard u32][start u64][end u64][chunk u32][n_docs u32]
 //! n_docs × [len u32][crc u32][payload]       document region, slot order
 //! n_chunks × column block                    column region, chunk order
-//! footer                                     zone tables, then the layout
+//! footer                                     column table, chunk directory,
+//!                                            then the layout
 //! [footer_len u32][footer_crc u32]"PSEGF\n"  tail (14 bytes)
 //! ```
 //!
@@ -27,24 +27,40 @@
 //!   facade routes arrivals round-robin, so this is self-describing
 //!   even if the store is later reopened with a different shard count.
 //! * Documents use the WAL's binary value codec, individually
-//!   checksummed. The footer is the serialized zone tables plus the
-//!   per-column dictionaries (codes are shard-local; the dictionary
-//!   snapshot makes the code intervals meaningful after restart).
-//! * A **column block** holds one chunk's columnar cells, so a scan can
-//!   page the hot fields without decoding a document:
+//!   checksummed.
+//! * The footer's **column table** names every column the store knew at
+//!   seal time, in column-id order: `[n u32]`, then per column
+//!   `[name_len u32][name][kind u8][poisoned u8]`, and for a string column
+//!   its dictionary, `[n_syms u32]` × `[len u32][bytes]` (codes are
+//!   shard-local; the snapshot makes them meaningful after restart). The
+//!   `poisoned` flag is the store-wide pushdown poison at seal time.
+//! * The footer's **chunk directory** says which columns each chunk holds:
+//!   `[n_chunks u32]`, then per chunk `[decodable u32][n_held u32]` and per
+//!   held column `[column u32]` plus its zone — string `[min_code u32]
+//!   [max_code u32][present u32]`, float `[min u64][max u64][present u32]
+//!   [nan u32]` (raw `f64` bits), flag `[present u32]`. A chunk holds a
+//!   column when it has a present cell of it and the column is not
+//!   poisoned, so a column a chunk never holds costs that chunk no bytes.
+//!   Then `[irregular u32]`, the store-wide irregular-field mask, and
+//!   `[overflowed u8]`: whether the store's catalog had overflowed
+//!   ([`crate::columnar::MAX_DISCOVERED`]), in which case a discovered
+//!   column the table does not list is unknown here, not absent.
+//! * A **column block** holds one chunk's cells of the columns its
+//!   directory lists, in directory order, so a scan can page the columns
+//!   without decoding a document:
 //!
 //!   ```text
-//!   decodable bitmap                   ceil(rows / 8) bytes, bit r = row r
-//!   per string field: [width u8]       1, 2 or 4; 0 when every cell is null
-//!                     rows × width     codes (LE) into the footer dictionary;
-//!                                      all-ones is the null code
-//!   per float field:  presence bitmap  ceil(rows / 8) bytes
-//!                     present × u64    raw `f64` bits of the present cells
-//!   [crc u32]                          over the block
+//!   decodable bitmap                 ceil(rows / 8) bytes, bit r = row r
+//!   per held string column: [width u8]  1, 2 or 4
+//!                     rows × width   codes (LE) into the footer dictionary;
+//!                                    all-ones is the null code
+//!   per held float column: presence bitmap, then present × u64 raw bits
+//!   per held flag column:  presence bitmap
+//!   [crc u32]                        over the block
 //!   ```
 //!
 //!   The width is the narrowest that keeps every present code below the
-//!   all-ones null code, chosen per block and field.
+//!   all-ones null code, chosen per block and column.
 //! * The footer's **layout** table locates both regions per chunk:
 //!   `[n_chunks u32]`, then `n_chunks + 1` document-record bounds and
 //!   `n_chunks + 1` column-block bounds (absolute `u64` offsets).
@@ -52,106 +68,197 @@
 //! * The tail makes the footer locatable without parsing the documents:
 //!   [`read_footer`] reads 14 bytes from the end, then the footer.
 //!
-//! `PSEG1` files (the same header and records, no column region, a footer
-//! without the layout table) stay readable; nothing writes them any more.
+//! `PSEG1` (documents and a zone footer over the fourteen scalar hot
+//! fields) and `PSEG2` (the same plus column blocks of those fields and
+//! the layout) files stay readable; nothing writes them any more. Their
+//! footers parse into the same tables, with a directory listing the
+//! fourteen fields, so footer pruning serves them unchanged and a `PSEG2`
+//! block decodes like a `PSEG3` one (a listed field without a present
+//! cell, width 0 or an empty bitmap, yields no vector). They know nothing
+//! of the lineage presence column or discovered dataflow columns, so a
+//! store with such a segment attached serves neither from the columns
+//! until compaction writes it forward.
 //!
 //! Segments are written to a temp file, synced, and renamed into place;
 //! a crash mid-seal leaves at most an ignorable `*.tmp`. **Compaction**
-//! merges a shard's contiguous sealed runs into one `PSEG2` segment. When
-//! every input is `PSEG2` and their dictionaries are prefix-compatible it
-//! reuses their serialized chunk zones and copies their document records
-//! and column blocks verbatim after checking every CRC. Otherwise (a
-//! `PSEG1` input among them, or incompatible dictionaries) it rebuilds
-//! zones and blocks from a fresh columnar pass. It deletes the inputs
-//! after the rename; a crash in between leaves overlapping segments,
-//! which [`scan_dir`] resolves by keeping the widest coverage and
-//! deleting the contained leftovers.
+//! merges a shard's contiguous sealed runs into one `PSEG3` segment. When
+//! every input is `PSEG3` and their column tables and dictionaries are
+//! prefix-compatible it reuses their serialized chunk directories and
+//! copies their document records and column blocks verbatim after
+//! checking every CRC. Otherwise (a `PSEG1`/`PSEG2` input among them, or
+//! incompatible tables) it rebuilds the directory and the blocks from a
+//! fresh columnar pass — which is how an old directory is written
+//! forward. It deletes the inputs after the rename; a crash in between
+//! leaves overlapping segments, which [`scan_dir`] resolves by keeping the
+//! widest coverage and deleting the contained leftovers.
 
-use crate::columnar::{ColumnarShard, ExtractedRow, F64_FIELDS, NULL_CODE, STR_FIELDS};
+use crate::columnar::{
+    compile_pred, Cells, ColField, ColPredicate, ColSource, Column, ColumnarShard, Dict, Kind,
+    Registry, Zone, F64_FIELDS, FIXED, NULL_CODE, STR_FIELDS,
+};
 use crate::wal::{crc32, encode_value, sync_dir, take8, take_u32, SymTable};
-use dataframe::CmpOp;
 use prov_model::{Sym, Value};
 use std::fs::File;
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Magic of the row-file format, read but no longer written.
+/// Magics of the formats read but no longer written.
 const MAGIC_V1: &[u8; 6] = b"PSEG1\n";
-const MAGIC: &[u8; 6] = b"PSEG2\n";
+const MAGIC_V2: &[u8; 6] = b"PSEG2\n";
+const MAGIC: &[u8; 6] = b"PSEG3\n";
 const TAIL_MAGIC: &[u8; 6] = b"PSEGF\n";
 
 /// Byte length of the fixed header (magic + metadata: 6 + 4 + 4 + 8 + 8
-/// + 4 + 4), i.e. where the document records begin in both formats.
+/// + 4 + 4), i.e. where the document records begin in every format.
 pub(crate) const DATA_START: u64 = 38;
 
-/// The serialized form of one segment's chunk zone maps — exactly the
-/// in-memory `StrZone`/`F64Zone` tables of [`crate::columnar`] for the
-/// sealed chunk range, plus the per-column dictionary snapshot that
-/// makes string codes meaningful across restarts.
+/// One column of a footer's column table.
+#[derive(Clone)]
+pub(crate) struct FooterColumn {
+    pub(crate) name: Sym,
+    pub(crate) kind: Kind,
+    /// Store-wide pushdown poison at seal time.
+    pub(crate) poisoned: bool,
+    /// The shard dictionary at seal time (`code → symbol`,
+    /// first-appearance order — a prefix of any later one); empty for
+    /// non-string columns.
+    pub(crate) dict: Arc<Dict>,
+}
+
+/// One chunk's directory entry.
+#[derive(Clone)]
+pub(crate) struct ChunkDir {
+    /// Decodable rows.
+    pub(crate) decodable: u32,
+    /// The columns the chunk holds (column-table index, ascending) with
+    /// their zones.
+    pub(crate) held: Vec<(u32, Zone)>,
+}
+
+/// The serialized form of one segment's columnar metadata — the column
+/// table, the chunk directory with each held column's zone map, and the
+/// store-wide irregular mask (see the module docs for the byte layout).
+#[derive(Clone)]
 pub(crate) struct ZoneTables {
-    /// Per string column: the shard dictionary at seal time (`code →
-    /// symbol`, first-appearance order — a prefix of any later dict).
-    pub(crate) str_dicts: Vec<Vec<Sym>>,
-    /// Per string column, per sealed chunk: `(min_code, max_code,
-    /// present)` with the empty-interval sentinel `min > max`.
-    pub(crate) str_zones: Vec<Vec<(u32, u32, u32)>>,
-    /// Per float column, per sealed chunk: `(min, max, present, nan)`
-    /// over the finite present cells (`min = ∞, max = -∞` when none).
-    pub(crate) f64_zones: Vec<Vec<(f64, f64, u32, u32)>>,
-    /// Decodable rows per sealed chunk.
-    pub(crate) chunk_decodable: Vec<u32>,
-    /// Store-wide irregular-column bitmask at seal time (the columnar
-    /// sidecar's pushdown poison state). A lazily opened store ORs the
-    /// masks of its attached segments instead of re-extracting every
-    /// sealed document, which yields the same bits: every document's
-    /// ingest report is folded into the store mask before its seal.
+    pub(crate) columns: Vec<FooterColumn>,
+    pub(crate) chunks: Vec<ChunkDir>,
+    /// Store-wide irregular-column bitmask at seal time. A lazily opened
+    /// store ORs the masks (and the poison flags) of its attached
+    /// segments instead of re-extracting every sealed document, which
+    /// yields the same bits: every document's ingest report is folded
+    /// into the store state before its seal.
     pub(crate) irregular: u16,
-    /// Store-wide telemetry-poison bitmask at seal time (same contract
-    /// as [`irregular`](Self::irregular)).
-    pub(crate) poison: u16,
+    /// Whether the store's catalog had overflowed at seal time
+    /// ([`crate::columnar::MAX_DISCOVERED`]): a discovered column missing
+    /// from the table may still have cells in this segment's rows.
+    pub(crate) overflowed: bool,
+    /// Parsed from a `PSEG1`/`PSEG2` footer: a column missing from the
+    /// table is unknown there, not absent.
+    pub(crate) legacy: bool,
+}
+
+fn put_u32(out: &mut Vec<u8>, v: u32) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+fn put_str(out: &mut Vec<u8>, s: &str) {
+    put_u32(out, s.len() as u32);
+    out.extend_from_slice(s.as_bytes());
+}
+
+fn take_str(buf: &[u8], pos: &mut usize) -> Option<Sym> {
+    let len = take_u32(buf, pos)? as usize;
+    let bytes = buf.get(*pos..pos.checked_add(len)?)?;
+    *pos += len;
+    Some(Sym::from(std::str::from_utf8(bytes).ok()?))
+}
+
+/// A length prefix no larger than the bytes left (each entry takes at
+/// least one byte), so a corrupt count cannot ask for a huge allocation.
+fn take_count(buf: &[u8], pos: &mut usize) -> Option<usize> {
+    let n = take_u32(buf, pos)? as usize;
+    (n <= buf.len() - *pos).then_some(n)
+}
+
+fn take_f64(buf: &[u8], pos: &mut usize) -> Option<f64> {
+    Some(f64::from_bits(u64::from_le_bytes(take8(buf, pos)?)))
+}
+
+fn put_zone(out: &mut Vec<u8>, z: &Zone) {
+    match *z {
+        Zone::Str {
+            min_code,
+            max_code,
+            present,
+        } => {
+            put_u32(out, min_code);
+            put_u32(out, max_code);
+            put_u32(out, present);
+        }
+        Zone::F64 {
+            min,
+            max,
+            present,
+            nan,
+        } => {
+            out.extend_from_slice(&min.to_bits().to_le_bytes());
+            out.extend_from_slice(&max.to_bits().to_le_bytes());
+            put_u32(out, present);
+            put_u32(out, nan);
+        }
+        Zone::Flag { present } => put_u32(out, present),
+    }
+}
+
+fn take_zone(buf: &[u8], pos: &mut usize, kind: Kind) -> Option<Zone> {
+    Some(match kind {
+        Kind::Str => Zone::Str {
+            min_code: take_u32(buf, pos)?,
+            max_code: take_u32(buf, pos)?,
+            present: take_u32(buf, pos)?,
+        },
+        Kind::F64 => Zone::F64 {
+            min: take_f64(buf, pos)?,
+            max: take_f64(buf, pos)?,
+            present: take_u32(buf, pos)?,
+            nan: take_u32(buf, pos)?,
+        },
+        Kind::Flag => Zone::Flag {
+            present: take_u32(buf, pos)?,
+        },
+    })
 }
 
 impl ZoneTables {
-    /// Canonical serialization (the byte-identity the round-trip tests
-    /// pin): dictionaries, string zones, float zones (raw `f64` bits),
-    /// decodable counts — all length-prefixed little-endian.
+    /// Canonical `PSEG3` serialization (the byte-identity the round-trip
+    /// tests pin).
     pub(crate) fn to_bytes(&self) -> Vec<u8> {
+        debug_assert!(!self.legacy, "legacy footers are never written");
         let mut out = Vec::new();
-        put_u32(&mut out, self.str_dicts.len() as u32);
-        for dict in &self.str_dicts {
-            put_u32(&mut out, dict.len() as u32);
-            for sym in dict {
-                let b = sym.as_str().as_bytes();
-                put_u32(&mut out, b.len() as u32);
-                out.extend_from_slice(b);
+        put_u32(&mut out, self.columns.len() as u32);
+        for col in &self.columns {
+            put_str(&mut out, col.name.as_str());
+            out.push(col.kind.tag());
+            out.push(u8::from(col.poisoned));
+            if col.kind == Kind::Str {
+                put_u32(&mut out, col.dict.len() as u32);
+                for sym in col.dict.syms() {
+                    put_str(&mut out, sym.as_str());
+                }
             }
         }
-        put_u32(&mut out, self.str_zones.len() as u32);
-        for zones in &self.str_zones {
-            put_u32(&mut out, zones.len() as u32);
-            for &(min, max, present) in zones {
-                put_u32(&mut out, min);
-                put_u32(&mut out, max);
-                put_u32(&mut out, present);
+        put_u32(&mut out, self.chunks.len() as u32);
+        for chunk in &self.chunks {
+            put_u32(&mut out, chunk.decodable);
+            put_u32(&mut out, chunk.held.len() as u32);
+            for (col, zone) in &chunk.held {
+                put_u32(&mut out, *col);
+                put_zone(&mut out, zone);
             }
-        }
-        put_u32(&mut out, self.f64_zones.len() as u32);
-        for zones in &self.f64_zones {
-            put_u32(&mut out, zones.len() as u32);
-            for &(min, max, present, nan) in zones {
-                out.extend_from_slice(&min.to_bits().to_le_bytes());
-                out.extend_from_slice(&max.to_bits().to_le_bytes());
-                put_u32(&mut out, present);
-                put_u32(&mut out, nan);
-            }
-        }
-        put_u32(&mut out, self.chunk_decodable.len() as u32);
-        for &n in &self.chunk_decodable {
-            put_u32(&mut out, n);
         }
         put_u32(&mut out, self.irregular as u32);
-        put_u32(&mut out, self.poison as u32);
+        out.push(u8::from(self.overflowed));
         out
     }
 
@@ -163,178 +270,204 @@ impl ZoneTables {
         Self::read(buf, &mut pos).filter(|_| pos == buf.len())
     }
 
-    /// Parse serialized zone tables starting at `*pos`, advancing it past
-    /// them; `None` on malformed input.
+    /// Parse `PSEG3` tables starting at `*pos`, advancing it past them;
+    /// `None` on malformed input.
     fn read(buf: &[u8], pos: &mut usize) -> Option<Self> {
-        let ncols = take_u32(buf, pos)? as usize;
-        let mut str_dicts = Vec::with_capacity(ncols);
+        let ncols = take_count(buf, pos)?;
+        let mut columns = Vec::with_capacity(ncols);
         for _ in 0..ncols {
-            let n = take_u32(buf, pos)? as usize;
-            if n > buf.len() - *pos {
-                return None;
+            let name = take_str(buf, pos)?;
+            let kind = Kind::from_tag(*buf.get(*pos)?)?;
+            let poisoned = match *buf.get(*pos + 1)? {
+                0 => false,
+                1 => true,
+                _ => return None,
+            };
+            *pos += 2;
+            let mut syms = Vec::new();
+            if kind == Kind::Str {
+                let n = take_count(buf, pos)?;
+                syms.reserve(n);
+                for _ in 0..n {
+                    syms.push(take_str(buf, pos)?);
+                }
             }
-            let mut dict = Vec::with_capacity(n);
-            for _ in 0..n {
-                let len = take_u32(buf, pos)? as usize;
-                let bytes = buf.get(*pos..*pos + len)?;
-                *pos += len;
-                dict.push(Sym::from(std::str::from_utf8(bytes).ok()?));
-            }
-            str_dicts.push(dict);
+            columns.push(FooterColumn {
+                name,
+                kind,
+                poisoned,
+                dict: Arc::new(Dict::from_syms(syms)),
+            });
         }
-        let ncols = take_u32(buf, pos)? as usize;
-        let mut str_zones = Vec::with_capacity(ncols);
-        for _ in 0..ncols {
-            let n = take_u32(buf, pos)? as usize;
-            if n > buf.len() - *pos {
-                return None;
-            }
-            let mut zones = Vec::with_capacity(n);
+        let nchunks = take_count(buf, pos)?;
+        let mut chunks = Vec::with_capacity(nchunks);
+        for _ in 0..nchunks {
+            let decodable = take_u32(buf, pos)?;
+            let n = take_count(buf, pos)?;
+            let mut held = Vec::with_capacity(n);
             for _ in 0..n {
-                let min = take_u32(buf, pos)?;
-                let max = take_u32(buf, pos)?;
-                let present = take_u32(buf, pos)?;
-                zones.push((min, max, present));
+                let col = take_u32(buf, pos)?;
+                // Ascending, known columns only.
+                if held.last().is_some_and(|&(prev, _)| prev >= col) {
+                    return None;
+                }
+                let kind = columns.get(col as usize)?.kind;
+                held.push((col, take_zone(buf, pos, kind)?));
             }
-            str_zones.push(zones);
+            chunks.push(ChunkDir { decodable, held });
         }
-        let ncols = take_u32(buf, pos)? as usize;
-        let mut f64_zones = Vec::with_capacity(ncols);
-        for _ in 0..ncols {
-            let n = take_u32(buf, pos)? as usize;
-            if n > buf.len() - *pos {
-                return None;
-            }
-            let mut zones = Vec::with_capacity(n);
-            for _ in 0..n {
-                let min = f64::from_bits(u64::from_le_bytes(take8(buf, pos)?));
-                let max = f64::from_bits(u64::from_le_bytes(take8(buf, pos)?));
-                let present = take_u32(buf, pos)?;
-                let nan = take_u32(buf, pos)?;
-                zones.push((min, max, present, nan));
-            }
-            f64_zones.push(zones);
-        }
-        let n = take_u32(buf, pos)? as usize;
-        if n > buf.len() - *pos {
+        let irregular = u16::try_from(take_u32(buf, pos)?).ok()?;
+        let overflowed = match *buf.get(*pos)? {
+            0 => false,
+            1 => true,
+            _ => return None,
+        };
+        *pos += 1;
+        Some(Self {
+            columns,
+            chunks,
+            irregular,
+            overflowed,
+            legacy: false,
+        })
+    }
+
+    /// Parse the zone tables of a `PSEG1`/`PSEG2` footer: per string
+    /// field its dictionary, per field its chunk zones, the decodable
+    /// counts, then the irregular and poison masks. Every chunk lists all
+    /// fourteen fields (their column blocks hold every one).
+    fn read_legacy(buf: &[u8], pos: &mut usize) -> Option<Self> {
+        let mut columns: Vec<FooterColumn> = Vec::with_capacity(FIXED - 1);
+        if take_u32(buf, pos)? as usize != STR_FIELDS.len() {
             return None;
         }
-        let mut chunk_decodable = Vec::with_capacity(n);
-        for _ in 0..n {
-            chunk_decodable.push(take_u32(buf, pos)?);
+        for name in STR_FIELDS {
+            let n = take_count(buf, pos)?;
+            let mut syms = Vec::with_capacity(n);
+            for _ in 0..n {
+                syms.push(take_str(buf, pos)?);
+            }
+            columns.push(FooterColumn {
+                name: Sym::from(name),
+                kind: Kind::Str,
+                poisoned: false,
+                dict: Arc::new(Dict::from_syms(syms)),
+            });
+        }
+        let mut zones: Vec<Vec<Zone>> = Vec::with_capacity(FIXED - 1);
+        for kind in [Kind::Str, Kind::F64] {
+            let expect = if kind == Kind::Str {
+                STR_FIELDS.len()
+            } else {
+                F64_FIELDS.len()
+            };
+            if take_u32(buf, pos)? as usize != expect {
+                return None;
+            }
+            for _ in 0..expect {
+                let n = take_count(buf, pos)?;
+                zones.push(
+                    (0..n)
+                        .map(|_| take_zone(buf, pos, kind))
+                        .collect::<Option<_>>()?,
+                );
+            }
+        }
+        for name in F64_FIELDS {
+            columns.push(FooterColumn {
+                name: Sym::from(name),
+                kind: Kind::F64,
+                poisoned: false,
+                dict: Arc::default(),
+            });
+        }
+        let n = take_count(buf, pos)?;
+        let mut chunks = Vec::with_capacity(n);
+        for c in 0..n {
+            let held = zones
+                .iter()
+                .enumerate()
+                .map(|(i, z)| Some((i as u32, *z.get(c)?)))
+                .collect::<Option<_>>()?;
+            chunks.push(ChunkDir {
+                decodable: take_u32(buf, pos)?,
+                held,
+            });
         }
         let irregular = u16::try_from(take_u32(buf, pos)?).ok()?;
         let poison = u16::try_from(take_u32(buf, pos)?).ok()?;
+        for (i, col) in columns.iter_mut().enumerate() {
+            col.poisoned = poison & (1 << i) != 0;
+        }
         Some(Self {
-            str_dicts,
-            str_zones,
-            f64_zones,
-            chunk_decodable,
+            columns,
+            chunks,
             irregular,
-            poison,
+            overflowed: false,
+            legacy: true,
         })
     }
 
     /// The exact byte length of chunk `c`'s column block of `rows` rows:
     /// its code widths follow from the string zones' largest present code
-    /// and its float payloads from the float zones' present counts.
+    /// and its float payloads from the float zones' present counts. The
+    /// same rule sizes a `PSEG2` block, whose directory is every field.
     fn block_len(&self, c: usize, rows: usize) -> Option<u64> {
         let bitmap = rows.div_ceil(8);
         let mut len = bitmap + 4;
-        for zones in &self.str_zones {
-            let (_, max, present) = *zones.get(c)?;
-            len += 1 + rows * code_width((present > 0).then_some(max));
-        }
-        for zones in &self.f64_zones {
-            let (_, _, present, _) = *zones.get(c)?;
-            len += bitmap + 8 * present as usize;
+        for (_, zone) in &self.chunks.get(c)?.held {
+            len += match *zone {
+                Zone::Str {
+                    max_code, present, ..
+                } => 1 + rows * code_width((present > 0).then_some(max_code)),
+                Zone::F64 { present, .. } => bitmap + 8 * present as usize,
+                Zone::Flag { .. } => bitmap,
+            };
         }
         Some(len as u64)
     }
 
-    /// Zone verdict for one predicate against one chunk — the exact
-    /// semantics of the in-memory `zone_skips` (conservative: `false`
-    /// means "must read", never "matches"). `rows` is the chunk's row
-    /// count (needed for the null-matching widening of `!=`).
+    /// The zone of footer column `col` in chunk `c`: its directory entry,
+    /// or the empty zone of a column the chunk does not hold.
+    pub(crate) fn zone(&self, c: usize, col: u32) -> Zone {
+        let held = &self.chunks[c].held;
+        match held.binary_search_by_key(&col, |&(i, _)| i) {
+            Ok(i) => held[i].1,
+            Err(_) => Zone::empty(self.columns[col as usize].kind),
+        }
+    }
+
+    /// Zone verdict for one predicate against one chunk — compiled
+    /// against the footer's dictionaries and decided by the in-memory
+    /// kernel's own zone test (conservative: `false` means "must read",
+    /// never "matches"). `col` is the predicate column's footer index,
+    /// `None` when the footer has no such column: all-null in a `PSEG3`
+    /// chunk, unknown (never prunes) in a legacy one.
     pub(crate) fn chunk_skips(
         &self,
-        field: &str,
-        op: CmpOp,
-        lit: &Value,
+        p: &ColPredicate<'_>,
+        col: Option<u32>,
         c: usize,
         rows: u32,
     ) -> bool {
-        if let Some(i) = crate::columnar::str_field_index(field) {
-            let (min, max, present) = self.str_zones[i][c];
-            // `!=` matches null cells against a non-null literal, so a
-            // chunk with any null cell can never be skipped for it.
-            let null_matches = op == CmpOp::Ne && !lit.is_null();
-            if null_matches && present < rows {
-                return false;
+        let source = match col {
+            None if self.legacy => return false,
+            None => None,
+            Some(i) => {
+                let fc = &self.columns[i as usize];
+                Some(match fc.kind {
+                    Kind::Str => ColSource::Str(&fc.dict),
+                    Kind::F64 => ColSource::F64,
+                    Kind::Flag => ColSource::Flag,
+                })
             }
-            let present_possible = match (op, lit.as_str()) {
-                (CmpOp::Eq, Some(s)) => match dict_code(&self.str_dicts[i], s) {
-                    Some(code) => present > 0 && code >= min && code <= max,
-                    None => false,
-                },
-                (CmpOp::Ne, Some(s)) => match dict_code(&self.str_dicts[i], s) {
-                    // Only provably all-equal when the interval is one
-                    // point at the literal's code.
-                    Some(code) => present > 0 && !(min == code && max == code),
-                    None => present > 0,
-                },
-                // Null literal: only `!=` over non-null cells matches.
-                (CmpOp::Ne, None) if lit.is_null() => present > 0,
-                (_, None) if lit.is_null() => false,
-                // Ordering ops over strings (or kind-tag comparisons
-                // against non-string literals): the footer has no
-                // per-symbol table, so stay conservative.
-                _ => present > 0,
-            };
-            return !present_possible;
-        }
-        if let Some(i) = crate::columnar::f64_field_index(field) {
-            let (min, max, present, nan) = self.f64_zones[i][c];
-            let null_matches = op == CmpOp::Ne && !lit.is_null();
-            if null_matches && present < rows {
-                return false;
-            }
-            if lit.is_null() {
-                // Null literal: `!=` matches every present cell.
-                return !(op == CmpOp::Ne && present > 0);
-            }
-            let Some(l) = lit.as_f64() else {
-                // Non-numeric literal: kind-tag compare — conservative.
-                return present == 0;
-            };
-            let finite = present > nan;
-            // NaN cells compare `Equal` under `Value::compare`, so they
-            // match Ne/Le/Ge.
-            let nan_hit = nan > 0 && matches!(op, CmpOp::Ne | CmpOp::Le | CmpOp::Ge);
-            let finite_hit = finite
-                && match op {
-                    CmpOp::Eq => l >= min && l <= max,
-                    CmpOp::Ne => !(min == l && max == l),
-                    CmpOp::Lt => min < l,
-                    CmpOp::Le => min <= l,
-                    CmpOp::Gt => max > l,
-                    CmpOp::Ge => max >= l,
-                };
-            return !(nan_hit || finite_hit);
-        }
-        // Not a zone-mapped column: never prunable.
-        false
+        };
+        let compiled = compile_pred(p, source, false);
+        // Without a footer column the predicate compiled to `Always` or
+        // `Never`, which read no zone.
+        let zone = col.map_or(Zone::Flag { present: 0 }, |i| self.zone(c, i));
+        compiled.zone_skips(&zone, rows)
     }
-}
-
-/// Code of `s` in a serialized dictionary (linear: footers are read
-/// rarely, and only one literal per predicate is looked up).
-fn dict_code(dict: &[Sym], s: &str) -> Option<u32> {
-    dict.iter().position(|d| d.as_str() == s).map(|i| i as u32)
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
 }
 
 /// On-disk format of a segment file, from its header magic.
@@ -342,8 +475,22 @@ fn put_u32(out: &mut Vec<u8>, v: u32) {
 pub(crate) enum Format {
     /// Row file: documents, then a zone-map footer.
     Pseg1,
-    /// Documents, per-chunk column blocks, and a footer locating both.
+    /// Documents, column blocks of the fourteen hot fields, and a footer
+    /// locating both.
     Pseg2,
+    /// Documents, per-chunk column blocks of the columns each chunk
+    /// holds, and a footer with the column table and chunk directory.
+    Pseg3,
+}
+
+impl Format {
+    fn magic(self) -> &'static [u8; 6] {
+        match self {
+            Format::Pseg1 => MAGIC_V1,
+            Format::Pseg2 => MAGIC_V2,
+            Format::Pseg3 => MAGIC,
+        }
+    }
 }
 
 /// Identity and coverage of one sealed segment file.
@@ -364,7 +511,7 @@ pub(crate) struct SegmentMeta {
 }
 
 impl SegmentMeta {
-    /// The `PSEG2` segment of shard `shard`'s `n_docs` rows from slot
+    /// The `PSEG3` segment of shard `shard`'s `n_docs` rows from slot
     /// `start`, named inside `dir` (the file is written separately).
     pub(crate) fn new(
         dir: &Path,
@@ -377,7 +524,7 @@ impl SegmentMeta {
         let end = start + n_docs as u64;
         Self {
             path: dir.join(segment_name(nshards, shard, start, end)),
-            format: Format::Pseg2,
+            format: Format::Pseg3,
             nshards,
             shard,
             start,
@@ -398,7 +545,7 @@ fn segment_name(nshards: u32, shard: u32, start: u64, end: u64) -> String {
 }
 
 /// Per-chunk byte runs laid end to end: chunk `c` is
-/// `bytes[bounds[c]..bounds[c + 1]]`. A `PSEG2` file's column region is
+/// `bytes[bounds[c]..bounds[c + 1]]`. A segment file's column region is
 /// one of these, and compaction gathers document regions the same way.
 pub(crate) struct ChunkRuns {
     bytes: Vec<u8>,
@@ -433,18 +580,58 @@ impl ChunkRuns {
     }
 }
 
-/// The column blocks of rows `[lo, hi)` of `cols`, one per chunk of
-/// `cols`, written straight from its code and float vectors.
-pub(crate) fn col_runs(cols: &ColumnarShard, lo: usize, hi: usize) -> ChunkRuns {
-    let mut runs = ChunkRuns::new();
-    let mut r = lo;
-    while r < hi {
-        let end = (r + cols.chunk_rows()).min(hi);
-        encode_col_block(cols, r, end, &mut runs.bytes);
-        runs.close_chunk();
-        r = end;
+/// Export rows `[start, end)` of `cols` (whole chunks, all covered) as
+/// the footer tables and column blocks of a segment: the column table is
+/// `reg` at seal time (with this shard's dictionaries), and each chunk
+/// holds the unpoisoned columns it has a present cell of. String
+/// dictionaries are shared, not copied: codes are first-appearance
+/// stable, so the snapshot maps every code the sealed zones reference.
+/// The caller stamps the store-wide irregular mask in.
+pub(crate) fn export(
+    cols: &ColumnarShard,
+    start: usize,
+    end: usize,
+    reg: &Registry,
+) -> Option<(ZoneTables, ChunkRuns)> {
+    let chunk = cols.chunk_rows();
+    if !start.is_multiple_of(chunk) || !end.is_multiple_of(chunk) || end > cols.len() || start > end
+    {
+        return None;
     }
-    runs
+    let columns: Vec<FooterColumn> = (0..reg.len())
+        .map(|i| {
+            let f = ColField(i as u32);
+            FooterColumn {
+                name: reg.name(f).clone(),
+                kind: reg.kind(f),
+                poisoned: reg.is_poisoned(f),
+                dict: cols.dict(f).cloned().unwrap_or_default(),
+            }
+        })
+        .collect();
+    let mut chunks = Vec::with_capacity((end - start) / chunk);
+    let mut runs = ChunkRuns::new();
+    for c in start / chunk..end / chunk {
+        let held: Vec<(u32, Zone)> = cols
+            .chunk_cols(c)
+            .filter(|(f, _)| !reg.is_poisoned(*f))
+            .map(|(f, ch)| (f.0, ch.zone))
+            .collect();
+        encode_col_block(cols, c, &held, &mut runs.bytes);
+        runs.close_chunk();
+        chunks.push(ChunkDir {
+            decodable: cols.chunk_decodable(c),
+            held,
+        });
+    }
+    let zones = ZoneTables {
+        columns,
+        chunks,
+        irregular: 0,
+        overflowed: reg.overflowed(),
+        legacy: false,
+    };
+    Some((zones, runs))
 }
 
 /// Append a bitmap of `bits`: bit `r` is bit `r % 8` of byte `r / 8`.
@@ -456,8 +643,11 @@ fn put_bits(out: &mut Vec<u8>, bits: impl ExactSizeIterator<Item = bool>) {
     }
 }
 
-fn bit(bitmap: &[u8], r: usize) -> bool {
-    (bitmap[r / 8] >> (r % 8)) & 1 == 1
+/// Expand a bitmap of `rows` bits.
+fn bits(bitmap: &[u8], rows: usize) -> Vec<bool> {
+    (0..rows)
+        .map(|r| (bitmap[r / 8] >> (r % 8)) & 1 == 1)
+        .collect()
 }
 
 /// Bytes per code of a block's string column whose largest present code
@@ -472,44 +662,64 @@ fn code_width(max: Option<u32>) -> usize {
     }
 }
 
-/// Append rows `[lo, hi)` of `cols` as one column block (layout in the
-/// module docs).
-fn encode_col_block(cols: &ColumnarShard, lo: usize, hi: usize, out: &mut Vec<u8>) {
+/// Append chunk `c` of `cols` as one column block of the `held` columns
+/// (layout in the module docs). A held column without a present cell in
+/// the chunk (only ever listed by a `PSEG2` block) writes width 0 or an
+/// empty bitmap.
+fn encode_col_block(cols: &ColumnarShard, c: usize, held: &[(u32, Zone)], out: &mut Vec<u8>) {
     let start = out.len();
+    let (lo, hi) = cols.chunk_span(c);
     put_bits(out, (lo..hi).map(|r| cols.is_decodable(r)));
-    for i in 0..STR_FIELDS.len() {
-        let codes = &cols.str_codes(i)[lo..hi];
-        let width = code_width(codes.iter().copied().filter(|&c| c != NULL_CODE).max());
-        out.push(width as u8);
-        if width > 0 {
-            for &c in codes {
-                // `NULL_CODE` is all ones, so truncating it yields the
-                // width's null code; present codes sit below it.
-                out.extend_from_slice(&c.to_le_bytes()[..width]);
+    for &(f, zone) in held {
+        let cells = cols
+            .column(ColField(f))
+            .and_then(|col| col.chunk(c))
+            .map(|ch| &ch.cells);
+        match (zone, cells) {
+            (
+                Zone::Str {
+                    max_code, present, ..
+                },
+                cells,
+            ) => {
+                let width = code_width((present > 0).then_some(max_code));
+                out.push(width as u8);
+                if let Some(Cells::Str(codes)) = cells {
+                    for &code in codes {
+                        // `NULL_CODE` is all ones, so truncating it yields
+                        // the width's null code; present codes sit below it.
+                        out.extend_from_slice(&code.to_le_bytes()[..width]);
+                    }
+                }
             }
-        }
-    }
-    for i in 0..F64_FIELDS.len() {
-        let cells = &cols.f64_cells(i)[lo..hi];
-        put_bits(out, cells.iter().map(Option::is_some));
-        for x in cells.iter().flatten() {
-            out.extend_from_slice(&x.to_bits().to_le_bytes());
+            (Zone::F64 { .. }, Some(Cells::F64(vals))) => {
+                put_bits(out, vals.iter().map(Option::is_some));
+                for x in vals.iter().flatten() {
+                    out.extend_from_slice(&x.to_bits().to_le_bytes());
+                }
+            }
+            (Zone::Flag { .. }, Some(Cells::Flag(b))) => put_bits(out, b.iter().copied()),
+            _ => put_bits(out, (lo..hi).map(|_| false)),
         }
     }
     let crc = crc32(&[&out[start..]]);
     put_u32(out, crc);
 }
 
-/// Decode one column block of `rows` rows into a one-chunk shard of
-/// `chunk` rows, appending each row through [`ColumnarShard::push_row`]
-/// with its codes resolved in `dicts` (the footer dictionaries). `Err`
+/// Decode chunk `lc`'s column block of `rows` rows into a one-chunk shard
+/// of `chunk` rows, in bulk: each held column is built in one pass — codes
+/// widened against the footer dictionary (shared, not re-interned), float
+/// bits expanded from the presence bitmap — and takes its zone from the
+/// footer directory; `ids` maps footer columns to store columns. `Err`
 /// names the fault: a checksum mismatch, or a block whose structure does
 /// not parse.
 pub(crate) fn decode_col_block(
     block: &[u8],
     rows: usize,
     chunk: usize,
-    dicts: &[Vec<Sym>],
+    tables: &ZoneTables,
+    lc: usize,
+    ids: &[ColField],
 ) -> Result<ColumnarShard, &'static str> {
     let body_len = block.len().checked_sub(4).ok_or("torn column block")?;
     let (body, crc) = block.split_at(body_len);
@@ -517,9 +727,6 @@ pub(crate) fn decode_col_block(
         return Err("column block checksum mismatch");
     }
     const MALFORMED: &str = "malformed column block";
-    if dicts.len() != STR_FIELDS.len() {
-        return Err(MALFORMED);
-    }
     let bitmap = rows.div_ceil(8);
     let mut pos = 0usize;
     let mut take = |n: usize| -> Result<&[u8], &'static str> {
@@ -527,60 +734,75 @@ pub(crate) fn decode_col_block(
         pos += n;
         Ok(b)
     };
-    let decodable = take(bitmap)?;
-    let mut codes: [(&[u8], usize); STR_FIELDS.len()] = [(&[], 0); STR_FIELDS.len()];
-    for c in &mut codes {
-        let width = take(1)?[0] as usize;
-        if !matches!(width, 0 | 1 | 2 | 4) {
-            return Err(MALFORMED);
+    let decodable = bits(take(bitmap)?, rows);
+    let dir = tables.chunks.get(lc).ok_or(MALFORMED)?;
+    let mut cols = Vec::with_capacity(dir.held.len());
+    for &(i, zone) in &dir.held {
+        let fc = &tables.columns[i as usize];
+        let cells = match fc.kind {
+            Kind::Str => {
+                let width = take(1)?[0] as usize;
+                let raw = take(rows * width)?;
+                let null = match width {
+                    // A `PSEG2` column without a present cell.
+                    0 if zone.present() == 0 => continue,
+                    1 => 0xFF,
+                    2 => 0xFFFF,
+                    4 => NULL_CODE,
+                    _ => return Err(MALFORMED),
+                };
+                let mut max = 0u32;
+                let codes: Vec<u32> = raw
+                    .chunks_exact(width)
+                    .map(|b| {
+                        let mut le = [0u8; 4];
+                        le[..width].copy_from_slice(b);
+                        let code = u32::from_le_bytes(le);
+                        if code == null {
+                            NULL_CODE
+                        } else {
+                            max = max.max(code);
+                            code
+                        }
+                    })
+                    .collect();
+                if max as usize >= fc.dict.len() {
+                    return Err("column block code outside the dictionary");
+                }
+                Cells::Str(codes)
+            }
+            Kind::F64 => {
+                let present = bits(take(bitmap)?, rows);
+                let n = present.iter().filter(|&&p| p).count();
+                let mut raw = take(n * 8)?.chunks_exact(8);
+                Cells::F64(
+                    present
+                        .iter()
+                        .map(|&p| {
+                            p.then(|| {
+                                let b = raw.next().expect("one word per present cell");
+                                f64::from_bits(u64::from_le_bytes(b.try_into().expect("8")))
+                            })
+                        })
+                        .collect(),
+                )
+            }
+            Kind::Flag => Cells::Flag(bits(take(bitmap)?, rows)),
+        };
+        if zone.present() == 0 {
+            // Listed without a cell (a `PSEG2` block): all null.
+            continue;
         }
-        *c = (take(rows * width)?, width);
-    }
-    let mut floats: [(&[u8], &[u8]); F64_FIELDS.len()] = [(&[], &[]); F64_FIELDS.len()];
-    for f in &mut floats {
-        let present = take(bitmap)?;
-        let n = (0..rows).filter(|&r| bit(present, r)).count();
-        *f = (present, take(n * 8)?);
+        let column = Column::from_chunk(fc.kind, Arc::clone(&fc.dict), cells, zone);
+        cols.push((ids[i as usize], column));
     }
     if pos != body.len() {
         return Err(MALFORMED);
     }
-    let mut cols = ColumnarShard::with_chunk(chunk);
-    let mut next = [0usize; F64_FIELDS.len()];
-    for r in 0..rows {
-        let mut row = ExtractedRow {
-            decodable: bit(decodable, r),
-            strs: Default::default(),
-            floats: Default::default(),
-            report: Default::default(),
-        };
-        for ((cell, &(bytes, width)), dict) in row.strs.iter_mut().zip(&codes).zip(dicts) {
-            if width == 0 {
-                continue;
-            }
-            let mut le = [0u8; 4];
-            le[..width].copy_from_slice(&bytes[r * width..(r + 1) * width]);
-            let code = u32::from_le_bytes(le);
-            if code != NULL_CODE >> (32 - 8 * width) {
-                let sym = dict
-                    .get(code as usize)
-                    .ok_or("column block code outside the dictionary")?;
-                *cell = Some(sym.clone());
-            }
-        }
-        for ((cell, &(present, bits)), next) in row.floats.iter_mut().zip(&floats).zip(&mut next) {
-            if bit(present, r) {
-                let raw = bits[*next * 8..*next * 8 + 8].try_into().expect("8 bytes");
-                *cell = Some(f64::from_bits(u64::from_le_bytes(raw)));
-                *next += 1;
-            }
-        }
-        cols.push_row(row);
-    }
-    Ok(cols)
+    Ok(ColumnarShard::from_chunk(chunk, decodable, cols))
 }
 
-/// Where a `PSEG2` file's chunks sit: `n_chunks + 1` absolute bounds of
+/// Where a segment file's chunks sit: `n_chunks + 1` absolute bounds of
 /// the document records and of the column blocks. The regions are
 /// adjacent: `docs[n_chunks] == cols[0]`.
 pub(crate) struct Layout {
@@ -597,10 +819,10 @@ impl Layout {
     }
 
     /// Parse a layout table at `*pos` and check that it tiles the file:
-    /// one chunk per zone entry and per `meta.chunk` rows, document
+    /// one chunk per directory entry and per `meta.chunk` rows, document
     /// bounds from [`DATA_START`] to the first block with room for every
     /// chunk's record headers, and block bounds up to `footer_start`,
-    /// each block exactly as long as its zones imply.
+    /// each block exactly as long as its directory implies.
     fn read(
         buf: &[u8],
         pos: &mut usize,
@@ -611,7 +833,7 @@ impl Layout {
         let n = take_u32(buf, pos)? as usize;
         let chunk = meta.chunk_rows();
         let n_docs = meta.n_docs as usize;
-        if n != zones.chunk_decodable.len() || n != n_docs.div_ceil(chunk) {
+        if n != zones.chunks.len() || n != n_docs.div_ceil(chunk) {
             return None;
         }
         let mut bounds = || -> Option<Vec<u64>> {
@@ -635,7 +857,7 @@ impl Layout {
 }
 
 /// A parsed segment footer: the zone tables, plus the chunk layout of a
-/// `PSEG2` file (`None` for `PSEG1`).
+/// file with column blocks (`None` for `PSEG1`).
 pub(crate) struct Footer {
     pub(crate) zones: ZoneTables,
     pub(crate) layout: Option<Layout>,
@@ -683,24 +905,25 @@ fn write_tail(f: &mut impl Write, footer: &[u8]) -> std::io::Result<()> {
     f.write_all(TAIL_MAGIC)
 }
 
-/// Write `meta`'s `PSEG2` file atomically (temp file, fsync, rename):
-/// the header, the document region `write_docs` streams (returning its
-/// relative chunk bounds), the column region `cols`, and the footer.
+/// Write `meta`'s file atomically (temp file, fsync, rename): the header,
+/// the document region `write_docs` streams (returning its relative chunk
+/// bounds), the column region `cols`, and the footer — `tables` (already
+/// serialized) then the layout.
 fn write_file(
     meta: &SegmentMeta,
     write_docs: impl FnOnce(&mut BufWriter<File>) -> std::io::Result<Vec<u64>>,
     cols: &ChunkRuns,
-    zones: &ZoneTables,
+    tables: Vec<u8>,
 ) -> std::io::Result<()> {
     let tmp = meta.path.with_extension("tmp");
     {
         let mut f = BufWriter::new(File::create(&tmp)?);
-        write_header(&mut f, MAGIC, meta)?;
+        write_header(&mut f, meta.format.magic(), meta)?;
         let doc_bounds = write_docs(&mut f)?;
         debug_assert_eq!(doc_bounds.len(), cols.bounds.len());
         f.write_all(&cols.bytes)?;
         let cols_at = DATA_START + doc_bounds.last().expect("bounds start at 0");
-        let mut footer = zones.to_bytes();
+        let mut footer = tables;
         Layout {
             docs: doc_bounds.iter().map(|b| DATA_START + b).collect(),
             cols: cols.bounds.iter().map(|b| cols_at + b).collect(),
@@ -717,7 +940,7 @@ fn write_file(
 }
 
 /// Write `meta`'s segment: `docs` (exactly `meta.n_docs` of them), their
-/// column blocks (see [`col_runs`]) and the zone footer.
+/// column blocks and footer tables (see [`export`]).
 pub(crate) fn write_segment(
     meta: &SegmentMeta,
     docs: &[Arc<Value>],
@@ -729,28 +952,8 @@ pub(crate) fn write_segment(
         meta,
         |f| write_records(f, docs, meta.chunk_rows()),
         cols,
-        zones,
+        zones.to_bytes(),
     )
-}
-
-/// Write a `PSEG1` row file, the format before column blocks, so tests
-/// can check that old files stay readable and compact forward.
-#[cfg(test)]
-pub(crate) fn write_segment_pseg1(
-    meta: &SegmentMeta,
-    docs: &[Arc<Value>],
-    zones: &ZoneTables,
-) -> std::io::Result<SegmentMeta> {
-    let meta = SegmentMeta {
-        format: Format::Pseg1,
-        ..meta.clone()
-    };
-    let mut f = BufWriter::new(File::create(&meta.path)?);
-    write_header(&mut f, MAGIC_V1, &meta)?;
-    write_records(&mut f, docs, meta.chunk_rows())?;
-    write_tail(&mut f, &zones.to_bytes())?;
-    f.flush()?;
-    Ok(meta)
 }
 
 fn corrupt(msg: &str, path: &Path) -> std::io::Error {
@@ -766,7 +969,8 @@ fn read_header(path: &Path, f: &mut File) -> std::io::Result<SegmentMeta> {
     f.read_exact(&mut head)
         .map_err(|_| corrupt("segment too short", path))?;
     let format = match &head[..6] {
-        m if m == MAGIC => Format::Pseg2,
+        m if m == MAGIC => Format::Pseg3,
+        m if m == MAGIC_V2 => Format::Pseg2,
         m if m == MAGIC_V1 => Format::Pseg1,
         _ => return Err(corrupt("bad segment magic", path)),
     };
@@ -829,10 +1033,10 @@ pub(crate) fn read_docs(meta: &SegmentMeta) -> std::io::Result<Vec<Value>> {
     Ok(docs)
 }
 
-/// Read only a segment's footer (zone tables, and a `PSEG2` file's chunk
-/// layout) — seek to the tail, never touching the documents. This is
-/// what lets a scan prune a segment for the cost of its footer. A layout
-/// table that does not tile the file is corruption.
+/// Read only a segment's footer (zone tables, and the chunk layout of a
+/// file with column blocks) — seek to the tail, never touching the
+/// documents. This is what lets a scan prune a segment for the cost of
+/// its footer. A layout table that does not tile the file is corruption.
 pub(crate) fn read_footer(meta: &SegmentMeta) -> std::io::Result<Footer> {
     let mut f = File::open(&meta.path)?;
     let size = f.metadata()?.len();
@@ -858,11 +1062,14 @@ pub(crate) fn read_footer(meta: &SegmentMeta) -> std::io::Result<Footer> {
         return Err(corrupt("footer checksum mismatch", &meta.path));
     }
     let mut pos = 0usize;
-    let zones = ZoneTables::read(&bytes, &mut pos)
-        .ok_or_else(|| corrupt("undecodable footer", &meta.path))?;
+    let zones = match meta.format {
+        Format::Pseg3 => ZoneTables::read(&bytes, &mut pos),
+        Format::Pseg1 | Format::Pseg2 => ZoneTables::read_legacy(&bytes, &mut pos),
+    }
+    .ok_or_else(|| corrupt("undecodable footer", &meta.path))?;
     let layout = match meta.format {
         Format::Pseg1 => None,
-        Format::Pseg2 => Some(
+        Format::Pseg2 | Format::Pseg3 => Some(
             Layout::read(&bytes, &mut pos, meta, &zones, footer_start)
                 .ok_or_else(|| corrupt("malformed chunk layout", &meta.path))?,
         ),
@@ -875,20 +1082,28 @@ pub(crate) fn read_footer(meta: &SegmentMeta) -> std::io::Result<Footer> {
 
 /// Whether the footer proves no document of this segment can satisfy
 /// `field op lit` (frame comparison semantics) — i.e. every sealed
-/// chunk's zone map excludes it. Conservative, like the in-memory
-/// chunk pruning it is serialized from.
+/// chunk's zone map excludes it. Conservative, like the in-memory chunk
+/// pruning it is serialized from: a field the column table does not
+/// name, or a poisoned one, never prunes.
 pub(crate) fn segment_prunes(
     meta: &SegmentMeta,
     zones: &ZoneTables,
     field: &str,
-    op: CmpOp,
+    op: dataframe::CmpOp,
     lit: &Value,
 ) -> bool {
-    let chunks = zones.chunk_decodable.len();
-    (0..chunks).all(|c| {
+    let Some(col) = zones
+        .columns
+        .iter()
+        .position(|c| c.name.as_str() == field && !c.poisoned)
+    else {
+        return false;
+    };
+    let p = ColPredicate::Cmp(ColField(col as u32), op, lit);
+    (0..zones.chunks.len()).all(|c| {
         // Every sealed chunk is full by construction (seals happen at
         // chunk boundaries), so rows-per-chunk is exactly `chunk`.
-        zones.chunk_decodable[c] == 0 || zones.chunk_skips(field, op, lit, c, meta.chunk)
+        zones.chunks[c].decodable == 0 || zones.chunk_skips(&p, Some(col as u32), c, meta.chunk)
     })
 }
 
@@ -932,34 +1147,44 @@ pub(crate) fn scan_dir(dir: &Path) -> std::io::Result<Vec<SegmentMeta>> {
     Ok(kept)
 }
 
-/// Merge a shard's contiguous sealed runs into one `PSEG2` segment.
+/// Merge a shard's contiguous sealed runs into one `PSEG3` segment.
 /// `runs` must be same-shard, same-epoch, sorted, and contiguous.
 /// Returns the merged meta.
 ///
 /// Chunks are never re-cut (every input is a whole-chunk run at the same
-/// chunk size), so when the inputs' dictionaries are prefix-compatible —
-/// always true for live seals of one shard, whose dictionary only grows —
-/// the merged footer is just the inputs' chunk zones concatenated under
-/// the last (largest) dictionary snapshot, and the document records and
-/// column blocks are copied as raw CRC-verified bytes without a decode +
-/// re-extract pass. The fallback (non-compatible dictionaries, e.g.
-/// inputs from an older compaction epoch, a `PSEG1` input, which has no
-/// blocks to copy, or an unreadable footer) rebuilds the footer and the
-/// blocks from a fresh columnar pass.
+/// chunk size), so when every input is `PSEG3` and their column tables
+/// and dictionaries are prefix-compatible — always true for live seals of
+/// one store, whose catalog and dictionaries only grow — the merged footer
+/// is just the inputs' chunk directories concatenated under the last
+/// (largest) column table, and the document records and column blocks are
+/// copied as raw CRC-verified bytes without a decode + re-extract pass.
+/// The fallback (a `PSEG1`/`PSEG2` input, incompatible tables, or an
+/// unreadable footer) rebuilds the footer and the blocks from a fresh
+/// columnar pass, keeping every readable input footer's poison flags.
 pub(crate) fn compact_runs(dir: &Path, runs: &[SegmentMeta]) -> std::io::Result<SegmentMeta> {
     debug_assert!(runs.len() >= 2);
     debug_assert!(runs.windows(2).all(|w| {
         w[0].end == w[1].start && w[0].shard == w[1].shard && w[0].nshards == w[1].nshards
     }));
-    if let Ok(footers) = runs
+    let footers: Vec<Option<Footer>> = runs.iter().map(|r| read_footer(r).ok()).collect();
+    if footers
         .iter()
-        .map(read_footer)
-        .collect::<std::io::Result<Vec<_>>>()
+        .all(|f| f.as_ref().is_some_and(|f| !f.zones.legacy))
     {
-        if footers.iter().all(|f| f.layout.is_some()) && dicts_prefix_compatible(&footers) {
+        let footers: Vec<Footer> = footers.into_iter().flatten().collect();
+        if tables_prefix_compatible(&footers) {
             return compact_runs_reusing_footers(dir, runs, footers);
         }
+        return compact_runs_rebuilding(dir, runs, footers.into_iter().map(Some).collect());
     }
+    compact_runs_rebuilding(dir, runs, footers)
+}
+
+fn compact_runs_rebuilding(
+    dir: &Path,
+    runs: &[SegmentMeta],
+    footers: Vec<Option<Footer>>,
+) -> std::io::Result<SegmentMeta> {
     let first = &runs[0];
     let chunk = first.chunk_rows();
     let mut docs: Vec<Arc<Value>> = Vec::new();
@@ -967,17 +1192,23 @@ pub(crate) fn compact_runs(dir: &Path, runs: &[SegmentMeta]) -> std::io::Result<
         docs.extend(read_docs(run)?.into_iter().map(Arc::new));
     }
     let mut cols = ColumnarShard::with_chunk(chunk);
-    let (mut irregular, mut poison) = (0u16, 0u16);
-    for doc in &docs {
-        let report = cols.push_doc(doc);
-        irregular |= report.irregular;
-        poison |= report.poison;
+    let mut reg = Registry::default();
+    for fc in footers
+        .iter()
+        .flatten()
+        .flat_map(|f| &f.zones.columns)
+        .filter(|c| c.poisoned)
+    {
+        let f = reg.bind(&fc.name, fc.kind);
+        reg.poison(f);
     }
-    let mut footer = cols
-        .export_zone_tables(0, docs.len())
-        .expect("merged run is whole chunks");
-    footer.irregular = irregular;
-    footer.poison = poison;
+    let mut irregular = 0u16;
+    for doc in &docs {
+        irregular |= cols.push_doc(doc, &mut reg).irregular;
+    }
+    let (mut zones, blocks) =
+        export(&cols, 0, docs.len(), &reg).expect("merged run is whole chunks");
+    zones.irregular = irregular;
     let merged = SegmentMeta::new(
         dir,
         first.nshards,
@@ -986,7 +1217,7 @@ pub(crate) fn compact_runs(dir: &Path, runs: &[SegmentMeta]) -> std::io::Result<
         first.chunk,
         docs.len(),
     );
-    write_segment(&merged, &docs, &col_runs(&cols, 0, docs.len()), &footer)?;
+    write_segment(&merged, &docs, &blocks, &zones)?;
     remove_inputs(dir, runs);
     Ok(merged)
 }
@@ -998,16 +1229,19 @@ fn remove_inputs(dir: &Path, runs: &[SegmentMeta]) {
     sync_dir(dir);
 }
 
-/// Whether every footer's dictionaries are a prefix of the next one's —
-/// the condition under which their chunk zone code intervals (and column
-/// block codes) all stay meaningful under the last footer's dictionary
-/// snapshot.
-fn dicts_prefix_compatible(footers: &[Footer]) -> bool {
+/// Whether every footer's column table (names, kinds, string
+/// dictionaries) is a prefix of the next one's — the condition under
+/// which their chunk directories, zone code intervals and column block
+/// codes all stay meaningful under the last footer's table.
+fn tables_prefix_compatible(footers: &[Footer]) -> bool {
     footers.windows(2).all(|w| {
-        let (a, b) = (&w[0].zones.str_dicts, &w[1].zones.str_dicts);
-        a.len() == b.len()
-            && a.iter().zip(b).all(|(a, b)| {
-                a.len() <= b.len() && a.iter().zip(b).all(|(x, y)| x.as_str() == y.as_str())
+        let (a, b) = (&w[0].zones.columns, &w[1].zones.columns);
+        a.len() <= b.len()
+            && a.iter().zip(b).all(|(x, y)| {
+                x.name == y.name
+                    && x.kind == y.kind
+                    && x.dict.len() <= y.dict.len()
+                    && x.dict.syms().iter().zip(y.dict.syms()).all(|(s, t)| s == t)
             })
     })
 }
@@ -1015,7 +1249,7 @@ fn dicts_prefix_compatible(footers: &[Footer]) -> bool {
 /// The footer-reuse merge: gather the inputs' record regions and column
 /// blocks (verifying every checksum, decoding nothing) into the merged
 /// file, under a footer assembled from the inputs' already-serialized
-/// chunk zones. Every input must be `PSEG2` (have a layout).
+/// chunk directories.
 fn compact_runs_reusing_footers(
     dir: &Path,
     runs: &[SegmentMeta],
@@ -1025,10 +1259,7 @@ fn compact_runs_reusing_footers(
     let mut docs = ChunkRuns::new();
     let mut cols = ChunkRuns::new();
     for (run, footer) in runs.iter().zip(&footers) {
-        let layout = footer
-            .layout
-            .as_ref()
-            .expect("only PSEG2 inputs reuse footers");
+        let layout = footer.layout.as_ref().expect("PSEG3 has a layout");
         docs.append(read_record_region(run)?);
         cols.append(read_col_region(run, layout)?);
     }
@@ -1049,7 +1280,7 @@ fn compact_runs_reusing_footers(
             Ok(docs.bounds.clone())
         },
         &cols,
-        &zones,
+        zones.to_bytes(),
     )?;
     remove_inputs(dir, runs);
     Ok(merged)
@@ -1068,8 +1299,7 @@ fn read_record_region(meta: &SegmentMeta) -> std::io::Result<ChunkRuns> {
     Ok(ChunkRuns { bytes, bounds })
 }
 
-/// A `PSEG2` segment's column blocks, with every block's checksum
-/// verified.
+/// A segment's column blocks, with every block's checksum verified.
 fn read_col_region(meta: &SegmentMeta, layout: &Layout) -> std::io::Result<ChunkRuns> {
     let base = layout.cols[0];
     let mut f = File::open(&meta.path)?;
@@ -1087,46 +1317,120 @@ fn read_col_region(meta: &SegmentMeta, layout: &Layout) -> std::io::Result<Chunk
     Ok(ChunkRuns { bytes, bounds })
 }
 
-/// Concatenate prefix-compatible footers: the last dictionary snapshot
-/// maps every code the earlier zones reference, chunk zones append in
-/// slot order, and the store-wide pushdown masks OR together.
-fn merge_footers(mut footers: Vec<ZoneTables>) -> ZoneTables {
-    let last = footers.pop().expect("at least two footers");
-    let mut merged = ZoneTables {
-        str_dicts: last.str_dicts,
-        str_zones: vec![Vec::new(); last.str_zones.len()],
-        f64_zones: vec![Vec::new(); last.f64_zones.len()],
-        chunk_decodable: Vec::new(),
-        irregular: last.irregular,
-        poison: last.poison,
-    };
-    for ft in footers.into_iter().chain(std::iter::once(ZoneTables {
-        str_dicts: Vec::new(),
-        str_zones: last.str_zones,
-        f64_zones: last.f64_zones,
-        chunk_decodable: last.chunk_decodable,
-        irregular: 0,
-        poison: 0,
-    })) {
-        for (i, zones) in ft.str_zones.into_iter().enumerate() {
-            merged.str_zones[i].extend(zones);
+/// Concatenate prefix-compatible footers: the last column table maps
+/// every column and code the earlier directories reference, chunk
+/// directories append in slot order, and the store-wide poison flags and
+/// irregular masks OR together.
+fn merge_footers(footers: Vec<ZoneTables>) -> ZoneTables {
+    let mut merged = footers.last().expect("at least two footers").clone();
+    merged.chunks.clear();
+    for ft in footers {
+        for (i, col) in ft.columns.iter().enumerate() {
+            merged.columns[i].poisoned |= col.poisoned;
         }
-        for (i, zones) in ft.f64_zones.into_iter().enumerate() {
-            merged.f64_zones[i].extend(zones);
-        }
-        merged.chunk_decodable.extend(ft.chunk_decodable);
+        merged.chunks.extend(ft.chunks);
         merged.irregular |= ft.irregular;
-        merged.poison |= ft.poison;
+        merged.overflowed |= ft.overflowed;
     }
     merged
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use dataframe::cmp_matches;
+    use crate::columnar::fixed_column;
+
+    /// Rewrite the segment at `path` in a format older releases wrote —
+    /// `PSEG1` (`legacy == 1`) or `PSEG2` (`legacy == 2`) — so compatibility
+    /// tests can build old directories: the same documents, with the footer
+    /// and column blocks of the fourteen scalar hot fields re-extracted from
+    /// them.
+    pub(crate) fn downgrade_segment(path: &Path, legacy: u8) -> std::io::Result<()> {
+        let mut f = File::open(path)?;
+        let meta = read_header(path, &mut f)?;
+        drop(f);
+        let docs: Vec<Arc<Value>> = read_docs(&meta)?.into_iter().map(Arc::new).collect();
+        let chunk = meta.chunk_rows();
+        let mut cols = ColumnarShard::with_chunk(chunk);
+        let mut reg = Registry::default();
+        let mut irregular = 0u16;
+        for doc in &docs {
+            // Discovered cells stay unresolved: old formats never held them.
+            let mut row = crate::columnar::extract(doc);
+            row.dataflow.clear();
+            reg.resolve(&mut row);
+            irregular |= cols.push_row(row).irregular;
+        }
+        let n = docs.len();
+        let zone_of = |i: u32, c: usize| {
+            cols.column(ColField(i))
+                .and_then(|col| col.chunk(c))
+                .map_or(Zone::empty(fixed_column(i as usize).1), |ch| ch.zone)
+        };
+        let mut out = Vec::new();
+        put_u32(&mut out, STR_FIELDS.len() as u32);
+        for i in 0..STR_FIELDS.len() {
+            let syms = cols
+                .dict(ColField(i as u32))
+                .map(|d| d.syms().to_vec())
+                .unwrap_or_default();
+            put_u32(&mut out, syms.len() as u32);
+            for s in &syms {
+                put_str(&mut out, s.as_str());
+            }
+        }
+        let chunks = n / chunk;
+        for (lo, hi) in [(0, STR_FIELDS.len()), (STR_FIELDS.len(), FIXED - 1)] {
+            put_u32(&mut out, (hi - lo) as u32);
+            for i in lo..hi {
+                put_u32(&mut out, chunks as u32);
+                for c in 0..chunks {
+                    put_zone(&mut out, &zone_of(i as u32, c));
+                }
+            }
+        }
+        put_u32(&mut out, chunks as u32);
+        for c in 0..chunks {
+            put_u32(&mut out, cols.chunk_decodable(c));
+        }
+        let poison = (0..FIXED - 1)
+            .filter(|&i| reg.is_poisoned(ColField(i as u32)))
+            .fold(0u16, |m, i| m | 1 << i);
+        put_u32(&mut out, irregular as u32);
+        put_u32(&mut out, poison as u32);
+        let format = if legacy == 1 {
+            Format::Pseg1
+        } else {
+            Format::Pseg2
+        };
+        let meta = SegmentMeta { format, ..meta };
+        if format == Format::Pseg1 {
+            let tmp = meta.path.with_extension("tmp");
+            let mut f = BufWriter::new(File::create(&tmp)?);
+            write_header(&mut f, MAGIC_V1, &meta)?;
+            write_records(&mut f, &docs, chunk)?;
+            write_tail(&mut f, &out)?;
+            f.flush()?;
+            drop(f);
+            return std::fs::rename(&tmp, &meta.path);
+        }
+        // A `PSEG2` block is this format's block over the fourteen fields,
+        // each listed whether present or not.
+        let mut runs = ChunkRuns::new();
+        for c in 0..chunks {
+            let held: Vec<(u32, Zone)> =
+                (0..FIXED as u32 - 1).map(|i| (i, zone_of(i, c))).collect();
+            encode_col_block(&cols, c, &held, &mut runs.bytes);
+            runs.close_chunk();
+        }
+        write_file(&meta, |f| write_records(f, &docs, chunk), &runs, out)
+    }
+
+    use dataframe::{cmp_matches, CmpOp};
     use prov_model::TaskMessageBuilder;
 
+    /// Tasks with dataflow cells of both kinds (the string one only in
+    /// some chunks) and lineage on some rows.
     fn corpus(n: usize) -> Vec<Arc<Value>> {
         (0..n)
             .map(|i| {
@@ -1135,38 +1439,95 @@ mod tests {
                     format!("wf-{}", i / 10),
                     format!("act-{}", i % 5),
                 )
-                .span(i as f64, i as f64 + 0.5);
+                .span(i as f64, i as f64 + 0.5)
+                .uses("x", i as f64 * 0.5);
                 if i % 7 == 0 {
-                    b = b.agent("agent-x");
+                    b = b.agent("agent-x").depends_on(format!("t{}", i / 2));
+                }
+                if i >= 20 {
+                    b = b.generates("label", format!("L{}", i % 3));
                 }
                 Arc::new(b.build().to_value())
             })
             .collect()
     }
 
-    fn tables_for(docs: &[Arc<Value>], chunk: usize) -> (ColumnarShard, ZoneTables) {
+    /// The sidecar of `docs` and the tables of its whole chunks.
+    fn tables_for(docs: &[Arc<Value>], chunk: usize) -> (ColumnarShard, ZoneTables, ChunkRuns) {
         let mut cols = ColumnarShard::with_chunk(chunk);
+        let mut reg = Registry::default();
         for d in docs {
-            cols.push_doc(d);
+            cols.push_doc(d, &mut reg);
         }
         let sealed = (docs.len() / chunk) * chunk;
-        let t = cols.export_zone_tables(0, sealed).unwrap();
-        (cols, t)
+        let (t, runs) = export(&cols, 0, sealed, &reg).unwrap();
+        (cols, t, runs)
+    }
+
+    /// Dataflow keys unique to each task (`generated: {"<sample>": x}`)
+    /// grow the sidecar, the column blocks and the footer linearly: the
+    /// catalog stops at `MAX_DISCOVERED` columns and overflows, a column
+    /// costs only the chunks holding a cell of it, and the footer lists
+    /// the bounded catalog.
+    #[test]
+    fn unique_dataflow_keys_grow_sidecar_and_footer_linearly() {
+        use crate::columnar::MAX_DISCOVERED;
+        let docs = |n: usize| -> Vec<Arc<Value>> {
+            (0..n)
+                .map(|i| {
+                    Arc::new(prov_model::obj! {
+                        "task_id" => format!("t{i}"), "workflow_id" => "wf", "activity_id" => "a",
+                        "generated" => prov_model::obj! {format!("sample_{i}") => i as f64},
+                    })
+                })
+                .collect()
+        };
+        let sizes = |n: usize| {
+            let (cols, tables, runs) = tables_for(&docs(n), 64);
+            assert_eq!(tables.columns.len(), FIXED + MAX_DISCOVERED);
+            assert!(tables.overflowed);
+            (
+                cols.heap_bytes(),
+                runs.bytes().len(),
+                tables.to_bytes().len(),
+            )
+        };
+        let (small, large) = (sizes(1024), sizes(4096));
+        for (what, a, b) in [
+            ("heap", small.0, large.0),
+            ("blocks", small.1, large.1),
+            ("footer", small.2, large.2),
+        ] {
+            assert!(b <= 5 * a, "{what}: {a} bytes at 1024 rows, {b} at 4096");
+        }
+        // Past the first chunk a row costs its fixed cells alone.
+        assert!(large.0 / 4096 < 256, "{} heap bytes a row", large.0 / 4096);
     }
 
     #[test]
     fn footer_roundtrips_byte_identically() {
         let docs = corpus(50);
-        let (_, tables) = tables_for(&docs, 8);
+        let (_, tables, _) = tables_for(&docs, 8);
         let bytes = tables.to_bytes();
         let back = ZoneTables::from_bytes(&bytes).unwrap();
         assert_eq!(bytes, back.to_bytes());
-        assert_eq!(tables.chunk_decodable, back.chunk_decodable);
-        assert_eq!(tables.str_zones, back.str_zones);
-        // Float zones carry infinities for empty intervals; compare by
-        // bits via the canonical bytes (already asserted) and by value
-        // where finite.
-        assert_eq!(tables.f64_zones.len(), back.f64_zones.len());
+        assert_eq!(tables.chunks.len(), back.chunks.len());
+        for (a, b) in tables.chunks.iter().zip(&back.chunks) {
+            assert_eq!(a.decodable, b.decodable);
+            assert_eq!(a.held, b.held);
+        }
+        // The discovered columns are in the table, and a chunk before the
+        // string column first appears does not hold it.
+        let names: Vec<&str> = tables.columns.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(&names[FIXED..], &["x", "label"]);
+        assert!(tables.chunks[0]
+            .held
+            .iter()
+            .all(|&(c, _)| c != FIXED as u32 + 1));
+        assert!(tables.chunks[3]
+            .held
+            .iter()
+            .any(|&(c, _)| c == FIXED as u32 + 1));
     }
 
     proptest::proptest! {
@@ -1196,7 +1557,7 @@ mod tests {
                     )
                 })
                 .collect();
-            let (_, tables) = tables_for(&docs, chunk);
+            let (_, tables, _) = tables_for(&docs, chunk);
             let bytes = tables.to_bytes();
             let back = ZoneTables::from_bytes(&bytes).expect("footer decodes");
             proptest::prop_assert_eq!(bytes, back.to_bytes());
@@ -1222,7 +1583,8 @@ mod tests {
     }
 
     /// Seal rows `[lo, hi)` of a shard that has ingested `shard_docs`, in
-    /// `format` — the live incremental seal.
+    /// `format` — the live incremental seal (an old format is written by
+    /// downgrading the sealed file).
     fn seal_run(
         dir: &Path,
         shard_docs: &[Arc<Value>],
@@ -1232,19 +1594,20 @@ mod tests {
         format: Format,
     ) -> SegmentMeta {
         let mut cols = ColumnarShard::with_chunk(chunk);
+        let mut reg = Registry::default();
         for d in shard_docs {
-            cols.push_doc(d);
+            cols.push_doc(d, &mut reg);
         }
-        let zones = cols.export_zone_tables(lo, hi).unwrap();
+        let (zones, runs) = export(&cols, lo, hi, &reg).unwrap();
         let meta = SegmentMeta::new(dir, 1, 0, lo as u64, chunk as u32, hi - lo);
-        match format {
-            Format::Pseg2 => {
-                write_segment(&meta, &shard_docs[lo..hi], &col_runs(&cols, lo, hi), &zones)
-                    .unwrap();
-                meta
-            }
-            Format::Pseg1 => write_segment_pseg1(&meta, &shard_docs[lo..hi], &zones).unwrap(),
-        }
+        write_segment(&meta, &shard_docs[lo..hi], &runs, &zones).unwrap();
+        let legacy = match format {
+            Format::Pseg3 => return meta,
+            Format::Pseg2 => 2,
+            Format::Pseg1 => 1,
+        };
+        downgrade_segment(&meta.path, legacy).unwrap();
+        SegmentMeta { format, ..meta }
     }
 
     #[test]
@@ -1252,8 +1615,8 @@ mod tests {
         let dir = Scratch::new("rt");
         let chunk = 8usize;
         let docs = corpus(64);
-        let (cols, tables) = tables_for(&docs, chunk);
-        let meta = seal_run(&dir.0, &docs, 0, docs.len(), chunk, Format::Pseg2);
+        let (cols, tables, _) = tables_for(&docs, chunk);
+        let meta = seal_run(&dir.0, &docs, 0, docs.len(), chunk, Format::Pseg3);
 
         // Documents survive bit-exactly (canonical codec).
         let back = read_docs(&meta).unwrap();
@@ -1269,7 +1632,7 @@ mod tests {
         // layout locates one column block per chunk.
         let footer = read_footer(&meta).unwrap();
         assert_eq!(footer.zones.to_bytes(), tables.to_bytes());
-        let layout = footer.layout.expect("PSEG2 footer has a layout");
+        let layout = footer.layout.expect("PSEG3 footer has a layout");
         assert_eq!(layout.cols.len(), docs.len() / chunk + 1);
 
         // Pruning is sound: a pruned segment provably has no matching
@@ -1283,12 +1646,18 @@ mod tests {
             ("started_at", CmpOp::Le, Value::Float(3.0)),
             ("hostname", CmpOp::Ne, Value::from("localhost")),
             ("duration", CmpOp::Eq, Value::Float(0.5)),
+            ("x", CmpOp::Gt, Value::Float(100.0)),
+            ("x", CmpOp::Le, Value::Float(3.0)),
+            ("label", CmpOp::Eq, Value::from("L1")),
+            ("label", CmpOp::Eq, Value::from("nope")),
+            ("label", CmpOp::Ne, Value::from("L1")),
         ];
         let mut pruned_any = false;
         for (field, op, lit) in &preds {
             if segment_prunes(&meta, &footer.zones, field, *op, lit) {
                 pruned_any = true;
-                let f = crate::columnar::lookup(field).unwrap();
+                let i = footer.zones.columns.iter().position(|c| c.name == *field);
+                let f = ColField(i.unwrap() as u32);
                 for slot in 0..docs.len() {
                     assert!(
                         !cmp_matches(&cols.value(slot, f), *op, lit),
@@ -1301,25 +1670,54 @@ mod tests {
 
         let metas = scan_dir(&dir.0).unwrap();
         assert_eq!(metas.len(), 1);
-        assert_eq!(metas[0].format, Format::Pseg2);
+        assert_eq!(metas[0].format, Format::Pseg3);
     }
 
-    /// Column blocks use the narrowest code width per block and field:
-    /// a chunk with at most 254 distinct codes stores one byte per cell,
-    /// and an all-null column stores none.
+    /// Column blocks use the narrowest code width per block and column
+    /// (a chunk with at most 254 distinct codes stores one byte per
+    /// cell), and hold only the columns their directory lists: a column
+    /// with no present cell in the chunk costs it no byte.
     #[test]
     fn column_blocks_use_narrow_code_widths() {
         let chunk = 8usize;
-        let docs = corpus(16);
-        let (cols, _) = tables_for(&docs, chunk);
-        let block = col_runs(&cols, 0, chunk);
+        let docs = corpus(24);
+        let (cols, tables, runs) = tables_for(&docs, chunk);
         let rows_bitmap = 1; // 8 rows
         let mut pos = rows_bitmap;
-        for (i, field) in STR_FIELDS.iter().enumerate() {
-            let width = block.bytes[pos] as usize;
-            let present = cols.str_codes(i)[..chunk].iter().any(|&c| c != NULL_CODE);
-            assert_eq!(width, usize::from(present), "field {field}");
-            pos += 1 + width * chunk;
+        let held = &tables.chunks[0].held;
+        for &(f, zone) in held {
+            let ch = cols.column(ColField(f)).unwrap().chunk(0).unwrap();
+            assert!(ch.zone.present() > 0, "column {f} held without a cell");
+            pos += match zone {
+                Zone::Str { .. } => {
+                    assert_eq!(runs.bytes()[pos], 1, "column {f}");
+                    1 + chunk
+                }
+                Zone::F64 { present, .. } => 1 + 8 * present as usize,
+                Zone::Flag { .. } => 1,
+            };
+        }
+        assert_eq!(
+            pos + 4,
+            runs.bounds[1] as usize,
+            "directory tiles the block"
+        );
+        // No telemetry and no `label` in chunk 0: none of those is held.
+        for name in ["cpu_percent_end", "label"] {
+            let i = tables.columns.iter().position(|c| c.name == name).unwrap() as u32;
+            assert!(held.iter().all(|&(c, _)| c != i), "{name} held");
+        }
+        // A block decodes back into the same cells.
+        let ids: Vec<ColField> = (0..tables.columns.len() as u32).map(ColField).collect();
+        let block = &runs.bytes()[..runs.bounds[1] as usize];
+        let page = decode_col_block(block, chunk, chunk, &tables, 0, &ids).unwrap();
+        for f in &ids {
+            for r in 0..chunk {
+                assert_eq!(
+                    format!("{:?}", page.value(r, *f)),
+                    format!("{:?}", cols.value(r, *f))
+                );
+            }
         }
     }
 
@@ -1350,7 +1748,7 @@ mod tests {
         let chunk = 8usize;
         let docs = corpus(32);
         let n = docs.len() / chunk;
-        let meta = seal_run(&dir.0, &docs, 0, docs.len(), chunk, Format::Pseg2);
+        let meta = seal_run(&dir.0, &docs, 0, docs.len(), chunk, Format::Pseg3);
         edit_layout(&meta, n, |_| {});
         assert!(read_footer(&meta).is_ok(), "re-stamped footer still reads");
         let bound = |k: usize| 4 + 8 * k;
@@ -1383,7 +1781,7 @@ mod tests {
             ),
         ];
         for (what, edit) in edits {
-            let meta = seal_run(&dir.0, &docs, 0, docs.len(), chunk, Format::Pseg2);
+            let meta = seal_run(&dir.0, &docs, 0, docs.len(), chunk, Format::Pseg3);
             edit_layout(&meta, n, edit);
             assert!(read_footer(&meta).is_err(), "{what}: malformed layout read");
         }
@@ -1394,10 +1792,10 @@ mod tests {
         let dir = Scratch::new("c");
         let chunk = 8usize;
         let docs = corpus(48);
-        let m1 = seal_run(&dir.0, &docs[..16], 0, 16, chunk, Format::Pseg2);
+        let m1 = seal_run(&dir.0, &docs[..16], 0, 16, chunk, Format::Pseg3);
         // Second run: zones exported from a shard that saw all 32 rows,
         // sealed range [16, 32) — mirrors the live incremental seal.
-        let m2 = seal_run(&dir.0, &docs[..32], 16, 32, chunk, Format::Pseg2);
+        let m2 = seal_run(&dir.0, &docs[..32], 16, 32, chunk, Format::Pseg3);
 
         let merged = compact_runs(&dir.0, &[m1, m2]).unwrap();
         assert_eq!((merged.start, merged.end), (0, 32));
@@ -1409,52 +1807,57 @@ mod tests {
         assert_eq!(metas[0].end - metas[0].start, 32);
     }
 
-    /// Compacting a `PSEG1` run with a `PSEG2` run writes `PSEG2` through
-    /// the rebuild path, whether or not the dictionaries are
-    /// prefix-compatible, and two `PSEG2` runs merge on the footer-reuse
-    /// path; every merged file is byte-identical to the same rows sealed
-    /// as one `PSEG2` segment, so it pages the same cells and documents
-    /// and answers identically.
+    /// Compacting a `PSEG1` or `PSEG2` run with a `PSEG3` run writes
+    /// `PSEG3` through the rebuild path, whether or not the dictionaries
+    /// are prefix-compatible, and two `PSEG3` runs merge on the
+    /// footer-reuse path; every merged file is byte-identical to the same
+    /// rows sealed as one `PSEG3` segment, so it pages the same cells and
+    /// documents and answers identically.
     #[test]
-    fn compacting_mixed_pseg1_and_pseg2_runs_writes_pseg2() {
+    fn compacting_legacy_and_pseg3_runs_writes_pseg3() {
         let chunk = 8usize;
         let docs = corpus(48);
         let reference = Scratch::new("mix-ref");
-        let whole = seal_run(&reference.0, &docs[..32], 0, 32, chunk, Format::Pseg2);
+        let whole = seal_run(&reference.0, &docs[..32], 0, 32, chunk, Format::Pseg3);
         let want = std::fs::read(&whole.path).unwrap();
 
         // One shard sealed [0, 16), then [16, 32): prefix-compatible
-        // dictionaries. With a PSEG1 first run this rebuilds; with two
-        // PSEG2 runs it reuses the footers and copies the blocks.
+        // tables. With a legacy first run this rebuilds; with two PSEG3
+        // runs it reuses the footers and copies the blocks.
         for (first, what) in [
-            (Format::Pseg1, "PSEG1 + PSEG2 rebuild"),
-            (Format::Pseg2, "PSEG2 + PSEG2 footer reuse"),
+            (Format::Pseg1, "PSEG1 + PSEG3 rebuild"),
+            (Format::Pseg2, "PSEG2 + PSEG3 rebuild"),
+            (Format::Pseg3, "PSEG3 + PSEG3 footer reuse"),
         ] {
             let dir = Scratch::new("mix-compatible");
             let m1 = seal_run(&dir.0, &docs[..16], 0, 16, chunk, first);
-            let m2 = seal_run(&dir.0, &docs[..32], 16, 32, chunk, Format::Pseg2);
+            let m2 = seal_run(&dir.0, &docs[..32], 16, 32, chunk, Format::Pseg3);
             let footers = [read_footer(&m1).unwrap(), read_footer(&m2).unwrap()];
             assert_eq!(footers[0].layout.is_none(), first == Format::Pseg1);
-            assert!(dicts_prefix_compatible(&footers));
+            assert_eq!(footers[0].zones.legacy, first != Format::Pseg3);
+            assert!(tables_prefix_compatible(&footers));
             let merged = compact_runs(&dir.0, &[m1, m2]).unwrap();
-            assert_eq!(merged.format, Format::Pseg2, "{what}");
+            assert_eq!(merged.format, Format::Pseg3, "{what}");
             assert_eq!(std::fs::read(&merged.path).unwrap(), want, "{what}");
         }
 
-        // The PSEG2 run comes from a shard that saw other rows first, so
-        // its dictionary is no extension of the PSEG1 run's.
-        let dir = Scratch::new("mix-rebuild");
-        let m1 = seal_run(&dir.0, &docs[..16], 0, 16, chunk, Format::Pseg1);
-        let other: Vec<Arc<Value>> = docs[32..48].iter().chain(&docs[16..32]).cloned().collect();
-        let m2 = seal_run(&dir.0, &other, 16, 32, chunk, Format::Pseg2);
-        let footers = [read_footer(&m1).unwrap(), read_footer(&m2).unwrap()];
-        assert!(!dicts_prefix_compatible(&footers));
-        let merged = compact_runs(&dir.0, &[m1, m2]).unwrap();
-        assert_eq!(merged.format, Format::Pseg2);
-        assert_eq!(
-            std::fs::read(&merged.path).unwrap(),
-            want,
-            "incompatible rebuild"
-        );
+        // The PSEG3 run comes from a shard that saw other rows first, so
+        // its dictionaries are no extension of the first run's.
+        for first in [Format::Pseg1, Format::Pseg3] {
+            let dir = Scratch::new("mix-rebuild");
+            let m1 = seal_run(&dir.0, &docs[..16], 0, 16, chunk, first);
+            let other: Vec<Arc<Value>> =
+                docs[32..48].iter().chain(&docs[16..32]).cloned().collect();
+            let m2 = seal_run(&dir.0, &other, 16, 32, chunk, Format::Pseg3);
+            let footers = [read_footer(&m1).unwrap(), read_footer(&m2).unwrap()];
+            assert!(!tables_prefix_compatible(&footers));
+            let merged = compact_runs(&dir.0, &[m1, m2]).unwrap();
+            assert_eq!(merged.format, Format::Pseg3);
+            assert_eq!(
+                std::fs::read(&merged.path).unwrap(),
+                want,
+                "incompatible rebuild from {first:?}"
+            );
+        }
     }
 }

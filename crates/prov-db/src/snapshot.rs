@@ -280,7 +280,11 @@ impl StoreSnapshot {
     /// any pushdown fallback) through the stage machine on the shared
     /// oracle frame. The routing rule mirrors the agent tool's historical
     /// heuristic: unselective corpus-wide queries are exactly the ones
-    /// that amortize the oracle frame.
+    /// that amortize the oracle frame. Among the golden questions it now
+    /// decides only q15 (a whole-width row, which no projected scan
+    /// serves): the dataflow columns are columnar, and q18's
+    /// `depends_on.notna()` runs as a presence test in a columnar-only
+    /// scan.
     fn execute_uncached(
         &self,
         query: &Query,
@@ -349,6 +353,9 @@ impl PushdownCapability for StoreSnapshot {
     }
     fn pushable_sort(&self, column: &str) -> bool {
         self.db.pushable_sort(column)
+    }
+    fn pushable_presence(&self, column: &str) -> bool {
+        self.db.pushable_presence(column)
     }
 }
 

@@ -316,7 +316,7 @@ impl ProvenanceDatabase {
         // at the tear and lose them).
         wal::rewrite(&wal_path, &records)?;
 
-        if let Some((core, shards, masks)) = cold {
+        if let Some((core, shards, irregular)) = cold {
             // Attach order matters: the cold prefix must be in place
             // before the tail materializes (ids continue from it), the
             // recovered pushdown masks before any query plans against
@@ -324,7 +324,7 @@ impl ProvenanceDatabase {
             // so the tail skips the KV/graph fan-out it would otherwise
             // double-apply when hydration later replays ids from zero.
             db.backends_cold.store(true, Ordering::Release);
-            db.documents.apply_columnar_report(masks);
+            db.documents.apply_irregular(irregular);
             db.documents.attach_cold(core, shards);
         }
         // Replay through the live ingest path. Round-robin routing from a
@@ -358,21 +358,21 @@ impl ProvenanceDatabase {
     /// if compaction later unlinks the file) with its zone-map footer
     /// decoded. Returns `None` — replay fallback — if any file or footer
     /// fails to load (e.g. a pre-mask-format footer). Also accumulates
-    /// the OR of the footers' pushdown masks, which equals the live
-    /// store's masks over those rows: every sealed document's mask bits
+    /// the OR of the footers' irregular masks, which equals the live
+    /// store's mask over those rows: every sealed document's mask bits
     /// were stamped into some footer at its seal, and seal-time masks
     /// only ever contain bits contributed by documents still in the
-    /// append-only store.
-    #[allow(clippy::type_complexity)]
+    /// append-only store. (Poison flags travel in the footers' column
+    /// tables; attaching binds them into the store's registry.)
     fn build_cold(
         segs: &[SegmentMeta],
         n: u64,
         chunk: u64,
         slots: u64,
         budget: usize,
-    ) -> Option<(Arc<PagerCore>, Vec<ColdShard>, crate::columnar::PushReport)> {
+    ) -> Option<(Arc<PagerCore>, Vec<ColdShard>, u16)> {
         let core = Arc::new(PagerCore::new(budget));
-        let mut masks = crate::columnar::PushReport::default();
+        let mut irregular = 0u16;
         let mut shards = Vec::with_capacity(n as usize);
         for s in 0..n {
             let mut metas: Vec<&SegmentMeta> = segs
@@ -397,8 +397,7 @@ impl ProvenanceDatabase {
                 covered = m.end;
                 let file = std::fs::File::open(&m.path).ok()?;
                 let footer = segment::read_footer(m).ok()?;
-                masks.irregular |= footer.zones.irregular;
-                masks.poison |= footer.zones.poison;
+                irregular |= footer.zones.irregular;
                 cold_segs.push(ColdSegment::new((*m).clone(), file, footer));
             }
             if covered < slots {
@@ -412,7 +411,7 @@ impl ProvenanceDatabase {
                 s as usize,
             ));
         }
-        Some((core, shards, masks))
+        Some((core, shards, irregular))
     }
 
     /// One-shot KV/graph hydration after a lazy open: replay every

@@ -1,12 +1,14 @@
 //! Differential property tests for the columnar scan: over random corpora
 //! — including raw documents with missing or ill-typed hot fields, the
-//! kind the exactness contract in `prov_db::columnar` exists for — random
-//! filter/aggregate pipelines must produce exactly the `QueryOutput`
-//! (or exactly the error) of the full-materialize document-scan oracle.
+//! kind the exactness contract in `prov_db::columnar` exists for, and
+//! random `used`/`generated` trees whose leaves become discovered columns
+//! — random filter/aggregate pipelines must produce exactly the
+//! `QueryOutput` (or exactly the error) of the full-materialize
+//! document-scan oracle.
 
 use dataframe::{col, lit, AggFunc, CmpOp, DataFrame, Expr};
 use proptest::prelude::*;
-use prov_db::{ProvenanceDatabase, Pushdown, StoreSnapshot};
+use prov_db::{Config, ProvenanceDatabase, Pushdown, StoreSnapshot, SyncPolicy};
 use prov_model::{obj, TaskMessageBuilder, TaskStatus, Value};
 use provql::{execute, ExecError, Query, QueryOutput, Stage};
 use std::sync::Arc;
@@ -28,6 +30,8 @@ fn arb_column() -> impl Strategy<Value = String> {
         Just("gpu_percent_end".to_string()),
         Just("mem_used_mb_end".to_string()),
         Just("y".to_string()),
+        Just("depends_on".to_string()),
+        Just("x".to_string()),
         Just("ghost_column".to_string()),
     ]
 }
@@ -61,6 +65,19 @@ fn arb_filter() -> impl Strategy<Value = Stage> {
         .prop_map(|(c, op, v)| Stage::Filter(Expr::Cmp(Box::new(col(c)), op, Box::new(lit(v)))))
 }
 
+/// Null tests: pushed into the scan as presence tests on every column
+/// whose presence the store knows (the lineage column included),
+/// residual otherwise.
+fn arb_null_filter(column: impl Strategy<Value = String>) -> impl Strategy<Value = Stage> {
+    (column, any::<bool>()).prop_map(|(c, present)| {
+        Stage::Filter(if present {
+            col(c).not_null()
+        } else {
+            col(c).is_null()
+        })
+    })
+}
+
 /// Membership filters: pushed into the scan (dictionary code sets) when
 /// the list is null-free and the column columnar, residual otherwise —
 /// both paths must match the oracle. Lists deliberately mix kinds and
@@ -82,6 +99,7 @@ fn arb_stage() -> impl Strategy<Value = Stage> {
         arb_filter(),
         arb_filter(),
         arb_isin_filter(),
+        arb_null_filter(arb_column()),
         prop::collection::vec(arb_column(), 1..3).prop_map(Stage::Select),
         arb_column().prop_map(Stage::Col),
         arb_column().prop_map(|c| Stage::GroupBy(vec![c])),
@@ -176,6 +194,17 @@ fn arb_raw_doc() -> impl Strategy<Value = Value> {
         Just(Value::Float(f64::NAN)),
         Just(Value::Null),
     ];
+    // Lineage as the decode sees it: a non-empty list only when some
+    // entry is a string.
+    let deps = prop_oneof![
+        Just(None),
+        Just(Some(prov_model::arr![])),
+        Just(Some(prov_model::arr!["t1"])),
+        Just(Some(prov_model::arr![3, "t2"])),
+        Just(Some(prov_model::arr![3, 4])),
+        Just(Some(Value::from("t1"))),
+        Just(Some(Value::Null)),
+    ];
     (
         ids.clone(),
         ids,
@@ -183,28 +212,209 @@ fn arb_raw_doc() -> impl Strategy<Value = Value> {
         stamp.clone(),
         stamp,
         any::<bool>(),
+        deps,
+        arb_section(),
     )
-        .prop_map(|(task, wf, status, started, ended, with_tele)| {
-            let mut doc = obj! {
-                "activity_id" => "raw_act",
-                "status" => status,
-                "started_at" => started,
-                "ended_at" => ended,
-            };
-            if !task.is_null() {
-                doc.insert("task_id", task);
+        .prop_map(
+            |(task, wf, status, started, ended, with_tele, deps, used)| {
+                let mut doc = obj! {
+                    "activity_id" => "raw_act",
+                    "status" => status,
+                    "started_at" => started,
+                    "ended_at" => ended,
+                };
+                if !task.is_null() {
+                    doc.insert("task_id", task);
+                }
+                if !wf.is_null() {
+                    doc.insert("workflow_id", wf);
+                }
+                if with_tele {
+                    doc.insert(
+                        "telemetry_at_end",
+                        obj! {"cpu" => obj! {"percent" => prov_model::arr![10.0, "x", 30.0]}},
+                    );
+                }
+                if let Some(deps) = deps {
+                    doc.insert("depends_on", deps);
+                }
+                doc.insert("used", used);
+                doc
+            },
+        )
+}
+
+/// A dataflow leaf of any kind the frame can hold: mostly floats and
+/// strings (which become discovered columns), sometimes an `Int`,
+/// `Bool`, array, empty object, nested object, null or NaN.
+fn arb_leaf() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        (-5.0f64..50.0).prop_map(Value::Float),
+        (-5.0f64..50.0).prop_map(Value::Float),
+        (-5.0f64..50.0).prop_map(Value::Float),
+        "[a-c]{1,2}".prop_map(|s| Value::from(s.as_str())),
+        "[a-c]{1,2}".prop_map(|s| Value::from(s.as_str())),
+        (0i64..9).prop_map(Value::Int),
+        any::<bool>().prop_map(Value::Bool),
+        Just(prov_model::arr![1.0, "a"]),
+        Just(obj! {}),
+        Just(Value::Null),
+        Just(Value::Float(f64::NAN)),
+        (-5.0f64..5.0).prop_map(|x| obj! {"b" => x, "c" => "z"}),
+        // Under `tags` / `telemetry_at_end`, names the row's tail sets.
+        (-5.0f64..5.0).prop_map(|x| obj! {"k" => x}),
+        (-5.0f64..5.0).prop_map(|x| obj! {"memory" => obj! {"used_mb" => x}}),
+    ]
+}
+
+/// A `used`/`generated` section over keys that clash in every way the
+/// flatten policy names: a common field (`status`), a protected derived
+/// name (`duration`), an unprotected telemetry mean (`gpu_percent_end`),
+/// the lineage field, `tags`/`telemetry_at_end` prefixes the row's tail
+/// overwrites, and a dotted key beside a nested object that flattens to
+/// the same name. (The steady columns of [`dataflow_message`] are not
+/// among them, so those stay servable unless a case flips a kind.)
+fn arb_section() -> impl Strategy<Value = Value> {
+    let key = prop_oneof![
+        Just("z"),
+        Just("a"),
+        Just("a.b"),
+        Just("status"),
+        Just("duration"),
+        Just("gpu_percent_end"),
+        Just("depends_on"),
+        Just("tags"),
+        Just("telemetry_at_end"),
+    ];
+    prop::collection::vec((key, arb_leaf()), 0..4).prop_map(|kvs| {
+        let mut section = obj! {};
+        for (k, v) in kvs {
+            section.insert(k, v);
+        }
+        section
+    })
+}
+
+/// Columns of the dataflow corpus: discovered names (bare, prefixed on a
+/// clash, dotted), clash victims, the lineage column, a tag, and a few
+/// fixed ones.
+fn arb_dataflow_column() -> impl Strategy<Value = String> {
+    prop_oneof![
+        Just("x".to_string()),
+        Just("y".to_string()),
+        Just("label".to_string()),
+        Just("a".to_string()),
+        Just("a.b".to_string()),
+        Just("used.x".to_string()),
+        Just("generated.x".to_string()),
+        Just("used.status".to_string()),
+        Just("generated.duration".to_string()),
+        Just("gpu_percent_end".to_string()),
+        Just("depends_on".to_string()),
+        Just("tags.k".to_string()),
+        Just("telemetry_at_end.memory.used_mb".to_string()),
+        Just("task_id".to_string()),
+        Just("started_at".to_string()),
+        Just("ghost_column".to_string()),
+    ]
+}
+
+fn arb_dataflow_stage() -> impl Strategy<Value = Stage> {
+    let lit = prop_oneof![
+        (-5.0f64..50.0).prop_map(Value::Float),
+        "[a-c]{1,2}".prop_map(|s| Value::from(s.as_str())),
+        (0i64..9).prop_map(Value::Int),
+        Just(Value::Null),
+    ];
+    prop_oneof![
+        (arb_dataflow_column(), arb_cmp(), lit.clone()).prop_map(|(c, op, v)| {
+            Stage::Filter(Expr::Cmp(Box::new(col(c)), op, Box::new(dataframe::lit(v))))
+        }),
+        (arb_dataflow_column(), prop::collection::vec(lit, 1..3))
+            .prop_map(|(c, vals)| Stage::Filter(col(c).isin(vals))),
+        arb_null_filter(arb_dataflow_column()),
+        arb_null_filter(arb_dataflow_column()),
+        prop::collection::vec(arb_dataflow_column(), 1..3).prop_map(Stage::Select),
+        arb_dataflow_column().prop_map(Stage::Col),
+        arb_dataflow_column().prop_map(|c| Stage::GroupBy(vec![c])),
+        prop_oneof![
+            Just(AggFunc::Mean),
+            Just(AggFunc::Sum),
+            Just(AggFunc::Count)
+        ]
+        .prop_map(Stage::Agg),
+        (arb_dataflow_column(), any::<bool>()).prop_map(|(c, a)| Stage::SortValues(vec![(c, a)])),
+        (0usize..5).prop_map(Stage::Head),
+        Just(Stage::Count),
+        Just(Stage::ValueCounts),
+    ]
+}
+
+fn arb_dataflow_query() -> impl Strategy<Value = Query> {
+    (
+        prop::collection::vec(arb_dataflow_stage(), 0..4),
+        any::<bool>(),
+    )
+        .prop_map(|(stages, wrap)| {
+            let p = Query::pipeline(stages);
+            if wrap {
+                Query::Len(Box::new(p))
+            } else {
+                p
             }
-            if !wf.is_null() {
-                doc.insert("workflow_id", wf);
-            }
-            if with_tele {
-                doc.insert(
-                    "telemetry_at_end",
-                    obj! {"cpu" => obj! {"percent" => prov_model::arr![10.0, "x", 30.0]}},
-                );
-            }
-            doc
         })
+}
+
+/// The random parts of one dataflow message (see [`dataflow_message`]).
+type DataflowFields = ((f64, u8), Value, Value, usize, bool, bool);
+
+fn arb_dataflow_fields() -> impl Strategy<Value = DataflowFields> {
+    (
+        (-5.0f64..50.0, 0u8..4),
+        arb_section(),
+        arb_section(),
+        0usize..3,
+        any::<bool>(),
+        any::<bool>(),
+    )
+}
+
+/// Message `i` of a dataflow corpus, its `used`/`generated` trees random:
+/// steady columns (`x` always a float in `used`, `label` always a string
+/// in `generated`, sometimes with a `generated.x` clash), random extra
+/// leaves, lineage that may be empty, telemetry and a tag the row's tail
+/// overwrites dataflow cells with. `y` is a float before message `flip`
+/// and a string from it on: a kind change across chunks.
+fn dataflow_message(i: usize, flip: usize, fields: DataflowFields) -> prov_model::TaskMessage {
+    let ((v, shape), mut used, mut generated, deps, tele, tag) = fields;
+    let mut m = TaskMessageBuilder::new(format!("t{i}"), format!("wf-{}", i % 3), "act")
+        .span(i as f64, i as f64 + 1.0)
+        .build();
+    if shape != 0 {
+        used.insert("x", v);
+    }
+    if shape == 1 {
+        generated.insert("x", v * 2.0);
+    }
+    if shape != 3 {
+        generated.insert("label", format!("l{}", i % 4));
+        if i < flip {
+            generated.insert("y", v + i as f64);
+        } else {
+            generated.insert("y", format!("s{}", i % 3));
+        }
+    }
+    m.used = used;
+    m.generated = generated;
+    m.depends_on = (0..deps).map(|d| format!("t{d}").into()).collect();
+    if tele {
+        let synth = prov_model::TelemetrySynth::frontier(i as u64);
+        m.telemetry_at_end = Some(synth.snapshot(i as u64, 1, 0.5));
+    }
+    if tag {
+        m = m.with_tag("k", "tagged");
+    }
+    m
 }
 
 /// Value equality with NaN ≡ NaN: `PartialEq` calls NaN unequal to
@@ -456,6 +666,13 @@ proptest! {
         for q in &queries {
             check(&snap, q);
         }
+        // Lineage as the raw documents spell it, well-formed or not.
+        for text in [
+            r#"len(df[df["depends_on"].notna()])"#,
+            r#"df[df["depends_on"].isna()][["task_id"]]"#,
+        ] {
+            check(&snap, &provql::parse(text).expect("parses"));
+        }
     }
 
     /// Well-formed corpora: the columnar scan and the oracle agree.
@@ -470,5 +687,84 @@ proptest! {
         for q in &queries {
             check(&snap, q);
         }
+    }
+}
+
+static DATAFLOW_DIRS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+
+/// Pipelines every dataflow corpus runs besides its random ones: the
+/// discovered columns projected, filtered, grouped, sorted and reduced,
+/// and the lineage null tests.
+const DATAFLOW_QUERIES: &[&str] = &[
+    r#"df[["task_id", "x", "y", "label"]]"#,
+    r#"df[["task_id", "generated.x"]]"#,
+    r#"df[["task_id", "used.x"]]"#,
+    r#"df[["task_id", "a.b"]]"#,
+    r#"df[["task_id", "a"]]"#,
+    r#"df[["task_id", "z"]]"#,
+    r#"df[["task_id", "tags.k"]]"#,
+    r#"df[["task_id", "telemetry_at_end.memory.used_mb"]]"#,
+    r#"df[["task_id", "gpu_percent_end"]]"#,
+    r#"df[df["x"] > 10][["task_id", "x"]]"#,
+    r#"df[df["label"] == "l1"]["y"].sum()"#,
+    r#"df.groupby("label")["x"].mean()"#,
+    r#"df.sort_values("x", ascending=False)[["task_id", "x"]].head(3)"#,
+    r#"df["y"].mean()"#,
+    r#"len(df[df["depends_on"].notna()])"#,
+    r#"len(df[df["depends_on"].isna()])"#,
+    r#"df[df["x"].isna()][["task_id", "label"]]"#,
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Random `used`/`generated` trees over 16-row chunks on two shards:
+    /// the store live (partly sealed), and lazily reopened from its
+    /// `PSEG3` segments at a one-byte budget, must agree with their own
+    /// oracle frames on every servable pipeline over the discovered
+    /// columns, their clash-renamed siblings and the lineage column.
+    #[test]
+    fn dataflow_trees_match_oracle(
+        fields in prop::collection::vec(arb_dataflow_fields(), 20..64),
+        flip in 0usize..80,
+        queries in prop::collection::vec(arb_dataflow_query(), 1..5),
+    ) {
+        let msgs: Vec<prov_model::TaskMessage> = fields
+            .into_iter()
+            .enumerate()
+            .map(|(i, f)| dataflow_message(i, flip, f))
+            .collect();
+        let mut queries = queries;
+        queries.extend(DATAFLOW_QUERIES.iter().map(|t| provql::parse(t).expect("parses")));
+        let dir = std::env::temp_dir().join(format!(
+            "provdb-dataflow-{}-{}",
+            std::process::id(),
+            DATAFLOW_DIRS.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = Config {
+            shards: 2,
+            chunk_rows: 16,
+            wal_sync: SyncPolicy::Batch,
+            ..Config::from_env()
+        };
+        let cut = msgs.len() * 2 / 3;
+        let db = ProvenanceDatabase::open_with(&dir, config).expect("open durable");
+        db.insert_batch(&msgs[..cut]);
+        db.flush_views();
+        db.seal_now().expect("seal");
+        db.insert_batch(&msgs[cut..]);
+        db.flush_views();
+        for q in &queries {
+            check(&db.snapshot(), q);
+        }
+        drop(db);
+        let lazy = ProvenanceDatabase::open_with(&dir, Config { resident_bytes: 1, ..config })
+            .expect("lazy reopen");
+        for q in &queries {
+            check(&lazy.snapshot(), q);
+        }
+        drop(lazy);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -520,7 +520,7 @@ fn a_malformed_layout_table_takes_the_eager_fallback() {
     seal_corpus(&dir, &msgs);
     let seg = segment_files(&dir).pop().expect("a sealed segment");
     let mut bytes = std::fs::read(&seg).expect("read segment");
-    assert_eq!(&bytes[..6], b"PSEG2\n", "seals write PSEG2");
+    assert_eq!(&bytes[..6], b"PSEG3\n", "seals write PSEG3");
     let u32_at = |b: &[u8], o: usize| u32::from_le_bytes(b[o..o + 4].try_into().unwrap());
     let n_chunks = (u32_at(&bytes, 34) as usize).div_ceil(u32_at(&bytes, 30) as usize);
     let size = bytes.len();
@@ -544,30 +544,6 @@ fn a_malformed_layout_table_takes_the_eager_fallback() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Rewrite a `PSEG2` segment as the `PSEG1` row file it extends: the same
-/// header fields and document records, no column blocks, and a footer
-/// without the trailing layout table.
-fn downgrade_to_pseg1(path: &std::path::Path) {
-    let bytes = std::fs::read(path).expect("read segment");
-    assert_eq!(&bytes[..6], b"PSEG2\n");
-    let u32_at = |o: usize| u32::from_le_bytes(bytes[o..o + 4].try_into().unwrap());
-    let n_chunks = (u32_at(34) as usize).div_ceil(u32_at(30) as usize);
-    let footer_end = bytes.len() - 14;
-    let footer_start = footer_end - u32_at(footer_end) as usize;
-    let layout_start = footer_end - (4 + 16 * (n_chunks + 1));
-    // The last document bound is where the column blocks begin.
-    let at = layout_start + 4 + 8 * n_chunks;
-    let docs_end = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
-    let zones = &bytes[footer_start..layout_start];
-    let mut out = b"PSEG1\n".to_vec();
-    out.extend_from_slice(&bytes[6..docs_end]);
-    out.extend_from_slice(zones);
-    out.extend_from_slice(&(zones.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(zones).to_le_bytes());
-    out.extend_from_slice(b"PSEGF\n");
-    std::fs::write(path, out).expect("rewrite segment");
-}
-
 fn segment_files(dir: &PathBuf) -> Vec<PathBuf> {
     std::fs::read_dir(dir)
         .expect("list store")
@@ -576,48 +552,77 @@ fn segment_files(dir: &PathBuf) -> Vec<PathBuf> {
         .collect()
 }
 
-/// `PSEG1` segments stay readable: the same rows sealed as `PSEG2` and
-/// rewritten as `PSEG1` answer every golden pipeline like the oracle
-/// through a lazy open (their cols pages come from decoded documents). Sealing more rows and compacting on that
-/// store rewrites the history forward, every file `PSEG2`, with the same
-/// answers after a reopen.
+/// A copy, in a fresh directory, of the store directory checked in
+/// under `tests/fixtures/<name>`.
+fn fixture_dir(name: &str) -> PathBuf {
+    let src = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(name);
+    let dir = fresh_dir(name);
+    for e in std::fs::read_dir(&src).expect("list fixture") {
+        let path = e.expect("entry").path();
+        std::fs::copy(&path, dir.join(path.file_name().expect("file name"))).expect("copy");
+    }
+    dir
+}
+
+/// `PSEG1` and `PSEG2` directories stay readable. The fixtures
+/// `pseg1-corpus32` and `pseg2-corpus32` are `corpus(32)` sealed and
+/// compacted by the last releases that wrote each format, at 2 shards ×
+/// 16-row chunks. Opened lazily, each answers every golden pipeline like
+/// the oracle (a `PSEG2` store reads its fixed columns from the column
+/// blocks, paging no document for a fixed-column scan); sealing more rows
+/// and compacting on that store rewrites the history forward, every file
+/// `PSEG3`, with the same answers after a reopen.
 #[test]
-fn pseg1_segments_answer_like_pseg2_and_compact_forward() {
-    let (chunk, nshards) = geometry();
-    let per_run = chunk * nshards;
+fn legacy_segments_answer_like_pseg3_and_compact_forward() {
+    let config = Config {
+        shards: 2,
+        chunk_rows: 16,
+        wal_sync: SyncPolicy::Batch,
+        resident_bytes: 64 << 20,
+        ..Config::from_env()
+    };
+    let per_run = 32;
     let msgs = corpus(2 * per_run + 3);
-    let dir = fresh_dir("pseg1");
-    seal_corpus(&dir, &msgs[..per_run]);
     let want = fingerprint(&oracle(&msgs[..per_run]).snapshot(), GOLDEN);
-    let pseg2 = open_lazy(&dir, 64 << 20);
-    assert_eq!(fingerprint(&pseg2.snapshot(), GOLDEN), want, "PSEG2");
-    drop(pseg2);
+    let scan = parse(r#"df[df["hostname"].isin(["n1", "n3"])]["task_id"]"#).expect("parses");
+    for legacy in [1u8, 2] {
+        let dir = fixture_dir(&format!("pseg{legacy}-corpus32"));
+        for seg in segment_files(&dir) {
+            let magic = std::fs::read(&seg).expect("read segment")[..6].to_vec();
+            assert_eq!(magic, format!("PSEG{legacy}\n").as_bytes());
+        }
+        let db = ProvenanceDatabase::open_with(&dir, config).expect("lazy open");
+        assert_eq!(db.durable_stats().expect("durable").sealed_slots, 16);
+        let (got, _) = db.snapshot().query(&scan);
+        let (oracle_got, _) = oracle(&msgs[..per_run]).snapshot().query(&scan);
+        assert_eq!(got.expect("scan"), oracle_got.expect("oracle scan"));
+        assert_eq!(
+            db.pager_stats().paged_in_docs > 0,
+            legacy == 1,
+            "PSEG{legacy}: only a PSEG1 fixed-column scan pages documents"
+        );
+        assert_eq!(fingerprint(&db.snapshot(), GOLDEN), want, "PSEG{legacy}");
 
-    for seg in segment_files(&dir) {
-        downgrade_to_pseg1(&seg);
+        db.insert_batch_shared(msgs[per_run..].iter().cloned().map(Arc::new));
+        db.flush_views();
+        assert_eq!(db.seal_now().expect("reseal"), 32);
+        db.compact_segments().expect("compact");
+        drop(db);
+        for seg in segment_files(&dir) {
+            let magic = std::fs::read(&seg).expect("read segment")[..6].to_vec();
+            assert_eq!(magic, b"PSEG3\n", "{} not rewritten forward", seg.display());
+        }
+        let back = ProvenanceDatabase::open_with(&dir, config).expect("reopen");
+        assert_eq!(
+            fingerprint(&back.snapshot(), GOLDEN),
+            fingerprint(&oracle(&msgs).snapshot(), GOLDEN),
+            "after compaction from PSEG{legacy}"
+        );
+        drop(back);
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    let db = open_lazy(&dir, 64 << 20);
-    assert!(db.durable_stats().expect("durable").sealed_slots > 0);
-    assert_eq!(fingerprint(&db.snapshot(), GOLDEN), want, "PSEG1");
-    assert!(db.pager_stats().paged_in_docs > 0, "PSEG1 pages documents");
-
-    db.insert_batch_shared(msgs[per_run..].iter().cloned().map(Arc::new));
-    db.flush_views();
-    assert_eq!(db.seal_now().expect("reseal"), 2 * chunk as u64);
-    db.compact_segments().expect("compact");
-    drop(db);
-    for seg in segment_files(&dir) {
-        let magic = std::fs::read(&seg).expect("read segment")[..6].to_vec();
-        assert_eq!(magic, b"PSEG2\n", "{} not rewritten forward", seg.display());
-    }
-    let back = open_lazy(&dir, 64 << 20);
-    assert_eq!(
-        fingerprint(&back.snapshot(), GOLDEN),
-        fingerprint(&oracle(&msgs).snapshot(), GOLDEN),
-        "after compaction"
-    );
-    drop(back);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Sealing while reads are in flight: a snapshot pinned over the cold
@@ -954,4 +959,141 @@ proptest! {
         drop(db);
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// Dataflow keys that differ per task overflow the column catalog: names
+/// past it get no column, and a lazy reopen poisons every discovered
+/// column an overflowed segment does not list. Whatever the pushdown
+/// decisions, every answer equals the oracle's — after sealing, after a
+/// lazy reopen and more ingest under new and old names, and after
+/// compaction and another reopen.
+#[test]
+fn an_overflowed_catalog_answers_like_the_oracle_across_reopen() {
+    let config = Config {
+        shards: 2,
+        chunk_rows: 16,
+        wal_sync: SyncPolicy::Batch,
+        resident_bytes: 1,
+        ..Config::from_env()
+    };
+    let msgs: Vec<TaskMessage> = corpus(200)
+        .into_iter()
+        .enumerate()
+        .map(|(i, mut m)| {
+            if !matches!(m.generated, Value::Object(_)) {
+                m.generated = obj! {};
+            }
+            // Later rows reuse early names, so a column registered before
+            // the overflow keeps gaining cells after it.
+            m.generated.insert(format!("sample_{}", i % 150), i as f64);
+            m
+        })
+        .collect();
+    let queries = [
+        r#"df[df["sample_3"].notna()]["task_id"]"#,
+        r#"df["sample_120"].mean()"#,
+        r#"df[df["sample_140"] > 0][["task_id", "sample_140", "sample_5"]]"#,
+        r#"len(df[df["sample_60"].isna()])"#,
+        r#"df[df["y"] > 10]["sample_7"].sum()"#,
+        r#"df[df["depends_on"].notna()]["task_id"]"#,
+    ];
+    let answers = |snap: &StoreSnapshot| -> Vec<String> {
+        queries
+            .iter()
+            .map(|text| {
+                let (out, _) = snap.query(&parse(text).expect("parses"));
+                scrub_index_maps(format!("{text} => {out:?}"))
+            })
+            .collect()
+    };
+    let want = |n: usize| answers(&oracle(&msgs[..n]).snapshot());
+    let dir = fresh_dir("overflow");
+    {
+        let db = ProvenanceDatabase::open_with(&dir, config).expect("open durable");
+        db.insert_batch_shared(msgs[..120].iter().cloned().map(Arc::new));
+        db.flush_views();
+        db.seal_now().expect("seal");
+        assert_eq!(answers(&db.snapshot()), want(120), "sealed");
+    }
+    let db = ProvenanceDatabase::open_with(&dir, config).expect("lazy reopen");
+    assert!(db.durable_stats().expect("durable").sealed_slots > 0);
+    assert_eq!(answers(&db.snapshot()), want(120), "lazy reopen");
+    db.insert_batch_shared(msgs[120..].iter().cloned().map(Arc::new));
+    db.flush_views();
+    assert_eq!(answers(&db.snapshot()), want(200), "ingest after reopen");
+    db.seal_now().expect("reseal");
+    db.compact_segments().expect("compact");
+    drop(db);
+    let back = ProvenanceDatabase::open_with(&dir, config).expect("reopen");
+    assert_eq!(answers(&back.snapshot()), want(200), "after compaction");
+    drop(back);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A compaction that rebuilds a segment registers dataflow names from
+/// its own rows, so it can list a column the overflowed store had
+/// dropped, and whose cells later seals of that store then do not carry.
+/// A lazy reopen must not serve such a column from those segments: it
+/// poisons every discovered column an overflowed footer does not list,
+/// and every answer equals the oracle's.
+#[test]
+fn an_overflowed_footer_withholds_the_columns_it_does_not_list() {
+    let config = Config {
+        shards: 2,
+        chunk_rows: 16,
+        wal_sync: SyncPolicy::Batch,
+        resident_bytes: 1,
+        ..Config::from_env()
+    };
+    let named = |i: usize, m: TaskMessage, name: usize| {
+        let mut m = m;
+        if !matches!(m.generated, Value::Object(_)) {
+            m.generated = obj! {};
+        }
+        m.generated.insert(format!("sample_{name}"), i as f64);
+        m
+    };
+    let all = corpus(32 + 80 + 64);
+    let mut msgs: Vec<TaskMessage> = all[..32].to_vec();
+    // Eighty names, past the catalog's room: the live store drops the
+    // last ones, each shard's rebuild (forty names) keeps them.
+    msgs.extend((32..112).map(|i| named(i, all[i].clone(), i - 32)));
+    // Then names on both sides of the cut again.
+    msgs.extend((112..176).map(|i| named(i, all[i].clone(), 50 + i % 30)));
+    let dir = fixture_dir("pseg1-corpus32");
+    {
+        let db = ProvenanceDatabase::open_with(&dir, config).expect("lazy open");
+        db.insert_batch_shared(msgs[32..112].iter().cloned().map(Arc::new));
+        db.flush_views();
+        db.seal_now().expect("seal");
+        // Legacy and new runs merge by a rebuild.
+        db.compact_segments().expect("compact");
+        db.insert_batch_shared(msgs[112..].iter().cloned().map(Arc::new));
+        db.flush_views();
+        db.seal_now().expect("seal");
+    }
+    // Shard 1's rebuilt run lists the odd names up to `sample_63`, the
+    // overflowed store kept the odd ones below `sample_45`, and the last
+    // seal's rows hold `sample_50` to `sample_79`.
+    let queries = [
+        r#"df[df["sample_57"].notna()]["task_id"]"#,
+        r#"df["sample_61"].sum()"#,
+        r#"df[df["sample_55"] > 0][["task_id", "sample_55"]]"#,
+        r#"len(df[df["sample_53"].isna()])"#,
+        r#"df[df["sample_75"].notna()]["task_id"]"#,
+        r#"df["sample_70"].sum()"#,
+    ];
+    let answers = |snap: &StoreSnapshot| -> Vec<String> {
+        queries
+            .iter()
+            .map(|text| {
+                let (out, _) = snap.query(&parse(text).expect("parses"));
+                scrub_index_maps(format!("{text} => {out:?}"))
+            })
+            .collect()
+    };
+    let db = ProvenanceDatabase::open_with(&dir, config).expect("reopen");
+    assert_eq!(answers(&db.snapshot()), answers(&oracle(&msgs).snapshot()));
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -51,6 +51,15 @@ pub trait PushdownCapability {
     fn pushable_sort(&self, _column: &str) -> bool {
         false
     }
+    /// Does the store know which rows hold this column, so a
+    /// `col.notna()` / `col.isna()` conjunct can run in the scan (a
+    /// presence test over the column's vector, never materialized)?
+    /// Engines answer `true` for every columnar column and for columns
+    /// they keep presence-only. Defaults to
+    /// [`pushable_columnar`](Self::pushable_columnar).
+    fn pushable_presence(&self, column: &str) -> bool {
+        self.pushable_columnar(column)
+    }
 }
 
 /// Push everything structurally pushable (used by tests and by callers
@@ -145,6 +154,19 @@ pub struct InListFilter {
     pub values: Vec<Value>,
 }
 
+/// One null-test conjunct evaluable over a column's presence:
+/// `column.notna()` or `column.isna()`. The executor must apply the
+/// frame's rule, `Value::is_null` (a NaN cell is present; a column absent
+/// from the corpus is null on every row).
+#[derive(Debug, Clone, PartialEq)]
+pub struct NullTestFilter {
+    /// Frame column name.
+    pub column: String,
+    /// `true` for `notna()` (keep rows holding the column), `false` for
+    /// `isna()`.
+    pub present: bool,
+}
+
 /// The leaf of every pipeline plan: which documents to touch and which
 /// columns to materialize from them.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -160,6 +182,12 @@ pub struct ScanNode {
     ///
     /// [`columnar`]: ScanNode::columnar
     pub isin: Vec<InListFilter>,
+    /// Null tests (`col.notna()` / `col.isna()`) on columns whose presence
+    /// the store knows: evaluated by the scan alongside [`isin`], never
+    /// materialized.
+    ///
+    /// [`isin`]: ScanNode::isin
+    pub nulls: Vec<NullTestFilter>,
     /// Conjuncts the store cannot serve, recombined in original order;
     /// applied as an ordinary row filter on the scanned frame.
     pub residual: Option<Expr>,
@@ -188,8 +216,8 @@ pub struct ScanNode {
     pub sort: Vec<(String, bool)>,
     /// Row-limit pushdown, set only when no residual filter and no
     /// *unpushed* reordering stage precedes the `head` that produced it
-    /// (columnar and in-list conjuncts do not block it: the scan applies
-    /// them before counting; a pushed sort does not block it: the scan
+    /// (columnar, in-list and null-test conjuncts do not block it: the
+    /// scan applies them before counting; a pushed sort does not block it: the scan
     /// orders before it truncates — that pairing is exactly a top-k scan).
     pub limit: Option<usize>,
 }
@@ -397,8 +425,10 @@ fn plan_pipeline(p: &Pipeline, caps: &dyn PushdownCapability, count_only: bool) 
 /// `column op literal` conjunct the capability can serve from an index is
 /// pushed, every remaining `column op literal` conjunct on a columnar
 /// column becomes a [`ColumnarFilter`], `column.isin([...])` with a
-/// null-free list on a columnar column becomes an [`InListFilter`], and
-/// anything else lands in `residuals` (original left-to-right order).
+/// null-free list on a columnar column becomes an [`InListFilter`],
+/// `column.notna()`/`column.isna()` on a column whose presence the store
+/// knows becomes a [`NullTestFilter`], and anything else lands in
+/// `residuals` (original left-to-right order).
 fn split_filter(
     e: &Expr,
     caps: &dyn PushdownCapability,
@@ -460,6 +490,20 @@ fn split_filter(
                     scan.isin.push(InListFilter {
                         column: c.clone(),
                         values: values.clone(),
+                    });
+                    return;
+                }
+            }
+            residuals.push(e.clone());
+        }
+        Expr::NotNull(a) | Expr::IsNull(a) => {
+            // A presence test runs over the column's presence, so it
+            // needs no index and no value vector.
+            if let Expr::Col(c) = a.as_ref() {
+                if caps.pushable_presence(c) {
+                    scan.nulls.push(NullTestFilter {
+                        column: c.clone(),
+                        present: matches!(e, Expr::NotNull(_)),
                     });
                     return;
                 }
@@ -587,6 +631,12 @@ fn canon_scan(s: &ScanNode) -> String {
         })
         .collect();
     isin.sort_unstable();
+    let mut nulls: Vec<String> = s
+        .nulls
+        .iter()
+        .map(|f| format!("{}:{}", f.column, f.present))
+        .collect();
+    nulls.sort_unstable();
     let residual = s.residual.as_ref().map(canon_expr).unwrap_or_default();
     let columns = s.columns.as_ref().map(|cols| {
         let mut cols: Vec<&str> = cols.iter().map(String::as_str).collect();
@@ -595,10 +645,11 @@ fn canon_scan(s: &ScanNode) -> String {
     });
     let sort: Vec<String> = s.sort.iter().map(|(c, asc)| format!("{c}:{asc}")).collect();
     format!(
-        "push[{}]col[{}]in[{}]res[{residual}]proj[{:?}]sort[{}]lim[{:?}]",
+        "push[{}]col[{}]in[{}]null[{}]res[{residual}]proj[{:?}]sort[{}]lim[{:?}]",
         pushed.join(","),
         columnar.join(","),
         isin.join(","),
+        nulls.join(","),
         columns,
         sort.join(","),
         s.limit,
