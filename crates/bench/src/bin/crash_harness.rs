@@ -14,7 +14,7 @@
 //! * every golden pipeline answers **byte-identically** to a
 //!   never-crashed oracle over that prefix — through **both** open
 //!   paths: the lazy `ProvenanceDatabase::open` (sealed rows attached
-//!   cold and paged on demand, kv/graph hydrated on first access) and
+//!   cold and paged on demand, the graph hydrated on first access) and
 //!   the replaying referee, `ProvenanceDatabase::open_replayed`, so
 //!   crash recovery is held on the out-of-core path too.
 //!
@@ -197,7 +197,7 @@ fn run_parent(runs: u64, seed: u64) -> i32 {
             continue;
         }
         // Recover through the default lazy path first (sealed prefix
-        // attached cold, kv/graph hydrated on first access) …
+        // attached cold, the graph hydrated on first access) …
         let lazy = ProvenanceDatabase::open_with(&dir, config()).expect("parent: recover (lazy)");
         let got = lazy.insert_count();
         let oracle = ProvenanceDatabase::shared();

@@ -494,7 +494,7 @@ impl ProvDbReport {
                  ProvenanceDatabase::open's recovery path, which since the \
                  out-of-core work loads only the segment directory + zone-map \
                  footers and replays the WAL tail — sealed rows page in on first \
-                 touch and the kv/graph backends hydrate on first access, so replay \
+                 touch and the graph backend hydrates on first access, so replay \
                  now beats re-ingest by the sealed fraction of history and the \
                  entry is a real (non-parity) speedup. cold_open isolates the \
                  open-time contrast on an explicitly sealed corpus: the same \

@@ -69,10 +69,8 @@ fn golden_queries_identical_through_both_paths() {
 /// builds the oracle frame for q15 alone; the dataflow questions page no
 /// document. The same corpus sealed as `PSEG2` by the last release that
 /// wrote it (`tests/fixtures/pseg2-golden`, same geometry and seals)
-/// answers the same — its dataflow columns decode from documents, off the
-/// frame, and only q18's lineage test, which the format cannot serve,
-/// builds the frame too — and so does it after a compaction writes it
-/// forward as `PSEG3`, with q15 alone on the frame again.
+/// answers the same under the same rules from its first lazy open on,
+/// which writes every segment forward as `PSEG3` before it serves.
 #[test]
 fn golden_questions_on_a_lazy_reopen_stay_off_the_oracle_frame() {
     use prov_db::{Config, ProvenanceDatabase, SyncPolicy};
@@ -103,10 +101,7 @@ fn golden_questions_on_a_lazy_reopen_stay_off_the_oracle_frame() {
         .iter()
         .map(|q| (q.id, parse(q.gold_code).expect("gold code parses")))
         .collect();
-    // A `PSEG2` segment carries no lineage presence, so on such a store
-    // q18's `depends_on.notna()` stays a residual filter over the frame
-    // until compaction writes the segment forward.
-    let answers = |db: &Arc<ProvenanceDatabase>, label: &str, legacy: bool| {
+    let answers = |db: &Arc<ProvenanceDatabase>, label: &str| {
         queries
             .iter()
             .map(|(id, query)| {
@@ -115,10 +110,10 @@ fn golden_questions_on_a_lazy_reopen_stay_off_the_oracle_frame() {
                 let (out, _) = snap.query(query);
                 assert_eq!(
                     snap.oracle_built(),
-                    *id == "q15" || (legacy && *id == "q18"),
+                    *id == "q15",
                     "{label} {id}: only q15 may build the oracle frame"
                 );
-                if !legacy && matches!(*id, "q03" | "q04" | "q09" | "q16") {
+                if matches!(*id, "q03" | "q04" | "q09" | "q16") {
                     assert_eq!(
                         db.pager_stats().paged_in_docs,
                         docs_before,
@@ -132,7 +127,6 @@ fn golden_questions_on_a_lazy_reopen_stay_off_the_oracle_frame() {
     let want = answers(
         &ProvenanceDatabase::open_replayed(&dir, config).expect("replay"),
         "replayed",
-        false,
     );
     let segments = || -> Vec<std::path::PathBuf> {
         std::fs::read_dir(&dir)
@@ -141,7 +135,7 @@ fn golden_questions_on_a_lazy_reopen_stay_off_the_oracle_frame() {
             .filter(|p| p.extension().is_some_and(|x| x == "seg"))
             .collect()
     };
-    let check = |label: &str, legacy: bool| {
+    let check = |label: &str| {
         for budget in [config.resident_bytes, 1] {
             let lazy = ProvenanceDatabase::open_with(
                 &dir,
@@ -153,10 +147,10 @@ fn golden_questions_on_a_lazy_reopen_stay_off_the_oracle_frame() {
             .expect("lazy reopen");
             assert!(lazy.durable_stats().expect("durable").sealed_slots > 0);
             let label = format!("{label} budget {budget}");
-            assert_eq!(answers(&lazy, &label, legacy), want, "{label}");
+            assert_eq!(answers(&lazy, &label), want, "{label}");
         }
     };
-    check("PSEG3", false);
+    check("PSEG3");
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create store dir");
     let fixture =
@@ -169,16 +163,12 @@ fn golden_questions_on_a_lazy_reopen_stay_off_the_oracle_frame() {
         let magic = std::fs::read(&seg).expect("read segment")[..6].to_vec();
         assert_eq!(magic, b"PSEG2\n", "{} is a PSEG2 fixture", seg.display());
     }
-    check("PSEG2", true);
-    {
-        let db = ProvenanceDatabase::open_with(&dir, config).expect("lazy reopen");
-        db.compact_segments().expect("compact");
-    }
+    // The first lazy open writes the segments forward before it serves.
+    check("PSEG2");
     for seg in segments() {
         let magic = std::fs::read(&seg).expect("read segment")[..6].to_vec();
         assert_eq!(magic, b"PSEG3\n", "{} not written forward", seg.display());
     }
-    check("compacted forward", false);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

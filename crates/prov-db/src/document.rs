@@ -365,10 +365,6 @@ pub struct DocumentStore {
     /// The column catalog shared by every shard, paged chunk and seal:
     /// names, kinds and poison flags by column id.
     registry: RwLock<Registry>,
-    /// Whether a `PSEG1`/`PSEG2` segment is attached cold: its chunks
-    /// know neither the lineage presence column nor any discovered
-    /// column, so none of those is servable.
-    legacy_cold: AtomicBool,
     /// Rows per columnar chunk of every shard (`Config::chunk_rows`).
     chunk_rows: usize,
     /// Whether any shard carries a cold on-disk prefix (set once by
@@ -421,7 +417,6 @@ impl DocumentStore {
             indexes: RwLock::new(HashMap::new()),
             col_irregular: AtomicU16::new(0),
             registry: RwLock::new(Registry::default()),
-            legacy_cold: AtomicBool::new(false),
             chunk_rows: config.chunk_rows.max(1),
             cold_attached: AtomicBool::new(false),
             pager: std::sync::OnceLock::new(),
@@ -448,9 +443,6 @@ impl DocumentStore {
             for c in &cold {
                 c.poison_unlisted(&mut reg);
             }
-        }
-        if cold.iter().any(ColdShard::has_legacy) {
-            self.legacy_cold.store(true, Ordering::Release);
         }
         for (lock, shard_cold) in self.shards.iter().zip(cold) {
             let mut guard = lock.write();
@@ -1171,15 +1163,11 @@ impl DocumentStore {
     }
 
     /// The unpoisoned column `column`, presence-only (`depends_on`)
-    /// included when `presence` says so. The lineage and discovered
-    /// columns (ids from `FIXED - 1` on) are withheld while a legacy
-    /// segment is attached, since its chunks do not know them.
+    /// included when `presence` says so.
     fn registry_field(&self, column: &str, presence: bool) -> Option<ColField> {
         let reg = self.registry.read();
         let f = reg.get(column)?;
-        let usable = !reg.is_poisoned(f)
-            && (presence || reg.kind(f) != Kind::Flag)
-            && (f.idx() < columnar::FIXED - 1 || !self.legacy_cold.load(Ordering::Acquire));
+        let usable = !reg.is_poisoned(f) && (presence || reg.kind(f) != Kind::Flag);
         usable.then_some(f)
     }
 

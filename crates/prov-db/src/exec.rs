@@ -24,7 +24,9 @@
 //! * a pipeline's output exposes the whole frame width (no projection,
 //!   whole-row `loc`, `describe`, subset-less `drop_duplicates`) — only
 //!   the corpus-wide column union can answer those (among the golden
-//!   questions, only q15's `df.loc[df["y"].idxmax()]`);
+//!   questions, only q15's `df.loc[df["y"].idxmax()]`; q18's lineage
+//!   test is a presence scan on every store, since legacy segments are
+//!   written forward at the first lazy open);
 //! * a referenced column is absent from every visible document — the
 //!   oracle decides whether that is an all-null column or an unknown-column
 //!   error, and its error message carries the full available-column list;

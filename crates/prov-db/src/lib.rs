@@ -1,21 +1,24 @@
 //! # prov-db
 //!
 //! The backend-agnostic provenance database of the reference architecture
-//! (§2.3), with three backends mirroring the paper's options, rebuilt as a
-//! sharded, clone-free engine for ingest-heavy workloads:
+//! (§2.3), with two backends mirroring the paper's document and graph
+//! options, rebuilt as a sharded, clone-free engine for ingest-heavy
+//! workloads:
 //!
 //! * [`DocumentStore`] — MongoDB-shaped: JSON documents, dotted-path
 //!   filters, projections, aggregation, hash + sorted-numeric indexes,
 //!   and the columnar sidecar of the hot scalar fields that every store
 //!   keeps (an unfiltered group-by runs on its dictionary codes);
-//! * [`KvStore`] — LMDB-shaped: ordered keys, batch puts, range/prefix scans;
 //! * [`GraphStore`] — Neo4j-shaped: PROV property graph with lineage and
 //!   path traversals and a single-lock [`GraphBatch`] apply path, read
 //!   through its [`CsrGraph`] compaction, whose one shortest-path kernel
 //!   serves both the agent's graph tool and provql `paths()`;
 //!
 //! unified behind [`ProvenanceDatabase`], which fans each task message out
-//! to all three and exposes the Query API the agent's offline tools use.
+//! to both and exposes the Query API the agent's offline tools use. (The
+//! paper's third option, an LMDB-class key–value store, is not kept: a
+//! point lookup by task id is a [`StoreSnapshot::get_task`] over the
+//! document store's hash index.)
 //!
 //! ## Sharding and shared handles
 //!
@@ -24,8 +27,8 @@
 //! every knob and its `PROVDB_*` name); writers contend per shard instead
 //! of serializing on one global `RwLock<Vec<_>>`. Documents are stored
 //! as `Arc<Value>`: `find`/`get` return shared handles, never deep
-//! clones, and the KV backend holds the *same* allocation the document
-//! store does — one serialization per ingested message, shared
+//! clones, and the graph's activity node holds the *same* allocation as
+//! its properties — one serialization per ingested message, shared
 //! everywhere.
 //!
 //! Reads run on the calling thread: a columnar scan walks the shards
@@ -57,11 +60,11 @@
 //! a pending log — one pointer per message, no serialization, no index
 //! maintenance. The next query (or backend accessor) materializes the
 //! whole pending run in one batched pass: each message is serialized
-//! exactly once, the resulting `Arc<Value>` is shared by all three views,
-//! and each backend applies its batch under a single lock acquisition
-//! ([`DocumentStore::insert_many_shared`], [`KvStore::put_batch`],
-//! [`GraphStore::apply_batch`]). A keeper flushing a 64-message batch thus
-//! blocks on one mutex append instead of ~192 lock round-trips, and bursts
+//! exactly once, the resulting `Arc<Value>` is shared by both views, and
+//! each backend applies its batch under a single lock acquisition
+//! ([`DocumentStore::insert_many_shared`], [`GraphStore::apply_batch`]).
+//! A keeper flushing a 64-message batch thus blocks on one mutex append
+//! instead of a lock round-trip per message and backend, and bursts
 //! are absorbed at pointer-append speed. The eager path
 //! ([`ProvenanceDatabase::insert_batch`]) materializes immediately for
 //! callers holding owned messages. `crates/bench` tracks both the accept
@@ -133,7 +136,6 @@ pub mod csr;
 pub mod document;
 pub mod exec;
 pub mod graph;
-pub mod kv;
 pub mod query;
 pub mod serve;
 pub mod snapshot;
@@ -145,7 +147,6 @@ pub use csr::{CsrGraph, Direction};
 pub use document::{DocId, DocumentStore, ScanPredicate, TopkScan};
 pub use exec::{execute_plan, Pushdown};
 pub use graph::{GraphBatch, GraphEdge, GraphNode, GraphStore};
-pub use kv::KvStore;
 pub use pager::PagerStats;
 pub use query::{AggOp, Aggregate, Condition, DocQuery, GroupSpec, Op};
 #[doc(hidden)]

@@ -33,13 +33,9 @@
 //! chunk was sealed: its column block stores that sidecar's codes (against
 //! the footer's dictionary snapshot, which the page adopts) and raw float
 //! bits, under the column ids the store's registry gives the footer's
-//! column names ([`ColdShard::bind`]). A `PSEG2` segment's blocks hold
-//! the fourteen scalar fields and decode the same way; a `PSEG1` segment
-//! has no blocks, so its cols page is derived from its docs page with
-//! [`columnar::extract`], the ingest extraction, over the fixed columns.
-//! Neither knows the lineage presence column or discovered columns, which
-//! the store serves by decoding documents while such a segment is
-//! attached. Docs pages are
+//! column names ([`ColdShard::bind`]). Every attached segment is `PSEG3`:
+//! `PSEG1`/`PSEG2` segments written by older releases are written forward
+//! at the first lazy open, before they are attached. Docs pages are
 //! CRC-verified record by record and decoded with the WAL's canonical
 //! codec through one [`crate::wal::SymTable`] per page, so a string
 //! repeated across the page's documents is allocated once. The document
@@ -64,7 +60,7 @@
 //! they panic with the failing path rather than silently dropping rows.
 
 use crate::columnar::{self, ColField, ColPredicate, ColumnarShard, Registry};
-use crate::segment::{self, Footer, SegmentMeta, ZoneTables, DATA_START};
+use crate::segment::{self, Layout, SegmentMeta, ZoneTables};
 use crate::wal::SymTable;
 use parking_lot::Mutex;
 use prov_model::Value;
@@ -72,7 +68,7 @@ use std::collections::HashMap;
 use std::fs::File;
 use std::os::unix::fs::FileExt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Observability counters of the chunk pager (see
 /// [`crate::ProvenanceDatabase::pager_stats`]). All zeros on in-memory
@@ -120,39 +116,29 @@ fn page_fault(msg: &str, meta: &SegmentMeta) -> ! {
     panic!("provdb: cold segment {msg}: {}", meta.path.display());
 }
 
-/// One sealed segment attached for paging: its metadata, the parsed zone
-/// footer, the held file descriptor, and where each chunk's bytes sit.
+/// One sealed `PSEG3` segment attached for paging: its metadata, the
+/// parsed zone footer, the held file descriptor, and where each chunk's
+/// bytes sit.
 pub(crate) struct ColdSegment {
     meta: SegmentMeta,
     file: File,
     zones: ZoneTables,
-    /// Column-block bounds (`n_chunks + 1` offsets) from a `PSEG2` or
-    /// `PSEG3` footer; `None` for a `PSEG1` file, which has no blocks.
-    blocks: Option<Vec<u64>>,
+    /// Where each chunk's document records and column block sit.
+    layout: Layout,
     /// Store column of each footer column, set by [`ColdShard::bind`].
     ids: Vec<ColField>,
     /// Footer column of each store column id (`u32::MAX`: none).
     local: Vec<u32>,
-    /// Document-record bounds per chunk (`n_chunks + 1` offsets): set
-    /// from a `PSEG2` footer at attach, or built on first touch of a
-    /// `PSEG1` file with one buffered walk over the record headers — no
-    /// payload is decoded.
-    offsets: OnceLock<Vec<u64>>,
 }
 
 impl ColdSegment {
-    pub(crate) fn new(meta: SegmentMeta, file: File, footer: Footer) -> Self {
-        let offsets = OnceLock::new();
-        let blocks = footer.layout.map(|layout| {
-            let _ = offsets.set(layout.docs);
-            layout.cols
-        });
+    pub(crate) fn new(meta: SegmentMeta, file: File, zones: ZoneTables, layout: Layout) -> Self {
+        debug_assert_eq!(meta.format, segment::Format::Pseg3);
         Self {
             meta,
             file,
-            zones: footer.zones,
-            blocks,
-            offsets,
+            zones,
+            layout,
             ids: Vec::new(),
             local: Vec::new(),
         }
@@ -223,48 +209,10 @@ impl ColdSegment {
         chunk.min(self.meta.n_docs as usize - lc * chunk)
     }
 
-    fn offsets(&self) -> &[u64] {
-        self.offsets.get_or_init(|| {
-            let n_docs = self.meta.n_docs as usize;
-            let chunk = (self.meta.chunk as usize).max(1);
-            let mut offs = Vec::with_capacity(n_docs / chunk + 2);
-            let mut pos = DATA_START;
-            // Buffered header walk: records are length-prefixed, so one
-            // sequential pass over `[len][crc]` pairs locates every chunk
-            // boundary without decoding a payload.
-            let mut buf = vec![0u8; 256 * 1024];
-            let mut buf_start = 0u64;
-            let mut buf_len = 0usize;
-            let file_len = self
-                .file
-                .metadata()
-                .map(|m| m.len())
-                .unwrap_or_else(|e| page_fault(&format!("stat failed ({e})"), &self.meta));
-            for i in 0..n_docs {
-                if i % chunk == 0 {
-                    offs.push(pos);
-                }
-                if pos < buf_start || pos + 8 > buf_start + buf_len as u64 {
-                    buf_start = pos;
-                    buf_len = (file_len.saturating_sub(pos) as usize).min(buf.len());
-                    if buf_len < 8 {
-                        page_fault("record header overruns file", &self.meta);
-                    }
-                    self.read_full_at(&mut buf[..buf_len], pos);
-                }
-                let o = (pos - buf_start) as usize;
-                let len = u32::from_le_bytes(buf[o..o + 4].try_into().expect("4 bytes"));
-                pos += 8 + len as u64;
-            }
-            offs.push(pos);
-            offs
-        })
-    }
-
     /// Read, verify, and decode the documents of segment-local chunk
     /// `lc`. Returns them with the raw bytes read.
     fn load_docs(&self, lc: usize) -> (Vec<Arc<Value>>, usize) {
-        let offs = self.offsets();
+        let offs = &self.layout.docs;
         let raw = self.read_range(offs[lc], offs[lc + 1]);
         let rows = self.rows(lc);
         let mut docs = Vec::with_capacity(rows);
@@ -285,15 +233,13 @@ impl ColdSegment {
     }
 
     /// Read and verify the column block of segment-local chunk `lc` and
-    /// decode it into a one-chunk shard; `None` for a `PSEG1` file.
-    fn load_cols(&self, lc: usize) -> Option<ColumnarShard> {
-        let blocks = self.blocks.as_ref()?;
+    /// decode it into a one-chunk shard.
+    fn load_cols(&self, lc: usize) -> ColumnarShard {
+        let blocks = &self.layout.cols;
         let block = self.read_range(blocks[lc], blocks[lc + 1]);
         let chunk = self.meta.chunk as usize;
-        Some(
-            segment::decode_col_block(&block, self.rows(lc), chunk, &self.zones, lc, &self.ids)
-                .unwrap_or_else(|fault| page_fault(fault, &self.meta)),
-        )
+        segment::decode_col_block(&block, self.rows(lc), chunk, &self.zones, lc, &self.ids)
+            .unwrap_or_else(|fault| page_fault(fault, &self.meta))
     }
 }
 
@@ -481,11 +427,6 @@ impl ColdShard {
         }
     }
 
-    /// Whether an attached segment is `PSEG1`/`PSEG2`.
-    pub(crate) fn has_legacy(&self) -> bool {
-        self.segs.iter().any(|s| s.zones.legacy)
-    }
-
     /// Cold rows of this shard (a whole-chunk multiple).
     pub(crate) fn rows(&self) -> usize {
         self.rows
@@ -566,17 +507,7 @@ impl ColdShard {
     pub(crate) fn cols(&self, c: usize) -> Arc<ColumnarShard> {
         let page = self.core.get((self.shard, c, PageKind::Cols), || {
             let (seg, lc) = self.locate(c);
-            let cols = seg.load_cols(lc).unwrap_or_else(|| {
-                // A `PSEG1` segment has no column blocks: derive the
-                // page's fixed columns from the docs page with the
-                // extraction ingest runs (its discovered cells stay
-                // unresolved: they are served by decoding documents).
-                let mut cols = ColumnarShard::with_chunk(self.chunk);
-                for doc in self.docs(c).iter() {
-                    cols.push_row(columnar::extract(doc));
-                }
-                cols
-            });
+            let cols = seg.load_cols(lc);
             let bytes = cols.heap_bytes();
             (Page::Cols(Arc::new(cols)), bytes)
         });
@@ -607,7 +538,7 @@ impl ColdShard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::segment::{read_footer, write_segment, Format};
+    use crate::segment::{read_footer, write_segment};
     use dataframe::CmpOp;
     use prov_model::{obj, TaskMessageBuilder};
     use std::path::{Path, PathBuf};
@@ -672,14 +603,10 @@ mod tests {
             .collect()
     }
 
-    /// Seal `docs` (whole chunks) in `format` as shard 0's only segment;
-    /// returns the resident sidecar the segment was sealed from, its
-    /// registry, and the segment, attached from its footer on disk.
-    fn seal(
-        dir: &Path,
-        docs: &[Arc<Value>],
-        format: Format,
-    ) -> (ColumnarShard, Registry, ColdSegment) {
+    /// Seal `docs` (whole chunks) as shard 0's only segment; returns the
+    /// resident sidecar the segment was sealed from, its registry, and the
+    /// segment, attached from its footer on disk.
+    fn seal(dir: &Path, docs: &[Arc<Value>]) -> (ColumnarShard, Registry, ColdSegment) {
         let mut cols = ColumnarShard::with_chunk(CHUNK);
         let mut reg = Registry::default();
         for d in docs {
@@ -688,17 +615,6 @@ mod tests {
         let (zones, runs) = segment::export(&cols, 0, docs.len(), &reg).unwrap();
         let meta = SegmentMeta::new(dir, 1, 0, 0, CHUNK as u32, docs.len());
         write_segment(&meta, docs, &runs, &zones).unwrap();
-        let meta = match format {
-            Format::Pseg3 => meta,
-            legacy => {
-                segment::tests::downgrade_segment(&meta.path, (legacy == Format::Pseg2) as u8 + 1)
-                    .unwrap();
-                SegmentMeta {
-                    format: legacy,
-                    ..meta
-                }
-            }
-        };
         (cols, reg, attach(meta))
     }
 
@@ -706,7 +622,7 @@ mod tests {
     fn attach(meta: SegmentMeta) -> ColdSegment {
         let file = File::open(&meta.path).unwrap();
         let footer = read_footer(&meta).unwrap();
-        ColdSegment::new(meta, file, footer)
+        ColdSegment::new(meta, file, footer.zones, footer.layout.unwrap())
     }
 
     fn survivors(cols: &ColumnarShard, c: usize, preds: &[ColPredicate<'_>]) -> Vec<u32> {
@@ -726,12 +642,11 @@ mod tests {
         (cold, core)
     }
 
-    /// Every format pages cells equal to the sidecar it was sealed from
+    /// A segment pages cells equal to the sidecar it was sealed from
     /// (undecodable rows, missing hot fields, NaN cells, lineage and
-    /// discovered columns included — a legacy page knows no discovered
-    /// column, a `PSEG2` one not the lineage column), its footer prunes
-    /// soundly, and the docs pages of every format are identical. Only a
-    /// `PSEG1` cols page decodes documents.
+    /// discovered columns included), its footer prunes soundly, its docs
+    /// pages equal the sealed documents, and a cols page decodes no
+    /// document.
     #[test]
     fn paged_chunks_equal_the_sidecar_they_were_sealed_from() {
         let docs = corpus(CHUNK * 4);
@@ -756,87 +671,72 @@ mod tests {
         ];
         let show = |d: &[Arc<Value>]| format!("{d:?}");
         let chunks = (docs.len() / CHUNK) as u64;
-        for format in [Format::Pseg1, Format::Pseg2, Format::Pseg3] {
-            let dir = Scratch::new(&format!("eq-{format:?}"));
-            let (resident, reg, seg) = seal(&dir.0, &docs, format);
-            let (cold, core) = cold_shard(&docs, seg, usize::MAX);
-            // A `PSEG1` page is extracted from documents over the fixed
-            // columns; a `PSEG2` block holds the fourteen scalar fields.
-            let known = |f: ColField| match format {
-                Format::Pseg1 => f.idx() < columnar::FIXED,
-                Format::Pseg2 => f.idx() < columnar::FIXED - 1,
-                Format::Pseg3 => true,
-            };
-            for c in 0..docs.len() / CHUNK {
-                let base = c * CHUNK;
-                let paged = cold.cols(c);
-                assert_eq!(paged.len(), CHUNK);
-                // Debug output tells NaN cells apart from nulls.
-                assert_eq!(show(&cold.docs(c)), show(&docs[base..base + CHUNK]));
-                for r in 0..CHUNK {
-                    assert_eq!(paged.is_decodable(r), resident.is_decodable(base + r));
-                    for f in fields(&reg).into_iter().filter(|&f| known(f)) {
-                        assert_eq!(
-                            format!("{:?}", paged.value(r, f)),
-                            format!("{:?}", resident.value(base + r, f)),
-                            "{format:?} row {} column {}",
-                            base + r,
-                            reg.name(f)
-                        );
+        let dir = Scratch::new("eq");
+        let (resident, reg, seg) = seal(&dir.0, &docs);
+        let (cold, core) = cold_shard(&docs, seg, usize::MAX);
+        for c in 0..docs.len() / CHUNK {
+            let base = c * CHUNK;
+            let paged = cold.cols(c);
+            assert_eq!(paged.len(), CHUNK);
+            // Debug output tells NaN cells apart from nulls.
+            assert_eq!(show(&cold.docs(c)), show(&docs[base..base + CHUNK]));
+            for r in 0..CHUNK {
+                assert_eq!(paged.is_decodable(r), resident.is_decodable(base + r));
+                for f in fields(&reg) {
+                    assert_eq!(
+                        format!("{:?}", paged.value(r, f)),
+                        format!("{:?}", resident.value(base + r, f)),
+                        "row {} column {}",
+                        base + r,
+                        reg.name(f)
+                    );
+                }
+            }
+            for f in fields(&reg) {
+                for n in 0..=CHUNK {
+                    assert_eq!(
+                        paged.present_prefix(f, n),
+                        resident.present_prefix(f, base + n) - resident.present_prefix(f, base),
+                    );
+                }
+                let mut preds: Vec<Vec<ColPredicate<'_>>> = vec![
+                    vec![ColPredicate::In(f, &list)],
+                    vec![ColPredicate::Present(f, true)],
+                    vec![ColPredicate::Present(f, false)],
+                ];
+                if reg.kind(f) == columnar::Kind::Flag {
+                    preds.truncate(0);
+                    preds.push(vec![ColPredicate::Present(f, true)]);
+                    preds.push(vec![ColPredicate::Present(f, false)]);
+                }
+                for op in ops {
+                    if reg.kind(f) != columnar::Kind::Flag {
+                        preds.extend(lits.iter().map(|lit| vec![ColPredicate::Cmp(f, op, lit)]));
                     }
                 }
-                for f in fields(&reg).into_iter().filter(|&f| known(f)) {
-                    for n in 0..=CHUNK {
-                        assert_eq!(
-                            paged.present_prefix(f, n),
-                            resident.present_prefix(f, base + n) - resident.present_prefix(f, base),
-                        );
-                    }
-                    let mut preds: Vec<Vec<ColPredicate<'_>>> = vec![
-                        vec![ColPredicate::In(f, &list)],
-                        vec![ColPredicate::Present(f, true)],
-                        vec![ColPredicate::Present(f, false)],
-                    ];
-                    if reg.kind(f) == columnar::Kind::Flag {
-                        preds.truncate(0);
-                        preds.push(vec![ColPredicate::Present(f, true)]);
-                        preds.push(vec![ColPredicate::Present(f, false)]);
-                    }
-                    for op in ops {
-                        if reg.kind(f) != columnar::Kind::Flag {
-                            preds
-                                .extend(lits.iter().map(|lit| vec![ColPredicate::Cmp(f, op, lit)]));
-                        }
-                    }
-                    for p in &preds {
-                        let want: Vec<u32> = survivors(&resident, c, p)
-                            .into_iter()
-                            .map(|s| s - base as u32)
-                            .collect();
-                        assert_eq!(survivors(&paged, 0, p), want, "{format:?} chunk {c}: {p:?}");
-                        // A pruned chunk has no survivor.
-                        if cold.chunk_prunable(p, c) {
-                            assert!(want.is_empty(), "{format:?} chunk {c} pruned: {p:?}");
-                        }
+                for p in &preds {
+                    let want: Vec<u32> = survivors(&resident, c, p)
+                        .into_iter()
+                        .map(|s| s - base as u32)
+                        .collect();
+                    assert_eq!(survivors(&paged, 0, p), want, "chunk {c}: {p:?}");
+                    // A pruned chunk has no survivor.
+                    if cold.chunk_prunable(p, c) {
+                        assert!(want.is_empty(), "chunk {c} pruned: {p:?}");
                     }
                 }
             }
-            let s = core.stats();
-            assert_eq!((s.paged_in, s.paged_in_docs), (2 * chunks, chunks));
-            // A `PSEG1` cols page is derived from its docs page; the
-            // others read their column block only.
-            let docs_pages = if format == Format::Pseg1 { chunks } else { 0 };
-            let (_, _, seg) = seal(&dir.0, &docs, format);
-            let (cold, core) = cold_shard(&docs, seg, usize::MAX);
-            for c in 0..docs.len() / CHUNK {
-                cold.cols(c);
-            }
-            assert_eq!(
-                (core.stats().paged_in, core.stats().paged_in_docs),
-                (chunks + docs_pages, docs_pages),
-                "{format:?}"
-            );
         }
+        let s = core.stats();
+        assert_eq!((s.paged_in, s.paged_in_docs), (2 * chunks, chunks));
+        // A cols page reads its column block only.
+        let (_, _, seg) = seal(&dir.0, &docs);
+        let (cold, core) = cold_shard(&docs, seg, usize::MAX);
+        for c in 0..docs.len() / CHUNK {
+            cold.cols(c);
+        }
+        let s = core.stats();
+        assert_eq!((s.paged_in, s.paged_in_docs), (chunks, 0));
     }
 
     #[test]
@@ -848,7 +748,7 @@ mod tests {
             (s.hits, s.paged_in, s.evicted, s.resident_chunks)
         };
 
-        let (_, _, seg) = seal(&dir.0, &docs, Format::Pseg3);
+        let (_, _, seg) = seal(&dir.0, &docs);
         let (cold, core) = cold_shard(&docs, seg, 1);
         let first = cold.docs(0);
         assert_eq!(counts(&core), (0, 1, 1, 0));
@@ -867,7 +767,7 @@ mod tests {
 
         // With room to spare, a re-read is a hit and nothing is evicted;
         // the two pages of a chunk are cached apart.
-        let (_, _, seg) = seal(&dir.0, &docs, Format::Pseg3);
+        let (_, _, seg) = seal(&dir.0, &docs);
         let (cold, core) = cold_shard(&docs, seg, usize::MAX);
         cold.docs(0);
         cold.docs(0);
@@ -887,7 +787,7 @@ mod tests {
     fn footer_pruning_counts_a_zone_skip_and_pages_nothing() {
         let dir = Scratch::new("prune");
         let docs = corpus(CHUNK * 3);
-        let (_, _, seg) = seal(&dir.0, &docs, Format::Pseg3);
+        let (_, _, seg) = seal(&dir.0, &docs);
         let (cold, core) = cold_shard(&docs, seg, usize::MAX);
         let act = columnar::lookup("activity_id").unwrap();
         let absent = Value::from("no-such-activity");
@@ -909,8 +809,8 @@ mod tests {
     fn a_flipped_column_block_byte_faults_its_page() {
         let dir = Scratch::new("flip");
         let docs = corpus(CHUNK * 3);
-        let (_, _, seg) = seal(&dir.0, &docs, Format::Pseg3);
-        let blocks = seg.blocks.clone().expect("PSEG3 has column blocks");
+        let (_, _, seg) = seal(&dir.0, &docs);
+        let blocks = seg.layout.cols.clone();
         let meta = seg.meta.clone();
         drop(seg);
         let mut bytes = std::fs::read(&meta.path).unwrap();

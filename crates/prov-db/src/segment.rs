@@ -70,14 +70,12 @@
 //!
 //! `PSEG1` (documents and a zone footer over the fourteen scalar hot
 //! fields) and `PSEG2` (the same plus column blocks of those fields and
-//! the layout) files stay readable; nothing writes them any more. Their
-//! footers parse into the same tables, with a directory listing the
-//! fourteen fields, so footer pruning serves them unchanged and a `PSEG2`
-//! block decodes like a `PSEG3` one (a listed field without a present
-//! cell, width 0 or an empty bitmap, yields no vector). They know nothing
-//! of the lineage presence column or discovered dataflow columns, so a
-//! store with such a segment attached serves neither from the columns
-//! until compaction writes it forward.
+//! the layout) files were written by older releases; nothing writes them
+//! any more. Their footers parse into the same tables, with a directory
+//! listing the fourteen fields, so footer pruning and compaction read
+//! them. They are written forward at the first lazy open, which rewrites
+//! every one it is about to attach as `PSEG3` under the same name
+//! ([`write_forward`]), so the pager only ever reads `PSEG3`.
 //!
 //! Segments are written to a temp file, synced, and renamed into place;
 //! a crash mid-seal leaves at most an ignorable `*.tmp`. **Compaction**
@@ -87,8 +85,9 @@
 //! copies their document records and column blocks verbatim after
 //! checking every CRC. Otherwise (a `PSEG1`/`PSEG2` input among them, or
 //! incompatible tables) it rebuilds the directory and the blocks from a
-//! fresh columnar pass — which is how an old directory is written
-//! forward. It deletes the inputs after the rename; a crash in between
+//! fresh columnar pass — the pass [`write_forward`] runs on one legacy
+//! run. It deletes the inputs after the rename (never the output, which
+//! a one-run rewrite writes under its input's name); a crash in between
 //! leaves overlapping segments, which [`scan_dir`] resolves by keeping the
 //! widest coverage and deleting the contained leftovers.
 
@@ -111,7 +110,7 @@ const TAIL_MAGIC: &[u8; 6] = b"PSEGF\n";
 
 /// Byte length of the fixed header (magic + metadata: 6 + 4 + 4 + 8 + 8
 /// + 4 + 4), i.e. where the document records begin in every format.
-pub(crate) const DATA_START: u64 = 38;
+const DATA_START: u64 = 38;
 
 /// One column of a footer's column table.
 #[derive(Clone)]
@@ -153,9 +152,6 @@ pub(crate) struct ZoneTables {
     /// ([`crate::columnar::MAX_DISCOVERED`]): a discovered column missing
     /// from the table may still have cells in this segment's rows.
     pub(crate) overflowed: bool,
-    /// Parsed from a `PSEG1`/`PSEG2` footer: a column missing from the
-    /// table is unknown there, not absent.
-    pub(crate) legacy: bool,
 }
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
@@ -234,7 +230,6 @@ impl ZoneTables {
     /// Canonical `PSEG3` serialization (the byte-identity the round-trip
     /// tests pin).
     pub(crate) fn to_bytes(&self) -> Vec<u8> {
-        debug_assert!(!self.legacy, "legacy footers are never written");
         let mut out = Vec::new();
         put_u32(&mut out, self.columns.len() as u32);
         for col in &self.columns {
@@ -328,7 +323,6 @@ impl ZoneTables {
             chunks,
             irregular,
             overflowed,
-            legacy: false,
         })
     }
 
@@ -404,7 +398,6 @@ impl ZoneTables {
             chunks,
             irregular,
             overflowed: false,
-            legacy: true,
         })
     }
 
@@ -441,8 +434,7 @@ impl ZoneTables {
     /// against the footer's dictionaries and decided by the in-memory
     /// kernel's own zone test (conservative: `false` means "must read",
     /// never "matches"). `col` is the predicate column's footer index,
-    /// `None` when the footer has no such column: all-null in a `PSEG3`
-    /// chunk, unknown (never prunes) in a legacy one.
+    /// `None` when the footer has no such column: all-null in the chunk.
     pub(crate) fn chunk_skips(
         &self,
         p: &ColPredicate<'_>,
@@ -450,18 +442,14 @@ impl ZoneTables {
         c: usize,
         rows: u32,
     ) -> bool {
-        let source = match col {
-            None if self.legacy => return false,
-            None => None,
-            Some(i) => {
-                let fc = &self.columns[i as usize];
-                Some(match fc.kind {
-                    Kind::Str => ColSource::Str(&fc.dict),
-                    Kind::F64 => ColSource::F64,
-                    Kind::Flag => ColSource::Flag,
-                })
+        let source = col.map(|i| {
+            let fc = &self.columns[i as usize];
+            match fc.kind {
+                Kind::Str => ColSource::Str(&fc.dict),
+                Kind::F64 => ColSource::F64,
+                Kind::Flag => ColSource::Flag,
             }
-        };
+        });
         let compiled = compile_pred(p, source, false);
         // Without a footer column the predicate compiled to `Always` or
         // `Never`, which read no zone.
@@ -629,7 +617,6 @@ pub(crate) fn export(
         chunks,
         irregular: 0,
         overflowed: reg.overflowed(),
-        legacy: false,
     };
     Some((zones, runs))
 }
@@ -744,8 +731,6 @@ pub(crate) fn decode_col_block(
                 let width = take(1)?[0] as usize;
                 let raw = take(rows * width)?;
                 let null = match width {
-                    // A `PSEG2` column without a present cell.
-                    0 if zone.present() == 0 => continue,
                     1 => 0xFF,
                     2 => 0xFFFF,
                     4 => NULL_CODE,
@@ -789,10 +774,6 @@ pub(crate) fn decode_col_block(
             }
             Kind::Flag => Cells::Flag(bits(take(bitmap)?, rows)),
         };
-        if zone.present() == 0 {
-            // Listed without a cell (a `PSEG2` block): all null.
-            continue;
-        }
         let column = Column::from_chunk(fc.kind, Arc::clone(&fc.dict), cells, zone);
         cols.push((ids[i as usize], column));
     }
@@ -1167,35 +1148,47 @@ pub(crate) fn compact_runs(dir: &Path, runs: &[SegmentMeta]) -> std::io::Result<
         w[0].end == w[1].start && w[0].shard == w[1].shard && w[0].nshards == w[1].nshards
     }));
     let footers: Vec<Option<Footer>> = runs.iter().map(|r| read_footer(r).ok()).collect();
-    if footers
-        .iter()
-        .all(|f| f.as_ref().is_some_and(|f| !f.zones.legacy))
-    {
-        let footers: Vec<Footer> = footers.into_iter().flatten().collect();
-        if tables_prefix_compatible(&footers) {
-            return compact_runs_reusing_footers(dir, runs, footers);
-        }
-        return compact_runs_rebuilding(dir, runs, footers.into_iter().map(Some).collect());
+    if runs.iter().all(|r| r.format == Format::Pseg3) && tables_prefix_compatible(&footers) {
+        return compact_runs_reusing_footers(dir, runs, footers.into_iter().flatten().collect());
     }
-    compact_runs_rebuilding(dir, runs, footers)
-}
-
-fn compact_runs_rebuilding(
-    dir: &Path,
-    runs: &[SegmentMeta],
-    footers: Vec<Option<Footer>>,
-) -> std::io::Result<SegmentMeta> {
-    let first = &runs[0];
-    let chunk = first.chunk_rows();
     let mut docs: Vec<Arc<Value>> = Vec::new();
     for run in runs {
         docs.extend(read_docs(run)?.into_iter().map(Arc::new));
     }
+    compact_runs_rebuilding(dir, runs, footers.iter().flatten(), docs)
+}
+
+/// Rewrite the `PSEG1`/`PSEG2` segment `meta` as `PSEG3` under the same
+/// name: a one-run [`compact_runs_rebuilding`], keeping the legacy
+/// footer's poison flags. The temp file replaces the old one by rename,
+/// so a crash leaves either file whole. `Ok(None)` when the footer or a
+/// document cannot be read (the caller replays instead); `Err` when the
+/// replacement cannot be written.
+pub(crate) fn write_forward(meta: &SegmentMeta) -> std::io::Result<Option<SegmentMeta>> {
+    debug_assert_ne!(meta.format, Format::Pseg3);
+    let (Ok(footer), Ok(docs)) = (read_footer(meta), read_docs(meta)) else {
+        return Ok(None);
+    };
+    let dir = meta.path.parent().expect("segment lives in a directory");
+    let docs = docs.into_iter().map(Arc::new).collect();
+    compact_runs_rebuilding(dir, std::slice::from_ref(meta), [&footer], docs).map(Some)
+}
+
+/// Write `docs`, the rows of `runs`, as one `PSEG3` segment rebuilt from
+/// a fresh columnar pass under the poison flags of `footers`, then delete
+/// the inputs.
+fn compact_runs_rebuilding<'a>(
+    dir: &Path,
+    runs: &[SegmentMeta],
+    footers: impl IntoIterator<Item = &'a Footer>,
+    docs: Vec<Arc<Value>>,
+) -> std::io::Result<SegmentMeta> {
+    let first = &runs[0];
+    let chunk = first.chunk_rows();
     let mut cols = ColumnarShard::with_chunk(chunk);
     let mut reg = Registry::default();
     for fc in footers
-        .iter()
-        .flatten()
+        .into_iter()
         .flat_map(|f| &f.zones.columns)
         .filter(|c| c.poisoned)
     {
@@ -1218,24 +1211,33 @@ fn compact_runs_rebuilding(
         docs.len(),
     );
     write_segment(&merged, &docs, &blocks, &zones)?;
-    remove_inputs(dir, runs);
+    remove_inputs(dir, runs, &merged);
     Ok(merged)
 }
 
-fn remove_inputs(dir: &Path, runs: &[SegmentMeta]) {
-    for run in runs {
+/// Delete the compacted inputs — except one that `merged` was written
+/// over, which is the output.
+fn remove_inputs(dir: &Path, runs: &[SegmentMeta], merged: &SegmentMeta) {
+    for run in runs.iter().filter(|r| r.path != merged.path) {
         let _ = std::fs::remove_file(&run.path);
     }
     sync_dir(dir);
 }
 
-/// Whether every footer's column table (names, kinds, string
-/// dictionaries) is a prefix of the next one's — the condition under
-/// which their chunk directories, zone code intervals and column block
-/// codes all stay meaningful under the last footer's table.
-fn tables_prefix_compatible(footers: &[Footer]) -> bool {
-    footers.windows(2).all(|w| {
-        let (a, b) = (&w[0].zones.columns, &w[1].zones.columns);
+/// Whether every footer read and each one's column table (names, kinds,
+/// string dictionaries) is a prefix of the next one's — the condition
+/// under which their chunk directories, zone code intervals and column
+/// block codes all stay meaningful under the last footer's table.
+fn tables_prefix_compatible(footers: &[Option<Footer>]) -> bool {
+    let Some(tables) = footers
+        .iter()
+        .map(|f| f.as_ref().map(|f| &f.zones.columns))
+        .collect::<Option<Vec<_>>>()
+    else {
+        return false;
+    };
+    tables.windows(2).all(|w| {
+        let (a, b) = (w[0], w[1]);
         a.len() <= b.len()
             && a.iter().zip(b).all(|(x, y)| {
                 x.name == y.name
@@ -1282,7 +1284,7 @@ fn compact_runs_reusing_footers(
         &cols,
         zones.to_bytes(),
     )?;
-    remove_inputs(dir, runs);
+    remove_inputs(dir, runs, &merged);
     Ok(merged)
 }
 
@@ -1807,6 +1809,40 @@ pub(crate) mod tests {
         assert_eq!(metas[0].end - metas[0].start, 32);
     }
 
+    /// Writing a legacy segment forward leaves exactly one file in its
+    /// directory: `PSEG3`, under the input's name, byte-identical to the
+    /// same rows sealed as `PSEG3` (so it pages the same cells and
+    /// documents and answers like them). A legacy file with a corrupt
+    /// record is not rewritten: it is reported unreadable and left as it
+    /// is.
+    #[test]
+    fn writing_a_legacy_segment_forward_keeps_one_pseg3_file() {
+        let chunk = 8usize;
+        let docs = corpus(32);
+        let reference = Scratch::new("fwd-ref");
+        let whole = seal_run(&reference.0, &docs, 0, 32, chunk, Format::Pseg3);
+        let want = std::fs::read(&whole.path).unwrap();
+        for legacy in [Format::Pseg1, Format::Pseg2] {
+            let dir = Scratch::new("fwd");
+            let meta = seal_run(&dir.0, &docs, 0, 32, chunk, legacy);
+            let forward = write_forward(&meta).unwrap().expect("readable");
+            assert_eq!((forward.format, &forward.path), (Format::Pseg3, &meta.path));
+            let files: Vec<PathBuf> = std::fs::read_dir(&dir.0)
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .collect();
+            assert_eq!(files, vec![meta.path.clone()], "{legacy:?}");
+            assert_eq!(std::fs::read(&meta.path).unwrap(), want, "{legacy:?}");
+
+            let meta = seal_run(&dir.0, &docs, 0, 32, chunk, legacy);
+            let mut bytes = std::fs::read(&meta.path).unwrap();
+            bytes[DATA_START as usize + 9] ^= 0x20;
+            std::fs::write(&meta.path, &bytes).unwrap();
+            assert!(write_forward(&meta).unwrap().is_none(), "{legacy:?}");
+            assert_eq!(std::fs::read(&meta.path).unwrap(), bytes, "{legacy:?}");
+        }
+    }
+
     /// Compacting a `PSEG1` or `PSEG2` run with a `PSEG3` run writes
     /// `PSEG3` through the rebuild path, whether or not the dictionaries
     /// are prefix-compatible, and two `PSEG3` runs merge on the
@@ -1832,9 +1868,11 @@ pub(crate) mod tests {
             let dir = Scratch::new("mix-compatible");
             let m1 = seal_run(&dir.0, &docs[..16], 0, 16, chunk, first);
             let m2 = seal_run(&dir.0, &docs[..32], 16, 32, chunk, Format::Pseg3);
-            let footers = [read_footer(&m1).unwrap(), read_footer(&m2).unwrap()];
-            assert_eq!(footers[0].layout.is_none(), first == Format::Pseg1);
-            assert_eq!(footers[0].zones.legacy, first != Format::Pseg3);
+            let footers = [read_footer(&m1).ok(), read_footer(&m2).ok()];
+            assert_eq!(
+                footers[0].as_ref().unwrap().layout.is_none(),
+                first == Format::Pseg1
+            );
             assert!(tables_prefix_compatible(&footers));
             let merged = compact_runs(&dir.0, &[m1, m2]).unwrap();
             assert_eq!(merged.format, Format::Pseg3, "{what}");
@@ -1849,7 +1887,7 @@ pub(crate) mod tests {
             let other: Vec<Arc<Value>> =
                 docs[32..48].iter().chain(&docs[16..32]).cloned().collect();
             let m2 = seal_run(&dir.0, &other, 16, 32, chunk, Format::Pseg3);
-            let footers = [read_footer(&m1).unwrap(), read_footer(&m2).unwrap()];
+            let footers = [read_footer(&m1).ok(), read_footer(&m2).ok()];
             assert!(!tables_prefix_compatible(&footers));
             let merged = compact_runs(&dir.0, &[m1, m2]).unwrap();
             assert_eq!(merged.format, Format::Pseg3);

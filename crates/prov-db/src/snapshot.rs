@@ -30,7 +30,6 @@
 use crate::csr::CsrGraph;
 use crate::document::DocumentStore;
 use crate::graph::GraphStore;
-use crate::kv::KvStore;
 use crate::query::{DocQuery, Op};
 use crate::store::ProvenanceDatabase;
 use crate::{cache::CacheOutcome, exec};
@@ -117,15 +116,16 @@ impl StoreSnapshot {
         self.documents().count_bounded(query, &self.hwm)
     }
 
-    /// Point lookup by task id, served from the visible documents (the
-    /// KV view is not used here: a newer version of the task could have
-    /// landed after the snapshot was taken).
+    /// Point lookup by task id: the newest visible version of the task
+    /// (a task sent again, e.g. RUNNING then FINISHED, is stored once per
+    /// message; the last one that decodes wins). A version that landed
+    /// after the snapshot was taken is not visible.
     pub fn get_task(&self, task_id: &str) -> Option<TaskMessage> {
-        let mut q = DocQuery::new().filter("task_id", Op::Eq, task_id);
-        q.limit = Some(1);
+        let q = DocQuery::new().filter("task_id", Op::Eq, task_id);
         self.find(&q)
-            .first()
-            .and_then(|d| TaskMessage::from_value(d))
+            .iter()
+            .rev()
+            .find_map(|d| TaskMessage::from_value(d))
     }
 
     /// The graph backend as materialized at snapshot creation.
@@ -156,14 +156,6 @@ impl StoreSnapshot {
     /// should drop the old snapshot before the new one's first graph read.
     pub fn graph_csr(&self) -> &Arc<CsrGraph> {
         self.csr.get_or_init(|| self.db.csr_for(self.generation))
-    }
-
-    /// The KV backend as materialized at snapshot creation (same
-    /// at-least-this-generation caveat as [`graph`]).
-    ///
-    /// [`graph`]: StoreSnapshot::graph
-    pub fn kv(&self) -> &KvStore {
-        self.db.kv_unflushed()
     }
 
     /// The full-materialize oracle frame over the visible corpus: every
@@ -284,7 +276,9 @@ impl StoreSnapshot {
     /// decides only q15 (a whole-width row, which no projected scan
     /// serves): the dataflow columns are columnar, and q18's
     /// `depends_on.notna()` runs as a presence test in a columnar-only
-    /// scan.
+    /// scan — on a directory sealed by older releases too, whose
+    /// `PSEG1`/`PSEG2` segments are written forward at the first lazy
+    /// open.
     fn execute_uncached(
         &self,
         query: &Query,

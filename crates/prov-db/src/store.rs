@@ -3,7 +3,9 @@
 //! §2.3: "The architecture is designed to support multiple DBMS options,
 //! including MongoDB for filtering and aggregation, LMDB for high-frequency
 //! key–value inserts, and Neo4j for graph traversal queries." This facade
-//! fans one insert out to all three backends and exposes a single Query API.
+//! fans one insert out to the document and graph backends and exposes a
+//! single Query API; a point lookup by task id is served by the document
+//! store ([`StoreSnapshot::get_task`]), so no key–value copy is kept.
 //!
 //! The ingest hot path is write-optimized, LSM-style:
 //!
@@ -12,10 +14,10 @@
 //!   and returns; no serialization, no index maintenance, no per-backend
 //!   work. This is what a keeper thread calls with each flush batch.
 //! * The first query (or any backend accessor) **materializes** the pending
-//!   log into all three views in one batched pass: each message is
-//!   serialized exactly once and that single `Arc<Value>` is shared by the
-//!   document store, the KV store, and the graph node's properties; each
-//!   backend is updated under a single lock acquisition per batch.
+//!   log into both views in one batched pass: each message is serialized
+//!   exactly once and that single `Arc<Value>` is shared by the document
+//!   store and the graph node's properties; each backend is updated under
+//!   a single lock acquisition per batch.
 //! * [`ProvenanceDatabase::insert_batch`] is the eager path for callers
 //!   holding plain `&TaskMessage`s: it materializes immediately (after
 //!   draining any pending log, so arrival order is preserved).
@@ -25,10 +27,9 @@ use crate::config::Config;
 use crate::csr::CsrGraph;
 use crate::document::DocumentStore;
 use crate::graph::{GraphBatch, GraphStore};
-use crate::kv::KvStore;
 use crate::pager::{ColdSegment, ColdShard, PagerCore, PagerStats};
 use crate::query::{DocQuery, GroupSpec, Op};
-use crate::segment::{self, SegmentMeta};
+use crate::segment::{self, Format, SegmentMeta};
 use crate::snapshot::{FrameMemo, StoreSnapshot};
 use crate::wal::{self, WalWriter};
 use parking_lot::Mutex;
@@ -94,17 +95,15 @@ struct Durability {
     foreign_segments: usize,
 }
 
-/// Unified provenance database over document + KV + graph backends.
+/// Unified provenance database over document + graph backends.
 ///
-/// The backends are reached through [`ProvenanceDatabase::documents`],
-/// [`ProvenanceDatabase::kv`], and [`ProvenanceDatabase::graph`], which
-/// first materialize any pending stream ingest so readers always observe
-/// every accepted message.
+/// The backends are reached through [`ProvenanceDatabase::documents`] and
+/// [`ProvenanceDatabase::graph`], which first materialize any pending
+/// stream ingest so readers always observe every accepted message.
 pub struct ProvenanceDatabase {
     /// The knobs this database was built with.
     config: Config,
     documents: DocumentStore,
-    kv: KvStore,
     graph: GraphStore,
     /// Accepted-but-not-yet-materialized stream messages (the write-ahead
     /// portion of the LSM-style ingest path). Held as the broker's own
@@ -135,13 +134,13 @@ pub struct ProvenanceDatabase {
     /// ([`ProvenanceDatabase::open`]); `None` for in-memory stores, which
     /// pay nothing for the feature.
     durability: Option<Durability>,
-    /// Set by a lazy open: the KV and graph backends do not yet hold the
-    /// sealed prefix. The first KV/graph read hydrates them in one pass
-    /// (see [`hydrate_backends`](Self::hydrate_backends)); until then,
-    /// materialization skips their fan-out — hydration replays every
+    /// Set by a lazy open: the graph backend does not yet hold the sealed
+    /// prefix. The first graph read hydrates it in one pass (see
+    /// [`hydrate_graph`](Self::hydrate_graph)); until then,
+    /// materialization skips the graph fan-out — hydration replays every
     /// document in arrival order, so rows ingested while cold are covered
     /// by that same pass.
-    backends_cold: AtomicBool,
+    graph_cold: AtomicBool,
 }
 
 impl ProvenanceDatabase {
@@ -176,7 +175,6 @@ impl ProvenanceDatabase {
         Self {
             config,
             documents,
-            kv: KvStore::new(),
             graph: GraphStore::new(),
             pending: Mutex::new(Vec::new()),
             flusher: Mutex::new(()),
@@ -185,7 +183,7 @@ impl ProvenanceDatabase {
             csr: Mutex::new(None),
             frame: Mutex::new(None),
             durability: None,
-            backends_cold: AtomicBool::new(false),
+            graph_cold: AtomicBool::new(false),
         }
     }
 
@@ -226,7 +224,7 @@ impl ProvenanceDatabase {
         std::fs::create_dir_all(&dir)?;
         let wal_path = dir.join("wal.log");
 
-        let segs = segment::scan_dir(&dir)?;
+        let mut segs = segment::scan_dir(&dir)?;
         let records = wal::read_records(&wal_path)?;
         let mut db = Self::with_config(config);
         let n = db.documents.shard_count() as u64;
@@ -259,10 +257,23 @@ impl ProvenanceDatabase {
             .unwrap_or(0);
 
         // Attach the sealed coverage as a paged cold prefix instead of
-        // replaying it. A footer that fails to load leaves `cold` empty,
-        // and the whole sequence is replayed below (whole-document reads
-        // tolerate more damage).
-        let cold = if slots > 0 && !replay {
+        // replaying it, after writing its `PSEG1`/`PSEG2` segments forward
+        // as `PSEG3` (the one format the pager reads). A segment or footer
+        // that fails to load leaves `cold` empty, and the whole sequence
+        // is replayed below (whole-document reads tolerate more damage);
+        // a replacement that cannot be written fails the open.
+        let mut attach = slots > 0 && !replay;
+        let legacy = |m: &SegmentMeta| ours(m) && m.start < slots && m.format != Format::Pseg3;
+        if attach {
+            for m in segs.iter_mut().filter(|m| legacy(m)) {
+                let Some(forward) = segment::write_forward(m)? else {
+                    attach = false;
+                    break;
+                };
+                *m = forward;
+            }
+        }
+        let cold = if attach {
             Self::build_cold(&segs, n, chunk, slots, config.resident_bytes)
         } else {
             None
@@ -320,10 +331,10 @@ impl ProvenanceDatabase {
             // Attach order matters: the cold prefix must be in place
             // before the tail materializes (ids continue from it), the
             // recovered pushdown masks before any query plans against
-            // the columns, and `backends_cold` before `materialize_docs`
-            // so the tail skips the KV/graph fan-out it would otherwise
+            // the columns, and `graph_cold` before `materialize_docs`
+            // so the tail skips the graph fan-out it would otherwise
             // double-apply when hydration later replays ids from zero.
-            db.backends_cold.store(true, Ordering::Release);
+            db.graph_cold.store(true, Ordering::Release);
             db.documents.apply_irregular(irregular);
             db.documents.attach_cold(core, shards);
         }
@@ -398,7 +409,8 @@ impl ProvenanceDatabase {
                 let file = std::fs::File::open(&m.path).ok()?;
                 let footer = segment::read_footer(m).ok()?;
                 irregular |= footer.zones.irregular;
-                cold_segs.push(ColdSegment::new((*m).clone(), file, footer));
+                let layout = footer.layout?;
+                cold_segs.push(ColdSegment::new((*m).clone(), file, footer.zones, layout));
             }
             if covered < slots {
                 return None;
@@ -414,32 +426,31 @@ impl ProvenanceDatabase {
         Some((core, shards, irregular))
     }
 
-    /// One-shot KV/graph hydration after a lazy open: replay every
-    /// document in arrival order through the same fan-out as
+    /// One-shot graph hydration after a lazy open: replay every document
+    /// in arrival order through the same fan-out as
     /// [`materialize`](Self::materialize), in bounded batches. Runs under
     /// the flusher lock, so it serializes with ingest; documents
-    /// materialized while the backends were cold were skipped there and
-    /// are covered here (id order *is* arrival order). Document-only
-    /// workloads never pay this — it triggers on the first KV or graph
-    /// read.
-    fn hydrate_backends(&self) {
-        if !self.backends_cold.load(Ordering::Acquire) {
+    /// materialized while the graph was cold were skipped there and are
+    /// covered here (id order *is* arrival order). Document-only
+    /// workloads never pay this — it triggers on the first graph read.
+    fn hydrate_graph(&self) {
+        if !self.graph_cold.load(Ordering::Acquire) {
             return;
         }
         let _flush = self.flusher.lock();
-        if !self.backends_cold.load(Ordering::Acquire) {
+        if !self.graph_cold.load(Ordering::Acquire) {
             return;
         }
         let mut fan = Fanout::new();
         self.documents
             .for_each_doc_in_id_order(&self.documents.shard_rows(), |doc| {
                 fan.push(doc);
-                if fan.kv_rows.len() >= 8192 {
-                    fan.apply(&self.kv, &self.graph);
+                if fan.graph.len() >= 16_384 {
+                    fan.apply(&self.graph);
                 }
             });
-        fan.apply(&self.kv, &self.graph);
-        self.backends_cold.store(false, Ordering::Release);
+        fan.apply(&self.graph);
+        self.graph_cold.store(false, Ordering::Release);
     }
 
     /// Chunk-pager counters: cache hits, chunks paged in and evicted,
@@ -468,34 +479,18 @@ impl ProvenanceDatabase {
         &self.documents
     }
 
-    /// The KV backend, with pending ingest materialized (and, after a
-    /// lazy open, the sealed prefix hydrated).
-    pub fn kv(&self) -> &KvStore {
-        self.hydrate_backends();
-        self.flush_views();
-        &self.kv
-    }
-
-    /// The KV backend without flushing — for snapshot reads, whose
-    /// creation already materialized everything they may observe.
-    pub(crate) fn kv_unflushed(&self) -> &KvStore {
-        self.hydrate_backends();
-        &self.kv
-    }
-
     /// The graph backend, with pending ingest materialized (and, after a
     /// lazy open, the sealed prefix hydrated).
     pub fn graph(&self) -> &GraphStore {
-        self.hydrate_backends();
+        self.hydrate_graph();
         self.flush_views();
         &self.graph
     }
 
-    /// The graph backend without flushing — see [`kv_unflushed`].
-    ///
-    /// [`kv_unflushed`]: ProvenanceDatabase::kv_unflushed
+    /// The graph backend without flushing — for snapshot reads, whose
+    /// creation already materialized everything they may observe.
     pub(crate) fn graph_unflushed(&self) -> &GraphStore {
-        self.hydrate_backends();
+        self.hydrate_graph();
         &self.graph
     }
 
@@ -522,7 +517,7 @@ impl ProvenanceDatabase {
     pub(crate) fn csr_for(&self, generation: u64) -> Arc<CsrGraph> {
         // Hydrate *before* consulting the memo: a compaction over cold
         // (still empty) backends must never be memoized.
-        self.hydrate_backends();
+        self.hydrate_graph();
         {
             let memo = self.csr.lock();
             if let Some((g, csr)) = memo.as_ref() {
@@ -609,7 +604,7 @@ impl ProvenanceDatabase {
         n
     }
 
-    /// Materialize every pending stream message into the three views.
+    /// Materialize every pending stream message into both views.
     /// Queries and backend accessors call this automatically; it is public
     /// so ingest-heavy callers can choose their own flush points.
     ///
@@ -627,7 +622,7 @@ impl ProvenanceDatabase {
         self.materialize(batch.iter().map(|m| m.as_ref()));
     }
 
-    /// Insert one task message into all three backends (eager path).
+    /// Insert one task message into both backends (eager path).
     pub fn insert(&self, msg: &TaskMessage) {
         self.insert_batch(std::iter::once(msg));
     }
@@ -656,8 +651,8 @@ impl ProvenanceDatabase {
     /// Serialize `msgs`, log them on a durable store, and install them in
     /// every view. Returns how many messages were materialized.
     fn materialize<'a>(&self, msgs: impl IntoIterator<Item = &'a TaskMessage>) -> usize {
-        // One serialization, shared by the document, KV, and graph
-        // backends: the activity node's properties *are* the document,
+        // One serialization, shared by the document and graph backends:
+        // the activity node's properties *are* the document,
         // so property-graph ingest costs no map construction at all.
         let docs: Vec<Arc<Value>> = msgs.into_iter().map(|m| Arc::new(m.to_value())).collect();
         let n = docs.len();
@@ -687,20 +682,20 @@ impl ProvenanceDatabase {
         n
     }
 
-    /// Install serialized documents in the document store, then the
-    /// KV/graph fan-out, each under one lock: live ingest after logging,
-    /// and the durable opens' replay. While the KV/graph backends are
-    /// cold (lazy open, not yet read) the fan-out is skipped: hydration
-    /// replays every document, these included, before the first read.
+    /// Install serialized documents in the document store, then the graph
+    /// fan-out, each under one lock: live ingest after logging, and the
+    /// durable opens' replay. While the graph is cold (lazy open, not yet
+    /// read) the fan-out is skipped: hydration replays every document,
+    /// these included, before the first read.
     fn materialize_docs(&self, docs: Vec<Arc<Value>>) {
-        let fan = (!self.backends_cold.load(Ordering::Acquire)).then(|| {
+        let fan = (!self.graph_cold.load(Ordering::Acquire)).then(|| {
             let mut fan = Fanout::new();
             docs.iter().for_each(|doc| fan.push(doc));
             fan
         });
         self.documents.insert_many_shared(docs);
         if let Some(mut fan) = fan {
-            fan.apply(&self.kv, &self.graph);
+            fan.apply(&self.graph);
         }
     }
 
@@ -898,13 +893,6 @@ impl ProvenanceDatabase {
         self.insert_count()
     }
 
-    /// Point lookup by task id (KV fast path).
-    pub fn get_task(&self, task_id: &str) -> Option<TaskMessage> {
-        self.kv()
-            .get(&format!("task/{task_id}"))
-            .and_then(|v| TaskMessage::from_value(&v))
-    }
-
     /// Filter/sort/limit query against the document backend. Results are
     /// shared handles into the store — no deep clones.
     pub fn find(&self, query: &DocQuery) -> Vec<Arc<Value>> {
@@ -927,11 +915,9 @@ impl ProvenanceDatabase {
     }
 }
 
-/// The KV rows and graph entries a batch of messages fans out to — the
-/// one writer of the KV and graph views, shared by live ingest, replay
-/// and hydration.
+/// The graph entries a batch of messages fans out to — the one writer of
+/// the graph view, shared by live ingest, replay and hydration.
 struct Fanout {
-    kv_rows: Vec<(String, Arc<Value>)>,
     graph: GraphBatch,
     /// Agent nodes carry no properties of their own; they share one
     /// object.
@@ -941,13 +927,12 @@ struct Fanout {
 impl Fanout {
     fn new() -> Fanout {
         Fanout {
-            kv_rows: Vec::new(),
             graph: GraphBatch::new(),
             empty_props: Arc::new(Value::object(Map::new())),
         }
     }
 
-    /// Queue `doc`'s KV row and graph entries: its activity node, whose
+    /// Queue `doc`'s graph entries: its activity node, whose
     /// properties are `doc` itself, a `prov:wasInformedBy` edge per
     /// string `depends_on` element, and its agent node with the
     /// association edge, all read straight from the document. A document
@@ -960,7 +945,6 @@ impl Fanout {
         else {
             return;
         };
-        self.kv_rows.push((format!("task/{task}"), Arc::clone(doc)));
         self.graph
             .upsert_node_shared(task, "prov:Activity", Arc::clone(doc));
         let deps = doc.get("depends_on").and_then(Value::as_array);
@@ -976,10 +960,9 @@ impl Fanout {
         }
     }
 
-    /// Apply what is queued, each view under one lock acquisition, and
-    /// start over empty.
-    fn apply(&mut self, kv: &KvStore, graph: &GraphStore) {
-        kv.put_batch(std::mem::take(&mut self.kv_rows));
+    /// Apply what is queued under one lock acquisition and start over
+    /// empty.
+    fn apply(&mut self, graph: &GraphStore) {
         graph.apply_batch(std::mem::take(&mut self.graph));
     }
 }
@@ -1021,7 +1004,6 @@ mod tests {
         db.insert_batch(&msgs());
         assert_eq!(db.insert_count(), 3);
         assert_eq!(db.documents().len(), 3);
-        assert_eq!(db.kv().len(), 3);
         assert!(db.graph().node_count() >= 3);
     }
 
@@ -1032,7 +1014,6 @@ mod tests {
             return;
         };
         let task = msg.task_id.as_str();
-        fan.kv_rows.push((format!("task/{task}"), Arc::clone(doc)));
         fan.graph
             .upsert_node_shared(task, "prov:Activity", Arc::clone(doc));
         for dep in &msg.depends_on {
@@ -1092,24 +1073,30 @@ mod tests {
             Value::Int(1),
             Value::from("t0"),
         ]);
+        let docs: Vec<Arc<Value>> = docs.into_iter().map(Arc::new).collect();
         let (mut got, mut want) = (Fanout::new(), Fanout::new());
-        for doc in docs.into_iter().map(Arc::new) {
-            got.push(&doc);
-            push_decoded(&mut want, &doc);
+        for doc in &docs {
+            got.push(doc);
+            push_decoded(&mut want, doc);
         }
-        assert_eq!(got.kv_rows, want.kv_rows);
         assert_eq!(got.graph, want.graph);
         // The three decodable variants with edits kept their task.
-        assert_eq!(got.kv_rows.len(), all.len() + 3);
+        let fanned = docs.iter().filter(|doc| {
+            let mut one = Fanout::new();
+            one.push(doc);
+            !one.graph.is_empty()
+        });
+        assert_eq!(fanned.count(), all.len() + 3);
     }
 
     #[test]
     fn point_lookup_roundtrips() {
-        let db = ProvenanceDatabase::new();
+        let db = Arc::new(ProvenanceDatabase::new());
         db.insert_batch(&msgs());
-        let t1 = db.get_task("t1").unwrap();
+        let snap = db.snapshot();
+        let t1 = snap.get_task("t1").unwrap();
         assert_eq!(t1.activity_id.as_str(), "run_dft");
-        assert!(db.get_task("nope").is_none());
+        assert!(snap.get_task("nope").is_none());
     }
 
     #[test]
@@ -1131,7 +1118,7 @@ mod tests {
 
     #[test]
     fn streaming_accept_is_visible_at_next_query() {
-        let db = ProvenanceDatabase::new();
+        let db = Arc::new(ProvenanceDatabase::new());
         let shared: Vec<Arc<TaskMessage>> = msgs().into_iter().map(Arc::new).collect();
         assert_eq!(db.insert_batch_shared(shared.iter().cloned()), 3);
         // Accepted immediately…
@@ -1139,9 +1126,9 @@ mod tests {
         // …and every read path materializes the views first.
         assert_eq!(db.count(&DocQuery::new()), 3);
         assert_eq!(db.documents().len(), 3);
-        assert_eq!(db.kv().len(), 3);
         assert!(db.graph().node_count() >= 3);
-        assert_eq!(db.get_task("t1").unwrap().activity_id.as_str(), "run_dft");
+        let t1 = db.snapshot().get_task("t1").unwrap();
+        assert_eq!(t1.activity_id.as_str(), "run_dft");
         // Mixed eager + streaming ingest preserves arrival order.
         db.insert(&TaskMessageBuilder::new("t3", "wf-1", "tail").build());
         db.insert_batch_shared(std::iter::once(Arc::new(
@@ -1156,12 +1143,12 @@ mod tests {
     }
 
     #[test]
-    fn document_and_kv_share_one_allocation() {
+    fn document_and_graph_node_share_one_allocation() {
         let db = ProvenanceDatabase::new();
         db.insert_batch(&msgs());
         let from_docs = db.find(&DocQuery::new().filter("task_id", Op::Eq, "t1"));
-        let from_kv = db.kv().get("task/t1").unwrap();
-        assert!(Arc::ptr_eq(&from_docs[0], &from_kv));
+        let node = db.graph().node("t1").unwrap();
+        assert!(Arc::ptr_eq(&from_docs[0], &node.props));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Cross-backend integration tests for the provenance database: the same
 //! chemistry-shaped corpus queried through the document store (filters /
-//! projections / sorts / aggregation pipeline), the KV store (point gets,
-//! range scans), and the PROV graph (traversals) — the three backends the
-//! paper names MongoDB, LMDB, and Neo4j for (§2.3).
+//! projections / sorts / aggregation pipeline) and the PROV graph
+//! (traversals) — the backends the paper names MongoDB and Neo4j for
+//! (§2.3).
 
 use prov_db::{AggOp, Aggregate, DocQuery, GroupSpec, Op, ProvenanceDatabase};
 use prov_model::{obj, TaskMessageBuilder, Value};
@@ -188,31 +188,6 @@ fn index_does_not_change_results() {
 }
 
 #[test]
-fn kv_point_range_and_prefix() {
-    let db = seeded_db();
-    // Point get through the task/<id> keyspace.
-    let doc = db.kv().get("task/bde-0").expect("kv row");
-    assert_eq!(
-        doc.get_path("generated.bond_id").and_then(Value::as_str),
-        Some("C-H_1")
-    );
-    // Prefix scan covers all tasks.
-    assert_eq!(db.kv().scan_prefix("task/").len(), 10);
-    assert_eq!(db.kv().scan_prefix("task/bde-").len(), 8);
-    // Lexicographic range.
-    let range = db.kv().range("task/bde-0", "task/bde-4");
-    assert_eq!(range.len(), 4); // bde-0..bde-3 (end exclusive)
-    assert!(range.windows(2).all(|w| w[0].0 < w[1].0));
-    // Seek to the first key at or after a probe: "task/bde-3a" sorts
-    // between bde-3 and bde-4.
-    let (k, _) = db.kv().seek("task/bde-3a").expect("seek");
-    assert_eq!(k, "task/bde-4".to_string());
-    // Past the last bde key the next keyspace entry answers.
-    let (k, _) = db.kv().seek("task/bde-9").expect("seek");
-    assert_eq!(k, "task/conf-0".to_string());
-}
-
-#[test]
 fn graph_traversals_bound_depth_and_direction() {
     let db = seeded_db();
     // bde-0 ← min-0 ← conf-0 (upstream chain).
@@ -242,7 +217,6 @@ fn unified_facade_counts_and_lineage_agree_with_backends() {
     let db = seeded_db();
     assert_eq!(db.insert_count(), 10);
     assert_eq!(db.documents().len(), 10);
-    assert_eq!(db.kv().len(), 10);
     assert_eq!(db.graph().node_count(), 10);
     // The CSR compaction's lineage agrees with the graph backend's.
     let csr: Vec<(String, usize)> = prov_db::CsrGraph::build(db.graph())

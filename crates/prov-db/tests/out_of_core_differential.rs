@@ -17,7 +17,7 @@ use dataframe::DataFrame;
 use proptest::prelude::*;
 use prov_db::{AggOp, Aggregate, Config, DocQuery, GroupSpec, Op, ProvenanceDatabase};
 use prov_db::{StoreSnapshot, SyncPolicy};
-use prov_model::{obj, TaskMessage, TaskStatus, Value};
+use prov_model::{obj, TaskMessage, TaskMessageBuilder, TaskStatus, Value};
 use provql::parse;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -270,13 +270,13 @@ fn snapshot_head_stops_paging_at_the_limit() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The deferred KV/graph hydration: point lookups, the graph's shape and
+/// The deferred graph hydration: point lookups, the graph's shape and
 /// every task's lineage in both directions on a lazily opened store equal
 /// the oracle's — at a generous budget and at a one-byte budget that
 /// re-pages every chunk the hydration walks — and repeated scans hit the
 /// resident set.
 #[test]
-fn lazy_open_hydrates_kv_and_graph_on_first_read() {
+fn lazy_open_hydrates_the_graph_on_first_read() {
     let (chunk, nshards) = geometry();
     let n = chunk * nshards + 5;
     let msgs = corpus(n);
@@ -287,7 +287,7 @@ fn lazy_open_hydrates_kv_and_graph_on_first_read() {
 
     for budget in [64 << 20, 1] {
         let lazy = open_lazy(&dir, budget);
-        // Graph first (hydration triggers here), then KV.
+        // Graph first (hydration triggers here), then point lookups.
         let (graph, want) = (lazy.graph(), oracle.graph());
         assert_eq!(graph.node_count(), want.node_count(), "budget {budget}");
         assert_eq!(graph.edge_count(), want.edge_count(), "budget {budget}");
@@ -304,16 +304,16 @@ fn lazy_open_hydrates_kv_and_graph_on_first_read() {
                 "downstream of {id} at budget {budget}"
             );
         }
+        let (snap, want) = (lazy.snapshot(), oracle.snapshot());
         for id in ["t0", "t2", "t9", last.as_str(), "missing"] {
             // Compared by `Debug` rendering, like the fingerprint: every
             // 11th `y` payload is NaN, which `Value`'s `==` never equals.
             assert_eq!(
-                format!("{:?}", lazy.get_task(id).map(|m| m.to_value())),
-                format!("{:?}", oracle.get_task(id).map(|m| m.to_value())),
+                format!("{:?}", snap.get_task(id).map(|m| m.to_value())),
+                format!("{:?}", want.get_task(id).map(|m| m.to_value())),
                 "task {id} at budget {budget}"
             );
         }
-        assert_eq!(lazy.kv().len(), oracle.kv().len(), "budget {budget}");
 
         // A warm re-scan is served from the resident set.
         if budget > 1 {
@@ -566,14 +566,27 @@ fn fixture_dir(name: &str) -> PathBuf {
     dir
 }
 
-/// `PSEG1` and `PSEG2` directories stay readable. The fixtures
-/// `pseg1-corpus32` and `pseg2-corpus32` are `corpus(32)` sealed and
-/// compacted by the last releases that wrote each format, at 2 shards ×
-/// 16-row chunks. Opened lazily, each answers every golden pipeline like
-/// the oracle (a `PSEG2` store reads its fixed columns from the column
-/// blocks, paging no document for a fixed-column scan); sealing more rows
-/// and compacting on that store rewrites the history forward, every file
-/// `PSEG3`, with the same answers after a reopen.
+/// The format magic of every segment file in `dir`.
+fn formats(dir: &PathBuf) -> Vec<String> {
+    segment_files(dir)
+        .iter()
+        .map(|seg| {
+            let bytes = std::fs::read(seg).expect("read segment");
+            String::from_utf8_lossy(&bytes[..6]).into_owned()
+        })
+        .collect()
+}
+
+/// `PSEG1` and `PSEG2` directories are written forward at the first lazy
+/// open. The fixtures `pseg1-corpus32` and `pseg2-corpus32` are
+/// `corpus(32)` sealed and compacted by the last releases that wrote each
+/// format, at 2 shards × 16-row chunks. The replayed open, the referee,
+/// reads them as they are and leaves them so. The first lazy open —
+/// beside a stray temp file, as a crash before a rewrite's rename leaves
+/// one — rewrites every segment as `PSEG3` under its own name, answers
+/// every golden pipeline like the oracle and serves a fixed-column scan
+/// from the column blocks, paging no document. Sealing more rows and
+/// compacting on that store keeps the answers across a reopen.
 #[test]
 fn legacy_segments_answer_like_pseg3_and_compact_forward() {
     let config = Config {
@@ -588,20 +601,45 @@ fn legacy_segments_answer_like_pseg3_and_compact_forward() {
     let want = fingerprint(&oracle(&msgs[..per_run]).snapshot(), GOLDEN);
     let scan = parse(r#"df[df["hostname"].isin(["n1", "n3"])]["task_id"]"#).expect("parses");
     for legacy in [1u8, 2] {
+        let magic = format!("PSEG{legacy}\n");
         let dir = fixture_dir(&format!("pseg{legacy}-corpus32"));
-        for seg in segment_files(&dir) {
-            let magic = std::fs::read(&seg).expect("read segment")[..6].to_vec();
-            assert_eq!(magic, format!("PSEG{legacy}\n").as_bytes());
-        }
+        let names = segment_files(&dir);
+        assert_eq!(formats(&dir), vec![magic.clone(); 2]);
+        let replayed = ProvenanceDatabase::open_replayed(&dir, config).expect("replayed open");
+        assert_eq!(
+            fingerprint(&replayed.snapshot(), GOLDEN),
+            want,
+            "PSEG{legacy} replayed"
+        );
+        drop(replayed);
+        assert_eq!(
+            formats(&dir),
+            vec![magic; 2],
+            "the replayed open rewrote a segment"
+        );
+
+        let stray = names[0].with_extension("tmp");
+        std::fs::write(&stray, b"PSEG3\n").expect("write a torn temp file");
         let db = ProvenanceDatabase::open_with(&dir, config).expect("lazy open");
+        assert!(!stray.exists(), "the stray temp file survived the open");
+        let mut forward = segment_files(&dir);
+        forward.sort();
+        let mut sorted = names.clone();
+        sorted.sort();
+        assert_eq!(forward, sorted, "PSEG{legacy}: rewritten under other names");
+        assert_eq!(
+            formats(&dir),
+            vec!["PSEG3\n".to_string(); 2],
+            "PSEG{legacy}"
+        );
         assert_eq!(db.durable_stats().expect("durable").sealed_slots, 16);
         let (got, _) = db.snapshot().query(&scan);
         let (oracle_got, _) = oracle(&msgs[..per_run]).snapshot().query(&scan);
         assert_eq!(got.expect("scan"), oracle_got.expect("oracle scan"));
         assert_eq!(
-            db.pager_stats().paged_in_docs > 0,
-            legacy == 1,
-            "PSEG{legacy}: only a PSEG1 fixed-column scan pages documents"
+            db.pager_stats().paged_in_docs,
+            0,
+            "PSEG{legacy}: a fixed-column scan paged documents"
         );
         assert_eq!(fingerprint(&db.snapshot(), GOLDEN), want, "PSEG{legacy}");
 
@@ -610,10 +648,7 @@ fn legacy_segments_answer_like_pseg3_and_compact_forward() {
         assert_eq!(db.seal_now().expect("reseal"), 32);
         db.compact_segments().expect("compact");
         drop(db);
-        for seg in segment_files(&dir) {
-            let magic = std::fs::read(&seg).expect("read segment")[..6].to_vec();
-            assert_eq!(magic, b"PSEG3\n", "{} not rewritten forward", seg.display());
-        }
+        assert!(formats(&dir).iter().all(|m| m == "PSEG3\n"));
         let back = ProvenanceDatabase::open_with(&dir, config).expect("reopen");
         assert_eq!(
             fingerprint(&back.snapshot(), GOLDEN),
@@ -623,6 +658,61 @@ fn legacy_segments_answer_like_pseg3_and_compact_forward() {
         drop(back);
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// A task sent twice — RUNNING, then FINISHED — is looked up as its
+/// newest version: in memory, on a lazy reopen at a one-byte budget
+/// (both versions sealed, so both are read from cold chunks) and through
+/// the replayed open.
+#[test]
+fn a_resent_task_is_looked_up_as_its_newest_version() {
+    let config = Config {
+        shards: 2,
+        chunk_rows: 16,
+        ..config()
+    };
+    let mut msgs = corpus(2 * 16);
+    let last = msgs.len() - 1;
+    for (i, status) in [(1, TaskStatus::Running), (last, TaskStatus::Finished)] {
+        msgs[i] = TaskMessageBuilder::new("resent", "wf-0", "act1")
+            .status(status)
+            .build();
+    }
+    let status = |db: &Arc<ProvenanceDatabase>| db.snapshot().get_task("resent").map(|m| m.status);
+
+    assert_eq!(
+        status(&oracle(&msgs)),
+        Some(TaskStatus::Finished),
+        "in memory"
+    );
+    let dir = fresh_dir("resent");
+    {
+        let db = ProvenanceDatabase::open_with(&dir, config).expect("open durable");
+        db.insert_batch(&msgs);
+        assert_eq!(db.seal_now().expect("seal"), 16, "both versions sealed");
+    }
+    let lazy = ProvenanceDatabase::open_with(
+        &dir,
+        Config {
+            resident_bytes: 1,
+            ..config
+        },
+    )
+    .expect("lazy reopen");
+    assert_eq!(status(&lazy), Some(TaskStatus::Finished), "lazy reopen");
+    assert!(
+        lazy.pager_stats().paged_in_docs > 0,
+        "read from cold chunks"
+    );
+    drop(lazy);
+    let replayed = ProvenanceDatabase::open_replayed(&dir, config).expect("replayed open");
+    assert_eq!(
+        status(&replayed),
+        Some(TaskStatus::Finished),
+        "replayed open"
+    );
+    drop(replayed);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Sealing while reads are in flight: a snapshot pinned over the cold
@@ -1066,7 +1156,8 @@ fn an_overflowed_footer_withholds_the_columns_it_does_not_list() {
         db.insert_batch_shared(msgs[32..112].iter().cloned().map(Arc::new));
         db.flush_views();
         db.seal_now().expect("seal");
-        // Legacy and new runs merge by a rebuild.
+        // The runs written forward at open and the new ones merge by a
+        // rebuild: their column tables are not prefix-compatible.
         db.compact_segments().expect("compact");
         db.insert_batch_shared(msgs[112..].iter().cloned().map(Arc::new));
         db.flush_views();
