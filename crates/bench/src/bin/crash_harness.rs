@@ -21,9 +21,11 @@
 //! The store runs at most 64-row chunks and seals every 128 arrivals
 //! (smaller when `PROVDB_CHUNK` / `PROVDB_SEAL_ROWS` say so), and the
 //! child compacts its segments halfway through, so every schedule
-//! crosses `PSEG3` seals and a compaction: the golden set reads the
+//! crosses `PSEG4` seals and a compaction: the golden set reads the
 //! discovered dataflow columns (`label`, and `mode`, whose kind changes
-//! mid-corpus and is poisoned) and the lineage presence column.
+//! mid-corpus and is poisoned), the lineage presence column, and a
+//! whole row (`loc[idxmax]`), served from a top-1 scan and the row-key
+//! catalog the footers carry.
 //!
 //! Crash points come from a seeded LCG so a CI leg loops a reproducible
 //! schedule: `crash_harness --runs 12 --seed 7`. Any mismatch leaves the
@@ -52,6 +54,7 @@ const GOLDEN: &[&str] = &[
     r#"df[df["label"] == "L1"]["y"].sum()"#,
     r#"df.groupby("label")["duration"].count()"#,
     r#"len(df[df["mode"].isna()])"#,
+    r#"df.loc[df["started_at"].idxmax()]"#,
 ];
 
 /// The store's configuration: the environment's, with chunks of at most

@@ -581,21 +581,47 @@ struct DerivedKeys {
     cpu_end: Sym,
     gpu_end: Sym,
     mem_end: Sym,
+    /// Every column each section sets: its leaves, then its means.
+    start_cols: Vec<Sym>,
+    end_cols: Vec<Sym>,
 }
 
 fn derived_keys() -> &'static DerivedKeys {
     static KEYS: std::sync::OnceLock<DerivedKeys> = std::sync::OnceLock::new();
     KEYS.get_or_init(|| {
         let section = |name: &str| TELEMETRY_LEAVES.map(|leaf| Sym::from(format!("{name}.{leaf}")));
+        let (start, end) = (section("telemetry_at_start"), section("telemetry_at_end"));
+        let cpu_start = Sym::from("cpu_percent_start");
+        let cpu_end = Sym::from("cpu_percent_end");
+        let gpu_end = Sym::from("gpu_percent_end");
+        let mem_end = Sym::from("mem_used_mb_end");
         DerivedKeys {
-            start: section("telemetry_at_start"),
-            end: section("telemetry_at_end"),
-            cpu_start: Sym::from("cpu_percent_start"),
-            cpu_end: Sym::from("cpu_percent_end"),
-            gpu_end: Sym::from("gpu_percent_end"),
-            mem_end: Sym::from("mem_used_mb_end"),
+            start_cols: start.iter().chain([&cpu_start]).cloned().collect(),
+            end_cols: end
+                .iter()
+                .chain([&cpu_end, &gpu_end, &mem_end])
+                .cloned()
+                .collect(),
+            start,
+            end,
+            cpu_start,
+            cpu_end,
+            gpu_end,
+            mem_end,
         }
     })
+}
+
+/// The columns a row holds because its message has the telemetry section
+/// `telemetry_at_end` (`end`) or `telemetry_at_start`: the section's eight
+/// leaves and the means derived from it.
+pub fn telemetry_columns(end: bool) -> &'static [Sym] {
+    let derived = derived_keys();
+    if end {
+        &derived.end_cols
+    } else {
+        &derived.start_cols
+    }
 }
 
 /// Push one telemetry section's leaves under `names` (a
@@ -621,19 +647,10 @@ fn push_telemetry(pairs: &mut Vec<(Sym, Value)>, names: &[Sym; 8], t: &prov_mode
 /// name, holds it wherever the row has that section or tag. A store that
 /// serves dataflow columns by name must leave these to the frame.
 pub fn row_tail_column(name: &str) -> bool {
-    let derived = derived_keys();
     name.starts_with("tags.")
-        || derived
-            .start
+        || [false, true]
             .iter()
-            .chain(&derived.end)
-            .chain([
-                &derived.cpu_start,
-                &derived.cpu_end,
-                &derived.gpu_end,
-                &derived.mem_end,
-            ])
-            .any(|k| k.as_str() == name)
+            .any(|&end| telemetry_columns(end).iter().any(|k| k.as_str() == name))
 }
 
 /// The cells a message's `used` and `generated` sections contribute to

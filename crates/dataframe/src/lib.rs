@@ -39,7 +39,8 @@ pub use display::{render, DisplayOptions};
 pub use dtype::DType;
 pub use expr::{cmp_matches, col, lit, values_equal, ArithOp, CmpOp, Expr};
 pub use frame::{
-    dataflow_cells, row_tail_column, sort_cell_cmp, DataFrame, FrameError, FrameResult,
+    dataflow_cells, row_tail_column, sort_cell_cmp, telemetry_columns, DataFrame, FrameError,
+    FrameResult,
 };
 pub use groupby::GroupBy;
 pub use window::{example_rendering, MessageWindow, MAX_EXAMPLES};

@@ -11,7 +11,7 @@ use dataframe::{col, lit, AggFunc};
 use proptest::prelude::*;
 use prov_db::{ProvenanceDatabase, Pushdown, StoreSnapshot};
 use prov_model::TaskMessage;
-use provql::{execute, parse, Query, Stage};
+use provql::{execute, parse, Query, QueryOutput, Stage};
 use std::sync::Arc;
 
 fn db_from(msgs: &[TaskMessage]) -> Arc<ProvenanceDatabase> {
@@ -25,6 +25,25 @@ fn run(snap: &StoreSnapshot, query: &Query) -> Pushdown {
     prov_db::execute_plan(snap, &provql::plan(query, snap))
 }
 
+/// The `Debug` form of an answer, NaN cells printing as `NaN` (so a
+/// bit-preserved NaN compares equal, unlike under `Value`'s `==`), with
+/// each frame's name→position map scrubbed: its iteration order is
+/// per-instance, and it derives from the compared column list.
+fn render(out: &Result<QueryOutput, provql::ExecError>) -> String {
+    let mut s = format!("{out:?}");
+    const KEY: &str = "index: {";
+    let mut from = 0;
+    while let Some(at) = s[from..].find(KEY) {
+        let open = from + at + KEY.len() - 1;
+        let Some(close) = s[open..].find('}') else {
+            break;
+        };
+        s.replace_range(open..open + close + 1, "_");
+        from += at + KEY.len();
+    }
+    s
+}
+
 /// Check one parsed query through both paths: the pushdown executor and
 /// the snapshot's oracle frame — the same frame the agent's
 /// `provdb_query` fallback builds, so the equivalence asserted here
@@ -34,7 +53,11 @@ fn check_query(snap: &StoreSnapshot, query: &Query, label: &str) -> bool {
     let oracle = execute(query, &snap.oracle_frame());
     match run(snap, query) {
         Pushdown::Executed(got) => {
-            assert_eq!(got, oracle, "{label}: pushdown diverged from oracle");
+            assert_eq!(
+                render(&got),
+                render(&oracle),
+                "{label}: pushdown diverged from oracle"
+            );
             true
         }
         // The fallback path *is* the oracle — trivially identical.
@@ -58,19 +81,23 @@ fn golden_queries_identical_through_both_paths() {
             unserved.push(q.id);
         }
     }
-    // Every golden question but q15's whole-width row
-    // (`df.loc[df["y"].idxmax()]`) is served by the pushdown executor.
-    assert_eq!(unserved, ["q15"], "golden queries deferred to the oracle");
+    // Every golden question is served by the pushdown executor, q15's
+    // whole-width row (`df.loc[df["y"].idxmax()]`) from a top-1 scan.
+    assert!(
+        unserved.is_empty(),
+        "golden queries deferred to the oracle: {unserved:?}"
+    );
 }
 
 /// A sealed store over the golden corpus, reopened lazily, answers all
 /// twenty golden questions through `StoreSnapshot::query` exactly like a
 /// replayed reopen, at the default budget and at a one-byte budget, and
-/// builds the oracle frame for q15 alone; the dataflow questions page no
-/// document. The same corpus sealed as `PSEG2` by the last release that
-/// wrote it (`tests/fixtures/pseg2-golden`, same geometry and seals)
-/// answers the same under the same rules from its first lazy open on,
-/// which writes every segment forward as `PSEG3` before it serves.
+/// builds the oracle frame for none of them; the dataflow questions page
+/// no document, and q15's whole row pages at most one docs page. The same
+/// corpus sealed as `PSEG2` by the last release that wrote it
+/// (`tests/fixtures/pseg2-golden`, same geometry and seals) answers the
+/// same under the same rules from its first lazy open on, which writes
+/// every segment forward as `PSEG4` before it serves.
 #[test]
 fn golden_questions_on_a_lazy_reopen_stay_off_the_oracle_frame() {
     use prov_db::{Config, ProvenanceDatabase, SyncPolicy};
@@ -108,17 +135,19 @@ fn golden_questions_on_a_lazy_reopen_stay_off_the_oracle_frame() {
                 let snap = db.snapshot();
                 let docs_before = db.pager_stats().paged_in_docs;
                 let (out, _) = snap.query(query);
-                assert_eq!(
-                    snap.oracle_built(),
-                    *id == "q15",
-                    "{label} {id}: only q15 may build the oracle frame"
+                assert!(
+                    !snap.oracle_built(),
+                    "{label} {id}: a golden question built the oracle frame"
                 );
+                let docs_paged = db.pager_stats().paged_in_docs - docs_before;
                 if matches!(*id, "q03" | "q04" | "q09" | "q16") {
                     assert_eq!(
-                        db.pager_stats().paged_in_docs,
-                        docs_before,
+                        docs_paged, 0,
                         "{label} {id}: a dataflow question paged documents"
                     );
+                }
+                if *id == "q15" {
+                    assert!(docs_paged <= 1, "{label} q15 paged {docs_paged} docs pages");
                 }
                 out.map(|o| (*o).clone())
             })
@@ -150,7 +179,7 @@ fn golden_questions_on_a_lazy_reopen_stay_off_the_oracle_frame() {
             assert_eq!(answers(&lazy, &label), want, "{label}");
         }
     };
-    check("PSEG3");
+    check("PSEG4");
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create store dir");
     let fixture =
@@ -167,7 +196,7 @@ fn golden_questions_on_a_lazy_reopen_stay_off_the_oracle_frame() {
     check("PSEG2");
     for seg in segments() {
         let magic = std::fs::read(&seg).expect("read segment")[..6].to_vec();
-        assert_eq!(magic, b"PSEG3\n", "{} not written forward", seg.display());
+        assert_eq!(magic, b"PSEG4\n", "{} not written forward", seg.display());
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -222,22 +251,56 @@ fn am_demo_generations_identical_through_both_paths() {
 
 /// Columns mixing pushable common fields, dataflow fields of the
 /// synthetic sweep, and a name no message ever sets.
-fn arb_column() -> impl Strategy<Value = String> {
-    prop_oneof![
-        Just("task_id".to_string()),
-        Just("workflow_id".to_string()),
-        Just("activity_id".to_string()),
-        Just("hostname".to_string()),
-        Just("status".to_string()),
-        Just("started_at".to_string()),
-        Just("duration".to_string()),
-        Just("y".to_string()),
-        Just("exponent".to_string()),
-        Just("ghost_column".to_string()),
-    ]
-}
+const SWEEP_COLUMNS: &[&str] = &[
+    "task_id",
+    "workflow_id",
+    "activity_id",
+    "hostname",
+    "status",
+    "started_at",
+    "duration",
+    "y",
+    "exponent",
+    "ghost_column",
+];
 
-fn arb_filter() -> impl Strategy<Value = Stage> {
+/// The columns of [`edge_snapshot`]'s corpus: keys with ties, a sparse
+/// key (present, null or absent per row), a key that is null on every
+/// visible row, a key with NaN cells and a string key, beside common
+/// fields and a name no message sets.
+const EDGE_COLUMNS: &[&str] = &[
+    "task_id",
+    "workflow_id",
+    "status",
+    "started_at",
+    "duration",
+    "tie",
+    "sparse",
+    "allnull",
+    "nan",
+    "label",
+    "ghost_column",
+];
+
+/// [`EDGE_COLUMNS`] without `nan`, the sort keys of the edge corpus: the
+/// oracle's `sort_values` cannot order a column holding NaN beside other
+/// floats (the standard sort rejects its comparator), so, as in the
+/// durable suites' golden set, no sort keys on it.
+const EDGE_SORT_KEYS: &[&str] = &[
+    "task_id",
+    "workflow_id",
+    "status",
+    "started_at",
+    "duration",
+    "tie",
+    "sparse",
+    "allnull",
+    "label",
+    "ghost_column",
+];
+
+fn arb_filter(cols: &'static [&'static str]) -> impl Strategy<Value = Stage> {
+    let arb_column = move || (0..cols.len()).prop_map(move |i| cols[i].to_string());
     prop_oneof![
         (arb_column(), -10.0f64..2e9).prop_map(|(c, v)| Stage::Filter(col(c).gt(lit(v)))),
         (arb_column(), "[a-z0-9_-]{1,10}")
@@ -286,9 +349,14 @@ fn arb_filter() -> impl Strategy<Value = Stage> {
     ]
 }
 
-fn arb_stage() -> impl Strategy<Value = Stage> {
+fn arb_stage(
+    cols: &'static [&'static str],
+    sort_keys: &'static [&'static str],
+) -> impl Strategy<Value = Stage> {
+    let arb_column = move || (0..cols.len()).prop_map(move |i| cols[i].to_string());
+    let arb_sort_key = (0..sort_keys.len()).prop_map(move |i| sort_keys[i].to_string());
     prop_oneof![
-        arb_filter(),
+        arb_filter(cols),
         prop::collection::vec(arb_column(), 1..3).prop_map(Stage::Select),
         arb_column().prop_map(Stage::Col),
         arb_column().prop_map(|c| Stage::GroupBy(vec![c])),
@@ -300,24 +368,37 @@ fn arb_stage() -> impl Strategy<Value = Stage> {
             Just(AggFunc::Count),
         ]
         .prop_map(Stage::Agg),
-        (arb_column(), any::<bool>()).prop_map(|(c, asc)| Stage::SortValues(vec![(c, asc)])),
+        (arb_sort_key, any::<bool>()).prop_map(|(c, asc)| Stage::SortValues(vec![(c, asc)])),
         // 0 included: a pushed `sort → head(0)` top-k must stay exact.
         (0usize..6).prop_map(Stage::Head),
         (1usize..6).prop_map(Stage::Tail),
         Just(Stage::Unique),
         Just(Stage::ValueCounts),
         Just(Stage::Count),
+        // Both `loc` forms, by idxmax and idxmin: a top-1 scan when the
+        // key is orderable and nothing residual stands in front.
+        (arb_column(), any::<bool>(), arb_column()).prop_map(|(column, max, cell)| {
+            Stage::LocIdx {
+                column,
+                max,
+                cell: Some(cell),
+            }
+        }),
         (arb_column(), any::<bool>()).prop_map(|(column, max)| Stage::LocIdx {
             column,
             max,
-            cell: Some("task_id".into()),
+            cell: None,
         }),
         prop::collection::vec(arb_column(), 0..2).prop_map(Stage::DropDuplicates),
     ]
 }
 
-fn arb_query() -> impl Strategy<Value = Query> {
-    (prop::collection::vec(arb_stage(), 0..4), any::<bool>()).prop_map(|(stages, wrap)| {
+fn arb_query(
+    cols: &'static [&'static str],
+    sort_keys: &'static [&'static str],
+) -> impl Strategy<Value = Query> {
+    let stages = prop::collection::vec(arb_stage(cols, sort_keys), 0..4);
+    (stages, any::<bool>()).prop_map(|(stages, wrap)| {
         let p = Query::pipeline(stages);
         if wrap {
             Query::Len(Box::new(p))
@@ -327,11 +408,73 @@ fn arb_query() -> impl Strategy<Value = Query> {
     })
 }
 
+/// A snapshot over a corpus built for `loc[idxmax|idxmin]`: `tie` and
+/// `label` repeat values, `sparse` is present, null or absent per row,
+/// `allnull` is null on every row the snapshot sees and `nan` holds NaN
+/// cells; some rows carry telemetry, tags or lineage, so a whole row
+/// has all-null columns to pad. Rows ingested after the pin register
+/// `allnull` as a column and add a NaN `tie` and a tag the snapshot must
+/// not see.
+fn edge_snapshot() -> Arc<StoreSnapshot> {
+    use prov_model::{TaskMessageBuilder, TelemetrySynth, Value};
+    let synth = TelemetrySynth::frontier(3);
+    let msg = |i: usize| {
+        let mut b = TaskMessageBuilder::new(
+            format!("e{i}"),
+            format!("wf-{}", i % 3),
+            if i.is_multiple_of(2) {
+                "power"
+            } else {
+                "merge"
+            },
+        )
+        .span(i as f64, i as f64 + (i % 3) as f64)
+        .uses("tie", (i % 3) as f64)
+        .uses("allnull", Value::Null)
+        .generates("label", format!("l{}", i % 4))
+        .generates("nan", if i % 5 == 2 { f64::NAN } else { i as f64 });
+        b = match i % 3 {
+            0 => b.uses("sparse", i as f64 * 0.5),
+            1 => b.uses("sparse", Value::Null),
+            _ => b,
+        };
+        if i % 4 == 1 {
+            b = b.telemetry(
+                synth.snapshot(i as u64, 0, 0.3),
+                synth.snapshot(i as u64, 1, 0.3),
+            );
+        }
+        if i % 7 == 3 {
+            b = b.depends_on(format!("e{}", i - 1));
+        }
+        let m = b.build();
+        if i % 6 == 5 {
+            m.with_tag("anomaly", "hot")
+        } else {
+            m
+        }
+    };
+    let db = ProvenanceDatabase::shared();
+    db.insert_batch(&(0..40).map(msg).collect::<Vec<_>>());
+    let snap = db.snapshot();
+    let late = [
+        TaskMessageBuilder::new("late-0", "wf-0", "power")
+            .uses("allnull", 5.0)
+            .uses("tie", f64::NAN)
+            .build(),
+        TaskMessageBuilder::new("late-1", "wf-1", "merge")
+            .build()
+            .with_tag("late", "yes"),
+    ];
+    db.insert_batch(&late);
+    snap
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
     #[test]
-    fn random_pipelines_identical_through_both_paths(q in arb_query()) {
+    fn random_pipelines_identical_through_both_paths(q in arb_query(SWEEP_COLUMNS, SWEEP_COLUMNS)) {
         use std::sync::OnceLock;
         static SNAP: OnceLock<Arc<StoreSnapshot>> = OnceLock::new();
         let snap = SNAP.get_or_init(|| {
@@ -346,6 +489,52 @@ proptest! {
             Pushdown::NeedsFullFrame(_) => {}
         }
     }
+
+    /// The same over [`edge_snapshot`]: ties, nulls, NaN and absent keys,
+    /// and rows past the pin that must stay invisible.
+    #[test]
+    fn random_pipelines_identical_on_edge_keys(q in arb_query(EDGE_COLUMNS, EDGE_SORT_KEYS)) {
+        use std::sync::OnceLock;
+        static SNAP: OnceLock<Arc<StoreSnapshot>> = OnceLock::new();
+        let snap = SNAP.get_or_init(edge_snapshot);
+        let oracle = execute(&q, &snap.oracle_frame());
+        match run(snap, &q) {
+            Pushdown::Executed(got) => prop_assert_eq!(render(&got), render(&oracle)),
+            Pushdown::NeedsFullFrame(_) => {}
+        }
+    }
+}
+
+/// The whole-row and cell `loc` shapes on [`edge_snapshot`] are served
+/// wherever the store can prove the answer — ties keep the first row,
+/// a key null on every visible row raises the oracle's empty-input error
+/// — and defer on a NaN key or a column absent below the pin.
+#[test]
+fn loc_extremes_on_edge_keys_identical_through_both_paths() {
+    let snap = edge_snapshot();
+    for (text, served) in [
+        (r#"df.loc[df["tie"].idxmax()]"#, true),
+        (r#"df.loc[df["tie"].idxmin()]"#, true),
+        (r#"df.loc[df["sparse"].idxmax()]"#, true),
+        (r#"df.loc[df["sparse"].idxmin(), "task_id"]"#, true),
+        (r#"df.loc[df["label"].idxmax()]"#, true),
+        (r#"df.loc[df["allnull"].idxmax()]"#, true),
+        (r#"df.loc[df["allnull"].idxmin(), "task_id"]"#, false),
+        (
+            r#"df[df["status"] == "ERROR"].loc[df["tie"].idxmax()]"#,
+            true,
+        ),
+        (r#"df.loc[df["nan"].idxmax()]"#, false),
+        (r#"df.loc[df["ghost_column"].idxmin()]"#, false),
+    ] {
+        let query = parse(text).expect("parses");
+        assert_eq!(check_query(&snap, &query, text), served, "{text}");
+    }
+    let query = parse(r#"df.loc[df["allnull"].idxmax()]"#).expect("parses");
+    assert_eq!(
+        execute(&query, &snap.oracle_frame()),
+        Err(provql::ExecError::EmptyInput)
+    );
 }
 
 proptest! {
@@ -359,7 +548,7 @@ proptest! {
     /// snapshot, so the cache fills up across cases exactly as it would
     /// under a real dashboard storm.
     #[test]
-    fn snapshot_cache_on_equals_cache_off(q in arb_query()) {
+    fn snapshot_cache_on_equals_cache_off(q in arb_query(SWEEP_COLUMNS, SWEEP_COLUMNS)) {
         use std::sync::OnceLock;
         use prov_db::CacheOutcome;
         static SNAP: OnceLock<Arc<StoreSnapshot>> = OnceLock::new();

@@ -37,6 +37,16 @@
 //!   [`MAX_DISCOVERED`] of them; a name first seen after that gets no
 //!   column (the registry *overflows*) and, like every name it does not
 //!   know, is served by decoding documents.
+//! * **Row-key columns** (ids interleaved with the discovered ones, in
+//!   a namespace of their own): one [`Kind::Flag`] column per frame
+//!   column name that not every decodable row holds, set where the row's
+//!   frame row holds the name — every dataflow leaf name whatever its
+//!   value, and `tags.{k}`. `depends_on` and each telemetry section's
+//!   columns need none: fixed columns record them ([`IMPLIED_KEYS`]). No
+//!   scan filters on row keys; their zone counts and bits answer which
+//!   columns the frame over the rows below a bound has
+//!   ([`crate::DocumentStore::frame_columns`]). The registry takes at most
+//!   [`MAX_ROW_KEYS`]; past that it overflows and lists nothing.
 //!
 //! ## Physical layout
 //!
@@ -153,8 +163,9 @@ pub(crate) const STR_FIELDS: [&str; 7] = [
 ];
 
 /// Float-typed hot columns, in id order (ids `7..14`): the Listing-1
-/// timestamps, the derived `duration`, and the derived scalar telemetry
-/// means.
+/// timestamps and the derived `duration` — with the string fields, the
+/// frame columns every decodable row holds ([`row_fields`]) — and the
+/// derived scalar telemetry means.
 pub(crate) const F64_FIELDS: [&str; 7] = [
     "started_at",
     "ended_at",
@@ -164,6 +175,13 @@ pub(crate) const F64_FIELDS: [&str; 7] = [
     "gpu_percent_end",
     "mem_used_mb_end",
 ];
+
+/// The frame columns every decodable row holds, so the row-key catalog
+/// never lists them: every string hot field and the first three float
+/// ones.
+pub(crate) fn row_fields() -> impl Iterator<Item = &'static str> {
+    STR_FIELDS.iter().chain(&F64_FIELDS[..3]).copied()
+}
 
 /// The lineage presence column (id 14).
 pub(crate) const DEPENDS_ON: &str = "depends_on";
@@ -278,18 +296,61 @@ pub(crate) fn hint_safe(f: ColField, irregular_mask: u16) -> bool {
 /// segment footer when `used`/`generated` keys vary per task.
 pub(crate) const MAX_DISCOVERED: usize = 64;
 
+/// Frame columns the row-key catalog needs no record of, because a fixed
+/// column records exactly which rows hold them: `depends_on` is the
+/// lineage flag, and the columns of each telemetry section
+/// ([`dataframe::telemetry_columns`]) are held exactly where the
+/// section's derived CPU mean is — a name no dataflow leaf takes (the
+/// frame prefixes it) and no poison reaches. A dataflow leaf named like a
+/// telemetry column still gets a record of its own. Each entry names the
+/// fixed column and what it implies: itself (`None`), or the columns of
+/// the telemetry section `Some(end)` (as [`dataframe::telemetry_columns`]
+/// takes it).
+pub(crate) const IMPLIED_KEYS: [(&str, Option<bool>); 3] = [
+    (DEPENDS_ON, None),
+    ("cpu_percent_start", Some(false)),
+    ("cpu_percent_end", Some(true)),
+];
+
+/// Row-key columns the catalog registers from ingested rows (see
+/// [`Registry`]). A frame column name first seen once this many are
+/// registered gets no record, and the catalog *overflows*: from then on
+/// the store cannot list the frame's columns, and a whole-row answer
+/// falls back to the oracle frame.
+pub(crate) const MAX_ROW_KEYS: usize = 256;
+
 /// The store's column catalog: every column's name, kind and poison
 /// flag, indexed by [`ColField`]. Append-only: ids are never reused and a
 /// poisoned column stays poisoned.
+///
+/// Beside the value columns it keeps the **row-key catalog**: one
+/// presence-only column ([`Kind::Flag`]) per frame column name that not
+/// every decodable row holds and no fixed column implies
+/// ([`IMPLIED_KEYS`]) — every `used`/`generated` leaf name (`Null`, array
+/// and object leaves and poisoned names included) and every `tags.{k}` —
+/// with a bit set exactly where the row's frame row holds the name, even
+/// with a `Null` value. Its names live in their own namespace (a dataflow
+/// column `y` and the row key `y` are two columns), and no scan filters on
+/// them; with the implied ones they answer which frame columns exist
+/// below a snapshot bound ([`crate::DocumentStore::frame_columns`]).
 #[derive(Clone)]
 pub(crate) struct Registry {
     names: Vec<Sym>,
     kinds: Vec<Kind>,
     poisoned: Vec<bool>,
+    /// Whether the column is a row-key column.
+    key: Vec<bool>,
     by_name: HashMap<Sym, u32>,
+    /// Row-key names, coded in registration order.
+    keys: Dict,
+    /// The column of each row-key code.
+    key_cols: Vec<ColField>,
     /// Whether a dataflow name was dropped for want of room (see
     /// [`MAX_DISCOVERED`]); sealed into every footer.
     overflowed: bool,
+    /// Whether a row key was dropped for want of room (see
+    /// [`MAX_ROW_KEYS`]); sealed into every footer.
+    keys_overflowed: bool,
 }
 
 impl Default for Registry {
@@ -298,8 +359,12 @@ impl Default for Registry {
             names: Vec::new(),
             kinds: Vec::new(),
             poisoned: Vec::new(),
+            key: Vec::new(),
             by_name: HashMap::new(),
+            keys: Dict::default(),
+            key_cols: Vec::new(),
             overflowed: false,
+            keys_overflowed: false,
         };
         for i in 0..FIXED {
             let (name, kind) = fixed_column(i);
@@ -327,6 +392,21 @@ impl Registry {
         self.poisoned[f.idx()]
     }
 
+    /// Whether `f` is a row-key column.
+    pub(crate) fn is_key(&self, f: ColField) -> bool {
+        self.key[f.idx()]
+    }
+
+    /// Discovered value columns registered.
+    fn discovered(&self) -> usize {
+        self.names.len() - FIXED - self.key_cols.len()
+    }
+
+    /// Every row-key column with its frame column name.
+    pub(crate) fn row_keys(&self) -> impl Iterator<Item = (&Sym, ColField)> + '_ {
+        self.keys.syms().iter().zip(self.key_cols.iter().copied())
+    }
+
     /// The id of `name`, poisoned or not.
     pub(crate) fn get(&self, name: &str) -> Option<ColField> {
         self.by_name.get(name).map(|&i| ColField(i))
@@ -335,10 +415,28 @@ impl Registry {
     fn insert(&mut self, name: Sym, kind: Kind) -> ColField {
         let id = self.names.len() as u32;
         self.by_name.insert(name.clone(), id);
+        self.push_column(name, kind, false)
+    }
+
+    fn push_column(&mut self, name: Sym, kind: Kind, key: bool) -> ColField {
         self.names.push(name);
         self.kinds.push(kind);
         self.poisoned.push(false);
-        ColField(id)
+        self.key.push(key);
+        ColField(self.names.len() as u32 - 1)
+    }
+
+    /// The row-key column of frame column `name`, registering it if new.
+    pub(crate) fn bind_key(&mut self, name: &Sym) -> ColField {
+        match self.keys.code_of(name) {
+            Some(k) => self.key_cols[k as usize],
+            None => {
+                self.keys.add(name.clone());
+                let f = self.push_column(name.clone(), Kind::Flag, true);
+                self.key_cols.push(f);
+                f
+            }
+        }
     }
 
     pub(crate) fn poison(&mut self, f: ColField) {
@@ -356,6 +454,17 @@ impl Registry {
         self.overflowed = true;
     }
 
+    /// Whether some row held a frame column name the row-key catalog had
+    /// no room for.
+    pub(crate) fn keys_overflowed(&self) -> bool {
+        self.keys_overflowed
+    }
+
+    /// Note a row-key overflow recorded elsewhere (a sealed footer's).
+    pub(crate) fn set_keys_overflowed(&mut self) {
+        self.keys_overflowed = true;
+    }
+
     /// The id of column `name` of kind `kind`, registering it if new. A
     /// known column of another kind is poisoned.
     pub(crate) fn bind(&mut self, name: &Sym, kind: Kind) -> ColField {
@@ -371,11 +480,23 @@ impl Registry {
     }
 
     /// Fold one extracted row into the catalog: apply its fixed-column
-    /// poison bits and turn its named dataflow cells into column cells,
+    /// poison bits, turn its named dataflow cells into column cells,
     /// registering new columns (while there is room) and poisoning on a
-    /// kind conflict. A cell of a poisoned column, under a fixed column's
-    /// name, or under a name the full catalog cannot take, is dropped.
+    /// kind conflict, and turn its row keys into presence bits. A cell of
+    /// a poisoned column, under a fixed column's name, or under a name the
+    /// full catalog cannot take, is dropped.
     pub(crate) fn resolve(&mut self, row: &mut ExtractedRow) {
+        for name in row.keys.drain(..) {
+            let f = match self.keys.code_of(&name) {
+                Some(k) => self.key_cols[k as usize],
+                None if self.key_cols.len() >= MAX_ROW_KEYS => {
+                    self.keys_overflowed = true;
+                    continue;
+                }
+                None => self.bind_key(&name),
+            };
+            row.cells.push((f, Cell::Flag));
+        }
         for i in 0..FIXED {
             if row.report.poison & (1 << i) != 0 {
                 self.poison(ColField(i as u32));
@@ -385,7 +506,7 @@ impl Registry {
             let f = match self.get(&name) {
                 Some(f) if f.idx() < FIXED => continue,
                 Some(f) => f,
-                None if self.len() >= FIXED + MAX_DISCOVERED => {
+                None if self.discovered() >= MAX_DISCOVERED => {
                     self.overflowed = true;
                     continue;
                 }
@@ -1601,7 +1722,12 @@ pub(crate) struct ExtractedRow {
     /// Dataflow cells by frame name; `None` for a leaf of no servable
     /// kind. [`Registry::resolve`] turns them into `cells`.
     pub(crate) dataflow: Vec<(Sym, Option<Cell>)>,
-    /// Resolved dataflow cells.
+    /// The row's frame column names that need a row-key record — its
+    /// dataflow leaf names and `tags.{k}` (see [`IMPLIED_KEYS`] for the
+    /// rest) — each once. [`Registry::resolve`] turns them into row-key
+    /// presence bits.
+    pub(crate) keys: Vec<Sym>,
+    /// Resolved dataflow cells and row-key bits.
     pub(crate) cells: Vec<(ColField, Cell)>,
     pub(crate) report: PushReport,
 }
@@ -1629,6 +1755,7 @@ pub(crate) fn extract(doc: &Value) -> ExtractedRow {
     let mut v_used = None;
     let mut v_generated = None;
     let mut v_depends_on = None;
+    let mut v_tags = None;
     if let Value::Object(m) = doc {
         for (k, v) in m.iter() {
             let slot = match k.as_str() {
@@ -1646,6 +1773,7 @@ pub(crate) fn extract(doc: &Value) -> ExtractedRow {
                 "used" => &mut v_used,
                 "generated" => &mut v_generated,
                 "depends_on" => &mut v_depends_on,
+                "tags" => &mut v_tags,
                 _ => continue,
             };
             *slot = Some(v);
@@ -1668,6 +1796,7 @@ pub(crate) fn extract(doc: &Value) -> ExtractedRow {
             floats: Default::default(),
             depends_on: false,
             dataflow: Vec::new(),
+            keys: Vec::new(),
             cells: Vec::new(),
             report,
         };
@@ -1760,14 +1889,21 @@ pub(crate) fn extract(doc: &Value) -> ExtractedRow {
     }
 
     // Dataflow cells, named by the frame's own rule. A name some row's
-    // telemetry or tags may set is no dataflow column's to serve.
+    // telemetry or tags may set is no dataflow column's to serve. Every
+    // leaf, whatever its value, names a row key.
+    let mut keys: Vec<Sym> = Vec::new();
+    let mut tail_named = false;
     let empty = Value::Null;
     let dataflow =
         dataframe::dataflow_cells(v_used.unwrap_or(&empty), v_generated.unwrap_or(&empty))
             .into_iter()
             .filter_map(|(name, v)| {
+                keys.push(name.clone());
                 let cell = match v {
-                    _ if row_tail_column(&name) => None,
+                    _ if row_tail_column(&name) => {
+                        tail_named = true;
+                        None
+                    }
                     // A null leaf is an absent cell.
                     Value::Null => return None,
                     Value::Float(x) => Some(Cell::F64(x)),
@@ -1777,6 +1913,16 @@ pub(crate) fn extract(doc: &Value) -> ExtractedRow {
                 Some((name, cell))
             })
             .collect();
+    // One column per tag (the other frame columns of the row's tail, and
+    // `depends_on`, are implied by fixed columns: see `IMPLIED_KEYS`).
+    if let Some(Value::Object(tags)) = v_tags {
+        keys.extend(tags.keys().map(|k| Sym::from(format!("tags.{k}"))));
+        // Only a dataflow leaf named like a tail column can repeat a name.
+        if tail_named {
+            keys.sort_unstable();
+            keys.dedup();
+        }
+    }
 
     ExtractedRow {
         decodable,
@@ -1800,6 +1946,7 @@ pub(crate) fn extract(doc: &Value) -> ExtractedRow {
         ],
         depends_on,
         dataflow,
+        keys,
         cells: Vec::new(),
         report,
     }

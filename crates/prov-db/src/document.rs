@@ -21,7 +21,7 @@ use crate::pager::{ColdShard, PagerCore, PagerStats};
 use crate::query::{Condition, DocQuery, GroupSpec, Op};
 use dataframe::CmpOp;
 use parking_lot::RwLock;
-use prov_model::{Map, Value};
+use prov_model::{Map, Sym, Value};
 use std::cell::OnceCell;
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -1186,24 +1186,73 @@ impl DocumentStore {
     /// without touching a document or walking a whole column.
     pub fn columnar_presence(&self, column: &str, bound: &[usize]) -> Option<usize> {
         let f = self.columnar_field(column)?;
+        Some(self.present_below(f, bound))
+    }
+
+    /// Present cells of column `f` among the rows below a per-shard bound.
+    fn present_below(&self, f: ColField, bound: &[usize]) -> usize {
         debug_assert_eq!(bound.len(), self.shards.len());
-        Some(
-            self.shards
-                .iter()
-                .zip(bound)
-                .map(|(s, &n)| {
-                    let g = s.read();
-                    let cold_rows = g.cold_rows();
-                    // Cold presence comes from the footer zone maps
-                    // summed at attach time — no I/O here.
-                    match &g.cold {
-                        Some(cold) if n <= cold_rows => cold.present_prefix(f, n),
-                        Some(cold) => cold.present(f) + g.cols.present_prefix(f, n - cold_rows),
-                        None => g.cols.present_prefix(f, n),
-                    }
-                })
-                .sum(),
-        )
+        self.shards
+            .iter()
+            .zip(bound)
+            .map(|(s, &n)| {
+                let g = s.read();
+                let cold_rows = g.cold_rows();
+                // Cold presence comes from the footer zone maps summed at
+                // attach time — no I/O here unless the bound cuts a cold
+                // chunk.
+                match &g.cold {
+                    Some(cold) if n <= cold_rows => cold.present_prefix(f, n),
+                    Some(cold) => cold.present(f) + g.cols.present_prefix(f, n - cold_rows),
+                    None => g.cols.present_prefix(f, n),
+                }
+            })
+            .sum()
+    }
+
+    /// The column set of `DataFrame::from_messages` over the decodable
+    /// documents below a per-shard bound, sorted: the ten columns every
+    /// decodable document's row holds (`task_id` … `type`, `duration`
+    /// included) when there is one, `depends_on` and each telemetry
+    /// section's columns where the fixed column implying them is present,
+    /// and the names of the row-key catalog with a set bit below the
+    /// bound. Answered from zone-map prefix sums and, in the one boundary
+    /// chunk per shard, presence bits: a lazily opened store reads no
+    /// document, and no page at a bound past its sealed prefix. `None`
+    /// when the catalog has overflowed: past 256 names (`MAX_ROW_KEYS` in
+    /// the columnar module).
+    pub fn frame_columns(&self, bound: &[usize]) -> Option<Vec<Sym>> {
+        let keys: Vec<(Sym, ColField)> = {
+            let reg = self.registry.read();
+            if reg.keys_overflowed() {
+                return None;
+            }
+            reg.row_keys().map(|(k, f)| (k.clone(), f)).collect()
+        };
+        let present = |f: ColField| self.present_below(f, bound) > 0;
+        let field = |name: &str| columnar::lookup(name).expect("a fixed column");
+        // `task_id` is present exactly on the decodable rows.
+        let mut names: Vec<Sym> = Vec::new();
+        if present(field("task_id")) {
+            names.extend(columnar::row_fields().map(Sym::from));
+        }
+        for (source, section) in columnar::IMPLIED_KEYS {
+            if present(field(source)) {
+                match section {
+                    Some(end) => names.extend_from_slice(dataframe::telemetry_columns(end)),
+                    None => names.push(Sym::from(source)),
+                }
+            }
+        }
+        names.extend(
+            keys.into_iter()
+                .filter(|&(_, f)| present(f))
+                .map(|(k, _)| k),
+        );
+        // A dataflow leaf may take a telemetry column's name.
+        names.sort_unstable();
+        names.dedup();
+        Some(names)
     }
 
     /// Evaluate a conjunction of pushed predicates (comparisons and

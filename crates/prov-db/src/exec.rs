@@ -21,12 +21,14 @@
 //! runs the stage machine on the snapshot's oracle frame
 //! ([`StoreSnapshot::oracle_frame`]) instead. That happens when:
 //!
-//! * a pipeline's output exposes the whole frame width (no projection,
-//!   whole-row `loc`, `describe`, subset-less `drop_duplicates`) — only
-//!   the corpus-wide column union can answer those (among the golden
-//!   questions, only q15's `df.loc[df["y"].idxmax()]`; q18's lineage
-//!   test is a presence scan on every store, since legacy segments are
-//!   written forward at the first lazy open);
+//! * a pipeline's output is a whole-width frame (no projection,
+//!   `describe`, subset-less `drop_duplicates`) — only the corpus-wide
+//!   frame answers those; no golden question asks one. A whole *row*
+//!   (`df.loc[df["y"].idxmax()]`, golden q15) is served: the planner
+//!   lowers it to a top-1 scan, the winner's document is decoded into a
+//!   one-row frame, and the store's row-key catalog
+//!   ([`DocumentStore::frame_columns`]) adds every other visible column
+//!   all-null — unless that catalog has overflowed;
 //! * a referenced column is absent from every visible document — the
 //!   oracle decides whether that is an all-null column or an unknown-column
 //!   error, and its error message carries the full available-column list;
@@ -44,7 +46,7 @@
 //! set by the differential tests in `eval`).
 
 use crate::csr::CsrGraph;
-use crate::document::{DocumentStore, ScanPredicate, TopkScan};
+use crate::document::{DocId, DocumentStore, ScanPredicate, TopkScan};
 use crate::snapshot::StoreSnapshot;
 use crate::store::ProvenanceDatabase;
 use dataframe::{CmpOp, DataFrame};
@@ -218,40 +220,47 @@ fn finish_stages(p: &PipelinePlan, frame: &DataFrame) -> Pushdown {
 }
 
 fn exec_pipeline(store: &DocumentStore, p: &PipelinePlan, bound: &[usize]) -> Pushdown {
-    let Some(columns) = &p.scan.columns else {
-        return Pushdown::NeedsFullFrame("output exposes the whole frame width");
-    };
-    // `None`: a filter column stopped being servable between planning and
-    // execution (dataflow-key poisoning raced in); the conjuncts the
-    // planner split out have nowhere to run but the oracle.
-    exec_pipeline_columnar(store, p, columns, bound).unwrap_or(Pushdown::NeedsFullFrame(
-        "columnar layer no longer serves a planned conjunct",
-    ))
+    match (&p.scan.columns, whole_row_key(p)) {
+        (Some(columns), _) => exec_projected(store, p, columns, bound),
+        (None, Some(key)) => exec_whole_row(store, p, key, bound),
+        (None, None) => Pushdown::NeedsFullFrame("output exposes the whole frame width"),
+    }
 }
 
-/// The columnar scan: pushed *and* planner-split residual `col op lit`
-/// conjuncts all evaluate over the sidecar's column vectors with frame
-/// semantics (index probes pre-filter candidates when safe), a pushed
-/// sort routes through the streaming top-k executor
-/// ([`DocumentStore::columnar_topk_where`]: per-shard bounded selection over
-/// the vectors, or a sorted-index cursor, survivors ordered by the exact
-/// frame sort rule before any pushed limit truncates), and every
-/// referenced columnar column is materialized straight from the vectors —
-/// surviving documents are decoded only for columns the sidecar does not
-/// hold (for a sorted+limited pipeline that means at most `k` decodes,
-/// and zero when the pipeline is fully columnar). Because the sidecar
-/// knows corpus-wide column presence, a checked columnar column that
-/// exists corpus-wide never forces the oracle, even when no survivor
-/// provides it (it materializes all-null, exactly as the filtered oracle
-/// frame would show it).
-///
-/// Returns `None` when a filter column is not servable (caller falls back).
-fn exec_pipeline_columnar(
+/// A pipeline's fallback when a planned conjunct or sort key stopped
+/// being columnar-servable between planning and execution
+/// (dataflow-key poisoning raced in): it has nowhere to run but the
+/// oracle.
+const NOT_SERVABLE: Pushdown =
+    Pushdown::NeedsFullFrame("columnar layer no longer serves a planned conjunct");
+
+/// The key column of a whole-row `loc[idxmax|idxmin]` the planner lowered
+/// to a top-1 scan, the one whole-width output the store serves.
+fn whole_row_key(p: &PipelinePlan) -> Option<&str> {
+    use provql::plan::PlanNode;
+    match p.ops.first() {
+        Some(PlanNode::Residual(Stage::LocIdx {
+            column,
+            max,
+            cell: None,
+        })) if p.scan.limit == Some(1) && p.scan.sort == [(column.clone(), !max)] => Some(column),
+        _ => None,
+    }
+}
+
+/// The scan: pushed *and* planner-split residual `col op lit` conjuncts
+/// all evaluate over the sidecar's column vectors with frame semantics
+/// (index probes pre-filter candidates when safe), and a pushed sort
+/// routes through the streaming top-k executor
+/// ([`DocumentStore::columnar_topk_where`]: per-shard bounded selection
+/// over the vectors, or a sorted-index cursor, survivors ordered by the
+/// exact frame sort rule before any pushed limit truncates). `Err` is the
+/// fallback: a conjunct or key no longer servable, or a NaN sort key.
+fn scan_survivors(
     store: &DocumentStore,
     p: &PipelinePlan,
-    columns: &[String],
     bound: &[usize],
-) -> Option<Pushdown> {
+) -> Result<Vec<DocId>, Pushdown> {
     let mut filters: Vec<ScanPredicate<'_>> = Vec::with_capacity(
         p.scan.pushed.len() + p.scan.columnar.len() + p.scan.isin.len() + p.scan.nulls.len(),
     );
@@ -278,34 +287,53 @@ fn exec_pipeline_columnar(
         // A presence test: one bit (or null code) per row.
         filters.push(ScanPredicate::Present(f.column.as_str(), f.present));
     }
-    let survivors = if p.scan.sort.is_empty() {
-        store.columnar_scan_where(&filters, p.scan.limit, bound)?
-    } else {
-        // Top-k: the scan orders survivors by the frame's sort rule
-        // before the limit truncates, so the frame below is built in
-        // final order — the kept Sort node downstream is a stable re-sort
-        // of already-ordered rows, i.e. the identity (guaranteed because
-        // NaN keys, the one case where the comparator is not a strict
-        // weak order, abort to the oracle here).
-        let keys: Vec<(&str, bool)> = p
-            .scan
-            .sort
-            .iter()
-            .map(|(c, asc)| (c.as_str(), *asc))
-            .collect();
-        match store.columnar_topk_where(&filters, &keys, p.scan.limit, bound) {
-            TopkScan::Served(ids) => ids,
-            TopkScan::NotServable => return None,
-            TopkScan::NanSortKey => {
-                return Some(Pushdown::NeedsFullFrame(
-                    "NaN sort key: only the oracle's stable sort defines that order",
-                ))
-            }
-        }
-    };
+    if p.scan.sort.is_empty() {
+        return store
+            .columnar_scan_where(&filters, p.scan.limit, bound)
+            .ok_or(NOT_SERVABLE);
+    }
+    // Top-k: the scan orders survivors by the frame's sort rule before
+    // the limit truncates, so the frame built from them is in final order
+    // — a kept Sort node downstream is a stable re-sort of already-ordered
+    // rows, i.e. the identity (guaranteed because NaN keys, the one case
+    // where the comparator is not a strict weak order, abort to the oracle
+    // here).
+    let keys: Vec<(&str, bool)> = p
+        .scan
+        .sort
+        .iter()
+        .map(|(c, asc)| (c.as_str(), *asc))
+        .collect();
+    match store.columnar_topk_where(&filters, &keys, p.scan.limit, bound) {
+        TopkScan::Served(ids) => Ok(ids),
+        TopkScan::NotServable => Err(NOT_SERVABLE),
+        TopkScan::NanSortKey => Err(Pushdown::NeedsFullFrame(
+            "NaN sort key: only the oracle's stable sort defines that order",
+        )),
+    }
+}
 
+/// A projected pipeline over the scan's survivors: every referenced
+/// columnar column is materialized straight from the vectors — surviving
+/// documents are decoded only for columns the sidecar does not hold (for
+/// a sorted+limited pipeline that means at most `k` decodes, and zero
+/// when the pipeline is fully columnar). Because the sidecar knows
+/// corpus-wide column presence, a checked columnar column that exists
+/// corpus-wide never forces the oracle, even when no survivor provides it
+/// (it materializes all-null, exactly as the filtered oracle frame would
+/// show it).
+fn exec_projected(
+    store: &DocumentStore,
+    p: &PipelinePlan,
+    columns: &[String],
+    bound: &[usize],
+) -> Pushdown {
+    let survivors = match scan_survivors(store, p, bound) {
+        Ok(ids) => ids,
+        Err(fallback) => return fallback,
+    };
     if let Some(result) = grouped_agg_over_codes(store, p, &survivors, bound) {
-        return Some(result);
+        return result;
     }
 
     let checked = checked_columns(p);
@@ -317,11 +345,7 @@ fn exec_pipeline_columnar(
     let decoded: Option<DataFrame> = if decode_cols.is_empty() {
         None
     } else {
-        let docs = store.docs_for_ids(&survivors);
-        let msgs: Vec<TaskMessage> = docs
-            .iter()
-            .filter_map(|d| TaskMessage::from_value(d))
-            .collect();
+        let msgs = decode(store, &survivors);
         Some(DataFrame::from_messages_projected(&msgs, &decode_cols))
     };
 
@@ -331,23 +355,22 @@ fn exec_pipeline_columnar(
         // the rows below its bound.
         if let Some(present) = store.columnar_presence(c, bound) {
             if present > 0 {
-                cols_out.push((c.clone(), store.columnar_gather(&survivors, c)?));
+                let Some(cells) = store.columnar_gather(&survivors, c) else {
+                    return NOT_SERVABLE;
+                };
+                cols_out.push((c.clone(), cells));
             } else if checked.iter().any(|k| k == c) {
                 // No decodable document provides the column anywhere: the
                 // oracle owns the unknown-column error (its message lists
                 // the full corpus-wide column set).
-                return Some(Pushdown::NeedsFullFrame(
-                    "required column absent corpus-wide",
-                ));
+                return Pushdown::NeedsFullFrame("required column absent corpus-wide");
             }
             // filter-only + absent: missing ≡ all-null under Expr rules.
         } else {
             match decoded.as_ref().and_then(|f| f.column(c)) {
                 Some(col) => cols_out.push((c.clone(), col.values().to_vec())),
                 None if checked.iter().any(|k| k == c) => {
-                    return Some(Pushdown::NeedsFullFrame(
-                        "required column absent from scan survivors",
-                    ));
+                    return Pushdown::NeedsFullFrame("required column absent from scan survivors");
                 }
                 None => {}
             }
@@ -355,7 +378,51 @@ fn exec_pipeline_columnar(
     }
     let frame = DataFrame::from_columns_with_rows(cols_out, survivors.len())
         .expect("scan columns share the survivor count");
-    Some(finish_stages(p, &frame))
+    finish_stages(p, &frame)
+}
+
+/// A whole-row `loc[idxmax|idxmin]` over its top-1 scan: the survivor's
+/// document is decoded into a one-row frame, every other column of the
+/// visible frame ([`DocumentStore::frame_columns`]) is added all-null,
+/// and the stages finish on it. A [`Row`](QueryOutput::Row) is a
+/// key-sorted map, so only the column *set* must match the oracle's, not
+/// its order. With no survivor the frame has no row and `loc` raises its
+/// own empty-input error; a key that is no column of the visible frame
+/// leaves the unknown-column error (whose message lists the columns in
+/// frame order) to the oracle, as does an overflowed row-key catalog.
+fn exec_whole_row(store: &DocumentStore, p: &PipelinePlan, key: &str, bound: &[usize]) -> Pushdown {
+    let survivors = match scan_survivors(store, p, bound) {
+        Ok(ids) => ids,
+        Err(fallback) => return fallback,
+    };
+    let Some(names) = store.frame_columns(bound) else {
+        return Pushdown::NeedsFullFrame("row-key catalog overflowed");
+    };
+    if !names.iter().any(|n| n == key) {
+        return Pushdown::NeedsFullFrame("required column absent corpus-wide");
+    }
+    let row = DataFrame::from_messages(&decode(store, &survivors));
+    let cols: Vec<(&str, Vec<Value>)> = names
+        .iter()
+        .map(|n| {
+            let cells = row
+                .column(n)
+                .map_or_else(|| vec![Value::Null; row.len()], |c| c.values().to_vec());
+            (n.as_str(), cells)
+        })
+        .collect();
+    let frame = DataFrame::from_columns_with_rows(cols, row.len())
+        .expect("the row's columns share its length");
+    finish_stages(p, &frame)
+}
+
+/// The survivors' documents, decoded (scans return decodable rows only).
+fn decode(store: &DocumentStore, survivors: &[DocId]) -> Vec<TaskMessage> {
+    store
+        .docs_for_ids(survivors)
+        .iter()
+        .filter_map(|d| TaskMessage::from_value(d))
+        .collect()
 }
 
 /// Vectorized group-by: serve the `groupby(key)[col].agg(f)` pipeline
@@ -376,7 +443,7 @@ fn exec_pipeline_columnar(
 fn grouped_agg_over_codes(
     store: &DocumentStore,
     p: &PipelinePlan,
-    survivors: &[crate::document::DocId],
+    survivors: &[DocId],
     bound: &[usize],
 ) -> Option<Pushdown> {
     use provql::plan::PlanNode;
@@ -495,12 +562,67 @@ mod tests {
         let db = seeded_db();
         for text in [
             r#"df[df["activity_id"] == "run_dft"]"#, // whole-width frame
-            r#"df.loc[df["y"].idxmax()]"#,           // whole row
             r#"df.describe()"#,
             r#"df.drop_duplicates()"#,
+            r#"df.loc[df["nope"].idxmax()]"#, // no such column
         ] {
             assert_differential(&db, text, false);
         }
+    }
+
+    #[test]
+    fn whole_row_loc_is_served_from_a_top1_scan() {
+        let db = seeded_db();
+        // Columns only some rows hold: telemetry on one row, tags and
+        // lineage on others, a null leaf and an array leaf.
+        let synth = prov_model::TelemetrySynth::frontier(1);
+        let msgs = [
+            TaskMessageBuilder::new("tele", "wf-9", "run_dft")
+                .telemetry(synth.snapshot(1, 0, 0.4), synth.snapshot(1, 1, 0.4))
+                .generates("y", 3.0)
+                .span(100.0, 101.0)
+                .build()
+                .with_tag("anomaly", "hot"),
+            TaskMessageBuilder::new("odd", "wf-9", "postprocess")
+                .uses("z", Value::Null)
+                .uses("v", Value::array(vec![Value::Int(1)]))
+                .depends_on("t1")
+                .generates("y", 78.0)
+                .build(),
+        ];
+        db.insert_batch(&msgs);
+        for text in [
+            r#"df.loc[df["y"].idxmax()]"#,
+            r#"df.loc[df["y"].idxmin()]"#,
+            // Ties (many equal durations) keep the first row.
+            r#"df.loc[df["duration"].idxmax()]"#,
+            r#"df.loc[df["duration"].idxmin()]"#,
+            r#"df.loc[df["started_at"].idxmax()]"#,
+            r#"df[df["workflow_id"] == "wf-1"].loc[df["y"].idxmin()]"#,
+            r#"df[df["workflow_id"] == "nope"].loc[df["y"].idxmax()]"#,
+            r#"df.loc[df["y"].idxmax(), "task_id"]"#,
+            r#"df.loc[df["duration"].idxmin(), "hostname"]"#,
+        ] {
+            assert_differential(&db, text, true);
+        }
+        let query = parse(r#"df.loc[df["y"].idxmax()]"#).unwrap();
+        let Pushdown::Executed(Ok(QueryOutput::Row(row))) = run(&db, &query) else {
+            panic!("expected a served row")
+        };
+        assert_eq!(row.get("task_id"), Some(&Value::from("t39")));
+        assert_eq!(row.get("tags.anomaly"), Some(&Value::Null));
+        assert_eq!(row.get("z"), Some(&Value::Null));
+    }
+
+    #[test]
+    fn whole_row_loc_on_a_nan_key_defers_to_the_oracle() {
+        let db = seeded_db();
+        db.insert_batch(std::iter::once(
+            &TaskMessageBuilder::new("nan", "wf-0", "run_dft")
+                .generates("y", f64::NAN)
+                .build(),
+        ));
+        assert_differential(&db, r#"df.loc[df["y"].idxmax()]"#, false);
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! * [`DocumentStore`] — MongoDB-shaped: JSON documents, dotted-path
 //!   filters, projections, aggregation, hash + sorted-numeric indexes,
 //!   and the columnar sidecar of the hot scalar fields that every store
-//!   keeps (an unfiltered group-by runs on its dictionary codes);
+//!   keeps (an unfiltered group-by runs on its dictionary codes), with a
+//!   row-key catalog that lists the frame's columns at any snapshot bound
+//!   ([`DocumentStore::frame_columns`]);
 //! * [`GraphStore`] — Neo4j-shaped: PROV property graph with lineage and
 //!   path traversals and a single-lock [`GraphBatch`] apply path, read
 //!   through its [`CsrGraph`] compaction, whose one shortest-path kernel
@@ -79,13 +81,14 @@
 //! flush and never block on ingest. It is also the only way a provql plan
 //! executes ([`execute_plan`]): the scan kernels take the high-water mark
 //! as their row bound, and the snapshot's oracle frame is the one
-//! full-materialize fallback. That frame is extended from the database's
-//! one memo — the newest built frame and its bound — by the delta rows
-//! whenever both bounds are id prefixes and the newer dominates (cloned
-//! first only when an older snapshot still shares it), so a corpus-wide
-//! question after each append costs the delta, not the corpus. Snapshot
-//! query execution consults a
-//! shared plan-keyed result cache ([`PlanCache`], keyed on
+//! full-materialize fallback, which no golden question needs (a
+//! whole-width frame output still does). That frame is extended from the
+//! database's one memo — the newest built frame and its bound — by the
+//! delta rows whenever both bounds are id prefixes and the newer
+//! dominates (cloned first only when an older snapshot still shares it),
+//! so a corpus-wide question after each append costs the delta, not the
+//! corpus. Snapshot query execution consults a shared plan-keyed result
+//! cache ([`PlanCache`], keyed on
 //! `(canonical plan, generation)` via [`provql::plan::cache_key`]), and
 //! [`serve::QueryServer`] puts a bounded thread-pool front-end with
 //! admission control over the whole read path. See `docs/serving.md`.
@@ -113,8 +116,10 @@
 //! zone-map footers, and the WAL tail, so open time is independent of
 //! sealed history. Queries then page cold chunks from the segment files
 //! on demand (the `pager` module) — a chunk's column block and its
-//! documents as separate pages, so a columnar scan decodes no document —
-//! pruning through the on-disk zone maps before any I/O and holding the
+//! documents as separate pages, so a columnar scan decodes no document,
+//! and the footers list the frame's columns, so a whole-row answer
+//! decodes one — pruning through the on-disk zone maps before any I/O and
+//! holding the
 //! paged set under a byte budget (`PROVDB_RESIDENT_MB`, LRU; counters in
 //! [`PagerStats`]). Sealed rows are immutable and below every snapshot
 //! high-water mark, so paged reads take no lock. Eager replay of the

@@ -16,11 +16,13 @@
 //! A cold chunk has two pages, kept under the one LRU and the one budget:
 //!
 //! * its **cols page**, a one-chunk [`ColumnarShard`] that every columnar
-//!   kernel reads. A `PSEG3` segment serves it with one positional read,
+//!   kernel reads. A `PSEG4` segment serves it with one positional read,
 //!   one CRC check and one bulk decode of the chunk's column block (each
 //!   held column built in one pass, its dictionary shared with the
 //!   footer, its zone taken from the footer directory); no document is
-//!   decoded. It is accounted at its real heap bytes.
+//!   decoded. It is accounted at its real heap bytes. It holds the
+//!   chunk's row-key bits too, though whole-chunk presence — which frame
+//!   columns the cold rows hold — comes from the footers alone.
 //! * its **docs page**, the chunk's decoded documents, paged only when
 //!   something needs documents: a document walk, a projection the columns
 //!   cannot serve, `get`, and the KV/graph hydration. It is accounted at
@@ -33,9 +35,10 @@
 //! chunk was sealed: its column block stores that sidecar's codes (against
 //! the footer's dictionary snapshot, which the page adopts) and raw float
 //! bits, under the column ids the store's registry gives the footer's
-//! column names ([`ColdShard::bind`]). Every attached segment is `PSEG3`:
-//! `PSEG1`/`PSEG2` segments written by older releases are written forward
-//! at the first lazy open, before they are attached. Docs pages are
+//! column names ([`ColdShard::bind`]), row-key columns included. Every
+//! attached segment is `PSEG4`: `PSEG1`/`PSEG2`/`PSEG3` segments written
+//! by older releases are written forward at the first lazy open, before
+//! they are attached, so every footer carries the row-key catalog. Docs pages are
 //! CRC-verified record by record and decoded with the WAL's canonical
 //! codec through one [`crate::wal::SymTable`] per page, so a string
 //! repeated across the page's documents is allocated once. The document
@@ -116,7 +119,7 @@ fn page_fault(msg: &str, meta: &SegmentMeta) -> ! {
     panic!("provdb: cold segment {msg}: {}", meta.path.display());
 }
 
-/// One sealed `PSEG3` segment attached for paging: its metadata, the
+/// One sealed `PSEG4` segment attached for paging: its metadata, the
 /// parsed zone footer, the held file descriptor, and where each chunk's
 /// bytes sit.
 pub(crate) struct ColdSegment {
@@ -133,7 +136,7 @@ pub(crate) struct ColdSegment {
 
 impl ColdSegment {
     pub(crate) fn new(meta: SegmentMeta, file: File, zones: ZoneTables, layout: Layout) -> Self {
-        debug_assert_eq!(meta.format, segment::Format::Pseg3);
+        debug_assert_eq!(meta.format, segment::Format::Pseg4);
         Self {
             meta,
             file,
@@ -146,16 +149,23 @@ impl ColdSegment {
 
     /// Map the footer's columns onto the store's registry (registering
     /// new names, poisoning on a poisoned footer column or a kind
-    /// conflict) and carry its catalog overflow over.
+    /// conflict; a row-key column onto the row key of its name) and carry
+    /// its catalogs' overflow bits over.
     fn bind(&mut self, reg: &mut Registry) {
         if self.zones.overflowed {
             reg.set_overflowed();
+        }
+        if self.zones.keys_overflowed {
+            reg.set_keys_overflowed();
         }
         self.ids = self
             .zones
             .columns
             .iter()
             .map(|c| {
+                if c.key {
+                    return reg.bind_key(&c.name);
+                }
                 let f = reg.bind(&c.name, c.kind);
                 if c.poisoned {
                     reg.poison(f);
@@ -172,12 +182,14 @@ impl ColdSegment {
 
     /// Poison every discovered column an overflowed footer does not
     /// list: the segment's rows may hold cells of it that it does not
-    /// carry.
+    /// carry. (A row key it does not list needs no poison: the footer's
+    /// row-key overflow bit, carried over by [`bind`](Self::bind), already
+    /// makes the store's catalog unlistable.)
     fn poison_unlisted(&self, reg: &mut Registry) {
         if self.zones.overflowed {
             for i in columnar::FIXED..reg.len() {
                 let f = ColField(i as u32);
-                if self.local(f).is_none() {
+                if self.local(f).is_none() && !reg.is_key(f) {
                     reg.poison(f);
                 }
             }

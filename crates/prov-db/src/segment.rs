@@ -12,7 +12,7 @@
 //! ## File layout (`seg-nNN-sSS-rAAAAAAAAAA-BBBBBBBBBB.seg`)
 //!
 //! ```text
-//! "PSEG3\n"                                  magic (6 bytes)
+//! "PSEG4\n"                                  magic (6 bytes)
 //! [nshards u32][shard u32][start u64][end u64][chunk u32][n_docs u32]
 //! n_docs × [len u32][crc u32][payload]       document region, slot order
 //! n_chunks × column block                    column region, chunk order
@@ -30,10 +30,14 @@
 //!   checksummed.
 //! * The footer's **column table** names every column the store knew at
 //!   seal time, in column-id order: `[n u32]`, then per column
-//!   `[name_len u32][name][kind u8][poisoned u8]`, and for a string column
+//!   `[name_len u32][name][kind u8][flags u8]`, and for a string column
 //!   its dictionary, `[n_syms u32]` × `[len u32][bytes]` (codes are
-//!   shard-local; the snapshot makes them meaningful after restart). The
-//!   `poisoned` flag is the store-wide pushdown poison at seal time.
+//!   shard-local; the snapshot makes them meaningful after restart). Flag
+//!   bit 0 is the store-wide pushdown poison at seal time; bit 1 marks a
+//!   **row-key column** (always a flag column): the presence of one frame
+//!   column name that not every decodable row holds, the catalog a lazy
+//!   open lists the frame's columns from without reading a document (see
+//!   [`crate::columnar::Registry`]).
 //! * The footer's **chunk directory** says which columns each chunk holds:
 //!   `[n_chunks u32]`, then per chunk `[decodable u32][n_held u32]` and per
 //!   held column `[column u32]` plus its zone — string `[min_code u32]
@@ -42,9 +46,11 @@
 //!   column when it has a present cell of it and the column is not
 //!   poisoned, so a column a chunk never holds costs that chunk no bytes.
 //!   Then `[irregular u32]`, the store-wide irregular-field mask, and
-//!   `[overflowed u8]`: whether the store's catalog had overflowed
+//!   `[overflowed u8]`: bit 0 says the store's catalog had overflowed
 //!   ([`crate::columnar::MAX_DISCOVERED`]), in which case a discovered
-//!   column the table does not list is unknown here, not absent.
+//!   column the table does not list is unknown here, not absent; bit 1
+//!   says the same of the row-key catalog
+//!   ([`crate::columnar::MAX_ROW_KEYS`]).
 //! * A **column block** holds one chunk's cells of the columns its
 //!   directory lists, in directory order, so a scan can page the columns
 //!   without decoding a document:
@@ -69,21 +75,23 @@
 //!   [`read_footer`] reads 14 bytes from the end, then the footer.
 //!
 //! `PSEG1` (documents and a zone footer over the fourteen scalar hot
-//! fields) and `PSEG2` (the same plus column blocks of those fields and
-//! the layout) files were written by older releases; nothing writes them
-//! any more. Their footers parse into the same tables, with a directory
-//! listing the fourteen fields, so footer pruning and compaction read
-//! them. They are written forward at the first lazy open, which rewrites
-//! every one it is about to attach as `PSEG3` under the same name
-//! ([`write_forward`]), so the pager only ever reads `PSEG3`.
+//! fields), `PSEG2` (the same plus column blocks of those fields and the
+//! layout) and `PSEG3` (this layout without row-key columns: both flag
+//! bytes are 0 or 1) files were written by older releases; nothing writes
+//! them any more. Their footers parse into the same tables, a legacy
+//! directory listing the fourteen fields, so footer pruning and
+//! compaction read them. They are written forward at the first lazy
+//! open, which rewrites every one it is about to attach as `PSEG4` under
+//! the same name ([`write_forward`]), so the pager only ever reads
+//! `PSEG4`.
 //!
 //! Segments are written to a temp file, synced, and renamed into place;
 //! a crash mid-seal leaves at most an ignorable `*.tmp`. **Compaction**
-//! merges a shard's contiguous sealed runs into one `PSEG3` segment. When
-//! every input is `PSEG3` and their column tables and dictionaries are
+//! merges a shard's contiguous sealed runs into one `PSEG4` segment. When
+//! every input is `PSEG4` and their column tables and dictionaries are
 //! prefix-compatible it reuses their serialized chunk directories and
 //! copies their document records and column blocks verbatim after
-//! checking every CRC. Otherwise (a `PSEG1`/`PSEG2` input among them, or
+//! checking every CRC. Otherwise (an older input among them, or
 //! incompatible tables) it rebuilds the directory and the blocks from a
 //! fresh columnar pass — the pass [`write_forward`] runs on one legacy
 //! run. It deletes the inputs after the rename (never the output, which
@@ -105,7 +113,8 @@ use std::sync::Arc;
 /// Magics of the formats read but no longer written.
 const MAGIC_V1: &[u8; 6] = b"PSEG1\n";
 const MAGIC_V2: &[u8; 6] = b"PSEG2\n";
-const MAGIC: &[u8; 6] = b"PSEG3\n";
+const MAGIC_V3: &[u8; 6] = b"PSEG3\n";
+const MAGIC: &[u8; 6] = b"PSEG4\n";
 const TAIL_MAGIC: &[u8; 6] = b"PSEGF\n";
 
 /// Byte length of the fixed header (magic + metadata: 6 + 4 + 4 + 8 + 8
@@ -119,6 +128,9 @@ pub(crate) struct FooterColumn {
     pub(crate) kind: Kind,
     /// Store-wide pushdown poison at seal time.
     pub(crate) poisoned: bool,
+    /// Whether the column is a row-key column
+    /// ([`crate::columnar::Registry`]).
+    pub(crate) key: bool,
     /// The shard dictionary at seal time (`code → symbol`,
     /// first-appearance order — a prefix of any later one); empty for
     /// non-string columns.
@@ -152,6 +164,10 @@ pub(crate) struct ZoneTables {
     /// ([`crate::columnar::MAX_DISCOVERED`]): a discovered column missing
     /// from the table may still have cells in this segment's rows.
     pub(crate) overflowed: bool,
+    /// Whether the store's row-key catalog had overflowed at seal time
+    /// ([`crate::columnar::MAX_ROW_KEYS`]): this segment's rows may hold
+    /// frame columns the table does not list.
+    pub(crate) keys_overflowed: bool,
 }
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
@@ -227,7 +243,7 @@ fn take_zone(buf: &[u8], pos: &mut usize, kind: Kind) -> Option<Zone> {
 }
 
 impl ZoneTables {
-    /// Canonical `PSEG3` serialization (the byte-identity the round-trip
+    /// Canonical `PSEG4` serialization (the byte-identity the round-trip
     /// tests pin).
     pub(crate) fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
@@ -235,7 +251,7 @@ impl ZoneTables {
         for col in &self.columns {
             put_str(&mut out, col.name.as_str());
             out.push(col.kind.tag());
-            out.push(u8::from(col.poisoned));
+            out.push(u8::from(col.poisoned) | u8::from(col.key) << 1);
             if col.kind == Kind::Str {
                 put_u32(&mut out, col.dict.len() as u32);
                 for sym in col.dict.syms() {
@@ -253,7 +269,7 @@ impl ZoneTables {
             }
         }
         put_u32(&mut out, self.irregular as u32);
-        out.push(u8::from(self.overflowed));
+        out.push(u8::from(self.overflowed) | u8::from(self.keys_overflowed) << 1);
         out
     }
 
@@ -262,22 +278,26 @@ impl ZoneTables {
     #[cfg(test)]
     pub(crate) fn from_bytes(buf: &[u8]) -> Option<Self> {
         let mut pos = 0usize;
-        Self::read(buf, &mut pos).filter(|_| pos == buf.len())
+        Self::read(buf, &mut pos, Format::Pseg4).filter(|_| pos == buf.len())
     }
 
-    /// Parse `PSEG3` tables starting at `*pos`, advancing it past them;
-    /// `None` on malformed input.
-    fn read(buf: &[u8], pos: &mut usize) -> Option<Self> {
+    /// Parse `PSEG3` or `PSEG4` tables starting at `*pos`, advancing it
+    /// past them; `None` on malformed input. `PSEG3` tables are `PSEG4`
+    /// tables without the row-key bits: no row-key column, no row-key
+    /// overflow.
+    fn read(buf: &[u8], pos: &mut usize, format: Format) -> Option<Self> {
+        // The flag bits a format defines.
+        let flags = |b: u8| (b <= if format == Format::Pseg4 { 3 } else { 1 }).then_some(b);
         let ncols = take_count(buf, pos)?;
         let mut columns = Vec::with_capacity(ncols);
         for _ in 0..ncols {
             let name = take_str(buf, pos)?;
             let kind = Kind::from_tag(*buf.get(*pos)?)?;
-            let poisoned = match *buf.get(*pos + 1)? {
-                0 => false,
-                1 => true,
-                _ => return None,
-            };
+            let bits = flags(*buf.get(*pos + 1)?)?;
+            let key = bits & 2 != 0;
+            if key && kind != Kind::Flag {
+                return None;
+            }
             *pos += 2;
             let mut syms = Vec::new();
             if kind == Kind::Str {
@@ -290,7 +310,8 @@ impl ZoneTables {
             columns.push(FooterColumn {
                 name,
                 kind,
-                poisoned,
+                poisoned: bits & 1 != 0,
+                key,
                 dict: Arc::new(Dict::from_syms(syms)),
             });
         }
@@ -312,17 +333,14 @@ impl ZoneTables {
             chunks.push(ChunkDir { decodable, held });
         }
         let irregular = u16::try_from(take_u32(buf, pos)?).ok()?;
-        let overflowed = match *buf.get(*pos)? {
-            0 => false,
-            1 => true,
-            _ => return None,
-        };
+        let overflow = flags(*buf.get(*pos)?)?;
         *pos += 1;
         Some(Self {
             columns,
             chunks,
             irregular,
-            overflowed,
+            overflowed: overflow & 1 != 0,
+            keys_overflowed: overflow & 2 != 0,
         })
     }
 
@@ -345,6 +363,7 @@ impl ZoneTables {
                 name: Sym::from(name),
                 kind: Kind::Str,
                 poisoned: false,
+                key: false,
                 dict: Arc::new(Dict::from_syms(syms)),
             });
         }
@@ -372,6 +391,7 @@ impl ZoneTables {
                 name: Sym::from(name),
                 kind: Kind::F64,
                 poisoned: false,
+                key: false,
                 dict: Arc::default(),
             });
         }
@@ -398,6 +418,7 @@ impl ZoneTables {
             chunks,
             irregular,
             overflowed: false,
+            keys_overflowed: false,
         })
     }
 
@@ -469,6 +490,10 @@ pub(crate) enum Format {
     /// Documents, per-chunk column blocks of the columns each chunk
     /// holds, and a footer with the column table and chunk directory.
     Pseg3,
+    /// `PSEG3` plus the row-key catalog: row-key columns in the column
+    /// table, their presence bits in the column blocks, and the row-key
+    /// overflow bit.
+    Pseg4,
 }
 
 impl Format {
@@ -476,7 +501,8 @@ impl Format {
         match self {
             Format::Pseg1 => MAGIC_V1,
             Format::Pseg2 => MAGIC_V2,
-            Format::Pseg3 => MAGIC,
+            Format::Pseg3 => MAGIC_V3,
+            Format::Pseg4 => MAGIC,
         }
     }
 }
@@ -499,7 +525,7 @@ pub(crate) struct SegmentMeta {
 }
 
 impl SegmentMeta {
-    /// The `PSEG3` segment of shard `shard`'s `n_docs` rows from slot
+    /// The `PSEG4` segment of shard `shard`'s `n_docs` rows from slot
     /// `start`, named inside `dir` (the file is written separately).
     pub(crate) fn new(
         dir: &Path,
@@ -512,7 +538,7 @@ impl SegmentMeta {
         let end = start + n_docs as u64;
         Self {
             path: dir.join(segment_name(nshards, shard, start, end)),
-            format: Format::Pseg3,
+            format: Format::Pseg4,
             nshards,
             shard,
             start,
@@ -593,6 +619,7 @@ pub(crate) fn export(
                 name: reg.name(f).clone(),
                 kind: reg.kind(f),
                 poisoned: reg.is_poisoned(f),
+                key: reg.is_key(f),
                 dict: cols.dict(f).cloned().unwrap_or_default(),
             }
         })
@@ -617,6 +644,7 @@ pub(crate) fn export(
         chunks,
         irregular: 0,
         overflowed: reg.overflowed(),
+        keys_overflowed: reg.keys_overflowed(),
     };
     Some((zones, runs))
 }
@@ -950,7 +978,8 @@ fn read_header(path: &Path, f: &mut File) -> std::io::Result<SegmentMeta> {
     f.read_exact(&mut head)
         .map_err(|_| corrupt("segment too short", path))?;
     let format = match &head[..6] {
-        m if m == MAGIC => Format::Pseg3,
+        m if m == MAGIC => Format::Pseg4,
+        m if m == MAGIC_V3 => Format::Pseg3,
         m if m == MAGIC_V2 => Format::Pseg2,
         m if m == MAGIC_V1 => Format::Pseg1,
         _ => return Err(corrupt("bad segment magic", path)),
@@ -1044,13 +1073,13 @@ pub(crate) fn read_footer(meta: &SegmentMeta) -> std::io::Result<Footer> {
     }
     let mut pos = 0usize;
     let zones = match meta.format {
-        Format::Pseg3 => ZoneTables::read(&bytes, &mut pos),
+        Format::Pseg3 | Format::Pseg4 => ZoneTables::read(&bytes, &mut pos, meta.format),
         Format::Pseg1 | Format::Pseg2 => ZoneTables::read_legacy(&bytes, &mut pos),
     }
     .ok_or_else(|| corrupt("undecodable footer", &meta.path))?;
     let layout = match meta.format {
         Format::Pseg1 => None,
-        Format::Pseg2 | Format::Pseg3 => Some(
+        Format::Pseg2 | Format::Pseg3 | Format::Pseg4 => Some(
             Layout::read(&bytes, &mut pos, meta, &zones, footer_start)
                 .ok_or_else(|| corrupt("malformed chunk layout", &meta.path))?,
         ),
@@ -1076,7 +1105,7 @@ pub(crate) fn segment_prunes(
     let Some(col) = zones
         .columns
         .iter()
-        .position(|c| c.name.as_str() == field && !c.poisoned)
+        .position(|c| c.name.as_str() == field && !c.poisoned && !c.key)
     else {
         return false;
     };
@@ -1128,18 +1157,18 @@ pub(crate) fn scan_dir(dir: &Path) -> std::io::Result<Vec<SegmentMeta>> {
     Ok(kept)
 }
 
-/// Merge a shard's contiguous sealed runs into one `PSEG3` segment.
+/// Merge a shard's contiguous sealed runs into one `PSEG4` segment.
 /// `runs` must be same-shard, same-epoch, sorted, and contiguous.
 /// Returns the merged meta.
 ///
 /// Chunks are never re-cut (every input is a whole-chunk run at the same
-/// chunk size), so when every input is `PSEG3` and their column tables
+/// chunk size), so when every input is `PSEG4` and their column tables
 /// and dictionaries are prefix-compatible — always true for live seals of
 /// one store, whose catalog and dictionaries only grow — the merged footer
 /// is just the inputs' chunk directories concatenated under the last
 /// (largest) column table, and the document records and column blocks are
 /// copied as raw CRC-verified bytes without a decode + re-extract pass.
-/// The fallback (a `PSEG1`/`PSEG2` input, incompatible tables, or an
+/// The fallback (a `PSEG1`/`PSEG2`/`PSEG3` input, incompatible tables, or an
 /// unreadable footer) rebuilds the footer and the blocks from a fresh
 /// columnar pass, keeping every readable input footer's poison flags.
 pub(crate) fn compact_runs(dir: &Path, runs: &[SegmentMeta]) -> std::io::Result<SegmentMeta> {
@@ -1148,7 +1177,7 @@ pub(crate) fn compact_runs(dir: &Path, runs: &[SegmentMeta]) -> std::io::Result<
         w[0].end == w[1].start && w[0].shard == w[1].shard && w[0].nshards == w[1].nshards
     }));
     let footers: Vec<Option<Footer>> = runs.iter().map(|r| read_footer(r).ok()).collect();
-    if runs.iter().all(|r| r.format == Format::Pseg3) && tables_prefix_compatible(&footers) {
+    if runs.iter().all(|r| r.format == Format::Pseg4) && tables_prefix_compatible(&footers) {
         return compact_runs_reusing_footers(dir, runs, footers.into_iter().flatten().collect());
     }
     let mut docs: Vec<Arc<Value>> = Vec::new();
@@ -1158,14 +1187,14 @@ pub(crate) fn compact_runs(dir: &Path, runs: &[SegmentMeta]) -> std::io::Result<
     compact_runs_rebuilding(dir, runs, footers.iter().flatten(), docs)
 }
 
-/// Rewrite the `PSEG1`/`PSEG2` segment `meta` as `PSEG3` under the same
+/// Rewrite the `PSEG1`/`PSEG2`/`PSEG3` segment `meta` as `PSEG4` under the same
 /// name: a one-run [`compact_runs_rebuilding`], keeping the legacy
 /// footer's poison flags. The temp file replaces the old one by rename,
 /// so a crash leaves either file whole. `Ok(None)` when the footer or a
 /// document cannot be read (the caller replays instead); `Err` when the
 /// replacement cannot be written.
 pub(crate) fn write_forward(meta: &SegmentMeta) -> std::io::Result<Option<SegmentMeta>> {
-    debug_assert_ne!(meta.format, Format::Pseg3);
+    debug_assert_ne!(meta.format, Format::Pseg4);
     let (Ok(footer), Ok(docs)) = (read_footer(meta), read_docs(meta)) else {
         return Ok(None);
     };
@@ -1174,7 +1203,7 @@ pub(crate) fn write_forward(meta: &SegmentMeta) -> std::io::Result<Option<Segmen
     compact_runs_rebuilding(dir, std::slice::from_ref(meta), [&footer], docs).map(Some)
 }
 
-/// Write `docs`, the rows of `runs`, as one `PSEG3` segment rebuilt from
+/// Write `docs`, the rows of `runs`, as one `PSEG4` segment rebuilt from
 /// a fresh columnar pass under the poison flags of `footers`, then delete
 /// the inputs.
 fn compact_runs_rebuilding<'a>(
@@ -1242,6 +1271,7 @@ fn tables_prefix_compatible(footers: &[Option<Footer>]) -> bool {
             && a.iter().zip(b).all(|(x, y)| {
                 x.name == y.name
                     && x.kind == y.kind
+                    && x.key == y.key
                     && x.dict.len() <= y.dict.len()
                     && x.dict.syms().iter().zip(y.dict.syms()).all(|(s, t)| s == t)
             })
@@ -1261,7 +1291,7 @@ fn compact_runs_reusing_footers(
     let mut docs = ChunkRuns::new();
     let mut cols = ChunkRuns::new();
     for (run, footer) in runs.iter().zip(&footers) {
-        let layout = footer.layout.as_ref().expect("PSEG3 has a layout");
+        let layout = footer.layout.as_ref().expect("PSEG4 has a layout");
         docs.append(read_record_region(run)?);
         cols.append(read_col_region(run, layout)?);
     }
@@ -1333,6 +1363,7 @@ fn merge_footers(footers: Vec<ZoneTables>) -> ZoneTables {
         merged.chunks.extend(ft.chunks);
         merged.irregular |= ft.irregular;
         merged.overflowed |= ft.overflowed;
+        merged.keys_overflowed |= ft.keys_overflowed;
     }
     merged
 }
@@ -1343,10 +1374,11 @@ pub(crate) mod tests {
     use crate::columnar::fixed_column;
 
     /// Rewrite the segment at `path` in a format older releases wrote —
-    /// `PSEG1` (`legacy == 1`) or `PSEG2` (`legacy == 2`) — so compatibility
-    /// tests can build old directories: the same documents, with the footer
-    /// and column blocks of the fourteen scalar hot fields re-extracted from
-    /// them.
+    /// `PSEG1` (`legacy == 1`), `PSEG2` (`legacy == 2`) or `PSEG3`
+    /// (`legacy == 3`) — so compatibility tests can build old directories:
+    /// the same documents, with the footer and column blocks re-extracted
+    /// from them: those of the fourteen scalar hot fields, or for `PSEG3`
+    /// every column but the row keys.
     pub(crate) fn downgrade_segment(path: &Path, legacy: u8) -> std::io::Result<()> {
         let mut f = File::open(path)?;
         let meta = read_header(path, &mut f)?;
@@ -1357,13 +1389,31 @@ pub(crate) mod tests {
         let mut reg = Registry::default();
         let mut irregular = 0u16;
         for doc in &docs {
-            // Discovered cells stay unresolved: old formats never held them.
+            // Cells old formats never held stay unresolved: row keys, and
+            // before `PSEG3` discovered cells.
             let mut row = crate::columnar::extract(doc);
-            row.dataflow.clear();
+            row.keys.clear();
+            if legacy < 3 {
+                row.dataflow.clear();
+            }
             reg.resolve(&mut row);
             irregular |= cols.push_row(row).irregular;
         }
         let n = docs.len();
+        if legacy == 3 {
+            let (mut zones, runs) = export(&cols, 0, n, &reg).expect("whole chunks");
+            zones.irregular = irregular;
+            let meta = SegmentMeta {
+                format: Format::Pseg3,
+                ..meta
+            };
+            return write_file(
+                &meta,
+                |f| write_records(f, &docs, chunk),
+                &runs,
+                zones.to_bytes(),
+            );
+        }
         let zone_of = |i: u32, c: usize| {
             cols.column(ColField(i))
                 .and_then(|col| col.chunk(c))
@@ -1468,12 +1518,12 @@ pub(crate) mod tests {
 
     /// Dataflow keys unique to each task (`generated: {"<sample>": x}`)
     /// grow the sidecar, the column blocks and the footer linearly: the
-    /// catalog stops at `MAX_DISCOVERED` columns and overflows, a column
-    /// costs only the chunks holding a cell of it, and the footer lists
-    /// the bounded catalog.
+    /// catalog stops at `MAX_DISCOVERED` columns and `MAX_ROW_KEYS` row
+    /// keys and overflows, a column costs only the chunks holding a cell
+    /// of it, and the footer lists the bounded catalog.
     #[test]
     fn unique_dataflow_keys_grow_sidecar_and_footer_linearly() {
-        use crate::columnar::MAX_DISCOVERED;
+        use crate::columnar::{MAX_DISCOVERED, MAX_ROW_KEYS};
         let docs = |n: usize| -> Vec<Arc<Value>> {
             (0..n)
                 .map(|i| {
@@ -1486,8 +1536,10 @@ pub(crate) mod tests {
         };
         let sizes = |n: usize| {
             let (cols, tables, runs) = tables_for(&docs(n), 64);
-            assert_eq!(tables.columns.len(), FIXED + MAX_DISCOVERED);
-            assert!(tables.overflowed);
+            let keys = tables.columns.iter().filter(|c| c.key).count();
+            assert_eq!(tables.columns.len() - keys, FIXED + MAX_DISCOVERED);
+            assert_eq!(keys, MAX_ROW_KEYS);
+            assert!(tables.overflowed && tables.keys_overflowed);
             (
                 cols.heap_bytes(),
                 runs.bytes().len(),
@@ -1518,18 +1570,31 @@ pub(crate) mod tests {
             assert_eq!(a.decodable, b.decodable);
             assert_eq!(a.held, b.held);
         }
-        // The discovered columns are in the table, and a chunk before the
-        // string column first appears does not hold it.
-        let names: Vec<&str> = tables.columns.iter().map(|c| c.name.as_str()).collect();
-        assert_eq!(&names[FIXED..], &["x", "label"]);
-        assert!(tables.chunks[0]
-            .held
+        // The discovered columns are in the table, beside the row keys of
+        // the same names, and a chunk before the string column first
+        // appears holds neither.
+        let named = |key: bool| -> Vec<&str> {
+            (tables.columns[FIXED..].iter())
+                .filter(|c| c.key == key)
+                .map(|c| c.name.as_str())
+                .collect()
+        };
+        assert_eq!(named(false), ["x", "label"]);
+        assert_eq!(named(true), ["x", "label"]);
+        for c in tables
+            .columns
             .iter()
-            .all(|&(c, _)| c != FIXED as u32 + 1));
-        assert!(tables.chunks[3]
-            .held
-            .iter()
-            .any(|&(c, _)| c == FIXED as u32 + 1));
+            .enumerate()
+            .filter(|(_, c)| c.name == "label")
+        {
+            let held = |chunk: usize| {
+                tables.chunks[chunk]
+                    .held
+                    .iter()
+                    .any(|&(i, _)| i == c.0 as u32)
+            };
+            assert!(!held(0) && held(3));
+        }
     }
 
     proptest::proptest! {
@@ -1604,7 +1669,8 @@ pub(crate) mod tests {
         let meta = SegmentMeta::new(dir, 1, 0, lo as u64, chunk as u32, hi - lo);
         write_segment(&meta, &shard_docs[lo..hi], &runs, &zones).unwrap();
         let legacy = match format {
-            Format::Pseg3 => return meta,
+            Format::Pseg4 => return meta,
+            Format::Pseg3 => 3,
             Format::Pseg2 => 2,
             Format::Pseg1 => 1,
         };
@@ -1618,7 +1684,7 @@ pub(crate) mod tests {
         let chunk = 8usize;
         let docs = corpus(64);
         let (cols, tables, _) = tables_for(&docs, chunk);
-        let meta = seal_run(&dir.0, &docs, 0, docs.len(), chunk, Format::Pseg3);
+        let meta = seal_run(&dir.0, &docs, 0, docs.len(), chunk, Format::Pseg4);
 
         // Documents survive bit-exactly (canonical codec).
         let back = read_docs(&meta).unwrap();
@@ -1634,7 +1700,7 @@ pub(crate) mod tests {
         // layout locates one column block per chunk.
         let footer = read_footer(&meta).unwrap();
         assert_eq!(footer.zones.to_bytes(), tables.to_bytes());
-        let layout = footer.layout.expect("PSEG3 footer has a layout");
+        let layout = footer.layout.expect("PSEG4 footer has a layout");
         assert_eq!(layout.cols.len(), docs.len() / chunk + 1);
 
         // Pruning is sound: a pruned segment provably has no matching
@@ -1658,7 +1724,7 @@ pub(crate) mod tests {
         for (field, op, lit) in &preds {
             if segment_prunes(&meta, &footer.zones, field, *op, lit) {
                 pruned_any = true;
-                let i = footer.zones.columns.iter().position(|c| c.name == *field);
+                let i = (footer.zones.columns.iter()).position(|c| c.name == *field && !c.key);
                 let f = ColField(i.unwrap() as u32);
                 for slot in 0..docs.len() {
                     assert!(
@@ -1672,7 +1738,7 @@ pub(crate) mod tests {
 
         let metas = scan_dir(&dir.0).unwrap();
         assert_eq!(metas.len(), 1);
-        assert_eq!(metas[0].format, Format::Pseg3);
+        assert_eq!(metas[0].format, Format::Pseg4);
     }
 
     /// Column blocks use the narrowest code width per block and column
@@ -1706,7 +1772,9 @@ pub(crate) mod tests {
         );
         // No telemetry and no `label` in chunk 0: none of those is held.
         for name in ["cpu_percent_end", "label"] {
-            let i = tables.columns.iter().position(|c| c.name == name).unwrap() as u32;
+            let i = (tables.columns.iter())
+                .position(|c| c.name == name && !c.key)
+                .unwrap() as u32;
             assert!(held.iter().all(|&(c, _)| c != i), "{name} held");
         }
         // A block decodes back into the same cells.
@@ -1750,7 +1818,7 @@ pub(crate) mod tests {
         let chunk = 8usize;
         let docs = corpus(32);
         let n = docs.len() / chunk;
-        let meta = seal_run(&dir.0, &docs, 0, docs.len(), chunk, Format::Pseg3);
+        let meta = seal_run(&dir.0, &docs, 0, docs.len(), chunk, Format::Pseg4);
         edit_layout(&meta, n, |_| {});
         assert!(read_footer(&meta).is_ok(), "re-stamped footer still reads");
         let bound = |k: usize| 4 + 8 * k;
@@ -1783,7 +1851,7 @@ pub(crate) mod tests {
             ),
         ];
         for (what, edit) in edits {
-            let meta = seal_run(&dir.0, &docs, 0, docs.len(), chunk, Format::Pseg3);
+            let meta = seal_run(&dir.0, &docs, 0, docs.len(), chunk, Format::Pseg4);
             edit_layout(&meta, n, edit);
             assert!(read_footer(&meta).is_err(), "{what}: malformed layout read");
         }
@@ -1794,10 +1862,10 @@ pub(crate) mod tests {
         let dir = Scratch::new("c");
         let chunk = 8usize;
         let docs = corpus(48);
-        let m1 = seal_run(&dir.0, &docs[..16], 0, 16, chunk, Format::Pseg3);
+        let m1 = seal_run(&dir.0, &docs[..16], 0, 16, chunk, Format::Pseg4);
         // Second run: zones exported from a shard that saw all 32 rows,
         // sealed range [16, 32) — mirrors the live incremental seal.
-        let m2 = seal_run(&dir.0, &docs[..32], 16, 32, chunk, Format::Pseg3);
+        let m2 = seal_run(&dir.0, &docs[..32], 16, 32, chunk, Format::Pseg4);
 
         let merged = compact_runs(&dir.0, &[m1, m2]).unwrap();
         assert_eq!((merged.start, merged.end), (0, 32));
@@ -1810,23 +1878,23 @@ pub(crate) mod tests {
     }
 
     /// Writing a legacy segment forward leaves exactly one file in its
-    /// directory: `PSEG3`, under the input's name, byte-identical to the
-    /// same rows sealed as `PSEG3` (so it pages the same cells and
-    /// documents and answers like them). A legacy file with a corrupt
-    /// record is not rewritten: it is reported unreadable and left as it
-    /// is.
+    /// directory: `PSEG4`, under the input's name, byte-identical to the
+    /// same rows sealed as `PSEG4` (so it pages the same cells and
+    /// documents, row keys included, and answers like them). A legacy file
+    /// with a corrupt record is not rewritten: it is reported unreadable
+    /// and left as it is.
     #[test]
-    fn writing_a_legacy_segment_forward_keeps_one_pseg3_file() {
+    fn writing_a_legacy_segment_forward_keeps_one_pseg4_file() {
         let chunk = 8usize;
         let docs = corpus(32);
         let reference = Scratch::new("fwd-ref");
-        let whole = seal_run(&reference.0, &docs, 0, 32, chunk, Format::Pseg3);
+        let whole = seal_run(&reference.0, &docs, 0, 32, chunk, Format::Pseg4);
         let want = std::fs::read(&whole.path).unwrap();
-        for legacy in [Format::Pseg1, Format::Pseg2] {
+        for legacy in [Format::Pseg1, Format::Pseg2, Format::Pseg3] {
             let dir = Scratch::new("fwd");
             let meta = seal_run(&dir.0, &docs, 0, 32, chunk, legacy);
             let forward = write_forward(&meta).unwrap().expect("readable");
-            assert_eq!((forward.format, &forward.path), (Format::Pseg3, &meta.path));
+            assert_eq!((forward.format, &forward.path), (Format::Pseg4, &meta.path));
             let files: Vec<PathBuf> = std::fs::read_dir(&dir.0)
                 .unwrap()
                 .map(|e| e.unwrap().path())
@@ -1843,54 +1911,59 @@ pub(crate) mod tests {
         }
     }
 
-    /// Compacting a `PSEG1` or `PSEG2` run with a `PSEG3` run writes
-    /// `PSEG3` through the rebuild path, whether or not the dictionaries
-    /// are prefix-compatible, and two `PSEG3` runs merge on the
-    /// footer-reuse path; every merged file is byte-identical to the same
-    /// rows sealed as one `PSEG3` segment, so it pages the same cells and
-    /// documents and answers identically.
+    /// Compacting a `PSEG1`, `PSEG2` or `PSEG3` run with a `PSEG4` run
+    /// writes `PSEG4` through the rebuild path, whether or not the
+    /// dictionaries are prefix-compatible, and two `PSEG4` runs merge on
+    /// the footer-reuse path; every merged file is byte-identical to the
+    /// same rows sealed as one `PSEG4` segment, so it pages the same cells
+    /// and documents and answers identically.
     #[test]
-    fn compacting_legacy_and_pseg3_runs_writes_pseg3() {
+    fn compacting_legacy_and_pseg4_runs_writes_pseg4() {
         let chunk = 8usize;
         let docs = corpus(48);
         let reference = Scratch::new("mix-ref");
-        let whole = seal_run(&reference.0, &docs[..32], 0, 32, chunk, Format::Pseg3);
+        let whole = seal_run(&reference.0, &docs[..32], 0, 32, chunk, Format::Pseg4);
         let want = std::fs::read(&whole.path).unwrap();
 
         // One shard sealed [0, 16), then [16, 32): prefix-compatible
-        // tables. With a legacy first run this rebuilds; with two PSEG3
+        // tables. With a legacy first run this rebuilds; with two PSEG4
         // runs it reuses the footers and copies the blocks.
         for (first, what) in [
-            (Format::Pseg1, "PSEG1 + PSEG3 rebuild"),
-            (Format::Pseg2, "PSEG2 + PSEG3 rebuild"),
-            (Format::Pseg3, "PSEG3 + PSEG3 footer reuse"),
+            (Format::Pseg1, "PSEG1 + PSEG4 rebuild"),
+            (Format::Pseg2, "PSEG2 + PSEG4 rebuild"),
+            (Format::Pseg3, "PSEG3 + PSEG4 rebuild"),
+            (Format::Pseg4, "PSEG4 + PSEG4 footer reuse"),
         ] {
             let dir = Scratch::new("mix-compatible");
             let m1 = seal_run(&dir.0, &docs[..16], 0, 16, chunk, first);
-            let m2 = seal_run(&dir.0, &docs[..32], 16, 32, chunk, Format::Pseg3);
+            let m2 = seal_run(&dir.0, &docs[..32], 16, 32, chunk, Format::Pseg4);
             let footers = [read_footer(&m1).ok(), read_footer(&m2).ok()];
             assert_eq!(
                 footers[0].as_ref().unwrap().layout.is_none(),
                 first == Format::Pseg1
             );
-            assert!(tables_prefix_compatible(&footers));
+            // A `PSEG3` table lacks the row-key columns, which the format
+            // alone sends to the rebuild.
+            if first != Format::Pseg3 {
+                assert!(tables_prefix_compatible(&footers), "{what}");
+            }
             let merged = compact_runs(&dir.0, &[m1, m2]).unwrap();
-            assert_eq!(merged.format, Format::Pseg3, "{what}");
+            assert_eq!(merged.format, Format::Pseg4, "{what}");
             assert_eq!(std::fs::read(&merged.path).unwrap(), want, "{what}");
         }
 
-        // The PSEG3 run comes from a shard that saw other rows first, so
+        // The PSEG4 run comes from a shard that saw other rows first, so
         // its dictionaries are no extension of the first run's.
-        for first in [Format::Pseg1, Format::Pseg3] {
+        for first in [Format::Pseg1, Format::Pseg4] {
             let dir = Scratch::new("mix-rebuild");
             let m1 = seal_run(&dir.0, &docs[..16], 0, 16, chunk, first);
             let other: Vec<Arc<Value>> =
                 docs[32..48].iter().chain(&docs[16..32]).cloned().collect();
-            let m2 = seal_run(&dir.0, &other, 16, 32, chunk, Format::Pseg3);
+            let m2 = seal_run(&dir.0, &other, 16, 32, chunk, Format::Pseg4);
             let footers = [read_footer(&m1).ok(), read_footer(&m2).ok()];
             assert!(!tables_prefix_compatible(&footers));
             let merged = compact_runs(&dir.0, &[m1, m2]).unwrap();
-            assert_eq!(merged.format, Format::Pseg3);
+            assert_eq!(merged.format, Format::Pseg4);
             assert_eq!(
                 std::fs::read(&merged.path).unwrap(),
                 want,

@@ -272,13 +272,13 @@ impl StoreSnapshot {
     /// any pushdown fallback) through the stage machine on the shared
     /// oracle frame. The routing rule mirrors the agent tool's historical
     /// heuristic: unselective corpus-wide queries are exactly the ones
-    /// that amortize the oracle frame. Among the golden questions it now
-    /// decides only q15 (a whole-width row, which no projected scan
-    /// serves): the dataflow columns are columnar, and q18's
+    /// that amortize the oracle frame. It sends no golden question to the
+    /// frame any more: the dataflow columns are columnar, q18's
     /// `depends_on.notna()` runs as a presence test in a columnar-only
-    /// scan — on a directory sealed by older releases too, whose
-    /// `PSEG1`/`PSEG2` segments are written forward at the first lazy
-    /// open.
+    /// scan, and q15's whole row is a top-1 scan (a pushed limit of 1)
+    /// padded from the row-key catalog — on a directory sealed by older
+    /// releases too, whose segments are written forward as `PSEG4` at the
+    /// first lazy open.
     fn execute_uncached(
         &self,
         query: &Query,

@@ -257,13 +257,14 @@ impl ProvenanceDatabase {
             .unwrap_or(0);
 
         // Attach the sealed coverage as a paged cold prefix instead of
-        // replaying it, after writing its `PSEG1`/`PSEG2` segments forward
-        // as `PSEG3` (the one format the pager reads). A segment or footer
+        // replaying it, after writing its `PSEG1`/`PSEG2`/`PSEG3` segments
+        // forward as `PSEG4` (the one format the pager reads). A segment or
+        // footer
         // that fails to load leaves `cold` empty, and the whole sequence
         // is replayed below (whole-document reads tolerate more damage);
         // a replacement that cannot be written fails the open.
         let mut attach = slots > 0 && !replay;
-        let legacy = |m: &SegmentMeta| ours(m) && m.start < slots && m.format != Format::Pseg3;
+        let legacy = |m: &SegmentMeta| ours(m) && m.start < slots && m.format != Format::Pseg4;
         if attach {
             for m in segs.iter_mut().filter(|m| legacy(m)) {
                 let Some(forward) = segment::write_forward(m)? else {

@@ -768,3 +768,123 @@ proptest! {
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
+
+/// The column set `DataFrame::from_messages` builds over the decodable
+/// documents of `db` below `bound`, sorted — by decoding every one.
+fn decoded_frame_columns(db: &ProvenanceDatabase, bound: &[usize]) -> Vec<String> {
+    let docs = db.documents();
+    let n = bound.len();
+    let slots = bound.iter().copied().max().unwrap_or(0);
+    let msgs: Vec<prov_model::TaskMessage> = (0..slots * n)
+        .filter(|id| id / n < bound[id % n])
+        .filter_map(|id| docs.get(id))
+        .filter_map(|d| prov_model::TaskMessage::from_value(&d))
+        .collect();
+    let frame = DataFrame::from_messages(&msgs);
+    let mut names: Vec<String> = frame.column_names().iter().map(|s| s.to_string()).collect();
+    names.sort();
+    names
+}
+
+/// The row-key catalog's answer for the same set, sorted.
+fn catalog_frame_columns(db: &ProvenanceDatabase, bound: &[usize]) -> Vec<String> {
+    let names = db
+        .documents()
+        .frame_columns(bound)
+        .expect("catalog within its cap");
+    let mut names: Vec<String> = names.iter().map(|s| s.to_string()).collect();
+    names.sort();
+    names
+}
+
+/// The catalog equals the decoded column set at the whole store and at a
+/// per-shard bound cut from `cuts` (anywhere in each shard, mid-chunk and
+/// inside a sealed prefix included).
+fn check_catalog(db: &ProvenanceDatabase, cuts: &[usize], label: &str) {
+    let rows = db.documents().shard_rows();
+    let cut: Vec<usize> = rows
+        .iter()
+        .zip(cuts.iter().cycle())
+        .map(|(&r, &c)| c % (r + 1))
+        .collect();
+    for bound in [rows.clone(), cut] {
+        assert_eq!(
+            catalog_frame_columns(db, &bound),
+            decoded_frame_columns(db, &bound),
+            "{label}: bound {bound:?}"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The row-key catalog is exact: over random `used`/`generated` trees
+    /// (`Null`, array, object, `Int` and `Bool` leaves, `used.x` /
+    /// `generated.x` clashes, keys shadowing fixed and telemetry names),
+    /// rows with no telemetry, one section or both, tags, lineage and —
+    /// in memory — undecodable documents, the frame columns it lists
+    /// below random per-shard bounds are exactly those of
+    /// `DataFrame::from_messages` over the visible decodable documents:
+    /// in memory, on the durable store that sealed part of them, lazily
+    /// reopened at the configured budget and at a one-byte budget, and
+    /// replayed.
+    #[test]
+    fn row_key_catalog_lists_the_frame_columns_at_any_bound(
+        fields in prop::collection::vec(arb_dataflow_fields(), 20..64),
+        raws in prop::collection::vec(arb_raw_doc(), 0..6),
+        flip in 0usize..80,
+        cuts in prop::collection::vec(0usize..48, 2..3),
+    ) {
+        let msgs: Vec<prov_model::TaskMessage> = fields
+            .into_iter()
+            .enumerate()
+            .map(|(i, f)| {
+                let mut m = dataflow_message(i, flip, f);
+                if i % 5 == 2 {
+                    let synth = prov_model::TelemetrySynth::frontier(i as u64);
+                    m.telemetry_at_start = Some(synth.snapshot(i as u64, 0, 0.5));
+                }
+                m
+            })
+            .collect();
+        let config = Config {
+            shards: 2,
+            chunk_rows: 16,
+            wal_sync: SyncPolicy::Batch,
+            ..Config::from_env()
+        };
+
+        let mem = Arc::new(ProvenanceDatabase::with_shards(2));
+        mem.insert_batch(&msgs);
+        for raw in &raws {
+            mem.documents().insert(raw.clone());
+        }
+        check_catalog(&mem, &cuts, "in memory");
+
+        let dir = std::env::temp_dir().join(format!(
+            "provdb-catalog-{}-{}",
+            std::process::id(),
+            DATAFLOW_DIRS.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cut = msgs.len() * 2 / 3;
+        let db = ProvenanceDatabase::open_with(&dir, config).expect("open durable");
+        db.insert_batch(&msgs[..cut]);
+        db.flush_views();
+        db.seal_now().expect("seal");
+        db.insert_batch(&msgs[cut..]);
+        db.flush_views();
+        check_catalog(&db, &cuts, "live durable");
+        drop(db);
+        for budget in [config.resident_bytes, 1] {
+            let lazy = ProvenanceDatabase::open_with(&dir, Config { resident_bytes: budget, ..config })
+                .expect("lazy reopen");
+            check_catalog(&lazy, &cuts, &format!("lazy at {budget} bytes"));
+        }
+        let replayed = ProvenanceDatabase::open_replayed(&dir, config).expect("replayed reopen");
+        check_catalog(&replayed, &cuts, "replayed");
+        drop(replayed);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

@@ -12,8 +12,9 @@ use std::sync::Arc;
 
 /// Golden pipelines: filters over hot string and float columns, grouped
 /// aggregation, ordered top-k through both index and heap paths, NaN
-/// arithmetic, and graph-free scans — the query families the engine's
-/// pushdown tiers split on.
+/// arithmetic, graph-free scans, and `loc[idxmax|idxmin]` top-1 scans
+/// (whole-row ones on a key some rows lack and on a tied key) — the
+/// query families the engine's pushdown tiers split on.
 pub const GOLDEN: &[&str] = &[
     r#"len(df)"#,
     r#"len(df[df["status"] == "ERROR"])"#,
@@ -30,6 +31,9 @@ pub const GOLDEN: &[&str] = &[
     r#"df[["task_id", "workflow_id"]].head(6)"#,
     r#"df["status"].value_counts()"#,
     r#"df[df["cpu_percent_end"] > 20]["task_id"]"#,
+    r#"df.loc[df["out"].idxmax()]"#,
+    r#"df.loc[df["duration"].idxmin()]"#,
+    r#"df.loc[df["started_at"].idxmax(), "task_id"]"#,
 ];
 
 /// Deterministic corpus: hot fields cycle, every 11th `y` payload is NaN

@@ -520,7 +520,7 @@ fn a_malformed_layout_table_takes_the_eager_fallback() {
     seal_corpus(&dir, &msgs);
     let seg = segment_files(&dir).pop().expect("a sealed segment");
     let mut bytes = std::fs::read(&seg).expect("read segment");
-    assert_eq!(&bytes[..6], b"PSEG3\n", "seals write PSEG3");
+    assert_eq!(&bytes[..6], b"PSEG4\n", "seals write PSEG4");
     let u32_at = |b: &[u8], o: usize| u32::from_le_bytes(b[o..o + 4].try_into().unwrap());
     let n_chunks = (u32_at(&bytes, 34) as usize).div_ceil(u32_at(&bytes, 30) as usize);
     let size = bytes.len();
@@ -577,18 +577,21 @@ fn formats(dir: &PathBuf) -> Vec<String> {
         .collect()
 }
 
-/// `PSEG1` and `PSEG2` directories are written forward at the first lazy
-/// open. The fixtures `pseg1-corpus32` and `pseg2-corpus32` are
-/// `corpus(32)` sealed and compacted by the last releases that wrote each
-/// format, at 2 shards × 16-row chunks. The replayed open, the referee,
-/// reads them as they are and leaves them so. The first lazy open —
-/// beside a stray temp file, as a crash before a rewrite's rename leaves
-/// one — rewrites every segment as `PSEG3` under its own name, answers
-/// every golden pipeline like the oracle and serves a fixed-column scan
-/// from the column blocks, paging no document. Sealing more rows and
-/// compacting on that store keeps the answers across a reopen.
+/// `PSEG1`, `PSEG2` and `PSEG3` directories are written forward at the
+/// first lazy open. The fixtures `pseg{1,2,3}-corpus32` are `corpus(32)`
+/// sealed and compacted by the last releases that wrote each format, at 2
+/// shards × 16-row chunks. The replayed open, the referee, reads them as
+/// they are and leaves them so. The first lazy open — beside a stray temp
+/// file, as a crash before a rewrite's rename leaves one — rewrites every
+/// segment as `PSEG4` under its own name, answers every golden pipeline
+/// like the oracle and serves a fixed-column scan from the column blocks,
+/// paging no document. The rewrite builds the row-key catalog the old
+/// footers lack: the store lists the oracle frame's columns from footers
+/// alone, and serves a whole-row `loc` from one docs page without
+/// building the frame. Sealing more rows and compacting on that store
+/// keeps the answers across a reopen.
 #[test]
-fn legacy_segments_answer_like_pseg3_and_compact_forward() {
+fn legacy_segments_answer_like_pseg4_and_compact_forward() {
     let config = Config {
         shards: 2,
         chunk_rows: 16,
@@ -600,7 +603,14 @@ fn legacy_segments_answer_like_pseg3_and_compact_forward() {
     let msgs = corpus(2 * per_run + 3);
     let want = fingerprint(&oracle(&msgs[..per_run]).snapshot(), GOLDEN);
     let scan = parse(r#"df[df["hostname"].isin(["n1", "n3"])]["task_id"]"#).expect("parses");
-    for legacy in [1u8, 2] {
+    let loc = parse(r#"df.loc[df["out"].idxmin()]"#).expect("parses");
+    let oracle_columns = {
+        let frame = oracle(&msgs[..per_run]).snapshot().oracle_frame();
+        let mut names: Vec<String> = frame.column_names().iter().map(|s| s.to_string()).collect();
+        names.sort();
+        names
+    };
+    for legacy in [1u8, 2, 3] {
         let magic = format!("PSEG{legacy}\n");
         let dir = fixture_dir(&format!("pseg{legacy}-corpus32"));
         let names = segment_files(&dir);
@@ -619,7 +629,7 @@ fn legacy_segments_answer_like_pseg3_and_compact_forward() {
         );
 
         let stray = names[0].with_extension("tmp");
-        std::fs::write(&stray, b"PSEG3\n").expect("write a torn temp file");
+        std::fs::write(&stray, b"PSEG4\n").expect("write a torn temp file");
         let db = ProvenanceDatabase::open_with(&dir, config).expect("lazy open");
         assert!(!stray.exists(), "the stray temp file survived the open");
         let mut forward = segment_files(&dir);
@@ -629,18 +639,31 @@ fn legacy_segments_answer_like_pseg3_and_compact_forward() {
         assert_eq!(forward, sorted, "PSEG{legacy}: rewritten under other names");
         assert_eq!(
             formats(&dir),
-            vec!["PSEG3\n".to_string(); 2],
+            vec!["PSEG4\n".to_string(); 2],
             "PSEG{legacy}"
         );
         assert_eq!(db.durable_stats().expect("durable").sealed_slots, 16);
+        let mut columns: Vec<String> = (db.documents().frame_columns(&db.documents().shard_rows()))
+            .expect("catalog")
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        columns.sort();
+        assert_eq!(columns, oracle_columns, "PSEG{legacy}: row-key catalog");
         let (got, _) = db.snapshot().query(&scan);
         let (oracle_got, _) = oracle(&msgs[..per_run]).snapshot().query(&scan);
         assert_eq!(got.expect("scan"), oracle_got.expect("oracle scan"));
         assert_eq!(
             db.pager_stats().paged_in_docs,
             0,
-            "PSEG{legacy}: a fixed-column scan paged documents"
+            "PSEG{legacy}: a fixed-column scan or the catalog paged documents"
         );
+        let snap = db.snapshot();
+        let (got, _) = snap.query(&loc);
+        let (oracle_got, _) = oracle(&msgs[..per_run]).snapshot().query(&loc);
+        assert_eq!(got.expect("loc"), oracle_got.expect("oracle loc"));
+        assert!(!snap.oracle_built(), "PSEG{legacy}: loc built the frame");
+        assert_eq!(db.pager_stats().paged_in_docs, 1, "PSEG{legacy}: loc");
         assert_eq!(fingerprint(&db.snapshot(), GOLDEN), want, "PSEG{legacy}");
 
         db.insert_batch_shared(msgs[per_run..].iter().cloned().map(Arc::new));
@@ -648,7 +671,7 @@ fn legacy_segments_answer_like_pseg3_and_compact_forward() {
         assert_eq!(db.seal_now().expect("reseal"), 32);
         db.compact_segments().expect("compact");
         drop(db);
-        assert!(formats(&dir).iter().all(|m| m == "PSEG3\n"));
+        assert!(formats(&dir).iter().all(|m| m == "PSEG4\n"));
         let back = ProvenanceDatabase::open_with(&dir, config).expect("reopen");
         assert_eq!(
             fingerprint(&back.snapshot(), GOLDEN),

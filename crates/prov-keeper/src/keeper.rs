@@ -8,7 +8,6 @@
 use crossbeam::channel::RecvTimeoutError;
 use parking_lot::Mutex;
 use prov_db::ProvenanceDatabase;
-use prov_model::ProvDocument;
 use prov_stream::{topics, PartitionedBroker, StreamingHub};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -60,18 +59,12 @@ pub struct KeeperHandle {
     stop: Arc<AtomicBool>,
     processed: Arc<AtomicU64>,
     workers: Vec<JoinHandle<()>>,
-    prov: Arc<Mutex<ProvDocument>>,
 }
 
 impl KeeperHandle {
     /// Messages persisted so far.
     pub fn processed(&self) -> u64 {
         self.processed.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot of the accumulated PROV document.
-    pub fn prov_document(&self) -> ProvDocument {
-        self.prov.lock().clone()
     }
 
     /// Signal shutdown and join worker threads.
@@ -114,7 +107,6 @@ pub fn start(
 ) -> KeeperHandle {
     let stop = Arc::new(AtomicBool::new(false));
     let processed = Arc::new(AtomicU64::new(0));
-    let prov = Arc::new(Mutex::new(ProvDocument::new()));
     let seen: Arc<Mutex<HashSet<String>>> = Arc::new(Mutex::new(HashSet::new()));
     let mut workers = Vec::new();
     for topic in &config.topics {
@@ -122,7 +114,6 @@ pub fn start(
         let stop = stop.clone();
         let processed = processed.clone();
         let db = db.clone();
-        let prov = prov.clone();
         let seen = if config.dedup {
             Some(seen.clone())
         } else {
@@ -144,17 +135,17 @@ pub fn start(
                                     batch.push(msg);
                                 }
                                 if batch.len() >= batch_size {
-                                    persist(&db, &prov, &processed, &mut batch, durable_flush);
+                                    persist(&db, &processed, &mut batch, durable_flush);
                                 }
                             }
                             Err(RecvTimeoutError::Timeout) => {
-                                persist(&db, &prov, &processed, &mut batch, durable_flush);
+                                persist(&db, &processed, &mut batch, durable_flush);
                                 if stop.load(Ordering::Relaxed) {
                                     break;
                                 }
                             }
                             Err(RecvTimeoutError::Disconnected) => {
-                                persist(&db, &prov, &processed, &mut batch, durable_flush);
+                                persist(&db, &processed, &mut batch, durable_flush);
                                 break;
                             }
                         }
@@ -167,7 +158,6 @@ pub fn start(
         stop,
         processed,
         workers,
-        prov,
     }
 }
 
@@ -189,7 +179,6 @@ fn accept(seen: Option<&Mutex<HashSet<String>>>, msg: &prov_model::TaskMessage) 
 
 fn persist(
     db: &ProvenanceDatabase,
-    prov: &Mutex<ProvDocument>,
     processed: &AtomicU64,
     batch: &mut Vec<prov_stream::Delivery>,
     durable_flush: bool,
@@ -205,12 +194,6 @@ fn persist(
         // Materialize now so a durable store's WAL covers this batch
         // before the keeper acknowledges it via `processed`.
         db.flush_views();
-    }
-    {
-        let mut doc = prov.lock();
-        for m in batch.iter() {
-            doc.ingest(m);
-        }
     }
     processed.fetch_add(batch.len() as u64, Ordering::Relaxed);
     batch.clear();
@@ -263,16 +246,35 @@ mod tests {
         assert!(db.snapshot().get_task("t42").is_some());
     }
 
+    /// The PROV records of a kept message — the task as an activity, its
+    /// agent, and the `wasInformedBy`/`wasAssociatedWith` relations — are
+    /// read back from the store's graph.
     #[test]
-    fn keeper_builds_prov_document() {
+    fn keeper_records_prov_relations_in_the_store_graph() {
+        use prov_model::ProvRelation;
         let hub = StreamingHub::in_memory();
         let db = ProvenanceDatabase::shared();
         let keeper = start(&hub, db.clone(), KeeperConfig::default());
         hub.publish_task(msg(0)).unwrap();
-        assert!(keeper.wait_for(1, Duration::from_secs(5)));
-        let doc = keeper.prov_document();
-        assert!(doc.node("t0").is_some());
+        let tool = TaskMessageBuilder::new("t1", "wf", "act")
+            .agent("prov-agent")
+            .depends_on("t0")
+            .build();
+        hub.publish_task(tool).unwrap();
+        assert!(keeper.wait_for(2, Duration::from_secs(5)));
         keeper.stop();
+        let snap = db.snapshot();
+        let graph = snap.graph();
+        assert_eq!(graph.node("t0").expect("activity").label, "prov:Activity");
+        assert_eq!(graph.node("prov-agent").expect("agent").label, "prov:Agent");
+        assert_eq!(
+            graph.neighbors_out("t1", ProvRelation::WasInformedBy.as_str()),
+            ["t0"]
+        );
+        assert_eq!(
+            graph.neighbors_out("t1", ProvRelation::WasAssociatedWith.as_str()),
+            ["prov-agent"]
+        );
     }
 
     #[test]

@@ -1,38 +1,11 @@
 //! W3C PROV extension (§2.3, §4.2).
 //!
-//! The Provenance Keeper normalizes raw task messages into this model:
-//! tasks become `prov:Activity` subclasses, their inputs/outputs become
-//! `prov:Entity` records linked via `used`/`wasGeneratedBy`, and agents
-//! (human or AI) attach via `wasAssociatedWith`. Agent tool executions and
-//! LLM interactions reuse the same task schema and link to each other with
-//! `wasInformedBy`.
-
-use crate::ids::AgentId;
-use crate::message::{MessageType, TaskMessage};
-use crate::obj;
-use crate::value::{Map, Value};
-
-/// PROV node types.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ProvNodeKind {
-    /// `prov:Entity` — a data item.
-    Entity,
-    /// `prov:Activity` — something that occurs over time (task execution).
-    Activity,
-    /// `prov:Agent` — bears responsibility for activities.
-    Agent,
-}
-
-impl ProvNodeKind {
-    /// PROV-N style name.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ProvNodeKind::Entity => "prov:Entity",
-            ProvNodeKind::Activity => "prov:Activity",
-            ProvNodeKind::Agent => "prov:Agent",
-        }
-    }
-}
+//! The provenance database records task messages in this model: tasks
+//! become `prov:Activity` nodes of its graph, and agents (human or AI)
+//! attach via `wasAssociatedWith`. Agent tool executions and LLM
+//! interactions reuse the same task schema and link to each other, and to
+//! the tasks they depend on, with `wasInformedBy`. [`ProvRelation`] names
+//! the relations.
 
 /// PROV relation types used by the architecture (§4.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -62,307 +35,5 @@ impl ProvRelation {
             ProvRelation::WasDerivedFrom => "prov:wasDerivedFrom",
             ProvRelation::WasAttributedTo => "prov:wasAttributedTo",
         }
-    }
-}
-
-/// One node in a PROV document.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProvNode {
-    /// Unique node id (task ids, entity ids, agent ids share a namespace).
-    pub id: String,
-    /// Node kind.
-    pub kind: ProvNodeKind,
-    /// Subtype label, e.g. `"task"`, `"tool_execution"`, `"llm_interaction"`.
-    pub subtype: String,
-    /// Arbitrary attributes.
-    pub attributes: Map,
-}
-
-/// One edge in a PROV document.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProvEdge {
-    /// Source node id (subject).
-    pub from: String,
-    /// Target node id (object).
-    pub to: String,
-    /// Relation type.
-    pub relation: ProvRelation,
-}
-
-/// A set of PROV statements produced from task messages.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ProvDocument {
-    /// All nodes keyed by insertion order.
-    pub nodes: Vec<ProvNode>,
-    /// All edges.
-    pub edges: Vec<ProvEdge>,
-}
-
-impl ProvDocument {
-    /// Empty document.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Look up a node by id.
-    pub fn node(&self, id: &str) -> Option<&ProvNode> {
-        self.nodes.iter().find(|n| n.id == id)
-    }
-
-    /// All edges with the given relation.
-    pub fn edges_of(&self, relation: ProvRelation) -> impl Iterator<Item = &ProvEdge> {
-        self.edges.iter().filter(move |e| e.relation == relation)
-    }
-
-    /// Register an agent node (idempotent).
-    pub fn register_agent(&mut self, agent: &AgentId, attributes: Map) {
-        if self.node(agent.as_str()).is_none() {
-            self.nodes.push(ProvNode {
-                id: agent.as_str().to_string(),
-                kind: ProvNodeKind::Agent,
-                subtype: "agent".to_string(),
-                attributes,
-            });
-        }
-    }
-
-    /// Normalize one task message into PROV statements (§4.2):
-    ///
-    /// * the task becomes an `Activity` (subtype from the message type);
-    /// * each `used` field becomes an `Entity` + `used` edge;
-    /// * each `generated` field becomes an `Entity` + `wasGeneratedBy` edge;
-    /// * `depends_on` becomes `wasInformedBy` between activities and
-    ///   `wasDerivedFrom` between their entities' namespaces;
-    /// * `agent_id` becomes `wasAssociatedWith`.
-    pub fn ingest(&mut self, msg: &TaskMessage) {
-        let tid = msg.task_id.as_str().to_string();
-        self.nodes.push(ProvNode {
-            id: tid.clone(),
-            kind: ProvNodeKind::Activity,
-            subtype: msg.msg_type.as_str().to_string(),
-            attributes: activity_attributes(msg),
-        });
-
-        for (field, value) in msg.used.flatten() {
-            let eid = format!("{tid}#used.{field}");
-            self.nodes.push(ProvNode {
-                id: eid.clone(),
-                kind: ProvNodeKind::Entity,
-                subtype: "data".to_string(),
-                attributes: entity_attributes(&field, &value),
-            });
-            self.edges.push(ProvEdge {
-                from: tid.clone(),
-                to: eid,
-                relation: ProvRelation::Used,
-            });
-        }
-        for (field, value) in msg.generated.flatten() {
-            let eid = format!("{tid}#generated.{field}");
-            self.nodes.push(ProvNode {
-                id: eid.clone(),
-                kind: ProvNodeKind::Entity,
-                subtype: "data".to_string(),
-                attributes: entity_attributes(&field, &value),
-            });
-            self.edges.push(ProvEdge {
-                from: eid,
-                to: tid.clone(),
-                relation: ProvRelation::WasGeneratedBy,
-            });
-        }
-        for dep in &msg.depends_on {
-            self.edges.push(ProvEdge {
-                from: tid.clone(),
-                to: dep.as_str().to_string(),
-                relation: ProvRelation::WasInformedBy,
-            });
-        }
-        if let Some(agent) = &msg.agent_id {
-            self.register_agent(agent, Map::new());
-            self.edges.push(ProvEdge {
-                from: tid.clone(),
-                to: agent.as_str().to_string(),
-                relation: ProvRelation::WasAssociatedWith,
-            });
-            // LLM interactions and tool executions are attributed data
-            // producers for traceability of agent-driven analysis.
-            if matches!(
-                msg.msg_type,
-                MessageType::ToolExecution | MessageType::LlmInteraction
-            ) {
-                for (field, _) in msg.generated.flatten() {
-                    self.edges.push(ProvEdge {
-                        from: format!("{tid}#generated.{field}"),
-                        to: agent.as_str().to_string(),
-                        relation: ProvRelation::WasAttributedTo,
-                    });
-                }
-            }
-        }
-    }
-
-    /// Activities directly or transitively informing `task_id`
-    /// (upstream lineage via `wasInformedBy`).
-    pub fn lineage_upstream(&self, task_id: &str) -> Vec<String> {
-        let mut out = Vec::new();
-        let mut stack = vec![task_id.to_string()];
-        while let Some(cur) = stack.pop() {
-            for e in self.edges_of(ProvRelation::WasInformedBy) {
-                if e.from == cur && !out.contains(&e.to) {
-                    out.push(e.to.clone());
-                    stack.push(e.to.clone());
-                }
-            }
-        }
-        out
-    }
-
-    /// Encode the document as a JSON value (for persistence/inspection).
-    pub fn to_value(&self) -> Value {
-        Value::array(
-            self.nodes
-                .iter()
-                .map(|n| {
-                    obj! {
-                        "id" => n.id.as_str(),
-                        "kind" => n.kind.as_str(),
-                        "subtype" => n.subtype.as_str(),
-                        "attributes" => Value::object(n.attributes.clone()),
-                    }
-                })
-                .chain(self.edges.iter().map(|e| {
-                    obj! {
-                        "from" => e.from.as_str(),
-                        "to" => e.to.as_str(),
-                        "relation" => e.relation.as_str(),
-                    }
-                }))
-                .collect(),
-        )
-    }
-}
-
-fn activity_attributes(msg: &TaskMessage) -> Map {
-    use crate::value::keys;
-    let mut m = Map::new();
-    m.insert(keys::activity_id(), Value::from(msg.activity_id.as_str()));
-    m.insert(keys::workflow_id(), Value::from(msg.workflow_id.as_str()));
-    m.insert(keys::campaign_id(), Value::from(msg.campaign_id.as_str()));
-    m.insert(keys::started_at(), Value::Float(msg.started_at));
-    m.insert(keys::ended_at(), Value::Float(msg.ended_at));
-    m.insert(keys::hostname(), Value::from(msg.hostname.as_str()));
-    m.insert(keys::status(), Value::Str(msg.status.sym()));
-    m
-}
-
-fn entity_attributes(field: &str, value: &Value) -> Map {
-    use crate::value::keys;
-    let mut m = Map::new();
-    m.insert(keys::field(), Value::from(field));
-    m.insert(keys::value(), value.clone());
-    m
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::message::TaskMessageBuilder;
-
-    fn msg(id: &str, act: &str) -> TaskMessage {
-        TaskMessageBuilder::new(id, "wf", act)
-            .uses("x", 1)
-            .generates("y", 2)
-            .build()
-    }
-
-    #[test]
-    fn ingest_creates_entities_and_edges() {
-        let mut doc = ProvDocument::new();
-        doc.ingest(&msg("t1", "step_a"));
-        assert_eq!(doc.nodes.len(), 3); // activity + 2 entities
-        assert_eq!(doc.edges_of(ProvRelation::Used).count(), 1);
-        assert_eq!(doc.edges_of(ProvRelation::WasGeneratedBy).count(), 1);
-        assert_eq!(doc.node("t1").unwrap().kind, ProvNodeKind::Activity);
-    }
-
-    #[test]
-    fn tool_execution_links_to_agent() {
-        let mut doc = ProvDocument::new();
-        let m = TaskMessageBuilder::new("tool-1", "wf", "in_memory_query")
-            .msg_type(MessageType::ToolExecution)
-            .agent("prov-agent")
-            .uses("query", "df.head()")
-            .generates("result", "ok")
-            .build();
-        doc.ingest(&m);
-        assert!(doc
-            .edges_of(ProvRelation::WasAssociatedWith)
-            .any(|e| e.from == "tool-1" && e.to == "prov-agent"));
-        assert!(doc
-            .edges_of(ProvRelation::WasAttributedTo)
-            .any(|e| e.to == "prov-agent"));
-        assert_eq!(doc.node("prov-agent").unwrap().kind, ProvNodeKind::Agent);
-    }
-
-    #[test]
-    fn llm_interaction_informed_by_tool() {
-        // §4.2: a tool execution is linked with the LLM interaction that
-        // happened in its context via wasInformedBy.
-        let mut doc = ProvDocument::new();
-        let llm = TaskMessageBuilder::new("llm-1", "wf", "llm_chat")
-            .msg_type(MessageType::LlmInteraction)
-            .agent("prov-agent")
-            .uses("prompt", "which task is slowest?")
-            .generates("response", "df.sort_values(...)")
-            .build();
-        let tool = TaskMessageBuilder::new("tool-1", "wf", "in_memory_query")
-            .msg_type(MessageType::ToolExecution)
-            .agent("prov-agent")
-            .depends_on("llm-1")
-            .build();
-        doc.ingest(&llm);
-        doc.ingest(&tool);
-        assert!(doc
-            .edges_of(ProvRelation::WasInformedBy)
-            .any(|e| e.from == "tool-1" && e.to == "llm-1"));
-    }
-
-    #[test]
-    fn lineage_is_transitive() {
-        let mut doc = ProvDocument::new();
-        doc.ingest(&msg("a", "s1"));
-        let mut b = msg("b", "s2");
-        b.depends_on.push("a".into());
-        doc.ingest(&b);
-        let mut c = msg("c", "s3");
-        c.depends_on.push("b".into());
-        doc.ingest(&c);
-        let up = doc.lineage_upstream("c");
-        assert!(up.contains(&"b".to_string()));
-        assert!(up.contains(&"a".to_string()));
-        assert!(doc.lineage_upstream("a").is_empty());
-    }
-
-    #[test]
-    fn agent_registration_is_idempotent() {
-        let mut doc = ProvDocument::new();
-        doc.register_agent(&AgentId::new("x"), Map::new());
-        doc.register_agent(&AgentId::new("x"), Map::new());
-        assert_eq!(
-            doc.nodes
-                .iter()
-                .filter(|n| n.kind == ProvNodeKind::Agent)
-                .count(),
-            1
-        );
-    }
-
-    #[test]
-    fn document_serializes() {
-        let mut doc = ProvDocument::new();
-        doc.ingest(&msg("t1", "a"));
-        let v = doc.to_value();
-        assert!(v.as_array().unwrap().len() >= 5);
     }
 }

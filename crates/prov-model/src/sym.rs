@@ -342,8 +342,6 @@ hot_keys! {
     write_bytes => "write_bytes",
     sent_bytes => "sent_bytes",
     recv_bytes => "recv_bytes",
-    field => "field",
-    value => "value",
     group_id => "_id",
 }
 

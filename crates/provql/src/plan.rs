@@ -212,13 +212,16 @@ pub struct ScanNode {
     /// [`PlanNode::Sort`] is kept downstream as a safety net — a stable
     /// re-sort of already-ordered rows is the identity whenever the key
     /// comparator is a strict weak order, and executors must fall back to
-    /// the oracle in the one case it is not (NaN keys).
+    /// the oracle in the one case it is not (NaN keys). A leading
+    /// `loc[df[c].idxmax()]` / `idxmin()` sets it too, to `c` alone, with a
+    /// limit of 1 and a pushed `c.notna()`: a top-1 scan.
     pub sort: Vec<(String, bool)>,
     /// Row-limit pushdown, set only when no residual filter and no
     /// *unpushed* reordering stage precedes the `head` that produced it
     /// (columnar, in-list and null-test conjuncts do not block it: the
     /// scan applies them before counting; a pushed sort does not block it: the scan
-    /// orders before it truncates — that pairing is exactly a top-k scan).
+    /// orders before it truncates — that pairing is exactly a top-k scan),
+    /// or by a leading `loc[idxmax|idxmin]` lowered to a top-1 scan.
     pub limit: Option<usize>,
 }
 
@@ -389,6 +392,9 @@ fn plan_pipeline(p: &Pipeline, caps: &dyn PushdownCapability, count_only: bool) 
     // comparators, and head is idempotent), so pushdown remains an upper
     // bound, never a semantic change.
     if scan.residual.is_none() {
+        if let Some(PlanNode::Residual(Stage::LocIdx { column, max, .. })) = ops.first() {
+            lower_loc_extreme(&mut scan, column, *max, caps);
+        }
         for op in &ops {
             match op {
                 PlanNode::Project(_) | PlanNode::Residual(Stage::ResetIndex) => continue,
@@ -419,6 +425,27 @@ fn plan_pipeline(p: &Pipeline, caps: &dyn PushdownCapability, count_only: bool) 
     }
 
     PipelinePlan { scan, ops }
+}
+
+/// Lower a leading `df.loc[df[c].idxmax()]` (or `idxmin()`, whole-row or
+/// single-cell) into a top-1 scan: a pushed `c.notna()`, a pushed sort on
+/// `c` (descending for `idxmax`) and a pushed limit of 1. The `LocIdx`
+/// node stays downstream and runs over the at most one survivor. Exact
+/// because `idxmax`/`idxmin` skip null cells and keep the first extreme,
+/// while a top-k scan orders ties by id — the frame's row order — and
+/// refuses NaN keys; no survivor leaves `LocIdx` its own empty-input error.
+/// Callers only lower at a clean scan prefix (no residual filter in
+/// front), where the scan's survivors are exactly the frame's rows.
+fn lower_loc_extreme(scan: &mut ScanNode, column: &str, max: bool, caps: &dyn PushdownCapability) {
+    if !(caps.pushable_sort(column) && caps.pushable_presence(column)) {
+        return;
+    }
+    scan.nulls.push(NullTestFilter {
+        column: column.to_string(),
+        present: true,
+    });
+    scan.sort = vec![(column.to_string(), !max)];
+    scan.limit = Some(1);
 }
 
 /// Recursively split a filter expression: `And` nodes are walked, every
@@ -1008,11 +1035,102 @@ mod tests {
             p.scan.columns.as_deref(),
             Some(&["y".to_string(), "task_id".into()][..])
         );
-        // Whole-row loc needs every column.
+        // Whole-row loc needs every column, lowered to a top-1 scan or not.
         let QueryPlan::Pipeline(p) = plan_text(r#"df.loc[df["y"].idxmax()]"#) else {
             panic!("pipeline")
         };
         assert_eq!(p.scan.columns, None);
+        let p = plan_columnar(r#"df.loc[df["duration"].idxmax()]"#);
+        assert_eq!(p.scan.limit, Some(1));
+        assert_eq!(p.scan.columns, None);
+        assert!(!p.scan.columnar_only);
+        // The lowered cell form still projects the key and the cell.
+        let p = plan_columnar(r#"df.loc[df["duration"].idxmin(), "task_id"]"#);
+        assert_eq!(p.scan.limit, Some(1));
+        assert_eq!(
+            p.scan.columns.as_deref(),
+            Some(&["duration".to_string(), "task_id".into()][..])
+        );
+    }
+
+    /// The pipeline plan of `stages` under [`ColumnarFields`].
+    fn plan_stages(stages: Vec<Stage>) -> PipelinePlan {
+        match plan(&Query::pipeline(stages), &ColumnarFields) {
+            QueryPlan::Pipeline(p) => p,
+            other => panic!("expected pipeline, got {other:?}"),
+        }
+    }
+
+    fn loc(column: &str, max: bool, cell: Option<&str>) -> Stage {
+        Stage::LocIdx {
+            column: column.into(),
+            max,
+            cell: cell.map(Into::into),
+        }
+    }
+
+    #[test]
+    fn loc_extremes_lower_to_a_top1_scan() {
+        let notna = |c: &str| NullTestFilter {
+            column: c.into(),
+            present: true,
+        };
+        for max in [true, false] {
+            for cell in [None, Some("task_id")] {
+                let what = format!("max {max}, cell {cell:?}");
+                let p = plan_stages(vec![loc("duration", max, cell)]);
+                assert_eq!(p.scan.nulls, vec![notna("duration")], "{what}");
+                assert_eq!(p.scan.sort, vec![("duration".to_string(), !max)], "{what}");
+                assert_eq!(p.scan.limit, Some(1), "{what}");
+                // LocIdx stays downstream, over the one survivor.
+                assert_eq!(p.ops, vec![PlanNode::Residual(loc("duration", max, cell))]);
+                // Scan-side conjuncts in front keep the prefix clean.
+                let p = plan_stages(vec![
+                    Stage::Filter(col("status").ne(lit("ERROR"))),
+                    loc("duration", max, cell),
+                ]);
+                assert_eq!(p.scan.columnar.len(), 1, "{what}");
+                assert_eq!(p.scan.limit, Some(1), "{what}");
+            }
+        }
+        // The parsed golden shape lowers the same way.
+        let p = plan_columnar(r#"df.loc[df["started_at"].idxmax()]"#);
+        assert_eq!(p.scan.sort, vec![("started_at".to_string(), false)]);
+        assert_eq!(p.scan.nulls, vec![notna("started_at")]);
+    }
+
+    #[test]
+    fn loc_extremes_stay_unlowered_behind_a_residual_or_on_an_unsortable_key() {
+        let unlowered = |p: &PipelinePlan, what: &str| {
+            assert!(p.scan.nulls.is_empty(), "{what}");
+            assert!(p.scan.sort.is_empty(), "{what}");
+            assert_eq!(p.scan.limit, None, "{what}");
+        };
+        for max in [true, false] {
+            for cell in [None, Some("task_id")] {
+                // A residual filter in front: the scan's rows are not the
+                // rows loc sees.
+                let p = plan_stages(vec![
+                    Stage::Filter(col("y").gt(lit(1))),
+                    loc("duration", max, cell),
+                ]);
+                assert!(p.scan.residual.is_some());
+                unlowered(&p, "behind a residual filter");
+                // `y` has no column vector, so the store cannot order it.
+                unlowered(&plan_stages(vec![loc("y", max, cell)]), "unsortable key");
+                // A reordering stage in front changes which row is first.
+                let p = plan_stages(vec![
+                    Stage::SortValues(vec![("started_at".into(), true)]),
+                    loc("duration", max, cell),
+                ]);
+                assert_eq!(p.scan.limit, None, "behind a sort");
+            }
+        }
+        // Without sort capability nothing is lowered either.
+        let QueryPlan::Pipeline(p) = plan_text(r#"df.loc[df["started_at"].idxmax()]"#) else {
+            panic!("pipeline")
+        };
+        unlowered(&p, "no sort capability");
     }
 
     #[test]
