@@ -191,11 +191,10 @@ impl SnapshotPin {
 /// when the store generation moves (or the tool is pointed at a different
 /// database), so a conversation's worth of queries between ingest bursts
 /// never flushes and never waits on the write locks ingest holds. Query
-/// execution itself lives in [`StoreSnapshot::query`]: selective plans
-/// (every pipeline pushes an index-servable conjunct, a row limit, or a
-/// fully-columnar column set) go through the bounded pushdown executor,
-/// everything else runs on the snapshot's shared oracle frame, and both
-/// routes consult the database-wide plan-keyed result cache
+/// execution itself lives in [`StoreSnapshot::query`]: every plan goes
+/// through the bounded pushdown executor, only a plan it cannot serve
+/// runs on the snapshot's shared oracle frame, and both routes consult
+/// the database-wide plan-keyed result cache
 /// ([`prov_db::PlanCache`]) — repeated dashboard queries cost one
 /// execution per store generation, across *all* tools and serve workers
 /// sharing the database. Cache behavior (hit/miss, counters) and the

@@ -182,16 +182,14 @@ fn bench_vectorized_groupby(c: &mut Criterion) {
 }
 
 /// The oracle frame of a 20k-row store with start and end telemetry on
-/// every row: built from empty (a fresh store per sample), and extended
-/// by 1k newer rows over the memo a 20k-row snapshot left behind. Only
-/// the `oracle_frame` call is timed; building the store is setup.
+/// every row, built from empty (a fresh store per sample). Only the
+/// `oracle_frame` call is timed; building the store is setup.
 fn bench_oracle_frame(c: &mut Criterion) {
     let mut g = c.benchmark_group("oracle_frame");
     g.sample_size(10).measurement_time(Duration::from_secs(10));
     const N: usize = 20_000;
-    const DELTA: usize = 1_000;
     let synth = TelemetrySynth::frontier(7);
-    let msgs: Vec<TaskMessage> = (0..N + DELTA)
+    let msgs: Vec<TaskMessage> = (0..N)
         .map(|i| {
             let mut m = msg(i);
             m.telemetry_at_start = Some(synth.snapshot(i as u64, 0, 0.5));
@@ -199,29 +197,16 @@ fn bench_oracle_frame(c: &mut Criterion) {
             m
         })
         .collect();
-    let store = |rows: &[TaskMessage]| {
-        let db = ProvenanceDatabase::shared();
-        db.insert_batch(rows);
-        db
-    };
     g.bench_function("build_20k", |b| {
         b.iter_batched(
-            || store(&msgs[..N]).snapshot(),
+            || {
+                let db = ProvenanceDatabase::shared();
+                db.insert_batch(&msgs);
+                db.snapshot()
+            },
             // The snapshot is handed back so that dropping the store it
             // holds stays outside the timed call.
             |snap| (snap.oracle_frame(), snap),
-            BatchSize::PerIteration,
-        )
-    });
-    g.bench_function("extend_1k_over_20k", |b| {
-        b.iter_batched(
-            || {
-                let db = store(&msgs[..N]);
-                db.snapshot().oracle_frame();
-                db.insert_batch(&msgs[N..]);
-                db
-            },
-            |db| (db.snapshot().oracle_frame(), db),
             BatchSize::PerIteration,
         )
     });

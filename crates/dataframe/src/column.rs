@@ -2,6 +2,7 @@
 
 use crate::agg::AggFunc;
 use crate::dtype::DType;
+use crate::frame::sort_cell_cmp;
 use prov_model::Value;
 
 /// Eviction compacts the dead prefix once it outgrows the live cells
@@ -165,28 +166,18 @@ impl Column {
         self.arg_extreme(false)
     }
 
+    /// The first row that sorts first under [`sort_cell_cmp`] (ascending
+    /// for the minimum), nulls skipped: a NaN wins only when every other
+    /// non-null cell is NaN too — the row `notna`, then a stable sort,
+    /// then `head(1)` would keep.
     fn arg_extreme(&self, min: bool) -> Option<usize> {
         let mut best: Option<(usize, &Value)> = None;
         for (i, v) in self.values().iter().enumerate() {
-            if v.is_null() {
-                continue;
+            if !v.is_null()
+                && best.is_none_or(|(_, b)| sort_cell_cmp(v, b, min) == std::cmp::Ordering::Less)
+            {
+                best = Some((i, v));
             }
-            best = match best {
-                None => Some((i, v)),
-                Some((bi, bv)) => {
-                    let ord = v.compare(bv);
-                    let better = if min {
-                        ord == std::cmp::Ordering::Less
-                    } else {
-                        ord == std::cmp::Ordering::Greater
-                    };
-                    if better {
-                        Some((i, v))
-                    } else {
-                        Some((bi, bv))
-                    }
-                }
-            };
         }
         best.map(|(i, _)| i)
     }

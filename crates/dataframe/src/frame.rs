@@ -488,18 +488,17 @@ impl DataFrame {
 }
 
 /// The sort-key ordering of one cell pair under [`DataFrame::sort_values`]:
-/// nulls sort last regardless of direction (pandas default), non-null cells
-/// by [`Value::compare`] with the requested direction.
+/// missing cells — nulls and NaN floats — sort last regardless of
+/// direction and tie with each other (pandas' `na_position='last'`);
+/// every other cell orders by [`Value::compare`] with the requested
+/// direction. With NaN ranked as missing this is a total preorder, so
+/// stable sorts and ordered structures over it are well defined.
 ///
 /// Exposed so storage engines pushing `sort_values(...).head(k)` into their
 /// scans (prov-db's top-k executor) order candidates by *exactly* the frame
-/// rule instead of re-deriving it. Note this is a strict weak order only
-/// when no `NaN` is among the compared cells — `Value::compare` calls mixed
-/// NaN comparisons `Equal`, so engines must not build ordered structures
-/// over NaN keys (the frame's own stable sort is the only definition of
-/// that order).
+/// rule instead of re-deriving it.
 pub fn sort_cell_cmp(a: &Value, b: &Value, ascending: bool) -> std::cmp::Ordering {
-    match (a.is_null(), b.is_null()) {
+    match (sorts_missing(a), sorts_missing(b)) {
         (true, true) => std::cmp::Ordering::Equal,
         (true, false) => std::cmp::Ordering::Greater,
         (false, true) => std::cmp::Ordering::Less,
@@ -511,6 +510,15 @@ pub fn sort_cell_cmp(a: &Value, b: &Value, ascending: bool) -> std::cmp::Orderin
                 o.reverse()
             }
         }
+    }
+}
+
+/// Whether a cell ranks as missing in a sort: null, or a NaN float.
+fn sorts_missing(v: &Value) -> bool {
+    match v {
+        Value::Null => true,
+        Value::Float(f) => f.is_nan(),
+        _ => false,
     }
 }
 
@@ -810,6 +818,42 @@ mod tests {
             vals,
             vec![Value::Int(5), Value::Int(3), Value::Int(1), Value::Null]
         );
+    }
+
+    /// NaN ranks as missing: last in both directions, tied with nulls
+    /// (row order kept), and picked by idxmax/idxmin only when nothing
+    /// else non-null is left.
+    #[test]
+    fn nan_sorts_last_like_a_null_and_loses_extremes() {
+        let nan = Value::Float(f64::NAN);
+        let frame = |x: Vec<Value>| {
+            let row = (0..x.len() as i64).map(Value::Int).collect();
+            DataFrame::from_columns(vec![("x", x), ("row", row)]).unwrap()
+        };
+        let rows = |df: &DataFrame, asc: bool| -> Vec<Value> {
+            let sorted = df.sort_values(&[("x", asc)]).unwrap();
+            sorted.column("row").unwrap().values().to_vec()
+        };
+        let order = |ids: &[i64]| ids.iter().copied().map(Value::Int).collect::<Vec<_>>();
+        let x = vec![
+            nan.clone(),
+            Value::Float(3.0),
+            Value::Null,
+            Value::Float(1.0),
+            nan.clone(),
+        ];
+        let df = frame(x.clone());
+        assert_eq!(rows(&df, true), order(&[3, 1, 0, 2, 4]));
+        assert_eq!(rows(&df, false), order(&[1, 3, 0, 2, 4]));
+        let c = Column::new("x", x);
+        assert_eq!((c.idxmax(), c.idxmin()), (Some(1), Some(3)));
+
+        let all_nan = vec![Value::Null, nan.clone(), nan];
+        let df = frame(all_nan.clone());
+        assert_eq!(rows(&df, true), order(&[0, 1, 2]));
+        assert_eq!(rows(&df, false), order(&[0, 1, 2]));
+        let c = Column::new("x", all_nan);
+        assert_eq!((c.idxmax(), c.idxmin()), (Some(1), Some(1)));
     }
 
     #[test]

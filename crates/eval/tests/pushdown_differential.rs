@@ -282,23 +282,6 @@ const EDGE_COLUMNS: &[&str] = &[
     "ghost_column",
 ];
 
-/// [`EDGE_COLUMNS`] without `nan`, the sort keys of the edge corpus: the
-/// oracle's `sort_values` cannot order a column holding NaN beside other
-/// floats (the standard sort rejects its comparator), so, as in the
-/// durable suites' golden set, no sort keys on it.
-const EDGE_SORT_KEYS: &[&str] = &[
-    "task_id",
-    "workflow_id",
-    "status",
-    "started_at",
-    "duration",
-    "tie",
-    "sparse",
-    "allnull",
-    "label",
-    "ghost_column",
-];
-
 fn arb_filter(cols: &'static [&'static str]) -> impl Strategy<Value = Stage> {
     let arb_column = move || (0..cols.len()).prop_map(move |i| cols[i].to_string());
     prop_oneof![
@@ -349,12 +332,8 @@ fn arb_filter(cols: &'static [&'static str]) -> impl Strategy<Value = Stage> {
     ]
 }
 
-fn arb_stage(
-    cols: &'static [&'static str],
-    sort_keys: &'static [&'static str],
-) -> impl Strategy<Value = Stage> {
+fn arb_stage(cols: &'static [&'static str]) -> impl Strategy<Value = Stage> {
     let arb_column = move || (0..cols.len()).prop_map(move |i| cols[i].to_string());
-    let arb_sort_key = (0..sort_keys.len()).prop_map(move |i| sort_keys[i].to_string());
     prop_oneof![
         arb_filter(cols),
         prop::collection::vec(arb_column(), 1..3).prop_map(Stage::Select),
@@ -368,7 +347,7 @@ fn arb_stage(
             Just(AggFunc::Count),
         ]
         .prop_map(Stage::Agg),
-        (arb_sort_key, any::<bool>()).prop_map(|(c, asc)| Stage::SortValues(vec![(c, asc)])),
+        (arb_column(), any::<bool>()).prop_map(|(c, asc)| Stage::SortValues(vec![(c, asc)])),
         // 0 included: a pushed `sort → head(0)` top-k must stay exact.
         (0usize..6).prop_map(Stage::Head),
         (1usize..6).prop_map(Stage::Tail),
@@ -393,11 +372,8 @@ fn arb_stage(
     ]
 }
 
-fn arb_query(
-    cols: &'static [&'static str],
-    sort_keys: &'static [&'static str],
-) -> impl Strategy<Value = Query> {
-    let stages = prop::collection::vec(arb_stage(cols, sort_keys), 0..4);
+fn arb_query(cols: &'static [&'static str]) -> impl Strategy<Value = Query> {
+    let stages = prop::collection::vec(arb_stage(cols), 0..4);
     (stages, any::<bool>()).prop_map(|(stages, wrap)| {
         let p = Query::pipeline(stages);
         if wrap {
@@ -474,7 +450,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
     #[test]
-    fn random_pipelines_identical_through_both_paths(q in arb_query(SWEEP_COLUMNS, SWEEP_COLUMNS)) {
+    fn random_pipelines_identical_through_both_paths(q in arb_query(SWEEP_COLUMNS)) {
         use std::sync::OnceLock;
         static SNAP: OnceLock<Arc<StoreSnapshot>> = OnceLock::new();
         let snap = SNAP.get_or_init(|| {
@@ -493,7 +469,7 @@ proptest! {
     /// The same over [`edge_snapshot`]: ties, nulls, NaN and absent keys,
     /// and rows past the pin that must stay invisible.
     #[test]
-    fn random_pipelines_identical_on_edge_keys(q in arb_query(EDGE_COLUMNS, EDGE_SORT_KEYS)) {
+    fn random_pipelines_identical_on_edge_keys(q in arb_query(EDGE_COLUMNS)) {
         use std::sync::OnceLock;
         static SNAP: OnceLock<Arc<StoreSnapshot>> = OnceLock::new();
         let snap = SNAP.get_or_init(edge_snapshot);
@@ -508,7 +484,8 @@ proptest! {
 /// The whole-row and cell `loc` shapes on [`edge_snapshot`] are served
 /// wherever the store can prove the answer — ties keep the first row,
 /// a key null on every visible row raises the oracle's empty-input error
-/// — and defer on a NaN key or a column absent below the pin.
+/// — a NaN key included, which loses to every other non-null cell — and
+/// defer on a column absent below the pin.
 #[test]
 fn loc_extremes_on_edge_keys_identical_through_both_paths() {
     let snap = edge_snapshot();
@@ -524,7 +501,8 @@ fn loc_extremes_on_edge_keys_identical_through_both_paths() {
             r#"df[df["status"] == "ERROR"].loc[df["tie"].idxmax()]"#,
             true,
         ),
-        (r#"df.loc[df["nan"].idxmax()]"#, false),
+        (r#"df.loc[df["nan"].idxmax()]"#, true),
+        (r#"df.loc[df["nan"].idxmin(), "task_id"]"#, true),
         (r#"df.loc[df["ghost_column"].idxmin()]"#, false),
     ] {
         let query = parse(text).expect("parses");
@@ -548,7 +526,7 @@ proptest! {
     /// snapshot, so the cache fills up across cases exactly as it would
     /// under a real dashboard storm.
     #[test]
-    fn snapshot_cache_on_equals_cache_off(q in arb_query(SWEEP_COLUMNS, SWEEP_COLUMNS)) {
+    fn snapshot_cache_on_equals_cache_off(q in arb_query(SWEEP_COLUMNS)) {
         use std::sync::OnceLock;
         use prov_db::CacheOutcome;
         static SNAP: OnceLock<Arc<StoreSnapshot>> = OnceLock::new();

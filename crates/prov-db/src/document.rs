@@ -554,15 +554,11 @@ impl DocumentStore {
             return;
         }
         let mut index = FieldIndex::default();
-        self.for_each_doc(
-            &vec![0; self.shards.len()],
-            &self.shard_rows(),
-            |id, doc| {
-                if let Some(v) = doc.get_path(path) {
-                    index_insert(&mut index, id, v);
-                }
-            },
-        );
+        self.for_each_doc(&self.shard_rows(), |id, doc| {
+            if let Some(v) = doc.get_path(path) {
+                index_insert(&mut index, id, v);
+            }
+        });
         indexes.insert(path.to_string(), index);
     }
 
@@ -581,45 +577,32 @@ impl DocumentStore {
             range: Some(RangeLog::default()),
             ..FieldIndex::default()
         };
-        self.for_each_doc(
-            &vec![0; self.shards.len()],
-            &self.shard_rows(),
-            |id, doc| {
-                if let Some(v) = doc.get_path(path) {
-                    index_insert(&mut rebuilt, id, v);
-                }
-            },
-        );
+        self.for_each_doc(&self.shard_rows(), |id, doc| {
+            if let Some(v) = doc.get_path(path) {
+                index_insert(&mut rebuilt, id, v);
+            }
+        });
         indexes.insert(path.to_string(), rebuilt);
     }
 
-    /// Visit every document with shard slot in `[from[s], bound[s])` as
-    /// `(id, &doc)` in shard order, paging cold chunks in sequentially;
-    /// chunks wholly below `from` are never paged. Index builds (from
-    /// zero) call it under the index write lock, honoring lock order; they
-    /// are possible on a lazily opened store, but the indexes are never
-    /// consulted there (see [`candidates`](Self::candidates)). The oracle
-    /// frame reads only its delta rows through it.
-    pub(crate) fn for_each_doc(
-        &self,
-        from: &[usize],
-        bound: &[usize],
-        mut f: impl FnMut(DocId, &Arc<Value>),
-    ) {
+    /// Visit every document below the per-shard `bound` as `(id, &doc)`
+    /// in shard order, paging cold chunks in sequentially. Index builds
+    /// call it under the index write lock, honoring lock order; they are
+    /// possible on a lazily opened store, but the indexes are never
+    /// consulted there (see [`candidates`](Self::candidates)).
+    pub(crate) fn for_each_doc(&self, bound: &[usize], mut f: impl FnMut(DocId, &Arc<Value>)) {
         let nshards = self.shards.len();
-        debug_assert_eq!(from.len(), nshards);
         debug_assert_eq!(bound.len(), nshards);
         for (s, shard) in self.shards.iter().enumerate() {
             let shard = shard.read();
-            for c in from[s] / shard.chunk_rows()..shard.chunks_below(bound[s]) {
+            for c in 0..shard.chunks_below(bound[s]) {
                 let chunk = shard.chunk(c);
                 let rows = chunk.rows_below(bound[s]);
-                let lo = rows.start.max(from[s].saturating_sub(chunk.base));
-                if lo >= rows.end {
+                if rows.is_empty() {
                     continue;
                 }
-                for (r, doc) in chunk.docs()[lo..rows.end].iter().enumerate() {
-                    f((chunk.base + lo + r) * nshards + s, doc);
+                for (r, doc) in chunk.docs()[rows.clone()].iter().enumerate() {
+                    f((chunk.base + rows.start + r) * nshards + s, doc);
                 }
             }
         }
@@ -804,7 +787,7 @@ impl DocumentStore {
                     }
                 }
             }
-            None => self.for_each_doc(&vec![0; nshards], bound, |id, doc| {
+            None => self.for_each_doc(bound, |id, doc| {
                 if query.matches(doc) {
                     f(id, doc);
                 }
@@ -1425,7 +1408,7 @@ impl DocumentStore {
     /// Top-k scan: evaluate the filter conjunction over the column vectors
     /// (exactly like [`columnar_scan_where`], under the same per-shard
     /// visibility `bound`) and return the surviving document ids ordered
-    /// by the *frame's* sort rule for `sort` — nulls last,
+    /// by the *frame's* sort rule for `sort` — nulls and NaN last,
     /// [`dataframe::sort_cell_cmp`] per key, ties by id (= insertion)
     /// order, which is what a stable frame sort of id-ordered rows
     /// produces — truncated to `limit`.
@@ -1435,13 +1418,6 @@ impl DocumentStore {
     /// cells (ids stream out in key order and the scan stops after `k`
     /// accepted survivors), or one bounded selection buffer fed by the
     /// chunk kernels over every shard's vectors.
-    ///
-    /// NaN sort-key cells among the visible survivors abort to
-    /// [`TopkScan::NanSortKey`]: `Value::compare` calls mixed NaN
-    /// comparisons `Equal`, which is not a strict weak order, so only the
-    /// oracle's own stable sort defines the answer there. Rows above the
-    /// bound are skipped before their keys are read, so an invisible NaN
-    /// never aborts.
     ///
     /// [`columnar_scan_where`]: DocumentStore::columnar_scan_where
     pub fn columnar_topk_where(
@@ -1484,7 +1460,7 @@ impl DocumentStore {
             keys.iter().map(|(f, _)| cols.value(row, *f)).collect()
         };
 
-        let selected: Result<Vec<TopkEntry>, NanSortKey> = match cand {
+        let selected = match cand {
             Some(mut ids) => {
                 // Index-seeded candidate sets are small by construction;
                 // select sequentially, verifying per row.
@@ -1492,52 +1468,42 @@ impl DocumentStore {
                 ids.sort_unstable();
                 ids.dedup();
                 let mut buf = TopkBuf::new(&keys, limit);
-                let mut selected = Ok(());
                 for id in ids {
                     let shard = &*guards[id % nshards];
                     let slot = id / nshards;
                     if shard.cols.is_decodable(slot)
                         && fields.iter().all(|p| shard.cols.matches_pred(slot, p))
                     {
-                        if let Err(e) = buf.push((gather(&shard.cols, slot), id)) {
-                            selected = Err(e);
-                            break;
-                        }
+                        buf.push((gather(&shard.cols, slot), id));
                     }
                 }
-                selected.map(|()| buf.finish())
+                buf.finish()
             }
             None => {
                 // Same chunk kernels as `columnar_scan_where`: the zone
                 // maps prune on the *filters* (the selection bound is
                 // dynamic, so sort keys cannot prune), then the bounded
                 // buffer selects over the surviving visible slots.
-                let select = || -> Result<Vec<TopkEntry>, NanSortKey> {
-                    let mut buf = TopkBuf::new(&keys, limit);
-                    let mut sel: Vec<u32> = Vec::new();
-                    for (s, shard) in guards.iter().enumerate() {
-                        let preds = shard.cols.compile(&fields);
-                        for c in 0..shard.chunks_below(bound[s]) {
-                            let Some(ch) = shard.chunk_where(c, &fields) else {
-                                continue;
-                            };
-                            ch.filter(&preds, &fields, bound[s], &mut sel);
-                            let cols = ch.cols();
-                            for &r in &sel {
-                                let r = r as usize;
-                                buf.push((gather(cols, r), (ch.base + r) * nshards + s))?;
-                            }
+                let mut buf = TopkBuf::new(&keys, limit);
+                let mut sel: Vec<u32> = Vec::new();
+                for (s, shard) in guards.iter().enumerate() {
+                    let preds = shard.cols.compile(&fields);
+                    for c in 0..shard.chunks_below(bound[s]) {
+                        let Some(ch) = shard.chunk_where(c, &fields) else {
+                            continue;
+                        };
+                        ch.filter(&preds, &fields, bound[s], &mut sel);
+                        let cols = ch.cols();
+                        for &r in &sel {
+                            let r = r as usize;
+                            buf.push((gather(cols, r), (ch.base + r) * nshards + s));
                         }
                     }
-                    Ok(buf.finish())
-                };
-                select()
+                }
+                buf.finish()
             }
         };
-        match selected {
-            Ok(entries) => TopkScan::Served(entries.into_iter().map(|(_, id)| id).collect()),
-            Err(NanSortKey) => TopkScan::NanSortKey,
-        }
+        TopkScan::Served(selected.into_iter().map(|(_, id)| id).collect())
     }
 
     /// The sorted-index fast path of [`columnar_topk_where`]: when the
@@ -1775,10 +1741,6 @@ pub enum TopkScan {
     Served(Vec<DocId>),
     /// A filter or sort column is not columnar-servable here.
     NotServable,
-    /// A NaN sort-key cell survived the filters; the frame comparator is
-    /// not a strict weak order over NaN, so the caller must let the
-    /// oracle's own stable sort define the answer.
-    NanSortKey,
 }
 
 /// Every id below a per-shard row bound, ascending.
@@ -1807,13 +1769,9 @@ fn clip_to_bound(sel: &mut Vec<u32>, base: usize, rows: usize) {
 /// One top-k candidate: its sort-key cells plus its document id.
 type TopkEntry = (Vec<Value>, DocId);
 
-/// Marker error: a NaN sort-key cell was observed (see [`TopkScan`]).
-struct NanSortKey;
-
 /// The frame's sort order over top-k entries: [`dataframe::sort_cell_cmp`]
-/// per key (nulls last, direction applied), ties by id — a total order
-/// (ids are unique) provided no cell is NaN, which [`TopkBuf::push`]
-/// rejects before any entry is ordered.
+/// per key (nulls and NaN last, direction applied), ties by id — a total
+/// order, since ids are unique.
 fn topk_cmp(keys: &[(ColField, bool)], a: &TopkEntry, b: &TopkEntry) -> std::cmp::Ordering {
     for (i, (_, ascending)) in keys.iter().enumerate() {
         let ord = dataframe::sort_cell_cmp(&a.0[i], &b.0[i], *ascending);
@@ -1826,9 +1784,8 @@ fn topk_cmp(keys: &[(ColField, bool)], a: &TopkEntry, b: &TopkEntry) -> std::cmp
 
 /// Bounded top-k selection buffer: entries accumulate and are periodically
 /// compacted (sort + truncate to k), after which the k-th entry becomes a
-/// rejection bound for later pushes — O(n log k) total, O(k) live memory,
-/// no ordered structure ever built over a NaN key (pushes reject them
-/// first). With no limit it simply collects and sorts everything.
+/// rejection bound for later pushes — O(n log k) total, O(k) live memory.
+/// With no limit it simply collects and sorts everything.
 struct TopkBuf<'k> {
     keys: &'k [(ColField, bool)],
     /// `usize::MAX` when unbounded (bare pushed sort).
@@ -1848,27 +1805,19 @@ impl<'k> TopkBuf<'k> {
         }
     }
 
-    fn push(&mut self, entry: TopkEntry) -> Result<(), NanSortKey> {
-        if entry
-            .0
-            .iter()
-            .any(|v| matches!(v, Value::Float(f) if f.is_nan()))
-        {
-            return Err(NanSortKey);
-        }
+    fn push(&mut self, entry: TopkEntry) {
         if self.k == 0 {
-            return Ok(());
+            return;
         }
         if let Some(bound) = &self.bound {
             if topk_cmp(self.keys, &entry, bound) != std::cmp::Ordering::Less {
-                return Ok(());
+                return;
             }
         }
         self.entries.push(entry);
         if self.k < usize::MAX / 4 && self.entries.len() >= self.k * 2 + 64 {
             self.compact();
         }
-        Ok(())
     }
 
     fn compact(&mut self) {
@@ -2340,7 +2289,7 @@ mod tests {
     }
 
     #[test]
-    fn columnar_topk_rejects_unservable_and_nan() {
+    fn columnar_topk_rejects_unservable_and_sorts_nan_last() {
         let s = DocumentStore::with_shards(2);
         s.insert_many(task_docs(6));
         assert_eq!(
@@ -2357,26 +2306,19 @@ mod tests {
             ),
             TopkScan::NotServable
         );
-        // A NaN sort-key cell among the survivors aborts.
+        // A NaN sort-key cell ranks as missing: last in both directions.
         s.insert(obj! {
             "task_id" => "nan", "workflow_id" => "wf", "activity_id" => "a",
             "started_at" => f64::NAN, "ended_at" => 1.0,
         });
         assert_eq!(
             topk(&s, &[], &[("started_at", true)], Some(3)),
-            TopkScan::NanSortKey
+            TopkScan::Served(vec![0, 1, 2])
         );
-        // …but filters that drop the NaN row keep the scan servable.
-        let wf = Value::from("wf-0");
-        assert!(matches!(
-            topk(
-                &s,
-                &[("workflow_id", CmpOp::Eq, &wf)],
-                &[("started_at", true)],
-                Some(3)
-            ),
-            TopkScan::Served(_)
-        ));
+        assert_eq!(
+            topk(&s, &[], &[("started_at", false)], None),
+            TopkScan::Served(vec![5, 4, 3, 2, 1, 0, 6])
+        );
     }
 
     #[test]
@@ -2412,8 +2354,7 @@ mod tests {
         // The full store scanned under a prefix's row bound answers like a
         // store holding only that prefix, on every kernel path: index
         // candidates, the sorted-index cursor, the chunk-major scan and
-        // the top-k buffer. A NaN sort key above the bound never aborts a
-        // top-k.
+        // the top-k buffer. A NaN sort key above the bound is never read.
         let n = 4_596;
         let docs = task_docs(n + 300);
         let build = |docs: &[Value]| {

@@ -19,7 +19,8 @@
 //!
 //! When a plan is not servable ([`Pushdown::NeedsFullFrame`]) the caller
 //! runs the stage machine on the snapshot's oracle frame
-//! ([`StoreSnapshot::oracle_frame`]) instead. That happens when:
+//! ([`StoreSnapshot::oracle_frame`]), built from empty for that snapshot,
+//! instead. That happens when:
 //!
 //! * a pipeline's output is a whole-width frame (no projection,
 //!   `describe`, subset-less `drop_duplicates`) — only the corpus-wide
@@ -32,14 +33,8 @@
 //! * a referenced column is absent from every visible document — the
 //!   oracle decides whether that is an all-null column or an unknown-column
 //!   error, and its error message carries the full available-column list;
-//! * a filter column stopped being columnar-servable after planning, or
-//!   a visible sort key is NaN.
-//!
-//! The fallback costs the delta, not the corpus, on an append-only
-//! store: the oracle frame is extended from the database's newest built
-//! frame by the rows past its bound (see
-//! [`StoreSnapshot::oracle_frame`]), and the stage machine reads it in
-//! place instead of copying it.
+//! * a filter or sort column stopped being columnar-servable after
+//!   planning.
 //!
 //! Because the fallback is the oracle itself, pushdown is transparent:
 //! both paths return identical [`QueryOutput`]s (asserted per eval query
@@ -70,9 +65,10 @@ pub enum Pushdown {
 /// fields [`ProvenanceDatabase::new`] builds hash indexes for (their
 /// frame column is the document path of the same name, byte-for-byte
 /// equal in both representations). A pushed conjunct must earn an index
-/// probe — advertising unindexed columns would classify full-scan
-/// queries as "selective" and make callers bypass the cached frame they
-/// built precisely to amortize repeated corpus-wide work.
+/// probe: every other columnar column is evaluated over the column
+/// vectors as a planner-split conjunct anyway, and
+/// [`PipelinePlan::has_pushdown`], which benchmarks read, then counts
+/// only index-served work.
 const PUSHABLE_EQ: &[&str] = &["task_id", "activity_id", "workflow_id", "started_at"];
 
 /// Fields a range conjunct can be pushed on: the sorted numeric index
@@ -255,7 +251,7 @@ fn whole_row_key(p: &PipelinePlan) -> Option<&str> {
 /// ([`DocumentStore::columnar_topk_where`]: per-shard bounded selection
 /// over the vectors, or a sorted-index cursor, survivors ordered by the
 /// exact frame sort rule before any pushed limit truncates). `Err` is the
-/// fallback: a conjunct or key no longer servable, or a NaN sort key.
+/// fallback: a conjunct or key no longer servable.
 fn scan_survivors(
     store: &DocumentStore,
     p: &PipelinePlan,
@@ -295,9 +291,7 @@ fn scan_survivors(
     // Top-k: the scan orders survivors by the frame's sort rule before
     // the limit truncates, so the frame built from them is in final order
     // — a kept Sort node downstream is a stable re-sort of already-ordered
-    // rows, i.e. the identity (guaranteed because NaN keys, the one case
-    // where the comparator is not a strict weak order, abort to the oracle
-    // here).
+    // rows under the same total preorder, i.e. the identity.
     let keys: Vec<(&str, bool)> = p
         .scan
         .sort
@@ -307,9 +301,6 @@ fn scan_survivors(
     match store.columnar_topk_where(&filters, &keys, p.scan.limit, bound) {
         TopkScan::Served(ids) => Ok(ids),
         TopkScan::NotServable => Err(NOT_SERVABLE),
-        TopkScan::NanSortKey => Err(Pushdown::NeedsFullFrame(
-            "NaN sort key: only the oracle's stable sort defines that order",
-        )),
     }
 }
 
@@ -514,6 +505,23 @@ mod tests {
         execute_plan(&snap, &provql::plan(query, &*snap))
     }
 
+    /// The `Debug` form of an answer, frames as their rows and named
+    /// cells (a frame's name→position map iterates in per-instance
+    /// order), so NaN cells compare equal, unlike under `Value`'s `==`.
+    fn render(out: &Result<QueryOutput, ExecError>) -> String {
+        match out {
+            Ok(QueryOutput::Frame(f)) => {
+                let cells: Vec<_> = f
+                    .column_names()
+                    .into_iter()
+                    .map(|c| (c, f.column(c).expect("named column").values()))
+                    .collect();
+                format!("{} rows {cells:?}", f.len())
+            }
+            other => format!("{other:?}"),
+        }
+    }
+
     fn assert_differential(db: &Arc<ProvenanceDatabase>, text: &str, expect_pushed: bool) {
         let query = parse(text).unwrap();
         let snap = db.snapshot();
@@ -521,7 +529,7 @@ mod tests {
         match execute_plan(&snap, &provql::plan(&query, &*snap)) {
             Pushdown::Executed(got) => {
                 assert!(expect_pushed, "{text}: expected fallback, got execution");
-                assert_eq!(got, oracle, "{text}");
+                assert_eq!(render(&got), render(&oracle), "{text}");
             }
             Pushdown::NeedsFullFrame(reason) => {
                 assert!(!expect_pushed, "{text}: unexpected fallback ({reason})");
@@ -615,14 +623,22 @@ mod tests {
     }
 
     #[test]
-    fn whole_row_loc_on_a_nan_key_defers_to_the_oracle() {
+    fn whole_row_loc_on_a_nan_key_is_served() {
         let db = seeded_db();
         db.insert_batch(std::iter::once(
             &TaskMessageBuilder::new("nan", "wf-0", "run_dft")
                 .generates("y", f64::NAN)
                 .build(),
         ));
-        assert_differential(&db, r#"df.loc[df["y"].idxmax()]"#, false);
+        for text in [
+            r#"df.loc[df["y"].idxmax()]"#,
+            r#"df.loc[df["y"].idxmin()]"#,
+            // A NaN wins only where nothing else non-null is left.
+            r#"df[df["task_id"] == "nan"].loc[df["y"].idxmax()]"#,
+            r#"df.loc[df["y"].idxmin(), "task_id"]"#,
+        ] {
+            assert_differential(&db, text, true);
+        }
     }
 
     #[test]
@@ -786,14 +802,13 @@ mod tests {
         }
     }
 
-    #[test]
-    fn dataflow_shadowed_telemetry_column_is_poisoned_not_wrong() {
+    /// Five tasks, one of whose dataflow keys shadows the bare frame name
+    /// of the telemetry-derived `gpu_percent_end` column.
+    fn shadowed_telemetry_db() -> Arc<ProvenanceDatabase> {
         let db = ProvenanceDatabase::shared();
         let msgs: Vec<TaskMessage> = (0..5)
             .map(|i| {
                 let b = TaskMessageBuilder::new(format!("t{i}"), "wf", "a").span(0.0, 1.0);
-                // One message's dataflow key shadows the bare frame name
-                // of the telemetry-derived column.
                 if i == 3 {
                     b.generates("gpu_percent_end", 42.0).build()
                 } else {
@@ -802,6 +817,12 @@ mod tests {
             })
             .collect();
         db.insert_batch(&msgs);
+        db
+    }
+
+    #[test]
+    fn dataflow_shadowed_telemetry_column_is_poisoned_not_wrong() {
+        let db = shadowed_telemetry_db();
         assert!(!db.documents().columnar_servable("gpu_percent_end"));
         assert!(db.documents().columnar_servable("mem_used_mb_end"));
         // The poisoned column decodes from survivors and still matches
@@ -811,6 +832,23 @@ mod tests {
             r#"df[df["task_id"] == "t3"]["gpu_percent_end"].sum()"#,
             true,
         );
+    }
+
+    /// A plan with no pushed conjunct, no limit and a column that is not
+    /// columnar is still the store's to serve: no rule sends it to the
+    /// frame.
+    #[test]
+    fn a_servable_unselective_plan_builds_no_frame() {
+        let db = shadowed_telemetry_db();
+        let query = parse(r#"df["gpu_percent_end"].sum()"#).unwrap();
+        let snap = db.snapshot();
+        let plan = provql::plan(&query, &*snap);
+        let p = &plan.pipelines()[0];
+        assert!(!p.has_pushdown() && p.scan.limit.is_none() && !p.scan.columnar_only);
+        let (got, _) = snap.query(&query);
+        assert!(!snap.oracle_built(), "a servable plan built the frame");
+        let oracle = provql::execute(&query, &snap.oracle_frame());
+        assert_eq!(got.map(|out| (*out).clone()), oracle);
     }
 
     #[test]
@@ -889,26 +927,23 @@ mod tests {
     }
 
     #[test]
-    fn nan_sort_keys_defer_to_the_oracle() {
+    fn nan_sort_keys_are_served_last_like_the_frame() {
         let db = seeded_db();
         db.documents().insert(prov_model::obj! {
             "task_id" => "nan0", "workflow_id" => "wf-raw", "activity_id" => "x",
             "started_at" => f64::NAN, "ended_at" => 1.0,
         });
-        // `Value::compare` calls mixed NaN comparisons Equal — not a
-        // strict weak order — so the pushed path must refuse and let the
-        // oracle's own stable sort define the (algorithm-defined) order.
-        let query = parse(r#"df.sort_values("started_at")[["task_id"]].head(3)"#).unwrap();
-        match run(&db, &query) {
-            Pushdown::NeedsFullFrame(_) => {}
-            Pushdown::Executed(out) => panic!("NaN sort key must not be served: {out:?}"),
-        }
-        // A filter that drops the NaN row keeps top-k servable and exact.
-        assert_differential(
-            &db,
+        // The frame ranks a NaN cell as missing — last in both directions,
+        // tied with nulls — so the store's top-k orders it the same way.
+        for text in [
+            r#"df.sort_values("started_at")[["task_id"]].head(3)"#,
+            r#"df.sort_values("started_at", ascending=False)[["task_id", "started_at"]].head(50)"#,
+            r#"df.sort_values("started_at")[["task_id"]]"#,
+            r#"df.sort_values(["duration", "started_at"], ascending=False)[["task_id"]].head(45)"#,
             r#"df[df["workflow_id"] == "wf-1"].sort_values("started_at")[["task_id"]].head(3)"#,
-            true,
-        );
+        ] {
+            assert_differential(&db, text, true);
+        }
     }
 
     #[test]
@@ -916,8 +951,7 @@ mod tests {
         let db = seeded_db();
         let snap = db.snapshot();
         // A NaN sort key lands after the pin. The snapshot cannot see the
-        // row, so its top-k must skip it inside the kernel instead of
-        // aborting to the oracle.
+        // row, so its top-k skips it inside the kernel.
         db.documents().insert(prov_model::obj! {
             "task_id" => "nan0", "workflow_id" => "wf-raw", "activity_id" => "x",
             "started_at" => f64::NAN, "ended_at" => 1.0,

@@ -79,15 +79,12 @@
 //! ([`ProvenanceDatabase::snapshot`]): a generation-pinned immutable view
 //! — refcount bump plus per-shard row high-water mark — whose reads never
 //! flush and never block on ingest. It is also the only way a provql plan
-//! executes ([`execute_plan`]): the scan kernels take the high-water mark
-//! as their row bound, and the snapshot's oracle frame is the one
-//! full-materialize fallback, which no golden question needs (a
-//! whole-width frame output still does). That frame is extended from the
-//! database's one memo — the newest built frame and its bound — by the
-//! delta rows whenever both bounds are id prefixes and the newer
-//! dominates (cloned first only when an older snapshot still shares it),
-//! so a corpus-wide question after each append costs the delta, not the
-//! corpus. Snapshot query execution consults a shared plan-keyed result
+//! executes: every plan runs through [`execute_plan`], whose scan kernels
+//! take the high-water mark as their row bound, and only a plan it cannot
+//! serve falls back to the snapshot's oracle frame — the one
+//! full-materialize build, from empty and once per snapshot, which no
+//! golden question needs (a whole-width frame output still does).
+//! Snapshot query execution consults a shared plan-keyed result
 //! cache ([`PlanCache`], keyed on
 //! `(canonical plan, generation)` via [`provql::plan::cache_key`]), and
 //! [`serve::QueryServer`] puts a bounded thread-pool front-end with

@@ -30,7 +30,7 @@ use crate::graph::{GraphBatch, GraphStore};
 use crate::pager::{ColdSegment, ColdShard, PagerCore, PagerStats};
 use crate::query::{DocQuery, GroupSpec, Op};
 use crate::segment::{self, Format, SegmentMeta};
-use crate::snapshot::{FrameMemo, StoreSnapshot};
+use crate::snapshot::StoreSnapshot;
 use crate::wal::{self, WalWriter};
 use parking_lot::Mutex;
 use prov_model::{Map, ProvRelation, TaskMessage, Value};
@@ -125,11 +125,6 @@ pub struct ProvenanceDatabase {
     /// log entries — in place, or on a clone while an older snapshot
     /// still pins it. Never held while taking `flusher` or `pending`.
     csr: Mutex<Option<(u64, Arc<CsrGraph>)>>,
-    /// The newest built oracle frame and the per-shard bound it covers
-    /// (see [`StoreSnapshot::oracle_frame`]): a newer snapshot extends it
-    /// by its delta rows instead of rebuilding. A leaf lock — never held
-    /// while taking `flusher` or `pending`.
-    frame: FrameMemo,
     /// WAL + sealed-segment state when the store was opened durably
     /// ([`ProvenanceDatabase::open`]); `None` for in-memory stores, which
     /// pay nothing for the feature.
@@ -181,7 +176,6 @@ impl ProvenanceDatabase {
             inserts: AtomicU64::new(0),
             plan_cache: PlanCache::with_max_bytes(crate::cache::MAX_BYTES),
             csr: Mutex::new(None),
-            frame: Mutex::new(None),
             durability: None,
             graph_cold: AtomicBool::new(false),
         }
@@ -498,11 +492,6 @@ impl ProvenanceDatabase {
     /// The shared plan-keyed result cache (see [`crate::cache`]).
     pub fn plan_cache(&self) -> &PlanCache {
         &self.plan_cache
-    }
-
-    /// The oracle-frame memo [`StoreSnapshot::oracle_frame`] extends.
-    pub(crate) fn frame_memo(&self) -> &FrameMemo {
-        &self.frame
     }
 
     /// CSR graph compaction covering **at least** generation `generation`
@@ -882,12 +871,6 @@ impl ProvenanceDatabase {
     /// and recompute only when it moves. Currently an alias of
     /// [`insert_count`]; a future delete/compact path must keep bumping
     /// the generation even where it leaves the insert count alone.
-    ///
-    /// The oracle frame is the exception: a moved generation does not
-    /// rebuild it. [`StoreSnapshot::oracle_frame`] keys its memo on the
-    /// per-shard row bound instead and extends the newest frame by the
-    /// rows past it (when both bounds are id prefixes), cloning it first
-    /// only while an older snapshot still shares it.
     ///
     /// [`insert_count`]: ProvenanceDatabase::insert_count
     pub fn generation(&self) -> u64 {

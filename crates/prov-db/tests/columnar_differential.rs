@@ -188,9 +188,9 @@ fn arb_raw_doc() -> impl Strategy<Value = Value> {
         (-2.0f64..20.0).prop_map(Value::Float),
         (0i64..20).prop_map(Value::Int),
         Just(Value::from("not-a-number")),
-        // NaN decodes into a NaN frame cell: a top-k sorting on it must
-        // refuse (compare() is not a strict weak order over NaN) and any
-        // other pipeline must still match the oracle cell-for-cell.
+        // NaN decodes into a NaN frame cell: a top-k sorting on it ranks
+        // it last like a null, and every pipeline must still match the
+        // oracle cell-for-cell.
         Just(Value::Float(f64::NAN)),
         Just(Value::Null),
     ];
@@ -482,10 +482,7 @@ fn run(snap: &StoreSnapshot, q: &Query) -> Pushdown {
 fn check(snap: &StoreSnapshot, q: &Query) {
     match run(snap, q) {
         Pushdown::Executed(got) => {
-            // The oracle only runs when the pushed path claims exactness:
-            // for NaN sort keys the scan refuses instead (NeedsFullFrame),
-            // because the oracle's own stable sort is the only definition
-            // of that order.
+            // The oracle only runs when the pushed path claims exactness.
             let oracle = execute(q, &snap.oracle_frame());
             assert!(
                 out_eq(&got, &oracle),

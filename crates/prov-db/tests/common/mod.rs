@@ -12,9 +12,10 @@ use std::sync::Arc;
 
 /// Golden pipelines: filters over hot string and float columns, grouped
 /// aggregation, ordered top-k through both index and heap paths, NaN
-/// arithmetic, graph-free scans, and `loc[idxmax|idxmin]` top-1 scans
-/// (whole-row ones on a key some rows lack and on a tied key) — the
-/// query families the engine's pushdown tiers split on.
+/// arithmetic and a sort on a key holding NaN, graph-free scans, and
+/// `loc[idxmax|idxmin]` top-1 scans (whole-row ones on a key some rows
+/// lack and on a tied key) — the query families the engine's pushdown
+/// tiers split on.
 pub const GOLDEN: &[&str] = &[
     r#"len(df)"#,
     r#"len(df[df["status"] == "ERROR"])"#,
@@ -34,13 +35,14 @@ pub const GOLDEN: &[&str] = &[
     r#"df.loc[df["out"].idxmax()]"#,
     r#"df.loc[df["duration"].idxmin()]"#,
     r#"df.loc[df["started_at"].idxmax(), "task_id"]"#,
+    r#"df.sort_values("y")[["task_id", "y"]].tail(3)"#,
 ];
 
 /// Deterministic corpus: hot fields cycle, every 11th `y` payload is NaN
 /// (the value the textual JSON writer cannot round-trip — the binary WAL
-/// codec must; the golden set sums it but never sorts on it, since the
-/// oracle's comparator refuses NaN sort keys), every 7th message has
-/// lineage + an agent, every 5th a dataflow payload.
+/// codec must; the golden set sums it and sorts on it, NaN rows last),
+/// every 7th message has lineage + an agent, every 5th a dataflow
+/// payload.
 pub fn corpus(n: usize) -> Vec<TaskMessage> {
     (0..n)
         .map(|i| {

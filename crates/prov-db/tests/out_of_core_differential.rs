@@ -866,26 +866,22 @@ fn reopening_under_another_geometry_matches_the_oracle() {
 }
 
 /// Shared sealed fixture for the random-pipeline differential: one
-/// directory, three stores (eager, lazy, lazy with a one-byte budget).
-fn shared_stores() -> &'static (
-    Arc<ProvenanceDatabase>,
-    Arc<ProvenanceDatabase>,
-    Arc<ProvenanceDatabase>,
-) {
-    static STORES: std::sync::OnceLock<(
-        Arc<ProvenanceDatabase>,
-        Arc<ProvenanceDatabase>,
-        Arc<ProvenanceDatabase>,
-    )> = std::sync::OnceLock::new();
-    STORES.get_or_init(|| {
+/// directory, a snapshot of each of three stores (eager, lazy, lazy with
+/// a one-byte budget). Nothing is ingested after the pin, so each
+/// snapshot builds its oracle frame once for every case; the pushed
+/// paths still page under each budget per query.
+fn shared_snapshots() -> &'static [Arc<StoreSnapshot>; 3] {
+    static SNAPS: std::sync::OnceLock<[Arc<StoreSnapshot>; 3]> = std::sync::OnceLock::new();
+    SNAPS.get_or_init(|| {
         let (chunk, nshards) = geometry();
         let msgs = corpus(chunk * nshards + 9);
         let dir = fresh_dir("prop");
         seal_corpus(&dir, &msgs);
-        let eager = open_replayed(&dir);
-        let lazy = open_lazy(&dir, 64 << 20);
-        let tiny = open_lazy(&dir, 1);
-        (eager, lazy, tiny)
+        [
+            open_replayed(&dir).snapshot(),
+            open_lazy(&dir, 64 << 20).snapshot(),
+            open_lazy(&dir, 1).snapshot(),
+        ]
     })
 }
 
@@ -919,83 +915,42 @@ proptest! {
             _ => unreachable!(),
         };
         let queries = [text.as_str()];
-        let (eager, lazy, tiny) = shared_stores();
-        let want = fingerprint(&eager.snapshot(), &queries);
-        prop_assert_eq!(&fingerprint(&lazy.snapshot(), &queries), &want, "lazy drifted: {}", text);
-        prop_assert_eq!(&fingerprint(&tiny.snapshot(), &queries), &want, "tiny-budget drifted: {}", text);
+        let [eager, lazy, tiny] = shared_snapshots();
+        let want = fingerprint(eager, &queries);
+        prop_assert_eq!(&fingerprint(lazy, &queries), &want, "lazy drifted: {}", text);
+        prop_assert_eq!(&fingerprint(tiny, &queries), &want, "tiny-budget drifted: {}", text);
     }
 }
 
-/// The frame a snapshot's `oracle_frame` must equal, as a `Debug`
-/// fingerprint (NaN cells compare by their rendering): a fresh
-/// `from_messages` over the visible documents, decoded in id order.
-fn fresh_frame(snap: &StoreSnapshot) -> String {
-    let msgs: Vec<TaskMessage> = snap
-        .find(&DocQuery::new())
-        .iter()
-        .filter_map(|d| TaskMessage::from_value(d))
-        .collect();
-    scrub_index_maps(format!("{:?}", DataFrame::from_messages(&msgs)))
-}
-
-/// `snap`'s (possibly memo-extended) oracle frame, fingerprinted.
-fn oracle_frame(snap: &StoreSnapshot) -> String {
-    scrub_index_maps(format!("{:?}", snap.oracle_frame()))
-}
-
-/// Extending the memo reads only the delta rows: on a lazily reopened
-/// store under a one-byte budget, the first frame pages every sealed
-/// chunk, and a newer snapshot's frame — extended by resident rows —
-/// pages nothing, yet equals a fresh build.
-#[test]
-fn extending_the_oracle_frame_pages_no_sealed_chunk() {
-    let (chunk, nshards) = geometry();
-    let msgs = corpus(2 * chunk * nshards + 5);
-    let (sealed, rest) = msgs.split_at(chunk * nshards + 3);
-    let dir = fresh_dir("frame-delta");
-    seal_corpus(&dir, sealed);
-
-    let db = open_lazy(&dir, 1);
-    let first = db.snapshot();
-    let before = db.pager_stats();
-    assert_eq!(oracle_frame(&first), fresh_frame(&first));
-    assert!(
-        page_ins(&db, before).1 > 0,
-        "the first build reads the sealed rows"
-    );
-    drop(first);
-
-    db.insert_batch_shared(rest.iter().cloned().map(Arc::new));
-    let newer = db.snapshot();
-    let before = db.pager_stats();
-    let extended = oracle_frame(&newer);
-    assert_eq!(page_ins(&db, before), (0, 0), "an extension pages nothing");
-    assert_eq!(extended, fresh_frame(&newer));
-    drop(newer);
-    drop(db);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Shared message feed for the frame-memo proptest.
+/// Shared message feed for the oracle-frame proptest.
 fn feed() -> &'static [TaskMessage] {
     static FEED: std::sync::OnceLock<Vec<TaskMessage>> = std::sync::OnceLock::new();
     FEED.get_or_init(|| corpus(1200))
+}
+
+/// The frame of the first `n` feed messages, as a `Debug` fingerprint
+/// (NaN cells compare by their rendering).
+fn feed_frame(n: usize) -> String {
+    scrub_index_maps(format!("{:?}", DataFrame::from_messages(&feed()[..n])))
+}
+
+/// `snap`'s oracle frame, fingerprinted.
+fn oracle_frame(snap: &StoreSnapshot) -> String {
+    scrub_index_maps(format!("{:?}", snap.oracle_frame()))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Random ingest / seal / compact / reopen / snapshot interleavings
-    /// at 1–4 shards: after every step, the memo-extended oracle frame
-    /// of a fresh snapshot — and of every snapshot still held, asked in
-    /// any order — equals a fresh `from_messages` build. Held snapshots
-    /// put older-after-newer requests (a rebuild from empty) and shared
-    /// frames (the clone-before-extend path) in play; in-memory cases
-    /// also insert undecodable documents, and durable cases reopen lazily
-    /// under the configured or a one-byte budget, so builds read paged
-    /// sealed chunks.
+    /// at 1–4 shards: after every step, the oracle frame of a fresh
+    /// snapshot — and of every snapshot still held, asked in any order —
+    /// equals `from_messages` over the feed messages it can see. In-memory
+    /// cases also insert undecodable documents, which the frame skips;
+    /// durable cases reopen lazily under the configured or a one-byte
+    /// budget, so builds read paged sealed chunks.
     #[test]
-    fn memo_extended_oracle_frame_matches_a_fresh_build(
+    fn oracle_frame_over_paged_chunks_matches_the_ingested_messages(
         shards in 1usize..5,
         chunk in prop_oneof![Just(16usize), Just(64usize)],
         durable in any::<bool>(),
@@ -1009,7 +964,7 @@ proptest! {
             resident_bytes: if tiny { 1 } else { env.resident_bytes },
             ..env
         };
-        let dir = fresh_dir("frame-memo");
+        let dir = fresh_dir("oracle-frame");
         let open = || ProvenanceDatabase::open_with(&dir, config).expect("open durable");
         let mut db = if durable {
             open()
@@ -1017,7 +972,8 @@ proptest! {
             Arc::new(ProvenanceDatabase::with_shards(shards))
         };
         let mut next = 0;
-        let mut held: Vec<Arc<StoreSnapshot>> = Vec::new();
+        // Each held snapshot with the feed prefix it sees.
+        let mut held: Vec<(Arc<StoreSnapshot>, usize)> = Vec::new();
         for (step, &(op, n)) in ops.iter().enumerate() {
             match op {
                 0 | 1 => {
@@ -1047,24 +1003,24 @@ proptest! {
                     db = open();
                 }
                 5 | 6 => {
-                    held.push(db.snapshot());
+                    held.push((db.snapshot(), next));
                     if held.len() > 3 {
                         held.remove(n % held.len());
                     }
                 }
                 _ => {
-                    // Ask a held snapshot now: often older than the memo.
+                    // Ask a held snapshot now, after newer ingest.
                     if !held.is_empty() {
-                        let snap = &held[n % held.len()];
-                        prop_assert_eq!(oracle_frame(snap), fresh_frame(snap), "held, step {}", step);
+                        let (snap, seen) = &held[n % held.len()];
+                        prop_assert_eq!(oracle_frame(snap), feed_frame(*seen), "held, step {}", step);
                     }
                 }
             }
             let snap = db.snapshot();
-            prop_assert_eq!(oracle_frame(&snap), fresh_frame(&snap), "step {} op {}", step, op);
-            for (i, old) in held.iter().enumerate() {
+            prop_assert_eq!(oracle_frame(&snap), feed_frame(next), "step {} op {}", step, op);
+            for (i, (old, seen)) in held.iter().enumerate() {
                 if old.oracle_built() {
-                    prop_assert_eq!(oracle_frame(old), fresh_frame(old), "held {} after step {}", i, step);
+                    prop_assert_eq!(oracle_frame(old), feed_frame(*seen), "held {} after step {}", i, step);
                 }
             }
         }

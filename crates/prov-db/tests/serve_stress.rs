@@ -26,14 +26,16 @@ fn readers() -> usize {
 }
 
 /// The golden query mix a dashboard-style reader cycles through: pushed
-/// equality, pushed range + projection, top-k, columnar aggregate, and a
-/// corpus-wide stage-machine query (oracle fallback path).
+/// equality, pushed range + projection, top-k, columnar aggregate, a
+/// corpus-wide columnar sum, and a whole-width frame output (the oracle
+/// fallback path).
 const GOLDEN: &[&str] = &[
     r#"len(df[df["activity_id"] == "act1"])"#,
     r#"df[df["started_at"] >= 50.0][["task_id", "started_at"]].head(5)"#,
     r#"df.sort_values("started_at", ascending=False)[["task_id"]].head(3)"#,
     r#"df.groupby("activity_id")["duration"].mean()"#,
     r#"df["duration"].sum()"#,
+    r#"df[df["activity_id"] == "act2"]"#,
 ];
 
 /// Reader rounds between two checks of the oracle frame against a
@@ -41,7 +43,7 @@ const GOLDEN: &[&str] = &[
 const FRAME_CHECK_EVERY: usize = 3;
 
 /// `DataFrame::from_messages` over the snapshot's visible documents in id
-/// order: what its oracle frame must be, however it was built.
+/// order: what its oracle frame, pushed one document at a time, must be.
 fn fresh_frame(snap: &StoreSnapshot) -> DataFrame {
     let msgs: Vec<TaskMessage> = snap
         .find(&DocQuery::new())
@@ -109,9 +111,8 @@ fn snapshot_answers_match_oracle_under_concurrent_ingest() {
                         snap.len(),
                         "oracle frame must cover exactly the visible rows"
                     );
-                    // The frame is extended from the store's memo, which
-                    // the other readers extend concurrently at their own
-                    // generations: it must still be a fresh build's.
+                    // Built while writers append: still exactly the
+                    // batch build of the snapshot's visible rows.
                     if rounds.is_multiple_of(FRAME_CHECK_EVERY) {
                         assert!(
                             *oracle == fresh_frame(&snap),

@@ -198,9 +198,9 @@ pub struct ScanNode {
     pub columns: Option<Vec<String>>,
     /// True when every column in [`columns`] is columnar-capable: the
     /// executor can answer the scan entirely from column vectors, without
-    /// decoding a single document — which also makes *unselective*
-    /// pipelines (no pushed conjunct at all, e.g. a corpus-wide group-by)
-    /// cheaper through the scan than through a cached full frame rebuild.
+    /// decoding a single document. No engine path routes on it — every
+    /// plan runs through the store's executor first; benchmarks read it
+    /// to attribute their spans.
     ///
     /// [`columns`]: ScanNode::columns
     pub columnar_only: bool,
@@ -208,11 +208,10 @@ pub struct ScanNode {
     /// the store can all order ([`PushdownCapability::pushable_sort`]),
     /// reached with no residual filter in front. The executor must return
     /// rows in the *frame's* sort order for these keys (nulls last, ties
-    /// by insertion order, `Value::compare` semantics); the original
-    /// [`PlanNode::Sort`] is kept downstream as a safety net — a stable
-    /// re-sort of already-ordered rows is the identity whenever the key
-    /// comparator is a strict weak order, and executors must fall back to
-    /// the oracle in the one case it is not (NaN keys). A leading
+    /// by insertion order, `dataframe::sort_cell_cmp` semantics, NaN ranked
+    /// with the nulls); the original [`PlanNode::Sort`] is kept downstream
+    /// as a safety net — a stable re-sort of already-ordered rows under
+    /// that total preorder is the identity. A leading
     /// `loc[df[c].idxmax()]` / `idxmin()` sets it too, to `c` alone, with a
     /// limit of 1 and a pushed `c.notna()`: a top-1 scan.
     pub sort: Vec<(String, bool)>,
@@ -280,7 +279,8 @@ pub struct PipelinePlan {
 
 impl PipelinePlan {
     /// True when the scan pushes at least one filter — i.e. planning
-    /// found index-servable work (used by diagnostics and benchmarks).
+    /// found index-servable work. No engine path routes on it; benchmarks
+    /// and diagnostics read it.
     pub fn has_pushdown(&self) -> bool {
         !self.scan.pushed.is_empty()
     }
@@ -387,10 +387,10 @@ fn plan_pipeline(p: &Pipeline, caps: &dyn PushdownCapability, count_only: bool) 
     // walk), and a head() behind it becomes the scan's limit. Together
     // they turn the scan into a top-k request; a head() with no pushed
     // sort in front still sees exactly the first n scanned rows, as
-    // before. The Sort and Limit nodes are kept downstream (a stable
-    // re-sort of ordered rows is the identity for strict-weak key
-    // comparators, and head is idempotent), so pushdown remains an upper
-    // bound, never a semantic change.
+    // before. The Sort and Limit nodes are kept downstream (the frame's
+    // sort rule is a total preorder, so a stable re-sort of ordered rows
+    // is the identity, and head is idempotent), so pushdown remains an
+    // upper bound, never a semantic change.
     if scan.residual.is_none() {
         if let Some(PlanNode::Residual(Stage::LocIdx { column, max, .. })) = ops.first() {
             lower_loc_extreme(&mut scan, column, *max, caps);
@@ -431,9 +431,10 @@ fn plan_pipeline(p: &Pipeline, caps: &dyn PushdownCapability, count_only: bool) 
 /// single-cell) into a top-1 scan: a pushed `c.notna()`, a pushed sort on
 /// `c` (descending for `idxmax`) and a pushed limit of 1. The `LocIdx`
 /// node stays downstream and runs over the at most one survivor. Exact
-/// because `idxmax`/`idxmin` skip null cells and keep the first extreme,
-/// while a top-k scan orders ties by id — the frame's row order — and
-/// refuses NaN keys; no survivor leaves `LocIdx` its own empty-input error.
+/// because `idxmax`/`idxmin` skip null cells, rank NaN below every other
+/// cell and keep the first extreme, while a top-k scan sorts NaN with the
+/// nulls and orders ties by id — the frame's row order; no survivor
+/// leaves `LocIdx` its own empty-input error.
 /// Callers only lower at a clean scan prefix (no residual filter in
 /// front), where the scan's survivors are exactly the frame's rows.
 fn lower_loc_extreme(scan: &mut ScanNode, column: &str, max: bool, caps: &dyn PushdownCapability) {
