@@ -70,7 +70,7 @@ fn bench_batch_ingest(c: &mut Criterion) {
             b.iter(|| {
                 let db = ProvenanceDatabase::new();
                 db.insert_batch_shared(shared.iter().cloned());
-                db.flush_views();
+                db.flush_views().expect("flush");
                 black_box(db.insert_count())
             })
         },

@@ -2,15 +2,27 @@
 //!
 //! The recovery differential suite simulates crashes by truncating WAL
 //! bytes; this binary injects the real thing. For each run it spawns
-//! itself as a child (`--crash-child`) with `PROVDB_CRASH_AFTER=<n>`:
-//! the child streams a deterministic corpus through a durable store and
-//! the store's WAL writer syncs exactly `n` records and then
-//! `abort()`s — mid-batch, views half-applied, by design at the worst
-//! spot. The parent reopens the directory and holds recovery to the
-//! contract:
+//! itself as a child (`--crash-child`) that streams a deterministic
+//! corpus through a durable store and dies by `abort()` at one of two
+//! kinds of crash point, alternating run by run:
 //!
-//! * the recovered insert count is exactly `min(n, total)` — nothing a
-//!   sync covered is lost, nothing past the abort leaks in;
+//! * a **record** count, `PROVDB_CRASH_AFTER=<n>`: the store's WAL writer
+//!   syncs exactly `n` records and aborts — mid-batch, views
+//!   half-applied, by design at the worst spot;
+//! * a **seal step** (`prov_db::crashpoint`), the `k`-th time the write
+//!   path reaches it: just after a WAL file switch, with a seal in flight
+//!   (one segment renamed), after every segment rename and before the
+//!   WAL files below the cutoff are deleted, after that deletion and
+//!   before the catalog swap, or after the swap and before compaction.
+//!   The seal steps run on the store's background sealer while the
+//!   child goes on ingesting, so the abort lands beside a live flush.
+//!
+//! The parent reopens the directory and holds recovery to the contract:
+//!
+//! * the recovered insert count is exactly `min(n, total)` for a record
+//!   crash — nothing a sync covered is lost, nothing past the abort
+//!   leaks in — and, for a seal-step crash, at least every arrival of
+//!   the flushes the child reported complete and at most one batch more;
 //! * every golden pipeline answers **byte-identically** to a
 //!   never-crashed oracle over that prefix — through **both** open
 //!   paths: the lazy `ProvenanceDatabase::open` (sealed rows attached
@@ -28,10 +40,12 @@
 //! catalog the footers carry.
 //!
 //! Crash points come from a seeded LCG so a CI leg loops a reproducible
-//! schedule: `crash_harness --runs 12 --seed 7`. Any mismatch leaves the
+//! schedule: `crash_harness --runs 12 --seed 7` (six record crashes, and
+//! each seal step at least once). Any mismatch leaves the
 //! durable directory in place (under `PROVDB_TEST_ARTIFACT_DIR` when
 //! set) and exits non-zero so CI can upload the bytes.
 
+use prov_db::crashpoint::{self, Point};
 use prov_db::{Config, ProvenanceDatabase};
 use prov_model::{TaskMessage, TaskMessageBuilder, TaskStatus};
 use provql::{execute, parse};
@@ -40,6 +54,15 @@ use std::sync::Arc;
 
 const TOTAL: usize = 600;
 const BATCH: usize = 7;
+
+/// The seal steps a crash can be placed at, by their command-line names.
+const POINTS: &[(&str, Point)] = &[
+    ("wal-switched", Point::WalSwitched),
+    ("seal-in-flight", Point::SealInFlight),
+    ("segments-renamed", Point::SegmentsRenamed),
+    ("wal-retired", Point::WalRetired),
+    ("catalog-swapped", Point::CatalogSwapped),
+];
 
 const GOLDEN: &[&str] = &[
     r#"len(df)"#,
@@ -151,18 +174,26 @@ fn artifact_root() -> PathBuf {
 }
 
 /// Child: stream the corpus into the durable store at `dir`, flushing
-/// every batch. `PROVDB_CRASH_AFTER` (set by the parent) aborts the
-/// process from inside the WAL writer.
-fn run_child(dir: &str) -> i32 {
+/// every batch and reporting each completed flush on stdout.
+/// `PROVDB_CRASH_AFTER` (set by the parent) aborts the process from
+/// inside the WAL writer; `point` arms a seal-step crash instead.
+fn run_child(dir: &str, point: Option<(Point, u64)>) -> i32 {
+    if let Some((point, nth)) = point {
+        crashpoint::arm(point, nth);
+    }
     let msgs = corpus(TOTAL);
     let db = ProvenanceDatabase::open_with(dir, config()).expect("child: open durable store");
+    let mut flushed = 0;
     for (i, chunk) in msgs.chunks(BATCH).enumerate() {
         db.insert_batch_shared(chunk.iter().cloned().map(Arc::new));
-        db.flush_views();
+        db.flush_views().expect("flush");
+        flushed += chunk.len();
+        println!("flushed {flushed}");
         if i == TOTAL / BATCH / 2 {
             db.compact_segments().expect("child: compact");
         }
     }
+    drop(db);
     0
 }
 
@@ -176,29 +207,48 @@ fn run_parent(runs: u64, seed: u64) -> i32 {
         rng = rng
             .wrapping_mul(6_364_136_223_846_793_005)
             .wrapping_add(1_442_695_040_888_963_407);
-        // Crash points across the whole schedule, including a tail past
-        // the corpus (clean completion) every so often.
-        let crash_at = 1 + ((rng >> 33) as usize % (TOTAL + TOTAL / 10));
+        let draw = (rng >> 33) as usize;
+        let mut child = std::process::Command::new(&exe);
+        child.stderr(std::process::Stdio::null());
+        // Even runs: record crashes across the whole schedule, including
+        // a tail past the corpus (clean completion) every so often. Odd
+        // runs: the seal steps in turn, each at one of its first reaches.
+        let (what, tag, crash_at) = if run % 2 == 0 {
+            let crash_at = 1 + draw % (TOTAL + TOTAL / 10);
+            child.env("PROVDB_CRASH_AFTER", crash_at.to_string());
+            let what = format!("crash_at={crash_at}");
+            (what, format!("at{crash_at}"), Some(crash_at))
+        } else {
+            let (name, _) = POINTS[(run as usize / 2) % POINTS.len()];
+            let nth = 1 + draw % 4;
+            child.args(["--point", name, &nth.to_string()]);
+            (format!("point={name}#{nth}"), format!("{name}-{nth}"), None)
+        };
         let dir = root.join(format!(
-            "provdb-crash-{}-run{}-at{}",
-            std::process::id(),
-            run,
-            crash_at
+            "provdb-crash-{}-run{run}-{tag}",
+            std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let status = std::process::Command::new(&exe)
+        let out = child
             .args(["--crash-child", dir.to_str().expect("utf-8 dir")])
-            .env("PROVDB_CRASH_AFTER", crash_at.to_string())
-            .stdout(std::process::Stdio::null())
-            .stderr(std::process::Stdio::null())
-            .status()
+            .output()
             .expect("spawn crash child");
-        let expect = crash_at.min(TOTAL) as u64;
-        if crash_at >= TOTAL && !status.success() {
-            eprintln!("run {run}: child crashed past the corpus (crash_at={crash_at})");
+        let flushed = String::from_utf8_lossy(&out.stdout)
+            .lines()
+            .rev()
+            .find_map(|l| l.strip_prefix("flushed ")?.parse::<u64>().ok())
+            .unwrap_or(0);
+        if crash_at.is_some_and(|n| n > TOTAL) && !out.status.success() {
+            eprintln!("run {run}: child crashed past the corpus ({what})");
             failures += 1;
             continue;
         }
+        // A record crash recovers exactly its count; a seal-step crash
+        // every completed flush, and at most the batch in flight.
+        let expect = match crash_at {
+            Some(n) => n.min(TOTAL) as u64..=n.min(TOTAL) as u64,
+            None => flushed..=(flushed + BATCH as u64).min(TOTAL as u64),
+        };
         // Recover through the default lazy path first (sealed prefix
         // attached cold, the graph hydrated on first access) …
         let lazy = ProvenanceDatabase::open_with(&dir, config()).expect("parent: recover (lazy)");
@@ -216,9 +266,9 @@ fn run_parent(runs: u64, seed: u64) -> i32 {
             .expect("parent: recover store (replayed)");
         let replayed_ok = replayed.insert_count() == got && fingerprint(&replayed) == want;
         drop(replayed);
-        if got != expect || !lazy_ok || !replayed_ok {
+        if !expect.contains(&got) || !lazy_ok || !replayed_ok {
             eprintln!(
-                "run {run}: MISMATCH crash_at={crash_at} recovered={got} expect={expect} \
+                "run {run}: MISMATCH {what} recovered={got} expect={expect:?} \
                  lazy_identical={lazy_ok} replayed_identical={replayed_ok}; artifacts kept at {}",
                 dir.display()
             );
@@ -226,7 +276,7 @@ fn run_parent(runs: u64, seed: u64) -> i32 {
             continue;
         }
         println!(
-            "run {run}: ok crash_at={crash_at} recovered={got} sealed_slots={} segments={} \
+            "run {run}: ok {what} recovered={got} sealed_slots={} segments={} \
              wal_tail={} paged_in={}",
             stats.sealed_slots, stats.segments, stats.wal_tail, paged.paged_in
         );
@@ -243,8 +293,18 @@ fn run_parent(runs: u64, seed: u64) -> i32 {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    if args.len() >= 3 && args[1] == "--crash-child" {
-        std::process::exit(run_child(&args[2]));
+    if let Some(at) = args.iter().position(|a| a == "--crash-child") {
+        let dir = args.get(at + 1).expect("--crash-child <dir>");
+        let point = args.iter().position(|a| a == "--point").map(|p| {
+            let name = args.get(p + 1).expect("--point <name> <nth>");
+            let (_, point) = POINTS
+                .iter()
+                .find(|(n, _)| n == name)
+                .unwrap_or_else(|| panic!("unknown crash point `{name}`"));
+            let nth = args.get(p + 2).and_then(|n| n.parse().ok());
+            (*point, nth.expect("--point <name> <nth>"))
+        });
+        std::process::exit(run_child(dir, point));
     }
     let mut runs = 8u64;
     let mut seed = 1u64;

@@ -26,7 +26,11 @@ fn main() {
     // print the metric to stdout.
     if let Some(pos) = args.iter().position(|a| a == "--provdb-measure") {
         let which = args.get(pos + 1).cloned().unwrap_or_default();
-        println!("{}", provdb_measure(&which));
+        if which == "pin-stall" {
+            pin_stall();
+        } else {
+            println!("{}", provdb_measure(&which));
+        }
         return;
     }
 
@@ -567,6 +571,73 @@ fn provdb_corpus() -> Vec<prov_model::TaskMessage> {
         .collect()
 }
 
+/// `--provdb-measure pin-stall`: how long a snapshot pin and an ingest
+/// flush wait while the store seals. A durable store at the default
+/// `Config` takes 80,000 messages of the bench corpus in 64-message
+/// `flush_views` batches (two or more seals at the default geometry)
+/// while a reader pins a snapshot every 2 ms; prints p50, p99 and max of
+/// both, in ms.
+fn pin_stall() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::{Duration, Instant};
+    let msgs: Vec<std::sync::Arc<prov_model::TaskMessage>> = provdb_corpus()
+        .into_iter()
+        .take(80_000)
+        .map(std::sync::Arc::new)
+        .collect();
+    let dir = std::env::temp_dir().join(format!("provdb-bench-pin-stall-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let db = prov_db::ProvenanceDatabase::open_with(&dir, prov_db::Config::default())
+        .expect("open the pin-stall store");
+    let done = AtomicBool::new(false);
+    let (mut pins, mut flushes) = std::thread::scope(|s| {
+        let reader = s.spawn(|| {
+            let mut pins = Vec::new();
+            while !done.load(Ordering::Relaxed) {
+                let t = Instant::now();
+                let snap = db.snapshot();
+                pins.push(t.elapsed());
+                drop(snap);
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            pins
+        });
+        let flushes: Vec<Duration> = msgs
+            .chunks(64)
+            .map(|batch| {
+                let t = Instant::now();
+                db.insert_batch_shared(batch.iter().cloned());
+                db.flush_views().expect("flush");
+                t.elapsed()
+            })
+            .collect();
+        done.store(true, Ordering::Relaxed);
+        (reader.join().expect("reader"), flushes)
+    });
+    db.wait_for_seal().expect("seal");
+    let stats = db.durable_stats().expect("durable");
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+    let summary = |v: &mut Vec<Duration>| {
+        v.sort();
+        let ms = |d: Duration| d.as_secs_f64() * 1e3;
+        let at = |q: usize| ms(v[(v.len() * q / 100).min(v.len() - 1)]);
+        format!(
+            "n {} p50 {:.3} ms p99 {:.3} ms max {:.3} ms",
+            v.len(),
+            at(50),
+            at(99),
+            ms(*v.last().expect("samples"))
+        )
+    };
+    println!("pin-stall pin:   {}", summary(&mut pins));
+    println!("pin-stall flush: {}", summary(&mut flushes));
+    println!(
+        "pin-stall store: sealed_slots {} segments {} compactions {}",
+        stats.sealed_slots, stats.segments, stats.compactions
+    );
+}
+
 /// Seed `root` with the benchmark corpus as a durable store and seal
 /// every complete chunk into columnar segments, so a reopen finds sealed
 /// coverage with only the chunk-unaligned remainder left in the WAL tail
@@ -577,7 +648,7 @@ fn seed_sealed_store(root: &std::path::Path, msgs: &[prov_model::TaskMessage]) {
         msgs.iter().cloned().map(std::sync::Arc::new).collect();
     let db = prov_db::ProvenanceDatabase::open(root).expect("seed sealed bench store");
     db.insert_batch_shared(shared);
-    db.flush_views();
+    db.flush_views().expect("flush");
     db.seal_now().expect("seal bench store");
 }
 
@@ -780,7 +851,7 @@ fn provdb_measure(which: &str) -> f64 {
             best_of(5, || {
                 let db = ProvenanceDatabase::new();
                 db.insert_batch_shared(shared.iter().cloned());
-                db.flush_views();
+                db.flush_views().expect("flush");
                 std::hint::black_box(db.insert_count());
             })
         }
@@ -1051,7 +1122,7 @@ fn provdb_measure(which: &str) -> f64 {
             best_of(3, || {
                 let db = ProvenanceDatabase::new();
                 db.insert_batch_shared(shared.iter().cloned());
-                db.flush_views();
+                db.flush_views().expect("flush");
                 std::hint::black_box(db.insert_count());
             })
         }
@@ -1064,7 +1135,7 @@ fn provdb_measure(which: &str) -> f64 {
                 let _ = std::fs::remove_dir_all(&root);
                 let db = ProvenanceDatabase::open(&root).expect("open durable bench store");
                 db.insert_batch_shared(shared.iter().cloned());
-                db.flush_views();
+                db.flush_views().expect("flush");
                 std::hint::black_box(db.insert_count());
             });
             let _ = std::fs::remove_dir_all(&root);
@@ -1087,7 +1158,7 @@ fn provdb_measure(which: &str) -> f64 {
                     msgs.iter().cloned().map(std::sync::Arc::new).collect();
                 let db = ProvenanceDatabase::open(&root).expect("open durable bench store");
                 db.insert_batch_shared(shared.iter().cloned());
-                db.flush_views();
+                db.flush_views().expect("flush");
             }
             let t = best_of(3, || {
                 let db = ProvenanceDatabase::open(&root).expect("recover bench store");

@@ -120,7 +120,7 @@ fn golden_questions_on_a_lazy_reopen_stay_off_the_oracle_frame() {
         let half = msgs.len() / 2;
         for part in [&msgs[..half], &msgs[half..]] {
             db.insert_batch(part);
-            db.flush_views();
+            db.flush_views().expect("flush");
             db.seal_now().expect("seal");
         }
     }

@@ -706,17 +706,13 @@ impl DocumentStore {
     pub(crate) fn find_bounded(&self, query: &DocQuery, bound: &[usize]) -> Vec<Arc<Value>> {
         let mut hits = self.matching(self.candidates(&query.conditions), query, bound);
         if let Some((path, ascending)) = &query.sort {
-            // Stable sort over id-ordered hits: ties keep insertion order,
-            // exactly like the single-lock engine.
+            // The frame's total order (NaN ranks with nulls, last in both
+            // directions); a stable sort over id-ordered hits keeps ties
+            // in id order.
             hits.sort_by(|(_, a), (_, b)| {
                 let va = a.get_path(path).unwrap_or(&Value::Null);
                 let vb = b.get_path(path).unwrap_or(&Value::Null);
-                let o = va.compare(vb);
-                if *ascending {
-                    o
-                } else {
-                    o.reverse()
-                }
+                dataframe::sort_cell_cmp(va, vb, *ascending)
             });
         }
         if let Some(n) = query.limit {
@@ -1922,6 +1918,46 @@ mod tests {
             out[0].get_path("generated.duration").unwrap().as_f64(),
             Some(7.0)
         );
+    }
+
+    /// A sort key holding NaN beside other floats sorts by the frame's
+    /// rule — NaN with the nulls, last in both directions, ties in id
+    /// order — instead of panicking on a comparator that is not total.
+    #[test]
+    fn sort_with_nan_keys_is_total() {
+        let s = DocumentStore::new();
+        let x = |i: usize| {
+            if i.is_multiple_of(3) {
+                f64::NAN
+            } else {
+                (i * 7 % 64) as f64
+            }
+        };
+        for i in 0..64 {
+            s.insert(obj! { "task_id" => format!("t{i}"), "x" => x(i) });
+        }
+        for ascending in [true, false] {
+            let out = s.find(&DocQuery::new().sort_by("x", ascending));
+            let ids: Vec<usize> = out
+                .iter()
+                .map(|d| {
+                    d.get("task_id").and_then(Value::as_str).unwrap()[1..]
+                        .parse()
+                        .unwrap()
+                })
+                .collect();
+            let mut want: Vec<usize> = (0..64).filter(|i: &usize| !i.is_multiple_of(3)).collect();
+            want.sort_by(|&a, &b| {
+                let o = x(a).total_cmp(&x(b));
+                if ascending {
+                    o
+                } else {
+                    o.reverse()
+                }
+            });
+            want.extend((0..64).filter(|i: &usize| i.is_multiple_of(3)));
+            assert_eq!(ids, want, "ascending={ascending}");
+        }
     }
 
     #[test]

@@ -134,6 +134,8 @@ pub(crate) mod wal;
 
 pub mod cache;
 pub mod config;
+#[doc(hidden)]
+pub mod crashpoint;
 pub mod csr;
 pub mod document;
 pub mod exec;

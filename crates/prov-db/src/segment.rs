@@ -2,7 +2,7 @@
 //!
 //! A durable store ([`crate::store::ProvenanceDatabase::open`]) period-
 //! ically seals the already-materialized prefix of every document-store
-//! shard to disk and rotates the sealed records out of the WAL. A
+//! shard to disk and deletes the WAL files the segments cover. A
 //! segment is one shard's rows `[start, end)` — always whole
 //! `PROVDB_CHUNK`-row chunks, so the in-memory chunk zone maps of
 //! [`crate::columnar`] can be serialized *as* the segment footer instead
@@ -559,8 +559,8 @@ fn segment_name(nshards: u32, shard: u32, start: u64, end: u64) -> String {
 }
 
 /// Per-chunk byte runs laid end to end: chunk `c` is
-/// `bytes[bounds[c]..bounds[c + 1]]`. A segment file's column region is
-/// one of these, and compaction gathers document regions the same way.
+/// `bytes[bounds[c]..bounds[c + 1]]`: a seal's column region, exported
+/// under the flusher lock and written by the sealer.
 pub(crate) struct ChunkRuns {
     bytes: Vec<u8>,
     bounds: Vec<u64>,
@@ -579,18 +579,17 @@ impl ChunkRuns {
         self.bounds.push(self.bytes.len() as u64);
     }
 
+    /// Write the chunks to `out` and return their bounds (a region writer
+    /// for [`write_file`]).
+    fn write_to(&self, out: &mut impl Write) -> std::io::Result<Vec<u64>> {
+        out.write_all(&self.bytes)?;
+        Ok(self.bounds.clone())
+    }
+
     /// The chunks' bytes, end to end.
     #[cfg(test)]
     pub(crate) fn bytes(&self) -> &[u8] {
         &self.bytes
-    }
-
-    /// Append `other`'s chunks after this one's.
-    fn append(&mut self, other: ChunkRuns) {
-        let base = self.bytes.len() as u64;
-        self.bytes.extend_from_slice(&other.bytes);
-        self.bounds
-            .extend(other.bounds[1..].iter().map(|b| b + base));
     }
 }
 
@@ -914,14 +913,21 @@ fn write_tail(f: &mut impl Write, footer: &[u8]) -> std::io::Result<()> {
     f.write_all(TAIL_MAGIC)
 }
 
+/// The chunk bounds of a region written run after run: each run's bounds
+/// (relative to its own start) shifted behind the ones before.
+fn extend_bounds(bounds: &mut Vec<u64>, run: &[u64]) {
+    let base = *bounds.last().expect("bounds start at 0");
+    bounds.extend(run[1..].iter().map(|b| b + base));
+}
+
 /// Write `meta`'s file atomically (temp file, fsync, rename): the header,
-/// the document region `write_docs` streams (returning its relative chunk
-/// bounds), the column region `cols`, and the footer — `tables` (already
-/// serialized) then the layout.
+/// the document region `write_docs` streams and then the column region
+/// `write_cols` streams (each returning its relative chunk bounds), and
+/// the footer — `tables` (already serialized) then the layout.
 fn write_file(
     meta: &SegmentMeta,
     write_docs: impl FnOnce(&mut BufWriter<File>) -> std::io::Result<Vec<u64>>,
-    cols: &ChunkRuns,
+    write_cols: impl FnOnce(&mut BufWriter<File>) -> std::io::Result<Vec<u64>>,
     tables: Vec<u8>,
 ) -> std::io::Result<()> {
     let tmp = meta.path.with_extension("tmp");
@@ -929,13 +935,13 @@ fn write_file(
         let mut f = BufWriter::new(File::create(&tmp)?);
         write_header(&mut f, meta.format.magic(), meta)?;
         let doc_bounds = write_docs(&mut f)?;
-        debug_assert_eq!(doc_bounds.len(), cols.bounds.len());
-        f.write_all(&cols.bytes)?;
+        let col_bounds = write_cols(&mut f)?;
+        debug_assert_eq!(doc_bounds.len(), col_bounds.len());
         let cols_at = DATA_START + doc_bounds.last().expect("bounds start at 0");
         let mut footer = tables;
         Layout {
             docs: doc_bounds.iter().map(|b| DATA_START + b).collect(),
-            cols: cols.bounds.iter().map(|b| cols_at + b).collect(),
+            cols: col_bounds.iter().map(|b| cols_at + b).collect(),
         }
         .put(&mut footer);
         write_tail(&mut f, &footer)?;
@@ -960,7 +966,7 @@ pub(crate) fn write_segment(
     write_file(
         meta,
         |f| write_records(f, docs, meta.chunk_rows()),
-        cols,
+        |f| cols.write_to(f),
         zones.to_bytes(),
     )
 }
@@ -1278,23 +1284,21 @@ fn tables_prefix_compatible(footers: &[Option<Footer>]) -> bool {
     })
 }
 
-/// The footer-reuse merge: gather the inputs' record regions and column
+/// The footer-reuse merge: copy the inputs' record regions and column
 /// blocks (verifying every checksum, decoding nothing) into the merged
-/// file, under a footer assembled from the inputs' already-serialized
-/// chunk directories.
+/// file one chunk at a time, under a footer assembled from the inputs'
+/// already-serialized chunk directories. Holds one chunk's bytes at a
+/// time, however long the merged history.
 fn compact_runs_reusing_footers(
     dir: &Path,
     runs: &[SegmentMeta],
     footers: Vec<Footer>,
 ) -> std::io::Result<SegmentMeta> {
     let first = &runs[0];
-    let mut docs = ChunkRuns::new();
-    let mut cols = ChunkRuns::new();
-    for (run, footer) in runs.iter().zip(&footers) {
-        let layout = footer.layout.as_ref().expect("PSEG4 has a layout");
-        docs.append(read_record_region(run)?);
-        cols.append(read_col_region(run, layout)?);
-    }
+    let (zones, layouts): (Vec<ZoneTables>, Vec<Layout>) = footers
+        .into_iter()
+        .map(|f| (f.zones, f.layout.expect("PSEG4 has a layout")))
+        .unzip();
     let n_docs: usize = runs.iter().map(|r| r.n_docs as usize).sum();
     let merged = SegmentMeta::new(
         dir,
@@ -1304,49 +1308,75 @@ fn compact_runs_reusing_footers(
         first.chunk,
         n_docs,
     );
-    let zones = merge_footers(footers.into_iter().map(|f| f.zones).collect());
+    let zones = merge_footers(zones);
+    let copy = |f: &mut BufWriter<File>, region: Region| {
+        let mut bounds = vec![0u64];
+        for (run, layout) in runs.iter().zip(&layouts) {
+            extend_bounds(&mut bounds, &copy_region(run, layout, region, f)?);
+        }
+        Ok(bounds)
+    };
     write_file(
         &merged,
-        |f| {
-            f.write_all(&docs.bytes)?;
-            Ok(docs.bounds.clone())
-        },
-        &cols,
+        |f| copy(f, Region::Records),
+        |f| copy(f, Region::Cols),
         zones.to_bytes(),
     )?;
     remove_inputs(dir, runs, &merged);
     Ok(merged)
 }
 
-/// A segment's raw record region (`[len][crc][payload]*`) cut into its
-/// chunks, with every record's structure and checksum verified but no
-/// payload decoded.
-fn read_record_region(meta: &SegmentMeta) -> std::io::Result<ChunkRuns> {
-    let mut f = File::open(&meta.path)?;
-    let hdr = read_header(&meta.path, &mut f)?;
-    let mut bytes = Vec::new();
-    f.read_to_end(&mut bytes)?;
-    let bounds = walk_records(&bytes, hdr.n_docs as usize, hdr.chunk_rows(), &meta.path)?;
-    bytes.truncate(*bounds.last().expect("bounds start at 0") as usize);
-    Ok(ChunkRuns { bytes, bounds })
+/// The two per-chunk regions of a `PSEG4` file.
+#[derive(Clone, Copy)]
+enum Region {
+    /// `[len][crc][payload]` records.
+    Records,
+    /// Column blocks, each ending in its CRC.
+    Cols,
 }
 
-/// A segment's column blocks, with every block's checksum verified.
-fn read_col_region(meta: &SegmentMeta, layout: &Layout) -> std::io::Result<ChunkRuns> {
-    let base = layout.cols[0];
+/// Copy one region of `meta`'s file to `out` chunk by chunk, verifying
+/// every record's structure and checksum, or every block's checksum,
+/// and decoding nothing. Returns the region's chunk bounds relative to
+/// its start.
+fn copy_region(
+    meta: &SegmentMeta,
+    layout: &Layout,
+    region: Region,
+    out: &mut impl Write,
+) -> std::io::Result<Vec<u64>> {
+    let offsets = match region {
+        Region::Records => &layout.docs,
+        Region::Cols => &layout.cols,
+    };
     let mut f = File::open(&meta.path)?;
-    f.seek(SeekFrom::Start(base))?;
-    let mut bytes = vec![0u8; (layout.cols[layout.cols.len() - 1] - base) as usize];
-    f.read_exact(&mut bytes)?;
-    let bounds: Vec<u64> = layout.cols.iter().map(|o| o - base).collect();
-    for w in bounds.windows(2) {
-        let block = &bytes[w[0] as usize..w[1] as usize];
-        let (body, crc) = block.split_at(block.len().saturating_sub(4));
-        if crc.len() != 4 || crc32(&[body]) != u32::from_le_bytes(crc.try_into().expect("4")) {
-            return Err(corrupt("column block checksum mismatch", &meta.path));
+    f.seek(SeekFrom::Start(offsets[0]))?;
+    let chunk = meta.chunk_rows();
+    let mut bytes = Vec::new();
+    for (c, w) in offsets.windows(2).enumerate() {
+        bytes.resize((w[1] - w[0]) as usize, 0);
+        f.read_exact(&mut bytes)?;
+        let intact = match region {
+            Region::Records => {
+                let rows = chunk.min(meta.n_docs as usize - c * chunk);
+                let bounds = walk_records(&bytes, rows, chunk, &meta.path)?;
+                bounds.last() == Some(&(bytes.len() as u64))
+            }
+            Region::Cols => {
+                let (body, crc) = bytes.split_at(bytes.len().saturating_sub(4));
+                crc.len() == 4 && crc32(&[body]) == u32::from_le_bytes(crc.try_into().expect("4"))
+            }
+        };
+        if !intact {
+            let fault = match region {
+                Region::Records => "record region does not match its layout",
+                Region::Cols => "column block checksum mismatch",
+            };
+            return Err(corrupt(fault, &meta.path));
         }
+        out.write_all(&bytes)?;
     }
-    Ok(ChunkRuns { bytes, bounds })
+    Ok(offsets.iter().map(|o| o - offsets[0]).collect())
 }
 
 /// Concatenate prefix-compatible footers: the last column table maps
@@ -1410,7 +1440,7 @@ pub(crate) mod tests {
             return write_file(
                 &meta,
                 |f| write_records(f, &docs, chunk),
-                &runs,
+                |f| runs.write_to(f),
                 zones.to_bytes(),
             );
         }
@@ -1475,7 +1505,12 @@ pub(crate) mod tests {
             encode_col_block(&cols, c, &held, &mut runs.bytes);
             runs.close_chunk();
         }
-        write_file(&meta, |f| write_records(f, &docs, chunk), &runs, out)
+        write_file(
+            &meta,
+            |f| write_records(f, &docs, chunk),
+            |f| runs.write_to(f),
+            out,
+        )
     }
 
     use dataframe::{cmp_matches, CmpOp};

@@ -6,7 +6,10 @@
 //! [`ProvenanceDatabase`], which stay for ingest/admin. That makes
 //! "reads don't block writers" a type-level property — a snapshot method
 //! never takes the flusher lock and never mutates a view, so a query
-//! storm can run entirely in parallel with ingest bursts.
+//! storm can run entirely in parallel with ingest bursts. Taking the pin
+//! waits only for the flushes queued before it: a durable store's seals
+//! write, retire the WAL and compact on a background sealer that never
+//! takes the flusher lock.
 //!
 //! A snapshot pins `(generation, per-shard row high-water mark)` at
 //! creation ([`ProvenanceDatabase::snapshot`]). The document shards are

@@ -21,15 +21,26 @@
 //! * [`ProvenanceDatabase::insert_batch`] is the eager path for callers
 //!   holding plain `&TaskMessage`s: it materializes immediately (after
 //!   draining any pending log, so arrival order is preserved).
+//!
+//! A durable store ([`ProvenanceDatabase::open`]) logs every drained
+//! batch to its WAL — one file per seal unit, see `wal.rs` —
+//! before any view sees it, and seals whole chunks into segments every
+//! `Config::seal_rows` arrivals. The materialization that makes a seal
+//! due only exports its rows (`Arc` handles and column blocks); a
+//! background sealer, at most one seal in flight, writes the segments,
+//! deletes the WAL files they cover, publishes them in the catalog and
+//! compacts, so pins and flushes never wait for segment I/O.
+//! `docs/durability.md` has the lock order and the crash ordering.
 
 use crate::cache::PlanCache;
 use crate::config::Config;
+use crate::crashpoint::{self, Point};
 use crate::csr::CsrGraph;
 use crate::document::DocumentStore;
 use crate::graph::{GraphBatch, GraphStore};
 use crate::pager::{ColdSegment, ColdShard, PagerCore, PagerStats};
 use crate::query::{DocQuery, GroupSpec, Op};
-use crate::segment::{self, Format, SegmentMeta};
+use crate::segment::{self, ChunkRuns, Format, SegmentMeta, ZoneTables};
 use crate::snapshot::StoreSnapshot;
 use crate::wal::{self, WalWriter};
 use parking_lot::Mutex;
@@ -38,6 +49,7 @@ use std::collections::btree_map::{BTreeMap, Entry};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 /// Sealed runs one shard may accumulate before they are compacted into
 /// one segment.
@@ -52,7 +64,9 @@ pub struct DurableStats {
     /// Arrivals not yet covered by sealed segments (the WAL tail a
     /// recovery would replay).
     pub wal_tail: u64,
-    /// Per-shard sealed row count (uniform across shards).
+    /// Per-shard sealed row count (uniform across shards), as
+    /// published: a background seal in flight counts once it has
+    /// written its segments ([`ProvenanceDatabase::wait_for_seal`]).
     pub sealed_slots: u64,
     /// Sealed segment files currently on disk.
     pub segments: usize,
@@ -67,14 +81,57 @@ pub struct DurableStats {
     pub foreign_segments: usize,
 }
 
+/// A lock granted first come, first served. The flusher lock is one: a
+/// writer flushing batch after batch re-takes an unfair mutex before a
+/// woken pin can, and starves it for as long as the writer keeps going
+/// (see `repro --provdb-measure pin-stall`). Here each caller draws a
+/// ticket and waits for its turn, so a pin waits for at most the flushes
+/// that queued before it.
+#[derive(Default)]
+struct FifoLock {
+    /// `(next ticket, ticket being served)`.
+    tickets: std::sync::Mutex<(u64, u64)>,
+    turn: std::sync::Condvar,
+}
+
+/// Holding a [`FifoLock`]; dropping it serves the next ticket.
+struct FifoGuard<'a>(&'a FifoLock);
+
+impl FifoLock {
+    fn lock(&self) -> FifoGuard<'_> {
+        let mut t = self.tickets.lock().unwrap_or_else(|e| e.into_inner());
+        let mine = t.0;
+        t.0 += 1;
+        while t.1 != mine {
+            t = self.turn.wait(t).unwrap_or_else(|e| e.into_inner());
+        }
+        FifoGuard(self)
+    }
+}
+
+impl Drop for FifoGuard<'_> {
+    fn drop(&mut self) {
+        let mut t = self.0.tickets.lock().unwrap_or_else(|e| e.into_inner());
+        t.1 += 1;
+        let waiting = t.0 != t.1;
+        drop(t);
+        if waiting {
+            self.0.turn.notify_all();
+        }
+    }
+}
+
 /// WAL half of the durable state: the appender plus the next arrival
-/// index. One lock, taken on every materialization pass.
+/// index. One lock, taken on every materialization pass and, briefly, by
+/// a seal retiring the files below its cutoff.
 struct WalState {
     writer: WalWriter,
     next_seq: u64,
 }
 
-/// Segment half of the durable state: sealed coverage and the catalog.
+/// Segment half of the durable state: the published sealed coverage and
+/// the catalog. Only a seal or a compaction changes it, and at most one
+/// of them runs at a time.
 struct SealState {
     /// Rows of every shard covered by sealed segments (current epoch).
     slots: u64,
@@ -82,17 +139,136 @@ struct SealState {
     compactions: u64,
 }
 
+/// The background sealer: at most one seal in flight.
+struct Sealer {
+    /// Rows of every shard sealed once the in-flight seal publishes (the
+    /// published coverage when none is in flight): the seal trigger
+    /// counts arrivals past it, so seals cut where synchronous ones would.
+    target: u64,
+    inflight: Option<JoinHandle<std::io::Result<()>>>,
+}
+
 /// Everything [`ProvenanceDatabase::open`] attaches to make the store
-/// durable. Lock order: `flusher` → `wal` → `seal` (durability locks
-/// are only ever taken under the flusher lock, so seals, rotations, and
-/// appends serialize with materialization).
+/// durable; shared with the sealer thread.
+///
+/// Lock order: `flusher` → `sealer` → `wal` → `seal`. Materialization
+/// appends under `flusher` + `wal` and exports a due seal under
+/// `flusher` + `sealer`; the sealer thread then takes `wal` (to retire
+/// files) and `seal` (to publish) one at a time, never `flusher`, so a
+/// pin or a flush never waits for a segment write.
 struct Durability {
     dir: PathBuf,
-    wal_path: PathBuf,
     wal: Mutex<WalState>,
     seal: Mutex<SealState>,
+    sealer: Mutex<Sealer>,
     /// [`DurableStats::foreign_segments`].
     foreign_segments: usize,
+}
+
+/// One seal, exported under the flusher lock and written off it: per
+/// shard, the segment to write with its rows' documents, footer tables
+/// and column blocks.
+struct SealJob {
+    segments: Vec<(SegmentMeta, Vec<Arc<Value>>, ZoneTables, ChunkRuns)>,
+    /// The per-shard sealed row count once published.
+    slots: u64,
+}
+
+impl SealJob {
+    /// Write the segments (each synced and renamed into place), delete
+    /// the WAL files they cover, publish them in the catalog, and compact.
+    /// A crash at any step loses nothing: until the segments are renamed
+    /// the WAL holds every row, and after it recovery dedupes the rows
+    /// both hold by arrival.
+    fn run(self, d: &Durability) -> std::io::Result<()> {
+        let cutoff = self.slots * self.segments.len() as u64;
+        let mut metas = Vec::with_capacity(self.segments.len());
+        for (meta, docs, zones, cols) in self.segments {
+            segment::write_segment(&meta, &docs, &cols, &zones)?;
+            if metas.is_empty() {
+                crashpoint::reach(Point::SealInFlight);
+            }
+            metas.push(meta);
+        }
+        crashpoint::reach(Point::SegmentsRenamed);
+        let retired = d.wal.lock().writer.retire_below(cutoff);
+        wal::remove_files(&d.dir, &retired);
+        crashpoint::reach(Point::WalRetired);
+        {
+            let mut seal = d.seal.lock();
+            seal.slots = self.slots;
+            seal.segments.extend(metas);
+        }
+        crashpoint::reach(Point::CatalogSwapped);
+        d.compact(COMPACT_FANIN)
+    }
+}
+
+impl Durability {
+    /// Wait for the in-flight seal, if any, and return its outcome. After
+    /// a failed one the trigger counts from the published coverage again.
+    fn join(&self, sealer: &mut Sealer) -> std::io::Result<()> {
+        let Some(handle) = sealer.inflight.take() else {
+            return Ok(());
+        };
+        let outcome = handle
+            .join()
+            .unwrap_or_else(|_| Err(std::io::Error::other("provdb: the sealer panicked")));
+        if outcome.is_err() {
+            sealer.target = self.seal.lock().slots;
+        }
+        outcome
+    }
+
+    /// Compact sealed runs: merge every maximal contiguous same-shard
+    /// chain of at least `fanin` segments into one. The merges read and
+    /// write files without a lock (only the caller changes the catalog);
+    /// the result is published under `seal` at the end, the chains merged
+    /// before a failure included.
+    fn compact(&self, fanin: usize) -> std::io::Result<()> {
+        let mut groups: BTreeMap<(u32, u32), Vec<SegmentMeta>> = BTreeMap::new();
+        for m in self.seal.lock().segments.iter() {
+            groups
+                .entry((m.nshards, m.shard))
+                .or_default()
+                .push(m.clone());
+        }
+        let mut rebuilt = Vec::new();
+        let mut merged_runs = 0u64;
+        let mut outcome = Ok(());
+        for (_, mut metas) in groups {
+            metas.sort_by_key(|m| m.start);
+            let mut i = 0;
+            while i < metas.len() {
+                // Maximal contiguous chain starting at i (equal chunk
+                // sizes — compaction rebuilds zones at that granularity).
+                let mut j = i + 1;
+                while j < metas.len()
+                    && metas[j].start == metas[j - 1].end
+                    && metas[j].chunk == metas[i].chunk
+                {
+                    j += 1;
+                }
+                if j - i >= fanin && outcome.is_ok() {
+                    match segment::compact_runs(&self.dir, &metas[i..j]) {
+                        Ok(merged) => {
+                            merged_runs += (j - i) as u64;
+                            rebuilt.push(merged);
+                            i = j;
+                            continue;
+                        }
+                        Err(e) => outcome = Err(e),
+                    }
+                }
+                rebuilt.extend(metas[i..j].iter().cloned());
+                i = j;
+            }
+        }
+        let mut seal = self.seal.lock();
+        seal.segments = rebuilt;
+        seal.compactions += merged_runs;
+        outcome
+    }
 }
 
 /// Unified provenance database over document + graph backends.
@@ -110,9 +286,10 @@ pub struct ProvenanceDatabase {
     /// `Arc`s: accepting a message is one pointer append. Never held
     /// during materialization, so accepts stay non-blocking.
     pending: Mutex<Vec<Arc<TaskMessage>>>,
-    /// Serializes materialization passes. Lock order: `flusher` before
-    /// `pending`; accept takes only `pending`.
-    flusher: Mutex<()>,
+    /// Serializes materialization passes, in arrival order (see
+    /// [`FifoLock`]). Lock order: `flusher` before `pending`; accept
+    /// takes only `pending`.
+    flusher: FifoLock,
     inserts: AtomicU64,
     /// Shared plan-keyed result cache, consulted by every
     /// [`StoreSnapshot`] of this database (entries are keyed on the
@@ -128,7 +305,7 @@ pub struct ProvenanceDatabase {
     /// WAL + sealed-segment state when the store was opened durably
     /// ([`ProvenanceDatabase::open`]); `None` for in-memory stores, which
     /// pay nothing for the feature.
-    durability: Option<Durability>,
+    durability: Option<Arc<Durability>>,
     /// Set by a lazy open: the graph backend does not yet hold the sealed
     /// prefix. The first graph read hydrates it in one pass (see
     /// [`hydrate_graph`](Self::hydrate_graph)); until then,
@@ -172,7 +349,7 @@ impl ProvenanceDatabase {
             documents,
             graph: GraphStore::new(),
             pending: Mutex::new(Vec::new()),
-            flusher: Mutex::new(()),
+            flusher: FifoLock::default(),
             inserts: AtomicU64::new(0),
             plan_cache: PlanCache::with_max_bytes(crate::cache::MAX_BYTES),
             csr: Mutex::new(None),
@@ -216,10 +393,9 @@ impl ProvenanceDatabase {
     fn open_durable(dir: &Path, config: Config, replay: bool) -> std::io::Result<Arc<Self>> {
         let dir = dir.to_path_buf();
         std::fs::create_dir_all(&dir)?;
-        let wal_path = dir.join("wal.log");
 
         let mut segs = segment::scan_dir(&dir)?;
-        let records = wal::read_records(&wal_path)?;
+        let wal_files = wal::scan(&dir)?;
         let mut db = Self::with_config(config);
         let n = db.documents.shard_count() as u64;
         let chunk = db.documents.chunk_rows() as u64;
@@ -283,8 +459,9 @@ impl ProvenanceDatabase {
         // Assemble the arrivals from `base` on — past the cold coverage,
         // or all of them on a replay — from the segments (each names the
         // arrival indexes it covers, so segments of any geometry serve)
-        // and then the WAL's valid prefix. Duplicates (a crash between
-        // segment rename and WAL rotation) dedupe by arrival index.
+        // and then the WAL files' valid prefixes. Duplicates (a crash
+        // between segment rename and WAL retirement) dedupe by arrival
+        // index.
         let base = if cold.is_some() { slots * n } else { 0 };
         let mut by_seq: BTreeMap<u64, Value> = BTreeMap::new();
         for seg in &segs {
@@ -300,7 +477,7 @@ impl ProvenanceDatabase {
             }
         }
         let mut syms = wal::SymTable::default();
-        for r in &records {
+        for r in wal_files.iter().flat_map(|f| &f.records) {
             if r.seq < base {
                 continue;
             }
@@ -319,8 +496,9 @@ impl ProvenanceDatabase {
 
         // Normalize the WAL before appending to it: a torn tail record
         // must not be left in front of fresh appends (replay would stop
-        // at the tear and lose them).
-        wal::rewrite(&wal_path, &records)?;
+        // at the tear and lose them), and a legacy `wal.log` is written
+        // forward as a per-unit file.
+        let wal_files = wal::normalize(&dir, wal_files, next)?;
 
         if let Some((core, shards, irregular)) = cold {
             // Attach order matters: the cold prefix must be in place
@@ -340,10 +518,16 @@ impl ProvenanceDatabase {
         db.materialize_docs(assembled);
         db.inserts.store(next, Ordering::Relaxed);
 
-        let writer = WalWriter::open(&wal_path, config.wal_sync, config.crash_after)?;
-        db.durability = Some(Durability {
+        let writer = WalWriter::open(
+            &dir,
+            chunk * n,
+            wal_files,
+            next,
+            config.wal_sync,
+            config.crash_after,
+        )?;
+        db.durability = Some(Arc::new(Durability {
             dir,
-            wal_path,
             wal: Mutex::new(WalState {
                 writer,
                 next_seq: next,
@@ -353,8 +537,12 @@ impl ProvenanceDatabase {
                 segments: segs,
                 compactions: 0,
             }),
+            sealer: Mutex::new(Sealer {
+                target: slots,
+                inflight: None,
+            }),
             foreign_segments,
-        });
+        }));
         Ok(Arc::new(db))
     }
 
@@ -463,7 +651,7 @@ impl ProvenanceDatabase {
 
     /// The document backend, with pending ingest materialized.
     pub fn documents(&self) -> &DocumentStore {
-        self.flush_views();
+        let _ = self.flush_views();
         &self.documents
     }
 
@@ -478,7 +666,7 @@ impl ProvenanceDatabase {
     /// lazy open, the sealed prefix hydrated).
     pub fn graph(&self) -> &GraphStore {
         self.hydrate_graph();
-        self.flush_views();
+        let _ = self.flush_views();
         &self.graph
     }
 
@@ -521,7 +709,7 @@ impl ProvenanceDatabase {
         // (the count bumps under the pending lock, after the append), so
         // the flush below materializes it and the extension covers it.
         let floor = self.generation().max(generation);
-        self.flush_views();
+        let _ = self.flush_views();
         // Extending holds the memo lock (it is never held while taking
         // `flusher` or `pending`), so snapshots of one generation share
         // one extension pass.
@@ -575,7 +763,9 @@ impl ProvenanceDatabase {
             )
         };
         if !batch.is_empty() {
-            self.materialize(batch.iter().map(|m| m.as_ref()));
+            // A WAL refusal reaches the flushing caller only; the pin
+            // sees what was logged.
+            let _ = self.materialize(batch.iter().map(|m| m.as_ref()));
         }
         let hwm = self.documents.shard_rows();
         Arc::new(StoreSnapshot::new(Arc::clone(self), generation, hwm))
@@ -603,13 +793,21 @@ impl ProvenanceDatabase {
     /// separate flusher lock serializes materialization passes — a reader
     /// that raced an in-progress flush blocks here until that flush's
     /// messages are fully visible, preserving read-your-accepts.
-    pub fn flush_views(&self) {
+    ///
+    /// On a durable store the drained messages are logged first, and an
+    /// `Err` means the WAL refused some of them (a full disk, a failed
+    /// sync): the store keeps and answers the logged prefix of the drain
+    /// and drops the rest, exactly as a reopen would see it. They still
+    /// count in [`insert_count`](Self::insert_count), which counts
+    /// accepted messages. The implicit flushes of reads swallow the
+    /// error, so a durable writer flushes explicitly.
+    pub fn flush_views(&self) -> std::io::Result<()> {
         let _flush = self.flusher.lock();
         let batch = std::mem::take(&mut *self.pending.lock());
         if batch.is_empty() {
-            return;
+            return Ok(());
         }
-        self.materialize(batch.iter().map(|m| m.as_ref()));
+        self.materialize(batch.iter().map(|m| m.as_ref())).1
     }
 
     /// Insert one task message into both backends (eager path).
@@ -619,7 +817,9 @@ impl ProvenanceDatabase {
 
     /// Eager bulk insert for callers holding owned messages: one
     /// serialization per message, one batch per backend. Drains the pending
-    /// log first so view order matches arrival order.
+    /// log first so view order matches arrival order. Returns how many of
+    /// `msgs` were stored: on a durable store, those the WAL logged (see
+    /// [`flush_views`](Self::flush_views)).
     ///
     /// The flusher lock is held across the drain *and* this batch's own
     /// materialization + count bump, so a concurrent [`snapshot`] can
@@ -631,45 +831,55 @@ impl ProvenanceDatabase {
         let _flush = self.flusher.lock();
         let batch = std::mem::take(&mut *self.pending.lock());
         if !batch.is_empty() {
-            self.materialize(batch.iter().map(|m| m.as_ref()));
+            let _ = self.materialize(batch.iter().map(|m| m.as_ref()));
         }
-        let n = self.materialize(msgs);
+        let (n, _) = self.materialize(msgs);
         self.inserts.fetch_add(n as u64, Ordering::Relaxed);
         n
     }
 
-    /// Serialize `msgs`, log them on a durable store, and install them in
-    /// every view. Returns how many messages were materialized.
-    fn materialize<'a>(&self, msgs: impl IntoIterator<Item = &'a TaskMessage>) -> usize {
+    /// Serialize `msgs`, log them on a durable store, install them in
+    /// every view, and export a seal if one is due. Returns how many
+    /// messages were materialized, and the WAL's refusal if it refused
+    /// some: then only the logged prefix is installed.
+    fn materialize<'a>(
+        &self,
+        msgs: impl IntoIterator<Item = &'a TaskMessage>,
+    ) -> (usize, std::io::Result<()>) {
         // One serialization, shared by the document and graph backends:
         // the activity node's properties *are* the document,
         // so property-graph ingest costs no map construction at all.
-        let docs: Vec<Arc<Value>> = msgs.into_iter().map(|m| Arc::new(m.to_value())).collect();
-        let n = docs.len();
-        if n == 0 {
-            return 0;
-        }
+        let mut docs: Vec<Arc<Value>> = msgs.into_iter().map(|m| Arc::new(m.to_value())).collect();
+        let Some(d) = &self.durability else {
+            let n = docs.len();
+            self.materialize_docs(docs);
+            return (n, Ok(()));
+        };
         // Durable stores serialize the drained batch into the WAL before
         // any view observes it; the arrival index is assigned here, under
-        // the flusher lock every materialization holds. A WAL that cannot
-        // take the batch must not pretend it did — all whole-store state
-        // is already unrecoverable at that point, so fail loudly.
-        if let Some(d) = &self.durability {
+        // the flusher lock every materialization holds. What the WAL
+        // refused is dropped, so the views hold what a reopen replays.
+        let mut outcome = Ok(());
+        {
             let mut wal_state = d.wal.lock();
             let base = wal_state.next_seq;
-            wal_state
-                .writer
-                .append(base, &docs)
-                .expect("provdb: WAL append failed");
-            wal_state.next_seq += n as u64;
+            if let Err((logged, e)) = wal_state.writer.append(base, &docs) {
+                let msg = format!(
+                    "provdb: the WAL refused {} of {} arrivals: {e}",
+                    docs.len() - logged,
+                    docs.len()
+                );
+                outcome = Err(std::io::Error::new(e.kind(), msg));
+                docs.truncate(logged);
+            }
+            wal_state.next_seq += docs.len() as u64;
         }
-        self.materialize_docs(docs);
-        if self.durability.is_some() {
-            // Best-effort: a failed seal leaves everything in the WAL,
-            // which is bigger but just as durable.
-            let _ = self.seal_locked(false);
+        let n = docs.len();
+        if n > 0 {
+            self.materialize_docs(docs);
+            self.start_seal(d);
         }
-        n
+        (n, outcome)
     }
 
     /// Install serialized documents in the document store, then the graph
@@ -689,42 +899,56 @@ impl ProvenanceDatabase {
         }
     }
 
-    /// Seal everything sealable now: drain pending ingest, then write
-    /// per-shard segments for every complete chunk of materialized rows
-    /// and rotate the sealed records out of the WAL. Returns the sealed
-    /// per-shard row count. No-op (`Ok(0)`) on in-memory stores.
-    pub fn seal_now(&self) -> std::io::Result<u64> {
-        let _flush = self.flusher.lock();
-        let batch = std::mem::take(&mut *self.pending.lock());
-        if !batch.is_empty() {
-            self.materialize(batch.iter().map(|m| m.as_ref()));
+    /// Hand a due seal to a fresh sealer thread. Caller holds the flusher
+    /// lock. Best-effort: a seal that fails leaves its rows in the WAL,
+    /// which is bigger but just as durable, and the next trigger retries.
+    fn start_seal(&self, d: &Arc<Durability>) {
+        let mut sealer = d.sealer.lock();
+        if sealer.inflight.as_ref().is_some_and(|h| h.is_finished()) {
+            let _ = d.join(&mut sealer);
         }
-        self.seal_locked(true)
+        let Ok(Some(job)) = self.seal_job(d, &mut sealer, false) else {
+            return;
+        };
+        let shared = Arc::clone(d);
+        let spawned = std::thread::Builder::new()
+            .name("provdb-sealer".into())
+            .spawn(move || job.run(&shared));
+        match spawned {
+            Ok(handle) => sealer.inflight = Some(handle),
+            Err(_) => sealer.target = d.seal.lock().slots,
+        }
     }
 
-    /// Seal sealed-but-uncovered rows into per-shard segments. Caller
-    /// holds the flusher lock (directly or via `materialize`). With
-    /// `force`, seals whenever at least one whole chunk per shard is
-    /// uncovered; otherwise only once `Config::seal_rows` arrivals
-    /// accumulated.
-    fn seal_locked(&self, force: bool) -> std::io::Result<u64> {
-        let Some(d) = &self.durability else {
-            return Ok(0);
-        };
+    /// Export the seal due now, if any: the rows every shard holds past
+    /// the sealer's target, cut at a whole chunk, as `Arc` handles and
+    /// column blocks (shards are append-only, so they never change after).
+    /// Caller holds the flusher lock and `sealer`. With `force`, a seal
+    /// is due whenever at least one whole chunk per shard is unsealed;
+    /// otherwise only once `Config::seal_rows` arrivals accumulated past
+    /// the target. Waits for the in-flight seal first, so at most one is
+    /// in flight and each starts where the previous ends.
+    fn seal_job(
+        &self,
+        d: &Durability,
+        sealer: &mut Sealer,
+        force: bool,
+    ) -> std::io::Result<Option<SealJob>> {
         let nshards = self.documents.shard_count() as u64;
         let chunk = self.documents.chunk_rows() as u64;
         let next_seq = d.wal.lock().next_seq;
-        let slots = d.seal.lock().slots;
-        if !force && next_seq.saturating_sub(slots * nshards) < self.config.seal_rows {
-            return Ok(slots);
+        if !force && next_seq.saturating_sub(sealer.target * nshards) < self.config.seal_rows {
+            return Ok(None);
         }
         // Seal uniformly: every shard advances to the same chunk-aligned
         // row count, so the covered arrivals are exactly `0..m * n`.
         let m_new = ((next_seq / nshards) / chunk) * chunk;
-        if m_new <= slots {
-            return Ok(slots);
+        if m_new <= sealer.target {
+            return Ok(None);
         }
-        let mut new_metas = Vec::with_capacity(nshards as usize);
+        let _ = d.join(sealer);
+        let slots = sealer.target;
+        let mut segments = Vec::with_capacity(nshards as usize);
         for s in 0..nshards {
             let (docs, zones, cols) = self
                 .documents
@@ -743,81 +967,63 @@ impl ProvenanceDatabase {
                 chunk as u32,
                 docs.len(),
             );
-            segment::write_segment(&meta, &docs, &cols, &zones)?;
-            new_metas.push(meta);
+            segments.push((meta, docs, zones, cols));
         }
-        // Rotate: the WAL keeps only arrivals past the sealed coverage.
-        // Segments are synced and renamed first, so a crash anywhere in
-        // here loses nothing — at worst the WAL still holds (and replay
-        // dedupes) records the segments already cover.
-        {
-            let mut wal_state = d.wal.lock();
-            let cutoff = m_new * nshards;
-            let tail: Vec<wal::RawRecord> = wal::read_records(&d.wal_path)?
-                .into_iter()
-                .filter(|r| r.seq >= cutoff)
-                .collect();
-            wal::rewrite(&d.wal_path, &tail)?;
-            let written = wal_state.writer.written();
-            let mut writer =
-                WalWriter::open(&d.wal_path, self.config.wal_sync, self.config.crash_after)?;
-            writer.set_written(written);
-            wal_state.writer = writer;
-        }
-        let mut seal = d.seal.lock();
-        seal.slots = m_new;
-        seal.segments.extend(new_metas);
-        Self::compact_catalog(d, &mut seal, COMPACT_FANIN)?;
-        Ok(m_new)
+        sealer.target = m_new;
+        Ok(Some(SealJob {
+            segments,
+            slots: m_new,
+        }))
     }
 
-    /// Compact sealed runs: merge every maximal contiguous same-shard
-    /// chain of at least `fanin` segments into one. Runs off the accept
-    /// path (seal time or explicit call), never under shard locks.
-    fn compact_catalog(d: &Durability, seal: &mut SealState, fanin: usize) -> std::io::Result<()> {
-        let mut groups: BTreeMap<(u32, u32), Vec<SegmentMeta>> = BTreeMap::new();
-        for m in seal.segments.drain(..) {
-            groups.entry((m.nshards, m.shard)).or_default().push(m);
-        }
-        let mut rebuilt = Vec::new();
-        for (_, mut metas) in groups {
-            metas.sort_by_key(|m| m.start);
-            let mut i = 0;
-            while i < metas.len() {
-                // Maximal contiguous chain starting at i (equal chunk
-                // sizes — compaction rebuilds zones at that granularity).
-                let mut j = i + 1;
-                while j < metas.len()
-                    && metas[j].start == metas[j - 1].end
-                    && metas[j].chunk == metas[i].chunk
-                {
-                    j += 1;
-                }
-                if j - i >= fanin {
-                    let merged = segment::compact_runs(&d.dir, &metas[i..j])?;
-                    seal.compactions += (j - i) as u64;
-                    rebuilt.push(merged);
-                } else {
-                    rebuilt.extend(metas[i..j].iter().cloned());
-                }
-                i = j;
-            }
-        }
-        seal.segments = rebuilt;
-        Ok(())
-    }
-
-    /// Merge every contiguous run of two or more sealed segments per
-    /// shard right now. Returns how many segment files remain. No-op on
-    /// in-memory stores.
-    pub fn compact_segments(&self) -> std::io::Result<usize> {
+    /// Seal everything sealable now, on the calling thread: drain pending
+    /// ingest, wait for the in-flight seal, then write per-shard segments
+    /// for every complete chunk of materialized rows and retire the WAL
+    /// files they cover. Returns the sealed per-shard row count. No-op
+    /// (`Ok(0)`) on in-memory stores.
+    pub fn seal_now(&self) -> std::io::Result<u64> {
         let _flush = self.flusher.lock();
+        let batch = std::mem::take(&mut *self.pending.lock());
+        if !batch.is_empty() {
+            self.materialize(batch.iter().map(|m| m.as_ref())).1?;
+        }
         let Some(d) = &self.durability else {
             return Ok(0);
         };
-        let mut seal = d.seal.lock();
-        Self::compact_catalog(d, &mut seal, 2)?;
-        Ok(seal.segments.len())
+        let mut sealer = d.sealer.lock();
+        // An automatic seal that failed is retried by this one.
+        let _ = d.join(&mut sealer);
+        if let Some(job) = self.seal_job(d, &mut sealer, true)? {
+            let outcome = job.run(d);
+            sealer.target = d.seal.lock().slots;
+            outcome?;
+        }
+        Ok(sealer.target)
+    }
+
+    /// Wait until the background seal in flight, if any, has written its
+    /// segments, retired the WAL files they cover and compacted, and
+    /// return its outcome. Afterwards the directory holds what a
+    /// synchronous seal would have left. No-op on in-memory stores.
+    pub fn wait_for_seal(&self) -> std::io::Result<()> {
+        match &self.durability {
+            Some(d) => d.join(&mut d.sealer.lock()),
+            None => Ok(()),
+        }
+    }
+
+    /// Merge every contiguous run of two or more sealed segments per
+    /// shard right now, after the in-flight seal. Returns how many segment
+    /// files remain. No-op on in-memory stores.
+    pub fn compact_segments(&self) -> std::io::Result<usize> {
+        let Some(d) = &self.durability else {
+            return Ok(0);
+        };
+        let mut sealer = d.sealer.lock();
+        let _ = d.join(&mut sealer);
+        d.compact(2)?;
+        let segments = d.seal.lock().segments.len();
+        Ok(segments)
     }
 
     /// On-disk durability counters; `None` for in-memory stores.
@@ -840,7 +1046,8 @@ impl ProvenanceDatabase {
     /// `field op lit` (frame comparison semantics)? Returns
     /// `(pruned, total)`; `None` for in-memory stores. This is the
     /// on-disk scan contract: a pruned segment never needs its
-    /// documents read.
+    /// documents read. Waits for the seal in flight, whose compaction
+    /// may be deleting the files it would read.
     pub fn sealed_prune_report(
         &self,
         field: &str,
@@ -848,6 +1055,7 @@ impl ProvenanceDatabase {
         lit: &Value,
     ) -> Option<(usize, usize)> {
         let d = self.durability.as_ref()?;
+        let _ = self.wait_for_seal();
         let seal = d.seal.lock();
         let total = seal.segments.len();
         let mut pruned = 0;
@@ -954,6 +1162,14 @@ impl Fanout {
 impl Default for ProvenanceDatabase {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+impl Drop for ProvenanceDatabase {
+    /// A dropped durable store leaves its directory as a synchronous
+    /// seal would: the in-flight seal finishes first.
+    fn drop(&mut self) {
+        let _ = self.wait_for_seal();
     }
 }
 
@@ -1133,6 +1349,76 @@ mod tests {
         let from_docs = db.find(&DocQuery::new().filter("task_id", Op::Eq, "t1"));
         let node = db.graph().node("t1").unwrap();
         assert!(Arc::ptr_eq(&from_docs[0], &node.props));
+    }
+
+    /// A seal that cannot publish — its catalog swap waits on the `seal`
+    /// lock this test holds — stalls no pin, flush or query, and they
+    /// answer like a store that never sealed.
+    #[test]
+    fn a_blocked_seal_stalls_no_pin_flush_or_query() {
+        let dir = std::env::temp_dir().join(format!("provdb-blocked-seal-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = Config {
+            shards: 2,
+            chunk_rows: 16,
+            seal_rows: 32,
+            ..Config::default()
+        };
+        let msgs: Vec<TaskMessage> = (0..48)
+            .map(|i| {
+                TaskMessageBuilder::new(format!("t{i}"), "wf", format!("act{}", i % 3))
+                    .span(i as f64, i as f64 + 0.5)
+                    .build()
+            })
+            .collect();
+        let db = ProvenanceDatabase::open_with(&dir, config).expect("open");
+        let d = Arc::clone(db.durability.as_ref().expect("durable"));
+        let held = d.seal.lock();
+        // 40 arrivals: a seal of 16 rows per shard is due and starts.
+        db.insert_batch_shared(msgs[..40].iter().cloned().map(Arc::new));
+        db.flush_views().expect("flush");
+        // Wait until it has renamed its segments and retired the WAL file
+        // below its cutoff: all that is left is the swap it cannot make.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while dir.join(wal::file_name(0)).exists() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the seal never reached its swap"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        let in_flight = |d: &Durability| d.sealer.lock().inflight.is_some();
+        assert!(in_flight(&d));
+        let pinned = db.snapshot();
+        db.insert_batch_shared(msgs[40..].iter().cloned().map(Arc::new));
+        db.flush_views()
+            .expect("a flush does not wait for the swap");
+        let snap = db.snapshot();
+        let plain = Arc::new(ProvenanceDatabase::new());
+        plain.insert_batch(&msgs[..40]);
+        let plain_pinned = plain.snapshot();
+        plain.insert_batch(&msgs[40..]);
+        let plain_snap = plain.snapshot();
+        let q = DocQuery::new()
+            .filter("activity_id", Op::Eq, "act1")
+            .sort_by("started_at", false)
+            .project(&["task_id"]);
+        let provql =
+            provql::parse(r#"df[df["activity_id"] == "act1"]["started_at"].sum()"#).unwrap();
+        for (got, want) in [(&pinned, &plain_pinned), (&snap, &plain_snap)] {
+            assert_eq!(got.len(), want.len());
+            assert_eq!(got.find(&q), want.find(&q));
+            let answer = |s: &StoreSnapshot| format!("{:?}", s.query(&provql).0);
+            assert_eq!(answer(got), answer(want));
+        }
+        assert!(in_flight(&d), "the seal is still blocked");
+        drop(held);
+        db.wait_for_seal()
+            .expect("the seal publishes once released");
+        let stats = db.durable_stats().expect("durable");
+        assert_eq!((stats.sealed_slots, stats.segments), (16, 2));
+        drop((pinned, snap, db));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

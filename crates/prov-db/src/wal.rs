@@ -7,6 +7,19 @@
 //! views observe it. A crash therefore loses at most the pending log that
 //! was never handed over — everything a flush accepted is replayable.
 //!
+//! ## Files
+//!
+//! The log is one file per **seal unit** — `chunk_rows × shards`
+//! arrivals, the rows one chunk of every shard holds — named by its first
+//! arrival (`wal-{first:020}.log`): unit `k` holds arrivals
+//! `[k·u, (k+1)·u)`. Appends switch files at every unit boundary
+//! ([`WalWriter`]). A seal's cutoff is always a unit boundary, so the
+//! seal retires the files below it by deleting them
+//! ([`WalWriter::retire_below`]) instead of reading and rewriting the
+//! log. Open reads every file in order ([`scan`]), plus the single
+//! `wal.log` older releases wrote, and [`normalize`] cuts torn tails off
+//! and writes that legacy log forward as a per-unit file.
+//!
 //! ## Record format
 //!
 //! The log is a header followed by length-prefixed, checksummed records:
@@ -30,10 +43,11 @@
 //!   rebuilds bit-identical documents (NaN payloads included, which the
 //!   textual JSON writer cannot represent).
 //!
-//! Replay accepts the longest valid prefix: the first short read, length
-//! overrun, checksum mismatch, or undecodable payload ends the log. A
-//! crash mid-append is thus indistinguishable from a clean shutdown one
-//! record earlier.
+//! Replay accepts each file's longest valid prefix: the first short
+//! read, length overrun, checksum mismatch, or undecodable payload ends
+//! the file, and recovery stops at the first arrival no file (and no
+//! segment) holds. A crash mid-append is thus indistinguishable from a
+//! clean shutdown one record earlier.
 //!
 //! ## Sync policy
 //!
@@ -59,7 +73,7 @@ use prov_model::{Map, Sym, Value};
 use std::collections::hash_map::Entry;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// File header magic.
 const MAGIC: &[u8; 6] = b"PWAL1\n";
@@ -274,9 +288,142 @@ pub(crate) fn take8(buf: &[u8], pos: &mut usize) -> Option<[u8; 8]> {
     b.try_into().ok()
 }
 
+// ---------------------------------------------------------------- files
+
+/// The single-file log that releases before per-unit files wrote. Open
+/// reads it like any other WAL file, writes its records forward as one
+/// per-unit file and removes it.
+pub(crate) const LEGACY: &str = "wal.log";
+
+/// Name of the WAL file whose first record is arrival `first`.
+pub(crate) fn file_name(first: u64) -> String {
+    format!("wal-{first:020}.log")
+}
+
+/// The arrival a WAL file name says the file starts at; `None` for any
+/// other name.
+fn parse_name(name: &str) -> Option<u64> {
+    let digits = name.strip_prefix("wal-")?.strip_suffix(".log")?;
+    if digits.len() != 20 || !digits.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    digits.parse().ok()
+}
+
+/// One WAL file as open found it.
+pub(crate) struct WalFile {
+    path: PathBuf,
+    /// The first arrival its name gives; `None` for the legacy log.
+    first: Option<u64>,
+    /// The longest valid record prefix.
+    pub(crate) records: Vec<RawRecord>,
+    /// Byte offset just past each record of `records`.
+    ends: Vec<u64>,
+    /// Bytes read: the file's length at open.
+    len: u64,
+}
+
+/// Every WAL file in `dir`, each read to its longest valid record
+/// prefix: the legacy log first, then the per-unit files by first
+/// arrival, so their records come out in arrival order.
+pub(crate) fn scan(dir: &Path) -> std::io::Result<Vec<WalFile>> {
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(dir)? {
+        let path = entry?.path();
+        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
+            continue;
+        };
+        let first = match parse_name(name) {
+            Some(first) => Some(first),
+            None if name == LEGACY => None,
+            None => continue,
+        };
+        let buf = read_file(&path)?;
+        let mut records = Vec::new();
+        let mut ends = Vec::new();
+        if buf.starts_with(MAGIC) {
+            let mut pos = MAGIC.len();
+            while let Some(record) = next_record(&buf, &mut pos) {
+                records.push(record);
+                ends.push(pos as u64);
+            }
+        }
+        files.push(WalFile {
+            path,
+            first,
+            records,
+            ends,
+            len: buf.len() as u64,
+        });
+    }
+    files.sort_by_key(|f| f.first);
+    Ok(files)
+}
+
+/// The bytes of the file at `path`, read up to the length its metadata
+/// reports (a link to a device file reads as empty, not forever).
+fn read_file(path: &Path) -> std::io::Result<Vec<u8>> {
+    let f = File::open(path)?;
+    let len = f.metadata()?.len();
+    let mut buf = Vec::with_capacity(len as usize);
+    f.take(len).read_to_end(&mut buf)?;
+    Ok(buf)
+}
+
+/// Make the WAL files `scan` found safe to append behind, given that
+/// recovery assembled every arrival below `next`: each file keeps only
+/// its records below `next` (a torn tail, or records past a gap, are cut
+/// off), a file left without a record is removed, and the legacy log is
+/// written forward as a per-unit file and removed. Returns the first
+/// arrivals of the files kept, oldest first.
+pub(crate) fn normalize(dir: &Path, files: Vec<WalFile>, next: u64) -> std::io::Result<Vec<u64>> {
+    let mut kept = Vec::with_capacity(files.len());
+    for f in files {
+        let keep = f.records.iter().take_while(|r| r.seq < next).count();
+        match f.first {
+            None => {
+                // Written forward first, removed after: a crash in between
+                // leaves both, and recovery dedupes them by arrival.
+                if keep > 0 {
+                    let first = f.records[0].seq;
+                    write_file(&dir.join(file_name(first)), &f.records[..keep])?;
+                    kept.push(first);
+                }
+                std::fs::remove_file(&f.path)?;
+                sync_dir(dir);
+            }
+            Some(_) if keep == 0 => std::fs::remove_file(&f.path)?,
+            Some(first) => {
+                let end = f.ends[keep - 1];
+                if end < f.len {
+                    let file = OpenOptions::new().write(true).open(&f.path)?;
+                    file.set_len(end)?;
+                    file.sync_data()?;
+                }
+                kept.push(first);
+            }
+        }
+    }
+    kept.sort_unstable();
+    kept.dedup();
+    Ok(kept)
+}
+
 // ---------------------------------------------------------------- writer
 
-/// Appender over the durable directory's `wal.log`.
+/// The file appends go to: its unit, its handle, and the length of its
+/// last whole record.
+struct OpenFile {
+    unit: u64,
+    file: File,
+    len: u64,
+}
+
+/// Appender over a durable directory's WAL files: one file per **seal
+/// unit** (`chunk_rows × shards` arrivals, the rows one chunk of every
+/// shard holds), named by its first arrival. Appends switch to a new file
+/// at every unit boundary, so a seal, whose cutoff is always a unit
+/// boundary, retires the files below it by deleting them.
 ///
 /// Carries the crash-point injection hook: with `crash_after` set to
 /// `n` (`PROVDB_CRASH_AFTER`), the process syncs and aborts immediately
@@ -284,7 +431,16 @@ pub(crate) fn take8(buf: &[u8], pos: &mut usize) -> Option<[u8; 8]> {
 /// the harness's simulated crash, placed at the worst possible spot
 /// (mid-batch, views half-applied).
 pub(crate) struct WalWriter {
-    file: BufWriter<File>,
+    dir: PathBuf,
+    /// Arrivals per file.
+    unit: u64,
+    /// First arrivals of the files on disk, oldest first; the open file
+    /// is the last one.
+    files: Vec<u64>,
+    open: Option<OpenFile>,
+    /// Set when a failed write could not be cut back off its file: no
+    /// later append may land behind the torn bytes.
+    poisoned: bool,
     sync: SyncPolicy,
     /// Records written by this process (drives crash injection).
     written: u64,
@@ -292,74 +448,180 @@ pub(crate) struct WalWriter {
 }
 
 impl WalWriter {
-    /// Open (or create) the log at `path` for appending. A fresh or
-    /// empty file gets the header; an existing one is trusted — replay
-    /// validated it before the writer is attached.
+    /// The appender over `dir`'s WAL files `files` (first arrivals, as
+    /// [`normalize`] returned them), whose next record is arrival `next`.
+    /// Appends go on in the last file while `next` is in its unit.
     pub(crate) fn open(
-        path: &Path,
+        dir: &Path,
+        unit: u64,
+        files: Vec<u64>,
+        next: u64,
         sync: SyncPolicy,
         crash_after: Option<u64>,
     ) -> std::io::Result<Self> {
-        let file = OpenOptions::new().create(true).append(true).open(path)?;
-        let fresh = file.metadata()?.len() == 0;
-        let mut w = Self {
-            file: BufWriter::new(file),
+        let unit = unit.max(1);
+        let open = match files.last() {
+            Some(&first) if first / unit == next / unit => {
+                let file = OpenOptions::new()
+                    .append(true)
+                    .open(dir.join(file_name(first)))?;
+                let len = file.metadata()?.len();
+                Some(OpenFile {
+                    unit: first / unit,
+                    file,
+                    len,
+                })
+            }
+            _ => None,
+        };
+        Ok(Self {
+            dir: dir.to_path_buf(),
+            unit,
+            files,
+            open,
+            poisoned: false,
             sync,
             written: 0,
             crash_after,
-        };
-        if fresh {
-            w.file.write_all(MAGIC)?;
-            w.file.flush()?;
-        }
-        Ok(w)
+        })
     }
 
     /// Append one record batch: `docs[i]` gets arrival index
     /// `base_seq + i`. Honors the sync policy and the crash-injection
-    /// hook; returns only after every record is at least in the OS.
+    /// hook; returns only after every record is at least in the OS. On a
+    /// failed write the error comes with how many of `docs` (a prefix)
+    /// were logged before it; the records after them are not in the log.
     pub(crate) fn append(
         &mut self,
         base_seq: u64,
         docs: &[std::sync::Arc<Value>],
-    ) -> std::io::Result<()> {
-        let mut payload = Vec::new();
-        for (i, doc) in docs.iter().enumerate() {
-            payload.clear();
-            encode_value(doc, &mut payload);
-            write_record(&mut self.file, base_seq + i as u64, &payload)?;
-            self.written += 1;
-            if self.sync == SyncPolicy::Always {
-                self.file.flush()?;
-                self.file.get_ref().sync_data()?;
-            }
-            if let Some(n) = self.crash_after {
-                if self.written >= n {
-                    // Simulated crash: make exactly these records
-                    // durable, then die without unwinding.
-                    let _ = self.file.flush();
-                    let _ = self.file.get_ref().sync_data();
-                    std::process::abort();
-                }
-            }
+    ) -> Result<(), (usize, std::io::Error)> {
+        if self.poisoned {
+            let e =
+                std::io::Error::other("provdb: the WAL holds a torn write it could not cut off");
+            return Err((0, e));
         }
-        self.file.flush()?;
-        if self.sync == SyncPolicy::Batch {
-            self.file.get_ref().sync_data()?;
+        let mut logged = 0;
+        while logged < docs.len() {
+            let seq = base_seq + logged as u64;
+            let room = self.unit - seq % self.unit;
+            let n = (docs.len() - logged).min(usize::try_from(room).unwrap_or(usize::MAX));
+            self.append_run(seq, &docs[logged..logged + n])
+                .map_err(|(k, e)| (logged + k, e))?;
+            logged += n;
         }
         Ok(())
     }
 
-    /// Records written by this process so far (crash-injection counter).
-    pub(crate) fn written(&self) -> u64 {
-        self.written
+    /// Append `docs`, arrivals from `seq` on, all inside `seq`'s unit.
+    fn append_run(
+        &mut self,
+        seq: u64,
+        docs: &[std::sync::Arc<Value>],
+    ) -> Result<(), (usize, std::io::Error)> {
+        let unit = seq / self.unit;
+        if self.open.as_ref().is_none_or(|f| f.unit != unit) {
+            self.switch(seq).map_err(|e| (0, e))?;
+        }
+        let mut buf = Vec::new();
+        let mut payload = Vec::new();
+        let mut logged = 0;
+        for (i, doc) in docs.iter().enumerate() {
+            payload.clear();
+            encode_value(doc, &mut payload);
+            write_record(&mut buf, seq + i as u64, &payload).expect("writes to a Vec");
+            self.written += 1;
+            let crash = self.crash_after.is_some_and(|n| self.written >= n);
+            let always = self.sync == SyncPolicy::Always;
+            if always || crash || i + 1 == docs.len() {
+                // Batch policy: one write and one sync per run.
+                self.write_out(&buf).map_err(|e| (logged, e))?;
+                buf.clear();
+                logged = i + 1;
+            }
+            if crash {
+                // Simulated crash: exactly these records are durable.
+                std::process::abort();
+            }
+        }
+        Ok(())
     }
 
-    /// Carry the crash-injection counter across a rotation: the fresh
-    /// writer must keep counting from where the rotated one stopped, or
-    /// `crash_after` would reset at every seal.
-    pub(crate) fn set_written(&mut self, written: u64) {
-        self.written = written;
+    /// Write `bytes` (whole records) to the open file and sync them. On
+    /// failure the file is cut back to its last whole record, or the
+    /// writer is poisoned if it cannot be.
+    fn write_out(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+        let f = self.open.as_mut().expect("an open file");
+        match f.file.write_all(bytes).and_then(|()| f.file.sync_data()) {
+            Ok(()) => {
+                f.len += bytes.len() as u64;
+                Ok(())
+            }
+            Err(e) => {
+                if f.file.set_len(f.len).is_err() {
+                    self.poisoned = true;
+                }
+                Err(e)
+            }
+        }
+    }
+
+    /// Start the file of the unit arrival `seq` opens: created with its
+    /// header, synced, and linked into the directory. A file whose header
+    /// cannot be written is removed again.
+    fn switch(&mut self, seq: u64) -> std::io::Result<()> {
+        self.open = None;
+        let path = self.dir.join(file_name(seq));
+        let mut file = OpenOptions::new().create(true).append(true).open(&path)?;
+        // Open removed every file past the recovered arrivals, so a file
+        // here holds nothing worth keeping.
+        let started = match file.metadata()?.len() {
+            0 => Ok(()),
+            _ => file.set_len(0),
+        }
+        .and_then(|()| file.write_all(MAGIC))
+        .and_then(|()| file.sync_data());
+        if let Err(e) = started {
+            drop(file);
+            let _ = std::fs::remove_file(&path);
+            return Err(e);
+        }
+        sync_dir(&self.dir);
+        self.files.push(seq);
+        self.open = Some(OpenFile {
+            unit: seq / self.unit,
+            file,
+            len: MAGIC.len() as u64,
+        });
+        crate::crashpoint::reach(crate::crashpoint::Point::WalSwitched);
+        Ok(())
+    }
+
+    /// Take the files a seal with cutoff `cutoff` retires — every file a
+    /// later file starting at or below `cutoff` follows, so all its
+    /// records are below the cutoff — off the list, and return their
+    /// paths for the caller to delete. The open file is never among them.
+    pub(crate) fn retire_below(&mut self, cutoff: u64) -> Vec<PathBuf> {
+        let keep_from = self
+            .files
+            .partition_point(|&first| first <= cutoff)
+            .saturating_sub(1);
+        self.files
+            .drain(..keep_from)
+            .map(|first| self.dir.join(file_name(first)))
+            .collect()
+    }
+}
+
+/// Delete retired WAL files (see [`WalWriter::retire_below`]).
+/// Best-effort: a file left behind only holds records that segments
+/// cover, which recovery dedupes.
+pub(crate) fn remove_files(dir: &Path, paths: &[PathBuf]) {
+    for path in paths {
+        let _ = std::fs::remove_file(path);
+    }
+    if !paths.is_empty() {
+        sync_dir(dir);
     }
 }
 
@@ -380,30 +642,6 @@ pub(crate) struct RawRecord {
     pub(crate) payload: Vec<u8>,
 }
 
-/// Read the longest valid record prefix of the log at `path`. A missing
-/// file is an empty log; a malformed header is treated as empty rather
-/// than an error (the file is rewritten on the next rotation). Torn or
-/// corrupt tails end the prefix silently — that is the crash contract.
-pub(crate) fn read_records(path: &Path) -> std::io::Result<Vec<RawRecord>> {
-    let mut buf = Vec::new();
-    match File::open(path) {
-        Ok(mut f) => {
-            f.read_to_end(&mut buf)?;
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(e),
-    }
-    if buf.len() < MAGIC.len() || &buf[..MAGIC.len()] != MAGIC {
-        return Ok(Vec::new());
-    }
-    let mut records = Vec::new();
-    let mut pos = MAGIC.len();
-    while let Some(record) = next_record(&buf, &mut pos) {
-        records.push(record);
-    }
-    Ok(records)
-}
-
 /// The record at `*pos`, advancing past it; `None` at a short read,
 /// length overrun or checksum mismatch — the end of the valid prefix.
 fn next_record(buf: &[u8], pos: &mut usize) -> Option<RawRecord> {
@@ -418,10 +656,9 @@ fn next_record(buf: &[u8], pos: &mut usize) -> Option<RawRecord> {
     })
 }
 
-/// Atomically replace the log with `records` (seal rotation: the caller
-/// passes the tail not yet covered by sealed segments). Writes a fresh
-/// log beside the old one, syncs it, and renames it over `path`.
-pub(crate) fn rewrite(path: &Path, records: &[RawRecord]) -> std::io::Result<()> {
+/// Write a whole log holding `records` at `path` atomically: a fresh
+/// file beside it, synced, renamed over `path`.
+fn write_file(path: &Path, records: &[RawRecord]) -> std::io::Result<()> {
     let tmp = path.with_extension("tmp");
     {
         let mut f = BufWriter::new(File::create(&tmp)?);
@@ -572,42 +809,90 @@ mod tests {
         }
     }
 
+    /// The records of every WAL file in `dir`, in scan order.
+    fn seqs(dir: &Path) -> Vec<u64> {
+        let files = scan(dir).unwrap();
+        files
+            .iter()
+            .flat_map(|f| &f.records)
+            .map(|r| r.seq)
+            .collect()
+    }
+
     #[test]
     fn append_read_rewrite_roundtrip() {
         let dir = std::env::temp_dir().join(format!("provdb-wal-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("wal.log");
-        let _ = std::fs::remove_file(&path);
-        let docs: Vec<Arc<Value>> = (0..5).map(|_| Arc::new(doc())).collect();
-        let mut w = WalWriter::open(&path, SyncPolicy::Batch, None).unwrap();
+        let docs: Vec<Arc<Value>> = (0..10).map(|_| Arc::new(doc())).collect();
+        // Four arrivals per file: appends switch files at 4 and 8, one
+        // batch straddling two boundaries.
+        let mut w = WalWriter::open(&dir, 4, Vec::new(), 0, SyncPolicy::Batch, None).unwrap();
         w.append(0, &docs[..3]).unwrap();
         w.append(3, &docs[3..]).unwrap();
-        drop(w);
-        let records = read_records(&path).unwrap();
-        assert_eq!(records.len(), 5);
-        assert_eq!(records[4].seq, 4);
+        assert_eq!(w.files, [0, 4, 8]);
+        assert_eq!(seqs(&dir), (0..10).collect::<Vec<_>>());
         let mut syms = SymTable::default();
-        assert!(records.iter().all(|r| syms.decode(&r.payload).is_some()));
+        let files = scan(&dir).unwrap();
+        assert!(files
+            .iter()
+            .flat_map(|f| &f.records)
+            .all(|r| syms.decode(&r.payload).is_some()));
 
-        // Rotation keeps the tail, drops the sealed prefix.
-        rewrite(&path, &records[3..]).unwrap();
-        let tail = read_records(&path).unwrap();
-        assert_eq!(tail.len(), 2);
-        assert_eq!(tail[0].seq, 3);
+        // A seal at cutoff 8 retires the files wholly below it; the open
+        // file is never retired.
+        let retired = w.retire_below(8);
+        assert_eq!(retired, [dir.join(file_name(0)), dir.join(file_name(4))]);
+        remove_files(&dir, &retired);
+        assert!(w.retire_below(100).is_empty());
+        drop(w);
+        assert_eq!(seqs(&dir), [8, 9]);
 
-        // A torn tail (partial last record) replays the valid prefix.
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes.truncate(bytes.len() - 3);
-        std::fs::write(&path, &bytes).unwrap();
-        assert_eq!(read_records(&path).unwrap().len(), 1);
+        // A torn tail replays the valid prefix, and normalizing cuts it
+        // off so that appends resume right behind the last whole record.
+        let last = dir.join(file_name(8));
+        let mut bytes = std::fs::read(&last).unwrap();
+        let whole = bytes.len();
+        bytes.truncate(whole - 3);
+        std::fs::write(&last, &bytes).unwrap();
+        assert_eq!(seqs(&dir), [8]);
+        assert_eq!(normalize(&dir, scan(&dir).unwrap(), 9).unwrap(), [8]);
+        let mut w = WalWriter::open(&dir, 4, vec![8], 9, SyncPolicy::Always, None).unwrap();
+        w.append(9, &docs[9..]).unwrap();
+        drop(w);
+        assert_eq!(std::fs::metadata(&last).unwrap().len() as usize, whole);
+        assert_eq!(seqs(&dir), [8, 9]);
+
+        // Records at or past the recovered end, and a file left without
+        // one, are removed.
+        assert_eq!(
+            normalize(&dir, scan(&dir).unwrap(), 8).unwrap(),
+            [] as [u64; 0]
+        );
+        assert!(seqs(&dir).is_empty());
+
+        // A legacy `wal.log` is written forward as a per-unit file named
+        // by its first record, and removed.
+        let legacy: Vec<RawRecord> = (5..7u64)
+            .map(|seq| {
+                let mut payload = Vec::new();
+                encode_value(&docs[0], &mut payload);
+                RawRecord { seq, payload }
+            })
+            .collect();
+        write_file(&dir.join(LEGACY), &legacy).unwrap();
+        assert_eq!(seqs(&dir), [5, 6]);
+        assert_eq!(normalize(&dir, scan(&dir).unwrap(), 7).unwrap(), [5]);
+        assert!(!dir.join(LEGACY).exists());
+        assert_eq!(seqs(&dir), [5, 6]);
 
         // A flipped payload byte fails the checksum and ends the prefix.
-        rewrite(&path, &records[3..4]).unwrap();
+        let path = dir.join(file_name(5));
         let mut bytes = std::fs::read(&path).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0x40;
         std::fs::write(&path, &bytes).unwrap();
-        assert_eq!(read_records(&path).unwrap().len(), 0);
+        assert_eq!(seqs(&dir), [5]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -748,10 +748,10 @@ proptest! {
         let cut = msgs.len() * 2 / 3;
         let db = ProvenanceDatabase::open_with(&dir, config).expect("open durable");
         db.insert_batch(&msgs[..cut]);
-        db.flush_views();
+        db.flush_views().expect("flush");
         db.seal_now().expect("seal");
         db.insert_batch(&msgs[cut..]);
-        db.flush_views();
+        db.flush_views().expect("flush");
         for q in &queries {
             check(&db.snapshot(), q);
         }
@@ -868,10 +868,10 @@ proptest! {
         let cut = msgs.len() * 2 / 3;
         let db = ProvenanceDatabase::open_with(&dir, config).expect("open durable");
         db.insert_batch(&msgs[..cut]);
-        db.flush_views();
+        db.flush_views().expect("flush");
         db.seal_now().expect("seal");
         db.insert_batch(&msgs[cut..]);
-        db.flush_views();
+        db.flush_views().expect("flush");
         check_catalog(&db, &cuts, "live durable");
         drop(db);
         for budget in [config.resident_bytes, 1] {

@@ -55,7 +55,7 @@ fn geometry() -> (usize, usize) {
 fn seal_corpus(dir: &PathBuf, msgs: &[TaskMessage]) {
     let db = ProvenanceDatabase::open_with(dir, config()).expect("open durable");
     db.insert_batch_shared(msgs.iter().cloned().map(Arc::new));
-    db.flush_views();
+    db.flush_views().expect("flush");
     db.seal_now().expect("seal");
     db.compact_segments().expect("compact");
 }
@@ -667,7 +667,7 @@ fn legacy_segments_answer_like_pseg4_and_compact_forward() {
         assert_eq!(fingerprint(&db.snapshot(), GOLDEN), want, "PSEG{legacy}");
 
         db.insert_batch_shared(msgs[per_run..].iter().cloned().map(Arc::new));
-        db.flush_views();
+        db.flush_views().expect("flush");
         assert_eq!(db.seal_now().expect("reseal"), 32);
         db.compact_segments().expect("compact");
         drop(db);
@@ -759,7 +759,7 @@ fn continued_ingest_sealing_and_reopen_preserve_answers() {
     // Grow past the cold prefix, seal the resident rows, compact the
     // catalog — all on the lazily opened store.
     db.insert_batch_shared(msgs[per_run..].iter().cloned().map(Arc::new));
-    db.flush_views();
+    db.flush_views().expect("flush");
     assert_eq!(db.seal_now().expect("reseal"), 2 * chunk as u64);
     db.compact_segments().expect("compact");
 
@@ -813,7 +813,7 @@ fn reopening_under_another_geometry_matches_the_oracle() {
     let grow = |config: Config, rows: std::ops::Range<usize>| {
         let db = ProvenanceDatabase::open_with(&dir, config).expect("open durable");
         db.insert_batch_shared(msgs[rows].iter().cloned().map(Arc::new));
-        db.flush_views();
+        db.flush_views().expect("flush");
         db.seal_now().expect("seal")
     };
     // `large_sealed`: whether segments of the large geometry exist yet,
@@ -1080,7 +1080,7 @@ fn an_overflowed_catalog_answers_like_the_oracle_across_reopen() {
     {
         let db = ProvenanceDatabase::open_with(&dir, config).expect("open durable");
         db.insert_batch_shared(msgs[..120].iter().cloned().map(Arc::new));
-        db.flush_views();
+        db.flush_views().expect("flush");
         db.seal_now().expect("seal");
         assert_eq!(answers(&db.snapshot()), want(120), "sealed");
     }
@@ -1088,7 +1088,7 @@ fn an_overflowed_catalog_answers_like_the_oracle_across_reopen() {
     assert!(db.durable_stats().expect("durable").sealed_slots > 0);
     assert_eq!(answers(&db.snapshot()), want(120), "lazy reopen");
     db.insert_batch_shared(msgs[120..].iter().cloned().map(Arc::new));
-    db.flush_views();
+    db.flush_views().expect("flush");
     assert_eq!(answers(&db.snapshot()), want(200), "ingest after reopen");
     db.seal_now().expect("reseal");
     db.compact_segments().expect("compact");
@@ -1133,13 +1133,13 @@ fn an_overflowed_footer_withholds_the_columns_it_does_not_list() {
     {
         let db = ProvenanceDatabase::open_with(&dir, config).expect("lazy open");
         db.insert_batch_shared(msgs[32..112].iter().cloned().map(Arc::new));
-        db.flush_views();
+        db.flush_views().expect("flush");
         db.seal_now().expect("seal");
         // The runs written forward at open and the new ones merge by a
         // rebuild: their column tables are not prefix-compatible.
         db.compact_segments().expect("compact");
         db.insert_batch_shared(msgs[112..].iter().cloned().map(Arc::new));
-        db.flush_views();
+        db.flush_views().expect("flush");
         db.seal_now().expect("seal");
     }
     // Shard 1's rebuilt run lists the odd names up to `sample_63`, the

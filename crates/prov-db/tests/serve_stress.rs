@@ -174,7 +174,7 @@ fn pinned_snapshot_is_immune_to_later_ingest() {
 
     // The store moves on; the pinned snapshot must not.
     db.insert_batch_shared((0..100).map(|i| msg(1, i)));
-    db.flush_views();
+    db.flush_views().expect("flush");
     assert_eq!(db.generation(), gen0 + 100);
     let (after, outcome) = snap.query(&query);
     assert_eq!(outcome, CacheOutcome::Hit, "same plan, same generation");

@@ -33,8 +33,10 @@ pub struct KeeperConfig {
     /// store ([`ProvenanceDatabase::open`]) this hands each batch to the
     /// write-ahead log as soon as the keeper accepts it, bounding what a
     /// crash can lose to one in-flight batch; on an in-memory store it
-    /// merely materializes eagerly. Off by default — the lazy
-    /// flush-on-read path is faster when durability is not in play.
+    /// merely materializes eagerly. A batch the WAL refuses (a full
+    /// disk) is counted in [`KeeperHandle::refused`], not as persisted,
+    /// and the keeper goes on with the next one. Off by default — the
+    /// lazy flush-on-read path is faster when durability is not in play.
     pub durable_flush: bool,
 }
 
@@ -58,7 +60,9 @@ impl Default for KeeperConfig {
 pub struct KeeperHandle {
     stop: Arc<AtomicBool>,
     processed: Arc<AtomicU64>,
+    refused: Arc<AtomicU64>,
     workers: Vec<JoinHandle<()>>,
+    db: Arc<ProvenanceDatabase>,
 }
 
 impl KeeperHandle {
@@ -67,7 +71,15 @@ impl KeeperHandle {
         self.processed.load(Ordering::Relaxed)
     }
 
-    /// Signal shutdown and join worker threads.
+    /// Messages of `durable_flush` batches the store's WAL refused: not
+    /// counted as persisted, and not all of them in the store.
+    pub fn refused(&self) -> u64 {
+        self.refused.load(Ordering::Relaxed)
+    }
+
+    /// Signal shutdown, join worker threads, and wait for the store's
+    /// in-flight background seal, so the store's directory is settled
+    /// when this returns.
     pub fn stop(mut self) {
         self.shutdown();
     }
@@ -77,6 +89,7 @@ impl KeeperHandle {
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
+        let _ = self.db.wait_for_seal();
     }
 
     /// Block until at least `n` messages have been persisted or the timeout
@@ -107,12 +120,14 @@ pub fn start(
 ) -> KeeperHandle {
     let stop = Arc::new(AtomicBool::new(false));
     let processed = Arc::new(AtomicU64::new(0));
+    let refused = Arc::new(AtomicU64::new(0));
     let seen: Arc<Mutex<HashSet<String>>> = Arc::new(Mutex::new(HashSet::new()));
     let mut workers = Vec::new();
     for topic in &config.topics {
         let sub = hub.subscribe(topic);
         let stop = stop.clone();
         let processed = processed.clone();
+        let refused = refused.clone();
         let db = db.clone();
         let seen = if config.dedup {
             Some(seen.clone())
@@ -135,17 +150,17 @@ pub fn start(
                                     batch.push(msg);
                                 }
                                 if batch.len() >= batch_size {
-                                    persist(&db, &processed, &mut batch, durable_flush);
+                                    persist(&db, [&processed, &refused], &mut batch, durable_flush);
                                 }
                             }
                             Err(RecvTimeoutError::Timeout) => {
-                                persist(&db, &processed, &mut batch, durable_flush);
+                                persist(&db, [&processed, &refused], &mut batch, durable_flush);
                                 if stop.load(Ordering::Relaxed) {
                                     break;
                                 }
                             }
                             Err(RecvTimeoutError::Disconnected) => {
-                                persist(&db, &processed, &mut batch, durable_flush);
+                                persist(&db, [&processed, &refused], &mut batch, durable_flush);
                                 break;
                             }
                         }
@@ -157,7 +172,9 @@ pub fn start(
     KeeperHandle {
         stop,
         processed,
+        refused,
         workers,
+        db,
     }
 }
 
@@ -177,9 +194,10 @@ fn accept(seen: Option<&Mutex<HashSet<String>>>, msg: &prov_model::TaskMessage) 
     }
 }
 
+/// Hand `batch` to the store and count it `[processed, refused]`.
 fn persist(
     db: &ProvenanceDatabase,
-    processed: &AtomicU64,
+    [processed, refused]: [&AtomicU64; 2],
     batch: &mut Vec<prov_stream::Delivery>,
     durable_flush: bool,
 ) {
@@ -190,12 +208,14 @@ fn persist(
     // handles — view materialization is deferred and batched (one lock
     // acquisition per backend when it happens).
     db.insert_batch_shared(batch.iter().cloned());
-    if durable_flush {
-        // Materialize now so a durable store's WAL covers this batch
-        // before the keeper acknowledges it via `processed`.
-        db.flush_views();
-    }
-    processed.fetch_add(batch.len() as u64, Ordering::Relaxed);
+    // Materialize now so a durable store's WAL covers this batch before
+    // the keeper acknowledges it via `processed`.
+    let counter = if durable_flush && db.flush_views().is_err() {
+        refused
+    } else {
+        processed
+    };
+    counter.fetch_add(batch.len() as u64, Ordering::Relaxed);
     batch.clear();
 }
 
@@ -321,6 +341,64 @@ mod tests {
         assert_eq!(back.insert_count(), 40);
         assert_eq!(back.documents().len(), 40);
         assert!(back.snapshot().get_task("t39").is_some());
+        drop(back);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A `durable_flush` keeper whose store's WAL refuses a batch (the
+    /// next WAL file links to `/dev/full`) counts it as refused, not as
+    /// persisted, and its thread goes on persisting later batches.
+    #[cfg(unix)]
+    #[test]
+    fn durable_flush_keeper_survives_a_refused_batch() {
+        let dir = std::env::temp_dir().join(format!("provdb-keeper-full-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // 16-row chunks over two shards: the second WAL file starts at 32.
+        let config = prov_db::Config {
+            shards: 2,
+            chunk_rows: 16,
+            seal_rows: u64::MAX,
+            ..prov_db::Config::from_env()
+        };
+        let db = ProvenanceDatabase::open_with(&dir, config).expect("open durable");
+        std::os::unix::fs::symlink("/dev/full", dir.join("wal-00000000000000000032.log"))
+            .expect("link the second WAL file to /dev/full");
+        let hub = StreamingHub::in_memory();
+        let keeper = start(
+            &hub,
+            db.clone(),
+            KeeperConfig {
+                batch_size: 40,
+                poll_timeout: Duration::from_millis(200),
+                durable_flush: true,
+                ..KeeperConfig::default()
+            },
+        );
+        hub.publish_batch(topics::TASKS, (0..40).map(msg).collect())
+            .unwrap();
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while keeper.processed() + keeper.refused() < 40 {
+            assert!(std::time::Instant::now() < deadline, "the keeper stalled");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert!(keeper.refused() > 0, "the batch crossing into /dev/full");
+        assert!(keeper.processed() <= 32);
+        let before = keeper.processed();
+        for i in 40..45 {
+            hub.publish_task(msg(i)).unwrap();
+        }
+        assert!(keeper.wait_for(before + 5, Duration::from_secs(10)));
+        keeper.stop();
+        // The first file logged arrivals 0..32; the refused file was
+        // removed, so the last five started a fresh one.
+        assert_eq!(db.documents().len(), 37);
+        assert!(db.snapshot().get_task("t31").is_some());
+        assert!(db.snapshot().get_task("t32").is_none());
+        assert!(db.snapshot().get_task("t44").is_some());
+        drop(db);
+        let back = ProvenanceDatabase::open_with(&dir, config).expect("reopen");
+        assert_eq!(back.insert_count(), 37);
+        assert!(back.snapshot().get_task("t44").is_some());
         drop(back);
         let _ = std::fs::remove_dir_all(&dir);
     }
