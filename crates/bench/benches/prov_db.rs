@@ -1,14 +1,15 @@
-//! `prov_db` bench group: the sharded, clone-free engine vs the seed
-//! baseline on the three hot paths the ISSUE names — batch ingest,
-//! indexed point find, and group-by aggregation — plus the vectorized
-//! kernels (zone-map chunk skipping, code-based group-by), the latter
-//! against its frame-based equivalent, and the oracle frame and the CSR
-//! graph compaction each built from empty against the same one extended
-//! by a delta.
+//! `prov_db` bench group: the engine's hot paths, each beside a
+//! reference path of the same engine — batch ingest (eager vs accept vs
+//! accept + materialize), indexed point find (against an unindexed
+//! `DocumentStore`), group-by aggregation (against the frame group-by
+//! over the oracle frame), the vectorized kernels (zone-map chunk
+//! skipping, code-based group-by against its frame-based equivalent),
+//! and the oracle frame and the CSR graph compaction each built from
+//! empty against the same one extended by a delta.
 
-use bench::baseline::BaselineDatabase;
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
-use prov_db::{AggOp, Aggregate, DocQuery, GroupSpec, Op, ProvenanceDatabase};
+use dataframe::AggFunc;
+use prov_db::{AggOp, Aggregate, DocQuery, DocumentStore, GroupSpec, Op, ProvenanceDatabase};
 use prov_model::{TaskMessage, TaskMessageBuilder, TelemetrySynth};
 use std::hint::black_box;
 use std::sync::Arc;
@@ -31,8 +32,7 @@ fn corpus(n: usize) -> Vec<TaskMessage> {
     (0..n).map(msg).collect()
 }
 
-/// Batch ingest of task messages through the full three-backend fan-out:
-/// the seed's per-message loop, the new eager batch path, the streaming
+/// Batch ingest of task messages: the eager batch path, the streaming
 /// accept path (keeper-style `Arc` handover), and accept + materialize.
 fn bench_batch_ingest(c: &mut Criterion) {
     let mut g = c.benchmark_group("provdb_batch_ingest");
@@ -41,12 +41,6 @@ fn bench_batch_ingest(c: &mut Criterion) {
     let msgs = corpus(N);
     let shared: Vec<std::sync::Arc<TaskMessage>> =
         msgs.iter().cloned().map(std::sync::Arc::new).collect();
-    g.bench_with_input(BenchmarkId::new("baseline", N), &msgs, |b, msgs| {
-        b.iter(|| {
-            let db = BaselineDatabase::new();
-            black_box(db.insert_batch(msgs))
-        })
-    });
     g.bench_with_input(BenchmarkId::new("sharded_eager", N), &msgs, |b, msgs| {
         b.iter(|| {
             let db = ProvenanceDatabase::new();
@@ -78,19 +72,20 @@ fn bench_batch_ingest(c: &mut Criterion) {
     g.finish();
 }
 
-/// Indexed equality find (p50-style repeated probe on a hot field).
+/// Indexed equality find (p50-style repeated probe on a hot field),
+/// beside the same query on an unindexed `DocumentStore`.
 fn bench_indexed_find(c: &mut Criterion) {
     let mut g = c.benchmark_group("provdb_indexed_find");
     g.sample_size(20).measurement_time(Duration::from_secs(5));
     const N: usize = 100_000;
     let msgs = corpus(N);
-    let baseline = BaselineDatabase::new();
-    baseline.insert_batch(&msgs);
+    let unindexed = DocumentStore::new();
+    unindexed.insert_many(msgs.iter().map(TaskMessage::to_value).collect());
     let sharded = ProvenanceDatabase::new();
     sharded.insert_batch(&msgs);
     let query = DocQuery::new().filter("workflow_id", Op::Eq, "wf-7");
-    g.bench_function("baseline", |b| {
-        b.iter(|| black_box(baseline.documents.find(&query).len()))
+    g.bench_function("unindexed", |b| {
+        b.iter(|| black_box(unindexed.find(&query).len()))
     });
     g.bench_function("sharded", |b| {
         b.iter(|| black_box(sharded.find(&query).len()))
@@ -98,16 +93,16 @@ fn bench_indexed_find(c: &mut Criterion) {
     g.finish();
 }
 
-/// Group-by aggregation over 100k documents.
+/// Group-by aggregation over 100k documents, beside the frame group-by
+/// over the oracle frame.
 fn bench_aggregate(c: &mut Criterion) {
     let mut g = c.benchmark_group("provdb_aggregate_100k");
     g.sample_size(10).measurement_time(Duration::from_secs(5));
     const N: usize = 100_000;
     let msgs = corpus(N);
-    let baseline = BaselineDatabase::new();
-    baseline.insert_batch(&msgs);
-    let sharded = ProvenanceDatabase::new();
+    let sharded = ProvenanceDatabase::shared();
     sharded.insert_batch(&msgs);
+    let frame = sharded.snapshot().oracle_frame();
     let group = GroupSpec {
         key: "activity_id".into(),
         aggs: vec![
@@ -122,8 +117,11 @@ fn bench_aggregate(c: &mut Criterion) {
         ],
     };
     let query = DocQuery::new();
-    g.bench_function("baseline", |b| {
-        b.iter(|| black_box(baseline.documents.aggregate(&query, &group).len()))
+    g.bench_function("frame_groupby", |b| {
+        b.iter(|| {
+            let by = frame.groupby(&["activity_id"]).expect("key column");
+            black_box(by.agg(&[("y", AggFunc::Mean), ("y", AggFunc::Count)]))
+        })
     });
     g.bench_function("sharded", |b| {
         b.iter(|| black_box(sharded.aggregate(&query, &group).len()))

@@ -3,13 +3,14 @@
 //! The recovery differential suite simulates crashes by truncating WAL
 //! bytes; this binary injects the real thing. For each run it spawns
 //! itself as a child (`--crash-child`) that streams a deterministic
-//! corpus through a durable store and dies by `abort()` at one of two
-//! kinds of crash point, alternating run by run:
+//! corpus through a durable store and dies by `abort()` at a
+//! `prov_db::crashpoint` it arms from its `--point <name> <nth>`
+//! arguments. Two kinds of crash point alternate run by run:
 //!
-//! * a **record** count, `PROVDB_CRASH_AFTER=<n>`: the store's WAL writer
-//!   syncs exactly `n` records and aborts — mid-batch, views
-//!   half-applied, by design at the worst spot;
-//! * a **seal step** (`prov_db::crashpoint`), the `k`-th time the write
+//! * a **record** count (`wal-record`): the store's WAL writer syncs
+//!   exactly `n` records and aborts — mid-batch, views half-applied, by
+//!   design at the worst spot;
+//! * a **seal step**, the `k`-th time the write
 //!   path reaches it: just after a WAL file switch, with a seal in flight
 //!   (one segment renamed), after every segment rename and before the
 //!   WAL files below the cutoff are deleted, after that deletion and
@@ -55,8 +56,10 @@ use std::sync::Arc;
 const TOTAL: usize = 600;
 const BATCH: usize = 7;
 
-/// The seal steps a crash can be placed at, by their command-line names.
+/// The crash points, by their command-line names: the record count,
+/// then the seal steps.
 const POINTS: &[(&str, Point)] = &[
+    ("wal-record", Point::WalRecord),
     ("wal-switched", Point::WalSwitched),
     ("seal-in-flight", Point::SealInFlight),
     ("segments-renamed", Point::SegmentsRenamed),
@@ -174,9 +177,9 @@ fn artifact_root() -> PathBuf {
 }
 
 /// Child: stream the corpus into the durable store at `dir`, flushing
-/// every batch and reporting each completed flush on stdout.
-/// `PROVDB_CRASH_AFTER` (set by the parent) aborts the process from
-/// inside the WAL writer; `point` arms a seal-step crash instead.
+/// every batch and reporting each completed flush on stdout. `point`
+/// (from the parent's `--point` arguments) arms the crash: the WAL
+/// writer aborts the process at a record count, the sealer at a step.
 fn run_child(dir: &str, point: Option<(Point, u64)>) -> i32 {
     if let Some((point, nth)) = point {
         crashpoint::arm(point, nth);
@@ -215,11 +218,11 @@ fn run_parent(runs: u64, seed: u64) -> i32 {
         // runs: the seal steps in turn, each at one of its first reaches.
         let (what, tag, crash_at) = if run % 2 == 0 {
             let crash_at = 1 + draw % (TOTAL + TOTAL / 10);
-            child.env("PROVDB_CRASH_AFTER", crash_at.to_string());
+            child.args(["--point", "wal-record", &crash_at.to_string()]);
             let what = format!("crash_at={crash_at}");
             (what, format!("at{crash_at}"), Some(crash_at))
         } else {
-            let (name, _) = POINTS[(run as usize / 2) % POINTS.len()];
+            let (name, _) = POINTS[1 + (run as usize / 2) % (POINTS.len() - 1)];
             let nth = 1 + draw % 4;
             child.args(["--point", name, &nth.to_string()]);
             (format!("point={name}#{nth}"), format!("{name}-{nth}"), None)

@@ -20,24 +20,29 @@ use std::io::Write as _;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
 
-    // Hidden child mode for `--provdb`: run exactly one measurement in a
-    // fresh process (heap isolation — on a single shared core, allocator
-    // aging from a previous measurement otherwise skews the next one) and
-    // print the metric to stdout.
+    // Hidden child mode for `--provdb`: measure exactly one entry in a
+    // fresh process (its fixtures built once, its two sides interleaved)
+    // and print the reference and engine medians, in seconds, to stdout.
     if let Some(pos) = args.iter().position(|a| a == "--provdb-measure") {
         let which = args.get(pos + 1).cloned().unwrap_or_default();
         if which == "pin-stall" {
             pin_stall();
         } else {
-            println!("{}", provdb_measure(&which));
+            let entry = ENTRIES
+                .iter()
+                .find(|e| e.name == which)
+                .unwrap_or_else(|| panic!("unknown provdb entry `{which}`"));
+            let (reference, engine) = measure_entry(entry);
+            println!("{reference} {engine}");
         }
         return;
     }
 
     // Bench-regression gate: `repro --check-bench <committed.json>
     // <fresh.json> [tolerance] [--summary]` exits non-zero when any
-    // speedup in the fresh report falls more than `tolerance` (default
-    // 0.20) below the committed one. CI runs this after regenerating
+    // entry's ratio (reference / engine, both measured in one child) in
+    // the fresh report falls more than `tolerance` (default 0.20) below
+    // the committed one. CI runs this after regenerating
     // `BENCH_provdb.json`; with `--summary` the comparison is printed as
     // a markdown table (appended to `$GITHUB_STEP_SUMMARY` by the bench
     // job, so regressions are readable without downloading the artifact).
@@ -131,7 +136,7 @@ fn main() {
     }
 
     if want("--provdb") {
-        eprintln!("benchmarking the sharded provenance database against the seed baseline…");
+        eprintln!("benchmarking the provenance database: reference vs engine path per entry…");
         let report = provdb_benchmark();
         println!("{}", report.render());
         let path = std::path::Path::new("BENCH_provdb.json");
@@ -155,9 +160,13 @@ fn main() {
 }
 
 /// Compare two `BENCH_provdb.json` reports: exit code 0 when every
-/// speedup in `fresh` is at least `(1 - tolerance) ×` the committed one,
-/// 1 on regression, 2 on unreadable/malformed input. The tolerance absorbs
-/// runner noise; the committed file is the floor the perf work locked in.
+/// entry's `speedup` (reference / engine) in `fresh` is at least
+/// `(1 - tolerance) ×` the committed one, 1 on regression or a missing
+/// entry, 2 on unreadable/malformed input. Keys without a `speedup` are
+/// metadata and skipped; entries only `fresh` has are not checked. The
+/// tolerance absorbs runner noise; the committed file is the floor the
+/// perf work locked in. The gate compares ratios, not absolute times,
+/// because the committed file and a CI run come from different machines.
 /// With `summary` the comparison is rendered as a markdown table (for CI
 /// step summaries) instead of plain log lines.
 fn check_bench_regression(
@@ -185,9 +194,9 @@ fn check_bench_regression(
         return 2;
     };
 
-    // Speedups are only comparable between like runners: a committed
-    // 1-core number replayed on a multi-core class (or vice versa) shifts
-    // every parallel-sensitive ratio, so say what each run saw.
+    // Ratios are only comparable between like runners: a committed
+    // 2-core ratio replayed on another core count shifts every
+    // parallel-sensitive one, so say what each run saw.
     fn runner_line(report: &Value) -> String {
         let Some(r) = report.get("runner") else {
             return "unrecorded (pre-PR5 report)".to_string();
@@ -288,22 +297,207 @@ fn check_bench_regression(
     }
 }
 
-/// One measured hot path: the seed baseline vs the sharded engine.
-struct ProvDbMeasurement {
+/// One `BENCH_provdb.json` entry: one job done two ways by today's
+/// engine, a reference path and the engine path the entry locks in. Both
+/// sides run in one child process, alternating round by round, so drift
+/// on the machine moves both alike and cancels out of their ratio.
+struct Entry {
     name: &'static str,
+    /// `ms` or `µs`: the unit both sides are reported in.
     unit: &'static str,
-    baseline: f64,
-    sharded: f64,
-    /// Parity entries assert both sides coincide (speedup ≈ 1.0x) rather
+    /// Timed runs per side.
+    rounds: usize,
+    /// Parity entries assert both sides coincide (ratio ≈ 1.0x) rather
     /// than lock in a win; the check-bench gate widens its tolerance for
     /// them so scheduler noise around 1.0x cannot fail CI.
     parity: bool,
+    /// What the reference side runs.
+    reference: &'static str,
+    /// What the engine side runs.
+    engine: &'static str,
 }
 
-impl ProvDbMeasurement {
+const MS: &str = "ms";
+const US: &str = "\u{b5}s";
+
+/// Every entry, in report order. `rounds` is sized so that each entry's
+/// timed window spans seconds: a window of a tenth of a second samples
+/// one moment of a shared machine's contention, which slows the two
+/// sides unequally. An entry whose ratio flakes between runs of one
+/// commit gets more rounds, never more tolerance.
+const ENTRIES: &[Entry] = &[
+    Entry {
+        name: "batch_ingest_100k_ms",
+        unit: MS,
+        rounds: 9,
+        parity: false,
+        reference: "eager insert_batch of the 100k messages into a fresh in-memory store \
+                    (serialize and install every view)",
+        engine: "the streaming accept path: insert_batch_shared of the broker's Arc handles \
+                 into a fresh in-memory store (views materialize later, batched)",
+    },
+    Entry {
+        name: "batch_ingest_100k_materialized_ms",
+        unit: MS,
+        rounds: 15,
+        parity: false,
+        reference: "DataFrame::from_messages over the same 100k messages",
+        engine: "accept plus flush_views: every view of a fresh in-memory store built",
+    },
+    Entry {
+        name: "indexed_find_p50_us",
+        unit: US,
+        rounds: 601,
+        parity: false,
+        reference: "the DocQuery workflow_id == wf-7 (2,000 hits) on an unindexed \
+                    DocumentStore holding the same 100k documents",
+        engine: "the same DocQuery through db.find, answered from the hash index",
+    },
+    Entry {
+        name: "groupby_aggregate_100k_ms",
+        unit: MS,
+        rounds: 41,
+        parity: false,
+        reference: "group-by activity_id, mean and count of y, by the frame's GroupBy over \
+                    the pre-built oracle frame",
+        engine: "db.aggregate with the same GroupSpec over the document store",
+    },
+    Entry {
+        name: "query_pushdown_vs_scan",
+        unit: MS,
+        rounds: 7,
+        parity: false,
+        reference: "a selective find and a filtered group-by, each on a fresh snapshot's \
+                    oracle frame (the whole corpus built into a frame per query)",
+        engine: "the same two queries planned and run through execute_plan (hash-index \
+                 probes, projected frame over the surviving documents only)",
+    },
+    Entry {
+        name: "columnar_find",
+        unit: US,
+        rounds: 201,
+        parity: false,
+        reference: "a selective two-column find run by the stage machine over the \
+                    snapshot's pre-built oracle frame",
+        engine: "the pushed scan, which builds the frame straight from the column vectors",
+    },
+    Entry {
+        name: "columnar_aggregate",
+        unit: MS,
+        rounds: 601,
+        parity: false,
+        reference: "an unselective corpus-wide group-by over the pre-built oracle frame",
+        engine: "the pushed scan over the column vectors",
+    },
+    Entry {
+        name: "topk_find",
+        unit: MS,
+        rounds: 201,
+        parity: false,
+        reference: "sort_values(started_at).head(5): the whole pre-built oracle frame sorted \
+                    per call",
+        engine: "the pushed top-k scan (sorted-index cursor or bounded per-shard selection \
+                 over the column vectors, zero document decodes)",
+    },
+    Entry {
+        name: "dict_filter",
+        unit: MS,
+        rounds: 201,
+        parity: false,
+        reference: "an unindexed hostname isin filter evaluated row by row over the \
+                    pre-built oracle frame",
+        engine: "the dictionary kernel (literals compiled to shard-local codes, zone maps \
+                 skipping chunks, selection vectors)",
+    },
+    Entry {
+        name: "vectorized_groupby",
+        unit: MS,
+        rounds: 201,
+        parity: false,
+        reference: "mean duration by hostname over the pre-built oracle frame (per-row \
+                    Vec<Value> hash keys)",
+        engine: "the code-based group-by over dictionary codes",
+    },
+    Entry {
+        name: "mixed_load",
+        unit: MS,
+        rounds: 5,
+        parity: false,
+        reference: "12 ingest bursts of 256 messages, each followed by a 48-query dashboard \
+                    storm, on one thread: pin and try pushdown per query, otherwise re-run \
+                    the stages over a generation-keyed whole-frame cache",
+        engine: "the same workload with each storm submitted to the QueryServer pool \
+                 (generation-pinned snapshots, plan-keyed result cache)",
+    },
+    Entry {
+        name: "graph_traverse",
+        unit: MS,
+        rounds: 9,
+        parity: false,
+        reference: "the upstream closure of the deepest task of a million-edge layered \
+                    lineage DAG by the locking adjacency-map traversal (the differential \
+                    oracle)",
+        engine: "the same closure by the CSR kernels (built once, outside the timed region)",
+    },
+    Entry {
+        name: "graph_khop",
+        unit: MS,
+        rounds: 4001,
+        parity: false,
+        reference: "the 4-hop any-relation neighborhood of a mid-graph task by the \
+                    adjacency-map traversal",
+        engine: "the same neighborhood by the CSR kernels",
+    },
+    Entry {
+        name: "wal_ingest",
+        unit: MS,
+        rounds: 7,
+        parity: true,
+        reference: "accept plus flush_views of the 100k messages into an in-memory store",
+        engine: "the same into a fresh durable store (every drained batch in the WAL under \
+                 PROVDB_WAL_SYNC, chunks sealed into segments, the sealer joined)",
+    },
+    Entry {
+        name: "recovery_replay",
+        unit: MS,
+        rounds: 31,
+        parity: false,
+        reference: "rebuild by re-ingesting the 100k source messages (eager insert_batch)",
+        engine: "ProvenanceDatabase::open of the durable directory they were flushed to \
+                 (segment footers plus the WAL tail)",
+    },
+    Entry {
+        name: "cold_open",
+        unit: MS,
+        rounds: 21,
+        parity: false,
+        reference: "ProvenanceDatabase::open_replayed of an explicitly sealed directory \
+                    (every sealed row replayed into RAM)",
+        engine: "the lazy open of the same directory",
+    },
+    Entry {
+        name: "out_of_core_scan",
+        unit: MS,
+        rounds: 201,
+        parity: true,
+        reference: "the dict_filter scan on the sealed directory opened resident \
+                    (open_replayed)",
+        engine: "the same scan on the same directory opened lazily under a 4 MiB resident \
+                 budget, re-paging chunks on every probe",
+    },
+];
+
+/// Both sides of one entry, in the entry's unit.
+struct Measurement {
+    entry: &'static Entry,
+    reference: f64,
+    engine: f64,
+}
+
+impl Measurement {
     fn speedup(&self) -> f64 {
-        if self.sharded > 0.0 {
-            self.baseline / self.sharded
+        if self.engine > 0.0 {
+            self.reference / self.engine
         } else {
             f64::INFINITY
         }
@@ -327,9 +521,9 @@ struct MixedLoadProfile {
 struct ProvDbReport {
     messages: usize,
     shards: usize,
-    /// Cores the runner actually reported — committed numbers from a
-    /// 1-core container and a multi-core rerun must be distinguishable,
-    /// not silently compared.
+    /// Cores the runner actually reported: ratios from runners with
+    /// different core counts must be distinguishable, not silently
+    /// compared.
     cores: usize,
     shards_override: Option<String>,
     /// Rows per column chunk (zone-map granule) the stores ran with.
@@ -338,7 +532,7 @@ struct ProvDbReport {
     /// Resident-set budget (MiB) lazily opened stores page within.
     resident_mb: usize,
     resident_override: Option<String>,
-    measurements: Vec<ProvDbMeasurement>,
+    measurements: Vec<Measurement>,
     mixed: MixedLoadProfile,
 }
 
@@ -349,8 +543,8 @@ impl ProvDbReport {
             None => String::new(),
         };
         let mut out = format!(
-            "Provenance DB: sharded clone-free engine vs seed baseline \
-             ({} task messages, {} shards).\nrunner: {} core(s), {} shard(s){}, {}-row chunks{}, {} MiB resident budget{}\n{:<28} {:>14} {:>14} {:>9}\n",
+            "Provenance DB: reference vs engine path of today's engine, interleaved in one \
+             child per entry ({} task messages, {} shards).\nrunner: {} core(s), {} shard(s){}, {}-row chunks{}, {} MiB resident budget{}\n{:<34} {:>14} {:>14} {:>10}\n",
             self.messages,
             self.shards,
             self.cores,
@@ -360,19 +554,19 @@ impl ProvDbReport {
             override_note(&self.chunk_override),
             self.resident_mb,
             override_note(&self.resident_override),
-            "hot path",
-            "baseline",
-            "sharded",
-            "speedup"
+            "entry",
+            "reference",
+            "engine",
+            "ratio"
         );
         for m in &self.measurements {
             out.push_str(&format!(
-                "{:<28} {:>11.3} {} {:>11.3} {} {:>8.1}x\n",
-                m.name,
-                m.baseline,
-                m.unit,
-                m.sharded,
-                m.unit,
+                "{:<34} {:>11.3} {} {:>11.3} {} {:>9.1}x\n",
+                m.entry.name,
+                m.reference,
+                m.entry.unit,
+                m.engine,
+                m.entry.unit,
                 m.speedup()
             ));
         }
@@ -399,123 +593,42 @@ impl ProvDbReport {
         let mut runner = Map::new();
         runner.insert("cores_detected".into(), Value::from(self.cores));
         runner.insert("document_store_shards".into(), Value::from(self.shards));
-        runner.insert(
-            "shards_override".into(),
-            self.shards_override
-                .as_deref()
-                .map(Value::from)
-                .unwrap_or(Value::Null),
-        );
+        let or_null = |raw: &Option<String>| raw.as_deref().map(Value::from).unwrap_or(Value::Null);
+        runner.insert("shards_override".into(), or_null(&self.shards_override));
         runner.insert("chunk_rows".into(), Value::from(self.chunk));
-        runner.insert(
-            "chunk_override".into(),
-            self.chunk_override
-                .as_deref()
-                .map(Value::from)
-                .unwrap_or(Value::Null),
-        );
+        runner.insert("chunk_override".into(), or_null(&self.chunk_override));
         runner.insert("resident_mb".into(), Value::from(self.resident_mb));
-        runner.insert(
-            "resident_override".into(),
-            self.resident_override
-                .as_deref()
-                .map(Value::from)
-                .unwrap_or(Value::Null),
-        );
+        runner.insert("resident_override".into(), or_null(&self.resident_override));
         root.insert("runner".into(), Value::object(runner));
         root.insert(
-            "baseline".into(),
+            "method".into(),
             Value::from(
-                "pre-refactor engine (single RwLock<Vec<Value>> store, String index keys, \
-                 deep-clone find, per-message backend fan-out); preserved in \
-                 crates/bench/src/baseline.rs; every number is the best of repeated runs \
-                 in an isolated child process",
+                "Every entry compares two paths of today's engine for one job: a reference \
+                 path and the engine path the entry locks in. Each entry runs in its own \
+                 child process, which builds its fixtures once and then times the two \
+                 sides alternately for `rounds` rounds, reference then engine. \
+                 `reference` and `engine` are the medians of each side (in \
+                 `unit`), and `speedup` is reference / engine. Drift on the machine moves \
+                 both sides of one entry alike, so it cancels out of the ratio; the \
+                 check-bench gate compares these ratios, not absolute times, because the \
+                 committed file and a CI run come from different machines. Each entry's \
+                 `notes` names its two sides.",
             ),
         );
         root.insert(
             "notes".into(),
             Value::from(
-                "batch_ingest_100k_ms measures the streaming accept path \
-                 (insert_batch_shared: the keeper hands over the broker's Arc handles; \
-                 views materialize lazily, batched, at the next query). \
-                 batch_ingest_100k_materialized_ms additionally includes flush_views(), \
-                 i.e. the full deferred cost of building all three views. \
-                 indexed_find_p50_us probes a 100k-doc store after materialization. \
-                 query_pushdown_vs_scan compares the agent's provdb_query paths on the \
-                 current engine: full-materialize-then-row-scan (a selective find plus a \
-                 filtered group-by aggregate, whole corpus rebuilt into a DataFrame per \
-                 query) vs plan-then-push (hash-index probes, projected frame over the \
-                 surviving documents only). columnar_find and columnar_aggregate compare \
-                 the two agent paths of the current engine: the stage machine over the \
-                 snapshot's pre-built oracle frame (built outside the timed loop) vs \
-                 the columnar sidecar (filters evaluated over typed column vectors, \
-                 frame built straight from them; columnar_find is a selective \
-                 two-column find, columnar_aggregate an unselective corpus-wide \
-                 group-by). topk_find \
-                 compares the agent paths for a sort_values(...).head(5) \"latest N \
-                 tasks\" query on the current engine: sort the whole pre-built frame \
-                 per call (the cached-oracle path this shape used before sort/limit \
-                 pushdown) vs the pushed top-k scan (sorted-index cursor / bounded \
-                 per-shard selection over the column vectors, zero document decodes). \
-                 The runner object records the detected core count, shard count, \
-                 chunk size, and any PROVDB_SHARDS/PROVDB_CHUNK overrides in effect. \
-                 dict_filter compares the two engine paths for an unindexed membership \
-                 filter (hostname isin list, task_id projection): evaluate the \
-                 predicate row by row over the pre-built oracle frame vs the \
-                 dictionary kernel (literals compiled to shard-local codes once, \
-                 chunked zone maps skipping non-matching granules, selection vectors \
-                 instead of per-row branches). vectorized_groupby compares a \
-                 single-key group-by aggregate (mean duration by hostname) on the \
-                 cached full frame (hash per-row Vec<Value> keys) vs the code-based \
-                 fast path (group directly over dictionary codes, unify symbols \
-                 across shards by cached content hash, aggregate gathered cells). \
-                 mixed_load interleaves 12 streaming ingest bursts of 256 messages \
-                 with 48-query dashboard storms cycling a 4-query repeated set, and \
-                 compares the pre-serving agent path (pin + try-pushdown per query, \
-                 otherwise re-execute stages over a generation-keyed whole-frame \
-                 cache, all on one thread) against the serving stack (storms \
-                 submitted to the bounded QueryServer pool, answered from \
-                 generation-pinned snapshots through the plan-keyed result cache). \
-                 mixed_load_profile carries the observability numbers from one \
-                 serving run — ingest throughput, query p50/p99, cache hit/miss \
-                 counts — and has no speedup key, so the regression gate skips it. \
-                 graph_traverse compares the transitive upstream closure from the \
-                 deepest task of a million-edge layered lineage DAG (250 layers of \
-                 1000 tasks, each prov:wasInformedBy 4 tasks of the previous layer) \
-                 on the locking adjacency-map traversal — kept as the differential \
-                 oracle — vs the CSR kernels (dense u32 adjacency, visited bitset, \
-                 level-synchronous frontiers). graph_khop is the 4-hop any-relation \
-                 neighborhood from a mid-graph task on the same corpus. Both sides \
-                 run on the current engine; the CSR build runs outside the timed \
-                 region because it is paid once per store generation and memoized \
-                 (see docs/lineage.md). wal_ingest compares the accept + materialize \
-                 workload on an in-memory store vs a durable one (every drained batch \
-                 serialized into the checksummed WAL under the env-selected \
-                 PROVDB_WAL_SYNC policy, complete chunks sealed into columnar \
-                 segments) — the durability tax; a disk-bound near-1x contrast, so \
-                 it carries parity: true. recovery_replay compares rebuilding the \
-                 store by re-ingesting the 100k source messages vs \
-                 ProvenanceDatabase::open's recovery path, which since the \
-                 out-of-core work loads only the segment directory + zone-map \
-                 footers and replays the WAL tail — sealed rows page in on first \
-                 touch and the graph backend hydrates on first access, so replay \
-                 now beats re-ingest by the sealed fraction of history and the \
-                 entry is a real (non-parity) speedup. cold_open isolates the \
-                 open-time contrast on an explicitly sealed corpus: the same \
-                 directory opened with ProvenanceDatabase::open_replayed (replay \
-                 every sealed row into RAM, the pre-out-of-core behaviour) vs \
-                 lazily. \
-                 out_of_core_scan is the steady-state paged-read tax: the \
-                 dict_filter columnar scan on a fully resident store vs the same \
-                 scan re-paging every chunk through a deliberately tiny 4 MiB \
-                 resident budget (the bounded-memory worst case); the paged side is \
-                 expected to trail, so the entry carries parity: true and the gate \
-                 only guards against collapse. The runner object records the \
-                 resident budget in effect (resident_mb, with any \
-                 PROVDB_RESIDENT_MB override) alongside the core/shard/chunk \
-                 geometry. The crash-consistency contract itself is enforced by the \
-                 recovery and out-of-core differential suites and the crash_harness \
-                 binary, not by these timings (see docs/durability.md).",
+                "parity: true marks a contrast expected near or below 1.0x (the durability \
+                 tax, the paged-read tax under a 4 MiB budget); the gate triples its \
+                 tolerance there and only guards against collapse. mixed_load_profile \
+                 carries the observability numbers of one serving run (ingest throughput, \
+                 query p50/p99, cache hit/miss counts) and has no speedup key, so the gate \
+                 skips it. The runner object records the detected core count, shard \
+                 count, chunk size and resident budget, with any PROVDB_SHARDS, \
+                 PROVDB_CHUNK or PROVDB_RESIDENT_MB override in effect. The \
+                 crash-consistency contract is enforced by the recovery and out-of-core \
+                 differential suites and the crash_harness binary, not by these timings \
+                 (see docs/durability.md).",
             ),
         );
         let mut profile = Map::new();
@@ -538,14 +651,22 @@ impl ProvDbReport {
         root.insert("mixed_load_profile".into(), Value::object(profile));
         for m in &self.measurements {
             let mut entry = Map::new();
-            entry.insert("baseline".into(), Value::from(m.baseline));
-            entry.insert("sharded".into(), Value::from(m.sharded));
-            entry.insert("unit".into(), Value::from(m.unit));
+            entry.insert("reference".into(), Value::from(m.reference));
+            entry.insert("engine".into(), Value::from(m.engine));
+            entry.insert("unit".into(), Value::from(m.entry.unit));
             entry.insert("speedup".into(), Value::from(m.speedup()));
-            if m.parity {
+            entry.insert("rounds".into(), Value::from(m.entry.rounds));
+            entry.insert(
+                "notes".into(),
+                Value::from(format!(
+                    "reference: {}. engine: {}.",
+                    m.entry.reference, m.entry.engine
+                )),
+            );
+            if m.entry.parity {
                 entry.insert("parity".into(), Value::Bool(true));
             }
-            root.insert(m.name.into(), Value::object(entry));
+            root.insert(m.entry.name.into(), Value::object(entry));
         }
         json::to_string_pretty(&Value::object(root))
     }
@@ -798,426 +919,317 @@ fn provdb_group() -> prov_db::GroupSpec {
     }
 }
 
-fn best_of(runs: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..runs {
+/// Time `reference` and `engine` alternately, `rounds` runs each, and
+/// return the median seconds of each side. Strict alternation puts every
+/// run in the same place, right after a run of the other side, so each
+/// side's samples are one population (a side that ran right after itself
+/// would find its data in cache and form a second mode, which the median
+/// then straddles). What a side returns is dropped outside its timed
+/// region.
+fn interleave<A, B>(
+    rounds: usize,
+    mut reference: impl FnMut() -> A,
+    mut engine: impl FnMut() -> B,
+) -> (f64, f64) {
+    fn timed<T>(side: &mut impl FnMut() -> T) -> f64 {
         let t = std::time::Instant::now();
-        f();
-        best = best.min(t.elapsed().as_secs_f64());
+        let out = side();
+        let secs = t.elapsed().as_secs_f64();
+        std::hint::black_box(out);
+        secs
     }
-    best
+    fn median(mut v: Vec<f64>) -> f64 {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    }
+    let mut r = Vec::with_capacity(rounds);
+    let mut e = Vec::with_capacity(rounds);
+    for _ in 0..rounds.max(1) {
+        r.push(timed(&mut reference));
+        e.push(timed(&mut engine));
+    }
+    (median(r), median(e))
 }
 
-fn p50(mut probe: impl FnMut() -> usize) -> f64 {
-    let mut times: Vec<f64> = (0..101)
-        .map(|_| {
-            let t = std::time::Instant::now();
-            std::hint::black_box(probe());
-            t.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
+/// A bench directory, removed when dropped.
+struct ScratchDir(std::path::PathBuf);
+
+impl ScratchDir {
+    fn new(tag: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!("provdb-bench-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        Self(dir)
+    }
 }
 
-/// One isolated measurement (child-process mode); returns seconds.
-fn provdb_measure(which: &str) -> f64 {
-    use bench::baseline::BaselineDatabase;
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// One entry's child measurement: build its fixtures once, then time the
+/// reference and engine sides interleaved; (reference, engine) medians in
+/// seconds.
+fn measure_entry(entry: &Entry) -> (f64, f64) {
     use prov_db::{DocQuery, ProvenanceDatabase};
+    use std::sync::Arc;
 
+    let rounds = entry.rounds;
     let msgs = provdb_corpus();
-    match which {
-        "ingest-baseline" => best_of(5, || {
-            let db = BaselineDatabase::new();
-            std::hint::black_box(db.insert_batch(&msgs));
-        }),
-        // The streaming ingest path: accept the broker's shared handles
-        // (what a keeper holds when its flush fires). Milliseconds per
-        // run, so take the best of many — the CI regression gate compares
-        // against this number and must not ride scheduler noise.
-        "ingest-sharded" => {
-            let shared: Vec<std::sync::Arc<prov_model::TaskMessage>> =
-                msgs.iter().cloned().map(std::sync::Arc::new).collect();
-            best_of(10, || {
-                let db = ProvenanceDatabase::new();
-                std::hint::black_box(db.insert_batch_shared(shared.iter().cloned()));
-            })
+    let shared =
+        || -> Vec<Arc<prov_model::TaskMessage>> { msgs.iter().cloned().map(Arc::new).collect() };
+    // The frame-side entries: the same query over the snapshot's
+    // pre-built oracle frame vs the pushed scan.
+    let frame_vs_scan = |q: provql::Query| {
+        let db = ProvenanceDatabase::shared();
+        db.insert_batch(&msgs);
+        let frame = db.snapshot().oracle_frame();
+        interleave(
+            rounds,
+            || provql::execute(&q, &frame).expect("query runs"),
+            || run_columnar_query(&db, &q),
+        )
+    };
+    match entry.name {
+        "batch_ingest_100k_ms" => {
+            let shared = shared();
+            interleave(
+                rounds,
+                || {
+                    let db = ProvenanceDatabase::new();
+                    db.insert_batch(&msgs);
+                    db
+                },
+                || {
+                    let db = ProvenanceDatabase::new();
+                    db.insert_batch_shared(shared.iter().cloned());
+                    db
+                },
+            )
         }
-        // Accept + materialize all three views (the full deferred cost, for
-        // transparency next to the accept-path number).
-        "ingest-sharded-materialized" => {
-            let shared: Vec<std::sync::Arc<prov_model::TaskMessage>> =
-                msgs.iter().cloned().map(std::sync::Arc::new).collect();
-            best_of(5, || {
-                let db = ProvenanceDatabase::new();
-                db.insert_batch_shared(shared.iter().cloned());
-                db.flush_views().expect("flush");
-                std::hint::black_box(db.insert_count());
-            })
+        "batch_ingest_100k_materialized_ms" => {
+            let shared = shared();
+            interleave(
+                rounds,
+                || dataframe::DataFrame::from_messages(&msgs),
+                || {
+                    let db = ProvenanceDatabase::new();
+                    db.insert_batch_shared(shared.iter().cloned());
+                    db.flush_views().expect("flush");
+                    db
+                },
+            )
         }
-        "find-baseline" => {
-            let db = BaselineDatabase::new();
-            db.insert_batch(&msgs);
-            let q = provdb_find_query();
-            p50(|| db.documents.find(&q).len())
-        }
-        "find-sharded" => {
+        "indexed_find_p50_us" => {
             let db = ProvenanceDatabase::new();
             db.insert_batch(&msgs);
+            let unindexed = prov_db::DocumentStore::new();
+            unindexed.insert_many(msgs.iter().map(prov_model::TaskMessage::to_value).collect());
             let q = provdb_find_query();
-            p50(|| db.find(&q).len())
+            assert_eq!(unindexed.find(&q).len(), db.find(&q).len(), "same hits");
+            interleave(rounds, || unindexed.find(&q), || db.find(&q))
         }
-        // The pre-pushdown agent path: every query materializes the whole
-        // corpus into a DataFrame (docs → TaskMessages → from_messages)
-        // and row-scans it. This is what `provdb_query` did before plans.
-        "query-scan" => {
+        "groupby_aggregate_100k_ms" => {
+            use dataframe::AggFunc;
+            let db = ProvenanceDatabase::shared();
+            db.insert_batch(&msgs);
+            let frame = db.snapshot().oracle_frame();
+            let g = provdb_group();
+            interleave(
+                rounds,
+                || {
+                    frame
+                        .groupby(&["activity_id"])
+                        .and_then(|by| by.agg(&[("y", AggFunc::Mean), ("y", AggFunc::Count)]))
+                        .expect("group-by runs")
+                },
+                || db.aggregate(&DocQuery::new(), &g),
+            )
+        }
+        "query_pushdown_vs_scan" => {
             let db = ProvenanceDatabase::shared();
             db.insert_batch(&msgs);
             let queries = pushdown_queries();
-            // Same rep count as query-pushdown: best-of-N favors the side
-            // with more samples, so an asymmetric N would bias the ratio.
-            // Each fresh snapshot builds its own oracle frame.
-            best_of(5, || {
-                for q in &queries {
-                    let frame = db.snapshot().oracle_frame();
-                    std::hint::black_box(provql::execute(q, &frame).expect("query runs"));
-                }
-            })
+            interleave(
+                rounds,
+                || {
+                    // A fresh snapshot builds its own oracle frame.
+                    for q in &queries {
+                        let frame = db.snapshot().oracle_frame();
+                        std::hint::black_box(provql::execute(q, &frame).expect("query runs"));
+                    }
+                },
+                || {
+                    for q in &queries {
+                        std::hint::black_box(run_columnar_query(&db, q));
+                    }
+                },
+            )
         }
-        // Plan-then-push: equality conjuncts probe the hash indexes and
-        // only the surviving documents' referenced columns become a frame.
-        "query-pushdown" => {
-            let db = ProvenanceDatabase::shared();
-            db.insert_batch(&msgs);
-            let queries = pushdown_queries();
-            best_of(5, || {
-                for q in &queries {
-                    std::hint::black_box(run_columnar_query(&db, q));
-                }
-            })
-        }
-        // Selective find through both agent paths of the current engine:
-        // row-scan filter over the pre-built oracle frame vs index probe +
-        // column-vector gather (no decode at all).
-        "columnar-find-scan" => {
-            let db = ProvenanceDatabase::shared();
-            db.insert_batch(&msgs);
-            let frame = db.snapshot().oracle_frame();
-            let (find, _) = columnar_queries();
-            p50(|| provql::execute(&find, &frame).expect("query runs").len())
-        }
-        "columnar-find" => {
-            let db = ProvenanceDatabase::shared();
-            db.insert_batch(&msgs);
-            let (find, _) = columnar_queries();
-            p50(|| run_columnar_query(&db, &find))
-        }
-        // Unselective corpus-wide aggregate: the frame group-by over the
-        // pre-built oracle frame vs building the two referenced columns
-        // straight from the vectors.
-        "columnar-agg-scan" => {
-            let db = ProvenanceDatabase::shared();
-            db.insert_batch(&msgs);
-            let frame = db.snapshot().oracle_frame();
-            let (_, agg) = columnar_queries();
-            best_of(5, || {
-                std::hint::black_box(provql::execute(&agg, &frame).expect("query runs"));
-            })
-        }
-        "columnar-agg" => {
-            let db = ProvenanceDatabase::shared();
-            db.insert_batch(&msgs);
-            let (_, agg) = columnar_queries();
-            best_of(5, || {
-                std::hint::black_box(run_columnar_query(&db, &agg));
-            })
-        }
-        // Top-k through both agent paths on the current engine: sort the
-        // whole (pre-built, cached-oracle-style) frame per query vs the
-        // pushed sort+limit scan. The frame side is what `provdb_query`
-        // did for this shape before sort pushdown existed.
-        "topk-frame" => {
-            let db = ProvenanceDatabase::shared();
-            db.insert_batch(&msgs);
-            let frame = db.snapshot().oracle_frame();
-            let q = topk_query();
-            p50(|| provql::execute(&q, &frame).expect("query runs").len())
-        }
-        "topk-push" => {
-            let db = ProvenanceDatabase::shared();
-            db.insert_batch(&msgs);
-            let q = topk_query();
-            p50(|| run_columnar_query(&db, &q))
-        }
-        // Unindexed membership filter through both agent paths of the
-        // current engine: row-by-row isin over the pre-built oracle frame
-        // vs the dictionary kernel (code-compiled literals, zone-map chunk
-        // skipping, selection vectors).
-        "dict-filter-scan" => {
-            let db = ProvenanceDatabase::shared();
-            db.insert_batch(&msgs);
-            let frame = db.snapshot().oracle_frame();
-            let q = dict_filter_query();
-            best_of(5, || {
-                std::hint::black_box(provql::execute(&q, &frame).expect("query runs"));
-            })
-        }
-        "dict-filter" => {
-            let db = ProvenanceDatabase::shared();
-            db.insert_batch(&msgs);
-            let q = dict_filter_query();
-            best_of(5, || {
-                std::hint::black_box(run_columnar_query(&db, &q));
-            })
-        }
-        // Single-key grouped aggregate through both agent paths on the
-        // current engine: hash per-row Vec<Value> keys over the cached
-        // full frame vs grouping directly over dictionary codes.
-        "vec-groupby-frame" => {
-            let db = ProvenanceDatabase::shared();
-            db.insert_batch(&msgs);
-            let frame = db.snapshot().oracle_frame();
-            let q = vectorized_groupby_query();
-            best_of(5, || {
-                std::hint::black_box(provql::execute(&q, &frame).expect("query runs"));
-            })
-        }
-        "vec-groupby-codes" => {
-            let db = ProvenanceDatabase::shared();
-            db.insert_batch(&msgs);
-            let q = vectorized_groupby_query();
-            best_of(5, || {
-                std::hint::black_box(run_columnar_query(&db, &q));
-            })
-        }
-        // Concurrent ingest bursts interleaved with dashboard query
-        // storms, through the pre-serving agent path: each query pins a
-        // snapshot, tries pushdown and otherwise re-executes its stages
-        // over a generation-keyed whole-frame cache (what `provdb_query`
-        // did before the plan cache and the worker pool), all on the
-        // caller's thread.
-        "mixed-load-baseline" => {
+        "columnar_find" => frame_vs_scan(columnar_queries().0),
+        "columnar_aggregate" => frame_vs_scan(columnar_queries().1),
+        "topk_find" => frame_vs_scan(topk_query()),
+        "dict_filter" => frame_vs_scan(dict_filter_query()),
+        "vectorized_groupby" => frame_vs_scan(vectorized_groupby_query()),
+        "mixed_load" => {
             let msgs = mixed_corpus();
-            let queries: Vec<provql::Query> = mixed_query_texts()
+            let texts = mixed_query_texts();
+            let queries: Vec<provql::Query> = texts
                 .iter()
                 .map(|t| provql::parse(t).expect("bench query parses"))
                 .collect();
-            best_of(3, || {
-                let db = ProvenanceDatabase::shared();
-                let (seed, rest) = msgs.split_at(MIXED_SEED);
-                db.insert_batch_shared(seed.iter().cloned());
-                let mut cached: Option<(u64, std::sync::Arc<dataframe::DataFrame>)> = None;
-                for burst in rest.chunks(MIXED_BURST_SIZE) {
-                    db.insert_batch_shared(burst.iter().cloned());
-                    for i in 0..MIXED_STORM {
-                        let q = &queries[i % queries.len()];
-                        let snap = db.snapshot();
-                        match prov_db::execute_plan(&snap, &provql::plan(q, &*snap)) {
-                            prov_db::Pushdown::Executed(out) => {
-                                std::hint::black_box(out.expect("query runs"));
-                            }
-                            prov_db::Pushdown::NeedsFullFrame(_) => {
-                                let generation = snap.generation();
-                                if cached.as_ref().map(|(g, _)| *g) != Some(generation) {
-                                    cached = Some((generation, snap.oracle_frame()));
+            interleave(
+                rounds,
+                || {
+                    let db = ProvenanceDatabase::shared();
+                    let (seed, rest) = msgs.split_at(MIXED_SEED);
+                    db.insert_batch_shared(seed.iter().cloned());
+                    let mut cached: Option<(u64, Arc<dataframe::DataFrame>)> = None;
+                    for burst in rest.chunks(MIXED_BURST_SIZE) {
+                        db.insert_batch_shared(burst.iter().cloned());
+                        for i in 0..MIXED_STORM {
+                            let q = &queries[i % queries.len()];
+                            let snap = db.snapshot();
+                            match prov_db::execute_plan(&snap, &provql::plan(q, &*snap)) {
+                                prov_db::Pushdown::Executed(out) => {
+                                    std::hint::black_box(out.expect("query runs"));
                                 }
-                                let frame = &cached.as_ref().expect("just filled").1;
-                                std::hint::black_box(
-                                    provql::execute(q, frame).expect("query runs"),
-                                );
+                                prov_db::Pushdown::NeedsFullFrame(_) => {
+                                    let generation = snap.generation();
+                                    if cached.as_ref().map(|(g, _)| *g) != Some(generation) {
+                                        cached = Some((generation, snap.oracle_frame()));
+                                    }
+                                    let frame = &cached.as_ref().expect("just filled").1;
+                                    std::hint::black_box(
+                                        provql::execute(q, frame).expect("query runs"),
+                                    );
+                                }
                             }
                         }
                     }
-                }
-            })
-        }
-        // The same workload through the serving stack: storms submitted
-        // to the bounded worker pool, answered from generation-pinned
-        // snapshots through the plan-keyed result cache.
-        "mixed-load-serve" => {
-            let msgs = mixed_corpus();
-            let texts = mixed_query_texts();
-            best_of(3, || {
-                let db = ProvenanceDatabase::shared();
-                let server = prov_db::QueryServer::start(
-                    db.clone(),
-                    prov_db::ServeConfig {
-                        workers: prov_db::ServeConfig::default().workers,
-                        queue_depth: MIXED_STORM,
-                    },
-                );
-                let (seed, rest) = msgs.split_at(MIXED_SEED);
-                db.insert_batch_shared(seed.iter().cloned());
-                for burst in rest.chunks(MIXED_BURST_SIZE) {
-                    db.insert_batch_shared(burst.iter().cloned());
-                    let pending: Vec<_> = (0..MIXED_STORM)
-                        .map(|i| {
-                            server
-                                .submit(texts[i % texts.len()])
-                                .expect("queue sized for the storm")
-                        })
-                        .collect();
-                    for rx in pending {
-                        let resp = rx.recv().expect("worker replies");
-                        std::hint::black_box(resp.result.expect("query runs"));
+                    db
+                },
+                || {
+                    let db = ProvenanceDatabase::shared();
+                    let server = prov_db::QueryServer::start(
+                        db.clone(),
+                        prov_db::ServeConfig {
+                            workers: prov_db::ServeConfig::default().workers,
+                            queue_depth: MIXED_STORM,
+                        },
+                    );
+                    let (seed, rest) = msgs.split_at(MIXED_SEED);
+                    db.insert_batch_shared(seed.iter().cloned());
+                    for burst in rest.chunks(MIXED_BURST_SIZE) {
+                        db.insert_batch_shared(burst.iter().cloned());
+                        let pending: Vec<_> = (0..MIXED_STORM)
+                            .map(|i| {
+                                server
+                                    .submit(texts[i % texts.len()])
+                                    .expect("queue sized for the storm")
+                            })
+                            .collect();
+                        for rx in pending {
+                            let resp = rx.recv().expect("worker replies");
+                            std::hint::black_box(resp.result.expect("query runs"));
+                        }
                     }
-                }
-            })
+                    (server, db)
+                },
+            )
         }
-        "aggregate-baseline" => {
-            let db = BaselineDatabase::new();
-            db.insert_batch(&msgs);
-            let g = provdb_group();
-            best_of(5, || {
-                std::hint::black_box(db.documents.aggregate(&DocQuery::new(), &g).len());
-            })
-        }
-        "aggregate-sharded" => {
-            let db = ProvenanceDatabase::new();
-            db.insert_batch(&msgs);
-            let g = provdb_group();
-            best_of(5, || {
-                std::hint::black_box(db.aggregate(&DocQuery::new(), &g).len());
-            })
-        }
-        // Million-edge lineage closure through both graph read paths of
-        // the current engine: the locking adjacency-map traversal (the
-        // differential oracle) vs the CSR kernels. The CSR build runs
-        // outside the timed region — it is paid once per store generation
-        // and memoized (see docs/lineage.md).
-        "graph-traverse-oracle" => {
-            let store = graph_lineage_store();
-            best_of(5, || {
-                std::hint::black_box(store.upstream_lineage(GRAPH_DEEP_TASK, usize::MAX).len());
-            })
-        }
-        "graph-traverse-csr" => {
+        "graph_traverse" | "graph_khop" => {
             let store = graph_lineage_store();
             let csr = prov_db::CsrGraph::build(&store);
-            best_of(5, || {
-                std::hint::black_box(csr.upstream(GRAPH_DEEP_TASK, usize::MAX).len());
-            })
+            if entry.name == "graph_traverse" {
+                interleave(
+                    rounds,
+                    || store.upstream_lineage(GRAPH_DEEP_TASK, usize::MAX).len(),
+                    || csr.upstream(GRAPH_DEEP_TASK, usize::MAX).len(),
+                )
+            } else {
+                interleave(
+                    rounds,
+                    || store.khop(GRAPH_MID_TASK, 4).len(),
+                    || csr.khop(GRAPH_MID_TASK, 4).len(),
+                )
+            }
         }
-        // 4-hop any-relation neighborhood from a mid-graph task.
-        "graph-khop-oracle" => {
-            let store = graph_lineage_store();
-            best_of(5, || {
-                std::hint::black_box(store.khop(GRAPH_MID_TASK, 4).len());
-            })
+        "wal_ingest" => {
+            let shared = shared();
+            interleave(
+                rounds,
+                || {
+                    let db = ProvenanceDatabase::new();
+                    db.insert_batch_shared(shared.iter().cloned());
+                    db.flush_views().expect("flush");
+                    db
+                },
+                || {
+                    // The directory goes after the store (tuple fields
+                    // drop in order), outside the timed region.
+                    let dir = ScratchDir::new("wal");
+                    let db = ProvenanceDatabase::open(&dir.0).expect("open durable bench store");
+                    db.insert_batch_shared(shared.iter().cloned());
+                    db.flush_views().expect("flush");
+                    db.wait_for_seal().expect("seal");
+                    (db, dir)
+                },
+            )
         }
-        "graph-khop-csr" => {
-            let store = graph_lineage_store();
-            let csr = prov_db::CsrGraph::build(&store);
-            best_of(5, || {
-                std::hint::black_box(csr.khop(GRAPH_MID_TASK, 4).len());
-            })
-        }
-        // Durability tax on the streaming path: the same
-        // accept + materialize workload with no disk vs WAL-logged (and
-        // chunk-sealed) through a durable store. Disk-bound, so fewer
-        // repetitions and a parity-flagged entry.
-        "wal-ingest-memory" => {
-            let shared: Vec<std::sync::Arc<prov_model::TaskMessage>> =
-                msgs.iter().cloned().map(std::sync::Arc::new).collect();
-            best_of(3, || {
-                let db = ProvenanceDatabase::new();
-                db.insert_batch_shared(shared.iter().cloned());
-                db.flush_views().expect("flush");
-                std::hint::black_box(db.insert_count());
-            })
-        }
-        "wal-ingest-durable" => {
-            let shared: Vec<std::sync::Arc<prov_model::TaskMessage>> =
-                msgs.iter().cloned().map(std::sync::Arc::new).collect();
-            let root =
-                std::env::temp_dir().join(format!("provdb-bench-wal-{}", std::process::id()));
-            let t = best_of(3, || {
-                let _ = std::fs::remove_dir_all(&root);
-                let db = ProvenanceDatabase::open(&root).expect("open durable bench store");
-                db.insert_batch_shared(shared.iter().cloned());
-                db.flush_views().expect("flush");
-                std::hint::black_box(db.insert_count());
-            });
-            let _ = std::fs::remove_dir_all(&root);
-            t
-        }
-        // Recovery speed: rebuild the store by re-ingesting the source
-        // messages (the only option without durability) vs
-        // recovery-by-replay from sealed segments + the WAL tail.
-        "recovery-reingest" => best_of(3, || {
-            let db = ProvenanceDatabase::new();
-            db.insert_batch(&msgs);
-            std::hint::black_box(db.insert_count());
-        }),
-        "recovery-replay" => {
-            let root =
-                std::env::temp_dir().join(format!("provdb-bench-replay-{}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&root);
+        "recovery_replay" => {
+            let dir = ScratchDir::new("replay");
             {
-                let shared: Vec<std::sync::Arc<prov_model::TaskMessage>> =
-                    msgs.iter().cloned().map(std::sync::Arc::new).collect();
-                let db = ProvenanceDatabase::open(&root).expect("open durable bench store");
-                db.insert_batch_shared(shared.iter().cloned());
+                let db = ProvenanceDatabase::open(&dir.0).expect("open durable bench store");
+                db.insert_batch_shared(shared());
                 db.flush_views().expect("flush");
             }
-            let t = best_of(3, || {
-                let db = ProvenanceDatabase::open(&root).expect("recover bench store");
-                std::hint::black_box(db.insert_count());
-            });
-            let _ = std::fs::remove_dir_all(&root);
-            t
+            interleave(
+                rounds,
+                || {
+                    let db = ProvenanceDatabase::new();
+                    db.insert_batch(&msgs);
+                    db
+                },
+                || ProvenanceDatabase::open(&dir.0).expect("recover bench store"),
+            )
         }
-        // Cold open over an explicitly sealed corpus: replay of every
-        // sealed row into RAM (the pre-out-of-core behaviour, kept as
-        // `open_replayed`) vs the lazy path that loads only the
-        // segment directory + zone-map footers and replays the WAL tail.
-        // Seeding runs once outside the timed region; both sides open
-        // the same files.
-        "cold-open-eager" | "cold-open-lazy" => {
-            let root =
-                std::env::temp_dir().join(format!("provdb-bench-{which}-{}", std::process::id()));
-            seed_sealed_store(&root, &msgs);
-            let t = best_of(3, || {
-                let config = prov_db::Config::from_env();
-                let db = if which == "cold-open-eager" {
-                    ProvenanceDatabase::open_replayed(&root, config)
-                } else {
-                    ProvenanceDatabase::open_with(&root, config)
-                };
-                std::hint::black_box(db.expect("open sealed bench store").insert_count());
-            });
-            let _ = std::fs::remove_dir_all(&root);
-            t
+        "cold_open" => {
+            let dir = ScratchDir::new("cold-open");
+            seed_sealed_store(&dir.0, &msgs);
+            let config = prov_db::Config::from_env();
+            interleave(
+                rounds,
+                || ProvenanceDatabase::open_replayed(&dir.0, config).expect("replay sealed store"),
+                || ProvenanceDatabase::open_with(&dir.0, config).expect("open sealed store"),
+            )
         }
-        // Steady-state paged-read tax: the dict-filter columnar scan on
-        // a fully resident (eager-opened) store vs the same scan through
-        // the chunk pager under a deliberately tiny 4 MiB budget — small
-        // enough that every probe re-pages cold chunks from the segment
-        // files, the bounded-memory worst case rather than a warm-cache
-        // best case.
-        "ooc-scan-resident" | "ooc-scan-paged" => {
-            let root =
-                std::env::temp_dir().join(format!("provdb-bench-{which}-{}", std::process::id()));
-            seed_sealed_store(&root, &msgs);
+        "out_of_core_scan" => {
+            let dir = ScratchDir::new("ooc");
+            seed_sealed_store(&dir.0, &msgs);
             let config = prov_db::Config {
                 resident_bytes: 4 << 20,
                 ..prov_db::Config::from_env()
             };
-            let db = if which == "ooc-scan-resident" {
-                ProvenanceDatabase::open_replayed(&root, config)
-            } else {
-                ProvenanceDatabase::open_with(&root, config)
-            }
-            .expect("open sealed bench store");
+            // Two read-only handles on one sealed directory: neither
+            // writes, so neither sees the other.
+            let resident =
+                ProvenanceDatabase::open_replayed(&dir.0, config).expect("replay sealed store");
+            let paged = ProvenanceDatabase::open_with(&dir.0, config).expect("open sealed store");
             let q = dict_filter_query();
-            let t = best_of(5, || {
-                std::hint::black_box(run_columnar_query(&db, &q));
-            });
-            drop(db);
-            let _ = std::fs::remove_dir_all(&root);
-            t
+            assert_eq!(
+                run_columnar_query(&resident, &q),
+                run_columnar_query(&paged, &q),
+                "same hits"
+            );
+            interleave(
+                rounds,
+                || run_columnar_query(&resident, &q),
+                || run_columnar_query(&paged, &q),
+            )
         }
-        other => panic!("unknown provdb measurement `{other}`"),
+        other => panic!("unknown provdb entry `{other}`"),
     }
 }
 
@@ -1256,181 +1268,41 @@ fn graph_lineage_store() -> prov_db::GraphStore {
     store
 }
 
-/// Run one measurement in a fresh child process; falls back to in-process
-/// when re-spawning the binary is not possible.
-fn provdb_measure_isolated(which: &str) -> f64 {
+/// Measure one entry in a fresh child process (`--provdb-measure
+/// <name>`, which prints the two medians in seconds); falls back to
+/// in-process when re-spawning the binary is not possible.
+fn measure_in_child(entry: &Entry) -> (f64, f64) {
     let child = std::env::current_exe().ok().and_then(|exe| {
         let out = std::process::Command::new(exe)
-            .args(["--provdb-measure", which])
+            .args(["--provdb-measure", entry.name])
             .output()
             .ok()?;
         if !out.status.success() {
             return None;
         }
-        String::from_utf8(out.stdout)
-            .ok()?
-            .trim()
-            .parse::<f64>()
-            .ok()
+        let text = String::from_utf8(out.stdout).ok()?;
+        let mut sides = text.split_whitespace().map(str::parse::<f64>);
+        Some((sides.next()?.ok()?, sides.next()?.ok()?))
     });
-    child.unwrap_or_else(|| provdb_measure(which))
+    child.unwrap_or_else(|| measure_entry(entry))
 }
 
-/// Measure batch ingest, indexed find (p50), and group-by aggregation on a
-/// 100k-message corpus for both engines, each in its own process.
+/// Measure every entry, each in its own child with its two sides
+/// interleaved, on the 100k-message corpus.
 fn provdb_benchmark() -> ProvDbReport {
-    let ingest_baseline = provdb_measure_isolated("ingest-baseline") * 1e3;
-    let measurements = vec![
-        ProvDbMeasurement {
-            name: "batch_ingest_100k_ms",
-            unit: "ms",
-            baseline: ingest_baseline,
-            sharded: provdb_measure_isolated("ingest-sharded") * 1e3,
-            parity: false,
-        },
-        ProvDbMeasurement {
-            name: "batch_ingest_100k_materialized_ms",
-            unit: "ms",
-            baseline: ingest_baseline,
-            sharded: provdb_measure_isolated("ingest-sharded-materialized") * 1e3,
-            parity: false,
-        },
-        ProvDbMeasurement {
-            name: "indexed_find_p50_us",
-            unit: "\u{b5}s",
-            baseline: provdb_measure_isolated("find-baseline") * 1e6,
-            sharded: provdb_measure_isolated("find-sharded") * 1e6,
-            parity: false,
-        },
-        ProvDbMeasurement {
-            name: "groupby_aggregate_100k_ms",
-            unit: "ms",
-            baseline: provdb_measure_isolated("aggregate-baseline") * 1e3,
-            sharded: provdb_measure_isolated("aggregate-sharded") * 1e3,
-            parity: false,
-        },
-        // Unlike the rows above, both sides here run on the *current*
-        // engine: the contrast is the agent's query path (materialize the
-        // whole corpus per query vs plan-then-push into the indexes).
-        ProvDbMeasurement {
-            name: "query_pushdown_vs_scan",
-            unit: "ms",
-            baseline: provdb_measure_isolated("query-scan") * 1e3,
-            sharded: provdb_measure_isolated("query-pushdown") * 1e3,
-            parity: false,
-        },
-        // Current engine on both sides again: the pre-built oracle frame
-        // vs the columnar scan, on a selective find and on an unselective
-        // corpus-wide aggregate.
-        ProvDbMeasurement {
-            name: "columnar_find",
-            unit: "\u{b5}s",
-            baseline: provdb_measure_isolated("columnar-find-scan") * 1e6,
-            sharded: provdb_measure_isolated("columnar-find") * 1e6,
-            parity: false,
-        },
-        ProvDbMeasurement {
-            name: "columnar_aggregate",
-            unit: "ms",
-            baseline: provdb_measure_isolated("columnar-agg-scan") * 1e3,
-            sharded: provdb_measure_isolated("columnar-agg") * 1e3,
-            parity: false,
-        },
-        // Current engine on both sides: sort-the-full-frame vs the pushed
-        // top-k scan.
-        ProvDbMeasurement {
-            name: "topk_find",
-            unit: "ms",
-            baseline: provdb_measure_isolated("topk-frame") * 1e3,
-            sharded: provdb_measure_isolated("topk-push") * 1e3,
-            parity: false,
-        },
-        // Current engine on both sides: the dictionary/zone-map kernels
-        // vs their frame-based equivalents.
-        ProvDbMeasurement {
-            name: "dict_filter",
-            unit: "ms",
-            baseline: provdb_measure_isolated("dict-filter-scan") * 1e3,
-            sharded: provdb_measure_isolated("dict-filter") * 1e3,
-            parity: false,
-        },
-        ProvDbMeasurement {
-            name: "vectorized_groupby",
-            unit: "ms",
-            baseline: provdb_measure_isolated("vec-groupby-frame") * 1e3,
-            sharded: provdb_measure_isolated("vec-groupby-codes") * 1e3,
-            parity: false,
-        },
-        // Both sides run the same ingest-bursts + query-storms workload
-        // on the current engine: the pre-serving single-threaded agent
-        // path vs the QueryServer pool with snapshots + the plan cache.
-        ProvDbMeasurement {
-            name: "mixed_load",
-            unit: "ms",
-            baseline: provdb_measure_isolated("mixed-load-baseline") * 1e3,
-            sharded: provdb_measure_isolated("mixed-load-serve") * 1e3,
-            parity: false,
-        },
-        // Both sides run on the current engine's graph backend: the
-        // locking adjacency-map traversal (kept as the differential
-        // oracle) vs the CSR kernels, over a million-edge lineage DAG.
-        ProvDbMeasurement {
-            name: "graph_traverse",
-            unit: "ms",
-            baseline: provdb_measure_isolated("graph-traverse-oracle") * 1e3,
-            sharded: provdb_measure_isolated("graph-traverse-csr") * 1e3,
-            parity: false,
-        },
-        ProvDbMeasurement {
-            name: "graph_khop",
-            unit: "ms",
-            baseline: provdb_measure_isolated("graph-khop-oracle") * 1e3,
-            sharded: provdb_measure_isolated("graph-khop-csr") * 1e3,
-            parity: false,
-        },
-        // Durability entries, both sides on the current engine. Ratios
-        // near 1.0x on both (the tax of logging, and replay vs rebuild)
-        // and disk-bound, so parity-flagged: the gate guards against a
-        // durable path collapsing, not scheduler/disk jitter.
-        ProvDbMeasurement {
-            name: "wal_ingest",
-            unit: "ms",
-            baseline: provdb_measure_isolated("wal-ingest-memory") * 1e3,
-            sharded: provdb_measure_isolated("wal-ingest-durable") * 1e3,
-            parity: true,
-        },
-        // Recovery is no longer a near-1x parity contrast: since the
-        // out-of-core work, open loads only the segment directory +
-        // footers and the WAL tail, so replay beats re-ingest by the
-        // sealed fraction of history.
-        ProvDbMeasurement {
-            name: "recovery_replay",
-            unit: "ms",
-            baseline: provdb_measure_isolated("recovery-reingest") * 1e3,
-            sharded: provdb_measure_isolated("recovery-replay") * 1e3,
-            parity: false,
-        },
-        // Both sides open the same sealed files; the contrast is eager
-        // replay of sealed rows vs the lazy out-of-core open.
-        ProvDbMeasurement {
-            name: "cold_open",
-            unit: "ms",
-            baseline: provdb_measure_isolated("cold-open-eager") * 1e3,
-            sharded: provdb_measure_isolated("cold-open-lazy") * 1e3,
-            parity: false,
-        },
-        // The paged side deliberately runs under a 4 MiB resident budget
-        // (the bounded-memory worst case, re-paging every chunk per
-        // probe), so it is expected to trail the resident side — parity
-        // keeps the gate guarding against collapse, not the ratio.
-        ProvDbMeasurement {
-            name: "out_of_core_scan",
-            unit: "ms",
-            baseline: provdb_measure_isolated("ooc-scan-resident") * 1e3,
-            sharded: provdb_measure_isolated("ooc-scan-paged") * 1e3,
-            parity: true,
-        },
-    ];
+    let measurements = ENTRIES
+        .iter()
+        .map(|entry| {
+            eprintln!("  {} ({} rounds per side)…", entry.name, entry.rounds);
+            let (reference, engine) = measure_in_child(entry);
+            let scale = if entry.unit == MS { 1e3 } else { 1e6 };
+            Measurement {
+                entry,
+                reference: reference * scale,
+                engine: engine * scale,
+            }
+        })
+        .collect();
     let config = prov_db::Config::from_env();
     ProvDbReport {
         messages: 100_000,
@@ -1528,4 +1400,76 @@ fn scale_independence() -> String {
          independent of provenance volume, as claimed in §5.4.)\n",
     );
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::check_bench_regression;
+
+    /// Gate `fresh` against `committed` (report texts) at the CI's 20%
+    /// tolerance; the exit code.
+    fn gate(case: &str, committed: &str, fresh: &str) -> i32 {
+        let dir =
+            std::env::temp_dir().join(format!("repro-check-bench-{case}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let (c, f) = (dir.join("committed.json"), dir.join("fresh.json"));
+        std::fs::write(&c, committed).expect("write committed");
+        std::fs::write(&f, fresh).expect("write fresh");
+        let code = check_bench_regression(
+            c.to_str().expect("utf-8"),
+            f.to_str().expect("utf-8"),
+            0.20,
+            false,
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+        code
+    }
+
+    #[test]
+    fn an_entry_below_its_floor_fails() {
+        let committed = r#"{"a": {"speedup": 10.0}, "b": {"speedup": 2.0}}"#;
+        let above = r#"{"a": {"speedup": 8.1}, "b": {"speedup": 1.7}}"#;
+        let below = r#"{"a": {"speedup": 7.9}, "b": {"speedup": 2.5}}"#;
+        assert_eq!(gate("above", committed, above), 0);
+        assert_eq!(gate("below", committed, below), 1);
+    }
+
+    #[test]
+    fn a_parity_entry_gets_three_times_the_tolerance() {
+        // Floor 1.0 × (1 - 0.60) = 0.40 with the flag, 0.80 without.
+        let parity = r#"{"p": {"speedup": 1.0, "parity": true}}"#;
+        let gated = r#"{"p": {"speedup": 1.0}}"#;
+        let at = |ratio: f64| format!(r#"{{"p": {{"speedup": {ratio}}}}}"#);
+        assert_eq!(gate("parity-in", parity, &at(0.45)), 0);
+        assert_eq!(gate("parity-out", parity, &at(0.35)), 1);
+        assert_eq!(gate("gated", gated, &at(0.45)), 1);
+    }
+
+    #[test]
+    fn an_entry_missing_from_the_fresh_file_fails() {
+        let committed = r#"{"a": {"speedup": 3.0}, "b": {"speedup": 3.0}}"#;
+        let fresh = r#"{"a": {"speedup": 3.0}}"#;
+        assert_eq!(gate("missing", committed, fresh), 1);
+    }
+
+    #[test]
+    fn metadata_keys_are_skipped() {
+        let committed = r#"{
+            "generated_by": "repro --provdb",
+            "corpus_messages": 100000,
+            "runner": {"cores_detected": 2},
+            "notes": "free text",
+            "mixed_load_profile": {"queries": 576, "cache_hits": 516},
+            "a": {"reference": 4.0, "engine": 2.0, "speedup": 2.0, "unit": "ms"}
+        }"#;
+        let fresh = r#"{"a": {"speedup": 2.0}}"#;
+        assert_eq!(gate("metadata", committed, fresh), 0);
+    }
+
+    #[test]
+    fn a_fresh_file_with_an_extra_entry_passes() {
+        let committed = r#"{"a": {"speedup": 3.0}}"#;
+        let fresh = r#"{"a": {"speedup": 3.0}, "z": {"speedup": 0.1}}"#;
+        assert_eq!(gate("extra", committed, fresh), 0);
+    }
 }

@@ -14,7 +14,6 @@
 //! | `PROVDB_SEAL_ROWS` | `seal_rows` | 32768 | integer ≥ 1 |
 //! | `PROVDB_RESIDENT_MB` | `resident_bytes` | 256 MiB | integer ≥ 1, in MiB |
 //! | `PROVDB_WAL_SYNC` | `wal_sync` | `batch` | `always` or `batch`, any case |
-//! | `PROVDB_CRASH_AFTER` | `crash_after` | unset | integer ≥ 0 |
 //!
 //! Values are trimmed before they are parsed; a value that does not
 //! parse or lies outside its accepted range leaves the default in effect.
@@ -23,8 +22,8 @@
 //! chunk and zone-map granularity and the sealing unit; `seal_rows` is
 //! how many arrivals the WAL accumulates before a seal is attempted;
 //! `resident_bytes` bounds the pager's resident set; `wal_sync` picks
-//! one `fdatasync` per record or per drained batch; `crash_after` aborts
-//! the process right after its n-th WAL record, for the crash harness.
+//! one `fdatasync` per record or per drained batch. The crash harness
+//! places its aborts through [`crate::crashpoint`], not through `Config`.
 //! The plan cache's budget is a constant, [`crate::cache::MAX_BYTES`].
 //!
 //! [`ProvenanceDatabase`]: crate::ProvenanceDatabase
@@ -46,9 +45,6 @@ pub struct Config {
     pub resident_bytes: usize,
     /// WAL sync policy.
     pub wal_sync: SyncPolicy,
-    /// Abort the process right after this many WAL records were written
-    /// by it (crash injection).
-    pub crash_after: Option<u64>,
 }
 
 impl Default for Config {
@@ -60,7 +56,6 @@ impl Default for Config {
             seal_rows: 32_768,
             resident_bytes: 256 << 20,
             wal_sync: SyncPolicy::Batch,
-            crash_after: None,
         }
     }
 }
@@ -91,7 +86,6 @@ impl Config {
                 Some(v) if v.trim().eq_ignore_ascii_case("always") => SyncPolicy::Always,
                 _ => SyncPolicy::Batch,
             },
-            crash_after: num("PROVDB_CRASH_AFTER"),
         }
     }
 }
@@ -115,7 +109,6 @@ mod tests {
         let chunk: Field = |c| c.chunk_rows as u64;
         let seal: Field = |c| c.seal_rows;
         let resident: Field = |c| c.resident_bytes as u64;
-        let crash: Field = |c| c.crash_after.map_or(u64::MAX, |n| n);
         let table: &[(&str, &str, Field, u64)] = &[
             ("PROVDB_SHARDS", "4", shards, 4),
             ("PROVDB_SHARDS", " 16 ", shards, 16),
@@ -137,9 +130,6 @@ mod tests {
             ("PROVDB_RESIDENT_MB", "4 ", resident, 4 << 20),
             ("PROVDB_RESIDENT_MB", "0", resident, 256 << 20),
             ("PROVDB_RESIDENT_MB", "4.5", resident, 256 << 20),
-            ("PROVDB_CRASH_AFTER", "12", crash, 12),
-            ("PROVDB_CRASH_AFTER", " 0 ", crash, 0),
-            ("PROVDB_CRASH_AFTER", "soon", crash, u64::MAX),
         ];
         for &(name, raw, field, want) in table {
             let got = with(name, raw);
@@ -150,8 +140,7 @@ mod tests {
                 "PROVDB_SHARDS" => rest.shards = d.shards,
                 "PROVDB_CHUNK" => rest.chunk_rows = d.chunk_rows,
                 "PROVDB_SEAL_ROWS" => rest.seal_rows = d.seal_rows,
-                "PROVDB_RESIDENT_MB" => rest.resident_bytes = d.resident_bytes,
-                _ => rest.crash_after = None,
+                _ => rest.resident_bytes = d.resident_bytes,
             }
             assert_eq!(rest, d, "{name}={raw:?} moved another field");
         }

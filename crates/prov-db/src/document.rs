@@ -612,7 +612,7 @@ impl DocumentStore {
     /// (slot-major, shard-minor — ids are `slot * nshards + shard`). Shard
     /// cursors keep one paged chunk per shard resident, so a cold prefix
     /// streams through with bounded memory. Used by the unindexed
-    /// [`aggregate`](Self::aggregate) and by the deferred KV/graph
+    /// [`aggregate`](Self::aggregate) and by the deferred graph
     /// hydration of a lazily opened store, which must replay arrival
     /// order exactly (ids equal arrival indexes).
     pub(crate) fn for_each_doc_in_id_order(&self, bound: &[usize], mut f: impl FnMut(&Arc<Value>)) {

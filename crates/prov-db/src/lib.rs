@@ -69,9 +69,10 @@
 //! instead of a lock round-trip per message and backend, and bursts
 //! are absorbed at pointer-append speed. The eager path
 //! ([`ProvenanceDatabase::insert_batch`]) materializes immediately for
-//! callers holding owned messages. `crates/bench` tracks both the accept
-//! and the fully-materialized ingest cost against the preserved
-//! pre-refactor baseline in `BENCH_provdb.json` (see `repro --provdb`).
+//! callers holding owned messages. `crates/bench` tracks the accept path
+//! against the eager path, and accept plus materialization against
+//! building the oracle frame from the same messages, in
+//! `BENCH_provdb.json` (see `repro --provdb`).
 //!
 //! ## Concurrent serving (snapshot reads + plan cache)
 //!

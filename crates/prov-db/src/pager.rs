@@ -25,7 +25,7 @@
 //!   columns the cold rows hold — comes from the footers alone.
 //! * its **docs page**, the chunk's decoded documents, paged only when
 //!   something needs documents: a document walk, a projection the columns
-//!   cannot serve, `get`, and the KV/graph hydration. It is accounted at
+//!   cannot serve, `get`, and the graph hydration. It is accounted at
 //!   an estimate of the decoded trees (4× the raw record bytes plus 96
 //!   bytes a row).
 //!

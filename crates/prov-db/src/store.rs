@@ -518,14 +518,7 @@ impl ProvenanceDatabase {
         db.materialize_docs(assembled);
         db.inserts.store(next, Ordering::Relaxed);
 
-        let writer = WalWriter::open(
-            &dir,
-            chunk * n,
-            wal_files,
-            next,
-            config.wal_sync,
-            config.crash_after,
-        )?;
+        let writer = WalWriter::open(&dir, chunk * n, wal_files, next, config.wal_sync)?;
         db.durability = Some(Arc::new(Durability {
             dir,
             wal: Mutex::new(WalState {

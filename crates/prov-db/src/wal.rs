@@ -67,6 +67,7 @@
 //! canonical — one byte string per value — which is what lets the
 //! segment-footer round-trip tests assert byte identity.
 
+use crate::crashpoint;
 use crate::document::PrehashedMap;
 use prov_model::sym::fnv1a;
 use prov_model::{Map, Sym, Value};
@@ -425,11 +426,12 @@ struct OpenFile {
 /// at every unit boundary, so a seal, whose cutoff is always a unit
 /// boundary, retires the files below it by deleting them.
 ///
-/// Carries the crash-point injection hook: with `crash_after` set to
-/// `n` (`PROVDB_CRASH_AFTER`), the process syncs and aborts immediately
-/// after the `n`-th record written by this process reaches the file —
-/// the harness's simulated crash, placed at the worst possible spot
-/// (mid-batch, views half-applied).
+/// Each record reaches [`crashpoint::Point::WalRecord`]: the crash
+/// harness can sync and abort right after the `n`-th record this process
+/// writes, its simulated crash at the worst possible spot (mid-batch,
+/// views half-applied).
+///
+/// [`crashpoint::Point::WalRecord`]: crate::crashpoint::Point::WalRecord
 pub(crate) struct WalWriter {
     dir: PathBuf,
     /// Arrivals per file.
@@ -442,9 +444,6 @@ pub(crate) struct WalWriter {
     /// later append may land behind the torn bytes.
     poisoned: bool,
     sync: SyncPolicy,
-    /// Records written by this process (drives crash injection).
-    written: u64,
-    crash_after: Option<u64>,
 }
 
 impl WalWriter {
@@ -457,7 +456,6 @@ impl WalWriter {
         files: Vec<u64>,
         next: u64,
         sync: SyncPolicy,
-        crash_after: Option<u64>,
     ) -> std::io::Result<Self> {
         let unit = unit.max(1);
         let open = match files.last() {
@@ -481,14 +479,12 @@ impl WalWriter {
             open,
             poisoned: false,
             sync,
-            written: 0,
-            crash_after,
         })
     }
 
     /// Append one record batch: `docs[i]` gets arrival index
-    /// `base_seq + i`. Honors the sync policy and the crash-injection
-    /// hook; returns only after every record is at least in the OS. On a
+    /// `base_seq + i`. Honors the sync policy and the crash point;
+    /// returns only after every record is at least in the OS. On a
     /// failed write the error comes with how many of `docs` (a prefix)
     /// were logged before it; the records after them are not in the log.
     pub(crate) fn append(
@@ -530,8 +526,7 @@ impl WalWriter {
             payload.clear();
             encode_value(doc, &mut payload);
             write_record(&mut buf, seq + i as u64, &payload).expect("writes to a Vec");
-            self.written += 1;
-            let crash = self.crash_after.is_some_and(|n| self.written >= n);
+            let crash = crashpoint::hit(crashpoint::Point::WalRecord);
             let always = self.sync == SyncPolicy::Always;
             if always || crash || i + 1 == docs.len() {
                 // Batch policy: one write and one sync per run.
@@ -593,7 +588,7 @@ impl WalWriter {
             file,
             len: MAGIC.len() as u64,
         });
-        crate::crashpoint::reach(crate::crashpoint::Point::WalSwitched);
+        crashpoint::reach(crashpoint::Point::WalSwitched);
         Ok(())
     }
 
@@ -827,7 +822,7 @@ mod tests {
         let docs: Vec<Arc<Value>> = (0..10).map(|_| Arc::new(doc())).collect();
         // Four arrivals per file: appends switch files at 4 and 8, one
         // batch straddling two boundaries.
-        let mut w = WalWriter::open(&dir, 4, Vec::new(), 0, SyncPolicy::Batch, None).unwrap();
+        let mut w = WalWriter::open(&dir, 4, Vec::new(), 0, SyncPolicy::Batch).unwrap();
         w.append(0, &docs[..3]).unwrap();
         w.append(3, &docs[3..]).unwrap();
         assert_eq!(w.files, [0, 4, 8]);
@@ -857,7 +852,7 @@ mod tests {
         std::fs::write(&last, &bytes).unwrap();
         assert_eq!(seqs(&dir), [8]);
         assert_eq!(normalize(&dir, scan(&dir).unwrap(), 9).unwrap(), [8]);
-        let mut w = WalWriter::open(&dir, 4, vec![8], 9, SyncPolicy::Always, None).unwrap();
+        let mut w = WalWriter::open(&dir, 4, vec![8], 9, SyncPolicy::Always).unwrap();
         w.append(9, &docs[9..]).unwrap();
         drop(w);
         assert_eq!(std::fs::metadata(&last).unwrap().len() as usize, whole);

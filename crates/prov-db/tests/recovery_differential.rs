@@ -6,9 +6,9 @@
 //! Crashes are simulated at the storage layer: the WAL — one file per
 //! seal unit — is truncated at (and inside) every record boundary, and
 //! cut at every file boundary with the next file absent, holding only
-//! its header, or torn inside it, which is exactly the on-disk state a
-//! `PROVDB_CRASH_AFTER` abort leaves behind — the bench crate's
-//! `crash_harness` binary drives the real-abort version of the same
+//! its header, or torn inside it, which is exactly the on-disk state an
+//! abort at `crashpoint::Point::WalRecord` leaves behind — the bench
+//! crate's `crash_harness` binary drives the real-abort version of the same
 //! contract. Sealed segments and compaction are exercised end-to-end:
 //! seal, merge, reopen, and the answers must not move; segments written
 //! by the background sealer are byte-identical to `seal_now`'s. A WAL
